@@ -3,10 +3,9 @@
 These are not paper tables; they isolate the individual ingredients of the
 contribution so their effect can be measured separately:
 
-* level-batched kernels vs per-block LAPACK calls vs per-node recursion
-  (the core claim: batching reduces kernel launches by orders of magnitude);
+* level-batched kernels vs per-node recursion (the core claim: batching
+  reduces kernel launches by orders of magnitude);
 * strided-batch fast path vs pointer-array batches (gemmStridedBatched);
-* CUDA-stream dispatch for the top levels vs tiny batched kernels;
 * partial pivoting in the reduced K systems vs the reordered pivot-free
   formulation of equation (9)'s alternatives;
 * double vs single precision.
@@ -19,7 +18,6 @@ from repro import (
     BigMatrices,
     BatchedFactorization,
     ClusterTree,
-    FlatFactorization,
     HODLRSolver,
     RecursiveFactorization,
     build_hodlr,
@@ -45,16 +43,11 @@ def ablation_problem():
 
 
 class TestVariantAblation:
-    """Batched vs flat vs recursive execution of the same factorization."""
+    """Level-batched vs recursive execution of the same factorization."""
 
     def test_recursive_factorization(self, ablation_problem, benchmark):
         _, H, b = ablation_problem
         fac = benchmark(lambda: RecursiveFactorization(hodlr=H).factorize())
-        assert fac.factored
-
-    def test_flat_factorization(self, ablation_problem, benchmark):
-        _, H, b = ablation_problem
-        fac = benchmark(lambda: FlatFactorization(data=BigMatrices.from_hodlr(H)).factorize())
         assert fac.factored
 
     def test_batched_factorization(self, ablation_problem, benchmark):
@@ -65,12 +58,6 @@ class TestVariantAblation:
     def test_batched_solve(self, ablation_problem, benchmark):
         A, H, b = ablation_problem
         fac = BatchedFactorization(data=BigMatrices.from_hodlr(H)).factorize()
-        x = benchmark(lambda: fac.solve(b))
-        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-7
-
-    def test_flat_solve(self, ablation_problem, benchmark):
-        A, H, b = ablation_problem
-        fac = FlatFactorization(data=BigMatrices.from_hodlr(H)).factorize()
         x = benchmark(lambda: fac.solve(b))
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-7
 
@@ -102,20 +89,12 @@ class TestVariantAblation:
 
 
 class TestDispatchAblation:
-    """Strided vs pointer batches and stream dispatch for the top levels."""
-
-    @pytest.mark.parametrize("cutoff", [0, 4])
-    def test_stream_cutoff(self, ablation_problem, benchmark, cutoff):
-        A, H, b = ablation_problem
-        solver = HODLRSolver(H, variant="batched", stream_cutoff=cutoff)
-        benchmark(solver.factorize)
-        x = solver.solve(b)
-        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-7
+    """Strided vs pointer batches."""
 
     def test_strided_batches_are_used_for_uniform_levels(self, ablation_problem):
         """With a uniform tree the deep levels go through gemmStridedBatched."""
         _, H, b = ablation_problem
-        solver = HODLRSolver(H, variant="batched", stream_cutoff=2).factorize()
+        solver = HODLRSolver(H, variant="batched").factorize()
         kernels = {e.kernel for e in solver.factor_trace.events}
         assert "gemm_strided_batched" in kernels
 
@@ -125,7 +104,7 @@ class TestDispatchAblation:
         A = structured_matrix(n, seed=2)
         tree = ClusterTree.balanced(n, leaf_size=64)
         H = build_hodlr(A, tree, tol=1e-9, method="svd")
-        solver = HODLRSolver(H, variant="batched", stream_cutoff=0).factorize()
+        solver = HODLRSolver(H, variant="batched").factorize()
         kernels = {e.kernel for e in solver.factor_trace.events}
         assert "gemm_batched" in kernels
         b = np.random.default_rng(3).standard_normal(n)

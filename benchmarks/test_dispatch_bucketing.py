@@ -178,13 +178,13 @@ class TestTable3RPYDispatch:
         b = np.random.default_rng(11).standard_normal(RPY_DOFS)
 
         t_fast = _best_of(
-            lambda: HODLRSolver(hodlr, stream_cutoff=0).factorize(), repeats=3
+            lambda: HODLRSolver(hodlr).factorize(), repeats=3
         )
         t_slow = _best_of(
-            lambda: HODLRSolver(hodlr, stream_cutoff=0, dispatch_policy=LOOP_POLICY).factorize(),
+            lambda: HODLRSolver(hodlr, dispatch_policy=LOOP_POLICY).factorize(),
             repeats=3,
         )
-        solver = HODLRSolver(hodlr, stream_cutoff=0).factorize()
+        solver = HODLRSolver(hodlr).factorize()
         x = solver.solve(b)
         relres = float(np.linalg.norm(hodlr.matvec(x) - b) / np.linalg.norm(b))
         print(
@@ -205,13 +205,13 @@ class TestTable5HelmholtzDispatch:
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
         t_fast = _best_of(
-            lambda: HODLRSolver(hodlr, stream_cutoff=0).factorize(), repeats=3
+            lambda: HODLRSolver(hodlr).factorize(), repeats=3
         )
         t_slow = _best_of(
-            lambda: HODLRSolver(hodlr, stream_cutoff=0, dispatch_policy=LOOP_POLICY).factorize(),
+            lambda: HODLRSolver(hodlr, dispatch_policy=LOOP_POLICY).factorize(),
             repeats=3,
         )
-        solver = HODLRSolver(hodlr, stream_cutoff=0).factorize()
+        solver = HODLRSolver(hodlr).factorize()
         x = solver.solve(b)
         relres = float(np.linalg.norm(bie.matvec(x) - b) / np.linalg.norm(b))
 
@@ -243,9 +243,9 @@ class TestTable5HelmholtzDispatch:
         _, hodlr = build_helmholtz_hodlr(n, tol=1e-8)
         rng = np.random.default_rng(9)
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        fast = HODLRSolver(hodlr, stream_cutoff=0).factorize().solve(b)
+        fast = HODLRSolver(hodlr).factorize().solve(b)
         slow = HODLRSolver(
-            hodlr, stream_cutoff=0,
+            hodlr,
             dispatch_policy=DispatchPolicy(bucketing=False, lu_vectorize=False),
         ).factorize().solve(b)
         np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-10)

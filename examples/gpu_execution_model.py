@@ -6,16 +6,15 @@ bases into ``Ubig``/``Vbig`` turns the factorization into a handful of
 *batched* kernel launches per tree level, which a GPU executes at high
 efficiency.  This example makes that schedule visible — with every solver
 constructed through ``repro.build_operator`` and a ``SolverConfig``, so
-variant / pivoting / stream choices are plain configuration:
+pivoting and precision choices are plain configuration:
 
-* it factorizes the same HODLR matrix with the flat (per-block LAPACK) and
-  the batched schedule,
-* prints the recorded kernel trace — launch counts, batch sizes, flops —
-  level by level,
+* it factorizes a HODLR matrix with the level-batched schedule and prints
+  the recorded kernel trace — launch counts, batch sizes, flops — level by
+  level,
 * prices the trace on the V100-like and Xeon-like device models, showing
   how the modeled speedup grows with the problem size (the shape of Fig. 5),
-* compares stream dispatch and pivoting choices for the top levels (the
-  ablations of section III-C).
+* compares pivoting in the reduced K systems (section III-C) and single
+  precision (Table IVb) against the pivoted double-precision default.
 
 Run with:  python examples/gpu_execution_model.py   (REPRO_SMOKE=1 for a small run)
 """
@@ -94,14 +93,14 @@ def main(smoke: bool = SMOKE) -> None:
             f"{c['solution'].total_time / g['solution'].total_time:>8.2f}x"
         )
 
-    print("\n=== dispatch ablation (section III-C) ===")
+    print("\n=== ablations: pivoting (section III-C), precision (Table IVb) ===")
     n = 1024 if smoke else 4096
     A = structured_matrix(n)
     assembled = repro.api.assemble(A, CONFIG)     # compress once, factorize per config
     for label, overrides in [
-        ("streams for top levels (cutoff 4)", dict(stream_cutoff=4)),
-        ("pure batched kernels (cutoff 0)", dict(stream_cutoff=0)),
+        ("pivoted LU, float64 (default)", {}),
         ("no pivoting in K solves", dict(pivot=False)),
+        ("single precision (float32)", dict(dtype="float32")),
     ]:
         s = repro.build_operator(assembled, config=CONFIG.replace(**overrides)).factorize()
         b = rng.standard_normal(n)

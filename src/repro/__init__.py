@@ -63,7 +63,6 @@ from .core.factor_plan import FactorPlan, SolvePlan, build_factor_plan
 from .core.hodlr import HODLRMatrix, build_hodlr, build_hodlr_from_dense
 from .core.bigdata import BigMatrices
 from .core.factor_recursive import RecursiveFactorization
-from .core.factor_flat import FlatFactorization
 from .core.factor_batched import BatchedFactorization
 from .core.solver import (
     HODLRSolver,
@@ -71,7 +70,6 @@ from .core.solver import (
     register_solver_variant,
 )
 from .core.spd import SymmetricFactorization
-from .core.preconditioner import HODLRPreconditioner, gmres_with_hodlr, cg_with_hodlr
 from .core import arithmetic
 from .core.peeling import peel_hodlr
 from .core.update import (
@@ -82,7 +80,6 @@ from .core.update import (
     update_points,
 )
 
-from .backends.batched import BatchedBackend
 from .backends.context import ExecutionContext, PrecisionPolicy, resolve_context
 from .backends.dispatch import (
     ArrayBackend,
@@ -224,15 +221,11 @@ __all__ = [
     "build_hodlr_from_dense",
     "BigMatrices",
     "RecursiveFactorization",
-    "FlatFactorization",
     "BatchedFactorization",
     "HODLRSolver",
     "available_solver_variants",
     "register_solver_variant",
     "SymmetricFactorization",
-    "HODLRPreconditioner",
-    "gmres_with_hodlr",
-    "cg_with_hodlr",
     "arithmetic",
     "peel_hodlr",
     "HODLRUpdate",
@@ -253,7 +246,6 @@ __all__ = [
     "plan_batch_padded",
     "register_backend",
     "resolve_context",
-    "BatchedBackend",
     "DeviceMemoryTracker",
     "hodlr_device_footprint",
     "max_problem_size",

@@ -10,8 +10,8 @@ itself:
 
 :class:`SolverConfig`
     How the factorization runs — variant (``recursive`` / ``flat`` /
-    ``batched``), array backend, dispatch policy, storage dtype, pivoting,
-    and the stream cutoff — plus a nested :class:`CompressionConfig`.
+    ``batched``), array backend, dispatch policy, storage dtype, and
+    pivoting — plus a nested :class:`CompressionConfig`.
 
 Both validate on construction, are hashable (usable as sweep keys), and
 round-trip losslessly through ``to_dict``/``from_dict`` so a parameter
@@ -202,7 +202,8 @@ class SolverConfig:
     Parameters
     ----------
     variant:
-        ``"recursive"``, ``"flat"``, or ``"batched"`` (default).
+        ``"recursive"``, ``"flat"``, or ``"batched"`` (default).  ``"flat"``
+        and ``"batched"`` name the same plan-backed factorization.
     backend:
         Name of a registered :class:`~repro.backends.dispatch.ArrayBackend`
         (``"numpy"``, ``"cupy"``, or anything added via
@@ -217,10 +218,7 @@ class SolverConfig:
         problem's natural dtype.  NumPy dtype objects are normalised to
         their canonical name.
     pivot:
-        Partial pivoting in the reduced ``K`` systems (batched variant).
-    stream_cutoff:
-        Node-count threshold below which the batched variant dispatches on
-        emulated CUDA streams.
+        Partial pivoting in the reduced ``K`` systems (``flat``/``batched``).
     compression:
         Nested :class:`CompressionConfig` (accepts a dict form too).
     precision:
@@ -258,7 +256,6 @@ class SolverConfig:
     dispatch_policy: Optional[DispatchPolicy] = None
     dtype: Optional[str] = None
     pivot: bool = True
-    stream_cutoff: int = 4
     compression: CompressionConfig = field(default_factory=CompressionConfig)
     precision: PrecisionPolicy = field(default_factory=PrecisionPolicy)
     tuning: str = "default"
@@ -283,10 +280,6 @@ class SolverConfig:
         )
         object.__setattr__(self, "dtype", _normalize_dtype(self.dtype))
         _check(isinstance(self.pivot, bool), f"pivot must be a bool, got {self.pivot!r}")
-        _check(
-            isinstance(self.stream_cutoff, int) and self.stream_cutoff >= 0,
-            f"stream_cutoff must be a non-negative int, got {self.stream_cutoff!r}",
-        )
         if isinstance(self.compression, Mapping):
             object.__setattr__(
                 self, "compression", CompressionConfig.from_dict(self.compression)
@@ -451,7 +444,6 @@ class SolverConfig:
             else asdict(self.dispatch_policy),
             "dtype": self.dtype,
             "pivot": self.pivot,
-            "stream_cutoff": self.stream_cutoff,
             "compression": self.compression.to_dict(),
             "precision": asdict(self.precision),
             "tuning": self.tuning,

@@ -41,7 +41,6 @@ from .context import (
     resolve_context,
 )
 from .batched import (
-    BatchedBackend,
     gemm_batched,
     gemm_strided_batched,
     getrf_batched,
@@ -51,7 +50,6 @@ from .batched import (
 )
 from .device import DeviceSpec, CPU_XEON_6254_DUAL, GPU_V100, PCIE3_X16
 from .perfmodel import PerformanceModel, ExecutionEstimate
-from .streams import StreamPool
 from .calibration import (
     MachineProfile,
     auto_tune_context,
@@ -89,7 +87,6 @@ __all__ = [
     "ExecutionContext",
     "PrecisionPolicy",
     "resolve_context",
-    "BatchedBackend",
     "gemm_batched",
     "gemm_strided_batched",
     "getrf_batched",
@@ -102,7 +99,6 @@ __all__ = [
     "PCIE3_X16",
     "PerformanceModel",
     "ExecutionEstimate",
-    "StreamPool",
     "MachineProfile",
     "auto_tune_context",
     "calibrate",

@@ -1015,50 +1015,3 @@ def _record_lu(kernel, nbatch, shape_rep, flops, nbytes, dtype, strided, buckets
 # convenience aliases mirroring LAPACK naming used in the algorithms
 lu_factor_batched = getrf_batched
 lu_solve_batched = getrs_batched
-
-
-class BatchedBackend:
-    """Object-oriented facade over the batched primitives.
-
-    The factorization code accepts a backend instance so that tests can
-    substitute counting or fault-injecting backends, and so that the array
-    backend (NumPy / CuPy) and the dispatch policy can be chosen per
-    solver.  The default forwards to the module-level functions on the
-    NumPy backend with bucketing enabled.
-    """
-
-    def __init__(
-        self,
-        array_backend: Optional[Union[str, ArrayBackend]] = None,
-        policy: Optional[DispatchPolicy] = None,
-        context: Optional[Any] = None,
-    ) -> None:
-        if context is not None:
-            if array_backend is None:
-                array_backend = context.backend
-            if policy is None:
-                policy = context.policy
-        if isinstance(array_backend, str):
-            array_backend = get_backend(array_backend)
-        self.array_backend = array_backend or get_backend("numpy")
-        self.policy = policy or DEFAULT_POLICY
-        self.name = f"{self.array_backend.name}-batched"
-
-    def gemm_batched(self, *args, **kwargs):
-        kwargs.setdefault("backend", self.array_backend)
-        kwargs.setdefault("policy", self.policy)
-        return gemm_batched(*args, **kwargs)
-
-    def gemm_strided_batched(self, *args, **kwargs):
-        kwargs.setdefault("backend", self.array_backend)
-        return gemm_strided_batched(*args, **kwargs)
-
-    def getrf_batched(self, *args, **kwargs):
-        kwargs.setdefault("backend", self.array_backend)
-        kwargs.setdefault("policy", self.policy)
-        return getrf_batched(*args, **kwargs)
-
-    def getrs_batched(self, *args, **kwargs):
-        kwargs.setdefault("backend", self.array_backend)
-        kwargs.setdefault("policy", self.policy)
-        return getrs_batched(*args, **kwargs)

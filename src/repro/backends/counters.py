@@ -57,9 +57,6 @@ class KernelEvent:
         into, i.e. the number of physical kernel launches the call stands
         for.  ``1`` for a uniform batch; the performance model charges one
         launch overhead per bucket.
-    stream:
-        Stream index if the launch was issued on an independent CUDA stream
-        (top levels of the tree), else ``None``.
     level:
         Tree level that issued the launch, if known.
     tag:
@@ -81,7 +78,6 @@ class KernelEvent:
     dtype_size: int = 8
     strided: bool = False
     buckets: int = 1
-    stream: Optional[int] = None
     level: Optional[int] = None
     tag: str = ""
     plan: bool = False
@@ -189,7 +185,7 @@ class TraceRecorder:
     ...     ...  # run a factorization
     >>> trace.total_flops  # doctest: +SKIP
 
-    State (the trace stack and the ambient level/tag/stream context) is
+    State (the trace stack and the ambient level/tag context) is
     **thread-local**: each thread records into its own stack, so pool
     workers never contend with — or interleave into — the coordinator's
     trace.  The parallel executor captures the coordinator's ambient
@@ -209,7 +205,6 @@ class TraceRecorder:
             #: ambient context applied to every recorded event
             tls.level: Optional[int] = None
             tls.tag: str = ""
-            tls.stream: Optional[int] = None
         return tls
 
     # -- context management ------------------------------------------------
@@ -232,32 +227,29 @@ class TraceRecorder:
         self,
         level: Optional[int] = None,
         tag: Optional[str] = None,
-        stream: Optional[int] = None,
     ) -> Iterator[None]:
-        """Temporarily attach level/tag/stream metadata to recorded events."""
+        """Temporarily attach level/tag metadata to recorded events."""
         st = self._state()
-        old = (st.level, st.tag, st.stream)
+        old = (st.level, st.tag)
         if level is not None:
             st.level = level
         if tag is not None:
             st.tag = tag
-        if stream is not None:
-            st.stream = stream
         try:
             yield
         finally:
-            st.level, st.tag, st.stream = old
+            st.level, st.tag = old
 
     # -- worker-side sub-traces (see repro.backends.parallel) ---------------
-    def capture_ambient(self) -> Tuple[Optional[int], str, Optional[int]]:
-        """This thread's ambient ``(level, tag, stream)``, for re-installation
+    def capture_ambient(self) -> Tuple[Optional[int], str]:
+        """This thread's ambient ``(level, tag)``, for re-installation
         inside a worker's :meth:`subtrace`."""
         st = self._state()
-        return (st.level, st.tag, st.stream)
+        return (st.level, st.tag)
 
     @contextlib.contextmanager
     def subtrace(
-        self, ambient: Optional[Tuple[Optional[int], str, Optional[int]]] = None
+        self, ambient: Optional[Tuple[Optional[int], str]] = None
     ) -> Iterator[KernelTrace]:
         """Record this thread's events into a fresh *detached* trace.
 
@@ -265,20 +257,20 @@ class TraceRecorder:
         a parent on this thread — the coordinator that submitted the task
         merges it explicitly with :meth:`absorb`, in task-index order.
         ``ambient`` (from the submitter's :meth:`capture_ambient`) is
-        installed for the duration so events keep their level/tag/stream
+        installed for the duration so events keep their level/tag
         annotations across the thread hop.
         """
         st = self._state()
-        old = (st.level, st.tag, st.stream)
+        old = (st.level, st.tag)
         if ambient is not None:
-            st.level, st.tag, st.stream = ambient
+            st.level, st.tag = ambient
         trace = KernelTrace()
         st.stack.append(trace)
         try:
             yield trace
         finally:
             st.stack.pop()
-            st.level, st.tag, st.stream = old
+            st.level, st.tag = old
 
     def absorb(self, trace: KernelTrace) -> None:
         """Merge a worker sub-trace into this thread's active trace (no-op
@@ -292,10 +284,9 @@ class TraceRecorder:
         st = self._state()
         if not st.stack:
             return
-        if st.level is not None or st.tag or st.stream is not None:
+        if st.level is not None or st.tag:
             event = replace(
                 event,
-                stream=event.stream if event.stream is not None else st.stream,
                 level=event.level if event.level is not None else st.level,
                 tag=event.tag or st.tag,
             )

@@ -75,26 +75,20 @@ class PerformanceModel:
     link:
         Host-device link used for the initial data transfer; ``None`` for a
         CPU execution where no transfer is needed.
-    stream_overlap:
-        Fraction of launch overhead hidden when consecutive launches are
-        issued on independent streams (the paper uses CUDA streams for the
-        top levels of the tree, where batches are tiny).
     """
 
     device: DeviceSpec = GPU_V100
     link: Optional[LinkSpec] = PCIE3_X16
-    stream_overlap: float = 0.6
 
     @classmethod
     def for_host(cls, device: DeviceSpec) -> "PerformanceModel":
-        """A model pricing traces on the host itself: no link, no streams.
+        """A model pricing traces on the host itself: no link.
 
         This is what :mod:`repro.backends.calibration` uses to compare
         precision-demotion candidates on the calibrated machine — there is
-        no PCIe transfer to hide and no independent streams to overlap
-        launch overhead into.
+        no PCIe transfer to hide.
         """
-        return cls(device=device, link=None, stream_overlap=0.0)
+        return cls(device=device, link=None)
 
     def estimate(self, trace: KernelTrace, include_transfer: bool = True) -> ExecutionEstimate:
         compute = 0.0
@@ -105,9 +99,6 @@ class PerformanceModel:
             # so charge the fixed launch cost once per bucket
             if ev.buckets > 1:
                 t += (ev.buckets - 1) * self.device.launch_overhead
-            if ev.stream is not None:
-                # launches overlapped across streams hide part of the fixed cost
-                t -= self.stream_overlap * self.device.launch_overhead
             compute += t
             by_kernel[ev.kernel] = by_kernel.get(ev.kernel, 0.0) + t
 

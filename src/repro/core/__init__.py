@@ -8,12 +8,10 @@ Layout of the subpackage (bottom-up):
 * :mod:`hodlr`            -- Definition 2: the HODLR matrix container.
 * :mod:`bigdata`          -- the paper's concatenated ``Ubig/Vbig/Dbig/Kbig`` layout.
 * :mod:`factor_recursive` -- section III-A recursive factorization (reference).
-* :mod:`factor_flat`      -- Algorithms 1 & 2 (non-recursive level loops).
-* :mod:`factor_batched`   -- Algorithms 3 & 4 (batched "GPU" kernels).
+* :mod:`factor_batched`   -- Algorithms 1-4 (level-batched plan factorization).
 * :mod:`solver`           -- user-facing :class:`HODLRSolver`.
 * :mod:`determinant`      -- determinant / log-determinant via the factorization.
 * :mod:`spd`              -- symmetric factorization of SPD HODLR matrices.
-* :mod:`preconditioner`   -- use of low-accuracy factorizations inside GMRES/CG.
 """
 
 from .cluster_tree import ClusterTree, TreeNode
@@ -33,12 +31,10 @@ from .factor_plan import FactorPlan, SolvePlan, build_factor_plan, emit_factor_p
 from .hodlr import HODLRMatrix, build_hodlr, build_hodlr_from_dense
 from .bigdata import BigMatrices
 from .factor_recursive import RecursiveFactorization
-from .factor_flat import FlatFactorization
 from .factor_batched import BatchedFactorization
 from .solver import HODLRSolver
 from .determinant import logdet_from_factorization
 from .spd import SymmetricFactorization
-from .preconditioner import HODLRPreconditioner, gmres_with_hodlr, cg_with_hodlr
 from .arithmetic import (
     add,
     add_diagonal,
@@ -80,12 +76,8 @@ __all__ = [
     "build_hodlr_from_dense",
     "BigMatrices",
     "RecursiveFactorization",
-    "FlatFactorization",
     "BatchedFactorization",
     "HODLRSolver",
     "logdet_from_factorization",
     "SymmetricFactorization",
-    "HODLRPreconditioner",
-    "gmres_with_hodlr",
-    "cg_with_hodlr",
 ]

@@ -22,10 +22,9 @@ from typing import Tuple, Union
 import numpy as np
 
 from .factor_batched import BatchedFactorization
-from .factor_flat import FlatFactorization
 from .factor_recursive import RecursiveFactorization
 
-Factorization = Union[RecursiveFactorization, FlatFactorization, BatchedFactorization]
+Factorization = Union[RecursiveFactorization, BatchedFactorization]
 
 
 def slogdet_from_factorization(factorization: Factorization) -> Tuple[complex, float]:

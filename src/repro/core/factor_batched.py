@@ -1,28 +1,26 @@
-"""Batched ("GPU") HODLR factorization and solve (Algorithms 3 and 4).
+"""Plan-backed HODLR factorization and solve (Algorithms 1-4).
 
-This is the paper's contribution mapped onto the batched backend: all
-per-node BLAS/LAPACK calls of a tree level are fused into a handful of
-batched kernel launches operating on the concatenated ``Ubig``/``Vbig``/
-``Dbig`` storage.
+The paper's non-recursive factorization (Algorithms 1 and 2) and its GPU
+schedule (Algorithms 3 and 4) are one schedule: batched per-level LU,
+solve and gemm over the concatenated ``Ubig``/``Vbig``/``Dbig`` storage.
+:class:`BatchedFactorization` is that schedule, and both the ``"flat"`` and
+``"batched"`` solver variants build it.
 
-Since PR 5 the variant is a thin scheduling strategy over the shared
-compiled plan: :meth:`BatchedFactorization.factorize` lowers onto
-:func:`~repro.core.factor_plan.build_factor_plan` — Algorithm 3 executed
-packed, one ``getrfBatched``/``getrsBatched``/``gemmStridedBatched``
-launch per shape bucket per level — wrapped in kernel-trace recording and
-host/device transfer accounting, and :meth:`BatchedFactorization.solve`
-replays the compiled :class:`~repro.core.factor_plan.SolvePlan`
-(Algorithm 4: ``O(levels x buckets)`` launches, no Python tree walk, every
-launch trace-visible with ``KernelEvent.plan`` set).
+:meth:`BatchedFactorization.factorize` lowers onto
+:func:`~repro.core.factor_plan.build_factor_plan` — one ``getrfBatched``/
+``getrsBatched``/``gemmStridedBatched`` launch per shape bucket per level —
+wrapped in kernel-trace recording and host/device transfer accounting, and
+:meth:`BatchedFactorization.solve` replays the compiled
+:class:`~repro.core.factor_plan.SolvePlan` (``O(levels x buckets)``
+launches, no Python tree walk, every launch trace-visible with
+``KernelEvent.plan`` set).
 
-Dispatch decisions reproduced from section III-C:
-
-* partial pivoting in the batched LU of the ``K`` blocks can be disabled
-  (``pivot=False``) to model the alternative formulations of equation (9);
-* passing a ``DispatchPolicy(bucketing=False)`` (:data:`~repro.backends.
-  dispatch.LOOP_POLICY`) falls back to the pre-plan per-level schedule with
-  pointer-array batches and emulated CUDA streams for the top levels — the
-  re-bucketing baseline the benchmarks measure the compiled plan against.
+Partial pivoting in the batched LU of the ``K`` blocks can be disabled
+(``pivot=False``) to model the alternative formulation of equation (9).
+The execution context's :class:`~repro.backends.dispatch.DispatchPolicy`
+decides how each planned launch executes: under
+:data:`~repro.backends.dispatch.LOOP_POLICY` every bucket runs per-block
+LAPACK instead of the vectorised batched kernels, with the same plan.
 
 Every launch is recorded in a :class:`~repro.backends.counters.KernelTrace`
 (``factor_trace`` / the trace returned alongside each solve), which the
@@ -32,64 +30,34 @@ performance model converts into modeled GPU time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..backends.batched import BatchedBackend, BatchedLU
 from ..backends.context import ExecutionContext, resolve_context
 from ..backends.counters import KernelTrace, get_recorder
-from ..backends.streams import StreamPool
 from .bigdata import BigMatrices
 from .factor_plan import FactorPlan, SolvePlan, build_factor_plan
 
 
 @dataclass
 class BatchedFactorization:
-    """Output of Algorithm 3, consumed by Algorithm 4."""
+    """Output of Algorithms 1/3, consumed by Algorithms 2/4."""
 
     data: BigMatrices
-    backend: BatchedBackend = field(default_factory=BatchedBackend)
-    #: levels with at most this many nodes are dispatched on emulated CUDA
-    #: streams rather than a batched kernel — only on the pre-plan fallback
-    #: path (the compiled plan always issues strided launches).
-    stream_cutoff: int = 4
     #: partial pivoting for the batched LU of the K blocks.
     pivot: bool = True
-    #: number of emulated streams used for the top levels.
-    num_streams: int = 8
-    #: execution context (backend + policy + precision); the backend above
-    #: is merged into it when both are given
+    #: execution context (backend + policy + precision); ``None`` = default
     context: Optional[ExecutionContext] = None
 
     Ybig: Optional[np.ndarray] = None
-    leaf_lu: Optional[BatchedLU] = None
-    #: level -> BatchedLU of the K_gamma blocks at that level (ordered by node)
-    k_lu: Dict[int, BatchedLU] = field(default_factory=dict)
     factored: bool = False
     #: kernel trace of the factorization stage
     factor_trace: Optional[KernelTrace] = None
     #: kernel trace of the most recent solve
     last_solve_trace: Optional[KernelTrace] = None
-    #: the shared compiled plan (None on the LOOP_POLICY fallback path)
     _plan: Optional[FactorPlan] = field(default=None, repr=False)
     _solve_plan: Optional[SolvePlan] = field(default=None, repr=False)
-
-    def _context(self) -> ExecutionContext:
-        """The resolved execution context.
-
-        When a context was given it is authoritative (the default-constructed
-        ``BatchedBackend`` facade is synced to it in place, so the pre-plan
-        fallback path issues through the same backend and policy); otherwise
-        a context is assembled from the backend facade.
-        """
-        if self.context is None:
-            return resolve_context(
-                None, self.backend.array_backend, self.backend.policy
-            )
-        self.backend.array_backend = self.context.backend
-        self.backend.policy = self.context.policy
-        return self.context
 
     @property
     def factor_plan(self) -> Optional[FactorPlan]:
@@ -99,297 +67,46 @@ class BatchedFactorization:
     def solve_plan(self) -> Optional[SolvePlan]:
         return self._solve_plan
 
-    # ------------------------------------------------------------------
-    # level-wise gemm dispatcher (pre-plan fallback path)
-    # ------------------------------------------------------------------
-    def _level_gemm(
-        self,
-        A_blocks: Sequence[np.ndarray],
-        B_blocks: Sequence[np.ndarray],
-        conjugate_a: bool,
-    ) -> List[np.ndarray]:
-        """Compute ``op(A_i) @ B_i`` for all blocks of a level.
-
-        Chooses between emulated streams (few nodes), the strided-batched
-        fast path (uniform shapes), and the shape-bucketed pointer-array
-        batched kernel (heterogeneous shapes; one strided launch per shape
-        bucket, dispatched by the backend).
-        """
-        nblocks = len(A_blocks)
-        if nblocks == 0:
-            return []
-        if nblocks <= self.stream_cutoff:
-            pool = StreamPool(num_streams=self.num_streams)
-            return [
-                pool.gemm(A, B, conjugate_a=conjugate_a)
-                for A, B in zip(A_blocks, B_blocks)
-            ]
-        shapes_a = {a.shape for a in A_blocks}
-        shapes_b = {b.shape for b in B_blocks}
-        if len(shapes_a) == 1 and len(shapes_b) == 1:
-            xb = self.backend.array_backend
-            A3 = xb.stack(list(A_blocks))
-            B3 = xb.stack(list(B_blocks))
-            out = self.backend.gemm_strided_batched(A3, B3, conjugate_a=conjugate_a)
-            return list(out)
-        return self.backend.gemm_batched(
-            list(A_blocks), list(B_blocks), conjugate_a=conjugate_a
-        )
-
-    # ------------------------------------------------------------------
-    # Algorithm 3: factorization stage
-    # ------------------------------------------------------------------
     def factorize(self) -> "BatchedFactorization":
-        ctx = self._context()
+        self.context = resolve_context(self.context)
         rec = get_recorder()
-
         with rec.recording() as trace:
             # the HODLR data (D, U, V) is assembled on the host and copied to
             # the device before factorization (paper, section IV-A).
             rec.add_transfer(self.data.nbytes, "h2d")
             with rec.context(tag="factor"):
-                if ctx.policy.bucketing:
-                    self._plan = build_factor_plan(
-                        self.data, context=ctx, pivot=self.pivot
-                    )
-                    self._solve_plan = self._plan.solve_plan()
-                    self.Ybig = self._plan.Ybig
-                    self._populate_views()
-                else:
-                    self._factorize_sweep()
-
+                self._plan = build_factor_plan(
+                    self.data, context=self.context, pivot=self.pivot
+                )
+        self._solve_plan = self._plan.solve_plan()
+        self.Ybig = self._plan.Ybig
         self.factor_trace = trace
         self.factored = True
         return self
 
-    def _populate_views(self) -> None:
-        """Expose the per-node BatchedLU views into the packed plan stacks."""
-        plan = self._plan
-        tree = self.data.tree
-        views = plan.leaf_lu_views()
-        self.leaf_lu = BatchedLU(
-            lu=[lu for lu, _ in views], piv=[piv for _, piv in views]
-        )
-        for level in range(tree.levels - 1, -1, -1):
-            self.k_lu[level] = plan.k_lu_batched(level)
-
-    def _factorize_sweep(self) -> None:
-        """The pre-plan per-level schedule (pointer-array batches + streams)."""
-        data = self.data
-        tree = data.tree
-        rec = get_recorder()
-        self.Ybig = data.Ubig.copy()  # line 1
-
-        # lines 2-3: batched LU of all leaf blocks + batched solve
-        with rec.context(level=tree.levels):
-            leaves = tree.leaves
-            stacked = data.leaf_blocks_stacked()
-            blocks = stacked if stacked is not None else [data.Dbig[l.index] for l in leaves]
-            self.leaf_lu = self.backend.getrf_batched(blocks, pivot=True)
-            if self.Ybig.shape[1]:
-                rhs = [self.Ybig[data.node_rows(l), :] for l in leaves]
-                sols = self.backend.getrs_batched(self.leaf_lu, rhs)
-                for leaf, sol in zip(leaves, sols):
-                    self.Ybig[data.node_rows(leaf), :] = sol
-
-        # lines 4-11: level sweep
-        for level in range(tree.levels - 1, -1, -1):
-            self._factor_level(level)
-
-    def _factor_level(self, level: int) -> None:
-        data = self.data
-        tree = data.tree
-        rec = get_recorder()
-        child_level = level + 1
-        r = data.rank_at_level(child_level)
-        child_cols = data.level_cols(child_level)
-        coarse_cols = data.cols_up_to(level)
-        ncoarse = coarse_cols.stop - coarse_cols.start
-
-        gammas = tree.level_nodes(level)
-        children = tree.level_nodes(child_level)
-
-        with rec.context(level=level):
-            if r == 0:
-                # degenerate level (all off-diagonal blocks are numerically zero)
-                self.k_lu[level] = BatchedLU(lu=[np.zeros((0, 0), dtype=data.dtype)] * len(gammas),
-                                             piv=[np.empty(0, int)] * len(gammas))
-                return
-
-            Y_blocks = [self.Ybig[data.node_rows(nd), child_cols] for nd in children]
-            V_blocks = [data.Vbig[data.node_rows(nd), child_cols] for nd in children]
-
-            # line 5: T = V* (.) Y   (one r x r block per child node)
-            T_blocks = self._level_gemm(V_blocks, Y_blocks, conjugate_a=True)
-
-            # line 6: W_rhs = V* (.) Ybig(:, 1:r*ell)
-            if ncoarse:
-                Ycoarse_blocks = [self.Ybig[data.node_rows(nd), coarse_cols] for nd in children]
-                W_rhs_blocks = self._level_gemm(V_blocks, Ycoarse_blocks, conjugate_a=True)
-
-            # line 7: assemble K blocks; line 8: batched LU.  With pivoting the
-            # formulation of equation (9) is used; with ``pivot=False`` the
-            # paper's alternative (identities on the diagonal, right-hand-side
-            # block rows swapped) avoids the need for partial pivoting.
-            xb = self.backend.array_backend
-            eye = xb.eye(r, dtype=self.Ybig.dtype)
-            T3 = xb.stack(list(T_blocks))
-            K_stacked = xb.zeros((len(gammas), 2 * r, 2 * r), dtype=self.Ybig.dtype)
-            if self.pivot:
-                K_stacked[:, :r, :r] = T3[0::2]
-                K_stacked[:, :r, r:] = eye
-                K_stacked[:, r:, :r] = eye
-                K_stacked[:, r:, r:] = T3[1::2]
-            else:
-                K_stacked[:, :r, :r] = eye
-                K_stacked[:, :r, r:] = T3[1::2]
-                K_stacked[:, r:, :r] = T3[0::2]
-                K_stacked[:, r:, r:] = eye
-            self.k_lu[level] = self.backend.getrf_batched(K_stacked, pivot=self.pivot)
-
-            if not ncoarse:
-                return
-
-            # line 9: batched solve of (13)
-            K_rhs = [self._stack_k_rhs(W_rhs_blocks[2 * i], W_rhs_blocks[2 * i + 1])
-                     for i in range(len(gammas))]
-            W_solved = self.backend.getrs_batched(self.k_lu[level], K_rhs)
-
-            # line 10: update Ybig(:, 1:r*ell) -= Y (.) W
-            W_half_blocks = []
-            for i in range(len(gammas)):
-                W_half_blocks.append(W_solved[i][:r])
-                W_half_blocks.append(W_solved[i][r:])
-            updates = self._level_gemm(Y_blocks, W_half_blocks, conjugate_a=False)
-            for nd, upd in zip(children, updates):
-                self.Ybig[data.node_rows(nd), coarse_cols] -= upd
-
-    def _stack_k_rhs(self, block_a: np.ndarray, block_b: np.ndarray) -> np.ndarray:
-        """Order the two right-hand-side blocks to match the chosen K formulation.
-
-        With ``pivot=True`` the rows follow equation (9): the left child's
-        block first.  With ``pivot=False`` the rows are swapped, matching the
-        alternative formulation whose coefficient matrix has identities on
-        the diagonal (so non-pivoted LU is safe); the *solution* ordering is
-        unchanged in both cases.
-        """
-        xb = self.backend.array_backend
-        if self.pivot:
-            return xb.concat([block_a, block_b])
-        return xb.concat([block_b, block_a])
-
-    # ------------------------------------------------------------------
-    # Algorithm 4: solution stage
-    # ------------------------------------------------------------------
-    def solve(
-        self, b: np.ndarray, record_transfer: bool = True, use_plan: bool = True
-    ) -> np.ndarray:
-        """Solve ``A x = b`` with the stored factorization (Algorithm 4).
-
-        Replays the compiled :class:`~repro.core.factor_plan.SolvePlan` when
-        available; ``use_plan=False`` forces the pre-plan per-level sweep
-        (the per-solve re-bucketing baseline).
-        """
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve ``A x = b`` by replaying the compiled SolvePlan."""
         if not self.factored:
             raise RuntimeError("call factorize() before solve()")
-        data = self.data
         rec = get_recorder()
-
-        b = self.backend.array_backend.asarray(b)
-        if b.shape[0] != data.n:
-            raise ValueError(f"right-hand side has {b.shape[0]} rows, expected {data.n}")
-
+        b = self.context.backend.asarray(b)
+        if b.shape[0] != self.data.n:
+            raise ValueError(
+                f"right-hand side has {b.shape[0]} rows, expected {self.data.n}"
+            )
         with rec.recording() as trace:
-            if record_transfer:
-                rec.add_transfer(b.nbytes, "h2d")
+            rec.add_transfer(b.nbytes, "h2d")
             with rec.context(tag="solve"):
-                if use_plan and self._solve_plan is not None:
-                    x = self._solve_plan.solve(b)
-                else:
-                    x = self._solve_sweep(b)
-            if record_transfer:
-                rec.add_transfer(x.nbytes, "d2h")
-
+                x = self._solve_plan.solve(b)
+            rec.add_transfer(x.nbytes, "d2h")
         self.last_solve_trace = trace
         return x
 
-    def _solve_sweep(self, b: np.ndarray) -> np.ndarray:
-        data = self.data
-        tree = data.tree
-        rec = get_recorder()
-        squeeze = b.ndim == 1
-        x = (b.reshape(-1, 1) if squeeze else b).astype(
-            np.result_type(b.dtype, self.Ybig.dtype), copy=True
-        )
-
-        # line 2: batched leaf solves
-        with rec.context(level=tree.levels):
-            leaves = tree.leaves
-            rhs = [x[data.node_rows(l)] for l in leaves]
-            sols = self.backend.getrs_batched(self.leaf_lu, rhs)
-            for leaf, sol in zip(leaves, sols):
-                x[data.node_rows(leaf)] = sol
-
-        # lines 3-7: level sweep
-        for level in range(tree.levels - 1, -1, -1):
-            child_level = level + 1
-            r = data.rank_at_level(child_level)
-            if r == 0:
-                continue
-            child_cols = data.level_cols(child_level)
-            gammas = tree.level_nodes(level)
-            children = tree.level_nodes(child_level)
-
-            with rec.context(level=level):
-                Y_blocks = [self.Ybig[data.node_rows(nd), child_cols] for nd in children]
-                V_blocks = [data.Vbig[data.node_rows(nd), child_cols] for nd in children]
-                x_blocks = [x[data.node_rows(nd)] for nd in children]
-
-                # line 4: w = V* (.) x
-                w_blocks = self._level_gemm(V_blocks, x_blocks, conjugate_a=True)
-
-                # line 5: batched K solve
-                K_rhs = [self._stack_k_rhs(w_blocks[2 * i], w_blocks[2 * i + 1])
-                         for i in range(len(gammas))]
-                w_solved = self.backend.getrs_batched(self.k_lu[level], K_rhs)
-
-                # line 6: x -= Y (.) w
-                w_half = []
-                for i in range(len(gammas)):
-                    w_half.append(w_solved[i][:r])
-                    w_half.append(w_solved[i][r:])
-                updates = self._level_gemm(Y_blocks, w_half, conjugate_a=False)
-                for nd, upd in zip(children, updates):
-                    x[data.node_rows(nd)] -= upd
-
-        return x.ravel() if squeeze else x
-
-    # ------------------------------------------------------------------
-    # determinant and diagnostics
-    # ------------------------------------------------------------------
     def slogdet(self) -> Tuple[complex, float]:
         """Sign/phase and log-magnitude of ``det(A)`` from the stored factors."""
         if not self.factored:
             raise RuntimeError("call factorize() before slogdet()")
-        if self._plan is not None:
-            return self._plan.slogdet()
-        sign: complex = 1.0
-        logabs = 0.0
-        signs, logs = self.leaf_lu.logdet()
-        sign *= np.prod(signs)
-        logabs += float(np.sum(logs))
-        for level, batched in self.k_lu.items():
-            if not len(batched) or batched.lu[0].shape[0] == 0:
-                continue
-            signs, logs = batched.logdet()
-            r = batched.lu[0].shape[0] // 2
-            # the block-row swap relating K to the node factor contributes
-            # (-1)^{r^2} per node; the pivot=False formulation applies a second
-            # swap, cancelling it.
-            swap_exponent = 0 if not self.pivot else r * r * len(batched)
-            sign *= np.prod(signs) * ((-1.0) ** swap_exponent)
-            logabs += float(np.sum(logs))
-        return sign, logabs
+        return self._plan.slogdet()
 
     def logdet(self) -> float:
         sign, logabs = self.slogdet()
@@ -398,12 +115,5 @@ class BatchedFactorization:
         return logabs
 
     def factorization_nbytes(self) -> int:
-        """Memory of the factorization (Ybig + Vbig + LU factors), in bytes."""
-        total = self.Ybig.nbytes if self.Ybig is not None else 0
-        total += self.data.Vbig.nbytes
-        if self._plan is not None:
-            return int(total + self._plan.nbytes)
-        if self.leaf_lu is not None:
-            total += self.leaf_lu.nbytes
-        total += sum(batched.nbytes for batched in self.k_lu.values())
-        return int(total)
+        """Memory of the factorization (Ybig + Vbig + packed plan), in bytes."""
+        return int(self.Ybig.nbytes + self.data.Vbig.nbytes + self._plan.nbytes)

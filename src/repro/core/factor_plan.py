@@ -40,9 +40,10 @@ Memory
 Like :class:`~repro.core.apply_plan.ApplyPlan`, the plan stores packed
 *copies* of the solved bases (the ``Y3``/``Vh3`` stacks) next to the
 ``Ybig``/``Vbig`` they were gathered from — the concatenated arrays stay
-alive for the ``use_plan=False`` fallback sweep and the per-node views, so
-a compiled factorization holds roughly one extra copy of the basis
-storage.  ``factorization_nbytes`` reports the full resident footprint.
+alive because :func:`patch_factor_plan` re-solves and re-gathers the dirty
+slice of an updated matrix from them, so a compiled factorization holds
+roughly one extra copy of the basis storage.  ``factorization_nbytes``
+reports the full resident footprint.
 
 Pad-to-bucket LU packing
 ------------------------
@@ -338,7 +339,7 @@ class FactorPlan:
         return patch_factor_plan(self, hodlr, dirty_nodes)
 
     # ------------------------------------------------------------------
-    # per-node views (compatibility with the per-variant factor objects)
+    # per-leaf views (read by patch_factor_plan)
     # ------------------------------------------------------------------
     def leaf_lu_views(self) -> List[Tuple[np.ndarray, np.ndarray]]:
         """``(lu, piv)`` of every leaf in ``tree.leaves`` order (views into
@@ -352,34 +353,6 @@ class FactorPlan:
                 m = sizes[j]
                 out[p] = (lb.lu3[j, :m, :m], lb.piv3[j, :m])
         return out  # type: ignore[return-value]
-
-    def k_lu_views(self, level: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """The packed ``(lu3, piv3)`` K stacks of one gamma level (or ``None``)."""
-        for sw in self.sweeps:
-            if sw.level == level:
-                return sw.k_lu3, sw.k_piv3
-        return None
-
-    def k_lu_batched(self, level: int):
-        """The level's K factors as a ``BatchedLU`` of views into the packed
-        stacks (a degenerate rank-0 level yields empty factors per gamma) —
-        the compatibility surface the per-variant factor objects expose."""
-        from ..backends.batched import BatchedLU
-
-        ngamma = len(self.tree.level_nodes(level))
-        packed = self.k_lu_views(level)
-        if packed is None:
-            empty = self.context.backend.zeros((0, 0), dtype=self.dtype)
-            empty_piv = np.empty(0, dtype=np.int64)
-            return BatchedLU(
-                lu=[empty] * ngamma, piv=[empty_piv] * ngamma, pivot=self.pivot
-            )
-        k_lu3, k_piv3 = packed
-        return BatchedLU(
-            lu=[k_lu3[g] for g in range(ngamma)],
-            piv=[k_piv3[g] for g in range(ngamma)],
-            pivot=self.pivot,
-        )
 
     # ------------------------------------------------------------------
     # determinant
@@ -581,9 +554,10 @@ def build_factor_plan(
     :class:`FactorPlan`.
 
     Per shape bucket per level this issues one getrf, one getrs, and a
-    handful of strided gemms through the dispatch layer — the flat and
-    batched variants are thin scheduling wrappers around this builder (the
-    batched one adds trace recording and transfer accounting around it).
+    handful of strided gemms through the dispatch layer.
+    :class:`~repro.core.factor_batched.BatchedFactorization` (the ``flat``
+    and ``batched`` variants) wraps it in trace recording and transfer
+    accounting.
     """
     ctx = resolve_context(context)
     xb, pol = ctx.backend, ctx.policy

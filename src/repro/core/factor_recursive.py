@@ -4,8 +4,8 @@ This is the reference algorithm: it mirrors the recursion of equations
 (6)-(9) directly on the tree, one node at a time, with ordinary (non
 batched) LAPACK calls.  It is used
 
-* as the correctness oracle for the flat and batched variants (all three
-  must produce the same solutions up to round-off), and
+* as the correctness oracle for the plan-backed ``flat``/``batched``
+  variants (both must produce the same solutions up to round-off), and
 * as the computational core of the HODLRlib-style CPU baseline
   (:mod:`repro.baselines.hodlrlib_cpu`), which executes exactly this
   per-node schedule.

@@ -25,12 +25,11 @@ Variants
 ``"recursive"``
     The per-node recursion of section III-A (reference; also the engine of
     the HODLRlib-style CPU baseline).
-``"flat"``
-    Algorithms 1 & 2: level loops over the concatenated storage with one
-    LAPACK call per block.
-``"batched"``
-    Algorithms 3 & 4: the GPU schedule on the batched backend, with kernel
-    traces available for performance modeling.
+``"flat"`` / ``"batched"``
+    Algorithms 1-4: the level-batched schedule over the concatenated
+    storage, compiled into one :class:`~repro.core.factor_plan.FactorPlan`
+    with kernel traces available for performance modeling.  Both names
+    build the same :class:`~repro.core.factor_batched.BatchedFactorization`.
 """
 
 from __future__ import annotations
@@ -42,14 +41,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..backends.batched import BatchedBackend
 from ..backends.context import ExecutionContext, resolve_context
 from ..backends.counters import KernelTrace, get_recorder
 from ..backends.dispatch import ArrayBackend, DispatchPolicy
 from ..backends.perfmodel import ExecutionEstimate, PerformanceModel
 from .bigdata import BigMatrices
 from .factor_batched import BatchedFactorization
-from .factor_flat import FlatFactorization
 from .factor_recursive import RecursiveFactorization
 from .hodlr import HODLRMatrix
 
@@ -131,13 +128,9 @@ class HODLRSolver:
         Optional dtype override; ``np.float32`` reproduces the paper's
         single-precision runs (Table IVb).
     pivot:
-        Partial pivoting in the reduced ``K`` systems (batched variant only).
-    stream_cutoff:
-        Node-count threshold below which the batched variant dispatches on
-        emulated CUDA streams.
+        Partial pivoting in the reduced ``K`` systems (``flat``/``batched``).
     backend:
-        A :class:`~repro.backends.batched.BatchedBackend` instance, an
-        :class:`~repro.backends.dispatch.ArrayBackend` instance, or the
+        An :class:`~repro.backends.dispatch.ArrayBackend` instance or the
         name of a registered array backend (``"numpy"``, ``"cupy"``).
     dispatch_policy:
         Shape-bucketing policy for the batched primitives; see
@@ -155,8 +148,7 @@ class HODLRSolver:
         variant: str = "batched",
         dtype=None,
         pivot: bool = True,
-        stream_cutoff: int = 4,
-        backend: Optional[Union[str, ArrayBackend, BatchedBackend]] = None,
+        backend: Optional[Union[str, ArrayBackend]] = None,
         dispatch_policy: Optional[DispatchPolicy] = None,
         context: Optional[ExecutionContext] = None,
     ) -> None:
@@ -167,29 +159,7 @@ class HODLRSolver:
             )
         self.variant = variant
         self.pivot = pivot
-        self.stream_cutoff = stream_cutoff
-        if isinstance(backend, BatchedBackend):
-            if dispatch_policy is not None:
-                # update the policy in place so subclasses (counting /
-                # fault-injecting test backends) keep their behaviour
-                backend.policy = dispatch_policy
-            if context is not None:
-                # the context is authoritative over the facade's *implicit*
-                # defaults (only an explicitly passed dispatch_policy= may
-                # override it); the facade instance is kept — test
-                # subclasses included — and synced to the resolved context
-                self.context = resolve_context(context, policy=dispatch_policy)
-                backend.array_backend = self.context.backend
-                backend.policy = self.context.policy
-            else:
-                self.context = resolve_context(
-                    None, backend.array_backend, backend.policy
-                )
-            self.backend = backend
-        else:
-            # a registered backend name, a bare ArrayBackend, a context, or None
-            self.context = resolve_context(context, backend, dispatch_policy)
-            self.backend = BatchedBackend(context=self.context)
+        self.context = resolve_context(context, backend, dispatch_policy)
         # dtype=None means "hodlr is already at the target dtype" — the
         # context's precision.storage reaches here through from_config's
         # dtype argument, never implicitly
@@ -199,7 +169,7 @@ class HODLRSolver:
         # cached operator); the read-modify-write stats update needs a lock
         self._stats_lock = threading.Lock()
         self._impl: Optional[
-            Union[RecursiveFactorization, FlatFactorization, BatchedFactorization]
+            Union[RecursiveFactorization, BatchedFactorization]
         ] = None
         self._bigdata: Optional[BigMatrices] = None
 
@@ -218,7 +188,7 @@ class HODLRSolver:
         """Construct from a :class:`repro.api.config.SolverConfig`.
 
         ``config`` is duck-typed (any object with ``variant``, ``pivot``,
-        ``stream_cutoff``, ``numpy_dtype``, and either an
+        ``numpy_dtype``, and either an
         ``execution_context()`` method or ``backend``/``dispatch_policy``
         attributes).  ``dtype`` overrides the config's dtype when given —
         pass ``dtype=None`` explicitly if ``hodlr`` is already stored at the
@@ -255,7 +225,6 @@ class HODLRSolver:
             variant=config.variant,
             dtype=config.numpy_dtype if dtype is cls._UNSET else dtype,
             pivot=config.pivot,
-            stream_cutoff=config.stream_cutoff,
             **kwargs,
         )
 
@@ -264,29 +233,16 @@ class HODLRSolver:
     # ------------------------------------------------------------------
     def factorize(self) -> "HODLRSolver":
         t0 = time.perf_counter()  # repro-lint: ignore[RL004] -- SolveStats wall-clock reporting, not test timing
-        array_backend = self.backend.array_backend
+        array_backend = self.context.backend
         if self.variant == "recursive":
             self._impl = RecursiveFactorization(
                 hodlr=self.hodlr, backend=array_backend, context=self.context
             ).factorize()
             self.stats.factorization_bytes = self._impl.factorization_nbytes()
-        elif self.variant == "flat":
-            self._bigdata = BigMatrices.from_hodlr(self.hodlr, backend=array_backend)
-            self._impl = FlatFactorization(
-                data=self._bigdata,
-                backend=array_backend,
-                policy=self.backend.policy,
-                context=self.context,
-            ).factorize()
-            self.stats.factorization_bytes = self._impl.factorization_nbytes()
-        elif self.variant == "batched":
+        elif self.variant in ("flat", "batched"):
             self._bigdata = BigMatrices.from_hodlr(self.hodlr, backend=array_backend)
             self._impl = BatchedFactorization(
-                data=self._bigdata,
-                backend=self.backend,
-                pivot=self.pivot,
-                stream_cutoff=self.stream_cutoff,
-                context=self.context,
+                data=self._bigdata, pivot=self.pivot, context=self.context
             ).factorize()
             self.stats.factorization_bytes = self._impl.factorization_nbytes()
         else:
@@ -312,8 +268,8 @@ class HODLRSolver:
         so subsequent solves replay it with no further work.
 
         Raises :class:`~repro.core.update.PatchUnsupportedError` when the
-        solver holds no patchable plan (the ``recursive`` variant, a
-        registered baseline variant, or the loop-policy fallback) or when
+        solver holds no patchable plan (the ``recursive`` variant or a
+        registered baseline variant) or when
         the plan itself cannot absorb the change; callers should fall back
         to a full :meth:`factorize` of the new matrix.
         """
@@ -324,8 +280,7 @@ class HODLRSolver:
         if plan is None:
             raise PatchUnsupportedError(
                 f"variant {self.variant!r} holds no compiled FactorPlan to "
-                "patch (recursive/baseline variant or loop-policy fallback); "
-                "refactorize instead"
+                "patch (only the flat/batched variants do); refactorize instead"
             )
         t0 = time.perf_counter()  # repro-lint: ignore[RL004] -- SolveStats wall-clock reporting, not test timing
         target = np.dtype(self.hodlr.dtype)
@@ -333,15 +288,15 @@ class HODLRSolver:
         rec = get_recorder()
         with rec.recording() as trace:
             patched = plan.patch(hodlr_t, dirty_nodes)
-        # the impl's BigMatrices back the non-plan solve sweep and the
-        # nbytes accounting; the patch already packed the new matrix into
-        # the plan's layout, so adopt that instead of re-running the O(N)
-        # from_hodlr pack
+        # the impl's BigMatrices back the nbytes accounting and the next
+        # patch; the patch already packed the new matrix into the plan's
+        # layout, so adopt that instead of re-running the O(N) from_hodlr
+        # pack
         data = patched.bigdata
         if data is None:
             data = BigMatrices.from_hodlr(
                 hodlr_t,
-                backend=self.backend.array_backend,
+                backend=self.context.backend,
                 min_level_ranks=patched.level_ranks,
             )
         self.hodlr = hodlr_t
@@ -350,9 +305,7 @@ class HODLRSolver:
         impl._plan = patched
         impl._solve_plan = patched.solve_plan()
         impl.Ybig = patched.Ybig
-        impl._populate_views()
-        if hasattr(impl, "factor_trace"):
-            impl.factor_trace = trace
+        impl.factor_trace = trace
         self.stats.factorization_bytes = impl.factorization_nbytes()
         self.stats.factor_seconds = time.perf_counter() - t0  # repro-lint: ignore[RL004] -- SolveStats wall-clock reporting, not test timing
         return self
@@ -369,27 +322,18 @@ class HODLRSolver:
     # ------------------------------------------------------------------
     # solve / apply
     # ------------------------------------------------------------------
-    def solve(
-        self, b: np.ndarray, compute_residual: bool = False, use_plan: bool = True
-    ) -> np.ndarray:
+    def solve(self, b: np.ndarray, compute_residual: bool = False) -> np.ndarray:
         """Solve ``A x = b``; ``b`` may contain multiple right-hand sides.
 
-        All built-in variants replay their compiled
+        The ``flat``/``batched`` variants replay their compiled
         :class:`~repro.core.factor_plan.SolvePlan` (packed once at
         factorization time, reused across solves and Krylov iterations);
-        ``use_plan=False`` forces the variant's pre-plan sweep — the
-        per-solve re-bucketing baseline the benchmarks measure against.
-        Registered (baseline) variants have no plan; the flag is ignored
-        for them.
+        the ``recursive`` variant does too unless its policy disables
+        bucketing, in which case it runs the per-node recursion.
         """
         impl = self._require_factored()
         t0 = time.perf_counter()  # repro-lint: ignore[RL004] -- SolveStats wall-clock reporting, not test timing
-        # registered baseline variants expose a bare solve(b); only the
-        # built-in impls (which carry a factor_plan) take the use_plan knob
-        if use_plan or not hasattr(impl, "factor_plan"):
-            x = impl.solve(b)
-        else:
-            x = impl.solve(b, use_plan=False)
+        x = impl.solve(b)
         elapsed = time.perf_counter() - t0  # repro-lint: ignore[RL004] -- SolveStats wall-clock reporting, not test timing
         # a fused (n, K) block counts K right-hand sides: one plan replay
         # amortizes its launches across the whole block
@@ -416,7 +360,7 @@ class HODLRSolver:
         construction run on the context's backend) multiply the
         device-resident ``x`` directly — no host/device mixing either way.
         """
-        ab = self.backend.array_backend
+        ab = self.context.backend
         b_arr = ab.asarray(b)
         first_block = next(iter(self.hodlr.diag.values()))
         if type(first_block) is np.ndarray:
@@ -454,7 +398,7 @@ class HODLRSolver:
         return fn()
 
     # ------------------------------------------------------------------
-    # traces & performance modeling (batched variant only)
+    # traces & performance modeling (flat/batched variants)
     # ------------------------------------------------------------------
     @property
     def factor_trace(self) -> Optional[KernelTrace]:
@@ -472,14 +416,14 @@ class HODLRSolver:
     @property
     def factor_plan(self):
         """The shared packed :class:`~repro.core.factor_plan.FactorPlan`
-        (``None`` before factorization or on the loop-policy fallback)."""
+        (``None`` before factorization, for registered baseline variants,
+        and for ``recursive`` under a non-bucketing policy)."""
         return getattr(self._impl, "factor_plan", None)
 
     @property
     def solve_plan(self):
         """The compiled :class:`~repro.core.factor_plan.SolvePlan` every
-        ``solve`` replays (``None`` before factorization or on the
-        loop-policy fallback)."""
+        ``solve`` replays (``None`` whenever :attr:`factor_plan` is)."""
         return getattr(self._impl, "solve_plan", None)
 
     def modeled_times(
@@ -487,7 +431,7 @@ class HODLRSolver:
     ) -> Dict[str, ExecutionEstimate]:
         """Estimate device execution times of the recorded kernel traces.
 
-        Only meaningful for the ``"batched"`` variant; returns a dict with
+        Only meaningful for the ``flat``/``batched`` variants; returns a dict with
         keys ``"factorization"`` and (if a solve has been run)
         ``"solution"``.
         """

@@ -122,7 +122,7 @@ class TestSolverConfig:
         [
             dict(variant="dense"),
             dict(backend=""),
-            dict(stream_cutoff=-1),
+            dict(tuning="fast"),
             dict(pivot=1),
             dict(dtype="int32"),
             dict(dtype="not-a-dtype"),
@@ -142,7 +142,6 @@ class TestSolverConfig:
             variant="flat",
             dtype="float32",
             pivot=False,
-            stream_cutoff=0,
             dispatch_policy=DispatchPolicy(bucketing=False, min_bucket=3),
             compression=CompressionConfig(tol=1e-5, method="svd"),
         )
@@ -508,37 +507,9 @@ class TestSolveStats:
 
 
 # ======================================================================
-# deprecation shims
+# the facade paths raise no DeprecationWarning
 # ======================================================================
 class TestDeprecationShims:
-    def test_hodlr_preconditioner_warns_and_works(self, hard_system):
-        A, H, b = hard_system
-        with pytest.warns(DeprecationWarning, match="HODLRPreconditioner"):
-            from repro import HODLRPreconditioner
-
-            M = HODLRPreconditioner(HODLRSolver(H, variant="batched"))
-        x, info = spla.gmres(A, b, M=M, rtol=1e-10, atol=0.0, maxiter=400)
-        assert info == 0
-        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-8
-
-    def test_gmres_with_hodlr_warns_and_delegates(self, hard_system):
-        A, _, b = hard_system
-        from repro import gmres_with_hodlr
-
-        with pytest.warns(DeprecationWarning, match="gmres_solve"):
-            x, info, log = gmres_with_hodlr(A, b, tol=1e-10, maxiter=400)
-        assert log.iterations == len(log.residuals)
-
-    def test_cg_with_hodlr_warns_and_delegates(self, rng):
-        from repro import cg_with_hodlr
-
-        n = 128
-        A = spd_kernel_matrix(n, seed=2, nugget=1e-1)
-        b = rng.standard_normal(n)
-        with pytest.warns(DeprecationWarning, match="cg_solve"):
-            x, info, _ = cg_with_hodlr(A, b, tol=1e-10, maxiter=500)
-        assert info == 0
-
     def test_new_paths_do_not_warn(self, system):
         _, H, b = system
         with warnings.catch_warnings():

@@ -1,10 +1,9 @@
-"""Tests for the batched backend, kernel tracing, streams, and the performance model."""
+"""Tests for the batched backend, kernel tracing, and the performance model."""
 
 import numpy as np
 import pytest
 
 from repro.backends.batched import (
-    BatchedBackend,
     gemm_batched,
     gemm_strided_batched,
     getrf_batched,
@@ -19,8 +18,8 @@ from repro.backends.counters import (
     get_recorder,
 )
 from repro.backends.device import CPU_XEON_6254_DUAL, GPU_V100, PCIE3_X16, DeviceSpec
+from repro.backends.dispatch import get_backend
 from repro.backends.perfmodel import PerformanceModel
-from repro.backends.streams import StreamPool
 
 
 class TestGemmBatched:
@@ -193,31 +192,8 @@ class TestTracing:
         assert summary["launches"] == 2
 
 
-class TestStreams:
-    def test_stream_gemm_matches_numpy(self, rng):
-        pool = StreamPool(num_streams=4)
-        A = rng.standard_normal((6, 4))
-        B = rng.standard_normal((4, 3))
-        np.testing.assert_allclose(pool.gemm(A, B), A @ B)
-        np.testing.assert_allclose(pool.gemm(A.T, B, conjugate_a=True), A @ B)
-
-    def test_stream_assignment_round_robin(self, rng):
-        rec = get_recorder()
-        pool = StreamPool(num_streams=2)
-        with rec.recording() as trace:
-            for _ in range(4):
-                pool.gemm(np.eye(3), np.eye(3))
-        streams = [e.stream for e in trace.events]
-        assert set(streams) <= {0, 1}
-        assert len(set(streams)) == 2
-
-    def test_invalid_stream_count(self):
-        with pytest.raises(ValueError):
-            StreamPool(num_streams=0)
-
-
 class TestPerformanceModel:
-    def _trace(self, flops, nbytes, launches=1, dtype_size=8, stream=None):
+    def _trace(self, flops, nbytes, launches=1, dtype_size=8):
         t = KernelTrace()
         for _ in range(launches):
             t.append(
@@ -228,7 +204,6 @@ class TestPerformanceModel:
                     flops=flops / launches,
                     bytes_moved=nbytes / launches,
                     dtype_size=dtype_size,
-                    stream=stream,
                 )
             )
         return t
@@ -266,12 +241,6 @@ class TestPerformanceModel:
         est_no = model.estimate(trace, include_transfer=False)
         assert est_no.transfer_time == 0.0
 
-    def test_stream_overlap_hides_launch_overhead(self):
-        model = PerformanceModel(link=None)
-        plain = model.estimate(self._trace(1e6, 1e4, launches=100, stream=None))
-        streamed = model.estimate(self._trace(1e6, 1e4, launches=100, stream=0))
-        assert streamed.total_time < plain.total_time
-
     def test_gflops_property(self):
         model = PerformanceModel(link=None)
         est = model.estimate(self._trace(1e10, 1e8))
@@ -293,9 +262,12 @@ class TestPerformanceModel:
         assert getrs_flops(3, 2) == pytest.approx(36.0)
 
     def test_backend_facade(self, rng):
-        backend = BatchedBackend()
+        """The batched primitives run on an explicitly passed array backend."""
+        xb = get_backend("numpy")
         A = [rng.standard_normal((3, 3))]
         B = [rng.standard_normal((3, 3))]
-        np.testing.assert_allclose(backend.gemm_batched(A, B)[0], A[0] @ B[0])
-        lu = backend.getrf_batched([np.eye(3)])
-        np.testing.assert_allclose(backend.getrs_batched(lu, [np.ones(3)])[0], np.ones(3))
+        np.testing.assert_allclose(gemm_batched(A, B, backend=xb)[0], A[0] @ B[0])
+        lu = getrf_batched([np.eye(3)], backend=xb)
+        np.testing.assert_allclose(
+            getrs_batched(lu, [np.ones(3)], backend=xb)[0], np.ones(3)
+        )

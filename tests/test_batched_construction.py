@@ -12,12 +12,13 @@ import pytest
 
 from repro.api import CompressionConfig as ApiCompressionConfig
 from repro.api import ConfigError, HODLROperator, SolverConfig
+from repro.backends.context import ExecutionContext
 from repro.backends.counters import get_recorder
 from repro.backends.dispatch import DEFAULT_POLICY, LOOP_POLICY
 from repro.core import (
+    BatchedFactorization,
     BigMatrices,
     ClusterTree,
-    FlatFactorization,
     HODLRSolver,
     build_hodlr,
 )
@@ -460,7 +461,7 @@ class TestKernelMatrixEntries:
 
 
 # ======================================================================
-# flat variant on the batched kernels
+# the plan factorization on the batched kernels
 # ======================================================================
 class TestFlatBatchedLU:
     def test_policy_equivalence(self):
@@ -471,8 +472,12 @@ class TestFlatBatchedLU:
         H = build_hodlr(A, tree, config=CompressionConfig(tol=1e-12, method="svd"))
         b = rng.standard_normal(256)
         data = BigMatrices.from_hodlr(H)
-        x_def = FlatFactorization(data=data.copy(), policy=DEFAULT_POLICY).factorize().solve(b)
-        x_loop = FlatFactorization(data=data.copy(), policy=LOOP_POLICY).factorize().solve(b)
+        x_def = BatchedFactorization(
+            data=data.copy(), context=ExecutionContext(policy=DEFAULT_POLICY)
+        ).factorize().solve(b)
+        x_loop = BatchedFactorization(
+            data=data.copy(), context=ExecutionContext(policy=LOOP_POLICY)
+        ).factorize().solve(b)
         assert np.linalg.norm(x_def - x_loop) <= 1e-12 * np.linalg.norm(x_loop)
         assert np.linalg.norm(A @ x_def - b) <= 1e-8 * np.linalg.norm(b)
 
@@ -484,8 +489,8 @@ class TestFlatBatchedLU:
         b = rng.standard_normal(128)
         s1 = HODLRSolver(H, variant="flat", dispatch_policy=LOOP_POLICY).factorize()
         s2 = HODLRSolver(H, variant="flat").factorize()
-        assert s1._impl.policy.bucketing is False
-        assert s2._impl.policy is not None and s2._impl.policy.bucketing is True
+        assert s1._impl.context.policy.bucketing is False
+        assert s2._impl.context.policy.bucketing is True
         assert np.linalg.norm(s1.solve(b) - s2.solve(b)) <= 1e-12 * np.linalg.norm(b)
 
     def test_slogdet_unchanged(self):
@@ -494,7 +499,7 @@ class TestFlatBatchedLU:
         A = A @ A.T + 128 * np.eye(128)  # SPD: well-defined logdet
         tree = ClusterTree.balanced(128, leaf_size=16)
         H = build_hodlr(A, tree, config=CompressionConfig(tol=1e-12, method="svd"))
-        fac = FlatFactorization(data=BigMatrices.from_hodlr(H)).factorize()
+        fac = BatchedFactorization(data=BigMatrices.from_hodlr(H)).factorize()
         _, expected = np.linalg.slogdet(A)
         assert abs(fac.logdet() - expected) <= 1e-6 * abs(expected)
 

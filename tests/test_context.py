@@ -236,7 +236,9 @@ class TestRecordingStub:
         # factorization through the config (variant="batched")
         solver = HODLRSolver.from_config(hodlr, cfg, dtype=None).factorize()
         assert stub.calls["lu_factor_batch"] + stub.calls["lu_factor"] > 0
-        assert all(isinstance(lu, _DeviceArray) for lu in solver._impl.leaf_lu.lu)
+        assert all(
+            isinstance(lu, _DeviceArray) for lu, _ in solver.factor_plan.leaf_lu_views()
+        )
 
         # compiled apply plan + matvec, device in / device out
         plan = hodlr.build_apply_plan(context=ctx)

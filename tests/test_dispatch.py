@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.backends.batched import (
-    BatchedBackend,
     gemm_batched,
     getrf_batched,
     getrs_batched,
@@ -322,8 +321,8 @@ class TestSolverThreading:
 
         A, H = small_hodlr
         b = rng.standard_normal(A.shape[0])
-        fast = HODLRSolver(H, dispatch_policy=DEFAULT_POLICY, stream_cutoff=0).factorize()
-        slow = HODLRSolver(H, dispatch_policy=LOOP_POLICY, stream_cutoff=0).factorize()
+        fast = HODLRSolver(H, dispatch_policy=DEFAULT_POLICY).factorize()
+        slow = HODLRSolver(H, dispatch_policy=LOOP_POLICY).factorize()
         np.testing.assert_allclose(fast.solve(b), slow.solve(b), rtol=1e-10, atol=1e-10)
         fast_events = [e for e in fast.factor_trace.events if e.kernel == "getrf_batched"]
         assert any(e.strided for e in fast_events)
@@ -334,15 +333,17 @@ class TestSolverThreading:
         from repro import HODLRSolver, PerformanceModel
 
         _, H = small_hodlr
-        solver = HODLRSolver(H, stream_cutoff=0).factorize()
+        solver = HODLRSolver(H).factorize()
         est = PerformanceModel().estimate(solver.factor_trace)
         assert est.num_kernel_launches >= est.num_launches
 
     def test_batched_backend_policy_override(self, rng):
-        backend = BatchedBackend(policy=DispatchPolicy(bucketing=False))
+        """An explicit ``policy=`` overrides the batched primitives' default."""
         rec = get_recorder()
         with rec.recording() as trace:
-            backend.gemm_batched([np.eye(3)] * 3, [np.eye(3)] * 3)
+            gemm_batched(
+                [np.eye(3)] * 3, [np.eye(3)] * 3,
+                policy=DispatchPolicy(bucketing=False),
+            )
         assert trace.events[0].buckets == 1
         assert not trace.events[0].strided
-        assert backend.name == "numpy-batched"

@@ -7,7 +7,6 @@ from repro import (
     BigMatrices,
     BatchedFactorization,
     ClusterTree,
-    FlatFactorization,
     HODLRSolver,
     build_hodlr,
 )
@@ -71,15 +70,10 @@ class TestPartiallyZeroLevels:
         H = build_hodlr(A, tree, tol=1e-10, method="svd")
         profile = H.rank_profile()
         assert profile[0] >= 2 and all(r == 0 for r in profile[1:])
-        for variant in ["flat", "batched"]:
-            fac = (
-                FlatFactorization(data=BigMatrices.from_hodlr(H))
-                if variant == "flat"
-                else BatchedFactorization(data=BigMatrices.from_hodlr(H))
-            ).factorize()
-            b = rng.standard_normal(n)
-            x = fac.solve(b)
-            assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-9
+        fac = BatchedFactorization(data=BigMatrices.from_hodlr(H)).factorize()
+        b = rng.standard_normal(n)
+        x = fac.solve(b)
+        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-9
 
 
 class TestMinimalTrees:

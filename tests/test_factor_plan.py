@@ -2,9 +2,11 @@
 
 Covers the acceptance criteria of the plan refactor:
 
-* plan-vs-sweep equivalence to 1e-12 across all three factorization
-  variants (real/complex, adaptive ranks, non-power-of-two N), and the
-  three variants agreeing with each other through the shared plan;
+* plan-vs-reference equivalence to 1e-12 across all three factorization
+  variants (real/complex, adaptive ranks, non-power-of-two N) — the
+  reference is the per-node recursion (``variant="recursive"`` under
+  ``LOOP_POLICY``) — and the variants agreeing with each other through the
+  shared plan;
 * launch-count assertions: ``num_kernel_launches`` per solve equals the
   compiled plan's ``launches_per_solve`` (and every one is a plan replay);
 * float32 factor storage accuracy plus the refinement round-trip;
@@ -25,7 +27,6 @@ from repro import (
     ClusterTree,
     DispatchPolicy,
     ExecutionContext,
-    FlatFactorization,
     HODLROperator,
     HODLRSolver,
     PrecisionPolicy,
@@ -56,13 +57,21 @@ def make_problem(n=256, leaf=32, tol=1e-12, seed=0, kind="real", method="svd",
 def factorize(H, variant, **kw):
     if variant == "recursive":
         return RecursiveFactorization(hodlr=H, **kw).factorize()
-    if variant == "flat":
-        return FlatFactorization(data=BigMatrices.from_hodlr(H), **kw).factorize()
+    # "flat" and "batched" both name the plan-backed BatchedFactorization
     return BatchedFactorization(data=BigMatrices.from_hodlr(H), **kw).factorize()
 
 
+def reference_solve(H, b):
+    """The per-node recursion of section III-A, with no compiled plan."""
+    ref = RecursiveFactorization(
+        hodlr=H, context=ExecutionContext(policy=LOOP_POLICY)
+    ).factorize()
+    assert ref.solve_plan is None
+    return ref.solve(b)
+
+
 # ======================================================================
-# plan-vs-sweep equivalence
+# plan-vs-reference equivalence
 # ======================================================================
 class TestPlanEquivalence:
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -76,7 +85,7 @@ class TestPlanEquivalence:
         if kind == "complex":
             b = b + 1j * rng.standard_normal(n)
         x_plan = fac.solve(b)
-        x_sweep = fac.solve(b, use_plan=False)
+        x_sweep = reference_solve(H, b)
         assert (
             np.linalg.norm(x_plan - x_sweep) / np.linalg.norm(x_sweep) < 1e-12
         )
@@ -93,7 +102,7 @@ class TestPlanEquivalence:
         fac = factorize(H, variant)
         b = rng.standard_normal(n)
         x_plan = fac.solve(b)
-        x_sweep = fac.solve(b, use_plan=False)
+        x_sweep = reference_solve(H, b)
         assert np.linalg.norm(x_plan - x_sweep) / np.linalg.norm(x_sweep) < 1e-12
         assert np.linalg.norm(A @ x_plan - b) / np.linalg.norm(b) < 1e-8
 
@@ -119,21 +128,40 @@ class TestPlanEquivalence:
         fac = BatchedFactorization(
             data=BigMatrices.from_hodlr(H), pivot=False
         ).factorize()
+        assert fac.factor_plan.pivot is False
         b = rng.standard_normal(A.shape[0])
         x_plan = fac.solve(b)
-        x_sweep = fac.solve(b, use_plan=False)
+        x_sweep = reference_solve(H, b)
         assert np.linalg.norm(x_plan - x_sweep) / np.linalg.norm(x_sweep) < 1e-12
         assert np.linalg.norm(A @ x_plan - b) / np.linalg.norm(b) < 1e-9
 
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("variant", ["recursive"])
     def test_loop_policy_skips_plan(self, variant, rng):
-        """LOOP_POLICY reproduces the pre-plan schedule: no plan is built."""
+        """LOOP_POLICY keeps the recursive variant on the per-node
+        recursion: no plan is emitted."""
         A, H = make_problem(n=128, leaf=32)
         ctx = ExecutionContext(policy=LOOP_POLICY)
         fac = factorize(H, variant, context=ctx)
         assert fac.solve_plan is None
         b = rng.standard_normal(A.shape[0])
         x = fac.solve(b)
+        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-9
+
+    @pytest.mark.parametrize("variant", ["flat", "batched"])
+    def test_loop_policy_still_compiles_plan(self, variant, rng):
+        """Under LOOP_POLICY the plan variants still compile the plan; each
+        planned launch runs per-block LAPACK instead of the vectorised LU."""
+        A, H = make_problem(n=128, leaf=32)
+        solver = HODLRSolver(H, variant=variant, dispatch_policy=LOOP_POLICY)
+        solver.factorize()
+        assert solver.solve_plan is not None
+        b = rng.standard_normal(A.shape[0])
+        x = solver.solve(b)
+        assert solver.last_solve_trace.num_plan_launches == (
+            solver.solve_plan.launches_per_solve
+        )
+        x_default = HODLRSolver(H, variant=variant).factorize().solve(b)
+        assert np.linalg.norm(x - x_default) / np.linalg.norm(x_default) < 1e-12
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-9
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -171,13 +199,6 @@ class TestLaunchCounts:
         # uniform tree: 1 leaf bucket + (2 gemm + 1 getrs) per level
         assert plan.launches_per_solve <= 1 + 3 * tree.levels
         assert plan.launches_per_solve < tree.num_nodes
-
-    def test_sweep_path_records_no_plan_launches(self, rng):
-        _, H = make_problem(n=256, leaf=32)
-        solver = HODLRSolver(H, variant="batched").factorize()
-        solver.solve(rng.standard_normal(256), use_plan=False)
-        assert solver.last_solve_trace.num_plan_launches == 0
-        assert solver.last_solve_trace.num_kernel_launches > 0
 
     def test_repeated_solves_reuse_plan(self, rng):
         _, H = make_problem(n=256, leaf=32)
@@ -426,22 +447,22 @@ class TestPrecedenceRegression:
         assert not solver.context.policy.bucketing
         assert solver.context.precision.storage == "float32"
 
-    def test_batched_backend_facade_does_not_clobber_context(self, rng):
-        """A default-constructed BatchedBackend's implicit policy must not
-        override an explicit context (only dispatch_policy= may)."""
-        from repro import BatchedBackend
+    def test_backend_instance_does_not_clobber_context(self, rng):
+        """An explicit backend instance must not override the context's
+        policy (only dispatch_policy= may)."""
+        from repro import get_backend
 
         A, H = make_problem(n=128, leaf=32)
         ctx = ExecutionContext(policy=LOOP_POLICY)
-        solver = HODLRSolver(H, backend=BatchedBackend(), context=ctx).factorize()
+        solver = HODLRSolver(H, backend=get_backend("numpy"), context=ctx).factorize()
         assert not solver.context.policy.bucketing
-        assert solver.factor_plan is None  # loop fallback, no compiled plan
+        assert solver.factor_plan.context.policy is LOOP_POLICY
         b = rng.standard_normal(128)
         x = solver.solve(b)
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-9
         # an explicit dispatch_policy= still wins over the context
         solver2 = HODLRSolver(
-            H, backend=BatchedBackend(), context=ctx,
+            H, backend=get_backend("numpy"), context=ctx,
             dispatch_policy=DispatchPolicy(min_bucket=9),
         )
         assert solver2.context.policy.min_bucket == 9

@@ -1,9 +1,11 @@
 """Correctness tests for all three factorization variants.
 
-The recursive algorithm (section III-A), the flat level-loop algorithm
-(Algorithms 1-2) and the batched GPU-style algorithm (Algorithms 3-4) must
-all solve the same systems to round-off, for real and complex matrices,
-single and multiple right-hand sides, and varying tree depths.
+The recursive algorithm (section III-A) and the plan-backed level-batched
+algorithm (Algorithms 1-4) must solve the same systems to round-off, for
+real and complex matrices, single and multiple right-hand sides, and
+varying tree depths.  The ``"flat"`` legs build the plan factorization
+through ``HODLRSolver(variant="flat")``, the ``"batched"`` legs construct
+:class:`BatchedFactorization` directly.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ from repro import (
     BigMatrices,
     BatchedFactorization,
     ClusterTree,
-    FlatFactorization,
+    HODLRSolver,
     RecursiveFactorization,
     build_hodlr,
 )
@@ -38,7 +40,7 @@ def factorize(H, variant):
     if variant == "recursive":
         return RecursiveFactorization(hodlr=H).factorize()
     if variant == "flat":
-        return FlatFactorization(data=BigMatrices.from_hodlr(H)).factorize()
+        return HODLRSolver(H, variant="flat").factorize()
     if variant == "batched":
         return BatchedFactorization(data=BigMatrices.from_hodlr(H)).factorize()
     raise ValueError(variant)
@@ -118,7 +120,7 @@ class TestSolveCorrectness:
         if variant == "recursive":
             fac = RecursiveFactorization(hodlr=H)
         elif variant == "flat":
-            fac = FlatFactorization(data=BigMatrices.from_hodlr(H))
+            fac = HODLRSolver(H, variant="flat")
         else:
             fac = BatchedFactorization(data=BigMatrices.from_hodlr(H))
         with pytest.raises(RuntimeError):
@@ -139,7 +141,7 @@ class TestFactorizationEquivalence:
         """The Y bases produced by Algorithm 1 equal A_alpha^{-1} U_alpha."""
         A, H = make_problem(n=128, leaf=32, seed=5)
         tree = H.tree
-        flat = FlatFactorization(data=BigMatrices.from_hodlr(H)).factorize()
+        flat = BatchedFactorization(data=BigMatrices.from_hodlr(H)).factorize()
         data = flat.data
         for level in range(1, tree.levels + 1):
             cols = data.level_cols(level)
@@ -157,9 +159,9 @@ class TestFactorizationEquivalence:
 
     def test_batched_and_flat_produce_same_Ybig(self):
         _, H = make_problem(n=256, leaf=32, seed=6)
-        flat = FlatFactorization(data=BigMatrices.from_hodlr(H)).factorize()
+        flat = HODLRSolver(H, variant="flat").factorize()._impl
         batched = BatchedFactorization(data=BigMatrices.from_hodlr(H)).factorize()
-        np.testing.assert_allclose(flat.Ybig, batched.Ybig, rtol=1e-9, atol=1e-11)
+        assert np.array_equal(flat.Ybig, batched.Ybig)
 
 
 class TestDeterminant:
@@ -200,7 +202,7 @@ class TestLowAccuracyFactorization:
         residuals = {}
         for tol in [1e-2, 1e-6, 1e-12]:
             H = build_hodlr(A, tree, tol=tol, method="svd")
-            fac = FlatFactorization(data=BigMatrices.from_hodlr(H)).factorize()
+            fac = BatchedFactorization(data=BigMatrices.from_hodlr(H)).factorize()
             x = fac.solve(b)
             residuals[tol] = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
         assert residuals[1e-12] < residuals[1e-6] < residuals[1e-2]

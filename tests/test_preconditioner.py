@@ -1,8 +1,8 @@
 """Tests for low-accuracy HODLR factorizations used as Krylov preconditioners.
 
 These exercise the :mod:`repro.api` spellings (``HODLROperator`` /
-``gmres_solve`` / ``cg_solve``); the deprecated ``HODLRPreconditioner`` /
-``gmres_with_hodlr`` shims are covered in ``tests/test_api.py``.
+``gmres_solve`` / ``cg_solve``), the only Krylov entry points the package
+provides.
 """
 
 import numpy as np

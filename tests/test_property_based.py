@@ -5,9 +5,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    BatchedFactorization,
     BigMatrices,
     ClusterTree,
-    FlatFactorization,
     LowRankFactor,
     build_hodlr,
 )
@@ -147,7 +147,7 @@ def test_factorization_solves_to_roundoff(n, leaf, seed):
     A = _structured_matrix(n, seed, 30.0)
     tree = ClusterTree.balanced(n, leaf_size=leaf)
     H = build_hodlr(A, tree, tol=1e-12, method="svd")
-    fac = FlatFactorization(data=BigMatrices.from_hodlr(H)).factorize()
+    fac = BatchedFactorization(data=BigMatrices.from_hodlr(H)).factorize()
     rng = np.random.default_rng(seed + 2)
     b = rng.standard_normal(n)
     x = fac.solve(b)

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro import ClusterTree, HODLRSolver, build_hodlr, PerformanceModel
+from repro import (
+    BatchedFactorization,
+    ClusterTree,
+    HODLROperator,
+    HODLRSolver,
+    PerformanceModel,
+    build_hodlr,
+)
 from repro.backends.device import CPU_XEON_6254_DUAL
 from conftest import hodlr_friendly_matrix
 
@@ -79,9 +86,11 @@ class TestTracesAndModeling:
         # factorization does much more work than a single solve
         assert solver.factor_trace.total_flops > 5 * solver.last_solve_trace.total_flops
 
-    def test_flat_variant_has_no_trace(self, small_hodlr):
+    def test_flat_variant_records_trace(self, small_hodlr, rng):
         solver = HODLRSolver(small_hodlr, variant="flat").factorize()
-        assert solver.factor_trace is None
+        solver.solve(rng.standard_normal(small_hodlr.n))
+        assert solver.factor_trace.total_flops > 0
+        assert solver.last_solve_trace.num_plan_launches > 0
 
     def test_modeled_times_structure(self, small_hodlr, rng):
         solver = HODLRSolver(small_hodlr, variant="batched").factorize()
@@ -121,11 +130,24 @@ class TestTracesAndModeling:
         x = solver.solve(b)
         assert np.linalg.norm(small_dense @ x - b) / np.linalg.norm(b) < 1e-8
 
-    def test_stream_cutoff_does_not_change_results(self, small_dense, small_hodlr, rng):
+
+class TestVariantAliases:
+    """``"flat"`` and ``"batched"`` name one plan-backed factorization."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_flat_and_batched_build_same_class(self, kind, request, rng):
+        H = request.getfixturevalue(f"{'small' if kind == 'real' else 'complex'}_hodlr")
+        b = rng.standard_normal(H.n)
+        if kind == "complex":
+            b = b + 1j * rng.standard_normal(H.n)
+        flat = HODLRSolver(H, variant="flat").factorize()
+        batched = HODLRSolver(H, variant="batched").factorize()
+        assert type(flat._impl) is type(batched._impl) is BatchedFactorization
+        assert np.array_equal(flat.solve(b), batched.solve(b))
+
+    def test_flat_variant_honours_pivot_false(self, small_dense, small_hodlr, rng):
+        op = HODLROperator(small_hodlr, variant="flat", pivot=False).factorize()
+        assert op.solver.factor_plan.pivot is False
         b = rng.standard_normal(small_hodlr.n)
-        xs = []
-        for cutoff in [0, 2, 1000]:
-            solver = HODLRSolver(small_hodlr, variant="batched", stream_cutoff=cutoff).factorize()
-            xs.append(solver.solve(b))
-        np.testing.assert_allclose(xs[0], xs[1], rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(xs[0], xs[2], rtol=1e-10, atol=1e-12)
+        x = op.solve(b)
+        assert np.linalg.norm(small_dense @ x - b) / np.linalg.norm(b) < 1e-9

@@ -327,6 +327,28 @@ class TestOperatorUpdate:
         A_up = A + X @ Y.conj().T
         assert np.linalg.norm(A_up @ x - b) / np.linalg.norm(b) < 1e-8
 
+    def test_loop_policy_update_patches(self):
+        """LOOP_POLICY operators hold a compiled plan too, so updates patch."""
+        from repro.api import CompressionConfig, SolverConfig
+        from repro.backends.dispatch import LOOP_POLICY
+
+        n, k = 512, 3
+        A_new = hodlr_friendly_matrix(n + k, seed=26)
+        where = np.arange(100, 100 + k)  # clustered: dirty fraction stays low
+        A_old = _delete(A_new, where)
+        cfg = SolverConfig(
+            dispatch_policy=LOOP_POLICY,
+            compression=CompressionConfig(tol=1e-12, method="svd", leaf_size=32),
+        )
+        op = repro.build_operator(A_old, config=cfg)
+        op.solve(np.ones(n))
+        repro.update_operator(op, source=_entries(A_new), points_added=where, tol=1e-12)
+        assert op.last_update_info["path"] == "patch"
+        b = np.random.default_rng(7).standard_normal(n + k)
+        x = op.solve(b)
+        x_fresh = repro.build_operator(A_new, config=cfg).solve(b)
+        assert np.linalg.norm(x - x_fresh) / np.linalg.norm(x_fresh) < 1e-10
+
     def test_update_requires_a_change(self):
         A_old, _, _, _ = _insert_problem()
         op = repro.build_operator(A_old)
