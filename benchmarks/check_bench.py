@@ -16,6 +16,10 @@ Tolerances (relative, against the baseline value):
   of +-1 can merge or split a shape bucket;
 * flops (``*_flops``) and plan bytes (``*_bytes``): 5% — rank wobble
   moves these proportionally to the affected blocks;
+* entry-evaluation calls (``*_evaluations``): 5% — the rook probe gathers
+  a fixed number of stacks per cross step, so a rank wobble moves the
+  count by a few calls, while a return to per-block evaluation multiplies
+  it by the number of blocks;
 * operator-cache counters (``cache_*``): exact — hits, misses, and
   evictions of the fixed access script are scripted integers, so any
   drift means a keying bug (a hit became a rebuild, or worse, a stale
@@ -48,6 +52,7 @@ DEFAULT_TOLERANCES = {
     "launches": 0.02,
     "flops": 0.05,
     "bytes": 0.05,
+    "evaluations": 0.05,
     "cache": 0.0,
 }
 
@@ -65,6 +70,8 @@ def classify(key: str) -> Optional[str]:
         return "flops"
     if key.endswith("_bytes"):
         return "bytes"
+    if key.endswith("_evaluations"):
+        return "evaluations"
     if "launches" in key or key.endswith("_per_matvec") or key.endswith("_per_solve"):
         return "launches"
     return None

@@ -850,12 +850,70 @@ def collect_counters(n=2048, tol=1e-8, leaf_size=64):
         "parallel_factor_flops": tr_pfac.total_flops,
         "parallel_solve_plan_launches": tr_psol.num_plan_launches,
     }
+    counters.update(collect_rook_counters())
     counters.update(collect_update_counters())
     counters.update(collect_cache_counters())
     print(f"  {'counters_probe':<38s} n={n}  launches/solve "
           f"{counters['launches_per_solve']}  factor launches "
           f"{counters['factor_launches']}  construction launches "
           f"{counters['construction_launches']}")
+    return counters
+
+
+class _CountingEvaluator:
+    """A KernelMatrix's ``entries`` / ``entries_blocks``, counting calls."""
+
+    def __init__(self, km):
+        self.km = km
+        self.calls = 0
+
+    def entries(self, rows, cols):
+        self.calls += 1
+        return self.km.entries(rows, cols)
+
+    def entries_blocks(self, rows, cols):
+        self.calls += 1
+        return self.km.entries_blocks(rows, cols)
+
+
+def collect_rook_counters(n=2048, tol=1e-8, leaf_size=64):
+    """Deterministic launch and evaluation counts of a fixed rook build.
+
+    The default construction (``method="rook"``) advances every block of
+    a tree level's shape bucket in lockstep: a cross step gathers the
+    pivot rows and columns of all active blocks in a few ``entries_blocks``
+    calls, and each bucket ends with one batched QR+SVD recompression.
+    ``rook_construction_evaluations`` counts every ``entries`` and
+    ``entries_blocks`` call of the build, so it scales with levels x cross
+    steps; a return to per-block rook multiplies it by the blocks per
+    level and trips the gate.  The build must reproduce the per-block
+    ``construction="loop"`` ranks.
+    """
+    from repro import ClusterTree, build_hodlr
+
+    km = _gaussian_km(n)
+    tree, perm = ClusterTree.from_points(km.points, leaf_size=leaf_size)
+    permuted = KernelMatrix(kernel=km.kernel, points=km.points[perm],
+                            diagonal_shift=km.diagonal_shift)
+    source = _CountingEvaluator(permuted)
+    rec = get_recorder()
+    with rec.recording() as tr_rook:
+        H = build_hodlr(source, tree, tol=tol, method="rook")
+    H_loop = build_hodlr(
+        permuted, tree, config=repro.core.CompressionConfig(
+            tol=tol, method="rook", construction="loop")
+    )
+    assert H.rank_profile() == H_loop.rank_profile(), (
+        f"lockstep rook ranks {H.rank_profile()} differ from per-block "
+        f"{H_loop.rank_profile()}"
+    )
+    counters = {
+        "rook_construction_launches": tr_rook.num_kernel_launches,
+        "rook_construction_evaluations": source.calls,
+    }
+    print(f"  {'rook_probe':<38s} n={n}  launches "
+          f"{counters['rook_construction_launches']}  evaluations "
+          f"{counters['rook_construction_evaluations']}")
     return counters
 
 

@@ -100,9 +100,10 @@ class CompressionConfig:
     construction:
         ``"batched"`` (default) builds the HODLR approximation level-major
         through the shape-bucketed batched kernels (one gathered entry
-        evaluation and one batched compression per tree level);
-        ``"loop"`` is the node-major per-block baseline the benchmarks
-        measure against.
+        evaluation and one batched compression per tree level; ``"rook"``
+        advances all blocks of a level in lockstep, one gathered
+        evaluation per cross step); ``"loop"`` is the node-major
+        per-block baseline the benchmarks measure against.
     """
 
     tol: float = 1e-10

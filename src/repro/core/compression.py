@@ -18,6 +18,11 @@ object and a dispatcher:
   pivot searches, requiring only entry evaluation;
 * :func:`randomized_compress`  — randomized range finder + small SVD,
   requiring only matvec access to the block.
+
+Each has a batched form that compresses a whole shape bucket of a tree
+level at once.  For rook that is :func:`rook_pivot_compress_stack`: the
+blocks advance their crosses in lockstep through one gathered
+``entries_blocks`` evaluation per step.
 """
 
 from __future__ import annotations
@@ -66,9 +71,10 @@ class CompressionConfig:
         shape-bucketed batched kernels.  ``"loop"`` reproduces the
         node-major per-block construction (one compression per block, one
         ``entries`` call per block) — the baseline the benchmarks measure
-        against.  ``method="rook"`` always compresses per block (the rook
-        search is inherently entrywise-adaptive), but still benefits from
-        the level-major entry gathering of the diagonal blocks.
+        against.  ``method="rook"`` never gathers whole blocks: the blocks
+        of a shape bucket advance their crosses in lockstep, with one
+        gathered evaluation of all pivot rows (and one of all pivot
+        columns) per cross step (:func:`rook_pivot_compress_stack`).
     """
 
     tol: float = 1e-12
@@ -95,13 +101,18 @@ def svd_compress(
 # ----------------------------------------------------------------------
 # Rook-pivoted cross approximation (HODLRlib's rookPiv analogue)
 # ----------------------------------------------------------------------
+#: Alternating row/column refinements of each rook pivot, shared by the
+#: per-block and the lockstep compressor so the two pick the same pivots.
+_ROOK_STEPS = 3
+
+
 def rook_pivot_compress(
     entries: BlockEvaluator,
     m: int,
     n: int,
     tol: float = 1e-12,
     max_rank: Optional[int] = None,
-    max_rook_steps: int = 3,
+    max_rook_steps: int = _ROOK_STEPS,
     dtype=np.float64,
     first_row: Optional[np.ndarray] = None,
 ) -> LowRankFactor:
@@ -127,10 +138,8 @@ def rook_pivot_compress(
     max_rook_steps:
         Number of alternating row/column refinements of each pivot.
     first_row:
-        Precomputed row 0 of the block (length ``n``).  The level-major
-        builder gathers the initial pivot rows of *all* blocks of a tree
-        level in one ``entries_blocks`` evaluation and hands them in here,
-        so the search's first row costs no per-row entrywise call.
+        Precomputed row 0 of the block (length ``n``); the search's first
+        row then costs no entrywise call.
     """
     if m == 0 or n == 0:
         return LowRankFactor.zeros(m, n, dtype)
@@ -255,6 +264,247 @@ def rook_pivot_compress_dense(
 
     return rook_pivot_compress(
         entries, block.shape[0], block.shape[1], tol=tol, max_rank=max_rank, dtype=block.dtype
+    )
+
+
+#: Evaluates a stack of equal-shape sub-blocks: ``multi(rows (B, m), cols
+#: (B, n)) -> (B, m, n)`` (the ``entries_blocks`` gather protocol).
+StackEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def rook_pivot_compress_stack(
+    multi: StackEvaluator,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    tol: float = 1e-12,
+    max_rank: Optional[int] = None,
+    dtype=np.float64,
+    context: Optional[ExecutionContext] = None,
+) -> List[LowRankFactor]:
+    """Rook-pivoted cross approximation of a stack of blocks in lockstep.
+
+    Block ``b`` is ``A[rows[b]][:, cols[b]]`` of the operator behind the
+    gather evaluator ``multi``; ``rows`` is ``(B, m)`` and ``cols`` is
+    ``(B, n)``.  Every active block adds one cross per step, so a step
+    evaluates the pivot rows of all active blocks in one ``multi`` call and
+    their pivot columns in another; each rook refinement re-gathers only
+    the blocks whose pivot is still moving.  Residual corrections and the
+    stopping estimate's cross terms are batched matmuls against the stacked
+    bases.  A block that meets the stop criterion is compacted out of the
+    active set, and the stack ends with one QR+SVD recompression
+    (``qr_batched`` x2, ``gemm_strided_batched``, ``svd_batched``) over the
+    bases zero-padded to the largest rank.
+
+    Pivot rule, stop rule, the zero-pivot fallback (a per-block
+    ``default_rng(12345)``) and truncation are those of
+    :func:`rook_pivot_compress`, so each factor matches the per-block
+    compressor up to round-off.
+    """
+    xb = resolve_context(context).backend
+    rows = np.array(rows, dtype=np.intp, ndmin=2)
+    cols = np.array(cols, dtype=np.intp, ndmin=2)
+    nblocks, m = rows.shape
+    n = cols.shape[1]
+    rank_cap = min(m, n) if max_rank is None else min(max_rank, m, n)
+    if nblocks == 0 or rank_cap <= 0:
+        return [LowRankFactor.zeros(m, n, dtype) for _ in range(nblocks)]
+
+    # rank-major bases of the active blocks, compacted into the leading
+    # slots: Ust[a, k] is cross k's u and Wst[a, k] its residual pivot row
+    # (V = conj(W)^T), so every residual product is a matmul over views
+    cap = min(rank_cap, 8)
+    Ust = np.empty((nblocks, cap, m), dtype=dtype)
+    Wst = np.empty((nblocks, cap, n), dtype=dtype)
+    block_of = np.arange(nblocks)
+    used = np.zeros((nblocks, m), dtype=bool)
+    next_row = np.zeros(nblocks, dtype=np.intp)
+    approx_norm2 = np.zeros(nblocks)
+    rngs: dict = {}
+    done_U: List[Optional[np.ndarray]] = [None] * nblocks
+    done_W: List[Optional[np.ndarray]] = [None] * nblocks
+    ranks = np.zeros(nblocks, dtype=np.intp)
+    active = nblocks
+    k = 0
+
+    def take(index, sel):
+        # the whole active set is a view; a subset gathers its slots
+        return index[:active] if sel.size == active else index[sel]
+
+    def correct(out, coef, store, sel):
+        # out[a] -= coef[a] @ store[sel[a], :k] over views where possible: a
+        # small subset loops instead of gathering its bases into a copy
+        if sel.size == active:
+            out -= np.matmul(coef[:, None, :], store[:active, :k])[:, 0, :]
+        elif sel.size <= 8:
+            for a, s in enumerate(sel):
+                out[a] -= coef[a] @ store[s, :k]
+        else:
+            out -= np.matmul(coef[:, None, :], store[sel, :k])[:, 0, :]
+
+    def residual_rows(sel, i):
+        # an owned copy: the evaluator's array may be cached or read-only
+        out = np.array(multi(rows[sel, i][:, None], take(cols, sel)), dtype=dtype)
+        out = out.reshape(sel.size, n)
+        if k:
+            correct(out, Ust[sel, :k, i], Wst, sel)
+        return out
+
+    def residual_cols(sel, j):
+        out = np.array(multi(take(rows, sel), cols[sel, j][:, None]), dtype=dtype)
+        out = out.reshape(sel.size, m)
+        if k:
+            correct(out, Wst[sel, :k, j], Ust, sel)
+        return out
+
+    while active:
+        slots = np.arange(active)
+        # --- rook pivot search, all active blocks at once ----------------
+        i = next_row[:active].copy()
+        taken = used[slots, i]
+        for _ in range(m):
+            if not taken.any():
+                break
+            i[taken] = (i[taken] + 1) % m
+            taken = used[slots, i]
+        row = residual_rows(slots, i)
+        j = np.argmax(np.abs(row), axis=1)
+        col = residual_cols(slots, j)
+        moving = slots
+        for _ in range(_ROOK_STEPS):
+            i_new = np.argmax(np.abs(col[moving]), axis=1)
+            keep = i_new != i[moving]
+            moving, i_new = moving[keep], i_new[keep]
+            if not moving.size:
+                break
+            i[moving] = i_new
+            row[moving] = residual_rows(moving, i_new)
+            j_new = np.argmax(np.abs(row[moving]), axis=1)
+            keep = j_new != j[moving]
+            moving, j_new = moving[keep], j_new[keep]
+            if not moving.size:
+                break
+            j[moving] = j_new
+            col[moving] = residual_cols(moving, j_new)
+
+        pivot = row[slots, j]
+        exhausted = np.zeros(active, dtype=bool)
+        zero = np.flatnonzero(pivot == 0)
+        if zero.size:
+            # residual row is identically zero: retry from a random unused
+            # row before concluding the block is (numerically) exhausted
+            retry = []
+            for s in zero:
+                candidates = np.flatnonzero(~used[s])
+                if not candidates.size:
+                    exhausted[s] = True
+                    continue
+                b = int(block_of[s])
+                rng = rngs.setdefault(b, np.random.default_rng(12345))
+                i[s] = int(rng.choice(candidates))
+                retry.append(s)
+            if retry:
+                retry = np.array(retry)
+                row[retry] = residual_rows(retry, i[retry])
+                j[retry] = np.argmax(np.abs(row[retry]), axis=1)
+                pivot[retry] = row[retry, j[retry]]
+                dead = retry[pivot[retry] == 0]
+                exhausted[dead] = True
+                live = retry[pivot[retry] != 0]
+                if live.size:
+                    col[live] = residual_cols(live, j[live])
+            pivot[exhausted] = 1
+
+        u = col / pivot[:, None]
+        # --- stopping criterion (cross terms against the previous crosses)
+        cross_norm2 = np.linalg.norm(u, axis=1) ** 2 * np.linalg.norm(row, axis=1) ** 2
+        cross_terms = 0.0
+        if k:
+            cu = np.matmul(Ust[:active, :k], u.conj()[:, :, None])[:, :, 0]
+            cv = np.matmul(Wst[:active, :k], row.conj()[:, :, None])[:, :, 0]
+            cross_terms = 2.0 * np.sum(np.abs(cu * cv), axis=1)
+
+        if k == cap:
+            cap = min(rank_cap, 2 * cap)
+            grown_u = np.empty((active, cap, m), dtype=dtype)
+            grown_w = np.empty((active, cap, n), dtype=dtype)
+            grown_u[:, :k] = Ust[:active, :k]
+            grown_w[:, :k] = Wst[:active, :k]
+            Ust, Wst = grown_u, grown_w
+        Ust[:active, k] = u
+        Wst[:active, k] = row
+        k += 1
+        used[slots, i] = True
+        next_row[:active] = (i + 1) % m
+        approx_norm2[:active] += cross_norm2 + cross_terms
+        norm2 = approx_norm2[:active]
+        stop = exhausted | ((norm2 > 0) & (cross_norm2 <= (tol ** 2) * norm2))
+        if k == rank_cap:
+            stop[:] = True
+        if not stop.any():
+            continue
+
+        # --- retire stopped blocks, compact the survivors ----------------
+        for s in np.flatnonzero(stop):
+            b = int(block_of[s])
+            r = k - 1 if exhausted[s] else k
+            ranks[b] = r
+            done_U[b] = Ust[s, :r].copy()
+            done_W[b] = Wst[s, :r].copy()
+        keep = np.flatnonzero(~stop)
+        for store in (Ust, Wst):
+            store[: keep.size, :k] = store[keep, :k]
+        for index in (rows, cols, used, next_row, approx_norm2, block_of):
+            index[: keep.size] = index[keep]
+        active = keep.size
+
+    # one QR+SVD recompression over the bases zero-padded to the largest
+    # rank: the padding adds an exactly zero trailing block to each R factor,
+    # so it contributes only zero singular values
+    kmax = int(ranks.max())
+    if kmax == 0:
+        return [LowRankFactor.zeros(m, n, dtype) for _ in range(nblocks)]
+    Up = np.zeros((nblocks, kmax, m), dtype=dtype)
+    Wp = np.zeros((nblocks, kmax, n), dtype=dtype)
+    for b in range(nblocks):
+        Up[b, : ranks[b]] = done_U[b]
+        Wp[b, : ranks[b]] = done_W[b]
+    return _recompress_bases(
+        xb.asarray(Up.transpose(0, 2, 1)),
+        xb.asarray(Wp.conj().transpose(0, 2, 1)),
+        tol, max_rank, xb, caps=ranks,
+    )
+
+
+class _DenseStackEvaluator:
+    """Gather evaluator over a stored ``(B, m, n)`` stack.
+
+    Block ``b`` is addressed by the row indices ``b*m .. b*m+m-1`` and the
+    column indices ``b*n .. b*n+n-1``, so the stack looks like the diagonal
+    of one block matrix to :func:`rook_pivot_compress_stack`.
+    """
+
+    def __init__(self, stack: np.ndarray) -> None:
+        self.stack = stack
+        _, self.m, self.n = stack.shape
+
+    def __call__(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return self.stack[
+            (rows // self.m)[:, :, None], (rows % self.m)[:, :, None], (cols % self.n)[:, None, :]
+        ]
+
+
+def _rook_stack(
+    stack: np.ndarray, tol: float, max_rank: Optional[int], context: ExecutionContext
+) -> List[LowRankFactor]:
+    """Lockstep rook over a dense ``(B, m, n)`` stack."""
+    stack = np.asarray(stack)
+    nblocks, m, n = stack.shape
+    offsets = np.arange(nblocks)[:, None]
+    return rook_pivot_compress_stack(
+        _DenseStackEvaluator(stack),
+        offsets * m + np.arange(m),
+        offsets * n + np.arange(n),
+        tol=tol, max_rank=max_rank, dtype=stack.dtype, context=context,
     )
 
 
@@ -456,11 +706,12 @@ def compress_block_stack(
 
     The zero-copy entry point of the level-major builder: a gathered level
     stack goes straight into the batched kernels without per-block
-    unpacking.  ``rook`` (no batched analogue — its pivot search is
-    entrywise-adaptive) and ``policy.bucketing=False``
-    (:data:`~repro.backends.dispatch.LOOP_POLICY`) compress the slices one
-    at a time.  ``context`` supersedes the legacy ``backend=``/``policy=``
-    pair; a device-resident context keeps the stack and factors there.
+    unpacking.  ``rook`` runs :func:`rook_pivot_compress_stack` over the
+    stack, every block advancing its crosses in lockstep.
+    ``policy.bucketing=False`` (:data:`~repro.backends.dispatch.LOOP_POLICY`)
+    compresses the slices one at a time.  ``context`` supersedes the legacy
+    ``backend=``/``policy=`` pair; a device-resident context keeps the
+    stack and factors there.
     """
     ctx = resolve_context(context, backend, policy)
     pol, xb = ctx.policy, ctx.backend
@@ -468,10 +719,12 @@ def compress_block_stack(
     if stack.ndim != 3:
         raise ValueError("compress_block_stack expects a (batch, m, n) stack")
     if config.method == "rook":
-        return [
-            rook_pivot_compress_dense(stack[i], tol=config.tol, max_rank=config.max_rank)
-            for i in range(stack.shape[0])
-        ]
+        if not pol.bucketing:
+            return [
+                rook_pivot_compress_dense(stack[i], tol=config.tol, max_rank=config.max_rank)
+                for i in range(stack.shape[0])
+            ]
+        return _rook_stack(stack, config.tol, config.max_rank, ctx)
     if config.method == "randomized":
         rng = rng if rng is not None else config.generator()
         if not pol.bucketing:
@@ -571,9 +824,10 @@ def compress_blocks_batched(
 ) -> List[LowRankFactor]:
     """Compress a list of dense blocks per ``config``, batching where possible.
 
-    ``svd`` and ``randomized`` execute through the shape-bucketed batched
-    kernels above; ``rook`` has no batched analogue (its pivot search is
-    entrywise-adaptive) and compresses per block.
+    All three methods execute through the shape-bucketed batched kernels
+    above; ``rook`` advances every block of a shape bucket in lockstep
+    (:func:`rook_pivot_compress_stack`).  ``policy.bucketing=False``
+    reproduces the per-block loop.
     """
     if config.method == "svd":
         return svd_compress_batched(
@@ -592,10 +846,14 @@ def compress_blocks_batched(
             context=context,
         )
     if config.method == "rook":
-        return [
-            rook_pivot_compress_dense(np.asarray(b), tol=config.tol, max_rank=config.max_rank)
-            for b in blocks
-        ]
+        ctx = resolve_context(context, backend, policy)
+        results: List[Optional[LowRankFactor]] = [None] * len(blocks)
+        for bucket in plan_batch([np.shape(b) for b in blocks]).buckets:
+            idx = bucket.indices
+            stack = ctx.backend.stack([np.asarray(blocks[i]) for i in idx])
+            for i, f in zip(idx, compress_block_stack(stack, config, context=ctx)):
+                results[i] = f
+        return results  # type: ignore[return-value]
     raise ValueError(f"unknown compression method {config.method!r}")
 
 
@@ -646,19 +904,37 @@ def recompress_stack(
             continue
         U3 = xb.stack([xb.asarray(factors[i].U) for i in idx])
         V3 = xb.stack([xb.asarray(factors[i].V) for i in idx])
-        Qu3, Ru3 = qr_batched(U3, backend=xb)
-        Qv3, Rv3 = qr_batched(V3, backend=xb)
-        core3 = gemm_strided_batched(
-            Ru3, xb.asarray(Rv3).conj().transpose(0, 2, 1), backend=xb
-        )
-        Uc3, s3, Vch3 = svd_batched(core3, backend=xb)
-        for j, i in enumerate(idx):
-            keep = _truncation_count(s3[j], tol, max_rank)
-            results[i] = LowRankFactor(
+        for i, f in zip(idx, _recompress_bases(U3, V3, tol, max_rank, xb)):
+            results[i] = f
+    return results  # type: ignore[return-value]
+
+
+def _recompress_bases(
+    U3, V3, tol: float, max_rank: Optional[int], xb: ArrayBackend, caps=None
+) -> List[LowRankFactor]:
+    """QR+SVD recompression of the stacked factors ``U3[j] @ V3[j]^H``.
+
+    ``U3`` is ``(B, m, r)`` and ``V3`` is ``(B, n, r)``: one ``qr_batched``
+    launch per side, one strided gemm for the small cores and one
+    ``svd_batched``.  Truncation is per block, at most ``caps[j]`` when
+    given.
+    """
+    Qu3, Ru3 = qr_batched(U3, backend=xb)
+    Qv3, Rv3 = qr_batched(V3, backend=xb)
+    core3 = gemm_strided_batched(Ru3, xb.asarray(Rv3).conj().transpose(0, 2, 1), backend=xb)
+    Uc3, s3, Vch3 = svd_batched(core3, backend=xb)
+    out = []
+    for j in range(U3.shape[0]):
+        keep = _truncation_count(s3[j], tol, max_rank)
+        if caps is not None:
+            keep = min(keep, int(caps[j]))
+        out.append(
+            LowRankFactor(
                 U=Qu3[j] @ (Uc3[j][:, :keep] * s3[j][:keep]),
                 V=Qv3[j] @ Vch3[j][:keep, :].conj().T,
             )
-    return results  # type: ignore[return-value]
+        )
+    return out
 
 
 def recompress_bordered(
@@ -738,20 +1014,14 @@ def compress_block(
     n: int,
     config: CompressionConfig,
     dtype=np.float64,
-    first_row: Optional[np.ndarray] = None,
 ) -> LowRankFactor:
-    """Compress the block defined by ``entries`` according to ``config``.
-
-    ``first_row`` (rook only) is a precomputed row 0 of the block — the
-    level-major builder supplies it from its gathered level evaluation.
-    """
+    """Compress the block defined by ``entries`` according to ``config``."""
     if config.method == "svd":
         block = np.asarray(entries(np.arange(m), np.arange(n)), dtype=dtype)
         return svd_compress(block, tol=config.tol, max_rank=config.max_rank)
     if config.method == "rook":
         return rook_pivot_compress(
-            entries, m, n, tol=config.tol, max_rank=config.max_rank, dtype=dtype,
-            first_row=first_row,
+            entries, m, n, tol=config.tol, max_rank=config.max_rank, dtype=dtype
         )
     if config.method == "randomized":
         # randomized needs matvecs; realise them through entry evaluation on

@@ -23,8 +23,10 @@ Construction paths
   forming the full matrix.  The default ``construction="batched"`` runs
   *level-major*: every off-diagonal block of a tree level is gathered with
   one multi-block ``entries_blocks`` evaluation (when the source supports
-  it) and compressed through the shape-bucketed batched kernels;
-  ``construction="loop"`` is the node-major per-block baseline.
+  it) and compressed through the shape-bucketed batched kernels.  Rook
+  compression never materialises the blocks: the blocks of a shape bucket
+  advance their crosses in lockstep, one gathered evaluation per cross
+  step.  ``construction="loop"`` is the node-major per-block baseline.
 
 Application paths
 -----------------
@@ -52,6 +54,7 @@ from .compression import (
     CompressionConfig,
     compress_block,
     compress_block_stack,
+    rook_pivot_compress_stack,
 )
 
 @dataclass
@@ -343,16 +346,17 @@ def _resolve_evaluator(source):
     )
 
 
-def _probe_multi(multi, rows: np.ndarray) -> bool:
-    """Check once whether the multi-block evaluator actually broadcasts."""
+def _probe_multi(multi, rows: np.ndarray):
+    """Evaluate one tiny stack to check that the multi-block evaluator
+    actually broadcasts; returns the stack, or ``None`` if it does not."""
     if multi is None:
-        return False
+        return None
     k = min(2, rows.size)
     try:
         out = multi(rows[None, :k], rows[None, :k])
     except Exception:
-        return False
-    return np.shape(out) == (1, k, k)
+        return None
+    return out if np.shape(out) == (1, k, k) else None
 
 
 #: cap on the entry count of one gathered block stack (~0.5 GB of float64);
@@ -494,15 +498,20 @@ def build_hodlr(
             dtype = source.dtype
     else:
         evaluator, multi = _resolve_evaluator(source)
-        if dtype is None:
-            probe = evaluator(np.array([0]), np.array([0]))
-            dtype = getattr(probe, "dtype", None) or np.asarray(probe).dtype
 
+    # the gather evaluator's probe doubles as the dtype probe, so a gathered
+    # build makes no entrywise call at all
+    gathered = None
+    if config.construction != "loop":
+        gathered = _probe_multi(multi, tree.leaves[0].indices)
+    if gathered is None:
+        multi = None
+    if dtype is None:
+        probe = gathered if gathered is not None else evaluator(np.array([0]), np.array([0]))
+        dtype = getattr(probe, "dtype", None) or np.asarray(probe).dtype
     dtype = context.storage_dtype(dtype)
     if config.construction == "loop":
         return _build_hodlr_loop(evaluator, tree, config, dtype)
-    if not _probe_multi(multi, tree.leaves[0].indices):
-        multi = None
     return _build_hodlr_batched(evaluator, multi, tree, config, dtype, context)
 
 
@@ -548,10 +557,13 @@ def _build_hodlr_batched(
 
     Per tree level: one gathered evaluation of all sibling off-diagonal
     blocks (bucketed by shape) followed by one batched compression per shape
-    bucket, all through the context's backend.  ``method="rook"`` keeps its
-    entrywise-lazy per-block compression — materialising the blocks would
-    defeat the ``O((m + n) r)``-entries property — but the diagonal blocks
-    still benefit from the gathered evaluation.
+    bucket, all through the context's backend.  ``method="rook"`` never
+    materialises the blocks — that would defeat its ``O((m + n) r)``-entries
+    property — and instead runs :func:`rook_pivot_compress_stack` once per
+    shape bucket: one gathered evaluation of the pivot rows (and one of the
+    pivot columns) of every active block per cross step.  Without a gather
+    evaluator, or under ``policy.bucketing=False``, rook compresses per
+    block.
     """
     diag: Dict[int, np.ndarray] = {}
     U: Dict[int, np.ndarray] = {}
@@ -581,29 +593,29 @@ def _build_hodlr_batched(
             col_nodes += [right, left]
 
         factors: List = [None] * len(row_nodes)
-        if lazy:
-            # the rook search is entrywise-adaptive, but its *initial* pivot
-            # rows are known up front: gather row 0 of every block of the
-            # level in one bucketed entries_blocks evaluation (one call per
-            # col-size bucket instead of one entrywise call per block)
-            first_rows: List = [None] * len(row_nodes)
-            if multi is not None and row_nodes:
-                r0_sets = [np.asarray(rn.indices[:1]) for rn in row_nodes]
-                c_sets = [cn.indices for cn in col_nodes]
-                for chunk, stack in _gather_chunks(
-                    evaluator, multi, r0_sets, c_sets, dtype, xb
-                ):
-                    for j, i in enumerate(chunk):
-                        first_rows[i] = np.asarray(stack[j, 0])
+        if lazy and multi is not None and context.policy.bucketing:
+            # every block of a shape bucket advances its crosses in lockstep:
+            # one gathered evaluation of all pivot rows (and one of all pivot
+            # columns) per cross step instead of entrywise calls per block
+            shapes = [(rn.size, cn.size) for rn, cn in zip(row_nodes, col_nodes)]
+            for bucket in plan_batch(shapes).buckets:
+                idx = bucket.indices
+                compressed = rook_pivot_compress_stack(
+                    multi,
+                    np.stack([row_nodes[i].indices for i in idx]),
+                    np.stack([col_nodes[i].indices for i in idx]),
+                    tol=config.tol, max_rank=config.max_rank, dtype=dtype,
+                    context=context,
+                )
+                for i, f in zip(idx, compressed):
+                    factors[i] = f
+        elif lazy:
             for i, (rn, cn) in enumerate(zip(row_nodes, col_nodes)):
 
                 def block_eval(r, c, _rr=rn.indices, _cc=cn.indices):
                     return evaluator(_rr[r], _cc[c])
 
-                factors[i] = compress_block(
-                    block_eval, rn.size, cn.size, config, dtype=dtype,
-                    first_row=first_rows[i],
-                )
+                factors[i] = compress_block(block_eval, rn.size, cn.size, config, dtype=dtype)
         else:
             # each shape-bucket chunk is materialised once as a strided stack
             # and compressed in place — no per-block intermediate copies.

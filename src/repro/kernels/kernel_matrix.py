@@ -143,12 +143,18 @@ class KernelMatrix:
                 f"kernel {self.kernel!r} does not broadcast over point blocks: "
                 f"expected {expected}, got {blocks.shape}"
             )
-        if self.diagonal_shift:
-            hits = [
-                (b, self._shift_positions(rows[b], cols[b]))
-                for b in range(rows.shape[0])
-            ]
-            hits = [(b, p) for b, p in hits if p is not None]
+        if self.diagonal_shift and blocks.size:
+            # one vectorised range test over the stack; only blocks whose
+            # index ranges overlap can hold rows[b][i] == cols[b][j]
+            overlap = ~(
+                (rows.max(axis=1) < cols.min(axis=1))
+                | (cols.max(axis=1) < rows.min(axis=1))
+            )
+            hits = []
+            for b in np.flatnonzero(overlap):
+                positions = self._shift_positions(rows[b], cols[b])
+                if positions is not None:
+                    hits.append((b, positions))
             if hits:
                 # one copy of the stack, shifts applied in place on the owned
                 # copy — never write into the kernel's array (it may be

@@ -12,9 +12,11 @@ import pytest
 
 from repro.api import CompressionConfig as ApiCompressionConfig
 from repro.api import ConfigError, HODLROperator, SolverConfig
+from repro.api.problems import HelmholtzKernelProblem
 from repro.backends.context import ExecutionContext
 from repro.backends.counters import get_recorder
 from repro.backends.dispatch import DEFAULT_POLICY, LOOP_POLICY
+from repro.backends.parallel import ParallelPolicy, shutdown_pool
 from repro.core import (
     BatchedFactorization,
     BigMatrices,
@@ -24,11 +26,13 @@ from repro.core import (
 )
 from repro.core.compression import (
     CompressionConfig,
+    compress_block_stack,
     compress_blocks_batched,
     randomized_compress_batched,
+    rook_pivot_compress_dense,
     svd_compress_batched,
 )
-from repro.kernels import GaussianKernel, KernelMatrix
+from repro.kernels import GaussianKernel, KernelMatrix, MaternKernel
 
 
 def smooth_matrix(n, rng, complex_dtype=False, lengthscale=0.5):
@@ -67,7 +71,7 @@ class TestBatchedConstructionEquivalence:
         assert np.linalg.norm(Hb.to_dense() - A) <= 1e-10 * scale
         assert np.linalg.norm(Hb.to_dense() - Hl.to_dense()) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("method", ["svd", "randomized"])
+    @pytest.mark.parametrize("method", ["svd", "randomized", "rook"])
     def test_non_power_of_two(self, method):
         rng = np.random.default_rng(1)
         n = 300  # uneven node sizes at every level -> multiple shape buckets
@@ -150,6 +154,160 @@ class TestBatchedConstructionEquivalence:
         xl = HODLRSolver(Hl, variant=variant).factorize().solve(b)
         assert np.linalg.norm(xb - xl) <= 1e-12 * np.linalg.norm(xl)
         assert np.linalg.norm(A @ xb - b) <= 1e-8 * np.linalg.norm(b)
+
+
+# ======================================================================
+# level-lockstep rook construction
+# ======================================================================
+class CountingSource:
+    """``entries`` / ``entries_blocks`` of a KernelMatrix, with call counts."""
+
+    def __init__(self, km):
+        self.km = km
+        self.entry_calls = 0
+        self.block_calls = 0
+
+    def entries(self, rows, cols):
+        self.entry_calls += 1
+        return self.km.entries(rows, cols)
+
+    def entries_blocks(self, rows, cols):
+        self.block_calls += 1
+        return self.km.entries_blocks(rows, cols)
+
+
+def gp_1d(n):
+    x = np.sort(np.random.default_rng(8).uniform(0.0, 1.0, n))
+    return KernelMatrix(kernel=MaternKernel(lengthscale=0.08, nu=1.5), points=x,
+                        diagonal_shift=0.05 ** 2)
+
+
+def rook_both(km, tol, **kw):
+    Hb, permb = km.to_hodlr(leaf_size=32, tol=tol, method="rook", **kw)
+    Hl, perml = km.to_hodlr(leaf_size=32, tol=tol, method="rook",
+                            construction="loop", **kw)
+    assert np.array_equal(permb, perml)
+    return Hb, Hl
+
+
+class TestLockstepRook:
+    def test_gaussian_kernel_matches_loop(self):
+        rng = np.random.default_rng(10)
+        km = KernelMatrix(kernel=GaussianKernel(lengthscale=0.3),
+                          points=rng.uniform(-1.0, 1.0, (1000, 2)), diagonal_shift=0.5)
+        Hb, Hl = rook_both(km, 1e-10)
+        assert Hb.rank_profile() == Hl.rank_profile()
+        dense_l = Hl.to_dense()
+        assert np.linalg.norm(Hb.to_dense() - dense_l) <= 1e-12 * np.linalg.norm(dense_l)
+
+    def test_complex_helmholtz_matches_loop(self):
+        kernel, shift = HelmholtzKernelProblem(n=600).kernel_spec()
+        rng = np.random.default_rng(11)
+        km = KernelMatrix(kernel=kernel, points=rng.uniform(-1.0, 1.0, (600, 2)),
+                          diagonal_shift=shift)
+        Hb, Hl = rook_both(km, 1e-8)
+        assert all(np.iscomplexobj(u) for u in Hb.U.values())
+        assert Hb.rank_profile() == Hl.rank_profile()
+        dense_l = Hl.to_dense()
+        assert np.linalg.norm(Hb.to_dense() - dense_l) <= 1e-12 * np.linalg.norm(dense_l)
+
+    def test_max_rank_respected(self):
+        km = gp_1d(512)
+        Hb, Hl = rook_both(km, 1e-14, reorder=False, max_rank=3)
+        assert Hb.max_rank <= 3
+        assert Hb.rank_profile() == Hl.rank_profile()
+        dense_l = Hl.to_dense()
+        assert np.linalg.norm(Hb.to_dense() - dense_l) <= 1e-12 * np.linalg.norm(dense_l)
+
+    def test_zero_and_rank_deficient_blocks(self):
+        rng = np.random.default_rng(12)
+        m, n = 40, 30
+        low = rng.standard_normal((m, 3)) @ rng.standard_normal((3, n))
+        # row 0 and column 0 vanish: the first pivot is exactly zero, so only
+        # the random-row fallback can find the rank-3 part
+        deficient = low.copy()
+        deficient[0, :] = 0.0
+        deficient[:, 0] = 0.0
+        stack = np.stack([np.zeros((m, n)), deficient, low])
+        cfg = CompressionConfig(tol=1e-12, method="rook")
+        lockstep = compress_block_stack(stack, cfg)
+        assert lockstep[0].rank == 0
+        assert lockstep[0].U.shape == (m, 0) and lockstep[0].V.shape == (n, 0)
+        for blk, f in zip(stack[1:], lockstep[1:]):
+            ref = rook_pivot_compress_dense(blk, tol=1e-12)
+            assert f.rank == ref.rank == 3
+            scale = np.linalg.norm(blk)
+            assert np.linalg.norm(f.to_dense() - blk) <= 1e-10 * scale
+            assert np.linalg.norm(f.to_dense() - ref.to_dense()) <= 1e-12 * scale
+
+    def test_dense_rook_stack_matches_loop_policy(self):
+        rng = np.random.default_rng(13)
+        blocks = [
+            rng.standard_normal((m, 4)) @ rng.standard_normal((4, n))
+            for m, n in [(20, 30), (16, 16), (20, 30), (16, 16), (8, 40)]
+        ]
+        cfg = CompressionConfig(tol=1e-12, method="rook")
+        lockstep = compress_blocks_batched(blocks, cfg, policy=DEFAULT_POLICY)
+        looped = compress_blocks_batched(blocks, cfg, policy=LOOP_POLICY)
+        for blk, fb, fl in zip(blocks, lockstep, looped):
+            assert fb.rank == fl.rank
+            scale = np.linalg.norm(blk)
+            assert np.linalg.norm(fb.to_dense() - fl.to_dense()) <= 1e-12 * scale
+
+    def test_parallel_bit_identical(self):
+        km = gp_1d(1024)
+        tree = ClusterTree.balanced(1024, leaf_size=32)
+        cfg = CompressionConfig(tol=1e-8, method="rook")
+        H_serial = build_hodlr(km, tree, config=cfg)
+        forced = ParallelPolicy(workers=2, min_tasks=2, min_task_elements=0)
+        try:
+            H_par = build_hodlr(km, tree, config=cfg,
+                                context=ExecutionContext(parallel=forced))
+        finally:
+            shutdown_pool()
+        for store in ("diag", "U", "V"):
+            serial, par = getattr(H_serial, store), getattr(H_par, store)
+            assert serial.keys() == par.keys()
+            assert all(np.array_equal(serial[k], par[k]) for k in serial)
+
+    def test_gathers_per_level_do_not_grow_with_blocks(self, monkeypatch):
+        import repro.core.hodlr as hodlr_mod
+
+        stack_kernel = hodlr_mod.rook_pivot_compress_stack
+        per_call = []
+
+        def counted(multi, rows, cols, **kw):
+            calls = [0]
+
+            def counted_multi(r, c):
+                calls[0] += 1
+                return multi(r, c)
+
+            out = stack_kernel(counted_multi, rows, cols, **kw)
+            per_call.append((rows.shape[0], calls[0]))
+            return out
+
+        monkeypatch.setattr(hodlr_mod, "rook_pivot_compress_stack", counted)
+        gathers = {}
+        for n in (2048, 8192):
+            source = CountingSource(gp_1d(n))
+            tree = ClusterTree.balanced(n, leaf_size=64)
+            per_call.clear()
+            H = build_hodlr(source, tree, config=CompressionConfig(tol=1e-8, method="rook"))
+            # no entrywise call at all: the probe, the leaves and every
+            # cross step go through the gather evaluator
+            assert source.entry_calls == 0
+            # power-of-two tree: one shape bucket per level
+            assert [b for b, _ in per_call] == [2 ** (lv + 1) for lv in range(tree.levels)]
+            assert source.block_calls == 2 + sum(c for _, c in per_call)
+            # a cross step gathers one row stack, one column stack, at most
+            # two more per rook refinement (3 of them) and two for a
+            # zero-pivot retry; truncation can drop a cross or two
+            for (_, calls), rank in zip(per_call, H.rank_profile()):
+                assert calls <= 10 * (rank + 2)
+            gathers[n] = max(c for _, c in per_call)
+        # 4x the blocks per level, not 4x the gathers
+        assert gathers[8192] <= gathers[2048] + 8
 
 
 # ======================================================================
@@ -415,6 +573,19 @@ class TestKernelMatrixEntries:
         for b in range(3):
             np.testing.assert_allclose(stack[b], km.entries(rows[b], cols[b]),
                                        rtol=0, atol=1e-14)
+
+    def test_entries_blocks_shift_with_duplicate_columns(self):
+        km = self._km()
+        rows = np.stack([np.arange(0, 8), np.arange(10, 18), np.arange(40, 48)])
+        cols = np.stack([
+            np.arange(20, 28),                    # disjoint ranges: no shift
+            np.array([12, 12, 15, 30, 11, 17, 17, 5]),  # overlap, duplicates
+            np.array([47, 41, 41, 0, 1, 44, 2, 3]),     # overlap, shuffled
+        ])
+        stack = km.entries_blocks(rows, cols)
+        for b in range(3):
+            np.testing.assert_allclose(stack[b], self._reference(km, rows[b], cols[b]),
+                                       rtol=0, atol=1e-15)
 
     def test_entries_blocks_shape_validation(self):
         km = self._km()

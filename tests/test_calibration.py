@@ -334,6 +334,16 @@ class TestCheckBench:
         reg, _imp, _rows = check_bench.compare_counters(current, BASE_COUNTERS)
         assert any("factor_plan_bytes" in r for r in reg)
 
+    def test_evaluation_count_regression_fails(self, check_bench):
+        # per-block rook multiplies the probe's gather calls by the blocks
+        # per level; a rank wobble moves them by a few calls
+        base = dict(BASE_COUNTERS, rook_construction_evaluations=1750)
+        wobble = dict(base, rook_construction_evaluations=1790)
+        assert check_bench.compare_counters(wobble, base)[0] == []
+        per_block = dict(base, rook_construction_evaluations=9575)
+        reg, _imp, _rows = check_bench.compare_counters(per_block, base)
+        assert any("rook_construction_evaluations" in r for r in reg)
+
     def test_missing_counter_is_regression(self, check_bench):
         current = {k: v for k, v in BASE_COUNTERS.items() if k != "factor_launches"}
         reg, _imp, rows = check_bench.compare_counters(current, BASE_COUNTERS)

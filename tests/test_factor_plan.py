@@ -25,6 +25,7 @@ from repro import (
     BatchedFactorization,
     BigMatrices,
     ClusterTree,
+    CompressionConfig,
     DispatchPolicy,
     ExecutionContext,
     HODLROperator,
@@ -402,24 +403,19 @@ class TestRookFirstRow:
         )
 
     def test_gathered_rows_leave_rook_construction_unchanged(self, rng):
-        """The level-gathered first rows change call counts, not results."""
-        import repro.core.hodlr as hodlr_mod
-
+        """The level-lockstep rook build gathers its pivot rows and columns;
+        that changes call counts, not results."""
         n = 256
         A = hodlr_friendly_matrix(n, seed=4)
         tree = ClusterTree.balanced(n, leaf_size=32)
-        H_with = build_hodlr(A, tree, tol=1e-10, method="rook")
-        orig_cb = hodlr_mod.compress_block
-        try:
-            hodlr_mod.compress_block = (
-                lambda *a, first_row=None, **k: orig_cb(*a, **k)
-            )
-            H_without = build_hodlr(A, tree, tol=1e-10, method="rook")
-        finally:
-            hodlr_mod.compress_block = orig_cb
+        H_lockstep = build_hodlr(A, tree, tol=1e-10, method="rook")
+        H_loop = build_hodlr(
+            A, tree, config=CompressionConfig(tol=1e-10, method="rook", construction="loop")
+        )
+        assert H_lockstep.rank_profile() == H_loop.rank_profile()
         x = rng.standard_normal(n)
         np.testing.assert_allclose(
-            H_with.matvec(x), H_without.matvec(x), rtol=1e-12, atol=1e-12
+            H_lockstep.matvec(x), H_loop.matvec(x), rtol=1e-12, atol=1e-12
         )
 
 
