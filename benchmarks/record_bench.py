@@ -851,6 +851,7 @@ def collect_counters(n=2048, tol=1e-8, leaf_size=64):
         "parallel_solve_plan_launches": tr_psol.num_plan_launches,
     }
     counters.update(collect_rook_counters())
+    counters.update(collect_randomized_counters())
     counters.update(collect_update_counters())
     counters.update(collect_cache_counters())
     print(f"  {'counters_probe':<38s} n={n}  launches/solve "
@@ -914,6 +915,43 @@ def collect_rook_counters(n=2048, tol=1e-8, leaf_size=64):
     print(f"  {'rook_probe':<38s} n={n}  launches "
           f"{counters['rook_construction_launches']}  evaluations "
           f"{counters['rook_construction_evaluations']}")
+    return counters
+
+
+def collect_randomized_counters(n=1024, kappa=20.0, tol=1e-6, leaf_size=64):
+    """Deterministic launch and flop counts of a fixed adaptive-rank build.
+
+    A complex Helmholtz kernel matrix (the ``helmholtz_kernel`` problem's
+    kernel and shift) is compressed with ``method="randomized"`` and no
+    rank cap, so its upper levels take several sample-doubling rounds.
+    Each round samples only its new test-matrix columns and extends the
+    kept basis and projection; a return to re-drawing and re-projecting
+    all samples every round raises ``randomized_construction_flops``
+    past the gate.  The ranks must stay within one of truncated-SVD
+    compression on the same tree.
+    """
+    from repro import ClusterTree, build_hodlr
+    from repro.api.problems import HelmholtzKernelProblem
+
+    kernel, shift = HelmholtzKernelProblem(n=n, kappa=kappa).kernel_spec()
+    points = np.random.default_rng(0).uniform(-1.0, 1.0, size=(n, 2))
+    tree, perm = ClusterTree.from_points(points, leaf_size=leaf_size)
+    km = KernelMatrix(kernel=kernel, points=points[perm], diagonal_shift=shift)
+    rec = get_recorder()
+    with rec.recording() as tr_rand:
+        H = build_hodlr(km, tree, tol=tol, method="randomized")
+    ranks = H.rank_profile()
+    svd_ranks = build_hodlr(km, tree, tol=tol, method="svd").rank_profile()
+    assert all(abs(a - b) <= 1 for a, b in zip(ranks, svd_ranks)), (
+        f"randomized ranks {ranks} differ from truncated-SVD {svd_ranks}"
+    )
+    counters = {
+        "randomized_construction_launches": tr_rand.num_kernel_launches,
+        "randomized_construction_flops": tr_rand.total_flops,
+    }
+    print(f"  {'randomized_probe':<38s} n={n}  launches "
+          f"{counters['randomized_construction_launches']}  flops "
+          f"{counters['randomized_construction_flops']:.3e}  ranks {ranks}")
     return counters
 
 

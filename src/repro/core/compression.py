@@ -541,10 +541,11 @@ def randomized_compress(
     first_block_norm = None
     while Q.shape[1] < rank_cap:
         nb = min(block_size, rank_cap - Q.shape[1])
-        Omega = rng.standard_normal((n, nb)).astype(dtype, copy=False)
+        Omega = rng.standard_normal((n, nb))
         if np.issubdtype(np.dtype(dtype), np.complexfloating):
             Omega = Omega + 1j * rng.standard_normal((n, nb))
-        Y = np.asarray(matvec(Omega))
+        # cast after combining the parts: a complex64 block keeps complex64
+        Y = np.asarray(matvec(Omega.astype(dtype, copy=False)))
         if Q.shape[1] > 0:
             Y = Y - Q @ (Q.conj().T @ Y)
         block_norm = float(np.linalg.norm(Y))
@@ -615,6 +616,19 @@ def _svd_stack(
     return out
 
 
+def _project_out(B, Y, xb: ArrayBackend):
+    """Project ``Y`` off the orthonormal columns ``B`` in two passes.
+
+    Returns the remainder and the coefficients ``C`` with ``Y = B C +
+    remainder``; the second pass restores the orthogonality the first
+    loses to round-off.
+    """
+    C = gemm_strided_batched(B, Y, conjugate_a=True, backend=xb)
+    Y = Y - gemm_strided_batched(B, C, backend=xb)
+    C2 = gemm_strided_batched(B, Y, conjugate_a=True, backend=xb)
+    return Y - gemm_strided_batched(B, C2, backend=xb), C + C2
+
+
 def _randomized_stack(
     stack: np.ndarray,
     tol: float,
@@ -623,19 +637,25 @@ def _randomized_stack(
     rng: np.random.Generator,
     xb: ArrayBackend,
 ) -> List[LowRankFactor]:
-    """Randomized compression of one uniform stack with a shared test matrix.
+    """Randomized compression of one uniform stack with shared test matrices.
 
-    One Gaussian test matrix serves the whole stack, so the sampling
-    products, the orthogonalisation, and the projected SVD each execute as a
-    single strided batched kernel (``gemmStridedBatched`` + ``geqrfBatched``
-    + ``gesvdjBatched`` in cuBLAS/cuSOLVER terms).
+    An incremental range finder over the whole stack: every round draws one
+    Gaussian test matrix for all pending blocks, so sampling, orthogonalising
+    and projecting each execute as strided batched kernels
+    (``gemmStridedBatched`` + ``geqrfBatched`` + ``gesvdjBatched`` in
+    cuBLAS/cuSOLVER terms).
 
     The sample count starts at ``max_rank + oversampling`` when a rank cap
     is given (the paper's fixed-rank regime) and at a small default
-    otherwise.  Blocks whose spectrum is not resolved by the shared sample
-    count — adaptive-rank stragglers — stay in for a doubled-sample round; a
-    final lone straggler falls back to the per-block adaptive range finder
-    (:func:`randomized_compress_dense`).
+    otherwise.  A block is resolved once its truncation keeps fewer than the
+    sampled directions, the samples span ``min(m, n)``, or the rank cap is
+    reached.  Unresolved blocks — adaptive-rank stragglers, one or many —
+    stay in the loop, which doubles their sample count while keeping every
+    sample drawn: a round samples only the new columns, appends their part
+    outside the kept basis ``Q`` to it, and extends the projection ``Q* A``
+    kept in factored form ``L Z`` (``L`` square, ``Z`` with orthonormal
+    rows) by the new rows.  The resolution test is then an SVD of the small
+    ``L``.  A single round is one gemm, QR, gemm and SVD per stack.
     """
     nbatch, m, n = stack.shape
     minmn = min(m, n)
@@ -648,22 +668,26 @@ def _randomized_stack(
         nsamples = min(minmn, max_rank + oversampling)
     else:
         nsamples = min(minmn, max(16, oversampling + 8))
-    pending = np.arange(nbatch)
-    while pending.size:
-        omega = rng.standard_normal((n, nsamples))
+
+    def sample(sub, count):
+        omega = rng.standard_normal((n, count))
         if cplx:
-            omega = omega + 1j * rng.standard_normal((n, nsamples))
+            omega = omega + 1j * rng.standard_normal((n, count))
         # the Gaussian test matrix is drawn on the host (reproducible rng)
         # and moved to the backend once per round
         omega = xb.from_host(omega.astype(dtype, copy=False))
-        # first round covers the whole stack: no gather copy
-        sub = stack if pending.size == nbatch else stack[pending]
-        Y = gemm_strided_batched(
-            sub, xb.broadcast_to(omega, (pending.size, n, nsamples)), backend=xb
+        return gemm_strided_batched(
+            sub, xb.broadcast_to(omega, (sub.shape[0], n, count)), backend=xb
         )
-        Q, _ = qr_batched(Y, backend=xb)
-        G = gemm_strided_batched(Q, sub, conjugate_a=True, backend=xb)
-        W3, s3, Zh3 = svd_batched(G, backend=xb)
+
+    # round 1 covers the whole stack without a gather copy: Q* A = W s Vh
+    pending = np.arange(nbatch)
+    sub = stack
+    Q, _ = qr_batched(sample(sub, nsamples), backend=xb)
+    G = gemm_strided_batched(Q, sub, conjugate_a=True, backend=xb)
+    W3, s3, Vh3 = svd_batched(G, backend=xb)
+    Zt = Vh_L = L = None
+    while True:
         stragglers = []
         for j, p in enumerate(pending):
             s = s3[j]
@@ -674,23 +698,52 @@ def _randomized_stack(
                 or (max_rank is not None and keep >= max_rank)
             )
             if not resolved:
-                stragglers.append(p)
+                stragglers.append(j)
                 continue
-            results[p] = LowRankFactor(
-                U=Q[j] @ (W3[j][:, :keep] * s[:keep]), V=Zh3[j][:keep, :].conj().T
-            )
+            if Zt is None:
+                V = Vh3[j][:keep, :].conj().T
+            else:
+                V = Zt[j] @ Vh_L[j][:keep, :].conj().T
+            results[p] = LowRankFactor(U=Q[j] @ (W3[j][:, :keep] * s[:keep]), V=V)
         if not stragglers:
             break
-        if len(stragglers) == 1:
-            # a single adaptive-rank straggler: the per-block adaptive range
-            # finder is cheaper than another stack-wide round
-            p = stragglers[0]
-            results[p] = randomized_compress_dense(
-                stack[p], tol=tol, max_rank=max_rank, rng=rng
-            )
-            break
-        pending = np.array(stragglers)
-        nsamples = min(minmn, 2 * nsamples)
+        if Zt is None:
+            # seed the factored projection Q* A = L Z from round 1's SVD;
+            # Z is kept as its conjugate transpose Zt (orthonormal columns)
+            L = W3 * s3[:, None, :]
+            Zt = Vh3.conj().transpose(0, 2, 1)
+        if len(stragglers) < pending.size:
+            left = np.array(stragglers)
+            pending = pending[left]
+            Q, L, Zt = Q[left], L[left], Zt[left]
+            sub = stack[pending]
+        inc = min(minmn, 2 * nsamples) - nsamples
+        # only the new samples are drawn; their part outside span(Q) extends
+        # Q by randomized_compress's recipe (project twice, QR, re-project,
+        # QR), since samples at the round-off floor leave qr's panel with
+        # components inside span(Q)
+        Y, _ = _project_out(Q, sample(sub, inc), xb)
+        Qb, _ = qr_batched(Y, backend=xb)
+        Qb = Qb - gemm_strided_batched(
+            Q, gemm_strided_batched(Q, Qb, conjugate_a=True, backend=xb), backend=xb
+        )
+        Qb, _ = qr_batched(Qb, backend=xb)
+        Q = xb.concat([Q, Qb], axis=2)
+        # the new rows Gb = Qb* A of the projection: Gb* = Zt C + Zb T, so
+        # L gains the rows [C* | T*] and Z the rows Zb*
+        Gb = gemm_strided_batched(Qb, sub, conjugate_a=True, backend=xb)
+        R, C = _project_out(Zt, Gb.conj().transpose(0, 2, 1), xb)
+        Zb, T = qr_batched(R, backend=xb)
+        Zt = xb.concat([Zt, Zb], axis=2)
+        L = xb.concat(
+            [
+                xb.concat([L, xb.zeros((pending.size, nsamples, inc), dtype=dtype)], axis=2),
+                xb.concat([C.conj().transpose(0, 2, 1), T.conj().transpose(0, 2, 1)], axis=2),
+            ],
+            axis=1,
+        )
+        nsamples += inc
+        W3, s3, Vh_L = svd_batched(L, backend=xb)
     return results  # type: ignore[return-value]
 
 
@@ -707,7 +760,10 @@ def compress_block_stack(
     The zero-copy entry point of the level-major builder: a gathered level
     stack goes straight into the batched kernels without per-block
     unpacking.  ``rook`` runs :func:`rook_pivot_compress_stack` over the
-    stack, every block advancing its crosses in lockstep.
+    stack, every block advancing its crosses in lockstep.  ``randomized``
+    runs one incremental range finder over the stack: shared test
+    matrices, and rounds that add samples only for the unresolved blocks
+    while keeping every sample drawn so far (see :func:`_randomized_stack`).
     ``policy.bucketing=False`` (:data:`~repro.backends.dispatch.LOOP_POLICY`)
     compresses the slices one at a time.  ``context`` supersedes the legacy
     ``backend=``/``policy=`` pair; a device-resident context keeps the
@@ -790,9 +846,10 @@ def randomized_compress_batched(
     """Randomized compression of many dense blocks with shared test matrices.
 
     Blocks are grouped into shape buckets and each bucket runs through
-    :func:`compress_block_stack`'s randomized path: one shared Gaussian test
-    matrix, strided batched sampling/QR/SVD, doubled-sample rounds for
-    adaptive-rank stragglers, per-block fallback for a lone one.
+    :func:`compress_block_stack`'s randomized path: shared Gaussian test
+    matrices and strided batched sampling/QR/SVD, with adaptive-rank
+    stragglers (a lone one included) doubling their sample count in
+    further rounds that keep every earlier sample.
     ``policy.bucketing=False`` reproduces the per-block adaptive loop.
     """
     rng = rng if rng is not None else np.random.default_rng(0)

@@ -84,7 +84,7 @@ class TestBatchedConstructionEquivalence:
 
     def test_adaptive_ranks(self):
         # no max_rank: the shared sample count cannot resolve every block at
-        # once, exercising the doubling rounds and the straggler fallback
+        # once, exercising the sample-doubling rounds for the stragglers
         rng = np.random.default_rng(2)
         A = smooth_matrix(256, rng, lengthscale=0.05)  # higher ranks
         tree = ClusterTree.balanced(256, leaf_size=32)
@@ -367,6 +367,124 @@ class TestBatchedCompressors:
             for blk, f in zip(blocks, factors):
                 assert np.iscomplexobj(f.U)
                 assert f.error_vs(blk) <= 1e-10 * np.linalg.norm(blk)
+
+
+# ======================================================================
+# sample-reusing range finder (randomized stacks, adaptive rank)
+# ======================================================================
+def helmholtz_km(n, kappa=20.0, seed=0):
+    """A kd-tree ordered Helmholtz kernel matrix and its cluster tree."""
+    kernel, shift = HelmholtzKernelProblem(n=n, kappa=kappa).kernel_spec()
+    points = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 2))
+    tree, perm = ClusterTree.from_points(points, leaf_size=64)
+    km = KernelMatrix(kernel=kernel, points=points[perm], diagonal_shift=shift)
+    return km, tree
+
+
+def level_stack(km, tree, level):
+    """The off-diagonal blocks of one tree level as a ``(B, m, n)`` stack."""
+    blocks = []
+    for left, right in tree.sibling_pairs(level):
+        blocks += [km.entries(left.indices, right.indices),
+                   km.entries(right.indices, left.indices)]
+    return np.stack(blocks)
+
+
+def sampling_gemms(trace, m, n):
+    """The sampling gemms ``(m, k) = A (n, k)`` of a trace.
+
+    Sampling is the only gemm with shape ``(m, ., n)`` while the sample
+    count stays below ``min(m, n)``.
+    """
+    return [
+        e for e in trace.events
+        if e.kernel == "gemm_strided_batched" and e.shape[0] == m and e.shape[2] == n
+    ]
+
+
+def sampled_columns(trace, m, n):
+    """Test-matrix columns per block, summed over the sampling gemms."""
+    return sum(e.shape[1] for e in sampling_gemms(trace, m, n))
+
+
+def final_sample_count(rank, start=18):
+    """The doubling schedule's first sample count the rank falls below."""
+    count = start
+    while count <= rank:
+        count *= 2
+    return count
+
+
+class TestSampleReusingRangeFinder:
+    TOL = 1e-6
+
+    @pytest.fixture(scope="class")
+    def helmholtz_stack(self):
+        # level 1 of the n=1024 Helmholtz problem: two 512 x 512 blocks
+        # whose ranks at 1e-6 take four sample rounds (18 .. 144)
+        km, tree = helmholtz_km(1024)
+        return level_stack(km, tree, 1)
+
+    def compress(self, stack):
+        cfg = CompressionConfig(tol=self.TOL, method="randomized")
+        rec = get_recorder()
+        with rec.recording() as trace:
+            factors = compress_block_stack(stack, cfg, rng=np.random.default_rng(3))
+        return factors, trace
+
+    def test_multi_round_accuracy(self, helmholtz_stack):
+        factors, trace = self.compress(helmholtz_stack)
+        for blk, f in zip(helmholtz_stack, factors):
+            s = np.linalg.svd(blk, compute_uv=False)
+            assert abs(f.rank - int(np.sum(s > self.TOL * s[0]))) <= 1
+            assert np.linalg.norm(f.to_dense() - blk) <= 10 * self.TOL * np.linalg.norm(blk)
+        assert len(sampling_gemms(trace, 512, 512)) >= 3
+
+    def test_no_resampling(self, helmholtz_stack):
+        factors, trace = self.compress(helmholtz_stack)
+        final = final_sample_count(max(f.rank for f in factors))
+        # every round samples only its new columns: 18 + 18 + 36 + ... adds
+        # up to the final count instead of 18 + 36 + 72 + ...
+        assert final >= 72
+        assert sampled_columns(trace, 512, 512) == final
+
+    def test_single_block_resolves_in_the_loop(self, helmholtz_stack):
+        blk = helmholtz_stack[:1]
+        (f,), trace = self.compress(blk)
+        # a lone multi-round block keeps its samples (no per-block restart,
+        # which records no batched kernels at all)
+        assert sampled_columns(trace, 512, 512) == final_sample_count(f.rank)
+        assert all(e.batch == 1 for e in trace.events)
+        s = np.linalg.svd(blk[0], compute_uv=False)
+        assert abs(f.rank - int(np.sum(s > self.TOL * s[0]))) <= 1
+        assert np.linalg.norm(f.to_dense() - blk[0]) <= 10 * self.TOL * np.linalg.norm(blk[0])
+
+    @pytest.mark.parametrize("rank", [5, 25])
+    def test_exhausted_range(self, rank):
+        # exact rank 5 resolves in the first round; rank 25 overflows the
+        # first 18 samples and exhausts the range in the second round
+        rng = np.random.default_rng(rank)
+        blk = rng.standard_normal((300, rank)) @ rng.standard_normal((rank, 300))
+        (f,), _ = self.compress(blk[None])
+        assert f.rank == rank
+        assert np.abs(f.V.conj().T @ f.V - np.eye(rank)).max() <= 1e-12
+        assert np.linalg.norm(f.to_dense() - blk) <= 1e-12 * np.linalg.norm(blk)
+
+    def test_parallel_bit_identical(self):
+        km, tree = helmholtz_km(1024)
+        cfg = CompressionConfig(tol=self.TOL, method="randomized")
+        H_serial = build_hodlr(km, tree, config=cfg)
+        forced = ParallelPolicy(workers=2, min_tasks=2, min_task_elements=0)
+        try:
+            H_par = build_hodlr(km, tree, config=cfg,
+                                context=ExecutionContext(parallel=forced))
+        finally:
+            shutdown_pool()
+        assert H_serial.rank_profile()[0] > 2 * 18  # level 1 takes >= 3 rounds
+        for store in ("diag", "U", "V"):
+            serial, par = getattr(H_serial, store), getattr(H_par, store)
+            assert serial.keys() == par.keys()
+            assert all(np.array_equal(serial[k], par[k]) for k in serial)
 
 
 # ======================================================================

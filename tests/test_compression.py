@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro import CompressionConfig, compress_block, svd_compress
+from repro import ClusterTree, CompressionConfig, build_hodlr, compress_block, svd_compress
+from repro.backends.dispatch import LOOP_POLICY
 from repro.core.compression import (
+    compress_block_stack,
     randomized_compress,
     randomized_compress_dense,
     rook_pivot_compress,
@@ -129,6 +131,31 @@ class TestRandomized:
         f1 = randomized_compress_dense(B, tol=1e-8, rng=np.random.default_rng(7))
         f2 = randomized_compress_dense(B, tol=1e-8, rng=np.random.default_rng(7))
         np.testing.assert_allclose(f1.to_dense(), f2.to_dense())
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.float32])
+    def test_single_precision_factors_keep_the_block_dtype(self, dtype):
+        rng = np.random.default_rng(12)
+        B = rng.standard_normal((100, 5)) @ rng.standard_normal((5, 120))
+        if dtype == np.complex64:
+            B = B + 1j * rng.standard_normal((100, 5)) @ rng.standard_normal((5, 120))
+        B = B.astype(dtype)
+        cfg = CompressionConfig(tol=1e-5, method="randomized")
+        factors = [randomized_compress_dense(B, tol=1e-5, rng=np.random.default_rng(0))]
+        for policy in (None, LOOP_POLICY):
+            factors += compress_block_stack(B[None], cfg, policy=policy)
+        for f in factors:
+            assert f.U.dtype == dtype and f.V.dtype == dtype
+            assert np.linalg.norm(f.to_dense() - B) <= 1e-4 * np.linalg.norm(B)
+
+        x = np.sort(rng.uniform(0.0, 1.0, 256))
+        A = (np.exp(-np.abs(x[:, None] - x[None, :]) / 0.5) + np.eye(256)).astype(dtype)
+        H = build_hodlr(
+            A, ClusterTree.balanced(256, leaf_size=32),
+            config=CompressionConfig(tol=1e-5, method="randomized", construction="loop"),
+        )
+        assert {u.dtype for u in H.U.values()} | {v.dtype for v in H.V.values()} == {
+            np.dtype(dtype)
+        }
 
 
 class TestDispatcher:
