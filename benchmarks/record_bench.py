@@ -862,19 +862,37 @@ def collect_counters(n=2048, tol=1e-8, leaf_size=64):
 
 
 class _CountingEvaluator:
-    """A KernelMatrix's ``entries`` / ``entries_blocks``, counting calls."""
+    """A KernelMatrix's ``entries`` / ``entries_blocks``, counting calls
+    and evaluated entries."""
 
     def __init__(self, km):
         self.km = km
         self.calls = 0
+        self.evaluated = 0
 
     def entries(self, rows, cols):
         self.calls += 1
-        return self.km.entries(rows, cols)
+        out = self.km.entries(rows, cols)
+        self.evaluated += int(out.size)
+        return out
 
     def entries_blocks(self, rows, cols):
         self.calls += 1
-        return self.km.entries_blocks(rows, cols)
+        out = self.km.entries_blocks(rows, cols)
+        self.evaluated += int(out.size)
+        return out
+
+
+def _assert_mirrored(H, probe):
+    """The symmetric kernel was compressed once per sibling pair: every
+    mirror block reuses ``U_right = conj(V_right)``, ``V_left = conj(U_left)``."""
+    for level in range(1, H.tree.levels + 1):
+        for left, right in H.tree.sibling_pairs(level):
+            assert np.array_equal(H.U[right.index], H.V[right.index].conj()) and \
+                np.array_equal(H.V[left.index], H.U[left.index].conj()), (
+                    f"{probe}: sibling pair ({left.index}, {right.index}) "
+                    "was not mirrored"
+                )
 
 
 def collect_rook_counters(n=2048, tol=1e-8, leaf_size=64):
@@ -887,8 +905,11 @@ def collect_rook_counters(n=2048, tol=1e-8, leaf_size=64):
     ``rook_construction_evaluations`` counts every ``entries`` and
     ``entries_blocks`` call of the build, so it scales with levels x cross
     steps; a return to per-block rook multiplies it by the blocks per
-    level and trips the gate.  The build must reproduce the per-block
-    ``construction="loop"`` ranks.
+    level and trips the gate.  ``rook_construction_entry_evaluations``
+    totals the kernel entries those calls evaluate: the Gaussian kernel is
+    symmetric, so each sibling pair is compressed once and mirrored, and
+    compressing both blocks again doubles the off-diagonal share.  The
+    build must reproduce the per-block ``construction="loop"`` ranks.
     """
     from repro import ClusterTree, build_hodlr
 
@@ -908,13 +929,16 @@ def collect_rook_counters(n=2048, tol=1e-8, leaf_size=64):
         f"lockstep rook ranks {H.rank_profile()} differ from per-block "
         f"{H_loop.rank_profile()}"
     )
+    _assert_mirrored(H, "rook_probe")
     counters = {
         "rook_construction_launches": tr_rook.num_kernel_launches,
         "rook_construction_evaluations": source.calls,
+        "rook_construction_entry_evaluations": source.evaluated,
     }
     print(f"  {'rook_probe':<38s} n={n}  launches "
           f"{counters['rook_construction_launches']}  evaluations "
-          f"{counters['rook_construction_evaluations']}")
+          f"{counters['rook_construction_evaluations']}  entries "
+          f"{counters['rook_construction_entry_evaluations']}")
     return counters
 
 
@@ -927,8 +951,10 @@ def collect_randomized_counters(n=1024, kappa=20.0, tol=1e-6, leaf_size=64):
     Each round samples only its new test-matrix columns and extends the
     kept basis and projection; a return to re-drawing and re-projecting
     all samples every round raises ``randomized_construction_flops``
-    past the gate.  The ranks must stay within one of truncated-SVD
-    compression on the same tree.
+    past the gate.  The kernel is symmetric, so each sibling pair is
+    compressed once and mirrored; ``randomized_construction_entry_evaluations``
+    totals the kernel entries the build evaluates.  The ranks must stay
+    within one of truncated-SVD compression on the same tree.
     """
     from repro import ClusterTree, build_hodlr
     from repro.api.problems import HelmholtzKernelProblem
@@ -937,21 +963,25 @@ def collect_randomized_counters(n=1024, kappa=20.0, tol=1e-6, leaf_size=64):
     points = np.random.default_rng(0).uniform(-1.0, 1.0, size=(n, 2))
     tree, perm = ClusterTree.from_points(points, leaf_size=leaf_size)
     km = KernelMatrix(kernel=kernel, points=points[perm], diagonal_shift=shift)
+    source = _CountingEvaluator(km)
     rec = get_recorder()
     with rec.recording() as tr_rand:
-        H = build_hodlr(km, tree, tol=tol, method="randomized")
+        H = build_hodlr(source, tree, tol=tol, method="randomized")
     ranks = H.rank_profile()
     svd_ranks = build_hodlr(km, tree, tol=tol, method="svd").rank_profile()
     assert all(abs(a - b) <= 1 for a, b in zip(ranks, svd_ranks)), (
         f"randomized ranks {ranks} differ from truncated-SVD {svd_ranks}"
     )
+    _assert_mirrored(H, "randomized_probe")
     counters = {
         "randomized_construction_launches": tr_rand.num_kernel_launches,
         "randomized_construction_flops": tr_rand.total_flops,
+        "randomized_construction_entry_evaluations": source.evaluated,
     }
     print(f"  {'randomized_probe':<38s} n={n}  launches "
           f"{counters['randomized_construction_launches']}  flops "
-          f"{counters['randomized_construction_flops']:.3e}  ranks {ranks}")
+          f"{counters['randomized_construction_flops']:.3e}  entries "
+          f"{counters['randomized_construction_entry_evaluations']}  ranks {ranks}")
     return counters
 
 

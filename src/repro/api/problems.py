@@ -39,6 +39,7 @@ Registered names
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Optional
 
@@ -53,7 +54,7 @@ from ..core.hodlr import build_hodlr
 from ..elliptic.grid import RegularGrid2D
 from ..elliptic.poisson import poisson_manufactured_solution
 from ..elliptic.schur import SchurComplementSolver
-from ..kernels.kernel_matrix import KernelMatrix
+from ..kernels.kernel_matrix import KernelMatrix, blockwise_matvec
 from ..kernels.points import uniform_points
 from ..kernels.radial import GaussianKernel, HelmholtzKernel2D, MaternKernel
 from ..kernels.rpy import RPYKernel
@@ -64,19 +65,7 @@ from .problem import AssembledProblem, register_problem
 
 def _entries_matvec(entries: Callable, n: int, block_size: int = 2048) -> Callable:
     """Blockwise exact matvec from an ``entries(rows, cols)`` evaluator."""
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        squeeze = x.ndim == 1
-        X = x.reshape(-1, 1) if squeeze else x
-        cols = np.arange(n)
-        out = np.zeros((n, X.shape[1]), dtype=np.result_type(X.dtype, float))
-        for start in range(0, n, block_size):
-            stop = min(start + block_size, n)
-            out[start:stop] = entries(np.arange(start, stop), cols) @ X
-        return out.ravel() if squeeze else out
-
-    return matvec
+    return functools.partial(blockwise_matvec, entries, n, block_size=block_size)
 
 
 def _kernel_assembled(

@@ -36,6 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import hankel1
 
+from ..kernels.kernel_matrix import blockwise_matvec
 from .contour import ContourNodes, SmoothContour, StarContour
 from .quadrature import kapur_rokhlin_correction
 
@@ -152,15 +153,8 @@ class HelmholtzCombinedBIE:
         return self.entries(idx, idx)
 
     def matvec(self, x: np.ndarray, block_size: int = 2048) -> np.ndarray:
-        x = np.asarray(x)
-        squeeze = x.ndim == 1
-        X = x.reshape(-1, 1) if squeeze else x
-        out = np.zeros((self.n, X.shape[1]), dtype=complex)
-        cols = np.arange(self.n)
-        for start in range(0, self.n, block_size):
-            stop = min(start + block_size, self.n)
-            out[start:stop] = self.entries(np.arange(start, stop), cols) @ X
-        return out.ravel() if squeeze else out
+        """Apply the Nystrom matrix without storing it densely."""
+        return blockwise_matvec(self.entries, self.n, x, block_size)
 
     # ------------------------------------------------------------------
     # proxy-surface support

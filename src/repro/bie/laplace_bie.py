@@ -29,6 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ..kernels.kernel_matrix import blockwise_matvec
 from .contour import ContourNodes, SmoothContour, StarContour
 
 
@@ -128,15 +129,7 @@ class LaplaceDoubleLayerBIE:
 
     def matvec(self, x: np.ndarray, block_size: int = 2048) -> np.ndarray:
         """Apply the Nystrom matrix without storing it densely."""
-        x = np.asarray(x)
-        squeeze = x.ndim == 1
-        X = x.reshape(-1, 1) if squeeze else x
-        out = np.zeros((self.n, X.shape[1]), dtype=np.result_type(X.dtype, float))
-        cols = np.arange(self.n)
-        for start in range(0, self.n, block_size):
-            stop = min(start + block_size, self.n)
-            out[start:stop] = self.entries(np.arange(start, stop), cols) @ X
-        return out.ravel() if squeeze else out
+        return blockwise_matvec(self.entries, self.n, x, block_size)
 
     # ------------------------------------------------------------------
     # proxy-surface support

@@ -10,10 +10,18 @@ A :class:`HODLRMatrix` stores
   .. math:: A(I_\\alpha, I_\\beta) = U_\\alpha V_\\beta^*, \\qquad
             A(I_\\beta, I_\\alpha) = U_\\beta V_\\alpha^*.
 
-The two off-diagonal blocks of a sibling pair are compressed independently
-(the matrix need not be symmetric); the convention above simply names the
-factors after the node whose row (for ``U``) or column (for ``V``) indices
-they span, which is exactly the naming used by the paper's algorithms.
+The convention names the factors after the node whose row (for ``U``) or
+column (for ``V``) indices they span, which is exactly the naming used by
+the paper's algorithms.  The matrix need not be symmetric: in general the
+two off-diagonal blocks of a sibling pair are compressed independently.
+When the source *is* symmetric (``A = A^T``, as radial kernel matrices are,
+complex Helmholtz kernels included) only ``A(I_alpha, I_beta)`` is
+compressed and its factors are mirrored: ``A(I_beta, I_alpha) =
+(U_alpha V_beta^*)^T = conj(V_beta) conj(U_alpha)^*``, so the builder sets
+``U_beta = conj(V_beta)`` and ``V_alpha = conj(U_alpha)``.  That halves the
+kernel evaluations and compression work of construction and keeps the
+``U V^*`` convention everything downstream reads.  Symmetry is decided by
+probing the source (see :func:`build_hodlr`), never assumed.
 
 Construction paths
 ------------------
@@ -346,17 +354,64 @@ def _resolve_evaluator(source):
     )
 
 
-def _probe_multi(multi, rows: np.ndarray):
-    """Evaluate one tiny stack to check that the multi-block evaluator
-    actually broadcasts; returns the stack, or ``None`` if it does not."""
+#: entries sampled from each side of a sibling pair by the symmetry probe
+_PROBE_SAMPLES = 8
+
+
+def _probe_indices(tree: ClusterTree):
+    """Row and column index stacks of the source probe.
+
+    ``k = min(8, smallest node)`` evenly spaced indices are sampled from
+    each side of every sibling pair on every level, and each pair appears
+    in both orientations: stack entry ``2p`` is ``(left, right)`` and
+    ``2p + 1`` is ``(right, left)``, so the ``(2P, k, k)`` probe holds
+    ``S_lr`` and ``S_rl`` of every pair.  Returns ``(rows, cols, paired)``;
+    a tree without (non-empty) sibling pairs falls back to a ``(1, k, k)``
+    diagonal probe of the first leaf, which can only report the dtype.
+    """
+    pairs = [p for lv in range(1, tree.levels + 1) for p in tree.sibling_pairs(lv)]
+    k = min([_PROBE_SAMPLES] + [node.size for pair in pairs for node in pair])
+    if not pairs or k == 0:
+        rows = tree.leaves[0].indices[None, :2]
+        return rows, rows, False
+
+    def sample(node):
+        return node.start + (np.arange(k) * (node.size - 1)) // max(k - 1, 1)
+
+    rows, cols = [], []
+    for left, right in pairs:
+        sl, sr = sample(left), sample(right)
+        rows += [sl, sr]
+        cols += [sr, sl]
+    return np.stack(rows), np.stack(cols), True
+
+
+def _probe_multi(multi, rows: np.ndarray, cols: np.ndarray):
+    """Evaluate the probe stack through the multi-block evaluator; returns
+    the stack, or ``None`` if the evaluator does not broadcast."""
     if multi is None:
         return None
-    k = min(2, rows.size)
     try:
-        out = multi(rows[None, :k], rows[None, :k])
+        out = multi(rows, cols)
     except Exception:
         return None
-    return out if np.shape(out) == (1, k, k) else None
+    return out if np.shape(out) == (rows.shape[0], rows.shape[1], cols.shape[1]) else None
+
+
+def _probe_is_symmetric(probe) -> bool:
+    """Whether the paired probe stack satisfies ``S_lr == S_rl^T``.
+
+    The test is ``max|S_lr - S_rl^T| <= 16 eps max|S|``, so a source that
+    is symmetric up to the rounding of its kernel evaluation passes and
+    any genuinely non-symmetric sampled entry fails.  A probe that sampled
+    only zeros decides nothing and reports ``False``.  Reductions run on
+    the probe's own array type: no host transfer.
+    """
+    dtype = probe.dtype
+    eps = np.finfo(dtype if np.issubdtype(dtype, np.inexact) else np.float64).eps
+    scale = float(abs(probe).max())
+    gap = float(abs(probe[0::2] - probe[1::2].transpose(0, 2, 1)).max())
+    return scale > 0 and gap <= 16 * eps * scale
 
 
 #: cap on the entry count of one gathered block stack (~0.5 GB of float64);
@@ -444,6 +499,22 @@ def build_hodlr(
         gathered blocks and compressed bases on the device.  The legacy
         ``backend=``/``dispatch_policy=`` pair is still accepted and is
         folded into a context.
+
+    Symmetric sources
+    -----------------
+    Before compressing, the builder evaluates one probe of the source: ``k
+    = min(8, smallest node)`` evenly spaced indices from each side of every
+    sibling pair on every level, in both orientations — a single
+    ``(2P, k, k)`` stack through ``entries_blocks`` (which also checks that
+    the gather evaluator broadcasts and supplies the dtype), or one
+    ``entries`` call per probe block without one.  No rng is drawn.  If
+    ``max|S_lr - S_rl^T| <= 16 eps max|S|`` over the probe, the source is
+    treated as symmetric and only ``A(I_left, I_right) = U_left V_right^*``
+    is compressed per pair; the mirror block reuses it through
+    ``U_right = conj(V_right)`` and ``V_left = conj(U_left)`` (stored as
+    their own arrays).  Otherwise — non-symmetric, Hermitian-only, or a
+    probe of zeros — both blocks are compressed independently, exactly as
+    without the probe.  Both construction schedules apply the same rule.
     """
     context = resolve_context(context, backend, dispatch_policy)
     if config is None:
@@ -499,25 +570,47 @@ def build_hodlr(
     else:
         evaluator, multi = _resolve_evaluator(source)
 
-    # the gather evaluator's probe doubles as the dtype probe, so a gathered
-    # build makes no entrywise call at all
-    gathered = None
-    if config.construction != "loop":
-        gathered = _probe_multi(multi, tree.leaves[0].indices)
-    if gathered is None:
+    # one probe of the source decides three things: whether the gather
+    # evaluator broadcasts, the dtype, and whether the source is symmetric.
+    # It goes through the gather evaluator when one works (a gathered build
+    # then makes no entrywise call at all), else one entries call per block
+    rows, cols, paired = _probe_indices(tree)
+    probe = _probe_multi(multi, rows, cols)
+    if probe is None:
         multi = None
+        if paired or dtype is None:
+            probe = context.backend.stack([evaluator(r, c) for r, c in zip(rows, cols)])
     if dtype is None:
-        probe = gathered if gathered is not None else evaluator(np.array([0]), np.array([0]))
-        dtype = getattr(probe, "dtype", None) or np.asarray(probe).dtype
+        dtype = probe.dtype
+    symmetric = paired and _probe_is_symmetric(probe)
     dtype = context.storage_dtype(dtype)
     if config.construction == "loop":
-        return _build_hodlr_loop(evaluator, tree, config, dtype)
-    return _build_hodlr_batched(evaluator, multi, tree, config, dtype, context)
+        return _build_hodlr_loop(evaluator, tree, config, dtype, symmetric)
+    return _build_hodlr_batched(evaluator, multi, tree, config, dtype, context, symmetric)
 
 
-def _build_hodlr_loop(evaluator, tree, config, dtype) -> HODLRMatrix:
+def _store_factor(U, V, row_node, col_node, factor, symmetric) -> None:
+    """Store the factors of ``A(I_row, I_col) = U_row V_col^*``.
+
+    With ``symmetric`` the mirror block ``A(I_col, I_row) = conj(V_col)
+    conj(U_row)^*`` is stored too, as fresh arrays (a real array's
+    ``conj()`` is the array itself), so no two bases share memory.
+    """
+    U[row_node.index] = factor.U
+    V[col_node.index] = factor.V
+    if symmetric:
+        U[col_node.index] = _conj_copy(factor.V)
+        V[row_node.index] = _conj_copy(factor.U)
+
+
+def _conj_copy(x):
+    return x.conj() if np.iscomplexobj(x) else x.copy()
+
+
+def _build_hodlr_loop(evaluator, tree, config, dtype, symmetric) -> HODLRMatrix:
     """Node-major per-block construction (the seed schedule, kept as the
-    ``construction="loop"`` baseline and measured against by the benchmarks)."""
+    ``construction="loop"`` baseline and measured against by the benchmarks).
+    A symmetric source compresses only ``A(I_left, I_right)`` per pair."""
     diag: Dict[int, np.ndarray] = {}
     U: Dict[int, np.ndarray] = {}
     V: Dict[int, np.ndarray] = {}
@@ -527,31 +620,24 @@ def _build_hodlr_loop(evaluator, tree, config, dtype) -> HODLRMatrix:
         rows = leaf.indices
         diag[leaf.index] = np.asarray(evaluator(rows, rows), dtype=dtype)
 
-    # low-rank off-diagonal blocks for every sibling pair
+    # low-rank off-diagonal blocks for every sibling pair:
+    # A(I_left, I_right) = U_left V_right^* and A(I_right, I_left) = U_right V_left^*
     for level in range(1, tree.levels + 1):
         for left, right in tree.sibling_pairs(level):
-            rows_l, rows_r = left.indices, right.indices
+            blocks = [(left, right)] if symmetric else [(left, right), (right, left)]
+            for rn, cn in blocks:
 
-            def block_lr(r, c, _rl=rows_l, _rr=rows_r):
-                return evaluator(_rl[r], _rr[c])
+                def block_eval(r, c, _rr=rn.indices, _cc=cn.indices):
+                    return evaluator(_rr[r], _cc[c])
 
-            def block_rl(r, c, _rl=rows_l, _rr=rows_r):
-                return evaluator(_rr[r], _rl[c])
-
-            lr = compress_block(block_lr, left.size, right.size, config, dtype=dtype)
-            rl = compress_block(block_rl, right.size, left.size, config, dtype=dtype)
-            # A(I_left, I_right) = U_left V_right^*    => U_left = lr.U, V_right = lr.V
-            # A(I_right, I_left) = U_right V_left^*    => U_right = rl.U, V_left = rl.V
-            U[left.index] = lr.U
-            V[right.index] = lr.V
-            U[right.index] = rl.U
-            V[left.index] = rl.V
+                f = compress_block(block_eval, rn.size, cn.size, config, dtype=dtype)
+                _store_factor(U, V, rn, cn, f, symmetric)
 
     return HODLRMatrix(tree=tree, diag=diag, U=U, V=V)
 
 
 def _build_hodlr_batched(
-    evaluator, multi, tree, config, dtype, context
+    evaluator, multi, tree, config, dtype, context, symmetric
 ) -> HODLRMatrix:
     """Level-major batched construction.
 
@@ -563,7 +649,9 @@ def _build_hodlr_batched(
     shape bucket: one gathered evaluation of the pivot rows (and one of the
     pivot columns) of every active block per cross step.  Without a gather
     evaluator, or under ``policy.bucketing=False``, rook compresses per
-    block.
+    block.  A symmetric source gathers and compresses only the ``(left,
+    right)`` block of each sibling pair, so every branch sees half the
+    blocks.
     """
     diag: Dict[int, np.ndarray] = {}
     U: Dict[int, np.ndarray] = {}
@@ -589,8 +677,8 @@ def _build_hodlr_batched(
         col_nodes: List[TreeNode] = []
         for left, right in tree.sibling_pairs(level):
             # A(I_left, I_right) = U_left V_right^* and its mirror image
-            row_nodes += [left, right]
-            col_nodes += [right, left]
+            row_nodes += [left] if symmetric else [left, right]
+            col_nodes += [right] if symmetric else [right, left]
 
         factors: List = [None] * len(row_nodes)
         if lazy and multi is not None and context.policy.bucketing:
@@ -635,8 +723,7 @@ def _build_hodlr_batched(
                     factors[i] = f
 
         for rn, cn, f in zip(row_nodes, col_nodes, factors):
-            U[rn.index] = f.U
-            V[cn.index] = f.V
+            _store_factor(U, V, rn, cn, f, symmetric)
 
     return HODLRMatrix(tree=tree, diag=diag, U=U, V=V)
 

@@ -28,6 +28,29 @@ from .radial import pairwise_distances
 KernelFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
+def blockwise_matvec(
+    entries: Callable, n: int, x: np.ndarray, block_size: int = 2048
+) -> np.ndarray:
+    """``A @ x`` for the ``n x n`` operator behind ``entries(rows, cols)``.
+
+    Rows are evaluated ``block_size`` at a time, so memory stays O(N).  The
+    output dtype follows the evaluated products (promoted to at least
+    float64), so a complex operator applied to a real ``x`` keeps its
+    imaginary part.
+    """
+    x = np.asarray(x)
+    squeeze = x.ndim == 1
+    X = x.reshape(-1, 1) if squeeze else x
+    cols = np.arange(n)
+    parts = [
+        entries(np.arange(start, min(start + block_size, n)), cols) @ X
+        for start in range(0, n, block_size)
+    ]
+    out = np.concatenate(parts) if parts else np.zeros((0, X.shape[1]), dtype=X.dtype)
+    out = out.astype(np.result_type(out.dtype, float), copy=False)
+    return out.ravel() if squeeze else out
+
+
 @dataclass
 class KernelMatrix:
     """A kernel matrix ``K[i, j] = kernel(points[i], points[j])`` (+ diagonal shift).
@@ -217,15 +240,7 @@ class KernelMatrix:
 
     def matvec(self, x: np.ndarray, block_size: int = 2048) -> np.ndarray:
         """``K @ x`` evaluated in row blocks of ``block_size`` (O(N) memory)."""
-        x = np.asarray(x)
-        squeeze = x.ndim == 1
-        X = x.reshape(-1, 1) if squeeze else x
-        cols = np.arange(self.n)
-        out = np.zeros((self.n, X.shape[1]), dtype=np.result_type(X.dtype, float))
-        for start in range(0, self.n, block_size):
-            stop = min(start + block_size, self.n)
-            out[start:stop] = self.entries(np.arange(start, stop), cols) @ X
-        return out.ravel() if squeeze else out
+        return blockwise_matvec(self.entries, self.n, x, block_size)
 
     # ------------------------------------------------------------------
     # HODLR construction

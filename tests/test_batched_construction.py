@@ -166,14 +166,19 @@ class CountingSource:
         self.km = km
         self.entry_calls = 0
         self.block_calls = 0
+        self.evaluated = 0
 
     def entries(self, rows, cols):
         self.entry_calls += 1
-        return self.km.entries(rows, cols)
+        out = self.km.entries(rows, cols)
+        self.evaluated += out.size
+        return out
 
     def entries_blocks(self, rows, cols):
         self.block_calls += 1
-        return self.km.entries_blocks(rows, cols)
+        out = self.km.entries_blocks(rows, cols)
+        self.evaluated += out.size
+        return out
 
 
 def gp_1d(n):
@@ -297,8 +302,9 @@ class TestLockstepRook:
             # no entrywise call at all: the probe, the leaves and every
             # cross step go through the gather evaluator
             assert source.entry_calls == 0
-            # power-of-two tree: one shape bucket per level
-            assert [b for b, _ in per_call] == [2 ** (lv + 1) for lv in range(tree.levels)]
+            # power-of-two tree: one shape bucket per level, holding one
+            # block per sibling pair (the symmetric kernel is mirrored)
+            assert [b for b, _ in per_call] == [2 ** lv for lv in range(tree.levels)]
             assert source.block_calls == 2 + sum(c for _, c in per_call)
             # a cross step gathers one row stack, one column stack, at most
             # two more per rook refinement (3 of them) and two for a
@@ -485,6 +491,163 @@ class TestSampleReusingRangeFinder:
             serial, par = getattr(H_serial, store), getattr(H_par, store)
             assert serial.keys() == par.keys()
             assert all(np.array_equal(serial[k], par[k]) for k in serial)
+
+
+# ======================================================================
+# symmetric sources: one compressed block per sibling pair, mirrored
+# ======================================================================
+def gaussian_km(n, seed=10):
+    """A kd-tree ordered 2-D Gaussian kernel matrix and its cluster tree."""
+    points = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 2))
+    tree, perm = ClusterTree.from_points(points, leaf_size=32)
+    km = KernelMatrix(kernel=GaussianKernel(lengthscale=0.3), points=points[perm],
+                      diagonal_shift=0.5)
+    return km, tree
+
+
+def symmetric_sources():
+    return {"gaussian": gaussian_km(600), "helmholtz": helmholtz_km(600)}
+
+
+@pytest.fixture
+def general_path(monkeypatch):
+    """Build with the symmetry probe's verdict forced to "not symmetric"."""
+    import repro.core.hodlr as hodlr_mod
+
+    def build(source, tree, cfg):
+        with monkeypatch.context() as m:
+            m.setattr(hodlr_mod, "_probe_is_symmetric", lambda probe: False)
+            return build_hodlr(source, tree, config=cfg)
+
+    return build
+
+
+def assert_bitwise_equal(H1, H2):
+    for store in ("diag", "U", "V"):
+        a, b = getattr(H1, store), getattr(H2, store)
+        assert a.keys() == b.keys()
+        assert all(np.array_equal(a[k], b[k]) for k in a)
+
+
+def offdiagonal_evaluations(source, tree):
+    """Entries evaluated beyond the leaf diagonal blocks and the probe."""
+    from repro.core.hodlr import _probe_indices
+
+    rows, cols, _ = _probe_indices(tree)
+    diag = sum(leaf.size ** 2 for leaf in tree.leaves)
+    return source.evaluated - diag - rows.size * cols.shape[1]
+
+
+class TestSymmetricConstruction:
+    TOL = 1e-8
+
+    @pytest.mark.parametrize("name", ["gaussian", "helmholtz"])
+    @pytest.mark.parametrize("method", ["svd", "rook"])
+    def test_halved_kernel_evaluations(self, name, method, general_path):
+        km, tree = symmetric_sources()[name]
+        cfg = CompressionConfig(tol=self.TOL, method=method)
+        mirrored, general = CountingSource(km), CountingSource(km)
+        build_hodlr(mirrored, tree, config=cfg)
+        general_path(general, tree, cfg)
+        assert mirrored.entry_calls == general.entry_calls == 0
+        off_m = offdiagonal_evaluations(mirrored, tree)
+        off_g = offdiagonal_evaluations(general, tree)
+        if method == "svd":
+            # gathered stacks evaluate whole blocks: exactly half of them
+            assert 2 * off_m == off_g
+        else:
+            # rook's crosses on A(I_r, I_l) mirror those on A(I_l, I_r)
+            assert 2 * off_m <= 1.05 * off_g
+
+    @pytest.mark.parametrize("name", ["gaussian", "helmholtz"])
+    @pytest.mark.parametrize("method", ["svd", "randomized", "rook"])
+    @pytest.mark.parametrize("construction", ["batched", "loop"])
+    def test_exact_mirror_and_accuracy(self, name, method, construction):
+        km, tree = symmetric_sources()[name]
+        H = build_hodlr(km, tree, config=CompressionConfig(
+            tol=self.TOL, method=method, construction=construction))
+        for level in range(1, tree.levels + 1):
+            for left, right in tree.sibling_pairs(level):
+                assert np.array_equal(H.U[right.index], H.V[right.index].conj())
+                assert np.array_equal(H.V[left.index], H.U[left.index].conj())
+                # the mirrored bases are their own arrays
+                assert not np.shares_memory(H.U[right.index], H.V[right.index])
+                assert not np.shares_memory(H.V[left.index], H.U[left.index])
+        A = H.to_dense()
+        dense = km.dense()
+        scale = np.linalg.norm(dense)
+        # transposing reorders each gemm's accumulation, nothing more
+        assert np.abs(A - A.T).max() <= 1e-14 * np.abs(A).max()
+        assert np.linalg.norm(A - dense) <= 10 * self.TOL * scale
+
+    def test_parallel_bit_identical(self):
+        km, tree = symmetric_sources()["gaussian"]
+        for method in ("svd", "randomized"):
+            cfg = CompressionConfig(tol=self.TOL, method=method)
+            H_serial = build_hodlr(km, tree, config=cfg)
+            forced = ParallelPolicy(workers=2, min_tasks=2, min_task_elements=0)
+            try:
+                H_par = build_hodlr(km, tree, config=cfg,
+                                    context=ExecutionContext(parallel=forced))
+            finally:
+                shutdown_pool()
+            assert_bitwise_equal(H_serial, H_par)
+
+
+def perturbed_probe_matrices(n=256):
+    """A symmetric matrix, and a copy with one sampled entry per sibling
+    pair perturbed so only the probe can tell them apart."""
+    from repro.core.hodlr import _probe_indices
+
+    tree = ClusterTree.balanced(n, leaf_size=32)
+    A = smooth_matrix(n, np.random.default_rng(20))
+    rows, cols, _ = _probe_indices(tree)
+    perturbed = A.copy()
+    perturbed[rows[0::2, 0], cols[0::2, -1]] *= 1.0 + 1e-12
+    return A, perturbed, tree
+
+
+def nonsymmetric_sources():
+    A, perturbed, tree = perturbed_probe_matrices()
+    n = tree.n
+    rng = np.random.default_rng(21)
+
+    def skewed(X, Y):
+        # an x-dependent factor on the rows of a radial kernel
+        dist = np.sqrt(((X[..., :, None, :] - Y[..., None, :, :]) ** 2).sum(-1))
+        return (1.5 + X[..., :, 0])[..., :, None] * np.exp(-dist / 0.5)
+
+    x = np.sort(rng.uniform(0.0, 1.0, n))
+    return tree, {
+        "dense": A + 0.01 * np.triu(A, 1),
+        "x_dependent": KernelMatrix(kernel=skewed, points=x, diagonal_shift=1.0),
+        "hermitian": smooth_matrix(n, rng, complex_dtype=True),
+        "perturbed_probe": perturbed,
+    }
+
+
+class TestGeneralPathKept:
+    @pytest.mark.parametrize("name", ["dense", "x_dependent", "hermitian",
+                                      "perturbed_probe"])
+    @pytest.mark.parametrize("method", ["svd", "randomized", "rook"])
+    def test_nonsymmetric_sources_unchanged(self, name, method, general_path):
+        tree, sources = nonsymmetric_sources()
+        source = sources[name]
+        cfg = CompressionConfig(tol=1e-10, method=method)
+        H = build_hodlr(source, tree, config=cfg)
+        assert_bitwise_equal(H, general_path(source, tree, cfg))
+        dense = source.dense() if hasattr(source, "dense") else source
+        assert np.linalg.norm(H.to_dense() - dense) <= 1e-8 * np.linalg.norm(dense)
+
+    def test_perturbation_defeats_the_probe(self):
+        from repro.core.hodlr import _probe_indices, _probe_is_symmetric
+
+        A, perturbed, tree = perturbed_probe_matrices()
+        rows, cols, paired = _probe_indices(tree)
+        assert paired
+        index = (rows[:, :, None], cols[:, None, :])
+        assert _probe_is_symmetric(A[index])
+        assert not _probe_is_symmetric(perturbed[index])
 
 
 # ======================================================================

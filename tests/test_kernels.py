@@ -13,6 +13,7 @@ from repro.kernels.points import (
 )
 from repro.kernels.radial import (
     ExponentialKernel,
+    HelmholtzKernel2D,
     InverseMultiquadricKernel,
     ThinPlateSplineKernel,
     pairwise_distances,
@@ -210,6 +211,23 @@ class TestKernelMatrix:
         km = KernelMatrix(kernel=GaussianKernel(lengthscale=0.4), points=pts)
         x = rng.standard_normal(150)
         np.testing.assert_allclose(km.matvec(x, block_size=32), km.dense() @ x, rtol=1e-10)
+
+    @pytest.mark.parametrize("x_complex", [False, True])
+    @pytest.mark.parametrize("ncols", [None, 3])
+    def test_matvec_keeps_complex_operator_part(self, rng, x_complex, ncols):
+        from repro.api.problems import _entries_matvec
+
+        pts = rng.uniform(-1, 1, size=(300, 2))
+        km = KernelMatrix(kernel=HelmholtzKernel2D(kappa=5.0), points=pts,
+                          diagonal_shift=600.0)
+        shape = (300,) if ncols is None else (300, ncols)
+        x = rng.standard_normal(shape)
+        if x_complex:
+            x = x + 1j * rng.standard_normal(shape)
+        ref = km.dense() @ x
+        for y in (km.matvec(x, block_size=64), _entries_matvec(km.entries, 300, 64)(x)):
+            assert y.shape == shape and np.iscomplexobj(y)
+            assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_to_hodlr_with_reordering(self, rng):
         pts = rng.uniform(-1, 1, size=(300, 2))
