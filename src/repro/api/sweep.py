@@ -496,9 +496,10 @@ class _GeometryChain:
     blocks, so instead of the full-rebuild fallback each such step now
     updates one persistent :class:`HODLROperator` in place
     (:func:`repro.update_operator` semantics): dirty blocks recompress
-    incrementally and the retained factorization is *patched* when the
-    dirty fraction allows (``recycled: True`` in the trace, with the
-    ``update``/``rebuild`` seconds split recording which path ran).
+    incrementally and the operator refactorizes eagerly, so every step
+    leaves it factored (``recycled: True`` in the trace).  A step's
+    ``update`` seconds include that refactorization; its ``rebuild``
+    seconds hold only the anchor build, charged to the first step.
 
     Inserted points are placed in the cluster tree next to their nearest
     existing point; their right-hand-side entries come from the override's
@@ -614,14 +615,6 @@ class _GeometryChain:
                 info = op.last_update_info or {}
                 self.points = pts_new
 
-        # a dropped (above-threshold / unsupported) factorization rebuilds
-        # here, explicitly timed as the step's rebuild share
-        rebuild_seconds = pending_build
-        if not op.factored:
-            t0 = time.perf_counter()
-            op.factorize()
-            rebuild_seconds += time.perf_counter() - t0
-
         b = self.rhs
         if b is None:
             raise ValueError(
@@ -647,7 +640,7 @@ class _GeometryChain:
             seconds={
                 "eval": 0.0,
                 "update": update_seconds,
-                "rebuild": rebuild_seconds,
+                "rebuild": pending_build,
                 "factorize": 0.0,
                 "solve": solve_seconds,
                 "total": time.perf_counter() - t_start + pending_build,

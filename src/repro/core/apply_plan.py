@@ -37,7 +37,7 @@ compound across levels, and the caller-visible output dtype is unchanged.
 
 The plan stores packed *copies* of the blocks (roughly doubling — or with
 demotion, adding half of — the matrix footprint); it is a snapshot —
-rebuild after mutating the HODLR blocks.
+recompile it (:meth:`ApplyPlan.patch`) after mutating the HODLR blocks.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ import numpy as np
 
 from ..backends.batched import gemm_strided_batched
 from ..backends.context import ExecutionContext, resolve_context
-from ..backends.counters import KernelEvent, record_event
 from ..backends.dispatch import ArrayBackend, plan_batch
 from .packing import GatherScatter, demote_rhs_dtype, pack_stack
 
@@ -62,8 +61,6 @@ class _DiagBucket:
     gs: GatherScatter
     #: (nb, m, m) stacked diagonal blocks (possibly precision-demoted)
     D3: np.ndarray
-    #: leaf node indices of the packed blocks, in stack order (patch identity)
-    members: Tuple[int, ...] = ()
 
     @property
     def idx(self) -> np.ndarray:
@@ -88,8 +85,6 @@ class _LowRankBucket:
     U3: np.ndarray
     #: (nb, r, n) stacked conjugate-transposed right bases (``V^*``)
     Vh3: np.ndarray
-    #: (row_node, col_node) index pairs of the packed blocks (patch identity)
-    members: Tuple[Tuple[int, int], ...] = ()
 
     @property
     def row_idx(self) -> np.ndarray:
@@ -118,6 +113,10 @@ class ApplyPlan:
         context: Optional[ExecutionContext] = None,
     ) -> None:
         self._context = resolve_context(context, backend)
+        self._compile(hodlr)
+
+    def _compile(self, hodlr) -> None:
+        """Build the bucket structure from the matrix blocks."""
         xb = self._context.backend
         precision = self._context.precision
         tree = hodlr.tree
@@ -129,83 +128,19 @@ class ApplyPlan:
         self.diag_buckets: List[_DiagBucket] = []
         self.lowrank_buckets: List[_LowRankBucket] = []
 
-        self._compile(hodlr, reuse_diag=None, reuse_lowrank=None)
-
-        #: bucket reuse/repack counts of the most recent :meth:`patch`
-        self.last_patch_stats: Optional[Dict[str, int]] = None
-
-    def _compile(self, hodlr, reuse_diag, reuse_lowrank) -> None:
-        """(Re)build the bucket structure from the matrix blocks.
-
-        ``reuse_diag`` / ``reuse_lowrank`` map a clean member's identity
-        (leaf index / node-index pair) to its slice of a previous
-        compilation's packed storage; a bucket made entirely of clean
-        members is assembled from those slices — the whole old stack when
-        the membership is unchanged, a gather of slices (storage motion,
-        no kernel launch) when dirty members left the bucket.  Buckets
-        containing a dirty member are re-packed and traced — that is what
-        makes :meth:`patch`'s kernel work scale with the dirty buckets
-        rather than all of them.
-        """
-        xb = self._context.backend
-        precision = self._context.precision
-        tree = hodlr.tree
-        patching = reuse_diag is not None
-        reused = repacked = 0
-        self.diag_buckets = []
-        self.lowrank_buckets = []
-
         def _pack(stack_members, level: int):
             # shared with FactorPlan: see repro.core.packing
             return pack_stack(xb, stack_members, precision.plan_dtype(self.dtype, level))
-
-        def _reuse(slices):
-            """Old packed storage for an all-clean bucket, or None.
-
-            Whole-stack identity when the membership is unchanged; otherwise
-            a gather of the clean members' slices (storage motion only).
-            """
-            if slices is None or any(s is None for s in slices):
-                return None
-            stack0, _ = slices[0]
-            if (
-                all(s[0] is stack0 for s in slices)
-                and len(slices) == stack0.shape[0]
-                and [s[1] for s in slices] == list(range(stack0.shape[0]))
-            ):
-                return stack0
-            if any(s[0].shape[1:] != stack0.shape[1:] for s in slices):
-                return None
-            return xb.stack([s[0][s[1]] for s in slices])
 
         # leaf diagonal blocks sit at the deepest level of the tree
         leaves = tree.leaves
         for bucket in plan_batch([leaf.size for leaf in leaves]).buckets:
             members = [leaves[i] for i in bucket.indices]
-            ids = tuple(leaf.index for leaf in members)
             gs = GatherScatter(
                 np.stack([leaf.indices for leaf in members])  # repro-lint: ignore[RL001] -- gather-index metadata: host integer row maps by design
             )
-            D3 = _reuse([reuse_diag.get(i) for i in ids]) if patching else None
-            if D3 is None:
-                D3 = _pack([hodlr.diag[leaf.index] for leaf in members], tree.levels)
-                if patching:
-                    repacked += 1
-                    record_event(
-                        KernelEvent(
-                            kernel="plan_patch_pack",
-                            batch=len(members),
-                            shape=(int(D3.shape[1]), int(D3.shape[2]), 0),
-                            flops=0,
-                            bytes_moved=int(D3.nbytes),
-                            strided=True,
-                            level=tree.levels,
-                            plan=True,
-                        )
-                    )
-            else:
-                reused += 1
-            self.diag_buckets.append(_DiagBucket(gs=gs, D3=D3, members=ids))
+            D3 = _pack([hodlr.diag[leaf.index] for leaf in members], tree.levels)
+            self.diag_buckets.append(_DiagBucket(gs=gs, D3=D3))
 
         for level in range(1, tree.levels + 1):
             # two blocks per sibling pair: A(I_l, I_r) = U_l V_r^* and its mirror
@@ -219,60 +154,21 @@ class ApplyPlan:
             keys = [(rn.size, cn.size, Ub.shape[1]) for rn, cn, Ub, _ in specs]
             for bucket in plan_batch(keys).buckets:
                 members = [specs[i] for i in bucket.indices]
-                ids = tuple((rn.index, cn.index) for rn, cn, _, _ in members)
                 row_gs = GatherScatter(
                     np.stack([rn.indices for rn, _, _, _ in members])  # repro-lint: ignore[RL001] -- gather-index metadata: host integer row maps by design
                 )
                 col_gs = GatherScatter(
                     np.stack([cn.indices for _, cn, _, _ in members])  # repro-lint: ignore[RL001] -- gather-index metadata: host integer row maps by design
                 )
-                packed = None
-                if patching:
-                    hits = [reuse_lowrank.get(pair) for pair in ids]
-                    U3r = _reuse(
-                        [None if h is None else (h[0], h[2]) for h in hits]
-                    )
-                    Vh3r = _reuse(
-                        [None if h is None else (h[1], h[2]) for h in hits]
-                    )
-                    if U3r is not None and Vh3r is not None:
-                        packed = (U3r, Vh3r)
-                if packed is None:
-                    U3 = _pack([Ub for _, _, Ub, _ in members], level)
-                    Vh3 = _pack([Vb.conj().T for _, _, _, Vb in members], level)
-                    if patching:
-                        repacked += 1
-                        record_event(
-                            KernelEvent(
-                                kernel="plan_patch_pack",
-                                batch=len(members),
-                                shape=(int(U3.shape[1]), int(Vh3.shape[2]), int(U3.shape[2])),
-                                flops=0,
-                                bytes_moved=int(U3.nbytes + Vh3.nbytes),
-                                strided=True,
-                                level=level,
-                                plan=True,
-                            )
-                        )
-                else:
-                    U3, Vh3 = packed
-                    reused += 1
                 self.lowrank_buckets.append(
                     _LowRankBucket(
                         level=level,
                         row_gs=row_gs,
                         col_gs=col_gs,
-                        U3=U3,
-                        Vh3=Vh3,
-                        members=ids,
+                        U3=_pack([Ub for _, _, Ub, _ in members], level),
+                        Vh3=_pack([Vb.conj().T for _, _, _, Vb in members], level),
                     )
                 )
-
-        if patching:
-            self.last_patch_stats = {
-                "buckets_reused": reused,
-                "buckets_repacked": repacked,
-            }
 
         #: whether any bucket stores below the logical dtype
         self.demoted: bool = any(
@@ -285,45 +181,14 @@ class ApplyPlan:
             np.dtype, Tuple[np.dtype, np.dtype, Tuple[np.dtype, ...], Tuple[np.dtype, ...]]
         ] = {}
 
-    # ------------------------------------------------------------------
-    # patching
-    # ------------------------------------------------------------------
-    def patch(self, hodlr, dirty_nodes) -> "ApplyPlan":
-        """Splice an incrementally updated matrix into the compiled plan.
+    def patch(self, hodlr) -> "ApplyPlan":
+        """Recompile the plan in place from an updated matrix: a full rebuild.
 
-        ``hodlr`` is the updated matrix (same tree topology — node indices
-        unchanged, ranges possibly shifted) and ``dirty_nodes`` the dirty
-        node set reported by the update
-        (:class:`~repro.core.update.HODLRUpdate.dirty_nodes`).  Buckets
-        whose membership is unchanged and contains no dirty block keep
-        their packed stacks (clean blocks share storage with the old
-        matrix, so the content is identical — only the host gather indices
-        are recomputed for the shifted ranges); buckets on the dirty path
-        are re-packed and traced as ``plan_patch_pack`` events, so patch
-        kernel launches scale with the dirty buckets, not the total.
-        Returns ``self`` (mutated in place).
+        Every bucket is re-packed from ``hodlr`` on this same plan object,
+        so wrappers and references held on the plan stay valid.  Returns
+        ``self``.
         """
-        if hodlr.tree.levels != self.levels:
-            raise ValueError(
-                f"cannot patch a {self.levels}-level plan with a "
-                f"{hodlr.tree.levels}-level matrix; rebuild instead"
-            )
-        dirty = frozenset(dirty_nodes)
-        reuse_diag = {
-            leaf: (db.D3, slot)
-            for db in self.diag_buckets
-            for slot, leaf in enumerate(db.members)
-            if leaf not in dirty
-        }
-        reuse_lowrank = {
-            pair: (lb.U3, lb.Vh3, slot)
-            for lb in self.lowrank_buckets
-            for slot, pair in enumerate(lb.members)
-            if pair[0] not in dirty and pair[1] not in dirty
-        }
-        self.n = hodlr.tree.n
-        self.dtype = np.dtype(hodlr.dtype)
-        self._compile(hodlr, reuse_diag, reuse_lowrank)
+        self._compile(hodlr)
         return self
 
     def _cast_plan(

@@ -58,25 +58,11 @@ class BigMatrices:
         hodlr: HODLRMatrix,
         dtype=None,
         backend: Optional[ArrayBackend] = None,
-        min_level_ranks: Optional[List[int]] = None,
-        share_diag: bool = False,
     ) -> "BigMatrices":
         """Pack a :class:`HODLRMatrix` into the concatenated layout.
 
         ``backend`` owns the big-matrix storage: device-resident HODLR
         blocks pack into device-resident ``Ubig``/``Vbig``/``Dbig``.
-
-        ``min_level_ranks`` floors each level's padded rank (zero columns
-        represent the same matrix, so padding up is exact).  Plan patching
-        uses this to keep a patched layout's column blocks at least as wide
-        as the retained plan's, so old solved bases land in a prefix of the
-        new blocks.
-
-        ``share_diag`` skips the defensive per-leaf copy of the diagonal
-        blocks when the dtype already matches: nothing downstream mutates
-        ``Dbig`` in place (the LU factors live in separately stacked
-        storage), so the patch path shares the HODLR matrix's clean blocks
-        by reference instead of re-copying every leaf.
         """
         tree = hodlr.tree
         xb = backend if backend is not None else get_backend("numpy")
@@ -88,15 +74,6 @@ class BigMatrices:
             ranks = [hodlr.U[i].shape[1] for i in tree.level_indices(level)]
             ranks += [hodlr.V[i].shape[1] for i in tree.level_indices(level)]
             level_ranks.append(int(max(ranks)) if ranks else 0)
-        if min_level_ranks is not None:
-            if len(min_level_ranks) != len(level_ranks):
-                raise ValueError(
-                    f"min_level_ranks has {len(min_level_ranks)} entries, "
-                    f"expected {len(level_ranks)}"
-                )
-            level_ranks = [
-                max(r, int(f)) for r, f in zip(level_ranks, min_level_ranks)
-            ]
 
         col_offsets = [0]
         for r in level_ranks:
@@ -117,9 +94,7 @@ class BigMatrices:
                 Vbig[node.start : node.stop, c0 : c0 + v.shape[1]] = v
 
         Dbig = {
-            leaf.index: xb.asarray(hodlr.diag[leaf.index]).astype(
-                dtype, copy=not share_diag
-            )
+            leaf.index: xb.asarray(hodlr.diag[leaf.index]).astype(dtype)
             for leaf in tree.leaves
         }
         return cls(

@@ -110,7 +110,7 @@ class ClusterTree:
         self._ranges = {1: (0, self.n)}
         # the tree is immutable after _build, so TreeNode instances and
         # per-level node lists are shared via these caches (node() sits on
-        # the hot path of plan construction and patching)
+        # the hot path of plan construction)
         self._nodes: dict = {}
         self._levels_cache: dict = {}
         self._build(splits)

@@ -39,11 +39,11 @@ Memory
 ------
 Like :class:`~repro.core.apply_plan.ApplyPlan`, the plan stores packed
 *copies* of the solved bases (the ``Y3``/``Vh3`` stacks) next to the
-``Ybig``/``Vbig`` they were gathered from — the concatenated arrays stay
-alive because :func:`patch_factor_plan` re-solves and re-gathers the dirty
-slice of an updated matrix from them, so a compiled factorization holds
-roughly one extra copy of the basis storage.  ``factorization_nbytes``
-reports the full resident footprint.
+``Ybig``/``Vbig`` they were gathered from, so a compiled factorization
+holds roughly one extra copy of the basis storage.
+``factorization_nbytes`` reports the full resident footprint.  A plan is a
+snapshot of one matrix: a streaming update refactorizes into a fresh plan
+(:meth:`~repro.core.solver.HODLRSolver.patch_factorize`).
 
 Pad-to-bucket LU packing
 ------------------------
@@ -206,9 +206,6 @@ class _LevelSweep:
     #: (ngamma, 2r) pivots
     k_piv3: np.ndarray
     buckets: List[_SweepBucket] = field(default_factory=list)
-    #: (nchild, r, r) unfactored K diagonal blocks ``T = V^* Y`` retained for
-    #: plan patching (clean children reuse these, dirty ones recompute)
-    T3: Optional[np.ndarray] = None
 
     @property
     def nchild(self) -> int:
@@ -217,10 +214,7 @@ class _LevelSweep:
     @property
     def nbytes(self) -> int:
         return int(
-            self.k_lu3.nbytes
-            + self.k_piv3.nbytes
-            + (self.T3.nbytes if self.T3 is not None else 0)
-            + sum(b.nbytes for b in self.buckets)
+            self.k_lu3.nbytes + self.k_piv3.nbytes + sum(b.nbytes for b in self.buckets)
         )
 
 
@@ -257,8 +251,6 @@ class FactorPlan:
         leaf_buckets: List[_LeafBucket],
         sweeps: List[_LevelSweep],
         Ybig: Optional[np.ndarray] = None,
-        level_ranks: Optional[List[int]] = None,
-        col_offsets: Optional[List[int]] = None,
     ) -> None:
         self.tree = tree
         self.n: int = tree.n
@@ -274,16 +266,7 @@ class FactorPlan:
         #: the solved bases in concatenated layout (``None`` for plans
         #: emitted from the recursive traversal, which has no Ybig)
         self.Ybig = Ybig
-        #: the Ybig column layout (``None`` when Ybig is absent); patching
-        #: needs both to splice old solved bases into a new layout
-        self.level_ranks = list(level_ranks) if level_ranks is not None else None
-        self.col_offsets = list(col_offsets) if col_offsets is not None else None
         self.demoted: bool = False
-        self.last_patch_stats: Optional[Dict[str, int]] = None
-        #: the packed BigMatrices of the matrix this plan was patched from
-        #: (set by :func:`patch_factor_plan` so the solver can adopt it
-        #: instead of re-running the O(N) ``BigMatrices.from_hodlr`` pack)
-        self.bigdata = None
         self._solve_plan: Optional["SolvePlan"] = None
         self._finalize_precision()
 
@@ -331,15 +314,7 @@ class FactorPlan:
         return self._solve_plan
 
     # ------------------------------------------------------------------
-    # incremental patching
-    # ------------------------------------------------------------------
-    def patch(self, hodlr, dirty_nodes) -> "FactorPlan":
-        """Re-factor only the dirty path of an updated matrix — see
-        :func:`patch_factor_plan`."""
-        return patch_factor_plan(self, hodlr, dirty_nodes)
-
-    # ------------------------------------------------------------------
-    # per-leaf views (read by patch_factor_plan)
+    # per-leaf views
     # ------------------------------------------------------------------
     def leaf_lu_views(self) -> List[Tuple[np.ndarray, np.ndarray]]:
         """``(lu, piv)`` of every leaf in ``tree.leaves`` order (views into
@@ -657,7 +632,6 @@ def build_factor_plan(
                     k_lu3=k_lu3,
                     k_piv3=k_piv3,
                     buckets=buckets,
-                    T3=T_all,
                 )
             )
 
@@ -704,8 +678,6 @@ def build_factor_plan(
         leaf_buckets=leaf_buckets,
         sweeps=sweeps,
         Ybig=Ybig,
-        level_ranks=data.level_ranks,
-        col_offsets=data.col_offsets,
     )
 
 
@@ -818,472 +790,3 @@ def emit_factor_plan(
         sweeps=sweeps,
         Ybig=None,
     )
-
-
-# ======================================================================
-# incremental patching
-# ======================================================================
-def _deepest_dirty_level(idx: int, level: int, dirty) -> int:
-    """Deepest level ``c`` in ``[1, level]`` at which node ``idx``'s ancestor
-    (``idx`` itself at ``c == level``) is dirty; 0 if the whole chain is clean.
-
-    The dirty set is ancestor-closed (a dirty node's ancestors are dirty),
-    so the dirty levels of a chain form the contiguous prefix ``[1, c*]``.
-    """
-    for c in range(level, 0, -1):
-        if (idx >> (level - c)) in dirty:
-            return c
-    return 0
-
-
-def patch_factor_plan(
-    plan: FactorPlan,
-    hodlr,
-    dirty_nodes,
-    context: Optional[ExecutionContext] = None,
-) -> FactorPlan:
-    """Re-factorize only the dirty path of an updated HODLR matrix.
-
-    ``plan`` is a retained :class:`FactorPlan` (built by
-    :func:`build_factor_plan`, which keeps ``Ybig`` and the per-level ``T``
-    blocks) and ``hodlr`` is the matrix after a streaming update whose
-    touched blocks are ``dirty_nodes`` (ancestor-closed node indices in the
-    *new* tree; clean nodes keep their size, with ranges merely shifted).
-
-    The validity rule driving the patch: the final solved-basis entry
-    ``Ybig[i, block c]`` is unchanged iff row ``i``'s ancestor at level
-    ``c`` is clean — a clean node's entire subtree is clean, so every sweep
-    that touched the entry had unchanged transforms *and* inputs.  The
-    patch therefore
-
-    1. seeds every valid entry straight from the old ``Ybig`` (clean node
-       rows of block ``c`` for each level ``c``),
-    2. re-solves leaf blocks: fresh LU only for dirty leaves (all columns),
-       while clean leaves with a dirty ancestor at level ``p`` re-solve the
-       invalid column *prefix* ``[0, col_offsets[p])`` against their stored
-       LU — grouped by ``p``, so ``O(levels)`` launches,
-    3. replays the Schur sweeps bottom-up: per level, ``T`` blocks are
-       recomputed only for dirty children (stored ``T3`` covers clean
-       ones), the reduced ``K`` systems are re-factored only where needed
-       (the dirty subset when the level rank is unchanged, one whole-level
-       launch when it grew), and each gamma with a dirty ancestor at level
-       ``p >= 1`` re-runs its coarse update on exactly the invalid prefix
-       — replaying on valid columns would double-apply updates.
-
-    Rank growth is handled by flooring the new layout's level ranks at the
-    old ones (``BigMatrices.from_hodlr(min_level_ranks=...)``): zero-padded
-    bases and ``T`` blocks make the padded ``K`` solve agree with the
-    old-rank solve on the leading block and vanish on the extra
-    coordinates, so clean machinery stays exact.
-
-    Kernel launches scale with the number of dirty buckets plus
-    ``O(levels^2)`` replay groups — not with the total bucket count — and
-    every re-packed dirty bucket records a ``factor_patch_bucket`` trace
-    event.  Flops scale with the dirty subtree and the invalid column
-    prefixes.
-
-    Mixed-precision caveat: clean-leaf prefix re-solves and clean-gamma
-    replays run against the *stored* (possibly demoted) factors, so under a
-    demoting precision policy a patched plan can differ from a fresh build
-    by the demotion error; the default policy is bit-compatible.
-
-    Raises :class:`~repro.core.update.PatchUnsupportedError` when the plan
-    cannot be patched (no retained ``Ybig``/layout — e.g. plans emitted by
-    the recursive traversal — or a structural change); callers fall back to
-    a full rebuild.
-    """
-    from .bigdata import BigMatrices
-    from .update import PatchUnsupportedError
-
-    if plan.Ybig is None or plan.level_ranks is None or plan.col_offsets is None:
-        raise PatchUnsupportedError(
-            "factor plan has no retained Ybig/layout metadata (emitted from the "
-            "recursive traversal); rebuild instead"
-        )
-    for sw in plan.sweeps:
-        if sw.T3 is None:
-            raise PatchUnsupportedError(
-                "factor plan lacks retained T blocks; rebuild instead"
-            )
-    ctx = plan.context if context is None else resolve_context(context)
-    xb, pol = ctx.backend, ctx.policy
-    new_tree = hodlr.tree
-    old_tree = plan.tree
-    if new_tree.levels != old_tree.levels:
-        raise PatchUnsupportedError("tree depth changed; rebuild instead")
-    L = new_tree.levels
-    dirty = frozenset(int(i) for i in dirty_nodes)
-    # Recompressing the block (d, s) of a dirty node d rewrites the *clean
-    # sibling's* bases too (QR/SVD recompression couples U_d and V_s), so
-    # node-level basis dirtiness is sibling-closed.  The enlarged set stays
-    # ancestor-closed (siblings share a dirty parent) and keeps the
-    # clean-subtree property the validity rule needs.
-    dirty = frozenset(dirty | {i ^ 1 for i in dirty if i > 1})
-    dtype = np.dtype(np.result_type(plan.dtype, hodlr.dtype))
-    pivot = plan.pivot
-    rec = get_recorder()
-    stats = {
-        "dirty_leaf_buckets": 0,
-        "dirty_child_buckets": 0,
-        "replay_groups": 0,
-        "k_refactored": 0,
-    }
-
-    data = BigMatrices.from_hodlr(
-        hodlr,
-        dtype=dtype,
-        backend=xb,
-        min_level_ranks=plan.level_ranks,
-        share_diag=True,
-    )
-    coff = data.col_offsets
-    # solve in place: this pack was created for the patch and its Ubig is
-    # only ever consumed as the Y seed — HODLRSolver.factorize() repacks
-    # from the HODLR matrix, so no pristine copy of Ubig is needed and the
-    # patched plan's Ybig simply aliases it
-    Ywork = data.Ubig
-
-    # ---- seed valid entries from the retained old Ybig: clean level-c node
-    # rows of column block c hold final values (host storage motion, no
-    # kernel launches).  Extra columns from rank growth stay zero — a clean
-    # node's padded bases are zero there and zero columns solve to zero.
-    for c in range(1, L + 1):
-        r_old_c = plan.level_ranks[c - 1]
-        if r_old_c == 0:
-            continue
-        nc0 = coff[c - 1]
-        oc0 = plan.col_offsets[c - 1]
-        for idx in new_tree.level_indices(c):
-            if idx in dirty:
-                continue
-            nn = new_tree.node(idx)
-            on = old_tree.node(idx)
-            if nn.size != on.size:
-                raise PatchUnsupportedError(
-                    f"clean node {idx} changed size ({on.size} -> {nn.size}); "
-                    "rebuild instead"
-                )
-            Ywork[nn.start : nn.stop, nc0 : nc0 + r_old_c] = plan.Ybig[
-                on.start : on.stop, oc0 : oc0 + r_old_c
-            ]
-
-    # ---- leaves.  Final bucket structure follows the new tree; fresh getrf
-    # only for buckets containing dirty leaves, clean members reuse the old
-    # per-leaf factors (identity-border padding is exact, so re-padding the
-    # sliced views into a new bucket layout reproduces the factor).
-    old_views = plan.leaf_lu_views()
-    leaves = new_tree.leaves
-    leaf_buckets: List[_LeafBucket] = []
-    with rec.context(level=L, tag="factor_patch"):
-        # Clean leaves keep their old bucket packing wholesale: the packed
-        # lu3/piv3 stacks are *shared* with the retained plan (clean leaf
-        # sizes are guarded unchanged above), and only the gather map is
-        # rebuilt against the new row ranges.  A member that is dirty now —
-        # or was already masked by an earlier patch — gets an empty range:
-        # its gathers read zeros, its scatters write nothing, and the fresh
-        # bucket appended below (replayed later, so its writes win) holds
-        # the live factors.  This keeps patch-time packing work, not just
-        # kernel launches, proportional to the dirty set.
-        for ob in plan.leaf_buckets:
-            old_sizes = ob.gs.sizes
-            ranges = []
-            any_live = False
-            for j, p in enumerate(ob.positions):
-                lf = leaves[p]
-                if lf.index in dirty or old_sizes[j] == 0:
-                    ranges.append((lf.start, lf.start))
-                else:
-                    ranges.append((lf.start, lf.stop))
-                    any_live = True
-            if not any_live:
-                continue
-            leaf_buckets.append(
-                _LeafBucket(
-                    positions=ob.positions,
-                    gs=GatherScatter.from_ranges(ranges, ob.lu3.shape[1]),
-                    lu3=ob.lu3,
-                    piv3=ob.piv3,
-                )
-            )
-        # dirty leaves: fresh LU per shape bucket + full-column re-solve
-        dirty_leaf_pos = [i for i, lf in enumerate(leaves) if lf.index in dirty]
-        for b in plan_batch(
-            [(leaves[i].size, leaves[i].size) for i in dirty_leaf_pos]
-        ).buckets:
-            sel = [dirty_leaf_pos[j] for j in b.indices]
-            mem = [leaves[i] for i in sel]
-            M = b.key[0]
-            D3d = pad_identity_stack(
-                xb, [xb.asarray(data.Dbig[lf.index]) for lf in mem], M, dtype
-            )
-            lud3, pivd3 = _getrf_packed(xb, pol, D3d, pivot=True)
-            gsd = GatherScatter.from_ranges(
-                [(lf.start, lf.stop) for lf in mem], M
-            )
-            if Ywork.shape[1]:
-                sol3 = _getrs_packed(
-                    xb, pol, lud3, pivd3, gsd.take(Ywork), pivot=True
-                )
-                gsd.put(Ywork, sol3)
-            record_event(
-                KernelEvent(
-                    kernel="factor_patch_bucket",
-                    batch=len(mem),
-                    shape=(M, M, 0),
-                    flops=0.0,
-                    bytes_moved=float(D3d.nbytes),
-                    dtype_size=np.dtype(dtype).itemsize,
-                    strided=True,
-                    buckets=1,
-                    level=L,
-                    plan=True,
-                )
-            )
-            stats["dirty_leaf_buckets"] += 1
-            leaf_buckets.append(
-                _LeafBucket(
-                    positions=tuple(sel), gs=gsd, lu3=lud3, piv3=pivd3
-                )
-            )
-
-        # clean leaves under a dirty ancestor at level p re-solve the invalid
-        # column prefix [0, coff[p]) against their stored LU, grouped by p
-        prefix_groups: Dict[int, List[int]] = {}
-        for pidx, lf in enumerate(leaves):
-            if lf.index in dirty:
-                continue
-            p = _deepest_dirty_level(lf.index, L, dirty)
-            if p >= 1:
-                prefix_groups.setdefault(p, []).append(pidx)
-        for p, plist in sorted(prefix_groups.items()):
-            cend = coff[p]
-            if cend == 0:
-                continue
-            mem = [leaves[i] for i in plist]
-            M = max(lf.size for lf in mem)
-            lu3 = pad_identity_stack(
-                xb, [old_views[i][0] for i in plist], M, dtype
-            )
-            piv3 = pad_pivot_stack(
-                [old_views[i][1] for i in plist], [lf.size for lf in mem], M
-            )
-            gs = GatherScatter.from_ranges([(lf.start, lf.stop) for lf in mem], M)
-            Yc = Ywork[:, :cend]
-            sol3 = _getrs_packed(xb, pol, lu3, piv3, gs.take(Yc), pivot=True)
-            gs.put(Yc, sol3)
-
-    # ---- sweeps, bottom-up.  At each level: T only for dirty children, K
-    # re-factored where needed, coarse updates replayed on exactly each
-    # gamma's invalid column prefix.
-    old_sweeps = {sw.level: sw for sw in plan.sweeps}
-    sweeps: List[_LevelSweep] = []
-    for level in range(L - 1, -1, -1):
-        child_level = level + 1
-        r = data.rank_at_level(child_level)
-        if r == 0:
-            continue
-        children = new_tree.level_nodes(child_level)
-        gammas = new_tree.level_nodes(level)
-        nchild = len(children)
-        osw = old_sweeps.get(level)
-        r_old = osw.rank if osw is not None else 0
-        with rec.context(level=level, tag="factor_patch"):
-            child_cols = data.level_cols(child_level)
-            Ysub = Ywork[:, child_cols]
-            Vsub = data.Vbig[:, child_cols]
-
-            # T blocks: stored clean, recomputed dirty (launches per dirty
-            # size bucket)
-            T_all = xb.zeros((nchild, r, r), dtype=dtype)
-            if osw is not None:
-                T_all[:, :r_old, :r_old] = xb.asarray(osw.T3).astype(
-                    dtype, copy=False
-                )
-            dpos = [i for i, nd in enumerate(children) if nd.index in dirty]
-            if dpos:
-                for b in plan_batch([(children[i].size, r) for i in dpos]).buckets:
-                    sel = [dpos[k] for k in b.indices]
-                    mem = [children[i] for i in sel]
-                    gsb = GatherScatter.from_ranges(
-                        [(nd.start, nd.stop) for nd in mem], b.key[0]
-                    )
-                    Y3 = gsb.take(Ysub)
-                    Vh3 = gsb.take(Vsub).transpose(0, 2, 1).conj()
-                    T_all[np.asarray(sel, dtype=np.intp)] = gemm_strided_batched(
-                        Vh3, Y3, backend=xb
-                    )
-                    record_event(
-                        KernelEvent(
-                            kernel="factor_patch_bucket",
-                            batch=len(sel),
-                            shape=(r, b.key[0], 0),
-                            flops=0.0,
-                            bytes_moved=float(Y3.nbytes + Vh3.nbytes),
-                            dtype_size=np.dtype(dtype).itemsize,
-                            strided=True,
-                            buckets=1,
-                            level=level,
-                            plan=True,
-                        )
-                    )
-                    stats["dirty_child_buckets"] += 1
-
-            # K factors: splice the dirty subset at unchanged rank, one
-            # whole-level launch when the rank grew (padded K factors differ
-            # from padded old factors, so per-gamma reuse is impossible)
-            d_gpos = np.asarray(
-                [g for g, gm in enumerate(gammas) if gm.index in dirty],
-                dtype=np.intp,
-            )
-            if osw is not None and r == r_old:
-                k_lu3 = osw.k_lu3.copy()
-                k_piv3 = osw.k_piv3.copy()
-                if d_gpos.size:
-                    cpos = np.empty(2 * d_gpos.size, dtype=np.intp)
-                    cpos[0::2] = 2 * d_gpos
-                    cpos[1::2] = 2 * d_gpos + 1
-                    K_sub = _assemble_k(
-                        xb, T_all[cpos], int(d_gpos.size), r, dtype, pivot
-                    )
-                    lu_s, piv_s = _getrf_packed(xb, pol, K_sub, pivot=pivot)
-                    k_lu3[d_gpos] = lu_s.astype(k_lu3.dtype, copy=False)
-                    k_piv3[d_gpos] = piv_s
-                    stats["k_refactored"] += int(d_gpos.size)
-            else:
-                K3 = _assemble_k(xb, T_all, len(gammas), r, dtype, pivot)
-                k_lu3, k_piv3 = _getrf_packed(xb, pol, K3, pivot=pivot)
-                stats["k_refactored"] += len(gammas)
-
-            # coarse-update replay: gammas grouped by the deepest dirty
-            # ancestor level p run their Schur update on columns [0, coff[p])
-            # — exactly the invalid prefix of their rows.  Gammas at one
-            # level have disjoint rows, so groups are independent.
-            replay_groups: Dict[int, List[int]] = {}
-            for g, gm in enumerate(gammas):
-                p = _deepest_dirty_level(gm.index, level, dirty)
-                if p >= 1:
-                    replay_groups.setdefault(p, []).append(g)
-            for p, glist in sorted(replay_groups.items()):
-                cend = coff[p]
-                if cend == 0:
-                    continue
-                garr = np.asarray(glist, dtype=np.intp)
-                cpos = np.empty(2 * garr.size, dtype=np.intp)
-                cpos[0::2] = 2 * garr
-                cpos[1::2] = 2 * garr + 1
-                gchildren = [children[i] for i in cpos]
-                w_all = xb.zeros((len(gchildren), r, cend), dtype=dtype)
-                packs = []
-                for b in plan_batch([(nd.size, r) for nd in gchildren]).buckets:
-                    mem = [gchildren[i] for i in b.indices]
-                    gsb = GatherScatter.from_ranges(
-                        [(nd.start, nd.stop) for nd in mem], b.key[0]
-                    )
-                    Vh3 = gsb.take(Vsub).transpose(0, 2, 1).conj()
-                    sel = np.asarray(b.indices, dtype=np.intp)
-                    w_all[sel] = gemm_strided_batched(
-                        Vh3, gsb.take(Ywork[:, :cend]), backend=xb
-                    )
-                    packs.append((sel, gsb))
-                K_rhs = _pair_rhs(w_all, len(glist), r, pivot)
-                W = _getrs_packed(
-                    xb, pol, k_lu3[garr], k_piv3[garr], K_rhs, pivot=pivot
-                )
-                W_half = W.reshape(len(gchildren), r, cend)
-                Yc = Ywork[:, :cend]
-                for sel, gsb in packs:
-                    upd = gemm_strided_batched(
-                        gsb.take(Ysub), W_half[sel], backend=xb
-                    )
-                    gsb.sub(Yc, upd)
-                stats["replay_groups"] += 1
-
-            # final bucket assembly: pure host storage motion, no kernel
-            # launches.  When the level rank is unchanged, clean children
-            # keep the old buckets' packed Y3/Vh3 stacks *shared* (their
-            # solved bases and V rows are unchanged — a clean node's whole
-            # subtree is clean, and the prefix replays only touch coarser
-            # column blocks); members dirty now or masked by an earlier
-            # patch get empty gather ranges, and the fresh dirty buckets
-            # appended after override them on replay (w_all is assigned
-            # per bucket in list order, scatters skip masked rows).
-            buckets: List[_SweepBucket] = []
-            if osw is not None and r == r_old:
-                for ob in osw.buckets:
-                    old_sizes = ob.gs.sizes
-                    ranges = []
-                    any_live = False
-                    for j, cpos_j in enumerate(ob.pos):
-                        nd = children[int(cpos_j)]
-                        if nd.index in dirty or old_sizes[j] == 0:
-                            ranges.append((nd.start, nd.start))
-                        else:
-                            ranges.append((nd.start, nd.stop))
-                            any_live = True
-                    if not any_live:
-                        continue
-                    buckets.append(
-                        _SweepBucket(
-                            pos=ob.pos,
-                            gs=GatherScatter.from_ranges(
-                                ranges, ob.Y3.shape[1]
-                            ),
-                            Y3=ob.Y3,
-                            Vh3=ob.Vh3,
-                        )
-                    )
-                dlist = [i for i, nd in enumerate(children) if nd.index in dirty]
-                for b in plan_batch([(children[i].size, r) for i in dlist]).buckets:
-                    sel = [dlist[j] for j in b.indices]
-                    mem = [children[i] for i in sel]
-                    gsb = GatherScatter.from_ranges(
-                        [(nd.start, nd.stop) for nd in mem], b.key[0]
-                    )
-                    buckets.append(
-                        _SweepBucket(
-                            pos=np.asarray(sel, dtype=np.intp),
-                            gs=gsb,
-                            Y3=gsb.take(Ysub),
-                            Vh3=gsb.take(Vsub).transpose(0, 2, 1).conj(),
-                        )
-                    )
-            else:
-                for b in _child_plan_buckets(children, r, pol):
-                    M = b.key[0]
-                    mem = [children[i] for i in b.indices]
-                    gsb = GatherScatter.from_ranges(
-                        [(nd.start, nd.stop) for nd in mem], M
-                    )
-                    buckets.append(
-                        _SweepBucket(
-                            pos=np.asarray(b.indices, dtype=np.intp),
-                            gs=gsb,
-                            Y3=gsb.take(Ysub),
-                            Vh3=gsb.take(Vsub).transpose(0, 2, 1).conj(),
-                        )
-                    )
-            sweeps.append(
-                _LevelSweep(
-                    level=level,
-                    rank=r,
-                    k_lu3=k_lu3,
-                    k_piv3=k_piv3,
-                    buckets=buckets,
-                    T3=T_all,
-                )
-            )
-
-    patched = FactorPlan(
-        tree=new_tree,
-        dtype=dtype,
-        context=ctx,
-        pivot=pivot,
-        leaf_buckets=leaf_buckets,
-        sweeps=sweeps,
-        Ybig=Ywork,
-        level_ranks=data.level_ranks,
-        col_offsets=data.col_offsets,
-    )
-    patched.last_patch_stats = stats
-    patched.bigdata = data
-    return patched

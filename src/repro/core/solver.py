@@ -42,7 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..backends.context import ExecutionContext, resolve_context
-from ..backends.counters import KernelTrace, get_recorder
+from ..backends.counters import KernelTrace
 from ..backends.dispatch import ArrayBackend, DispatchPolicy
 from ..backends.perfmodel import ExecutionEstimate, PerformanceModel
 from .bigdata import BigMatrices
@@ -254,61 +254,20 @@ class HODLRSolver:
         self.stats.factor_seconds = time.perf_counter() - t0  # repro-lint: ignore[RL004] -- SolveStats wall-clock reporting, not test timing
         return self
 
-    def patch_factorize(self, hodlr: HODLRMatrix, dirty_nodes) -> "HODLRSolver":
-        """Absorb an incrementally updated matrix by patching the retained
-        :class:`~repro.core.factor_plan.FactorPlan` instead of refactorizing.
+    def patch_factorize(self, hodlr: HODLRMatrix, dirty_nodes=None) -> "HODLRSolver":
+        """Refactorize in place for an updated matrix: a full rebuild.
 
-        ``hodlr`` is the updated matrix (same tree topology — node indices
-        unchanged, ranges possibly shifted by an insert/remove) and
-        ``dirty_nodes`` the dirty node set reported by the update
-        (:class:`~repro.core.update.HODLRUpdate.dirty_nodes`).  Only the
-        dirty path is re-factorized — kernel launches scale with the number
-        of dirty shape buckets, not with the total bucket count — and the
-        patched plan is spliced into the existing factorization in place,
-        so subsequent solves replay it with no further work.
-
-        Raises :class:`~repro.core.update.PatchUnsupportedError` when the
-        solver holds no patchable plan (the ``recursive`` variant or a
-        registered baseline variant) or when
-        the plan itself cannot absorb the change; callers should fall back
-        to a full :meth:`factorize` of the new matrix.
+        ``hodlr`` (cast to the solver's dtype) replaces the solver's matrix
+        and :meth:`factorize` rebuilds every factor from it, on this same
+        solver object, so wrappers and references held on the solver stay
+        valid.  The batched factorization is nearly linear in ``n``, which
+        makes the rebuild the cheap, simple way to absorb a k-point change.
+        ``dirty_nodes`` is accepted for callers that pass an update's dirty
+        node set and is not needed: every block is refactorized.
         """
-        from .update import PatchUnsupportedError
-
-        impl = self._require_factored()
-        plan = getattr(impl, "factor_plan", None)
-        if plan is None:
-            raise PatchUnsupportedError(
-                f"variant {self.variant!r} holds no compiled FactorPlan to "
-                "patch (only the flat/batched variants do); refactorize instead"
-            )
-        t0 = time.perf_counter()  # repro-lint: ignore[RL004] -- SolveStats wall-clock reporting, not test timing
         target = np.dtype(self.hodlr.dtype)
-        hodlr_t = hodlr if np.dtype(hodlr.dtype) == target else hodlr.astype(target)
-        rec = get_recorder()
-        with rec.recording() as trace:
-            patched = plan.patch(hodlr_t, dirty_nodes)
-        # the impl's BigMatrices back the nbytes accounting and the next
-        # patch; the patch already packed the new matrix into the plan's
-        # layout, so adopt that instead of re-running the O(N) from_hodlr
-        # pack
-        data = patched.bigdata
-        if data is None:
-            data = BigMatrices.from_hodlr(
-                hodlr_t,
-                backend=self.context.backend,
-                min_level_ranks=patched.level_ranks,
-            )
-        self.hodlr = hodlr_t
-        self._bigdata = data
-        impl.data = data
-        impl._plan = patched
-        impl._solve_plan = patched.solve_plan()
-        impl.Ybig = patched.Ybig
-        impl.factor_trace = trace
-        self.stats.factorization_bytes = impl.factorization_nbytes()
-        self.stats.factor_seconds = time.perf_counter() - t0  # repro-lint: ignore[RL004] -- SolveStats wall-clock reporting, not test timing
-        return self
+        self.hodlr = hodlr if np.dtype(hodlr.dtype) == target else hodlr.astype(target)
+        return self.factorize()
 
     @property
     def factored(self) -> bool:

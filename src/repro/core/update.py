@@ -24,8 +24,9 @@ of the level-major ``compress_block_stack`` path), so an update costs
 O(shape buckets) kernel launches, not O(dirty blocks).
 
 The result is a :class:`HODLRUpdate` carrying the new matrix, the dirty
-node set (the contract consumed by ``ApplyPlan.patch`` / ``FactorPlan.
-patch``), and the old-to-new index map.
+node set (the dirty-block accounting of
+:meth:`~repro.api.operator.HODLROperator.update`), and the old-to-new
+index map.  The operator then refactorizes the updated matrix.
 """
 
 from __future__ import annotations
@@ -43,8 +44,15 @@ from .low_rank import LowRankFactor
 
 
 class PatchUnsupportedError(RuntimeError):
-    """The tree cannot absorb this change incrementally (e.g. an emptied
-    leaf); callers should fall back to a full rebuild."""
+    """The tree cannot absorb this change incrementally.
+
+    :func:`remove_points` raises it when a removal would empty a leaf (or
+    leave fewer than two points).  Nothing catches it on the way out:
+    :meth:`~repro.api.operator.HODLROperator.update` propagates it to the
+    caller and leaves the operator unchanged (same ``n``, ``perm`` and
+    factors).  To absorb such a change, build a new operator on the
+    changed point set.
+    """
 
 
 @dataclass(frozen=True)
@@ -61,8 +69,7 @@ class HODLRUpdate:
         Indices of the tree nodes whose row/column range intersects the
         changed points — the dirty leaves plus all their ancestors
         (ancestor-closed by construction).  Node indices are identical in
-        the old and new trees (the topology is preserved).  This is the set
-        ``ApplyPlan.patch`` / ``FactorPlan.patch`` consume.
+        the old and new trees (the topology is preserved).
     kind:
         ``"insert"``, ``"remove"``, or ``"move"``.
     old_to_new:
@@ -377,8 +384,8 @@ def remove_points(
 
     Deleting rows of the stored ``U``/``V`` bases keeps the factorization
     *exact* on the surviving indices, and — unlike an insert — can never
-    *grow* a block's rank, so no recompression is required for correctness
-    or for plan-patch compatibility.  ``recompress=True`` additionally runs
+    *grow* a block's rank, so no recompression is required for
+    correctness.  ``recompress=True`` additionally runs
     a rank-shedding QR pass over the dirty blocks; for ``k`` much smaller
     than the block sizes the deletion frees essentially no rank, so
     streaming callers leave it off and amortise the shed by recompressing

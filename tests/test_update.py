@@ -1,5 +1,5 @@
-"""Tests for streaming updates: point insert/remove/move, plan patching,
-operator-level updates, and cache invalidation."""
+"""Tests for streaming updates: point insert/remove/move, in-place
+refactorization, operator-level updates, and cache invalidation."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from repro import (
     remove_points,
     update_points,
 )
-from repro.backends.counters import get_recorder
 from conftest import complex_test_matrix, hodlr_friendly_matrix
 
 
@@ -182,37 +181,6 @@ class TestSolverPatch:
         x_fresh = fresh.solve(b)
         assert np.linalg.norm(x - x_fresh) / np.linalg.norm(x_fresh) < 1e-8
 
-    def test_recursive_variant_has_no_plan_to_patch(self):
-        _, A_new, where, H_old = _insert_problem()
-        solver = HODLRSolver(H_old, variant="recursive").factorize()
-        upd = update_points(H_old, _entries(A_new), where, tol=1e-12)
-        with pytest.raises(PatchUnsupportedError):
-            solver.patch_factorize(upd.matrix, upd.dirty_nodes)
-
-    def test_patch_launches_scale_with_dirty_buckets(self):
-        n = 512
-        A = hodlr_friendly_matrix(n, seed=15)
-        tree = ClusterTree.balanced(n, leaf_size=32)
-        H = build_hodlr(A, tree, tol=1e-12, method="svd")
-
-        def patch_trace(where):
-            solver = HODLRSolver(H, variant="batched").factorize()
-            upd = remove_points(H, where, tol=1e-12)
-            rec = get_recorder()
-            with rec.recording() as trace:
-                solver.patch_factorize(upd.matrix, upd.dirty_nodes)
-            packs = sum(1 for e in trace.events if e.kernel == "factor_patch_bucket")
-            return packs, solver.factor_plan.last_patch_stats
-
-        packs_few, st_few = patch_trace([5])
-        packs_many, st_many = patch_trace(np.arange(0, n, 32))
-        # re-pack launches equal the dirty *shape bucket* count, not the
-        # dirty block count
-        assert packs_few == st_few["dirty_leaf_buckets"] + st_few["dirty_child_buckets"]
-        assert packs_many == st_many["dirty_leaf_buckets"] + st_many["dirty_child_buckets"]
-        # prefix replay refactors only the dirty suffix of the reduced systems
-        assert 0 < st_few["k_refactored"] < st_many["k_refactored"]
-
 
 class TestOperatorUpdate:
     @pytest.mark.parametrize("variant", ["recursive", "flat", "batched"])
@@ -236,11 +204,7 @@ class TestOperatorUpdate:
         x = op.solve(b_new)
         x_fresh = repro.build_operator(A_new, config=cfg).solve(b_new)
         assert np.linalg.norm(x - x_fresh) / np.linalg.norm(x_fresh) < 1e-8
-        if variant in ("flat", "batched"):
-            assert info["path"] == "patch"
-            assert info["patch_stats"] is not None
-        else:  # recursive holds no compiled plan: falls back to lazy rebuild
-            assert info["path"] == "rebuild"
+        assert info["path"] == "rebuild"
 
     @pytest.mark.parametrize("variant", ["recursive", "flat", "batched"])
     @pytest.mark.parametrize("complex_", [False, True])
@@ -291,7 +255,7 @@ class TestOperatorUpdate:
         op.solve(np.ones(n))
         where = np.array([10, 11])
         op.update(points_removed=where, tol=1e-12)
-        assert op.last_update_info["path"] == "patch"
+        assert op.last_update_info["path"] == "rebuild"
         A_small = _delete(A, where)
         b = np.random.default_rng(3).standard_normal(n - 2)
         x = op.solve(b)
@@ -343,11 +307,70 @@ class TestOperatorUpdate:
         op = repro.build_operator(A_old, config=cfg)
         op.solve(np.ones(n))
         repro.update_operator(op, source=_entries(A_new), points_added=where, tol=1e-12)
-        assert op.last_update_info["path"] == "patch"
+        assert op.last_update_info["path"] == "rebuild"
         b = np.random.default_rng(7).standard_normal(n + k)
         x = op.solve(b)
         x_fresh = repro.build_operator(A_new, config=cfg).solve(b)
         assert np.linalg.norm(x - x_fresh) / np.linalg.norm(x_fresh) < 1e-10
+
+    def test_stream_does_not_fragment_plans(self):
+        """A stream of updates leaves plans shaped like a fresh operator's."""
+        n, k, leaf = 1024, 4, 32
+        rng = np.random.default_rng(27)
+        pts = np.sort(rng.uniform(0.0, 1.0, n))
+
+        def source(p):
+            def entries(rows, cols):
+                d = np.abs(p[np.asarray(rows)][:, None] - p[np.asarray(cols)][None, :])
+                return 1.0 / (1.0 + 40.0 * d) + 4.0 * (d == 0)
+
+            return entries
+
+        idx = np.arange(n)
+        tree = ClusterTree.balanced(n, leaf_size=leaf)
+        H = build_hodlr(source(pts)(idx, idx), tree, tol=1e-12, method="svd")
+        cfg = {"compression": {"tol": 1e-12, "method": "svd", "leaf_size": leaf}}
+        op = repro.HODLROperator(H, cfg)
+        b = rng.standard_normal(n)
+        op @ op.solve(b)  # factorize and compile the apply plan
+        for _ in range(12):
+            # remove k contiguous points; insert k clustered points elsewhere
+            start = int(rng.integers(leaf, n - leaf - k))
+            removed = np.arange(start, start + k)
+            mid = np.delete(pts, removed)
+            j = int(rng.integers(leaf, n - leaf - k))
+            new = np.sort(rng.uniform(mid[j - 1], mid[j], k))
+            pts = np.concatenate([mid[:j], new, mid[j:]])
+            op.update(
+                points_removed=removed,
+                points_added=j + np.arange(k),
+                source=source(pts),
+                tol=1e-12,
+            )
+            assert op.last_update_info["path"] == "rebuild"
+            op @ op.solve(b)
+        fresh = repro.HODLROperator(op.hodlr, cfg)
+        x_fresh = fresh.solve(b)
+        fresh @ x_fresh
+        assert (
+            op.solver.factor_plan.launches_per_solve
+            == fresh.solver.factor_plan.launches_per_solve
+        )
+        assert op.apply_plan.launches_per_apply == fresh.apply_plan.launches_per_apply
+        x = op.solve(b)
+        assert np.linalg.norm(x - x_fresh) / np.linalg.norm(x_fresh) < 1e-10
+
+    def test_emptied_leaf_raises_and_leaves_operator_unchanged(self):
+        op = repro.build_operator("gaussian_kernel", n=256)
+        b = np.random.default_rng(28).standard_normal(256)
+        x = op.solve(b)
+        perm = op.perm.copy()
+        leaf = op.hodlr.tree.leaves[0]
+        with pytest.raises(PatchUnsupportedError):
+            op.update(points_removed=perm[leaf.start : leaf.stop])
+        assert op.n == 256 and op.shape == (256, 256)
+        assert np.array_equal(op.perm, perm)
+        assert np.array_equal(op.solve(b), x)
 
     def test_update_requires_a_change(self):
         A_old, _, _, _ = _insert_problem()
