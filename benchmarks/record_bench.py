@@ -138,21 +138,26 @@ def _gaussian_km(n):
     )
 
 
+#: the per-block reference schedule: bucketing off in every layer
+LOOP_CONTEXT = ExecutionContext(policy=LOOP_POLICY)
+
+
 def bench_gaussian_construction(n, max_rank, tol=1e-8, leaf_size=64):
-    """Batched vs loop construction of the Gaussian-kernel HODLR."""
+    """Batched vs per-block (``LOOP_POLICY``) construction of the
+    Gaussian-kernel HODLR."""
     km = _gaussian_km(n)
     kwargs = dict(leaf_size=leaf_size, tol=tol, method="randomized", max_rank=max_rank)
-    tb, (Hb, _) = _timed(lambda: km.to_hodlr(construction="batched", **kwargs))
-    tl, (Hl, _) = _timed(lambda: km.to_hodlr(construction="loop", **kwargs))
+    tb, (Hb, _) = _timed(lambda: km.to_hodlr(**kwargs))
+    tl, (Hl, _) = _timed(lambda: km.to_hodlr(context=LOOP_CONTEXT, **kwargs))
     rng = np.random.default_rng(9)
     x = rng.standard_normal(n)
     yb, yl = Hb.matvec(x), Hl.matvec(x)
     rel = float(np.linalg.norm(yb - yl) / np.linalg.norm(yl))
     # both sides are independent approximations at (tol, max_rank); their
     # matvecs agree to the compression accuracy, not machine precision
-    row = _row("gaussian_construction", tb, tl, n=n, max_rank=max_rank,
-               tol=tol, leaf_size=leaf_size, matvec_agreement=rel)
-    assert rel < 1e-4, f"batched/loop construction disagree: {rel}"
+    row = _row("gaussian_construction", tb, tl, slow_label="loop_policy", n=n,
+               max_rank=max_rank, tol=tol, leaf_size=leaf_size, matvec_agreement=rel)
+    assert rel < 1e-4, f"batched/per-block construction disagree: {rel}"
     return row, Hb
 
 
@@ -186,7 +191,7 @@ def bench_apply_loop(H, iters=50, **params):
 
 def _reference_solver(H):
     """The per-node recursion (no compiled plan): the plan rows' baseline."""
-    return HODLRSolver(H, variant="recursive", dispatch_policy=LOOP_POLICY).factorize()
+    return HODLRSolver(H, variant="recursive", context=LOOP_CONTEXT).factorize()
 
 
 def bench_repeated_solve(H, iters=50):
@@ -894,7 +899,8 @@ def collect_rook_counters(n=2048, tol=1e-8, leaf_size=64):
     totals the kernel entries those calls evaluate: the Gaussian kernel is
     symmetric, so each sibling pair is compressed once and mirrored, and
     compressing both blocks again doubles the off-diagonal share.  The
-    build must reproduce the per-block ``construction="loop"`` ranks.
+    build must reproduce the ranks of the per-block build under
+    ``LOOP_POLICY``.
     """
     from repro import ClusterTree, build_hodlr
 
@@ -906,10 +912,7 @@ def collect_rook_counters(n=2048, tol=1e-8, leaf_size=64):
     rec = get_recorder()
     with rec.recording() as tr_rook:
         H = build_hodlr(source, tree, tol=tol, method="rook")
-    H_loop = build_hodlr(
-        permuted, tree, config=repro.core.CompressionConfig(
-            tol=tol, method="rook", construction="loop")
-    )
+    H_loop = build_hodlr(permuted, tree, tol=tol, method="rook", context=LOOP_CONTEXT)
     assert H.rank_profile() == H_loop.rank_profile(), (
         f"lockstep rook ranks {H.rank_profile()} differ from per-block "
         f"{H_loop.rank_profile()}"
@@ -1031,22 +1034,24 @@ def collect_cache_counters(n=256):
 
 
 def bench_end_to_end(problem, **params):
-    """``repro.solve`` wall-clock (assemble + factorize + solve), batched vs loop."""
+    """``repro.solve`` wall-clock (assemble + factorize + solve), batched vs
+    the per-block schedule (``LOOP_POLICY`` in construction *and*
+    factorization)."""
 
-    def run(construction):
+    def run(dispatch_policy):
         cfg = SolverConfig(
-            compression=CompressionConfig(
-                tol=1e-8, method="randomized", construction=construction
-            )
+            dispatch_policy=dispatch_policy,
+            compression=CompressionConfig(tol=1e-8, method="randomized"),
         )
         t0 = time.perf_counter()
         res = repro.solve(problem, config=cfg, **params)
         return time.perf_counter() - t0, res
 
-    tb, res_b = run("batched")
-    tl, res_l = run("loop")
-    row = _row(f"solve_{problem}", tb, tl, relres_batched=res_b.relative_residual,
-               relres_loop=res_l.relative_residual, **params)
+    tb, res_b = run(None)
+    tl, res_l = run(LOOP_POLICY)
+    row = _row(f"solve_{problem}", tb, tl, slow_label="loop_policy",
+               relres_batched=res_b.relative_residual,
+               relres_loop_policy=res_l.relative_residual, **params)
     assert res_b.relative_residual < 1e-6
     return row
 

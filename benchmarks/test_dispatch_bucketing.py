@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from repro import BigMatrices, DispatchPolicy, HODLRSolver
+from repro import BigMatrices, DispatchPolicy, ExecutionContext, HODLRSolver
 from repro.backends.batched import gemm_batched, getrf_batched, getrs_batched
 from repro.backends.counters import get_recorder
 from repro.backends.dispatch import LOOP_POLICY
@@ -38,6 +38,8 @@ RPY_DOFS = 3072  # largest Table-III sweep size used in this repo
 #: regime the paper's batched schedule (and the bucketing layer) targets
 RPY_DISPATCH_LEAF = 16
 REPEATS = 5
+#: the per-block reference schedule the bucketed dispatch is measured against
+LOOP_CONTEXT = ExecutionContext(policy=LOOP_POLICY)
 
 
 def _best_of(fn, repeats=REPEATS):
@@ -181,7 +183,7 @@ class TestTable3RPYDispatch:
             lambda: HODLRSolver(hodlr).factorize(), repeats=3
         )
         t_slow = _best_of(
-            lambda: HODLRSolver(hodlr, dispatch_policy=LOOP_POLICY).factorize(),
+            lambda: HODLRSolver(hodlr, context=LOOP_CONTEXT).factorize(),
             repeats=3,
         )
         solver = HODLRSolver(hodlr).factorize()
@@ -208,7 +210,7 @@ class TestTable5HelmholtzDispatch:
             lambda: HODLRSolver(hodlr).factorize(), repeats=3
         )
         t_slow = _best_of(
-            lambda: HODLRSolver(hodlr, dispatch_policy=LOOP_POLICY).factorize(),
+            lambda: HODLRSolver(hodlr, context=LOOP_CONTEXT).factorize(),
             repeats=3,
         )
         solver = HODLRSolver(hodlr).factorize()
@@ -246,6 +248,8 @@ class TestTable5HelmholtzDispatch:
         fast = HODLRSolver(hodlr).factorize().solve(b)
         slow = HODLRSolver(
             hodlr,
-            dispatch_policy=DispatchPolicy(bucketing=False, lu_vectorize=False),
+            context=ExecutionContext(
+                policy=DispatchPolicy(bucketing=False, lu_vectorize=False)
+            ),
         ).factorize().solve(b)
         np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-10)

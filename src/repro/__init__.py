@@ -51,12 +51,9 @@ from .core.low_rank import LowRankFactor
 from .core.compression import (
     CompressionConfig,
     compress_block,
-    compress_blocks_batched,
     svd_compress,
-    svd_compress_batched,
     rook_pivot_compress,
     randomized_compress,
-    randomized_compress_batched,
 )
 from .core.apply_plan import ApplyPlan
 from .core.factor_plan import FactorPlan, SolvePlan, build_factor_plan
@@ -80,7 +77,7 @@ from .core.update import (
     update_points,
 )
 
-from .backends.context import ExecutionContext, PrecisionPolicy, resolve_context
+from .backends.context import ExecutionContext, PrecisionPolicy
 from .backends.dispatch import (
     ArrayBackend,
     BatchPlanner,
@@ -206,12 +203,9 @@ __all__ = [
     "LowRankFactor",
     "CompressionConfig",
     "compress_block",
-    "compress_blocks_batched",
     "svd_compress",
-    "svd_compress_batched",
     "rook_pivot_compress",
     "randomized_compress",
-    "randomized_compress_batched",
     "ApplyPlan",
     "FactorPlan",
     "SolvePlan",
@@ -245,7 +239,6 @@ __all__ = [
     "plan_batch",
     "plan_batch_padded",
     "register_backend",
-    "resolve_context",
     "DeviceMemoryTracker",
     "hodlr_device_footprint",
     "max_problem_size",

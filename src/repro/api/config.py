@@ -57,10 +57,11 @@ COMPRESSION_METHODS = ("svd", "rook", "randomized", "proxy")
 #: :func:`repro.core.solver.register_solver_variant`
 VARIANTS = ("recursive", "flat", "batched")
 
-#: HODLR construction schedules: level-major batched, per-block loop, or
-#: matvec-only randomized peeling (no entry evaluation — see
-#: :func:`repro.core.peeling.peel_hodlr`)
-CONSTRUCTION_MODES = ("batched", "loop", "peeling")
+#: HODLR construction schedules: level-major batched, or matvec-only
+#: randomized peeling (no entry evaluation — see
+#: :func:`repro.core.peeling.peel_hodlr`).  The per-block baseline is the
+#: batched schedule under ``dispatch_policy=LOOP_POLICY``.
+CONSTRUCTION_MODES = ("batched", "peeling")
 
 #: policy tuning modes: ``"default"`` uses the hard-coded crossover
 #: constants; ``"auto"`` derives them from the host's calibrated
@@ -102,8 +103,9 @@ class CompressionConfig:
         through the shape-bucketed batched kernels (one gathered entry
         evaluation and one batched compression per tree level; ``"rook"``
         advances all blocks of a level in lockstep, one gathered
-        evaluation per cross step); ``"loop"`` is the node-major
-        per-block baseline the benchmarks measure against.
+        evaluation per cross step); ``"peeling"`` builds from matvec
+        probes alone.  The per-block baseline the benchmarks measure
+        against is ``"batched"`` under ``dispatch_policy=LOOP_POLICY``.
     """
 
     tol: float = 1e-10
@@ -213,6 +215,8 @@ class SolverConfig:
     dispatch_policy:
         Shape-bucketing policy for the batched primitives (``None`` = the
         default policy).  Accepts a :class:`DispatchPolicy` or its dict form.
+        ``LOOP_POLICY`` selects the per-block reference schedule for
+        construction, factorization and apply.
     dtype:
         Storage/factorization dtype override as a dtype name (``"float32"``
         reproduces the paper's single-precision runs); ``None`` keeps the

@@ -297,7 +297,7 @@ def build_operator(
     :mod:`repro.backends.parallel`.
 
     ``construction=`` overrides the compression config's construction
-    schedule: ``"batched"`` (default), ``"loop"``, or ``"peeling"`` —
+    schedule: ``"batched"`` (default) or ``"peeling"`` —
     the latter builds the HODLR approximation from matvec probes alone
     (a dense problem is wrapped as a matvec source; cap the sampled rank
     with ``config.compression.max_rank``).

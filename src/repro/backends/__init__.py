@@ -38,7 +38,6 @@ from .context import (
     DEFAULT_CONTEXT,
     ExecutionContext,
     PrecisionPolicy,
-    resolve_context,
 )
 from .batched import (
     gemm_batched,
@@ -86,7 +85,6 @@ __all__ = [
     "DEFAULT_CONTEXT",
     "ExecutionContext",
     "PrecisionPolicy",
-    "resolve_context",
     "gemm_batched",
     "gemm_strided_batched",
     "getrf_batched",

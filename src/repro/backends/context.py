@@ -1,15 +1,9 @@
 """Device-resident execution contexts: *where* arrays live and *what* they carry.
 
-Before this module, "which device" and "which precision" were smeared over
-ad-hoc keyword arguments: ``build_hodlr(backend=..., dispatch_policy=...)``,
-``HODLRSolver(backend=..., dispatch_policy=...)``, ``SolverConfig.dtype`` —
-and the construction stage quietly ignored all of them, always evaluating
-and compressing on the default NumPy backend.  An end-to-end device run
-(construct, factorize, *and* apply on a GPU) was therefore impossible, and
-a mixed-precision apply plan had no place to be configured.
-
-:class:`ExecutionContext` unifies the three orthogonal decisions into one
-immutable object that is threaded through every layer of the stack:
+:class:`ExecutionContext` holds the orthogonal execution decisions in one
+immutable object that is threaded through every layer of the stack, and it
+is the only way those layers are told where and how to run (``None`` means
+:data:`DEFAULT_CONTEXT`):
 
 ``backend``
     The :class:`~repro.backends.dispatch.ArrayBackend` owning array storage
@@ -18,8 +12,10 @@ immutable object that is threaded through every layer of the stack:
     registered name; the instance is resolved on construction.
 ``policy``
     The :class:`~repro.backends.dispatch.DispatchPolicy` deciding how
-    heterogeneous batches are bucketed (and, new in this revision, whether
-    near-equal shapes are zero-padded into shared buckets).
+    heterogeneous batches are bucketed, and whether near-equal shapes are
+    zero-padded into shared buckets.  :data:`~repro.backends.dispatch.
+    LOOP_POLICY` (``bucketing=False``) selects the per-block reference
+    schedule everywhere: construction, factorization, and apply.
 ``precision``
     A :class:`PrecisionPolicy` describing the dtype each pipeline stage
     carries: the storage dtype of the HODLR blocks and factorization, the
@@ -30,7 +26,7 @@ immutable object that is threaded through every layer of the stack:
     The resolved :class:`~repro.backends.parallel.ParallelPolicy` (or
     ``None`` for serial execution).  ``None`` on input consults the
     ``REPRO_PARALLEL`` environment variable; ``"off"`` pins serial
-    execution, reproducing the pre-parallel behaviour exactly.
+    execution.
 
 Transfers are explicit and happen only at the facade boundary:
 :meth:`ExecutionContext.to_device` / :meth:`ExecutionContext.to_host`.
@@ -209,8 +205,7 @@ class ExecutionContext:
     (:func:`~repro.core.hodlr.build_hodlr`), factorization
     (:class:`~repro.core.solver.HODLRSolver` and the three variants),
     application (:class:`~repro.core.apply_plan.ApplyPlan`), and the
-    :mod:`repro.api` facade — replacing the per-call ``backend=`` /
-    ``dispatch_policy=`` plumbing.
+    :mod:`repro.api` facade.
 
     >>> from repro.backends import ExecutionContext, PrecisionPolicy
     >>> ctx = ExecutionContext(backend="numpy",
@@ -291,36 +286,3 @@ class ExecutionContext:
 
 #: process-wide default: host NumPy, default bucketing, natural precision
 DEFAULT_CONTEXT = ExecutionContext()
-
-
-def resolve_context(
-    context: Optional[ExecutionContext] = None,
-    backend: Optional[Union[str, ArrayBackend]] = None,
-    policy: Optional[DispatchPolicy] = None,
-) -> ExecutionContext:
-    """Resolve the (new) ``context=`` and the (legacy) ``backend=``/``policy=``
-    spellings to one :class:`ExecutionContext`.
-
-    Precedence (audited in PR 5): an explicit ``backend=``/``policy=``
-    argument **overrides the matching field of the context**, while every
-    other context field — in particular the :class:`PrecisionPolicy` — is
-    preserved.  Earlier revisions raised on the combination, which forced
-    callers that had a precision-carrying context (e.g. one built from
-    ``SolverConfig.precision``) to drop either their explicit dispatch
-    policy or the precision policy; merging keeps both.  With no context, a
-    context is assembled from the legacy arguments (both ``None`` returns
-    the shared default).
-    """
-    if context is not None:
-        changes = {}
-        if backend is not None and backend is not context.backend:
-            changes["backend"] = backend
-        if policy is not None and policy is not context.policy:
-            changes["policy"] = policy
-        return context.replace(**changes) if changes else context
-    if backend is None and policy is None:
-        return DEFAULT_CONTEXT
-    return ExecutionContext(
-        backend=backend if backend is not None else "numpy",
-        policy=policy if policy is not None else DEFAULT_POLICY,
-    )

@@ -19,12 +19,9 @@ from .low_rank import LowRankFactor
 from .compression import (
     CompressionConfig,
     compress_block,
-    compress_blocks_batched,
     svd_compress,
-    svd_compress_batched,
     rook_pivot_compress,
     randomized_compress,
-    randomized_compress_batched,
 )
 from .apply_plan import ApplyPlan
 from .factor_plan import FactorPlan, SolvePlan, build_factor_plan, emit_factor_plan
@@ -60,12 +57,9 @@ __all__ = [
     "LowRankFactor",
     "CompressionConfig",
     "compress_block",
-    "compress_blocks_batched",
     "svd_compress",
-    "svd_compress_batched",
     "rook_pivot_compress",
     "randomized_compress",
-    "randomized_compress_batched",
     "ApplyPlan",
     "FactorPlan",
     "SolvePlan",

@@ -48,8 +48,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..backends.batched import gemm_strided_batched
-from ..backends.context import ExecutionContext, resolve_context
-from ..backends.dispatch import ArrayBackend, plan_batch
+from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
+from ..backends.dispatch import plan_batch
 from .packing import GatherScatter, demote_rhs_dtype, pack_stack
 
 
@@ -106,13 +106,8 @@ class _LowRankBucket:
 class ApplyPlan:
     """The compiled batched application schedule of one HODLR matrix."""
 
-    def __init__(
-        self,
-        hodlr,
-        backend: Optional[ArrayBackend] = None,
-        context: Optional[ExecutionContext] = None,
-    ) -> None:
-        self._context = resolve_context(context, backend)
+    def __init__(self, hodlr, context: Optional[ExecutionContext] = None) -> None:
+        self._context = context or DEFAULT_CONTEXT
         self._compile(hodlr)
 
     def _compile(self, hodlr) -> None:

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..backends.context import ExecutionContext, resolve_context
+from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
 from .compression import recompress_stack
 from .hodlr import HODLRMatrix
 from .low_rank import LowRankFactor
@@ -87,7 +87,7 @@ def add(
     repeated addition.
     """
     _check_same_tree(a, b)
-    ctx = resolve_context(context)
+    ctx = context or DEFAULT_CONTEXT
     xb = ctx.backend
     tree = a.tree
     dtype = np.result_type(a.dtype, b.dtype)
@@ -135,7 +135,7 @@ def add_diagonal(
     a: HODLRMatrix, d, context: Optional[ExecutionContext] = None
 ) -> HODLRMatrix:
     """``A + diag(d)`` where ``d`` is a scalar or a length-``n`` vector."""
-    ctx = resolve_context(context)
+    ctx = context or DEFAULT_CONTEXT
     xb = ctx.backend
     tree = a.tree
     n = tree.n
@@ -175,7 +175,7 @@ def add_low_rank_update(
     block receives the corresponding row/column restriction of ``X`` and
     ``Y`` appended to its bases (followed by one batched recompression).
     """
-    ctx = resolve_context(context)
+    ctx = context or DEFAULT_CONTEXT
     xb = ctx.backend
     tree = a.tree
     X = xb.asarray(X)
@@ -236,7 +236,7 @@ def diagonal(
     a: HODLRMatrix, context: Optional[ExecutionContext] = None
 ) -> np.ndarray:
     """The main diagonal of the HODLR matrix (read off the leaf blocks)."""
-    ctx = resolve_context(context)
+    ctx = context or DEFAULT_CONTEXT
     xb = ctx.backend
     out = xb.zeros((a.n,), dtype=a.dtype)
     for leaf in a.tree.leaves:

@@ -34,12 +34,8 @@ import numpy as np
 from scipy import linalg as sla
 
 from ..backends.batched import gemm_strided_batched, qr_batched, svd_batched
-from ..backends.context import ExecutionContext, resolve_context
-from ..backends.dispatch import (
-    ArrayBackend,
-    DispatchPolicy,
-    plan_batch,
-)
+from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
+from ..backends.dispatch import ArrayBackend, plan_batch
 from .low_rank import LowRankFactor, _truncation_count
 
 #: Evaluates a sub-block of the operator: ``entries(rows, cols) -> ndarray``.
@@ -68,13 +64,14 @@ class CompressionConfig:
         ``"batched"`` (default) drives :func:`repro.core.build_hodlr`
         level-major: kernel entries for a whole tree level are gathered in
         one vectorized call and sibling blocks are compressed through the
-        shape-bucketed batched kernels.  ``"loop"`` reproduces the
-        node-major per-block construction (one compression per block, one
-        ``entries`` call per block) — the baseline the benchmarks measure
-        against.  ``method="rook"`` never gathers whole blocks: the blocks
-        of a shape bucket advance their crosses in lockstep, with one
-        gathered evaluation of all pivot rows (and one of all pivot
-        columns) per cross step (:func:`rook_pivot_compress_stack`).
+        shape-bucketed batched kernels; ``"peeling"`` builds from matvecs
+        alone.  The per-block reference schedule is not a construction
+        mode: it is the batched build run under an
+        ``ExecutionContext(policy=LOOP_POLICY)``.  ``method="rook"`` never
+        gathers whole blocks: the blocks of a shape bucket advance their
+        crosses in lockstep, with one gathered evaluation of all pivot rows
+        (and one of all pivot columns) per cross step
+        (:func:`rook_pivot_compress_stack`).
     """
 
     tol: float = 1e-12
@@ -300,7 +297,7 @@ def rook_pivot_compress_stack(
     :func:`rook_pivot_compress`, so each factor matches the per-block
     compressor up to round-off.
     """
-    xb = resolve_context(context).backend
+    xb = (context or DEFAULT_CONTEXT).backend
     rows = np.array(rows, dtype=np.intp, ndmin=2)
     cols = np.array(cols, dtype=np.intp, ndmin=2)
     nblocks, m = rows.shape
@@ -750,8 +747,6 @@ def _randomized_stack(
 def compress_block_stack(
     stack: np.ndarray,
     config: CompressionConfig,
-    backend: Optional[ArrayBackend] = None,
-    policy: Optional[DispatchPolicy] = None,
     rng: Optional[np.random.Generator] = None,
     context: Optional[ExecutionContext] = None,
 ) -> List[LowRankFactor]:
@@ -764,12 +759,11 @@ def compress_block_stack(
     runs one incremental range finder over the stack: shared test
     matrices, and rounds that add samples only for the unresolved blocks
     while keeping every sample drawn so far (see :func:`_randomized_stack`).
-    ``policy.bucketing=False`` (:data:`~repro.backends.dispatch.LOOP_POLICY`)
-    compresses the slices one at a time.  ``context`` supersedes the legacy
-    ``backend=``/``policy=`` pair; a device-resident context keeps the
-    stack and factors there.
+    A context with :data:`~repro.backends.dispatch.LOOP_POLICY`
+    (``bucketing=False``) compresses the slices one at a time.  A
+    device-resident context keeps the stack and factors there.
     """
-    ctx = resolve_context(context, backend, policy)
+    ctx = context or DEFAULT_CONTEXT
     pol, xb = ctx.policy, ctx.backend
     stack = xb.asarray(stack)
     if stack.ndim != 3:
@@ -803,123 +797,10 @@ def compress_block_stack(
     raise ValueError(f"unknown compression method {config.method!r}")
 
 
-def svd_compress_batched(
-    blocks: Sequence[np.ndarray],
-    tol: float = 1e-12,
-    max_rank: Optional[int] = None,
-    backend: Optional[ArrayBackend] = None,
-    policy: Optional[DispatchPolicy] = None,
-    context: Optional[ExecutionContext] = None,
-) -> List[LowRankFactor]:
-    """Truncated-SVD compression of many dense blocks, batched per shape bucket.
-
-    Blocks sharing a shape are packed into strided 3-D storage and factored
-    with one batched SVD launch; truncation is applied per block afterwards
-    (ranks may differ).  ``policy.bucketing=False`` (:data:`~repro.backends.
-    dispatch.LOOP_POLICY`) reproduces the per-block loop.
-    """
-    ctx = resolve_context(context, backend, policy)
-    pol, xb = ctx.policy, ctx.backend
-    if not blocks:
-        return []
-    if not pol.bucketing:
-        return [svd_compress(np.asarray(b), tol=tol, max_rank=max_rank) for b in blocks]
-    results: List[Optional[LowRankFactor]] = [None] * len(blocks)
-    for bucket in plan_batch([np.shape(b) for b in blocks]).buckets:
-        idx = bucket.indices
-        stack = xb.stack([np.asarray(blocks[i]) for i in idx])
-        for i, f in zip(idx, _svd_stack(stack, tol, max_rank, xb)):
-            results[i] = f
-    return results  # type: ignore[return-value]
-
-
-def randomized_compress_batched(
-    blocks: Sequence[np.ndarray],
-    tol: float = 1e-12,
-    max_rank: Optional[int] = None,
-    oversampling: int = 10,
-    rng: Optional[np.random.Generator] = None,
-    backend: Optional[ArrayBackend] = None,
-    policy: Optional[DispatchPolicy] = None,
-    context: Optional[ExecutionContext] = None,
-) -> List[LowRankFactor]:
-    """Randomized compression of many dense blocks with shared test matrices.
-
-    Blocks are grouped into shape buckets and each bucket runs through
-    :func:`compress_block_stack`'s randomized path: shared Gaussian test
-    matrices and strided batched sampling/QR/SVD, with adaptive-rank
-    stragglers (a lone one included) doubling their sample count in
-    further rounds that keep every earlier sample.
-    ``policy.bucketing=False`` reproduces the per-block adaptive loop.
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    ctx = resolve_context(context, backend, policy)
-    pol, xb = ctx.policy, ctx.backend
-    if not blocks:
-        return []
-    if not pol.bucketing:
-        return [
-            randomized_compress_dense(np.asarray(b), tol=tol, max_rank=max_rank, rng=rng)
-            for b in blocks
-        ]
-    results: List[Optional[LowRankFactor]] = [None] * len(blocks)
-    for bucket in plan_batch([np.shape(b) for b in blocks]).buckets:
-        idx = bucket.indices
-        stack = xb.stack([np.asarray(blocks[i]) for i in idx])
-        factors = _randomized_stack(stack, tol, max_rank, oversampling, rng, xb)
-        for i, f in zip(idx, factors):
-            results[i] = f
-    return results  # type: ignore[return-value]
-
-
-def compress_blocks_batched(
-    blocks: Sequence[np.ndarray],
-    config: CompressionConfig,
-    backend: Optional[ArrayBackend] = None,
-    policy: Optional[DispatchPolicy] = None,
-    context: Optional[ExecutionContext] = None,
-) -> List[LowRankFactor]:
-    """Compress a list of dense blocks per ``config``, batching where possible.
-
-    All three methods execute through the shape-bucketed batched kernels
-    above; ``rook`` advances every block of a shape bucket in lockstep
-    (:func:`rook_pivot_compress_stack`).  ``policy.bucketing=False``
-    reproduces the per-block loop.
-    """
-    if config.method == "svd":
-        return svd_compress_batched(
-            blocks, tol=config.tol, max_rank=config.max_rank,
-            backend=backend, policy=policy, context=context,
-        )
-    if config.method == "randomized":
-        return randomized_compress_batched(
-            blocks,
-            tol=config.tol,
-            max_rank=config.max_rank,
-            oversampling=config.oversampling,
-            rng=config.generator(),
-            backend=backend,
-            policy=policy,
-            context=context,
-        )
-    if config.method == "rook":
-        ctx = resolve_context(context, backend, policy)
-        results: List[Optional[LowRankFactor]] = [None] * len(blocks)
-        for bucket in plan_batch([np.shape(b) for b in blocks]).buckets:
-            idx = bucket.indices
-            stack = ctx.backend.stack([np.asarray(blocks[i]) for i in idx])
-            for i, f in zip(idx, compress_block_stack(stack, config, context=ctx)):
-                results[i] = f
-        return results  # type: ignore[return-value]
-    raise ValueError(f"unknown compression method {config.method!r}")
-
-
 def recompress_stack(
     factors: Sequence[LowRankFactor],
     tol: float = 1e-12,
     max_rank: Optional[int] = None,
-    backend: Optional[ArrayBackend] = None,
-    policy: Optional[DispatchPolicy] = None,
     context: Optional[ExecutionContext] = None,
 ) -> List[LowRankFactor]:
     """Batched QR+SVD recompression of many :class:`LowRankFactor` objects.
@@ -932,9 +813,10 @@ def recompress_stack(
     O(shape buckets) kernel launches.  Truncation counts are applied per
     block (ranks may differ after truncation).  This is the path the
     streaming update/downdate engine sends its dirty concatenated factors
-    through.  ``policy.bucketing=False`` reproduces the per-block loop.
+    through.  A context with ``policy.bucketing=False`` reproduces the
+    per-block loop.
     """
-    ctx = resolve_context(context, backend, policy)
+    ctx = context or DEFAULT_CONTEXT
     pol, xb = ctx.policy, ctx.backend
     if not factors:
         return []
@@ -1023,7 +905,7 @@ def recompress_bordered(
     factor of the block and the structured side is the column space;
     ``False`` is the mirror image.
     """
-    ctx = resolve_context(context)
+    ctx = context or DEFAULT_CONTEXT
     xb = ctx.backend
     k = int(len(ins))
     r0 = compact.shape[1]

@@ -34,7 +34,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..backends.context import ExecutionContext, resolve_context
+from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
 from ..backends.counters import KernelTrace, get_recorder
 from .bigdata import BigMatrices
 from .factor_plan import FactorPlan, SolvePlan, build_factor_plan
@@ -68,7 +68,7 @@ class BatchedFactorization:
         return self._solve_plan
 
     def factorize(self) -> "BatchedFactorization":
-        self.context = resolve_context(self.context)
+        self.context = self.context or DEFAULT_CONTEXT
         rec = get_recorder()
         with rec.recording() as trace:
             # the HODLR data (D, U, V) is assembled on the host and copied to

@@ -63,7 +63,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..backends.batched import gemm_strided_batched
-from ..backends.context import ExecutionContext, resolve_context
+from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
 from ..backends.counters import (
     KernelEvent,
     get_recorder,
@@ -534,7 +534,7 @@ def build_factor_plan(
     and ``batched`` variants) wraps it in trace recording and transfer
     accounting.
     """
-    ctx = resolve_context(context)
+    ctx = context or DEFAULT_CONTEXT
     xb, pol = ctx.backend, ctx.policy
     tree = data.tree
     dtype = np.dtype(data.dtype)
@@ -702,7 +702,7 @@ def emit_factor_plan(
     gemms (only the padded K LU — whose factor differs from the per-node
     small-K factor — is computed here).
     """
-    ctx = resolve_context(context)
+    ctx = context or DEFAULT_CONTEXT
     xb, pol = ctx.backend, ctx.policy
     tree = hodlr.tree
     dtype = np.dtype(hodlr.dtype)

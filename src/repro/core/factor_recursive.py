@@ -35,8 +35,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..backends.context import ExecutionContext, resolve_context
-from ..backends.dispatch import ArrayBackend, get_backend
+from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
 from .cluster_tree import TreeNode
 from .factor_plan import FactorPlan, SolvePlan, emit_factor_plan
 from .hodlr import HODLRMatrix
@@ -47,10 +46,8 @@ class RecursiveFactorization:
     """Stored output of the recursive factorization."""
 
     hodlr: HODLRMatrix
-    #: array backend executing the per-node LU factorizations and solves
-    backend: Optional[ArrayBackend] = None
-    #: execution context (backend + policy + precision); the backend above
-    #: is merged into it when both are given
+    #: execution context (backend + policy + precision); its backend runs
+    #: the per-node LU factorizations and solves (None = the default context)
     context: Optional[ExecutionContext] = None
     #: leaf index -> (lu, piv) of the dense diagonal block
     leaf_lu: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
@@ -67,15 +64,8 @@ class RecursiveFactorization:
     _plan: Optional[FactorPlan] = field(default=None, repr=False)
     _solve_plan: Optional[SolvePlan] = field(default=None, repr=False)
 
-    def _backend(self) -> ArrayBackend:
-        if self.backend is None:
-            self.backend = get_backend("numpy")
-        return self.backend
-
-    def _context(self) -> ExecutionContext:
-        ctx = resolve_context(self.context, self.backend, None)
-        self.backend = ctx.backend
-        return ctx
+    def __post_init__(self) -> None:
+        self.context = self.context or DEFAULT_CONTEXT
 
     @property
     def factor_plan(self) -> Optional[FactorPlan]:
@@ -93,11 +83,10 @@ class RecursiveFactorization:
         tree = self.hodlr.tree
         self._factor_node(tree.root)
         self.factored = True
-        ctx = self._context()
-        if ctx.policy.bucketing:
+        if self.context.policy.bucketing:
             # emit the traversal's per-node factors as packed plan storage
             self._plan = emit_factor_plan(
-                self.hodlr, self.Y, self.leaf_lu, T=self.T, context=ctx
+                self.hodlr, self.Y, self.leaf_lu, T=self.T, context=self.context
             )
             self._solve_plan = self._plan.solve_plan()
         return self
@@ -105,7 +94,7 @@ class RecursiveFactorization:
     def _factor_node(self, node: TreeNode) -> None:
         tree = self.hodlr.tree
         if tree.is_leaf(node):
-            lu, piv = self._backend().lu_factor(self.hodlr.diag[node.index])
+            lu, piv = self.context.backend.lu_factor(self.hodlr.diag[node.index])
             self.leaf_lu[node.index] = (lu, piv)
             return
 
@@ -127,7 +116,7 @@ class RecursiveFactorization:
         Vb = self.hodlr.V[right.index]
         r1 = Y_left.shape[1]
         r2 = Y_right.shape[1]
-        xb = self._backend()
+        xb = self.context.backend
         dtype = np.result_type(Y_left.dtype, Vb.dtype)
         Ta = Va.conj().T @ Y_left
         Tb = Vb.conj().T @ Y_right
@@ -148,13 +137,13 @@ class RecursiveFactorization:
         of equation (7)/(8).
         """
         tree = self.hodlr.tree
-        rhs = self._backend().asarray(rhs)
+        rhs = self.context.backend.asarray(rhs)
         squeeze = rhs.ndim == 1
         B = rhs.reshape(-1, 1) if squeeze else rhs
 
         if tree.is_leaf(node):
             lu, piv = self.leaf_lu[node.index]
-            out = self._backend().lu_solve(lu, piv, B)
+            out = self.context.backend.lu_solve(lu, piv, B)
             return out.ravel() if squeeze else out
 
         left, right = tree.children(node)
@@ -174,7 +163,7 @@ class RecursiveFactorization:
         # right-hand side ordered to match K's block rows: (V_left^* z_left) on
         # top (r2 rows), (V_right^* z_right) below (r1 rows); the solution is
         # ordered by K's block columns: w_left (r1 rows) then w_right (r2 rows).
-        xb = self._backend()
+        xb = self.context.backend
         rhs_small = xb.concat([Va.conj().T @ z_left, Vb.conj().T @ z_right])
         lu, piv = self.k_lu[node.index]
         w = xb.lu_solve(lu, piv, rhs_small)

@@ -34,7 +34,8 @@ Construction paths
   it) and compressed through the shape-bucketed batched kernels.  Rook
   compression never materialises the blocks: the blocks of a shape bucket
   advance their crosses in lockstep, one gathered evaluation per cross
-  step.  ``construction="loop"`` is the node-major per-block baseline.
+  step.  Under a context with :data:`~repro.backends.dispatch.LOOP_POLICY`
+  the same builder compresses block by block — the per-block baseline.
 
 Application paths
 -----------------
@@ -52,8 +53,8 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from ..backends.context import ExecutionContext, resolve_context
-from ..backends.dispatch import ArrayBackend, DispatchPolicy, plan_batch
+from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
+from ..backends.dispatch import plan_batch
 from ..backends.parallel import prefetch_iter
 from .apply_plan import ApplyPlan
 from .cluster_tree import ClusterTree, TreeNode
@@ -132,10 +133,7 @@ class HODLRMatrix:
     # apply plan
     # ------------------------------------------------------------------
     def build_apply_plan(
-        self,
-        backend: Optional[ArrayBackend] = None,
-        force: bool = False,
-        context: Optional[ExecutionContext] = None,
+        self, force: bool = False, context: Optional[ExecutionContext] = None
     ) -> ApplyPlan:
         """Compile (and cache) the bucketed batched apply plan.
 
@@ -152,12 +150,12 @@ class HODLRMatrix:
         ``build_apply_plan(force=True)``) after mutating ``diag``/``U``/``V``
         in place.
 
-        ``context`` carries the backend *and* the
+        ``context`` carries the backend, dispatch policy *and*
         :class:`~repro.backends.context.PrecisionPolicy`: a policy with
         ``plan="float32"`` compiles the half-traffic mixed-precision plan.
         """
         if self._apply_plan is None or force:
-            self._apply_plan = ApplyPlan(self, backend=backend, context=context)
+            self._apply_plan = ApplyPlan(self, context=context)
         return self._apply_plan
 
     def clear_apply_plan(self) -> None:
@@ -468,8 +466,6 @@ def build_hodlr(
     method: Optional[str] = None,
     max_rank: Optional[int] = None,
     dtype=None,
-    backend: Optional[ArrayBackend] = None,
-    dispatch_policy: Optional[DispatchPolicy] = None,
     context: Optional[ExecutionContext] = None,
 ) -> HODLRMatrix:
     """Build a HODLR approximation of ``source`` over ``tree``.
@@ -488,17 +484,18 @@ def build_hodlr(
         Compression options; individual keyword overrides (``tol``,
         ``method``, ``max_rank``) take precedence over the config fields.
         ``config.construction`` selects the level-major batched schedule
-        (default) or the node-major per-block loop.
+        (default) or the matvec-only ``"peeling"`` construction.
     dtype:
         Storage dtype; defaults to the dtype produced by the evaluator,
         then filtered through the context's precision policy.
     context:
-        The :class:`~repro.backends.context.ExecutionContext` the batched
+        The :class:`~repro.backends.context.ExecutionContext` the
         construction runs on — backend, bucketing policy, and storage
-        precision in one object.  A device-resident context keeps the
-        gathered blocks and compressed bases on the device.  The legacy
-        ``backend=``/``dispatch_policy=`` pair is still accepted and is
-        folded into a context.
+        precision in one object (``None`` = the default context).  A
+        device-resident context keeps the gathered blocks and compressed
+        bases on the device.  A context with
+        :data:`~repro.backends.dispatch.LOOP_POLICY` compresses block by
+        block: the per-block reference schedule.
 
     Symmetric sources
     -----------------
@@ -514,9 +511,9 @@ def build_hodlr(
     ``U_right = conj(V_right)`` and ``V_left = conj(U_left)`` (stored as
     their own arrays).  Otherwise — non-symmetric, Hermitian-only, or a
     probe of zeros — both blocks are compressed independently, exactly as
-    without the probe.  Both construction schedules apply the same rule.
+    without the probe.  The per-block schedule applies the same rule.
     """
-    context = resolve_context(context, backend, dispatch_policy)
+    context = context or DEFAULT_CONTEXT
     if config is None:
         config = CompressionConfig()
     if tol is not None or method is not None or max_rank is not None:
@@ -526,9 +523,9 @@ def build_hodlr(
             max_rank=max_rank if max_rank is not None else config.max_rank,
             method=method if method is not None else config.method,
         )
-    if config.construction not in ("batched", "loop", "peeling"):
+    if config.construction not in ("batched", "peeling"):
         raise ValueError(
-            "construction must be 'batched', 'loop', or 'peeling', got "
+            "construction must be 'batched' or 'peeling', got "
             f"{config.construction!r}"
         )
     if config.construction == "peeling":
@@ -584,8 +581,6 @@ def build_hodlr(
         dtype = probe.dtype
     symmetric = paired and _probe_is_symmetric(probe)
     dtype = context.storage_dtype(dtype)
-    if config.construction == "loop":
-        return _build_hodlr_loop(evaluator, tree, config, dtype, symmetric)
     return _build_hodlr_batched(evaluator, multi, tree, config, dtype, context, symmetric)
 
 
@@ -605,35 +600,6 @@ def _store_factor(U, V, row_node, col_node, factor, symmetric) -> None:
 
 def _conj_copy(x):
     return x.conj() if np.iscomplexobj(x) else x.copy()
-
-
-def _build_hodlr_loop(evaluator, tree, config, dtype, symmetric) -> HODLRMatrix:
-    """Node-major per-block construction (the seed schedule, kept as the
-    ``construction="loop"`` baseline and measured against by the benchmarks).
-    A symmetric source compresses only ``A(I_left, I_right)`` per pair."""
-    diag: Dict[int, np.ndarray] = {}
-    U: Dict[int, np.ndarray] = {}
-    V: Dict[int, np.ndarray] = {}
-
-    # dense diagonal blocks at the leaves
-    for leaf in tree.leaves:
-        rows = leaf.indices
-        diag[leaf.index] = np.asarray(evaluator(rows, rows), dtype=dtype)
-
-    # low-rank off-diagonal blocks for every sibling pair:
-    # A(I_left, I_right) = U_left V_right^* and A(I_right, I_left) = U_right V_left^*
-    for level in range(1, tree.levels + 1):
-        for left, right in tree.sibling_pairs(level):
-            blocks = [(left, right)] if symmetric else [(left, right), (right, left)]
-            for rn, cn in blocks:
-
-                def block_eval(r, c, _rr=rn.indices, _cc=cn.indices):
-                    return evaluator(_rr[r], _cc[c])
-
-                f = compress_block(block_eval, rn.size, cn.size, config, dtype=dtype)
-                _store_factor(U, V, rn, cn, f, symmetric)
-
-    return HODLRMatrix(tree=tree, diag=diag, U=U, V=V)
 
 
 def _build_hodlr_batched(

@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..backends.context import ExecutionContext, resolve_context
+from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
 from ..backends.dispatch import plan_batch
 from .cluster_tree import ClusterTree
 from .compression import recompress_stack
@@ -116,7 +116,7 @@ def peel_hodlr(
         Execution context supplying the array backend the sampling, QR
         batches, and recompressions run on (``None`` = default NumPy).
     """
-    ctx = resolve_context(context)
+    ctx = context or DEFAULT_CONTEXT
     xb = ctx.backend
     rng = rng if rng is not None else np.random.default_rng(0)
     n = tree.n

@@ -41,9 +41,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..backends.context import ExecutionContext, resolve_context
+from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
 from ..backends.counters import KernelTrace
-from ..backends.dispatch import ArrayBackend, DispatchPolicy
 from ..backends.perfmodel import ExecutionEstimate, PerformanceModel
 from .bigdata import BigMatrices
 from .factor_batched import BatchedFactorization
@@ -129,17 +128,13 @@ class HODLRSolver:
         single-precision runs (Table IVb).
     pivot:
         Partial pivoting in the reduced ``K`` systems (``flat``/``batched``).
-    backend:
-        An :class:`~repro.backends.dispatch.ArrayBackend` instance or the
-        name of a registered array backend (``"numpy"``, ``"cupy"``).
-    dispatch_policy:
-        Shape-bucketing policy for the batched primitives; see
-        :class:`~repro.backends.dispatch.DispatchPolicy`.  ``None`` uses the
-        default (bucketing enabled).
     context:
-        An :class:`~repro.backends.context.ExecutionContext` carrying the
-        backend, dispatch policy, and precision in one object — the
-        preferred spelling, superseding ``backend=``/``dispatch_policy=``.
+        The :class:`~repro.backends.context.ExecutionContext` carrying the
+        array backend, the shape-bucketing
+        :class:`~repro.backends.dispatch.DispatchPolicy`, and the precision
+        in one object (``None`` = the default context).  A context with
+        :data:`~repro.backends.dispatch.LOOP_POLICY` runs the per-block
+        reference schedule.
     """
 
     def __init__(
@@ -148,8 +143,6 @@ class HODLRSolver:
         variant: str = "batched",
         dtype=None,
         pivot: bool = True,
-        backend: Optional[Union[str, ArrayBackend]] = None,
-        dispatch_policy: Optional[DispatchPolicy] = None,
         context: Optional[ExecutionContext] = None,
     ) -> None:
         if variant not in _VARIANTS and variant not in _VARIANT_FACTORIES:
@@ -159,7 +152,7 @@ class HODLRSolver:
             )
         self.variant = variant
         self.pivot = pivot
-        self.context = resolve_context(context, backend, dispatch_policy)
+        self.context = context or DEFAULT_CONTEXT
         # dtype=None means "hodlr is already at the target dtype" — the
         # context's precision.storage reaches here through from_config's
         # dtype argument, never implicitly
@@ -181,51 +174,29 @@ class HODLRSolver:
         hodlr: HODLRMatrix,
         config,
         dtype=_UNSET,
-        backend: Optional[Union[str, ArrayBackend]] = None,
-        dispatch_policy: Optional[DispatchPolicy] = None,
         context: Optional[ExecutionContext] = None,
     ) -> "HODLRSolver":
         """Construct from a :class:`repro.api.config.SolverConfig`.
 
         ``config`` is duck-typed (any object with ``variant``, ``pivot``,
-        ``numpy_dtype``, and either an
-        ``execution_context()`` method or ``backend``/``dispatch_policy``
-        attributes).  ``dtype`` overrides the config's dtype when given —
-        pass ``dtype=None`` explicitly if ``hodlr`` is already stored at the
-        target dtype to skip the cast.
-
-        ``backend``/``dispatch_policy`` override *only* the matching field
-        of the config's execution context; everything else the config
-        carries — in particular ``SolverConfig.precision`` — is preserved.
-        (Audited in PR 5: the context path used to have no override seam,
-        so callers combining an explicit dispatch policy with a
-        precision-carrying config silently lost one of the two.)
+        ``numpy_dtype`` and an ``execution_context()`` method).  ``dtype``
+        overrides the config's dtype when given — pass ``dtype=None``
+        explicitly if ``hodlr`` is already stored at the target dtype to
+        skip the cast.
 
         An explicit ``context=`` replaces the one the config would build —
         this is how :class:`~repro.api.operator.HODLROperator` hands its
         auto-tuned (``tuning="auto"``) context down instead of having the
-        derivation re-run here from the raw config fields.
+        derivation re-run here from the raw config fields.  To change one
+        field and keep the rest (e.g. the precision), pass
+        ``config.execution_context().replace(policy=...)``.
         """
-        make_context = getattr(config, "execution_context", None)
-        kwargs: Dict[str, Any]
-        if context is not None:
-            kwargs = {"context": resolve_context(context, backend, dispatch_policy)}
-        elif callable(make_context):
-            ctx = resolve_context(make_context(), backend, dispatch_policy)
-            kwargs = {"context": ctx}
-        else:
-            kwargs = {
-                "backend": backend if backend is not None else config.backend,
-                "dispatch_policy": dispatch_policy
-                if dispatch_policy is not None
-                else config.dispatch_policy,
-            }
         return cls(
             hodlr,
             variant=config.variant,
             dtype=config.numpy_dtype if dtype is cls._UNSET else dtype,
             pivot=config.pivot,
-            **kwargs,
+            context=context or config.execution_context(),
         )
 
     # ------------------------------------------------------------------
@@ -233,14 +204,13 @@ class HODLRSolver:
     # ------------------------------------------------------------------
     def factorize(self) -> "HODLRSolver":
         t0 = time.perf_counter()  # repro-lint: ignore[RL004] -- SolveStats wall-clock reporting, not test timing
-        array_backend = self.context.backend
         if self.variant == "recursive":
             self._impl = RecursiveFactorization(
-                hodlr=self.hodlr, backend=array_backend, context=self.context
+                hodlr=self.hodlr, context=self.context
             ).factorize()
             self.stats.factorization_bytes = self._impl.factorization_nbytes()
         elif self.variant in ("flat", "batched"):
-            self._bigdata = BigMatrices.from_hodlr(self.hodlr, backend=array_backend)
+            self._bigdata = BigMatrices.from_hodlr(self.hodlr, backend=self.context.backend)
             self._impl = BatchedFactorization(
                 data=self._bigdata, pivot=self.pivot, context=self.context
             ).factorize()
@@ -254,7 +224,7 @@ class HODLRSolver:
         self.stats.factor_seconds = time.perf_counter() - t0  # repro-lint: ignore[RL004] -- SolveStats wall-clock reporting, not test timing
         return self
 
-    def patch_factorize(self, hodlr: HODLRMatrix, dirty_nodes=None) -> "HODLRSolver":
+    def patch_factorize(self, hodlr: HODLRMatrix) -> "HODLRSolver":
         """Refactorize in place for an updated matrix: a full rebuild.
 
         ``hodlr`` (cast to the solver's dtype) replaces the solver's matrix
@@ -262,8 +232,6 @@ class HODLRSolver:
         solver object, so wrappers and references held on the solver stay
         valid.  The batched factorization is nearly linear in ``n``, which
         makes the rebuild the cheap, simple way to absorb a k-point change.
-        ``dirty_nodes`` is accepted for callers that pass an update's dirty
-        node set and is not needed: every block is refactorized.
         """
         target = np.dtype(self.hodlr.dtype)
         self.hodlr = hodlr if np.dtype(hodlr.dtype) == target else hodlr.astype(target)

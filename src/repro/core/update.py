@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..backends.context import ExecutionContext, resolve_context
+from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
 from .cluster_tree import ClusterTree
 from .compression import recompress_bordered, recompress_stack
 from .hodlr import HODLRMatrix, _resolve_evaluator
@@ -212,7 +212,7 @@ def update_points(
         Recompression tolerance / rank cap for the dirty blocks (use the
         construction tolerance to preserve accuracy).
     """
-    ctx = resolve_context(context)
+    ctx = context or DEFAULT_CONTEXT
     xb = ctx.backend
     tree = hodlr.tree
     n_old = tree.n
@@ -394,7 +394,7 @@ def remove_points(
     ordering.  Raises :class:`PatchUnsupportedError` when a leaf would be
     emptied (the tree cannot absorb the deletion).
     """
-    ctx = resolve_context(context)
+    ctx = context or DEFAULT_CONTEXT
     xb = ctx.backend
     tree = hodlr.tree
     n_old = tree.n

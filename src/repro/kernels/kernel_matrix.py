@@ -262,7 +262,9 @@ class KernelMatrix:
         ``reorder=False`` the natural point order is used (appropriate when
         the points already follow a space-filling order, e.g. a contour).
         ``construction="batched"`` (default) builds level-major through the
-        batched kernels; ``"loop"`` is the per-block baseline.
+        batched kernels; a ``context`` with
+        :data:`~repro.backends.dispatch.LOOP_POLICY` gives the per-block
+        baseline.
 
         ``context`` selects where construction runs: a device-resident
         :class:`~repro.backends.context.ExecutionContext` moves the points

@@ -1,7 +1,8 @@
 """Batched level-parallel construction + compiled apply plan (PR 3).
 
 Equivalence suite: the batched construction schedule and the compiled apply
-plan must match the per-block loop path to 1e-12 across all three
+plan must match the per-block schedule (the same builder under an
+``ExecutionContext(policy=LOOP_POLICY)``) to 1e-12 across all three
 factorization variants, complex dtypes, adaptive ranks, and
 non-power-of-two N — plus counter tests asserting the launch count drops to
 O(levels x buckets).
@@ -15,7 +16,7 @@ from repro.api import ConfigError, HODLROperator, SolverConfig
 from repro.api.problems import HelmholtzKernelProblem
 from repro.backends.context import ExecutionContext
 from repro.backends.counters import get_recorder
-from repro.backends.dispatch import DEFAULT_POLICY, LOOP_POLICY
+from repro.backends.dispatch import DEFAULT_POLICY, LOOP_POLICY, plan_batch
 from repro.backends.parallel import ParallelPolicy, shutdown_pool
 from repro.core import (
     BatchedFactorization,
@@ -27,10 +28,7 @@ from repro.core import (
 from repro.core.compression import (
     CompressionConfig,
     compress_block_stack,
-    compress_blocks_batched,
-    randomized_compress_batched,
     rook_pivot_compress_dense,
-    svd_compress_batched,
 )
 from repro.kernels import GaussianKernel, KernelMatrix, MaternKernel
 
@@ -44,15 +42,14 @@ def smooth_matrix(n, rng, complex_dtype=False, lengthscale=0.5):
     return A + np.eye(n)
 
 
+#: the per-block reference schedule: bucketing off everywhere
+LOOP_CONTEXT = ExecutionContext(policy=LOOP_POLICY)
+
+
 def build_both(A, tree, method, tol=1e-12, max_rank=None):
-    Hb = build_hodlr(
-        A, tree, config=CompressionConfig(tol=tol, max_rank=max_rank, method=method,
-                                          construction="batched")
-    )
-    Hl = build_hodlr(
-        A, tree, config=CompressionConfig(tol=tol, max_rank=max_rank, method=method,
-                                          construction="loop")
-    )
+    cfg = CompressionConfig(tol=tol, max_rank=max_rank, method=method)
+    Hb = build_hodlr(A, tree, config=cfg)
+    Hl = build_hodlr(A, tree, config=cfg, context=LOOP_CONTEXT)
     return Hb, Hl
 
 
@@ -114,7 +111,7 @@ class TestBatchedConstructionEquivalence:
         Hb, permb = km.to_hodlr(leaf_size=32, tol=1e-12, method="randomized",
                                 construction="batched")
         Hl, perml = km.to_hodlr(leaf_size=32, tol=1e-12, method="randomized",
-                                construction="loop")
+                                context=LOOP_CONTEXT)
         assert np.array_equal(permb, perml)
         dense = km.entries(permb, permb)[np.ix_(np.arange(400), np.arange(400))]
         scale = np.linalg.norm(dense)
@@ -140,8 +137,10 @@ class TestBatchedConstructionEquivalence:
         rng = np.random.default_rng(6)
         A = smooth_matrix(64, rng)
         tree = ClusterTree.balanced(64, leaf_size=16)
-        with pytest.raises(ValueError, match="construction"):
-            build_hodlr(A, tree, config=CompressionConfig(construction="turbo"))
+        # the per-block schedule is a dispatch policy, not a construction mode
+        for mode in ("turbo", "loop"):
+            with pytest.raises(ValueError, match="construction"):
+                build_hodlr(A, tree, config=CompressionConfig(construction=mode))
 
     @pytest.mark.parametrize("variant", ["recursive", "flat", "batched"])
     def test_solve_equivalence_across_variants(self, variant):
@@ -190,7 +189,7 @@ def gp_1d(n):
 def rook_both(km, tol, **kw):
     Hb, permb = km.to_hodlr(leaf_size=32, tol=tol, method="rook", **kw)
     Hl, perml = km.to_hodlr(leaf_size=32, tol=tol, method="rook",
-                            construction="loop", **kw)
+                            context=LOOP_CONTEXT, **kw)
     assert np.array_equal(permb, perml)
     return Hb, Hl
 
@@ -252,8 +251,8 @@ class TestLockstepRook:
             for m, n in [(20, 30), (16, 16), (20, 30), (16, 16), (8, 40)]
         ]
         cfg = CompressionConfig(tol=1e-12, method="rook")
-        lockstep = compress_blocks_batched(blocks, cfg, policy=DEFAULT_POLICY)
-        looped = compress_blocks_batched(blocks, cfg, policy=LOOP_POLICY)
+        lockstep = compress_by_shape(blocks, cfg)
+        looped = compress_by_shape(blocks, cfg, context=LOOP_CONTEXT)
         for blk, fb, fl in zip(blocks, lockstep, looped):
             assert fb.rank == fl.rank
             scale = np.linalg.norm(blk)
@@ -319,6 +318,18 @@ class TestLockstepRook:
 # ======================================================================
 # batched compressors (unit level)
 # ======================================================================
+def compress_by_shape(blocks, cfg, context=None, rng=None):
+    """Compress a list of dense blocks with one compress_block_stack call
+    per shape bucket, returning the factors in input order."""
+    out = [None] * len(blocks)
+    for bucket in plan_batch([b.shape for b in blocks]).buckets:
+        stack = np.stack([blocks[i] for i in bucket.indices])
+        factors = compress_block_stack(stack, cfg, rng=rng, context=context)
+        for i, f in zip(bucket.indices, factors):
+            out[i] = f
+    return out
+
+
 class TestBatchedCompressors:
     def _blocks(self, rng, shapes, rank=6):
         out = []
@@ -331,7 +342,7 @@ class TestBatchedCompressors:
     def test_svd_batched_heterogeneous_shapes(self):
         rng = np.random.default_rng(0)
         blocks = self._blocks(rng, [(20, 30), (16, 16), (20, 30), (16, 16), (8, 40)])
-        factors = svd_compress_batched(blocks, tol=1e-12)
+        factors = compress_by_shape(blocks, CompressionConfig(tol=1e-12, method="svd"))
         for blk, f in zip(blocks, factors):
             assert f.error_vs(blk) <= 1e-10 * np.linalg.norm(blk)
             assert f.rank <= 7
@@ -339,8 +350,9 @@ class TestBatchedCompressors:
     def test_randomized_batched_matches_blocks(self):
         rng = np.random.default_rng(1)
         blocks = self._blocks(rng, [(32, 32)] * 6 + [(24, 40)] * 3, rank=5)
-        factors = randomized_compress_batched(
-            blocks, tol=1e-11, rng=np.random.default_rng(2)
+        factors = compress_by_shape(
+            blocks, CompressionConfig(tol=1e-11, method="randomized"),
+            rng=np.random.default_rng(2),
         )
         for blk, f in zip(blocks, factors):
             assert f.error_vs(blk) <= 1e-9 * np.linalg.norm(blk)
@@ -349,15 +361,11 @@ class TestBatchedCompressors:
         rng = np.random.default_rng(2)
         blocks = self._blocks(rng, [(16, 16)] * 4, rank=3)
         cfg = CompressionConfig(tol=1e-12, method="svd")
-        batched = compress_blocks_batched(blocks, cfg, policy=DEFAULT_POLICY)
-        looped = compress_blocks_batched(blocks, cfg, policy=LOOP_POLICY)
+        batched = compress_by_shape(blocks, cfg, context=ExecutionContext(policy=DEFAULT_POLICY))
+        looped = compress_by_shape(blocks, cfg, context=LOOP_CONTEXT)
         for fb, fl, blk in zip(batched, looped, blocks):
             scale = np.linalg.norm(blk)
             assert np.linalg.norm(fb.to_dense() - fl.to_dense()) <= 1e-12 * scale
-
-    def test_empty_batch(self):
-        assert svd_compress_batched([]) == []
-        assert randomized_compress_batched([]) == []
 
     def test_complex_blocks(self):
         rng = np.random.default_rng(3)
@@ -367,8 +375,9 @@ class TestBatchedCompressors:
             for _ in range(5)
         ]
         for factors in (
-            svd_compress_batched(blocks, tol=1e-12),
-            randomized_compress_batched(blocks, tol=1e-12, rng=np.random.default_rng(4)),
+            compress_by_shape(blocks, CompressionConfig(tol=1e-12, method="svd")),
+            compress_by_shape(blocks, CompressionConfig(tol=1e-12, method="randomized"),
+                              rng=np.random.default_rng(4)),
         ):
             for blk, f in zip(blocks, factors):
                 assert np.iscomplexobj(f.U)
@@ -561,11 +570,11 @@ class TestSymmetricConstruction:
 
     @pytest.mark.parametrize("name", ["gaussian", "helmholtz"])
     @pytest.mark.parametrize("method", ["svd", "randomized", "rook"])
-    @pytest.mark.parametrize("construction", ["batched", "loop"])
-    def test_exact_mirror_and_accuracy(self, name, method, construction):
+    @pytest.mark.parametrize("schedule", ["batched", "loop"])
+    def test_exact_mirror_and_accuracy(self, name, method, schedule):
         km, tree = symmetric_sources()[name]
-        H = build_hodlr(km, tree, config=CompressionConfig(
-            tol=self.TOL, method=method, construction=construction))
+        H = build_hodlr(km, tree, config=CompressionConfig(tol=self.TOL, method=method),
+                        context=LOOP_CONTEXT if schedule == "loop" else None)
         for level in range(1, tree.levels + 1):
             for left, right in tree.sibling_pairs(level):
                 assert np.array_equal(H.U[right.index], H.V[right.index].conj())
@@ -791,11 +800,12 @@ class TestLaunchCounters:
         # fixed-rank randomized: sample gemm + qr + project gemm + svd per
         # bucket per level (no straggler rounds)
         assert trace_rand.num_kernel_launches == 4 * tree.levels
-        # the loop path records no batched kernels at all (pure per-block numpy)
+        # the per-block schedule records no batched kernels at all (pure
+        # per-block numpy)
         with rec.recording() as trace_loop:
             build_hodlr(
-                A, tree,
-                config=CompressionConfig(tol=1e-10, method="svd", construction="loop"),
+                A, tree, config=CompressionConfig(tol=1e-10, method="svd"),
+                context=LOOP_CONTEXT,
             )
         assert trace_loop.num_kernel_launches == 0
 
@@ -939,7 +949,7 @@ class TestFlatBatchedLU:
         tree = ClusterTree.balanced(128, leaf_size=16)
         H = build_hodlr(A, tree, config=CompressionConfig(tol=1e-12, method="svd"))
         b = rng.standard_normal(128)
-        s1 = HODLRSolver(H, variant="flat", dispatch_policy=LOOP_POLICY).factorize()
+        s1 = HODLRSolver(H, variant="flat", context=LOOP_CONTEXT).factorize()
         s2 = HODLRSolver(H, variant="flat").factorize()
         assert s1._impl.context.policy.bucketing is False
         assert s2._impl.context.policy.bucketing is True
@@ -961,14 +971,15 @@ class TestFlatBatchedLU:
 # ======================================================================
 class TestConstructionConfig:
     def test_round_trip(self):
-        cfg = SolverConfig(compression=ApiCompressionConfig(construction="loop"))
+        cfg = SolverConfig(compression=ApiCompressionConfig(construction="peeling"))
         assert SolverConfig.from_dict(cfg.to_dict()) == cfg
-        assert cfg.compression.core_config().construction == "loop"
+        assert cfg.compression.core_config().construction == "peeling"
         assert ApiCompressionConfig().construction == "batched"
 
     def test_validation(self):
-        with pytest.raises(ConfigError, match="construction"):
-            ApiCompressionConfig(construction="nope")
+        for mode in ("nope", "loop"):
+            with pytest.raises(ConfigError, match="construction"):
+                ApiCompressionConfig(construction=mode)
 
     def test_facade_solves_agree(self):
         import repro
@@ -984,8 +995,8 @@ class TestConstructionConfig:
         )
         res_l = repro.solve(
             "gaussian_kernel", b,
-            config=SolverConfig(compression=ApiCompressionConfig(
-                tol=1e-10, method="randomized", construction="loop")),
+            config=SolverConfig(dispatch_policy=LOOP_POLICY, compression=ApiCompressionConfig(
+                tol=1e-10, method="randomized")),
             **kwargs,
         )
         assert res_b.relative_residual <= 1e-8

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro import ClusterTree, CompressionConfig, build_hodlr, compress_block, svd_compress
+from repro import (
+    ClusterTree,
+    CompressionConfig,
+    ExecutionContext,
+    build_hodlr,
+    compress_block,
+    svd_compress,
+)
 from repro.backends.dispatch import LOOP_POLICY
 from repro.core.compression import (
     compress_block_stack,
@@ -141,8 +148,8 @@ class TestRandomized:
         B = B.astype(dtype)
         cfg = CompressionConfig(tol=1e-5, method="randomized")
         factors = [randomized_compress_dense(B, tol=1e-5, rng=np.random.default_rng(0))]
-        for policy in (None, LOOP_POLICY):
-            factors += compress_block_stack(B[None], cfg, policy=policy)
+        for ctx in (None, ExecutionContext(policy=LOOP_POLICY)):
+            factors += compress_block_stack(B[None], cfg, context=ctx)
         for f in factors:
             assert f.U.dtype == dtype and f.V.dtype == dtype
             assert np.linalg.norm(f.to_dense() - B) <= 1e-4 * np.linalg.norm(B)
@@ -151,7 +158,7 @@ class TestRandomized:
         A = (np.exp(-np.abs(x[:, None] - x[None, :]) / 0.5) + np.eye(256)).astype(dtype)
         H = build_hodlr(
             A, ClusterTree.balanced(256, leaf_size=32),
-            config=CompressionConfig(tol=1e-5, method="randomized", construction="loop"),
+            tol=1e-5, method="randomized", context=ExecutionContext(policy=LOOP_POLICY),
         )
         assert {u.dtype for u in H.U.values()} | {v.dtype for v in H.V.values()} == {
             np.dtype(dtype)

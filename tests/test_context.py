@@ -28,7 +28,6 @@ from repro import (
     PrecisionPolicy,
     available_solver_variants,
     build_hodlr,
-    resolve_context,
 )
 from repro.api import CompressionConfig, ConfigError, SolverConfig, get_problem
 from repro.backends import dispatch
@@ -298,23 +297,6 @@ class TestContextBasics:
         ctx = ExecutionContext(backend="numpy")
         assert isinstance(ctx.backend, NumpyBackend)
         assert not ctx.device_resident
-
-    def test_resolve_context_legacy_and_merge(self):
-        assert resolve_context() is DEFAULT_CONTEXT
-        ctx = resolve_context(backend=NumpyBackend(), policy=DispatchPolicy(min_bucket=3))
-        assert ctx.policy.min_bucket == 3
-        # PR-5 precedence audit: explicit backend=/policy= override only the
-        # matching context field; everything else (the precision policy in
-        # particular) is preserved instead of raising or being dropped
-        base = ExecutionContext(precision=PrecisionPolicy(storage="float32"))
-        merged = resolve_context(
-            context=base, policy=DispatchPolicy(bucketing=False)
-        )
-        assert not merged.policy.bucketing
-        assert merged.precision.storage == "float32"
-        assert merged.backend is base.backend
-        # no overrides -> the context object itself comes back
-        assert resolve_context(context=base) is base
 
     def test_precision_policy_validation(self):
         with pytest.raises(ValueError):
@@ -612,7 +594,7 @@ class TestPadToBucket:
         x_ref = HODLRSolver(H, variant="flat").factorize().solve(b)
         pad_policy = DispatchPolicy(pad_buckets=True, pad_max_waste=0.25)
         x_pad = (
-            HODLRSolver(H, variant="flat", dispatch_policy=pad_policy)
+            HODLRSolver(H, variant="flat", context=ExecutionContext(policy=pad_policy))
             .factorize()
             .solve(b)
         )

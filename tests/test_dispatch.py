@@ -308,21 +308,22 @@ class TestSolverThreading:
 
     @pytest.mark.parametrize("variant", ["recursive", "flat", "batched"])
     def test_named_backend_accepted(self, small_hodlr, variant, rng):
-        from repro import HODLRSolver
+        from repro import ExecutionContext, HODLRSolver
 
         A, H = small_hodlr
-        solver = HODLRSolver(H, variant=variant, backend="numpy").factorize()
+        ctx = ExecutionContext(backend="numpy")
+        solver = HODLRSolver(H, variant=variant, context=ctx).factorize()
         b = rng.standard_normal(A.shape[0])
         x = solver.solve(b)
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-8
 
     def test_dispatch_policy_threaded_to_batched_variant(self, small_hodlr, rng):
-        from repro import HODLRSolver
+        from repro import ExecutionContext, HODLRSolver
 
         A, H = small_hodlr
         b = rng.standard_normal(A.shape[0])
-        fast = HODLRSolver(H, dispatch_policy=DEFAULT_POLICY).factorize()
-        slow = HODLRSolver(H, dispatch_policy=LOOP_POLICY).factorize()
+        fast = HODLRSolver(H, context=ExecutionContext(policy=DEFAULT_POLICY)).factorize()
+        slow = HODLRSolver(H, context=ExecutionContext(policy=LOOP_POLICY)).factorize()
         np.testing.assert_allclose(fast.solve(b), slow.solve(b), rtol=1e-10, atol=1e-10)
         fast_events = [e for e in fast.factor_trace.events if e.kernel == "getrf_batched"]
         assert any(e.strided for e in fast_events)

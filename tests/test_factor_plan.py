@@ -11,9 +11,9 @@ Covers the acceptance criteria of the plan refactor:
   compiled plan's ``launches_per_solve`` (and every one is a plan replay);
 * float32 factor storage accuracy plus the refinement round-trip;
 * identity-bordered LU padding exactness (executor-level and plan-level);
-* the ``resolve_context``/``from_config`` precedence regression (an
-  explicit ``dispatch_policy=`` must not be lost when the config carries a
-  ``precision`` policy).
+* the ``from_config`` precedence regression (an explicit dispatch policy,
+  passed as ``context=config.execution_context().replace(policy=...)``,
+  must not lose the config's ``precision`` policy).
 """
 
 import numpy as np
@@ -25,7 +25,6 @@ from repro import (
     BatchedFactorization,
     BigMatrices,
     ClusterTree,
-    CompressionConfig,
     DispatchPolicy,
     ExecutionContext,
     HODLROperator,
@@ -153,7 +152,7 @@ class TestPlanEquivalence:
         """Under LOOP_POLICY the plan variants still compile the plan; each
         planned launch runs per-block LAPACK instead of the vectorised LU."""
         A, H = make_problem(n=128, leaf=32)
-        solver = HODLRSolver(H, variant=variant, dispatch_policy=LOOP_POLICY)
+        solver = HODLRSolver(H, variant=variant, context=ExecutionContext(policy=LOOP_POLICY))
         solver.factorize()
         assert solver.solve_plan is not None
         b = rng.standard_normal(A.shape[0])
@@ -410,7 +409,7 @@ class TestRookFirstRow:
         tree = ClusterTree.balanced(n, leaf_size=32)
         H_lockstep = build_hodlr(A, tree, tol=1e-10, method="rook")
         H_loop = build_hodlr(
-            A, tree, config=CompressionConfig(tol=1e-10, method="rook", construction="loop")
+            A, tree, tol=1e-10, method="rook", context=ExecutionContext(policy=LOOP_POLICY)
         )
         assert H_lockstep.rank_profile() == H_loop.rank_profile()
         x = rng.standard_normal(n)
@@ -420,48 +419,22 @@ class TestRookFirstRow:
 
 
 # ======================================================================
-# precedence regression: explicit dispatch_policy + SolverConfig.precision
+# precedence regression: explicit dispatch policy + SolverConfig.precision
 # ======================================================================
 class TestPrecedenceRegression:
     def test_from_config_explicit_policy_keeps_precision(self):
         _, H = make_problem(n=128, leaf=32)
         cfg = SolverConfig(precision=PrecisionPolicy(factor="float32"))
-        solver = HODLRSolver.from_config(
-            H, cfg, dispatch_policy=DispatchPolicy(bucketing=True, min_bucket=7)
+        ctx = cfg.execution_context().replace(
+            policy=DispatchPolicy(bucketing=True, min_bucket=7)
         )
+        solver = HODLRSolver.from_config(H, cfg, context=ctx)
         # the explicit policy won ...
         assert solver.context.policy.min_bucket == 7
         # ... and the config's precision policy was NOT silently dropped
         assert solver.context.precision.factor == "float32"
         solver.factorize()
         assert solver.factor_plan.demoted
-
-    def test_constructor_context_plus_policy_merge(self):
-        _, H = make_problem(n=128, leaf=32)
-        ctx = ExecutionContext(precision=PrecisionPolicy(storage="float32"))
-        solver = HODLRSolver(H, dispatch_policy=LOOP_POLICY, context=ctx)
-        assert not solver.context.policy.bucketing
-        assert solver.context.precision.storage == "float32"
-
-    def test_backend_instance_does_not_clobber_context(self, rng):
-        """An explicit backend instance must not override the context's
-        policy (only dispatch_policy= may)."""
-        from repro import get_backend
-
-        A, H = make_problem(n=128, leaf=32)
-        ctx = ExecutionContext(policy=LOOP_POLICY)
-        solver = HODLRSolver(H, backend=get_backend("numpy"), context=ctx).factorize()
-        assert not solver.context.policy.bucketing
-        assert solver.factor_plan.context.policy is LOOP_POLICY
-        b = rng.standard_normal(128)
-        x = solver.solve(b)
-        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-9
-        # an explicit dispatch_policy= still wins over the context
-        solver2 = HODLRSolver(
-            H, backend=get_backend("numpy"), context=ctx,
-            dispatch_policy=DispatchPolicy(min_bucket=9),
-        )
-        assert solver2.context.policy.min_bucket == 9
 
     def test_from_config_without_overrides_unchanged(self):
         _, H = make_problem(n=128, leaf=32)

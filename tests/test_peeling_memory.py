@@ -75,7 +75,7 @@ class TestPeeling:
     def test_explicit_context_matches_default(self):
         """Peeling routes through the context's array backend; the default
         NumPy context must reproduce the implicit-context result exactly."""
-        from repro.backends.context import resolve_context
+        from repro.backends.context import DEFAULT_CONTEXT
 
         A, tree = self._problem(seed=36)
         kw = dict(rank=20, oversampling=8)
@@ -83,7 +83,7 @@ class TestPeeling:
                                rng=np.random.default_rng(6), **kw)
         H_ctx = peel_hodlr(lambda X: A @ X, lambda X: A.T @ X, tree,
                            rng=np.random.default_rng(6),
-                           context=resolve_context(None), **kw)
+                           context=DEFAULT_CONTEXT, **kw)
         np.testing.assert_array_equal(H_default.to_dense(), H_ctx.to_dense())
 
     def test_build_hodlr_peeling_construction(self):

@@ -169,7 +169,7 @@ class TestSolverPatch:
         )
         solver = HODLRSolver(H_old, variant=variant).factorize()
         upd = update_points(H_old, _entries(A_new), where, tol=1e-12)
-        solver.patch_factorize(upd.matrix, upd.dirty_nodes)
+        solver.patch_factorize(upd.matrix)
         rng = np.random.default_rng(0)
         b = rng.standard_normal(upd.matrix.n)
         if complex_:
