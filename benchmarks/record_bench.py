@@ -681,6 +681,14 @@ def bench_factor_precision(n, tol=1e-10):
     res64, res32, res_ref = relres(x64), relres(x32), relres(xref)
     nb64 = op64.solver.factor_plan.nbytes
     nb32 = op32.solver.factor_plan.nbytes
+
+    def streamed(op):
+        """Bytes one plan solve's kernels stream (the float64 plan owns only
+        views of V^*, so owned bytes do not measure the demotion)."""
+        with get_recorder().recording() as trace:
+            op.solver.factor_plan.solve_plan().solve(b)
+        return trace.total_bytes
+
     row = {
         "n": n,
         "relres_float64": res64,
@@ -703,7 +711,7 @@ def bench_factor_precision(n, tol=1e-10):
     assert abs(res_ref - res64) < 1e-10, (
         f"refined residual {res_ref} does not match float64 residual {res64}"
     )
-    assert nb32 < 0.75 * nb64
+    assert streamed(op32) < 0.75 * streamed(op64)
     return row
 
 

@@ -51,6 +51,7 @@ from ..backends.counters import KernelTrace
 from ..backends.perfmodel import ExecutionEstimate, PerformanceModel
 from ..core.apply_plan import ApplyPlan
 from ..core.hodlr import HODLRMatrix
+from ..core.packing import owned_nbytes
 from ..core.solver import HODLRSolver, SolveStats
 from .config import SolverConfig
 
@@ -603,6 +604,24 @@ class HODLROperator(LinearOperator):
     @property
     def memory_gb(self) -> float:
         return self.solver.memory_gb
+
+    def resident_nbytes(self) -> int:
+        """Bytes of every array the operator keeps alive — the matrix
+        storage and both compiled plans — each buffer counted once, so views
+        into another holder's storage add nothing."""
+        arrays = []
+        hodlrs = [self._base, self._cast]
+        if self._solver is not None:
+            hodlrs.append(self._solver.hodlr)
+            plan = self._solver.factor_plan
+            if plan is not None:
+                arrays += plan.arrays()
+        for h in hodlrs:
+            if h is not None:
+                arrays += h.storage.buffers()
+        if self._plan is not None:
+            arrays += self._plan.arrays()
+        return owned_nbytes(arrays)
 
     @property
     def factor_trace(self) -> Optional[KernelTrace]:

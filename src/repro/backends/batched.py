@@ -143,7 +143,9 @@ def _gemm_block(Ai, Bi, Ci, alpha, beta, transpose_a, conjugate_a):
         op_a = Ai.conj().T if conjugate_a else Ai.T
     else:
         op_a = Ai
-    out = alpha * (op_a @ Bi)
+    out = op_a @ Bi
+    if alpha != 1.0:
+        out = alpha * out
     if Ci is not None and beta != 0.0:
         out = out + beta * Ci
     return out
@@ -257,7 +259,9 @@ def gemm_batched(
                         opA3 = opA3.conj()
                 else:
                     opA3 = A3
-                out3 = alpha * xb.matmul(opA3, B3)
+                out3 = xb.matmul(opA3, B3)
+                if alpha != 1.0:
+                    out3 = alpha * out3
                 if C is not None and beta != 0.0:
                     C3 = xb.stack([C[i] for i in idx])
                     out3 = out3 + beta * (C3[:, :, None] if C3.ndim == 2 else C3)
@@ -378,7 +382,9 @@ def _gemm_padded(A, B, C, alpha, beta, transpose_a, conjugate_a, xb, pol, par=No
                         opA3 = opA3.conj()
                 else:
                     opA3 = A3
-                out3 = alpha * xb.matmul(opA3, B3)
+                out3 = xb.matmul(opA3, B3)
+                if alpha != 1.0:
+                    out3 = alpha * out3
                 if C is not None and beta != 0.0:
                     if padded:
                         C3 = xb.zeros(
@@ -472,7 +478,9 @@ def gemm_strided_batched(
         opA = A.transpose(0, 2, 1).conj() if conjugate_a else A.transpose(0, 2, 1)
     else:
         opA = A
-    out = alpha * xb.matmul(opA, B)
+    out = xb.matmul(opA, B)
+    if alpha != 1.0:  # skip the no-op rescale and its full-size temporary
+        out = alpha * out
     if C is not None and beta != 0.0:
         out = out + beta * C
 

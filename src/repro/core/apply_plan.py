@@ -6,38 +6,38 @@ on *every* product.  Inside a Krylov loop (GMRES/CG with a HODLR operator or
 preconditioner) that Python-level schedule dominates the iteration cost.
 
 :class:`ApplyPlan` compiles the matrix **once** into the paper's batched
-execution shape:
+execution shape, over the matrix's own storage
+(:class:`~repro.core.hodlr.HODLRStorage`): one stack per leaf-size bucket
+of diagonal blocks, and per level one ``U`` and one ``V`` stack per
+node-size bucket.  A product runs, per level and storage bucket, ``T = V^*
+x`` over the bucket's nodes, swaps each sibling pair's small ``T``, and
+adds ``y += U T`` — exactly ``#diag_buckets + 2 * #lowrank_buckets`` batched
+gemm launches, ``O(levels x buckets)`` instead of ``O(nodes)`` Python
+iterations.  For a perfect tree that is 3 launches per level.  All launches
+go through :func:`repro.backends.batched.gemm_strided_batched`, so kernel
+traces and the performance model see the compiled schedule.
 
-* leaf diagonal blocks are stacked into strided 3-D storage, one bucket per
-  leaf size;
-* at every tree level the ``U`` bases and the conjugate-transposed ``V``
-  bases of all off-diagonal blocks are packed into one strided stack per
-  ``(rows, cols, rank)`` shape bucket, together with the row/column gather
-  indices of each block.
-
-A product then executes as exactly ``#diag_buckets + 2 * #lowrank_buckets``
-batched gemm launches (``T = V^* x`` and ``y += U T`` per bucket) — i.e.
-``O(levels x buckets)`` kernel launches instead of ``O(nodes)`` Python
-iterations.  For a perfect tree with uniform ranks that is 3 launches per
-level.  All launches go through :func:`repro.backends.batched.
-gemm_strided_batched`, so kernel traces and the performance model see the
-compiled schedule.
+Storage
+-------
+The plan owns only index metadata: it reads the diagonal and ``U`` stacks,
+and ``V^*`` as a transposed view (of ``U`` on a symmetric source).  It
+copies only what it must transform — a precision-demoted bucket, or the
+conjugated ``V`` of a complex non-symmetric matrix — and :attr:`ApplyPlan.
+nbytes` counts only those copies and the indices.  Full-precision views see
+in-place writes to the matrix; call :meth:`ApplyPlan.patch` after mutating
+the matrix all the same.
 
 Mixed precision
 ---------------
 The single-vector apply is memory-bandwidth-bound: each matvec streams the
-whole packed storage once, while the arithmetic intensity per byte is tiny.
+whole basis storage once, while the arithmetic intensity per byte is tiny.
 An :class:`~repro.backends.context.ExecutionContext` whose
 :class:`~repro.backends.context.PrecisionPolicy` sets ``plan="float32"``
-therefore *demotes the packed storage* — all levels, or only levels at or
+therefore stores *demoted copies* — of all levels, or only levels at or
 below ``plan_min_level`` — halving the traffic.  The per-bucket gemms run
 at the demoted dtype; their results are accumulated into a
 ``precision.accumulate`` (default float64) accumulator so rounding does not
 compound across levels, and the caller-visible output dtype is unchanged.
-
-The plan stores packed *copies* of the blocks (roughly doubling — or with
-demotion, adding half of — the matrix footprint); it is a snapshot —
-recompile it (:meth:`ApplyPlan.patch`) after mutating the HODLR blocks.
 """
 
 from __future__ import annotations
@@ -49,58 +49,41 @@ import numpy as np
 
 from ..backends.batched import gemm_strided_batched
 from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
-from ..backends.dispatch import plan_batch
-from .packing import GatherScatter, demote_rhs_dtype, pack_stack
+from .packing import GatherScatter, demote_rhs_dtype, owned_nbytes, viewed_buffers
 
 
 @dataclass
 class _DiagBucket:
-    """Leaf diagonal blocks of one common size, packed for batched gemm."""
+    """Leaf diagonal blocks of one common size."""
 
-    #: precomputed (nb, m) row gather/scatter of each block
+    #: (nb, m) row gather/scatter of each block
     gs: GatherScatter
-    #: (nb, m, m) stacked diagonal blocks (possibly precision-demoted)
+    #: (nb, m, m) diagonal blocks: the matrix's stack or a demoted copy
     D3: np.ndarray
-
-    @property
-    def idx(self) -> np.ndarray:
-        """(nb, m) row indices of each block (gather and scatter positions)."""
-        return self.gs.idx
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.gs.nbytes + self.D3.nbytes)
 
 
 @dataclass
 class _LowRankBucket:
-    """Off-diagonal blocks of one level sharing ``(rows, cols, rank)``."""
+    """The nodes of one level sharing a size: ``T = V^* x`` over them, then
+    ``y += U T_sibling``."""
 
     level: int
-    #: precomputed output-row scatter — disjoint across the bucket (one level)
-    row_gs: GatherScatter
-    #: precomputed input-row gather
-    col_gs: GatherScatter
-    #: (nb, m, r) stacked left bases (possibly precision-demoted)
+    #: rows of each member node
+    gs: GatherScatter
+    #: positions of the members, and of their siblings, in the level's node order
+    pos: np.ndarray
+    sib: np.ndarray
+    #: (nb, m, r) left bases
     U3: np.ndarray
-    #: (nb, r, n) stacked conjugate-transposed right bases (``V^*``)
+    #: (nb, r, m) conjugate-transposed right bases (``V^*``)
     Vh3: np.ndarray
 
-    @property
-    def row_idx(self) -> np.ndarray:
-        """(nb, m) output row indices of each block."""
-        return self.row_gs.idx
 
-    @property
-    def col_idx(self) -> np.ndarray:
-        """(nb, n) input row indices of each block."""
-        return self.col_gs.idx
-
-    @property
-    def nbytes(self) -> int:
-        return int(
-            self.row_gs.nbytes + self.col_gs.nbytes + self.U3.nbytes + self.Vh3.nbytes
-        )
+@dataclass
+class _Level:
+    #: nodes at the level
+    nnodes: int
+    buckets: List[_LowRankBucket]
 
 
 class ApplyPlan:
@@ -111,76 +94,81 @@ class ApplyPlan:
         self._compile(hodlr)
 
     def _compile(self, hodlr) -> None:
-        """Build the bucket structure from the matrix blocks."""
-        xb = self._context.backend
+        """Build the bucket schedule over the matrix's storage."""
         precision = self._context.precision
         tree = hodlr.tree
+        storage = hodlr.storage
         self.n: int = tree.n
         #: the *logical* dtype: what products promote against, regardless of
         #: any storage demotion below
         self.dtype = np.dtype(hodlr.dtype)
         self.levels: int = tree.levels
         self.diag_buckets: List[_DiagBucket] = []
-        self.lowrank_buckets: List[_LowRankBucket] = []
+        self.plan_levels: List[_Level] = []
 
-        def _pack(stack_members, level: int):
-            # shared with FactorPlan: see repro.core.packing
-            return pack_stack(xb, stack_members, precision.plan_dtype(self.dtype, level))
-
-        # leaf diagonal blocks sit at the deepest level of the tree
-        leaves = tree.leaves
-        for bucket in plan_batch([leaf.size for leaf in leaves]).buckets:
-            members = [leaves[i] for i in bucket.indices]
-            gs = GatherScatter(
-                np.stack([leaf.indices for leaf in members])  # repro-lint: ignore[RL001] -- gather-index metadata: host integer row maps by design
+        target = precision.plan_dtype(self.dtype, tree.levels)
+        for db in storage.diag:
+            D3 = db.D if db.D.dtype == target else db.D.astype(target)
+            gs = GatherScatter.from_ranges(
+                [(nd.start, nd.stop) for nd in db.nodes], db.D.shape[1]
             )
-            D3 = _pack([hodlr.diag[leaf.index] for leaf in members], tree.levels)
             self.diag_buckets.append(_DiagBucket(gs=gs, D3=D3))
 
-        for level in range(1, tree.levels + 1):
-            # two blocks per sibling pair: A(I_l, I_r) = U_l V_r^* and its mirror
-            specs = []
-            for left, right in tree.sibling_pairs(level):
-                specs.append((left, right, hodlr.U[left.index], hodlr.V[right.index]))
-                specs.append((right, left, hodlr.U[right.index], hodlr.V[left.index]))
-            specs = [s for s in specs if s[2].shape[1] > 0]
-            if not specs:
-                continue
-            keys = [(rn.size, cn.size, Ub.shape[1]) for rn, cn, Ub, _ in specs]
-            for bucket in plan_batch(keys).buckets:
-                members = [specs[i] for i in bucket.indices]
-                row_gs = GatherScatter(
-                    np.stack([rn.indices for rn, _, _, _ in members])  # repro-lint: ignore[RL001] -- gather-index metadata: host integer row maps by design
-                )
-                col_gs = GatherScatter(
-                    np.stack([cn.indices for _, cn, _, _ in members])  # repro-lint: ignore[RL001] -- gather-index metadata: host integer row maps by design
-                )
-                self.lowrank_buckets.append(
+        for level, buckets in storage.bases.items():
+            if storage.level_ranks[level - 1] == 0:
+                continue  # all off-diagonal blocks of the level are zero
+            target = precision.plan_dtype(self.dtype, level)
+            plan_buckets = []
+            for b in buckets:
+                U3 = b.U if b.U.dtype == target else b.U.astype(target)
+                if b.V is None or b.V is b.U:
+                    # symmetric: V^* = U^T (complex) or U^T = V^T (real)
+                    Vh3 = U3.transpose(0, 2, 1)
+                else:
+                    Vh3 = b.vh()
+                    if Vh3.dtype != target:
+                        Vh3 = Vh3.astype(target)
+                plan_buckets.append(
                     _LowRankBucket(
                         level=level,
-                        row_gs=row_gs,
-                        col_gs=col_gs,
-                        U3=_pack([Ub for _, _, Ub, _ in members], level),
-                        Vh3=_pack([Vb.conj().T for _, _, _, Vb in members], level),
+                        gs=GatherScatter.from_ranges(
+                            [(nd.start, nd.stop) for nd in b.nodes], b.U.shape[1]
+                        ),
+                        pos=b.positions,
+                        sib=b.positions ^ 1,
+                        U3=U3,
+                        Vh3=Vh3,
                     )
                 )
+            self.plan_levels.append(
+                _Level(nnodes=len(tree.level_indices(level)), buckets=plan_buckets)
+            )
 
+        #: the matrix's stacks this plan reads in place (kept alive by its
+        #: views anyway); their bytes belong to the matrix
+        self._shared = viewed_buffers(self.arrays(), storage.buffers())
         #: whether any bucket stores below the logical dtype
         self.demoted: bool = any(
             b.D3.dtype != self.dtype for b in self.diag_buckets
         ) or any(b.U3.dtype != self.dtype for b in self.lowrank_buckets)
 
-        #: per input dtype: (out, accumulate, per-diag-bucket, per-lowrank-
-        #: bucket) dtypes — resolved once instead of on every application
+        #: per input dtype: (out, accumulate, per-diag-bucket, per-level)
+        #: dtypes — resolved once instead of on every application
         self._cast_plans: Dict[
             np.dtype, Tuple[np.dtype, np.dtype, Tuple[np.dtype, ...], Tuple[np.dtype, ...]]
         ] = {}
 
+    @property
+    def lowrank_buckets(self) -> List[_LowRankBucket]:
+        """Every level's storage buckets, coarsest level first."""
+        return [b for lv in self.plan_levels for b in lv.buckets]
+
     def patch(self, hodlr) -> "ApplyPlan":
         """Recompile the plan in place from an updated matrix: a full rebuild.
 
-        Every bucket is re-packed from ``hodlr`` on this same plan object,
-        so wrappers and references held on the plan stay valid.  Returns
+        Every bucket is recompiled over ``hodlr``'s storage on this same
+        plan object, so wrappers and references held on the plan stay
+        valid.  Returns
         ``self``.
         """
         self._compile(hodlr)
@@ -203,8 +191,11 @@ class ApplyPlan:
                 for db in self.diag_buckets
             )
             lowrank = tuple(
-                np.result_type(lb.Vh3.dtype, demote_rhs_dtype(lb.Vh3.dtype, x_dtype))
-                for lb in self.lowrank_buckets
+                np.result_type(
+                    lv.buckets[0].Vh3.dtype,
+                    demote_rhs_dtype(lv.buckets[0].Vh3.dtype, x_dtype),
+                )
+                for lv in self.plan_levels
             )
             plan = (out_dtype, acc_dtype, diag, lowrank)
             self._cast_plans[x_dtype] = plan
@@ -232,7 +223,7 @@ class ApplyPlan:
         X = x.reshape(-1, 1) if squeeze else x
         if X.shape[0] != self.n:
             raise ValueError(f"dimension mismatch: matrix is {self.n}, vector is {X.shape[0]}")
-        out_dtype, acc_dtype, diag_dtypes, lowrank_dtypes = self._cast_plan(
+        out_dtype, acc_dtype, diag_dtypes, level_dtypes = self._cast_plan(
             np.dtype(X.dtype)
         )
         y = xb.zeros((self.n, X.shape[1]), dtype=acc_dtype)
@@ -251,10 +242,20 @@ class ApplyPlan:
             Xb = _cast(dt)
             db.gs.add(y, gemm_strided_batched(db.D3, db.gs.take(Xb), backend=xb, plan=True))
 
-        for lb, dt in zip(self.lowrank_buckets, lowrank_dtypes):
+        for lv, dt in zip(self.plan_levels, level_dtypes):
             Xb = _cast(dt)
-            T = gemm_strided_batched(lb.Vh3, lb.col_gs.take(Xb), backend=xb, plan=True)
-            lb.row_gs.add(y, gemm_strided_batched(lb.U3, T, backend=xb, plan=True))
+            T = None
+            for b in lv.buckets:
+                Tb = gemm_strided_batched(b.Vh3, b.gs.take(Xb), backend=xb, plan=True)
+                if len(lv.buckets) == 1:
+                    T = Tb
+                else:
+                    if T is None:
+                        T = xb.zeros((lv.nnodes,) + Tb.shape[1:], dtype=Tb.dtype)
+                    T[b.pos] = Tb
+            # A(I_a, I_b) x_b = U_a (V_b^* x_b): each node takes its sibling's T
+            for b in lv.buckets:
+                b.gs.add(y, gemm_strided_batched(b.U3, T[b.sib], backend=xb, plan=True))
 
         if y.dtype != out_dtype:
             y = y.astype(out_dtype)
@@ -276,24 +277,32 @@ class ApplyPlan:
         """Batched kernel launches one product costs under this plan."""
         return len(self.diag_buckets) + 2 * len(self.lowrank_buckets)
 
+    def arrays(self) -> List[np.ndarray]:
+        """Every array the plan references (views into the matrix included)."""
+        out: List[np.ndarray] = []
+        for db in self.diag_buckets:
+            out += [db.D3, *db.gs.arrays()]
+        for b in self.lowrank_buckets:
+            out += [b.U3, b.Vh3, b.pos, b.sib, *b.gs.arrays()]
+        return out
+
     @property
     def nbytes(self) -> int:
-        return int(
-            sum(b.nbytes for b in self.diag_buckets)
-            + sum(b.nbytes for b in self.lowrank_buckets)
-        )
+        """Bytes the plan owns: demoted or conjugated copies and indices
+        (views into the matrix's stacks count zero)."""
+        return owned_nbytes(self.arrays(), self._shared)
 
     def storage_dtypes(self) -> dict:
         """Plan storage dtype per tree level (diagnostics for precision tests).
 
         Keys are tree levels (leaf diagonal buckets report the deepest
-        level); values are the packed storage dtypes.
+        level); values are the storage dtypes.
         """
         out = {}
         for db in self.diag_buckets:
             out[self.levels] = np.dtype(db.D3.dtype)
-        for lb in self.lowrank_buckets:
-            out[lb.level] = np.dtype(lb.U3.dtype)
+        for b in self.lowrank_buckets:
+            out[b.level] = np.dtype(b.U3.dtype)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -303,8 +312,3 @@ class ApplyPlan:
             f"buckets={self.num_buckets}, launches_per_apply={self.launches_per_apply}"
             f"{demoted})"
         )
-
-
-#: backwards-compatible alias; the helper moved to :mod:`repro.core.packing`
-#: where both compiled plans (ApplyPlan and FactorPlan) share it
-_demote_like = demote_rhs_dtype

@@ -20,111 +20,98 @@ Ranks are allowed to differ between levels; within a level all bases are
 zero-padded to the level's maximum rank so that the strided-batched fast
 path applies.  (Zero columns in ``U``/``V`` represent the same matrix and
 propagate harmlessly through the algorithms; tests verify this.)
+
+A :class:`~repro.core.hodlr.HODLRMatrix` already stores each level's bases
+this way, as per-node-size ``(nb, M, r_ell)`` stacks.
+:meth:`BigMatrices.from_hodlr` therefore wraps the matrix's own storage
+without copying it: ``Dbig`` is the matrix's ``diag`` view dict, and the
+concatenated ``Ubig``/``Vbig`` are assembled on first access only (for
+analysis; the factorization never reads them —
+:func:`~repro.core.factor_plan.build_factor_plan` assembles a working
+``Ybig`` and drops it when done).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..backends.dispatch import ArrayBackend, get_backend
 from .cluster_tree import ClusterTree, TreeNode
 from .hodlr import HODLRMatrix
 
 
-@dataclass
-class BigMatrices:
-    """Concatenated storage of a HODLR matrix (``Ubig``, ``Vbig``, ``Dbig``)."""
+def concat_bases(bases, tree: ClusterTree, level_ranks: List[int], zeros, dtype) -> np.ndarray:
+    """The ``(n, sum r_ell)`` concatenated layout of per-node ``bases``
+    (``U`` or ``V``), each level zero-padded to its rank; ``zeros(shape,
+    dtype)`` allocates it."""
+    out = zeros((tree.n, int(sum(level_ranks))), dtype=dtype)
+    c0 = 0
+    for level, r in enumerate(level_ranks, start=1):
+        for idx in tree.level_indices(level):
+            node = tree.node(idx)
+            b = bases[idx]
+            out[node.start : node.stop, c0 : c0 + b.shape[1]] = b
+        c0 += r
+    return out
 
-    tree: ClusterTree
-    #: per-level padded rank, index ``ell - 1`` for level ``ell`` (1..L)
-    level_ranks: List[int]
-    #: column offset of each level's block inside Ubig/Vbig; ``offsets[ell]`` is
-    #: the first column of level ``ell + 1``'s block, ``offsets[0] == 0``.
-    col_offsets: List[int]
-    Ubig: np.ndarray
-    Vbig: np.ndarray
-    #: leaf node index -> dense diagonal block
-    Dbig: Dict[int, np.ndarray]
+
+class BigMatrices:
+    """The concatenated view (``Ubig``, ``Vbig``, ``Dbig``) of a HODLR matrix."""
+
+    def __init__(self, hodlr: HODLRMatrix) -> None:
+        self.hodlr = hodlr
+        self.tree: ClusterTree = hodlr.tree
+        #: per-level padded rank, index ``ell - 1`` for level ``ell`` (1..L)
+        self.level_ranks: List[int] = list(hodlr.storage.level_ranks)
+        #: column offset of each level's block inside Ubig/Vbig;
+        #: ``offsets[ell]`` is the first column of level ``ell + 1``'s block
+        self.col_offsets: List[int] = [0]
+        for r in self.level_ranks:
+            self.col_offsets.append(self.col_offsets[-1] + r)
 
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_hodlr(
-        cls,
-        hodlr: HODLRMatrix,
-        dtype=None,
-        backend: Optional[ArrayBackend] = None,
-    ) -> "BigMatrices":
-        """Pack a :class:`HODLRMatrix` into the concatenated layout.
-
-        ``backend`` owns the big-matrix storage: device-resident HODLR
-        blocks pack into device-resident ``Ubig``/``Vbig``/``Dbig``.
-        """
-        tree = hodlr.tree
-        xb = backend if backend is not None else get_backend("numpy")
-        if dtype is None:
-            dtype = hodlr.dtype
-
-        level_ranks: List[int] = []
-        for level in range(1, tree.levels + 1):
-            ranks = [hodlr.U[i].shape[1] for i in tree.level_indices(level)]
-            ranks += [hodlr.V[i].shape[1] for i in tree.level_indices(level)]
-            level_ranks.append(int(max(ranks)) if ranks else 0)
-
-        col_offsets = [0]
-        for r in level_ranks:
-            col_offsets.append(col_offsets[-1] + r)
-        total_cols = col_offsets[-1]
-
-        n = tree.n
-        Ubig = xb.zeros((n, total_cols), dtype=dtype)
-        Vbig = xb.zeros((n, total_cols), dtype=dtype)
-        for level in range(1, tree.levels + 1):
-            c0 = col_offsets[level - 1]
-            r = level_ranks[level - 1]
-            for idx in tree.level_indices(level):
-                node = tree.node(idx)
-                u = hodlr.U[idx]
-                v = hodlr.V[idx]
-                Ubig[node.start : node.stop, c0 : c0 + u.shape[1]] = u
-                Vbig[node.start : node.stop, c0 : c0 + v.shape[1]] = v
-
-        Dbig = {
-            leaf.index: xb.asarray(hodlr.diag[leaf.index]).astype(dtype)
-            for leaf in tree.leaves
-        }
-        return cls(
-            tree=tree,
-            level_ranks=level_ranks,
-            col_offsets=col_offsets,
-            Ubig=Ubig,
-            Vbig=Vbig,
-            Dbig=Dbig,
-        )
+    def from_hodlr(cls, hodlr: HODLRMatrix, dtype=None) -> "BigMatrices":
+        """Wrap ``hodlr``'s storage (cast first when ``dtype`` differs)."""
+        if dtype is not None and np.dtype(dtype) != hodlr.dtype:
+            hodlr = hodlr.astype(dtype)
+        return cls(hodlr)
 
     def copy(self) -> "BigMatrices":
-        return BigMatrices(
-            tree=self.tree,
-            level_ranks=list(self.level_ranks),
-            col_offsets=list(self.col_offsets),
-            Ubig=self.Ubig.copy(),
-            Vbig=self.Vbig.copy(),
-            Dbig={k: v.copy() for k, v in self.Dbig.items()},
-        )
+        return BigMatrices(self.hodlr.copy())
 
     def astype(self, dtype) -> "BigMatrices":
-        return BigMatrices(
-            tree=self.tree,
-            level_ranks=list(self.level_ranks),
-            col_offsets=list(self.col_offsets),
-            Ubig=self.Ubig.astype(dtype),
-            Vbig=self.Vbig.astype(dtype),
-            Dbig={k: v.astype(dtype) for k, v in self.Dbig.items()},
+        return BigMatrices(self.hodlr.astype(dtype))
+
+    @property
+    def Dbig(self) -> Dict[int, np.ndarray]:
+        """Leaf node index -> dense diagonal block (views of the matrix)."""
+        return self.hodlr.diag
+
+    def _concat(self, bases) -> np.ndarray:
+        # allocated in the matrix's own array library (device stays device)
+        like = next(iter(self.Dbig.values()))
+        return concat_bases(
+            bases,
+            self.tree,
+            self.level_ranks,
+            lambda shape, dtype: np.zeros_like(like, shape=shape, dtype=dtype),
+            self.dtype,
         )
+
+    @cached_property
+    def Ubig(self) -> np.ndarray:
+        """Concatenated left bases (assembled on first access)."""
+        return self._concat(self.hodlr.U)
+
+    @cached_property
+    def Vbig(self) -> np.ndarray:
+        """Concatenated right bases (assembled on first access)."""
+        return self._concat(self.hodlr.V)
 
     # ------------------------------------------------------------------
     # views used by the algorithms
@@ -135,7 +122,7 @@ class BigMatrices:
 
     @property
     def dtype(self) -> np.dtype:
-        return self.Ubig.dtype
+        return self.hodlr.dtype
 
     @property
     def total_rank_cols(self) -> int:
@@ -143,11 +130,8 @@ class BigMatrices:
 
     @property
     def nbytes(self) -> int:
-        return int(
-            self.Ubig.nbytes
-            + self.Vbig.nbytes
-            + sum(d.nbytes for d in self.Dbig.values())
-        )
+        """Bytes of the wrapped matrix's storage."""
+        return self.hodlr.nbytes
 
     def rank_at_level(self, level: int) -> int:
         """Padded rank of the off-diagonal blocks whose row nodes live at ``level``."""
@@ -175,26 +159,11 @@ class BigMatrices:
         sizes = {leaf.size for leaf in self.tree.leaves}
         return sizes.pop() if len(sizes) == 1 else None
 
-    def uniform_node_size(self, level: int) -> Optional[int]:
-        """Common node size at a level if uniform, else ``None``."""
-        sizes = {nd.size for nd in self.tree.level_nodes(level)}
-        return sizes.pop() if len(sizes) == 1 else None
-
     def leaf_blocks_stacked(self) -> Optional[np.ndarray]:
-        """All leaf diagonal blocks as a 3-D array if leaf sizes are uniform."""
-        m = self.uniform_leaf_size()
-        if m is None:
-            return None
-        leaves = self.tree.leaves
-        first = self.Dbig[leaves[0].index]
-        if type(first) is np.ndarray:
-            out = np.empty((len(leaves), m, m), dtype=self.dtype)
-            for i, leaf in enumerate(leaves):
-                out[i] = self.Dbig[leaf.index]
-            return out
-        # non-NumPy blocks (device arrays, recording stubs): np.stack
-        # dispatches to the blocks' own array library, no host copy
-        return np.stack([self.Dbig[leaf.index] for leaf in leaves])
+        """All leaf diagonal blocks as one 3-D array if leaf sizes are
+        uniform: the matrix's own stack, not a copy."""
+        diag = self.hodlr.storage.diag
+        return diag[0].D if len(diag) == 1 else None
 
     def block_rows(self, level: int, cols: slice, matrix: np.ndarray) -> List[np.ndarray]:
         """Row blocks of ``matrix[:, cols]`` partitioned by the nodes at ``level``.
@@ -204,33 +173,6 @@ class BigMatrices:
         matrix, so writing to them updates the underlying storage.
         """
         return [matrix[nd.start : nd.stop, cols] for nd in self.tree.level_nodes(level)]
-
-    def block_rows_stacked(
-        self, level: int, cols: slice, matrix: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """Strided (3-D) block-row view when all nodes at ``level`` have equal size.
-
-        Returns ``None`` if node sizes differ (the pointer-array path must be
-        used) or if the underlying memory cannot be exposed without a copy.
-        """
-        size = self.uniform_node_size(level)
-        if size is None:
-            return None
-        sub = matrix[:, cols]
-        nnodes = 2 ** level
-        if sub.shape[0] != nnodes * size:
-            return None
-        return sub.reshape(nnodes, size, sub.shape[1])
-
-    def storage_report(self) -> Dict[str, float]:
-        d = float(sum(v.nbytes for v in self.Dbig.values()))
-        uv = float(self.Ubig.nbytes + self.Vbig.nbytes)
-        return {
-            "diag_bytes": d,
-            "basis_bytes": uv,
-            "total_bytes": d + uv,
-            "total_gb": (d + uv) / 1.0e9,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

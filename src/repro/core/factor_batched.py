@@ -2,7 +2,9 @@
 
 The paper's non-recursive factorization (Algorithms 1 and 2) and its GPU
 schedule (Algorithms 3 and 4) are one schedule: batched per-level LU,
-solve and gemm over the concatenated ``Ubig``/``Vbig``/``Dbig`` storage.
+solve and gemm over the concatenated ``Ubig``/``Vbig``/``Dbig`` layout
+(:class:`~repro.core.bigdata.BigMatrices`, a view of the HODLR matrix's
+own storage).
 :class:`BatchedFactorization` is that schedule, and both the ``"flat"`` and
 ``"batched"`` solver variants build it.
 
@@ -50,7 +52,6 @@ class BatchedFactorization:
     #: execution context (backend + policy + precision); ``None`` = default
     context: Optional[ExecutionContext] = None
 
-    Ybig: Optional[np.ndarray] = None
     factored: bool = False
     #: kernel trace of the factorization stage
     factor_trace: Optional[KernelTrace] = None
@@ -76,10 +77,9 @@ class BatchedFactorization:
             rec.add_transfer(self.data.nbytes, "h2d")
             with rec.context(tag="factor"):
                 self._plan = build_factor_plan(
-                    self.data, context=self.context, pivot=self.pivot
+                    self.data.hodlr, context=self.context, pivot=self.pivot
                 )
         self._solve_plan = self._plan.solve_plan()
-        self.Ybig = self._plan.Ybig
         self.factor_trace = trace
         self.factored = True
         return self
@@ -115,5 +115,6 @@ class BatchedFactorization:
         return logabs
 
     def factorization_nbytes(self) -> int:
-        """Memory of the factorization (Ybig + Vbig + packed plan), in bytes."""
-        return int(self.Ybig.nbytes + self.data.Vbig.nbytes + self._plan.nbytes)
+        """Memory the factorization owns (the plan; ``V^*`` it reads from the
+        matrix's storage is not counted), in bytes."""
+        return self._plan.nbytes

@@ -9,8 +9,8 @@ every solve; they now lower onto one common backend:
 :class:`FactorPlan`
     Per-level shape-bucketed strided 3-D storage of everything Algorithm 2
     needs: packed LU factors + pivots of the leaf diagonal blocks, packed
-    LU factors of the per-level reduced ``K`` systems, and the packed
-    ``Y``/``V^*`` bases driving the Schur-update gemms.  Built through the
+    LU factors of the per-level reduced ``K`` systems, and the ``Y``/``V^*``
+    bases driving the Schur-update gemms (``V^*`` read from the matrix).  Built through the
     dispatch layer by :func:`build_factor_plan` (which *is* Algorithm 1,
     executed packed: one getrf/getrs/gemm launch per shape bucket per
     level), or emitted from the recursive traversal by
@@ -37,12 +37,15 @@ narrow.  One step of iterative refinement
 
 Memory
 ------
-Like :class:`~repro.core.apply_plan.ApplyPlan`, the plan stores packed
-*copies* of the solved bases (the ``Y3``/``Vh3`` stacks) next to the
-``Ybig``/``Vbig`` they were gathered from, so a compiled factorization
-holds roughly one extra copy of the basis storage.
-``factorization_nbytes`` reports the full resident footprint.  A plan is a
-snapshot of one matrix: a streaming update refactorizes into a fresh plan
+The plan owns the leaf LU factors, the K factors and the solved ``Y3``
+stacks.  ``V^*`` is a transposed view of the matrix's own per-level
+stacks (:class:`~repro.core.hodlr.HODLRStorage`); a plan copies it only
+when it must transform it — precision-demoted levels, identity-padded
+``pad_buckets=True`` buckets, and ``conj(V)`` of complex non-symmetric
+matrices.  ``Ybig`` is a working array of the build, dropped once every
+level's ``Y3`` is final.  :attr:`FactorPlan.nbytes` (and so
+``factorization_nbytes``) counts what the plan owns.  A plan is a snapshot
+of one matrix: a streaming update refactorizes into a fresh plan
 (:meth:`~repro.core.solver.HODLRSolver.patch_factorize`).
 
 Pad-to-bucket LU packing
@@ -58,7 +61,8 @@ padding is exact, not approximate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,7 +82,8 @@ from ..backends.dispatch import (
     plan_batch_padded,
 )
 from ..backends.parallel import run_tasks
-from .packing import GatherScatter, demote_rhs_dtype, pack_stack
+from .bigdata import concat_bases
+from .packing import GatherScatter, demote_rhs_dtype, owned_nbytes, viewed_buffers
 
 
 # ======================================================================
@@ -172,9 +177,6 @@ class _LeafBucket:
     #: (nb, M) pivot rows
     piv3: np.ndarray
 
-    @property
-    def nbytes(self) -> int:
-        return int(self.lu3.nbytes + self.piv3.nbytes + self.gs.nbytes)
 
 
 @dataclass
@@ -186,12 +188,9 @@ class _SweepBucket:
     gs: GatherScatter
     #: (nb, M, r) packed solved bases Y
     Y3: np.ndarray
-    #: (nb, r, M) packed conjugate-transposed V bases
+    #: (nb, r, M) conjugate-transposed V bases: a transposed view of the
+    #: matrix's stack, or a copy (demoted, padded, or conjugated)
     Vh3: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.Y3.nbytes + self.Vh3.nbytes + self.gs.nbytes + self.pos.nbytes)
 
 
 @dataclass
@@ -211,11 +210,6 @@ class _LevelSweep:
     def nchild(self) -> int:
         return 2 * self.k_lu3.shape[0]
 
-    @property
-    def nbytes(self) -> int:
-        return int(
-            self.k_lu3.nbytes + self.k_piv3.nbytes + sum(b.nbytes for b in self.buckets)
-        )
 
 
 def _pair_rhs(w_all, ngamma: int, r: int, pivot: bool):
@@ -250,7 +244,7 @@ class FactorPlan:
         pivot: bool,
         leaf_buckets: List[_LeafBucket],
         sweeps: List[_LevelSweep],
-        Ybig: Optional[np.ndarray] = None,
+        matrix_buffers: Sequence = (),
     ) -> None:
         self.tree = tree
         self.n: int = tree.n
@@ -263,12 +257,12 @@ class FactorPlan:
         self.leaf_buckets = leaf_buckets
         #: deepest level first — the order the backward sweep consumes them
         self.sweeps = sweeps
-        #: the solved bases in concatenated layout (``None`` for plans
-        #: emitted from the recursive traversal, which has no Ybig)
-        self.Ybig = Ybig
         self.demoted: bool = False
         self._solve_plan: Optional["SolvePlan"] = None
         self._finalize_precision()
+        #: the matrix stacks the plan reads in place (its ``V^*`` views keep
+        #: them alive anyway); their bytes belong to the matrix
+        self._shared = viewed_buffers(self.arrays(), matrix_buffers)
 
     # ------------------------------------------------------------------
     # precision
@@ -329,6 +323,17 @@ class FactorPlan:
                 out[p] = (lb.lu3[j, :m, :m], lb.piv3[j, :m])
         return out  # type: ignore[return-value]
 
+    def y_views(self) -> Dict[int, np.ndarray]:
+        """Solved basis ``Y_alpha = A_alpha^{-1} U_alpha`` of every non-root
+        node, zero-padded to its level rank (views into the ``Y3`` stacks)."""
+        out: Dict[int, np.ndarray] = {}
+        for sw in self.sweeps:
+            children = self.tree.level_nodes(sw.level + 1)
+            for bk in sw.buckets:
+                for j, (p, m) in enumerate(zip(bk.pos, bk.gs.sizes)):
+                    out[children[p].index] = bk.Y3[j, :m]
+        return out
+
     # ------------------------------------------------------------------
     # determinant
     # ------------------------------------------------------------------
@@ -367,13 +372,22 @@ class FactorPlan:
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
+    def arrays(self) -> List[np.ndarray]:
+        """Every array the plan references (views into the matrix included)."""
+        out: List[np.ndarray] = []
+        for lb in self.leaf_buckets:
+            out += [lb.lu3, lb.piv3, *lb.gs.arrays()]
+        for sw in self.sweeps:
+            out += [sw.k_lu3, sw.k_piv3]
+            for bk in sw.buckets:
+                out += [bk.Y3, bk.Vh3, bk.pos, *bk.gs.arrays()]
+        return out
+
     @property
     def nbytes(self) -> int:
-        """Bytes of the packed plan storage (LU stacks + Y/V^* stacks + indices)."""
-        return int(
-            sum(lb.nbytes for lb in self.leaf_buckets)
-            + sum(sw.nbytes for sw in self.sweeps)
-        )
+        """Bytes the plan owns: LU stacks, the solved ``Y`` stacks, any
+        copied ``V^*`` and indices (``V^*`` views of the matrix count zero)."""
+        return owned_nbytes(self.arrays(), self._shared)
 
     @property
     def num_buckets(self) -> int:
@@ -500,6 +514,30 @@ def _child_plan_buckets(children, r, pol):
     return plan_batch(shapes).buckets
 
 
+def _padded_stack(xb, blocks, M: int, r: int, dtype):
+    """``(nb, M, r)`` stack of ``blocks``, zero-padded in both dimensions."""
+    out = xb.zeros((len(blocks), M, r), dtype=dtype)
+    for j, blk in enumerate(blocks):
+        out[j, : blk.shape[0], : blk.shape[1]] = blk
+    return out
+
+
+def _vh_stacks(xb, hodlr, level: int, buckets, r: int, pol, dtype):
+    """``V^*`` of each child bucket at ``level``: transposed views of the
+    matrix's stacks (the plan buckets are the storage buckets), or padded
+    copies when ``pad_buckets`` merged node sizes."""
+    if not pol.pad_buckets:
+        return [b.vh() for b in hodlr.storage.bases[level]]
+    nodes = hodlr.tree.level_nodes(level)
+    out = []
+    for b in buckets:
+        V3 = _padded_stack(
+            xb, [hodlr.V[nodes[i].index] for i in b.indices], b.key[0], r, dtype
+        )
+        out.append(V3.conj().transpose(0, 2, 1))
+    return out
+
+
 def _assemble_k(xb, T_all, ngamma: int, r: int, dtype, pivot: bool):
     """The per-level reduced systems (equation (11)) as one ``(ngamma, 2r, 2r)``
     stack.  With ``pivot=False`` the paper's alternative formulation puts the
@@ -520,26 +558,31 @@ def _assemble_k(xb, T_all, ngamma: int, r: int, dtype, pivot: bool):
 
 
 def build_factor_plan(
-    data,
+    hodlr,
     context: Optional[ExecutionContext] = None,
     pivot: bool = True,
 ) -> FactorPlan:
-    """Algorithm 1 executed packed: factorize ``data`` (a
-    :class:`~repro.core.bigdata.BigMatrices`) straight into a
+    """Algorithm 1 executed packed: factorize ``hodlr`` (a
+    :class:`~repro.core.hodlr.HODLRMatrix`) straight into a
     :class:`FactorPlan`.
 
     Per shape bucket per level this issues one getrf, one getrs, and a
-    handful of strided gemms through the dispatch layer.
-    :class:`~repro.core.factor_batched.BatchedFactorization` (the ``flat``
-    and ``batched`` variants) wraps it in trace recording and transfer
-    accounting.
+    handful of strided gemms through the dispatch layer.  The solved bases
+    are computed in a working concatenated ``Ybig`` (the paper's in-place
+    layout) and each level's ``Y3`` is gathered from it once the level is
+    final; ``Ybig`` is dropped on return.  ``V^*`` is read from the
+    matrix's stacks.  :class:`~repro.core.factor_batched.
+    BatchedFactorization` (the ``flat`` and ``batched`` variants) wraps this
+    in trace recording and transfer accounting.
     """
     ctx = context or DEFAULT_CONTEXT
     xb, pol = ctx.backend, ctx.policy
-    tree = data.tree
-    dtype = np.dtype(data.dtype)
+    tree = hodlr.tree
+    dtype = np.dtype(hodlr.dtype)
     rec = get_recorder()
-    Ybig = data.Ubig.copy()
+    level_ranks = hodlr.storage.level_ranks
+    col_offsets = [0, *accumulate(level_ranks)]
+    Ybig = concat_bases(hodlr.U, tree, level_ranks, xb.zeros, dtype)
 
     # ---- leaves: one packed LU + one packed substitution per size bucket.
     # Same-level buckets are mutually independent (disjoint leaf row ranges
@@ -549,19 +592,20 @@ def build_factor_plan(
     leaves = tree.leaves
     with rec.context(level=tree.levels):
         plan_buckets = _leaf_plan_buckets(tree, pol)
-
-        def _leaf_task(bucket):
-            M = bucket.key[0]
-            members = [leaves[i] for i in bucket.indices]
-            padded = any(leaf.size != M for leaf in members)
-            if padded:
-                D3 = pad_identity_stack(
-                    xb, [data.Dbig[leaf.index] for leaf in members], M, dtype
+        if pol.pad_buckets:
+            stacks = [
+                pad_identity_stack(
+                    xb, [hodlr.diag[leaves[i].index] for i in b.indices], b.key[0], dtype
                 )
-            else:
-                D3 = pack_stack(xb, [data.Dbig[leaf.index] for leaf in members], dtype)
+                for b in plan_buckets
+            ]
+        else:
+            # the plan's leaf buckets are the matrix's diagonal stacks
+            stacks = [db.D for db in hodlr.storage.diag]
+
+        def _leaf_task(bucket, D3):
             gs = GatherScatter.from_ranges(
-                [(leaf.start, leaf.stop) for leaf in members], M
+                [(leaves[i].start, leaves[i].stop) for i in bucket.indices], bucket.key[0]
             )
             lu3, piv3 = _getrf_packed(xb, pol, D3, pivot=True)
             if Ybig.shape[1]:
@@ -573,7 +617,7 @@ def build_factor_plan(
             sum(len(b.indices) * b.key[0] * b.key[0] for b in plan_buckets)
         )
         leaf_buckets: List[_LeafBucket] = run_tasks(
-            [lambda b=b: _leaf_task(b) for b in plan_buckets],
+            [lambda b=b, D3=D3: _leaf_task(b, D3) for b, D3 in zip(plan_buckets, stacks)],
             getattr(ctx, "parallel", None),
             elements=leaf_elements,
         )
@@ -582,40 +626,41 @@ def build_factor_plan(
     sweeps: List[_LevelSweep] = []
     for level in range(tree.levels - 1, -1, -1):
         child_level = level + 1
-        r = data.rank_at_level(child_level)
+        r = level_ranks[level]
         if r == 0:
             continue  # degenerate level: all off-diagonal blocks numerically zero
         children = tree.level_nodes(child_level)
         gammas = tree.level_nodes(level)
         nchild = len(children)
-        child_cols = data.level_cols(child_level)
-        coarse_cols = data.cols_up_to(level)
-        ncoarse = coarse_cols.stop - coarse_cols.start
+        ncoarse = col_offsets[level]
 
         with rec.context(level=level):
-            Ysub = Ybig[:, child_cols]
-            Vsub = data.Vbig[:, child_cols]
+            # the child level's columns are final: deeper sweeps are done
+            Ysub = Ybig[:, col_offsets[level] : col_offsets[child_level]]
             T_all = xb.zeros((nchild, r, r), dtype=dtype)
+            child_buckets = _child_plan_buckets(children, r, pol)
+            vh = _vh_stacks(xb, hodlr, child_level, child_buckets, r, pol, dtype)
 
             # same-level buckets touch disjoint `pos` rows of T_all: each
             # becomes a pool task under a parallel context (results and
             # kernel events come back in bucket order — see the leaf loop)
-            def _bucket_task(b):
+            def _bucket_task(b, Vh3):
                 M = b.key[0]
                 members = [children[i] for i in b.indices]
                 gs = GatherScatter.from_ranges(
                     [(nd.start, nd.stop) for nd in members], M
                 )
                 Y3 = gs.take(Ysub)
-                Vh3 = gs.take(Vsub).transpose(0, 2, 1).conj()
                 pos = np.asarray(b.indices, dtype=np.intp)
                 # line 5: T = V^* Y, one strided launch per bucket
                 T_all[pos] = gemm_strided_batched(Vh3, Y3, backend=xb)
                 return _SweepBucket(pos=pos, gs=gs, Y3=Y3, Vh3=Vh3)
 
-            child_buckets = _child_plan_buckets(children, r, pol)
             buckets: List[_SweepBucket] = run_tasks(
-                [lambda b=b: _bucket_task(b) for b in child_buckets],
+                [
+                    lambda b=b, v=v: _bucket_task(b, v)
+                    for b, v in zip(child_buckets, vh)
+                ],
                 getattr(ctx, "parallel", None),
                 elements=float(
                     sum(2 * len(b.indices) * b.key[0] * r for b in child_buckets)
@@ -638,7 +683,7 @@ def build_factor_plan(
             # lines 9-10: solve (13) and apply the update (14) to the
             # coarser columns of Ybig
             if ncoarse:
-                Ycsub = Ybig[:, coarse_cols]
+                Ycsub = Ybig[:, :ncoarse]
                 w_all = xb.zeros((nchild, r, ncoarse), dtype=dtype)
                 gemm_elements = float(
                     sum(2 * len(bk.pos) * bk.Y3.shape[1] * r for bk in buckets)
@@ -677,7 +722,7 @@ def build_factor_plan(
         pivot=pivot,
         leaf_buckets=leaf_buckets,
         sweeps=sweeps,
-        Ybig=Ybig,
+        matrix_buffers=hodlr.storage.buffers(),
     )
 
 
@@ -707,12 +752,7 @@ def emit_factor_plan(
     tree = hodlr.tree
     dtype = np.dtype(hodlr.dtype)
 
-    # per-level padded ranks, identical to BigMatrices.from_hodlr
-    level_ranks: List[int] = []
-    for level in range(1, tree.levels + 1):
-        ranks = [hodlr.U[i].shape[1] for i in tree.level_indices(level)]
-        ranks += [hodlr.V[i].shape[1] for i in tree.level_indices(level)]
-        level_ranks.append(int(max(ranks)) if ranks else 0)
+    level_ranks = hodlr.storage.level_ranks
 
     # ---- leaves: pack the already-computed per-leaf LU factors
     leaves = tree.leaves
@@ -746,17 +786,12 @@ def emit_factor_plan(
 
         buckets: List[_SweepBucket] = []
         T_all = None if T is not None else xb.zeros((nchild, r, r), dtype=dtype)
-        for b in _child_plan_buckets(children, r, pol):
+        child_buckets = _child_plan_buckets(children, r, pol)
+        vh = _vh_stacks(xb, hodlr, child_level, child_buckets, r, pol, dtype)
+        for b, Vh3 in zip(child_buckets, vh):
             M = b.key[0]
             members = [children[i] for i in b.indices]
-            Y3 = xb.zeros((len(members), M, r), dtype=dtype)
-            V3 = xb.zeros((len(members), M, r), dtype=dtype)
-            for j, nd in enumerate(members):
-                y = Y[nd.index]
-                v = hodlr.V[nd.index]
-                Y3[j, : y.shape[0], : y.shape[1]] = y
-                V3[j, : v.shape[0], : v.shape[1]] = v
-            Vh3 = V3.transpose(0, 2, 1).conj()
+            Y3 = _padded_stack(xb, [Y[nd.index] for nd in members], M, r, dtype)
             gs = GatherScatter.from_ranges([(nd.start, nd.stop) for nd in members], M)
             pos = np.asarray(b.indices, dtype=np.intp)
             if T_all is not None:
@@ -788,5 +823,5 @@ def emit_factor_plan(
         pivot=True,
         leaf_buckets=leaf_buckets,
         sweeps=sweeps,
-        Ybig=None,
+        matrix_buffers=hodlr.storage.buffers(),
     )

@@ -19,9 +19,10 @@ complex Helmholtz kernels included) only ``A(I_alpha, I_beta)`` is
 compressed and its factors are mirrored: ``A(I_beta, I_alpha) =
 (U_alpha V_beta^*)^T = conj(V_beta) conj(U_alpha)^*``, so the builder sets
 ``U_beta = conj(V_beta)`` and ``V_alpha = conj(U_alpha)``.  That halves the
-kernel evaluations and compression work of construction and keeps the
-``U V^*`` convention everything downstream reads.  Symmetry is decided by
-probing the source (see :func:`build_hodlr`), never assumed.
+kernel evaluations and compression work of construction, keeps the
+``U V^*`` convention everything downstream reads, and lets the matrix store
+only ``U`` (``V = conj(U)`` node by node).  Symmetry is decided by probing
+the source (see :func:`build_hodlr`), never assumed.
 
 Construction paths
 ------------------
@@ -40,15 +41,17 @@ Construction paths
 Application paths
 -----------------
 ``matvec`` walks the tree block by block.  :meth:`HODLRMatrix.
-build_apply_plan` compiles the bases into per-level shape buckets of
-strided 3-D storage once, after which every product is a handful of
-batched gemm launches — the path Krylov loops should use (see
+build_apply_plan` compiles a schedule over the matrix's own per-level
+shape-bucketed stacks (no copy of the bases), after which every product is
+a handful of batched gemm launches — the path Krylov loops should use (see
 :class:`repro.core.apply_plan.ApplyPlan`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace as dc_replace
+from types import MappingProxyType
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -66,20 +69,174 @@ from .compression import (
     rook_pivot_compress_stack,
 )
 
+
+@dataclass
+class DiagBucket:
+    """The dense diagonal blocks of one leaf-size bucket."""
+
+    nodes: List[TreeNode]
+    #: (nb, M, M) diagonal blocks
+    D: np.ndarray
+
+
+@dataclass
+class BasisBucket:
+    """The bases of one ``(level, node size)`` bucket.
+
+    ``U`` is a C-contiguous ``(nb, M, r)`` stack zero-padded to the level
+    rank ``r``.  ``V`` has the same layout; on a real symmetric source it
+    *is* ``U``, and on a complex symmetric one it is ``None`` (``V =
+    conj(U)``, so only ``U`` is stored).
+    """
+
+    #: positions of the members within ``tree.level_nodes(level)``
+    positions: np.ndarray
+    nodes: List[TreeNode]
+    U: np.ndarray
+    V: Optional[np.ndarray]
+
+    def vh(self) -> np.ndarray:
+        """``V^*`` of every member as ``(nb, r, M)``: a transposed view of
+        this storage, except for complex non-symmetric bases, which need a
+        conjugated copy."""
+        if self.V is None:
+            return self.U.transpose(0, 2, 1)  # (conj U)^* = U^T
+        if np.iscomplexobj(self.V):
+            return self.V.conj().transpose(0, 2, 1)
+        return self.V.transpose(0, 2, 1)
+
+
+@dataclass
+class HODLRStorage:
+    """Every array a :class:`HODLRMatrix` owns: per-leaf-size diagonal
+    stacks and per-level, per-node-size basis stacks (the buckets both
+    compiled plans replay)."""
+
+    #: padded rank of level ``ell`` at index ``ell - 1``
+    level_ranks: List[int]
+    diag: List[DiagBucket]
+    #: level -> basis buckets
+    bases: Dict[int, List[BasisBucket]]
+
+    def buffers(self) -> List[np.ndarray]:
+        """The owned stacks, each listed once."""
+        out = [b.D for b in self.diag]
+        for buckets in self.bases.values():
+            for b in buckets:
+                out.append(b.U)
+                if b.V is not None and b.V is not b.U:
+                    out.append(b.V)
+        return out
+
+    @property
+    def nbytes(self) -> int:
+        return int(sum(a.nbytes for a in self.buffers()))
+
+
+class _ConjBases(Mapping):
+    """``V`` of a complex symmetric matrix: ``V[k] = conj(U[k])`` on access."""
+
+    def __init__(self, U: Mapping) -> None:
+        self._U = U
+
+    def __getitem__(self, key: int) -> np.ndarray:
+        return self._U[key].conj()
+
+    def __iter__(self):
+        return iter(self._U)
+
+    def __len__(self) -> int:
+        return len(self._U)
+
+
+def _stack_into(like, blocks, shape, dtype) -> np.ndarray:
+    """Zero-padded ``(nb, M, r)`` stack of ``blocks``, allocated in the
+    blocks' own array library (device blocks stay on the device)."""
+    out = np.zeros_like(like, shape=shape, dtype=dtype)
+    for j, blk in enumerate(blocks):
+        out[j, :, : blk.shape[1]] = blk
+    return out
+
+
 @dataclass
 class HODLRMatrix:
-    """A matrix in HODLR format over a cluster tree."""
+    """A matrix in HODLR format over a cluster tree.
+
+    The constructor copies the blocks once into :attr:`storage`, the layout
+    the compiled plans replay: one stack per leaf-size bucket of diagonal
+    blocks, and per level one ``U`` and one ``V`` stack per node-size
+    bucket, ranks zero-padded to the level rank.  The ``diag``, ``U`` and
+    ``V`` mappings are the read-only per-node API over views of those
+    stacks (``stack[j, :, :rank]``); build a new matrix to replace blocks.
+    With ``symmetric=True`` (``V[k] == conj(U[k])`` for every node, as
+    :func:`build_hodlr` produces on a symmetric source) ``V`` is not stored:
+    a real matrix's ``V`` holds the ``U`` views themselves, a complex one
+    conjugates ``U`` on access.
+    """
 
     tree: ClusterTree
     #: leaf index -> dense diagonal block
-    diag: Dict[int, np.ndarray]
+    diag: Mapping
     #: non-root node index -> left basis U_alpha  (rows = |I_alpha|)
-    U: Dict[int, np.ndarray]
-    #: non-root node index -> right basis V_alpha (rows = |I_alpha|)
-    V: Dict[int, np.ndarray]
+    U: Mapping
+    #: non-root node index -> right basis V_alpha (rows = |I_alpha|); not
+    #: read when ``symmetric``
+    V: Mapping
+    #: ``V[k] == conj(U[k])`` for every node: the bases are stored once
+    symmetric: bool = False
     #: compiled bucketed apply plan (see :meth:`build_apply_plan`); not part
     #: of the matrix value — excluded from comparison and repr
     _apply_plan: Optional[ApplyPlan] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        tree = self.tree
+        like = next(iter(self.diag.values()))
+        ddt = np.result_type(*{d.dtype for d in self.diag.values()})
+        diag: Dict[int, np.ndarray] = {}
+        diag_buckets: List[DiagBucket] = []
+        leaves = tree.leaves
+        for b in plan_batch([leaf.size for leaf in leaves]).buckets:
+            nodes = [leaves[i] for i in b.indices]
+            shape = (len(nodes), b.key, b.key)
+            D = _stack_into(like, [self.diag[nd.index] for nd in nodes], shape, ddt)
+            diag_buckets.append(DiagBucket(nodes=nodes, D=D))
+            diag.update((nd.index, D[j]) for j, nd in enumerate(nodes))
+
+        sides = [self.U] if self.symmetric else [self.U, self.V]
+        bdt = np.result_type(ddt, *{a.dtype for side in sides for a in side.values()})
+        alias = self.symmetric and bdt.kind != "c"  # real symmetric: V is U
+        U: Dict[int, np.ndarray] = {}
+        V: Dict[int, np.ndarray] = {}
+        level_ranks: List[int] = []
+        bases: Dict[int, List[BasisBucket]] = {}
+        for level in range(1, tree.levels + 1):
+            nodes_l = tree.level_nodes(level)
+            r = max(side[nd.index].shape[1] for side in sides for nd in nodes_l)
+            level_ranks.append(int(r))
+            bases[level] = []
+            for b in plan_batch([nd.size for nd in nodes_l]).buckets:
+                nodes = [nodes_l[i] for i in b.indices]
+                shape = (len(nodes), b.key, r)
+                Ub, *Vb = [
+                    _stack_into(like, [side[nd.index] for nd in nodes], shape, bdt)
+                    for side in sides
+                ]
+                Vb = Vb[0] if Vb else (Ub if alias else None)
+                bases[level].append(BasisBucket(
+                    positions=np.asarray(b.indices, dtype=np.intp), nodes=nodes, U=Ub, V=Vb
+                ))
+                for j, nd in enumerate(nodes):
+                    U[nd.index] = Ub[j, :, : self.U[nd.index].shape[1]]
+                    if alias:
+                        V[nd.index] = U[nd.index]
+                    elif Vb is not None:
+                        V[nd.index] = Vb[j, :, : self.V[nd.index].shape[1]]
+
+        self.diag = MappingProxyType(diag)
+        self.U = MappingProxyType(U)
+        self.V = MappingProxyType(V) if not self.symmetric or alias else _ConjBases(self.U)
+        #: the stacks every per-node view points into
+        self.storage = HODLRStorage(level_ranks=level_ranks, diag=diag_buckets, bases=bases)
 
     # ------------------------------------------------------------------
     # basic properties
@@ -98,10 +255,8 @@ class HODLRMatrix:
 
     @property
     def nbytes(self) -> int:
-        total = sum(d.nbytes for d in self.diag.values())
-        total += sum(u.nbytes for u in self.U.values())
-        total += sum(v.nbytes for v in self.V.values())
-        return int(total)
+        """Bytes of the owned stacks (the per-node views add nothing)."""
+        return self.storage.nbytes
 
     @property
     def memory_gb(self) -> float:
@@ -116,14 +271,9 @@ class HODLRMatrix:
         """Maximum off-diagonal rank per level, from level 1 to the leaves.
 
         This reproduces the per-level rank lists reported in the paper's
-        appendix.
+        appendix (and is the padded rank of each level's stacks).
         """
-        out = []
-        for level in range(1, self.tree.levels + 1):
-            ranks = [self.U[idx].shape[1] for idx in self.tree.level_indices(level)]
-            ranks += [self.V[idx].shape[1] for idx in self.tree.level_indices(level)]
-            out.append(int(max(ranks)) if ranks else 0)
-        return out
+        return list(self.storage.level_ranks)
 
     @property
     def max_rank(self) -> int:
@@ -137,18 +287,16 @@ class HODLRMatrix:
     ) -> ApplyPlan:
         """Compile (and cache) the bucketed batched apply plan.
 
-        The plan packs the diagonal blocks and the ``U``/``V`` bases into
-        per-level shape buckets of strided 3-D storage **once**, so that
-        every subsequent :meth:`matvec` executes as a handful of batched
-        gemm launches instead of a Python loop over tree nodes.  Krylov
-        solvers amortise the packing cost across iterations
+        The plan reads the matrix's per-level shape-bucketed stacks as
+        views, so every subsequent :meth:`matvec` executes as a handful of
+        batched gemm launches instead of a Python loop over tree nodes
         (:class:`repro.api.operator.HODLROperator` builds the plan lazily on
         first application).
 
-        The cached plan is used automatically by :meth:`matvec`.  It
-        snapshots the current blocks — call :meth:`clear_apply_plan` (or
-        ``build_apply_plan(force=True)``) after mutating ``diag``/``U``/``V``
-        in place.
+        The cached plan is used automatically by :meth:`matvec`.  Call
+        :meth:`clear_apply_plan` (or ``build_apply_plan(force=True)``) after
+        mutating ``diag``/``U``/``V``: demoted or conjugated buckets are
+        copies.
 
         ``context`` carries the backend, dispatch policy *and*
         :class:`~repro.backends.context.PrecisionPolicy`: a policy with
@@ -247,15 +395,18 @@ class HODLRMatrix:
             tree=self.tree,
             diag={k: v.astype(dtype) for k, v in self.diag.items()},
             U={k: v.astype(dtype) for k, v in self.U.items()},
-            V={k: v.astype(dtype) for k, v in self.V.items()},
+            V={} if self.symmetric else {k: v.astype(dtype) for k, v in self.V.items()},
+            symmetric=self.symmetric,
         )
 
     def copy(self) -> "HODLRMatrix":
+        # restacking copies every block into fresh stacks
         return HODLRMatrix(
             tree=self.tree,
-            diag={k: v.copy() for k, v in self.diag.items()},
-            U={k: v.copy() for k, v in self.U.items()},
-            V={k: v.copy() for k, v in self.V.items()},
+            diag=dict(self.diag),
+            U=dict(self.U),
+            V={} if self.symmetric else dict(self.V),
+            symmetric=self.symmetric,
         )
 
     # ------------------------------------------------------------------
@@ -269,7 +420,7 @@ class HODLRMatrix:
         ``source`` evaluates entries over the *new* ordering and ``where``
         holds the new-ordering indices of the insertions.  Returns a
         :class:`~repro.core.update.HODLRUpdate` (``.matrix`` is the new
-        matrix; clean blocks are shared by reference).
+        matrix, restacked into its own storage).
         """
         from .update import update_points as _impl
 
@@ -300,10 +451,9 @@ class HODLRMatrix:
 
     def storage_report(self) -> Dict[str, float]:
         """Break the memory footprint into diagonal and low-rank contributions."""
-        diag_bytes = float(sum(d.nbytes for d in self.diag.values()))
-        basis_bytes = float(
-            sum(u.nbytes for u in self.U.values()) + sum(v.nbytes for v in self.V.values())
-        )
+        storage = self.storage
+        diag_bytes = float(sum(b.D.nbytes for b in storage.diag))
+        basis_bytes = float(storage.nbytes) - diag_bytes
         return {
             "diag_bytes": diag_bytes,
             "basis_bytes": basis_bytes,
@@ -508,8 +658,8 @@ def build_hodlr(
     ``max|S_lr - S_rl^T| <= 16 eps max|S|`` over the probe, the source is
     treated as symmetric and only ``A(I_left, I_right) = U_left V_right^*``
     is compressed per pair; the mirror block reuses it through
-    ``U_right = conj(V_right)`` and ``V_left = conj(U_left)`` (stored as
-    their own arrays).  Otherwise — non-symmetric, Hermitian-only, or a
+    ``U_right = conj(V_right)`` and ``V_left = conj(U_left)``, and the
+    matrix is marked ``symmetric``: it stores ``U`` only.  Otherwise — non-symmetric, Hermitian-only, or a
     probe of zeros — both blocks are compressed independently, exactly as
     without the probe.  The per-block schedule applies the same rule.
     """
@@ -588,18 +738,14 @@ def _store_factor(U, V, row_node, col_node, factor, symmetric) -> None:
     """Store the factors of ``A(I_row, I_col) = U_row V_col^*``.
 
     With ``symmetric`` the mirror block ``A(I_col, I_row) = conj(V_col)
-    conj(U_row)^*`` is stored too, as fresh arrays (a real array's
-    ``conj()`` is the array itself), so no two bases share memory.
+    conj(U_row)^*`` needs ``U_col = conj(V_col)``; ``V`` is not stored at
+    all (the matrix derives ``V = conj(U)``).
     """
     U[row_node.index] = factor.U
-    V[col_node.index] = factor.V
     if symmetric:
-        U[col_node.index] = _conj_copy(factor.V)
-        V[row_node.index] = _conj_copy(factor.U)
-
-
-def _conj_copy(x):
-    return x.conj() if np.iscomplexobj(x) else x.copy()
+        U[col_node.index] = factor.V.conj()
+    else:
+        V[col_node.index] = factor.V
 
 
 def _build_hodlr_batched(
@@ -691,7 +837,7 @@ def _build_hodlr_batched(
         for rn, cn, f in zip(row_nodes, col_nodes, factors):
             _store_factor(U, V, rn, cn, f, symmetric)
 
-    return HODLRMatrix(tree=tree, diag=diag, U=U, V=V)
+    return HODLRMatrix(tree=tree, diag=diag, U=U, V=V, symmetric=symmetric)
 
 
 def build_hodlr_from_dense(

@@ -2,24 +2,25 @@
 
 Both compiled plans — :class:`~repro.core.apply_plan.ApplyPlan` (the matvec
 schedule) and :class:`~repro.core.factor_plan.FactorPlan` (the packed
-factorization) — pack per-node blocks into per-level shape buckets of
-strided 3-D storage and replay them with a handful of batched launches.
+factorization) — replay per-level shape buckets of strided 3-D storage
+with a handful of batched launches.
 The packing mechanics they share live here:
 
-* :func:`pack_stack` — stack equal-shape blocks through the array backend
-  and cast to a (possibly precision-demoted) storage dtype;
 * :func:`demote_rhs_dtype` — the dtype a right-hand side should carry into
   a demoted bucket's kernel (real storage meeting complex data picks the
   matching complex dtype);
 * :class:`GatherScatter` — vectorised row gather/scatter between a big
   ``(n, k)`` array and a bucket's ``(nb, M, k)`` strided view, with an
   optional validity mask for buckets whose members were padded to a shared
-  size (``DispatchPolicy(pad_buckets=True)``).
+  size (``DispatchPolicy(pad_buckets=True)``);
+* :func:`owned_nbytes` — byte accounting that counts each buffer once:
+  the plans read the matrix's stacks as views, and a view into another
+  object's storage owns nothing.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,13 +44,29 @@ def demote_rhs_dtype(storage_dtype, x_dtype) -> np.dtype:
     return storage_dtype
 
 
-def pack_stack(xb, members: Sequence, target_dtype) -> np.ndarray:
-    """Stack equal-shape blocks through the backend and cast to ``target_dtype``."""
-    stack = xb.stack(list(members))
-    target = np.dtype(target_dtype)
-    if stack.dtype != target:
-        stack = stack.astype(target)
-    return stack
+def buffer_root(a):
+    """The array owning ``a``'s memory: ``a`` itself unless it is a view."""
+    while hasattr(getattr(a, "base", None), "nbytes"):
+        a = a.base
+    return a
+
+
+def owned_nbytes(arrays: Iterable, shared: Iterable = ()) -> int:
+    """Bytes of the distinct buffers behind ``arrays``, each counted once,
+    leaving out the buffers behind ``shared`` (another object's storage)."""
+    skip = {id(buffer_root(a)) for a in shared}
+    roots = {}
+    for a in arrays:
+        r = buffer_root(a)
+        if id(r) not in skip:
+            roots[id(r)] = r
+    return int(sum(r.nbytes for r in roots.values()))
+
+
+def viewed_buffers(arrays: Iterable, buffers: Iterable) -> List:
+    """The ``buffers`` (another object's storage) that ``arrays`` view."""
+    roots = {id(buffer_root(a)) for a in arrays}
+    return [b for b in buffers if id(b) in roots]
 
 
 class GatherScatter:
@@ -60,40 +77,40 @@ class GatherScatter:
     ``mask`` marks the valid rows: gathers zero the padded rows and
     scatters write only the valid ones (padded ``idx`` slots alias row 0
     and must never be written — an unmasked fancy scatter would collide).
+    Full-width members that are consecutive in row order (the common case
+    on a balanced tree) gather and scatter through one contiguous slice;
+    their ``idx`` is only built if something reads it.
     """
 
-    __slots__ = ("idx", "mask", "_flat_idx", "_span")
+    __slots__ = ("_idx", "shape", "mask", "_flat_idx", "_span")
 
-    def __init__(self, idx: np.ndarray, mask: Optional[np.ndarray] = None) -> None:
-        self.idx = idx
+    def __init__(
+        self,
+        idx: Optional[np.ndarray],
+        mask: Optional[np.ndarray] = None,
+        span: Optional[Tuple[int, int]] = None,
+        shape: Optional[Tuple[int, int]] = None,
+    ) -> None:
+        self._idx = idx
+        #: (nb, M): members and padded width
+        self.shape: Tuple[int, int] = tuple(idx.shape) if idx is not None else shape
         self.mask = mask
         self._flat_idx = None if mask is None else idx[mask]
-        # (start, stop) when the members are full-width and consecutive in
-        # row order, so gathers/scatters reduce to one contiguous slice
-        # copy instead of a per-row fancy gather (the common case on a
-        # balanced tree); None otherwise
-        self._span: Optional[Tuple[int, int]] = None
+        #: (start, stop) of the contiguous row range, or None
+        self._span = span
 
     @classmethod
     def from_ranges(cls, ranges: Sequence[Tuple[int, int]], width: int) -> "GatherScatter":
         """Build from contiguous ``(start, stop)`` row ranges padded to ``width``."""
         nb = len(ranges)
-        idx = np.zeros((nb, width), dtype=np.intp)
-        mask: Optional[np.ndarray] = None
-        contiguous = True
-        for j, (start, stop) in enumerate(ranges):
-            m = stop - start
-            idx[j, :m] = np.arange(start, stop, dtype=np.intp)
-            if m < width or (j > 0 and start != ranges[j - 1][1]):
-                contiguous = False
-            if m < width:
-                if mask is None:
-                    mask = np.ones((nb, width), dtype=bool)
-                mask[j, m:] = False
-        gs = cls(idx, mask)
-        if contiguous and nb:
-            gs._span = (int(ranges[0][0]), int(ranges[-1][1]))
-        return gs
+        if nb and all(
+            stop - start == width and (j == 0 or start == ranges[j - 1][1])
+            for j, (start, stop) in enumerate(ranges)
+        ):
+            return cls(None, span=(int(ranges[0][0]), int(ranges[-1][1])), shape=(nb, width))
+        return cls.from_index_sets(
+            [np.arange(start, stop, dtype=np.intp) for start, stop in ranges], width
+        )
 
     @classmethod
     def from_index_sets(cls, sets: Sequence[np.ndarray], width: int) -> "GatherScatter":
@@ -111,18 +128,27 @@ class GatherScatter:
         return cls(idx, mask)
 
     @property
+    def idx(self) -> np.ndarray:
+        """(nb, M) row indices of each member (built on first access for a
+        contiguous bucket)."""
+        if self._idx is None:
+            nb, width = self.shape
+            self._idx = (self._span[0] + np.arange(nb * width, dtype=np.intp)).reshape(nb, width)
+        return self._idx
+
+    @property
     def sizes(self) -> List[int]:
         """Actual (unpadded) row count of each member."""
+        nb, width = self.shape
         if self.mask is None:
-            return [self.idx.shape[1]] * self.idx.shape[0]
+            return [width] * nb
         return [int(c) for c in self.mask.sum(axis=1)]
 
     def take(self, x: np.ndarray) -> np.ndarray:
         """Gather ``x`` rows into ``(nb, M, k)`` strided form (padded rows zeroed)."""
         if self._span is not None:
             s0, s1 = self._span
-            nb, width = self.idx.shape
-            blk = x[s0:s1].reshape((nb, width) + x.shape[1:])
+            blk = x[s0:s1].reshape(self.shape + x.shape[1:])
             # reshape of a non-contiguous slice already copied; otherwise
             # copy so callers own the result (fancy indexing always copies)
             return blk.copy() if blk.base is not None else blk
@@ -161,9 +187,6 @@ class GatherScatter:
         else:
             x[self._flat_idx] += vals[self.mask]
 
-    @property
-    def nbytes(self) -> int:
-        total = self.idx.nbytes
-        if self.mask is not None:
-            total += self.mask.nbytes + self._flat_idx.nbytes
-        return int(total)
+    def arrays(self) -> List[np.ndarray]:
+        """The index arrays this gather/scatter holds."""
+        return [a for a in (self._idx, self.mask, self._flat_idx) if a is not None]

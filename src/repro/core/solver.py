@@ -164,7 +164,6 @@ class HODLRSolver:
         self._impl: Optional[
             Union[RecursiveFactorization, BatchedFactorization]
         ] = None
-        self._bigdata: Optional[BigMatrices] = None
 
     _UNSET = object()
 
@@ -210,9 +209,8 @@ class HODLRSolver:
             ).factorize()
             self.stats.factorization_bytes = self._impl.factorization_nbytes()
         elif self.variant in ("flat", "batched"):
-            self._bigdata = BigMatrices.from_hodlr(self.hodlr, backend=self.context.backend)
             self._impl = BatchedFactorization(
-                data=self._bigdata, pivot=self.pivot, context=self.context
+                data=BigMatrices(self.hodlr), pivot=self.pivot, context=self.context
             ).factorize()
             self.stats.factorization_bytes = self._impl.factorization_nbytes()
         else:

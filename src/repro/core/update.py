@@ -26,7 +26,8 @@ O(shape buckets) kernel launches, not O(dirty blocks).
 The result is a :class:`HODLRUpdate` carrying the new matrix, the dirty
 node set (the dirty-block accounting of
 :meth:`~repro.api.operator.HODLROperator.update`), and the old-to-new
-index map.  The operator then refactorizes the updated matrix.
+index map.  The operator then refactorizes the updated matrix; restacking
+it is one copy of the bases, small next to that refactorization.
 """
 
 from __future__ import annotations
@@ -62,9 +63,12 @@ class HODLRUpdate:
     Attributes
     ----------
     matrix:
-        The updated :class:`HODLRMatrix`.  Clean blocks share storage with
-        the input matrix (they are reused by reference), dirty blocks are
-        fresh.
+        The updated :class:`HODLRMatrix`.  Clean blocks are copied from
+        the input matrix and dirty blocks are fresh; the new matrix restacks
+        them all into its own per-level storage.  Updates border both
+        blocks of a dirty sibling pair independently, so the result is not
+        marked ``symmetric`` and stores ``V`` even when the input shared it
+        with ``U``.
     dirty_nodes:
         Indices of the tree nodes whose row/column range intersects the
         changed points — the dirty leaves plus all their ancestors

@@ -142,15 +142,14 @@ class TestFactorizationEquivalence:
         A, H = make_problem(n=128, leaf=32, seed=5)
         tree = H.tree
         flat = BatchedFactorization(data=BigMatrices.from_hodlr(H)).factorize()
-        data = flat.data
+        Y = flat.factor_plan.y_views()
         for level in range(1, tree.levels + 1):
-            cols = data.level_cols(level)
             for idx in tree.level_indices(level):
                 node = tree.node(idx)
                 Asub = A[node.start : node.stop, node.start : node.stop]
                 U = H.U[idx]
                 Y_expected = np.linalg.solve(Asub, U)
-                Y_stored = flat.Ybig[node.start : node.stop, cols][:, : U.shape[1]]
+                Y_stored = Y[idx][:, : U.shape[1]]
                 assert (
                     np.linalg.norm(Y_stored - Y_expected)
                     / max(np.linalg.norm(Y_expected), 1e-300)
@@ -161,7 +160,10 @@ class TestFactorizationEquivalence:
         _, H = make_problem(n=256, leaf=32, seed=6)
         flat = HODLRSolver(H, variant="flat").factorize()._impl
         batched = BatchedFactorization(data=BigMatrices.from_hodlr(H)).factorize()
-        assert np.array_equal(flat.Ybig, batched.Ybig)
+        Y_flat = flat.factor_plan.y_views()
+        Y_batched = batched.factor_plan.y_views()
+        assert Y_flat.keys() == Y_batched.keys()
+        assert all(np.array_equal(Y_flat[k], Y_batched[k]) for k in Y_flat)
 
 
 class TestDeterminant:
