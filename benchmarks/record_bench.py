@@ -4,9 +4,8 @@ Times the hot paths of the batched pipeline — HODLR **construction**, the
 **matvec/GMRES apply loop**, the **end-to-end solve**, the **compiled
 SolvePlan** rows (repeated direct solves and the GMRES-preconditioner
 apply loop through the packed :class:`~repro.core.factor_plan.FactorPlan`
-against the per-node recursion of ``variant="recursive"`` under
-``LOOP_POLICY``), the float32 *factor*-storage rows, the variant
-equivalence check, the PR-6 **tuned-vs-default**
+against the per-node recursion of ``variant="recursive"``), the float32
+*factor*-storage rows, the variant equivalence check, the PR-6 **tuned-vs-default**
 row — and, new in PR 8, the cross-solve reuse rows: the **fused multi-RHS
 solve** (one compiled-plan replay for a whole ``(n, K)`` block vs K
 sequential plan solves through the same factorization) and the
@@ -75,7 +74,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import repro  # noqa: E402
-from repro import HODLROperator, HODLRSolver, PrecisionPolicy  # noqa: E402
+from repro import ApplyPlan, HODLROperator, HODLRSolver, PrecisionPolicy  # noqa: E402
 from repro.api import CompressionConfig, SolverConfig  # noqa: E402
 from repro.backends import LOOP_POLICY, ExecutionContext, get_recorder  # noqa: E402
 from repro.backends.parallel import (  # noqa: E402
@@ -166,22 +165,17 @@ def bench_apply_loop(H, iters=50, **params):
     rng = np.random.default_rng(1)
     x = rng.standard_normal(H.n)
 
-    def run_loop():
+    def run_loop(matvec):
         v = x
         for _ in range(iters):
-            v = H.matvec(v)
+            v = matvec(v)
             v = v / np.linalg.norm(v)
         return v
 
-    def run_loop_path():
-        H.clear_apply_plan()
-        return run_loop()
-
     def run_compiled_plan():
-        H.build_apply_plan(force=True)
-        return run_loop()
+        return run_loop(ApplyPlan(H).matvec)
 
-    tl, tb, vl, vb = _timed_pair_best(run_loop_path, run_compiled_plan)
+    tl, tb, vl, vb = _timed_pair_best(lambda: run_loop(H.matvec), run_compiled_plan)
     rel = float(np.linalg.norm(vb - vl) / np.linalg.norm(vl))
     row = _row(f"matvec_apply_loop_{iters}it", tb, tl, n=H.n, iters=iters,
                agreement=rel, **params)
@@ -191,7 +185,7 @@ def bench_apply_loop(H, iters=50, **params):
 
 def _reference_solver(H):
     """The per-node recursion (no compiled plan): the plan rows' baseline."""
-    return HODLRSolver(H, variant="recursive", context=LOOP_CONTEXT).factorize()
+    return HODLRSolver(H, variant="recursive").factorize()
 
 
 def bench_repeated_solve(H, iters=50):
@@ -235,8 +229,8 @@ def bench_gmres_preconditioner(H, iters=50):
     reference = _reference_solver(H)
     rng = np.random.default_rng(3)
     b = rng.standard_normal(H.n)
-    A_op = LinearOperator(shape=(H.n, H.n), dtype=H.dtype, matvec=H.matvec)
-    H.build_apply_plan()  # both sides share the compiled forward operator
+    # both sides share the compiled forward operator
+    A_op = LinearOperator(shape=(H.n, H.n), dtype=H.dtype, matvec=ApplyPlan(H).matvec)
 
     def run(s):
         M = LinearOperator(shape=(H.n, H.n), dtype=H.dtype, matvec=s.solve)
@@ -791,7 +785,7 @@ def collect_counters(n=2048, tol=1e-8, leaf_size=64):
         f"fused K=8 probe took {tr_blk.num_plan_launches} plan launches, "
         f"expected {plan.launches_per_solve}"
     )
-    apply_plan = H.build_apply_plan(force=True)
+    apply_plan = ApplyPlan(H)
     # PR 9: the same probe — construction, factorization, plan solve —
     # under the *forced* thread pool must schedule exactly the same
     # kernels: launches and flops are analytic per-bucket facts recorded
@@ -1000,7 +994,7 @@ def collect_update_counters(n=2048, k=4, tol=1e-8, leaf_size=64):
     tree = ClusterTree.balanced(n, leaf_size=leaf_size)
     H = build_hodlr(_gauss1d_entries(x), tree, tol=tol, method="svd")
     solver = HODLRSolver(H, variant="batched").factorize()
-    apply_plan = H.build_apply_plan(force=True)
+    apply_plan = ApplyPlan(H)
     rec = get_recorder()
     with rec.recording() as tr_update:
         upd = remove_points(H, where, tol=tol)

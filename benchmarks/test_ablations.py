@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    BigMatrices,
     BatchedFactorization,
     ClusterTree,
     HODLRSolver,
@@ -52,12 +51,12 @@ class TestVariantAblation:
 
     def test_batched_factorization(self, ablation_problem, benchmark):
         _, H, b = ablation_problem
-        fac = benchmark(lambda: BatchedFactorization(data=BigMatrices.from_hodlr(H)).factorize())
+        fac = benchmark(lambda: BatchedFactorization(hodlr=H).factorize())
         assert fac.factored
 
     def test_batched_solve(self, ablation_problem, benchmark):
         A, H, b = ablation_problem
-        fac = BatchedFactorization(data=BigMatrices.from_hodlr(H)).factorize()
+        fac = BatchedFactorization(hodlr=H).factorize()
         x = benchmark(lambda: fac.solve(b))
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-7
 

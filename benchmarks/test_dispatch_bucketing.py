@@ -7,7 +7,8 @@ buckets and runs one vectorised ``matmul``/LU call per bucket.  This
 harness measures that improvement on the paper's workloads:
 
 * **Table III (RPY)** — the gemm/getrf/getrs batches the factorization
-  actually issues (harvested from the ``BigMatrices`` level structure,
+  actually issues (harvested from the HODLR matrix's padded per-level
+  ``U``/``V`` stacks,
   concatenated across levels so the batch is genuinely heterogeneous, as a
   cross-level fused schedule would submit it), timed bucketed vs looped;
 * **Table V (Helmholtz)** — end-to-end factorize+solve wall clock with
@@ -24,7 +25,7 @@ import time
 
 import numpy as np
 
-from repro import BigMatrices, DispatchPolicy, ExecutionContext, HODLRSolver
+from repro import DispatchPolicy, ExecutionContext, HODLRSolver
 from repro.backends.batched import gemm_batched, getrf_batched, getrs_batched
 from repro.backends.counters import get_recorder
 from repro.backends.dispatch import LOOP_POLICY
@@ -73,24 +74,28 @@ def _harvest_rpy_batches(leaf_size=RPY_DISPATCH_LEAF):
     points = points[perm]
     tree = ClusterTree.balanced(3 * num_particles, leaf_size=leaf_size)
     hodlr = build_hodlr(kernel.evaluator(points), tree, tol=1e-8, method="svd")
-    data = BigMatrices.from_hodlr(hodlr)
-    tree = data.tree
+    storage = hodlr.storage
 
     gemm_A, gemm_B = [], []
     lu_blocks = []
     rng = np.random.default_rng(7)
     for leaf in tree.leaves:
-        lu_blocks.append(np.asarray(data.Dbig[leaf.index]))
+        lu_blocks.append(np.asarray(hodlr.diag[leaf.index]))
     for level in range(tree.levels - 1, -1, -1):
         child_level = level + 1
-        r = data.rank_at_level(child_level)
+        r = storage.level_ranks[child_level - 1]
         if r == 0:
             continue
-        child_cols = data.level_cols(child_level)
+        # each node's (size, r) bases, zero-padded to the level rank
+        padded = {}
+        for b in storage.bases[child_level]:
+            V = b.U.conj() if b.V is None else b.V
+            for j, nd in enumerate(b.nodes):
+                padded[nd.index] = (V[j], b.U[j])
         for nd in tree.level_nodes(child_level):
-            rows = data.node_rows(nd)
-            gemm_A.append(np.asarray(data.Vbig[rows, child_cols]))
-            gemm_B.append(np.asarray(data.Ubig[rows, child_cols]))
+            V_nd, U_nd = padded[nd.index]
+            gemm_A.append(np.asarray(V_nd))
+            gemm_B.append(np.asarray(U_nd))
         k = 2 * r
         for _ in tree.level_nodes(level):
             lu_blocks.append(rng.standard_normal((k, k)) + k * np.eye(k))

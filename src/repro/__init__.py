@@ -58,7 +58,6 @@ from .core.compression import (
 from .core.apply_plan import ApplyPlan
 from .core.factor_plan import FactorPlan, SolvePlan, build_factor_plan
 from .core.hodlr import HODLRMatrix, build_hodlr, build_hodlr_from_dense
-from .core.bigdata import BigMatrices
 from .core.factor_recursive import RecursiveFactorization
 from .core.factor_batched import BatchedFactorization
 from .core.solver import (
@@ -213,7 +212,6 @@ __all__ = [
     "HODLRMatrix",
     "build_hodlr",
     "build_hodlr_from_dense",
-    "BigMatrices",
     "RecursiveFactorization",
     "BatchedFactorization",
     "HODLRSolver",

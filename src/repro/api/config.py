@@ -9,8 +9,8 @@ itself:
     and the proxy-circle resolution for BIE operators.
 
 :class:`SolverConfig`
-    How the factorization runs — variant (``recursive`` / ``flat`` /
-    ``batched``), array backend, dispatch policy, storage dtype, and
+    How the factorization runs — variant (``recursive`` / ``batched``),
+    array backend, dispatch policy, storage dtype, and
     pivoting — plus a nested :class:`CompressionConfig`.
 
 Both validate on construction, are hashable (usable as sweep keys), and
@@ -18,7 +18,7 @@ round-trip losslessly through ``to_dict``/``from_dict`` so a parameter
 sweep can be serialised to JSON and replayed bit-for-bit:
 
 >>> from repro.api import SolverConfig
->>> cfg = SolverConfig(variant="flat", dtype="float32")
+>>> cfg = SolverConfig(variant="recursive", dtype="float32")
 >>> SolverConfig.from_dict(cfg.to_dict()) == cfg
 True
 
@@ -55,7 +55,7 @@ COMPRESSION_METHODS = ("svd", "rook", "randomized", "proxy")
 #: registered baseline variants (``dense_lu``, ``block_sparse``,
 #: ``hodlrlib_cpu``, ...) are additionally accepted — see
 #: :func:`repro.core.solver.register_solver_variant`
-VARIANTS = ("recursive", "flat", "batched")
+VARIANTS = ("recursive", "batched")
 
 #: HODLR construction schedules: level-major batched, or matvec-only
 #: randomized peeling (no entry evaluation — see
@@ -205,8 +205,8 @@ class SolverConfig:
     Parameters
     ----------
     variant:
-        ``"recursive"``, ``"flat"``, or ``"batched"`` (default).  ``"flat"``
-        and ``"batched"`` name the same plan-backed factorization.
+        ``"recursive"`` (the per-node reference) or ``"batched"`` (default;
+        the compiled plan).
     backend:
         Name of a registered :class:`~repro.backends.dispatch.ArrayBackend`
         (``"numpy"``, ``"cupy"``, or anything added via
@@ -223,7 +223,7 @@ class SolverConfig:
         problem's natural dtype.  NumPy dtype objects are normalised to
         their canonical name.
     pivot:
-        Partial pivoting in the reduced ``K`` systems (``flat``/``batched``).
+        Partial pivoting in the reduced ``K`` systems (``batched``).
     compression:
         Nested :class:`CompressionConfig` (accepts a dict form too).
     precision:

@@ -73,7 +73,7 @@ class HODLROperator(LinearOperator):
         the caller's ordering.
     **overrides:
         Individual :class:`SolverConfig` fields overriding ``config``,
-        e.g. ``HODLROperator(H, variant="flat", dtype="float32")``.
+        e.g. ``HODLROperator(H, variant="recursive", dtype="float32")``.
     """
 
     def __init__(
@@ -543,17 +543,11 @@ class HODLROperator(LinearOperator):
         return self._to_caller(x)
 
     def _wide_matvec(self, xw: np.ndarray) -> np.ndarray:
-        """``A @ x`` at the base matrix's full precision (host arrays).
-
-        Bypasses any *demoted* apply plan cached on the base HODLR matrix
-        (a plan built with ``PrecisionPolicy(plan="float32")`` would make
-        refinement residuals — and hence refinement itself — float32-grade);
-        a full-precision cached plan is still used.
-        """
+        """``A @ x`` at the base matrix's full precision (host arrays): the
+        reference tree walk, never a (possibly demoted) apply plan, so
+        refinement residuals are not float32-grade."""
         ctx = self.context
-        plan = self._base.apply_plan
-        use_plan = plan is None or not getattr(plan, "demoted", False)
-        y = self._base.matvec(ctx.to_device(xw), use_plan=use_plan)
+        y = self._base.matvec(ctx.to_device(xw))
         return np.asarray(ctx.to_host(y))
 
     def _refine_once(
@@ -562,7 +556,7 @@ class HODLROperator(LinearOperator):
         """One step of iterative refinement at the wide dtype.
 
         The residual uses the *base* (full-precision) HODLR matvec — not the
-        demoted factorization or a demoted cached apply plan — so the
+        demoted factorization or a demoted apply plan — so the
         correction removes the rounding the narrow factorization introduced.
         """
         ctx = self.context
@@ -634,7 +628,8 @@ class HODLROperator(LinearOperator):
     @property
     def solve_plan(self) -> Optional[Any]:
         """The compiled :class:`~repro.core.factor_plan.SolvePlan` the
-        operator's solves replay (``None`` until the first factorization)."""
+        operator's solves replay (``None`` until the first factorization,
+        and for the ``recursive`` reference, which builds no plan)."""
         if self._solver is None:
             return None
         return self._solver.solve_plan

@@ -5,10 +5,13 @@ Layout of the subpackage (bottom-up):
 * :mod:`cluster_tree`     -- Definition 1: binary cluster trees over index sets.
 * :mod:`low_rank`         -- ``U V*`` low-rank factors and truncation utilities.
 * :mod:`compression`      -- SVD / rook-pivoted LU / randomized compression.
-* :mod:`hodlr`            -- Definition 2: the HODLR matrix container.
-* :mod:`bigdata`          -- the paper's concatenated ``Ubig/Vbig/Dbig/Kbig`` layout.
+* :mod:`hodlr`            -- Definition 2: the HODLR matrix container, which owns
+                             the per-level basis stacks (the paper's concatenated
+                             layout) and the reference tree-walk matvec.
+* :mod:`apply_plan`       -- the compiled, shape-bucketed matvec.
+* :mod:`factor_plan`      -- the compiled factorization and solve sweep.
 * :mod:`factor_recursive` -- section III-A recursive factorization (reference).
-* :mod:`factor_batched`   -- Algorithms 1-4 (level-batched plan factorization).
+* :mod:`factor_batched`   -- Algorithms 1-4 (the compiled plan factorization).
 * :mod:`solver`           -- user-facing :class:`HODLRSolver`.
 * :mod:`determinant`      -- determinant / log-determinant via the factorization.
 * :mod:`spd`              -- symmetric factorization of SPD HODLR matrices.
@@ -24,9 +27,8 @@ from .compression import (
     randomized_compress,
 )
 from .apply_plan import ApplyPlan
-from .factor_plan import FactorPlan, SolvePlan, build_factor_plan, emit_factor_plan
+from .factor_plan import FactorPlan, SolvePlan, build_factor_plan
 from .hodlr import HODLRMatrix, build_hodlr, build_hodlr_from_dense
-from .bigdata import BigMatrices
 from .factor_recursive import RecursiveFactorization
 from .factor_batched import BatchedFactorization
 from .solver import HODLRSolver
@@ -64,11 +66,9 @@ __all__ = [
     "FactorPlan",
     "SolvePlan",
     "build_factor_plan",
-    "emit_factor_plan",
     "HODLRMatrix",
     "build_hodlr",
     "build_hodlr_from_dense",
-    "BigMatrices",
     "RecursiveFactorization",
     "BatchedFactorization",
     "HODLRSolver",

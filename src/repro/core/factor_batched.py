@@ -2,11 +2,10 @@
 
 The paper's non-recursive factorization (Algorithms 1 and 2) and its GPU
 schedule (Algorithms 3 and 4) are one schedule: batched per-level LU,
-solve and gemm over the concatenated ``Ubig``/``Vbig``/``Dbig`` layout
-(:class:`~repro.core.bigdata.BigMatrices`, a view of the HODLR matrix's
-own storage).
-:class:`BatchedFactorization` is that schedule, and both the ``"flat"`` and
-``"batched"`` solver variants build it.
+solve and gemm over the HODLR matrix's own per-level stacks
+(:class:`~repro.core.hodlr.HODLRStorage`, the concatenated layout of the
+paper's Figs. 3-4).  :class:`BatchedFactorization` is that schedule, and
+the ``"batched"`` solver variant builds it.
 
 :meth:`BatchedFactorization.factorize` lowers onto
 :func:`~repro.core.factor_plan.build_factor_plan` — one ``getrfBatched``/
@@ -38,15 +37,15 @@ import numpy as np
 
 from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
 from ..backends.counters import KernelTrace, get_recorder
-from .bigdata import BigMatrices
 from .factor_plan import FactorPlan, SolvePlan, build_factor_plan
+from .hodlr import HODLRMatrix
 
 
 @dataclass
 class BatchedFactorization:
     """Output of Algorithms 1/3, consumed by Algorithms 2/4."""
 
-    data: BigMatrices
+    hodlr: HODLRMatrix
     #: partial pivoting for the batched LU of the K blocks.
     pivot: bool = True
     #: execution context (backend + policy + precision); ``None`` = default
@@ -74,10 +73,10 @@ class BatchedFactorization:
         with rec.recording() as trace:
             # the HODLR data (D, U, V) is assembled on the host and copied to
             # the device before factorization (paper, section IV-A).
-            rec.add_transfer(self.data.nbytes, "h2d")
+            rec.add_transfer(self.hodlr.nbytes, "h2d")
             with rec.context(tag="factor"):
                 self._plan = build_factor_plan(
-                    self.data.hodlr, context=self.context, pivot=self.pivot
+                    self.hodlr, context=self.context, pivot=self.pivot
                 )
         self._solve_plan = self._plan.solve_plan()
         self.factor_trace = trace
@@ -90,9 +89,9 @@ class BatchedFactorization:
             raise RuntimeError("call factorize() before solve()")
         rec = get_recorder()
         b = self.context.backend.asarray(b)
-        if b.shape[0] != self.data.n:
+        if b.shape[0] != self.hodlr.n:
             raise ValueError(
-                f"right-hand side has {b.shape[0]} rows, expected {self.data.n}"
+                f"right-hand side has {b.shape[0]} rows, expected {self.hodlr.n}"
             )
         with rec.recording() as trace:
             rec.add_transfer(b.nbytes, "h2d")

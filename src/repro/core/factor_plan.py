@@ -1,20 +1,17 @@
 """Compiled factorization plans: packed factor storage + the compiled solve sweep.
 
-PR 3 compiled the HODLR *matvec* into :class:`~repro.core.apply_plan.
-ApplyPlan`; this module does the same for the *factorization* and its
-triangular-solve sweeps.  The three factorization variants used to be three
-divergent code paths that re-walked the tree and re-bucketed blocks on
-every solve; they now lower onto one common backend:
+:class:`~repro.core.apply_plan.ApplyPlan` compiles the HODLR *matvec*;
+this module does the same for the *factorization* and its triangular-solve
+sweeps:
 
 :class:`FactorPlan`
     Per-level shape-bucketed strided 3-D storage of everything Algorithm 2
     needs: packed LU factors + pivots of the leaf diagonal blocks, packed
     LU factors of the per-level reduced ``K`` systems, and the ``Y``/``V^*``
-    bases driving the Schur-update gemms (``V^*`` read from the matrix).  Built through the
-    dispatch layer by :func:`build_factor_plan` (which *is* Algorithm 1,
-    executed packed: one getrf/getrs/gemm launch per shape bucket per
-    level), or emitted from the recursive traversal by
-    :func:`emit_factor_plan`.
+    bases driving the Schur-update gemms (``V^*`` read from the matrix).
+    Built through the dispatch layer by :func:`build_factor_plan` (which
+    *is* Algorithm 1, executed packed: one getrf/getrs/gemm launch per
+    shape bucket per level).
 
 :class:`SolvePlan`
     The compiled forward/backward sweep over that storage:
@@ -75,14 +72,8 @@ from ..backends.counters import (
     getrs_flops,
     record_event,
 )
-from ..backends.dispatch import (
-    pad_identity_stack,
-    pad_pivot_stack,
-    plan_batch,
-    plan_batch_padded,
-)
+from ..backends.dispatch import pad_identity_stack, plan_batch, plan_batch_padded
 from ..backends.parallel import run_tasks
-from .bigdata import concat_bases
 from .packing import GatherScatter, demote_rhs_dtype, owned_nbytes, viewed_buffers
 
 
@@ -230,10 +221,9 @@ def _pair_rhs(w_all, ngamma: int, r: int, pivot: bool):
 class FactorPlan:
     """Packed, precision-aware storage of one HODLR factorization.
 
-    Instances come from :func:`build_factor_plan` (the packed Algorithm 1)
-    or :func:`emit_factor_plan` (the recursive traversal's emission); all
-    three solver variants store their factors here and solve through
-    :class:`SolvePlan`.
+    Instances come from :func:`build_factor_plan` (the packed Algorithm 1);
+    the ``"batched"`` solver variant stores its factors here and solves
+    through :class:`SolvePlan`.
     """
 
     def __init__(
@@ -557,6 +547,21 @@ def _assemble_k(xb, T_all, ngamma: int, r: int, dtype, pivot: bool):
     return K3
 
 
+def _concat_bases(bases, tree, level_ranks: List[int], zeros, dtype) -> np.ndarray:
+    """The paper's ``(n, sum r_ell)`` concatenated layout of per-node
+    ``bases`` (Figs. 3-4): level ``ell``'s column block stacks its nodes'
+    bases by rows, zero-padded to the level rank; ``zeros(shape, dtype)``
+    allocates it."""
+    out = zeros((tree.n, int(sum(level_ranks))), dtype=dtype)
+    c0 = 0
+    for level, r in enumerate(level_ranks, start=1):
+        for node in tree.level_nodes(level):
+            b = bases[node.index]
+            out[node.start : node.stop, c0 : c0 + b.shape[1]] = b
+        c0 += r
+    return out
+
+
 def build_factor_plan(
     hodlr,
     context: Optional[ExecutionContext] = None,
@@ -572,8 +577,8 @@ def build_factor_plan(
     layout) and each level's ``Y3`` is gathered from it once the level is
     final; ``Ybig`` is dropped on return.  ``V^*`` is read from the
     matrix's stacks.  :class:`~repro.core.factor_batched.
-    BatchedFactorization` (the ``flat`` and ``batched`` variants) wraps this
-    in trace recording and transfer accounting.
+    BatchedFactorization` (the ``batched`` variant) wraps this in trace
+    recording and transfer accounting.
     """
     ctx = context or DEFAULT_CONTEXT
     xb, pol = ctx.backend, ctx.policy
@@ -582,7 +587,7 @@ def build_factor_plan(
     rec = get_recorder()
     level_ranks = hodlr.storage.level_ranks
     col_offsets = [0, *accumulate(level_ranks)]
-    Ybig = concat_bases(hodlr.U, tree, level_ranks, xb.zeros, dtype)
+    Ybig = _concat_bases(hodlr.U, tree, level_ranks, xb.zeros, dtype)
 
     # ---- leaves: one packed LU + one packed substitution per size bucket.
     # Same-level buckets are mutually independent (disjoint leaf row ranges
@@ -720,107 +725,6 @@ def build_factor_plan(
         dtype=dtype,
         context=ctx,
         pivot=pivot,
-        leaf_buckets=leaf_buckets,
-        sweeps=sweeps,
-        matrix_buffers=hodlr.storage.buffers(),
-    )
-
-
-def emit_factor_plan(
-    hodlr,
-    Y: Dict[int, np.ndarray],
-    leaf_lu: Dict[int, Tuple[np.ndarray, np.ndarray]],
-    T: Optional[Dict[int, Tuple[np.ndarray, np.ndarray]]] = None,
-    context: Optional[ExecutionContext] = None,
-) -> FactorPlan:
-    """Pack a recursive traversal's per-node factors into a :class:`FactorPlan`.
-
-    The recursive variant keeps its per-node traversal (which computes the
-    solved bases ``Y_alpha = A_alpha^{-1} U_alpha`` and the per-leaf LU
-    factors) and *emits* plan nodes: bases are zero-padded to the level
-    rank, the reduced K systems are re-assembled in the same padded layout
-    the flat/batched builders produce, and the result solves through the
-    same compiled :class:`SolvePlan`.
-
-    ``T`` optionally supplies the traversal's per-gamma K diagonal blocks
-    ``(Va* Y_left, Vb* Y_right)`` so the emission does not recompute those
-    gemms (only the padded K LU — whose factor differs from the per-node
-    small-K factor — is computed here).
-    """
-    ctx = context or DEFAULT_CONTEXT
-    xb, pol = ctx.backend, ctx.policy
-    tree = hodlr.tree
-    dtype = np.dtype(hodlr.dtype)
-
-    level_ranks = hodlr.storage.level_ranks
-
-    # ---- leaves: pack the already-computed per-leaf LU factors
-    leaves = tree.leaves
-    leaf_buckets: List[_LeafBucket] = []
-    for bucket in _leaf_plan_buckets(tree, pol):
-        M = bucket.key[0]
-        members = [leaves[i] for i in bucket.indices]
-        lu3 = pad_identity_stack(
-            xb, [leaf_lu[leaf.index][0] for leaf in members], M, dtype
-        )
-        piv3 = pad_pivot_stack(
-            [leaf_lu[leaf.index][1] for leaf in members],
-            [leaf.size for leaf in members],
-            M,
-        )
-        gs = GatherScatter.from_ranges([(leaf.start, leaf.stop) for leaf in members], M)
-        leaf_buckets.append(
-            _LeafBucket(positions=bucket.indices, gs=gs, lu3=lu3, piv3=piv3)
-        )
-
-    # ---- levels: pad Y/V to the level rank, re-assemble K packed
-    sweeps: List[_LevelSweep] = []
-    for level in range(tree.levels - 1, -1, -1):
-        child_level = level + 1
-        r = level_ranks[child_level - 1]
-        if r == 0:
-            continue
-        children = tree.level_nodes(child_level)
-        gammas = tree.level_nodes(level)
-        nchild = len(children)
-
-        buckets: List[_SweepBucket] = []
-        T_all = None if T is not None else xb.zeros((nchild, r, r), dtype=dtype)
-        child_buckets = _child_plan_buckets(children, r, pol)
-        vh = _vh_stacks(xb, hodlr, child_level, child_buckets, r, pol, dtype)
-        for b, Vh3 in zip(child_buckets, vh):
-            M = b.key[0]
-            members = [children[i] for i in b.indices]
-            Y3 = _padded_stack(xb, [Y[nd.index] for nd in members], M, r, dtype)
-            gs = GatherScatter.from_ranges([(nd.start, nd.stop) for nd in members], M)
-            pos = np.asarray(b.indices, dtype=np.intp)
-            if T_all is not None:
-                T_all[pos] = gemm_strided_batched(Vh3, Y3, backend=xb)
-            buckets.append(_SweepBucket(pos=pos, gs=gs, Y3=Y3, Vh3=Vh3))
-
-        if T is not None:
-            # the traversal already computed the K diagonal blocks: embed
-            # them in the padded layout directly, no gemm recomputation
-            eye = xb.eye(r, dtype=dtype)
-            K3 = xb.zeros((len(gammas), 2 * r, 2 * r), dtype=dtype)
-            K3[:, :r, r:] = eye
-            K3[:, r:, :r] = eye
-            for g, gamma in enumerate(gammas):
-                Ta, Tb = T[gamma.index]
-                K3[g, : Ta.shape[0], : Ta.shape[1]] = Ta
-                K3[g, r : r + Tb.shape[0], r : r + Tb.shape[1]] = Tb
-        else:
-            K3 = _assemble_k(xb, T_all, len(gammas), r, dtype, pivot=True)
-        k_lu3, k_piv3 = _getrf_packed(xb, pol, K3, pivot=True)
-        sweeps.append(
-            _LevelSweep(level=level, rank=r, k_lu3=k_lu3, k_piv3=k_piv3, buckets=buckets)
-        )
-
-    return FactorPlan(
-        tree=tree,
-        dtype=dtype,
-        context=ctx,
-        pivot=True,
         leaf_buckets=leaf_buckets,
         sweeps=sweeps,
         matrix_buffers=hodlr.storage.buffers(),

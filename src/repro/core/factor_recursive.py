@@ -4,8 +4,8 @@ This is the reference algorithm: it mirrors the recursion of equations
 (6)-(9) directly on the tree, one node at a time, with ordinary (non
 batched) LAPACK calls.  It is used
 
-* as the correctness oracle for the plan-backed ``flat``/``batched``
-  variants (both must produce the same solutions up to round-off), and
+* as the correctness oracle for the compiled ``batched`` variant (both
+  must produce the same solutions up to round-off), and
 * as the computational core of the HODLRlib-style CPU baseline
   (:mod:`repro.baselines.hodlrlib_cpu`), which executes exactly this
   per-node schedule.
@@ -17,15 +17,8 @@ Factorization stage (per node, bottom-up):
       children's already-computed factorizations, then LU-factorize the
       reduced matrix ``K_gamma`` of equation (11).
 
-Solution stage (per right-hand side): the recursion of equation (8).
-
-Since PR 5 the traversal additionally **emits plan nodes**: after the
-per-node factors are computed, :func:`~repro.core.factor_plan.
-emit_factor_plan` packs the solved bases and reduced systems into the same
-:class:`~repro.core.factor_plan.FactorPlan` storage the flat and batched
-variants use, and :meth:`RecursiveFactorization.solve` replays the shared
-compiled :class:`~repro.core.factor_plan.SolvePlan` instead of recursing
-per right-hand side (``use_plan=False`` keeps the textbook recursion).
+Solution stage (per right-hand side): the recursion of equation (8).  No
+compiled plan is built: every solve walks the tree.
 """
 
 from __future__ import annotations
@@ -37,7 +30,6 @@ import numpy as np
 
 from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
 from .cluster_tree import TreeNode
-from .factor_plan import FactorPlan, SolvePlan, emit_factor_plan
 from .hodlr import HODLRMatrix
 
 
@@ -55,25 +47,10 @@ class RecursiveFactorization:
     k_lu: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     #: non-root index -> Y_alpha = A_alpha^{-1} U_alpha
     Y: Dict[int, np.ndarray] = field(default_factory=dict)
-    #: non-leaf index -> (Va* Y_left, Vb* Y_right), the K diagonal blocks —
-    #: kept so plan emission reuses them instead of recomputing the gemms
-    T: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     factored: bool = False
-    #: the shared compiled plan emitted from the traversal (None when the
-    #: policy disables bucketing)
-    _plan: Optional[FactorPlan] = field(default=None, repr=False)
-    _solve_plan: Optional[SolvePlan] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.context = self.context or DEFAULT_CONTEXT
-
-    @property
-    def factor_plan(self) -> Optional[FactorPlan]:
-        return self._plan
-
-    @property
-    def solve_plan(self) -> Optional[SolvePlan]:
-        return self._solve_plan
 
     # ------------------------------------------------------------------
     # factorization
@@ -83,12 +60,6 @@ class RecursiveFactorization:
         tree = self.hodlr.tree
         self._factor_node(tree.root)
         self.factored = True
-        if self.context.policy.bucketing:
-            # emit the traversal's per-node factors as packed plan storage
-            self._plan = emit_factor_plan(
-                self.hodlr, self.Y, self.leaf_lu, T=self.T, context=self.context
-            )
-            self._solve_plan = self._plan.solve_plan()
         return self
 
     def _factor_node(self, node: TreeNode) -> None:
@@ -118,14 +89,11 @@ class RecursiveFactorization:
         r2 = Y_right.shape[1]
         xb = self.context.backend
         dtype = np.result_type(Y_left.dtype, Vb.dtype)
-        Ta = Va.conj().T @ Y_left
-        Tb = Vb.conj().T @ Y_right
-        self.T[node.index] = (Ta, Tb)
         K = xb.zeros((r1 + r2, r1 + r2), dtype=dtype)
-        K[:r2, :r1] = Ta
+        K[:r2, :r1] = Va.conj().T @ Y_left
         K[:r2, r1:] = xb.eye(r2, dtype=dtype)
         K[r2:, :r1] = xb.eye(r1, dtype=dtype)
-        K[r2:, r1:] = Tb
+        K[r2:, r1:] = Vb.conj().T @ Y_right
         lu, piv = xb.lu_factor(K)
         self.k_lu[node.index] = (lu, piv)
 
@@ -177,18 +145,16 @@ class RecursiveFactorization:
     # ------------------------------------------------------------------
     # solution
     # ------------------------------------------------------------------
-    def solve(self, b: np.ndarray, use_plan: bool = True) -> np.ndarray:
-        """Solve ``A x = b`` (``b`` may hold multiple right-hand sides).
-
-        Replays the emitted :class:`~repro.core.factor_plan.SolvePlan` when
-        available; ``use_plan=False`` runs the per-node recursion of
-        equation (8) instead (the reference path).
-        """
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve ``A x = b`` (``b`` may hold multiple right-hand sides) by
+        the per-node recursion of equation (8)."""
         if not self.factored:
             raise RuntimeError("call factorize() before solve()")
-        if use_plan and self._solve_plan is not None:
-            return self._solve_plan.solve(b)
         b = np.asarray(b)
+        if b.ndim > 2:
+            raise ValueError(
+                f"right-hand side must be a vector or a (n, K) block, got ndim={b.ndim}"
+            )
         if b.shape[0] != self.hodlr.n:
             raise ValueError(
                 f"right-hand side has {b.shape[0]} rows, expected {self.hodlr.n}"

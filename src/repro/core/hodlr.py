@@ -40,17 +40,18 @@ Construction paths
 
 Application paths
 -----------------
-``matvec`` walks the tree block by block.  :meth:`HODLRMatrix.
-build_apply_plan` compiles a schedule over the matrix's own per-level
-shape-bucketed stacks (no copy of the bases), after which every product is
-a handful of batched gemm launches — the path Krylov loops should use (see
-:class:`repro.core.apply_plan.ApplyPlan`).
+:meth:`HODLRMatrix.matvec` is the reference: it walks the tree block by
+block at the stored precision.  The fast path is a compiled
+:class:`~repro.core.apply_plan.ApplyPlan` — ``ApplyPlan(H, context=...)``
+or the one :class:`~repro.api.operator.HODLROperator` owns — which reads
+the matrix's per-level shape-bucketed stacks as views and runs every
+product as a handful of batched gemm launches; Krylov loops should use it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from types import MappingProxyType
 from typing import Dict, List, Optional, Union
 
@@ -59,7 +60,6 @@ import numpy as np
 from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
 from ..backends.dispatch import plan_batch
 from ..backends.parallel import prefetch_iter
-from .apply_plan import ApplyPlan
 from .cluster_tree import ClusterTree, TreeNode
 from .compression import (
     BlockEvaluator,
@@ -184,9 +184,6 @@ class HODLRMatrix:
     V: Mapping
     #: ``V[k] == conj(U[k])`` for every node: the bases are stored once
     symmetric: bool = False
-    #: compiled bucketed apply plan (see :meth:`build_apply_plan`); not part
-    #: of the matrix value — excluded from comparison and repr
-    _apply_plan: Optional[ApplyPlan] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         tree = self.tree
@@ -280,56 +277,20 @@ class HODLRMatrix:
         return max(self.rank_profile())
 
     # ------------------------------------------------------------------
-    # apply plan
-    # ------------------------------------------------------------------
-    def build_apply_plan(
-        self, force: bool = False, context: Optional[ExecutionContext] = None
-    ) -> ApplyPlan:
-        """Compile (and cache) the bucketed batched apply plan.
-
-        The plan reads the matrix's per-level shape-bucketed stacks as
-        views, so every subsequent :meth:`matvec` executes as a handful of
-        batched gemm launches instead of a Python loop over tree nodes
-        (:class:`repro.api.operator.HODLROperator` builds the plan lazily on
-        first application).
-
-        The cached plan is used automatically by :meth:`matvec`.  Call
-        :meth:`clear_apply_plan` (or ``build_apply_plan(force=True)``) after
-        mutating ``diag``/``U``/``V``: demoted or conjugated buckets are
-        copies.
-
-        ``context`` carries the backend, dispatch policy *and*
-        :class:`~repro.backends.context.PrecisionPolicy`: a policy with
-        ``plan="float32"`` compiles the half-traffic mixed-precision plan.
-        """
-        if self._apply_plan is None or force:
-            self._apply_plan = ApplyPlan(self, context=context)
-        return self._apply_plan
-
-    def clear_apply_plan(self) -> None:
-        """Drop the cached apply plan (after in-place block mutation)."""
-        self._apply_plan = None
-
-    @property
-    def apply_plan(self) -> Optional[ApplyPlan]:
-        """The cached apply plan, or ``None`` if not built."""
-        return self._apply_plan
-
-    # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
-    def matvec(self, x: np.ndarray, use_plan: bool = True) -> np.ndarray:
+    def matvec(self, x: np.ndarray) -> np.ndarray:
         """Multiply the HODLR matrix by a vector or a block of vectors.
 
-        Uses the compiled bucketed apply plan when one has been built
-        (:meth:`build_apply_plan`); otherwise walks the tree one block at a
-        time.  ``use_plan=False`` forces the tree walk — callers needing the
-        *stored* precision (e.g. iterative refinement residuals) use this to
-        bypass a cached mixed-precision plan.
+        The reference path: walks the tree one block at a time, at the
+        stored precision.  Repeated products should compile an
+        :class:`~repro.core.apply_plan.ApplyPlan` instead.
         """
-        if use_plan and self._apply_plan is not None:
-            return self._apply_plan.matvec(x)
         x = np.asarray(x)
+        if x.ndim > 2:
+            raise ValueError(
+                f"operand must be a vector or a (n, K) block, got ndim={x.ndim}"
+            )
         squeeze = x.ndim == 1
         X = x.reshape(-1, 1) if squeeze else x
         if X.shape[0] != self.n:

@@ -16,20 +16,24 @@ changes, and exposes ``solve``/``logdet``/``as_preconditioner()``.
 :class:`~repro.core.hodlr.HODLRMatrix` to one factorization variant and an
 array backend, and owns the timings/diagnostics (:class:`SolveStats`).
 Instantiating it directly remains supported for low-level work
-(``HODLRSolver(H, variant="flat").factorize()``); facade code should use
+(``HODLRSolver(H).factorize()``); facade code should use
 :meth:`HODLRSolver.from_config` so all option plumbing stays in
 :class:`~repro.api.config.SolverConfig`.
 
 Variants
 --------
+Two built-in ways to run a solve: one compiled fast path and one reference.
+
+``"batched"`` (default)
+    Algorithms 1-4: the level-batched schedule over the matrix's per-level
+    stacks, compiled into one :class:`~repro.core.factor_plan.FactorPlan`
+    and replayed by its :class:`~repro.core.factor_plan.SolvePlan`, with
+    kernel traces available for performance modeling
+    (:class:`~repro.core.factor_batched.BatchedFactorization`).
 ``"recursive"``
-    The per-node recursion of section III-A (reference; also the engine of
-    the HODLRlib-style CPU baseline).
-``"flat"`` / ``"batched"``
-    Algorithms 1-4: the level-batched schedule over the concatenated
-    storage, compiled into one :class:`~repro.core.factor_plan.FactorPlan`
-    with kernel traces available for performance modeling.  Both names
-    build the same :class:`~repro.core.factor_batched.BatchedFactorization`.
+    The per-node recursion of section III-A: the reference the plan is
+    tested against and the engine of the HODLRlib-style CPU baseline.  It
+    builds no plan.
 """
 
 from __future__ import annotations
@@ -44,12 +48,11 @@ import numpy as np
 from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
 from ..backends.counters import KernelTrace
 from ..backends.perfmodel import ExecutionEstimate, PerformanceModel
-from .bigdata import BigMatrices
 from .factor_batched import BatchedFactorization
 from .factor_recursive import RecursiveFactorization
 from .hodlr import HODLRMatrix
 
-_VARIANTS = ("recursive", "flat", "batched")
+_VARIANTS = ("recursive", "batched")
 
 #: registered non-builtin variants: ``factory(hodlr, solver) -> impl`` where
 #: ``impl`` provides at least ``solve(b)`` (``slogdet``/``logdet``/
@@ -122,19 +125,19 @@ class HODLRSolver:
     hodlr:
         The HODLR approximation of the coefficient matrix.
     variant:
-        ``"recursive"``, ``"flat"`` or ``"batched"`` (default).
+        ``"recursive"`` or ``"batched"`` (default).
     dtype:
         Optional dtype override; ``np.float32`` reproduces the paper's
         single-precision runs (Table IVb).
     pivot:
-        Partial pivoting in the reduced ``K`` systems (``flat``/``batched``).
+        Partial pivoting in the reduced ``K`` systems (``batched``).
     context:
         The :class:`~repro.backends.context.ExecutionContext` carrying the
         array backend, the shape-bucketing
         :class:`~repro.backends.dispatch.DispatchPolicy`, and the precision
         in one object (``None`` = the default context).  A context with
-        :data:`~repro.backends.dispatch.LOOP_POLICY` runs the per-block
-        reference schedule.
+        :data:`~repro.backends.dispatch.LOOP_POLICY` runs every launch of the
+        compiled plan block by block.
     """
 
     def __init__(
@@ -208,9 +211,9 @@ class HODLRSolver:
                 hodlr=self.hodlr, context=self.context
             ).factorize()
             self.stats.factorization_bytes = self._impl.factorization_nbytes()
-        elif self.variant in ("flat", "batched"):
+        elif self.variant == "batched":
             self._impl = BatchedFactorization(
-                data=BigMatrices(self.hodlr), pivot=self.pivot, context=self.context
+                hodlr=self.hodlr, pivot=self.pivot, context=self.context
             ).factorize()
             self.stats.factorization_bytes = self._impl.factorization_nbytes()
         else:
@@ -250,11 +253,10 @@ class HODLRSolver:
     def solve(self, b: np.ndarray, compute_residual: bool = False) -> np.ndarray:
         """Solve ``A x = b``; ``b`` may contain multiple right-hand sides.
 
-        The ``flat``/``batched`` variants replay their compiled
+        The ``batched`` variant replays its compiled
         :class:`~repro.core.factor_plan.SolvePlan` (packed once at
         factorization time, reused across solves and Krylov iterations);
-        the ``recursive`` variant does too unless its policy disables
-        bucketing, in which case it runs the per-node recursion.
+        the ``recursive`` variant runs the per-node recursion.
         """
         impl = self._require_factored()
         t0 = time.perf_counter()  # repro-lint: ignore[RL004] -- SolveStats wall-clock reporting, not test timing
@@ -323,7 +325,7 @@ class HODLRSolver:
         return fn()
 
     # ------------------------------------------------------------------
-    # traces & performance modeling (flat/batched variants)
+    # traces & performance modeling (batched variant)
     # ------------------------------------------------------------------
     @property
     def factor_trace(self) -> Optional[KernelTrace]:
@@ -341,8 +343,8 @@ class HODLRSolver:
     @property
     def factor_plan(self):
         """The shared packed :class:`~repro.core.factor_plan.FactorPlan`
-        (``None`` before factorization, for registered baseline variants,
-        and for ``recursive`` under a non-bucketing policy)."""
+        of the ``batched`` variant; ``None`` before factorization, for
+        ``recursive`` and for registered baseline variants)."""
         return getattr(self._impl, "factor_plan", None)
 
     @property
@@ -356,7 +358,7 @@ class HODLRSolver:
     ) -> Dict[str, ExecutionEstimate]:
         """Estimate device execution times of the recorded kernel traces.
 
-        Only meaningful for the ``flat``/``batched`` variants; returns a dict with
+        Only meaningful for the ``batched`` variant; returns a dict with
         keys ``"factorization"`` and (if a solve has been run)
         ``"solution"``.
         """

@@ -126,6 +126,7 @@ class TestSolverConfig:
             dict(pivot=1),
             dict(dtype="int32"),
             dict(dtype="not-a-dtype"),
+            dict(variant="flat"),  # the retired alias of "batched"
         ],
     )
     def test_validation_rejects(self, kwargs):
@@ -139,7 +140,7 @@ class TestSolverConfig:
 
     def test_round_trip_including_policy_and_compression(self):
         cfg = SolverConfig(
-            variant="flat",
+            variant="recursive",
             dtype="float32",
             pivot=False,
             dispatch_policy=DispatchPolicy(bucketing=False, min_bucket=3),
@@ -157,7 +158,7 @@ class TestSolverConfig:
     def test_replace_reaches_compression_fields(self):
         cfg = SolverConfig()
         assert cfg.replace(tol=1e-3).compression.tol == 1e-3
-        assert cfg.replace(variant="flat").variant == "flat"
+        assert cfg.replace(variant="recursive").variant == "recursive"
         with pytest.raises(ConfigError):
             cfg.replace(no_such_field=1)
 
@@ -169,7 +170,7 @@ class TestSolverConfig:
             cfg.replace(compression=CompressionConfig(tol=1e-3), tol=1e-6)
 
     def test_hashable(self):
-        assert len({SolverConfig(), SolverConfig(), SolverConfig(variant="flat")}) == 2
+        assert len({SolverConfig(), SolverConfig(), SolverConfig(variant="recursive")}) == 2
 
 
 # ======================================================================
@@ -326,8 +327,8 @@ class TestHODLROperator:
 
     def test_config_overrides(self, system):
         _, H, _ = system
-        op = HODLROperator(H, variant="flat", pivot=False)
-        assert op.config.variant == "flat" and op.config.pivot is False
+        op = HODLROperator(H, variant="recursive", pivot=False)
+        assert op.config.variant == "recursive" and op.config.pivot is False
 
 
 # ======================================================================

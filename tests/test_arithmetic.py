@@ -93,7 +93,7 @@ class TestLowRankUpdate:
         X = rng.standard_normal((n, 2))
         Y = rng.standard_normal((n, 2))
         H2 = arithmetic.add_low_rank_update(HA, X, Y, tol=1e-12)
-        solver = HODLRSolver(H2, variant="flat").factorize()
+        solver = HODLRSolver(H2, variant="batched").factorize()
         b = rng.standard_normal(n)
         x = solver.solve(b)
         assert np.linalg.norm((A + X @ Y.T) @ x - b) / np.linalg.norm(b) < 1e-8

@@ -2,8 +2,8 @@
 
 Equivalence suite: the batched construction schedule and the compiled apply
 plan must match the per-block schedule (the same builder under an
-``ExecutionContext(policy=LOOP_POLICY)``) to 1e-12 across all three
-factorization variants, complex dtypes, adaptive ranks, and
+``ExecutionContext(policy=LOOP_POLICY)``) and the reference tree walk to
+1e-12 across both factorization variants, complex dtypes, adaptive ranks, and
 non-power-of-two N — plus counter tests asserting the launch count drops to
 O(levels x buckets).
 """
@@ -19,8 +19,8 @@ from repro.backends.counters import get_recorder
 from repro.backends.dispatch import DEFAULT_POLICY, LOOP_POLICY, plan_batch
 from repro.backends.parallel import ParallelPolicy, shutdown_pool
 from repro.core import (
+    ApplyPlan,
     BatchedFactorization,
-    BigMatrices,
     ClusterTree,
     HODLRSolver,
     build_hodlr,
@@ -142,7 +142,7 @@ class TestBatchedConstructionEquivalence:
             with pytest.raises(ValueError, match="construction"):
                 build_hodlr(A, tree, config=CompressionConfig(construction=mode))
 
-    @pytest.mark.parametrize("variant", ["recursive", "flat", "batched"])
+    @pytest.mark.parametrize("variant", ["recursive", "batched"])
     def test_solve_equivalence_across_variants(self, variant):
         rng = np.random.default_rng(7)
         A = smooth_matrix(256, rng)
@@ -674,11 +674,12 @@ class TestApplyPlan:
         H = build_hodlr(A, tree, config=CompressionConfig(tol=1e-12, method="svd"))
         x = rng.standard_normal(n)
         X = rng.standard_normal((n, 3))
-        y_loop, Y_loop = H.matvec(x), H.matvec(X)
-        H.build_apply_plan()
-        scale = np.linalg.norm(y_loop)
-        assert np.linalg.norm(H.matvec(x) - y_loop) <= 1e-12 * scale
-        assert np.linalg.norm(H.matvec(X) - Y_loop) <= 1e-12 * np.linalg.norm(Y_loop)
+        plan = ApplyPlan(H)
+        dense = H.to_dense()
+        for v in (x, X):
+            y_plan = plan.matvec(v)
+            for ref in (H.matvec(v), dense @ v):
+                assert np.linalg.norm(y_plan - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_plan_handles_adaptive_ranks(self):
         # tol-driven ranks differ per block -> several (m, n, r) buckets
@@ -691,9 +692,9 @@ class TestApplyPlan:
         ranks = {H.U[i].shape[1] for i in H.U}
         assert len(ranks) > 1  # genuinely heterogeneous
         x = rng.standard_normal(300)
-        y_loop = H.matvec(x)
-        H.build_apply_plan()
-        assert np.linalg.norm(H.matvec(x) - y_loop) <= 1e-12 * np.linalg.norm(y_loop)
+        y_plan = ApplyPlan(H).matvec(x)
+        for ref in (H.matvec(x), H.to_dense() @ x):
+            assert np.linalg.norm(y_plan - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_plan_dtype_promotion(self):
         rng = np.random.default_rng(2)
@@ -701,37 +702,18 @@ class TestApplyPlan:
         tree = ClusterTree.balanced(128, leaf_size=16)
         H = build_hodlr(A, tree, config=CompressionConfig(tol=1e-12, method="svd"))
         z = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-        y_loop = H.matvec(z)
-        H.build_apply_plan()
-        y_plan = H.matvec(z)
+        y_plan = ApplyPlan(H).matvec(z)
         assert np.iscomplexobj(y_plan)
-        assert np.linalg.norm(y_plan - y_loop) <= 1e-12 * np.linalg.norm(y_loop)
-
-    def test_plan_caching_and_invalidation(self):
-        rng = np.random.default_rng(3)
-        A = smooth_matrix(64, rng)
-        tree = ClusterTree.balanced(64, leaf_size=16)
-        H = build_hodlr(A, tree, config=CompressionConfig(tol=1e-12, method="svd"))
-        assert H.apply_plan is None
-        p1 = H.build_apply_plan()
-        assert H.build_apply_plan() is p1  # cached
-        p2 = H.build_apply_plan(force=True)
-        assert p2 is not p1
-        H.clear_apply_plan()
-        assert H.apply_plan is None
-        # astype / copy do not inherit a stale plan
-        H.build_apply_plan()
-        assert H.astype(np.float32).apply_plan is None
-        assert H.copy().apply_plan is None
+        for ref in (H.matvec(z), H.to_dense() @ z):
+            assert np.linalg.norm(y_plan - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_plan_dimension_mismatch(self):
         rng = np.random.default_rng(4)
         A = smooth_matrix(64, rng)
         tree = ClusterTree.balanced(64, leaf_size=16)
         H = build_hodlr(A, tree, config=CompressionConfig(tol=1e-12, method="svd"))
-        H.build_apply_plan()
         with pytest.raises(ValueError, match="dimension mismatch"):
-            H.matvec(np.zeros(63))
+            ApplyPlan(H).matvec(np.zeros(63))
 
     def test_operator_builds_plan_lazily(self):
         rng = np.random.default_rng(5)
@@ -745,8 +727,6 @@ class TestApplyPlan:
         x = rng.standard_normal(128)
         y = op @ x
         assert op.apply_plan is not None  # compiled on first application
-        # the plan is owned by the operator: the caller's matrix is untouched
-        assert op.hodlr.apply_plan is None
         assert np.linalg.norm(y - A @ x) <= 1e-8 * np.linalg.norm(x)
         # reused across subsequent applications (the Krylov-loop case)
         plan = op.apply_plan
@@ -770,10 +750,10 @@ class TestLaunchCounters:
         H = build_hodlr(
             A, tree, config=CompressionConfig(tol=1e-10, method="svd", max_rank=8)
         )
-        plan = H.build_apply_plan()
+        plan = ApplyPlan(H)
         rec = get_recorder()
         with rec.recording() as trace:
-            H.matvec(rng.standard_normal(n))
+            plan.matvec(rng.standard_normal(n))
         assert trace.num_kernel_launches == plan.launches_per_apply
         # uniform ranks: 1 diag bucket + 2 launches per level
         assert plan.launches_per_apply <= 1 + 2 * tree.levels
@@ -935,12 +915,11 @@ class TestFlatBatchedLU:
         # vectorised batched LU crossover actually engages
         H = build_hodlr(A, tree, config=CompressionConfig(tol=1e-12, method="svd"))
         b = rng.standard_normal(256)
-        data = BigMatrices.from_hodlr(H)
         x_def = BatchedFactorization(
-            data=data.copy(), context=ExecutionContext(policy=DEFAULT_POLICY)
+            hodlr=H, context=ExecutionContext(policy=DEFAULT_POLICY)
         ).factorize().solve(b)
         x_loop = BatchedFactorization(
-            data=data.copy(), context=ExecutionContext(policy=LOOP_POLICY)
+            hodlr=H, context=ExecutionContext(policy=LOOP_POLICY)
         ).factorize().solve(b)
         assert np.linalg.norm(x_def - x_loop) <= 1e-12 * np.linalg.norm(x_loop)
         assert np.linalg.norm(A @ x_def - b) <= 1e-8 * np.linalg.norm(b)
@@ -951,8 +930,8 @@ class TestFlatBatchedLU:
         tree = ClusterTree.balanced(128, leaf_size=16)
         H = build_hodlr(A, tree, config=CompressionConfig(tol=1e-12, method="svd"))
         b = rng.standard_normal(128)
-        s1 = HODLRSolver(H, variant="flat", context=LOOP_CONTEXT).factorize()
-        s2 = HODLRSolver(H, variant="flat").factorize()
+        s1 = HODLRSolver(H, variant="batched", context=LOOP_CONTEXT).factorize()
+        s2 = HODLRSolver(H, variant="batched").factorize()
         assert s1._impl.context.policy.bucketing is False
         assert s2._impl.context.policy.bucketing is True
         assert np.linalg.norm(s1.solve(b) - s2.solve(b)) <= 1e-12 * np.linalg.norm(b)
@@ -963,7 +942,7 @@ class TestFlatBatchedLU:
         A = A @ A.T + 128 * np.eye(128)  # SPD: well-defined logdet
         tree = ClusterTree.balanced(128, leaf_size=16)
         H = build_hodlr(A, tree, config=CompressionConfig(tol=1e-12, method="svd"))
-        fac = BatchedFactorization(data=BigMatrices.from_hodlr(H)).factorize()
+        fac = BatchedFactorization(hodlr=H).factorize()
         _, expected = np.linalg.slogdet(A)
         assert abs(fac.logdet() - expected) <= 1e-6 * abs(expected)
 

@@ -240,7 +240,7 @@ class TestRecordingStub:
         )
 
         # compiled apply plan + matvec, device in / device out
-        plan = hodlr.build_apply_plan(context=ctx)
+        plan = ApplyPlan(hodlr, context=ctx)
         assert all(isinstance(b.U3, _DeviceArray) for b in plan.lowrank_buckets)
         rng = np.random.default_rng(3)
         x_dev = stub.from_host(rng.standard_normal(km.n))
@@ -413,16 +413,17 @@ class TestMixedPrecisionPlan:
         y_ref = ApplyPlan(H).matvec(v)
         assert np.linalg.norm(y - y_ref) / np.linalg.norm(y_ref) < 1e-5
 
-    def test_hodlr_matvec_uses_demoted_cached_plan(self):
+    def test_demoted_plan_leaves_hodlr_matvec_full_precision(self):
+        # the plan is a separate object: compiling a demoted one does not
+        # reroute the matrix's own (reference) matvec
         H = _gaussian_hodlr(n=256, tol=1e-9)
         ctx = ExecutionContext(precision=PrecisionPolicy(plan="float32"))
-        H.build_apply_plan(context=ctx, force=True)
-        assert H.apply_plan.demoted
+        plan = ApplyPlan(H, context=ctx)
+        assert plan.demoted
         x = np.random.default_rng(0).standard_normal(H.n)
-        y = H.matvec(x)  # routed through the cached demoted plan
-        H.clear_apply_plan()
-        y_ref = H.matvec(x)
-        assert np.linalg.norm(y - y_ref) / np.linalg.norm(y_ref) < 1e-5
+        y_ref = H.to_dense() @ x
+        assert np.linalg.norm(H.matvec(x) - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
+        assert np.linalg.norm(plan.matvec(x) - y_ref) < 1e-5 * np.linalg.norm(y_ref)
 
 
 # ======================================================================
@@ -473,19 +474,18 @@ class TestRefinement:
         assert op.stats.last_solve_seconds <= op.stats.solve_seconds
 
     def test_refinement_bypasses_demoted_cached_plan(self):
-        # the README quickstart combination: a demoted plan cached on the
-        # base matrix must not poison the refinement residual
+        # the README quickstart combination: neither a demoted apply plan
+        # compiled over the base matrix nor the operator's own float32 plan
+        # may poison the refinement residual
         H, b = self._system(n=256)
-        H.build_apply_plan(
-            context=ExecutionContext(precision=PrecisionPolicy(plan="float32")),
-            force=True,
-        )
-        assert H.apply_plan.demoted
+        demoted = ExecutionContext(precision=PrecisionPolicy(plan="float32"))
+        assert ApplyPlan(H, context=demoted).demoted
         op = HODLROperator(
             H, precision=PrecisionPolicy(storage="float32", refine=True)
         )
+        _ = op @ b  # compiles the operator's float32 apply plan
+        assert op.apply_plan.dtype == np.float32
         x = op.solve(b)
-        H.clear_apply_plan()
         assert self._relres(H, x, b) < 1e-11
 
     def test_refine_noop_at_full_precision(self):
@@ -597,10 +597,10 @@ class TestPadToBucket:
     def test_factorization_with_padding_policy_matches_default(self):
         H = _gaussian_hodlr(n=256, tol=1e-6)  # adaptive ranks → ragged shapes
         b = np.random.default_rng(19).standard_normal(H.n)
-        x_ref = HODLRSolver(H, variant="flat").factorize().solve(b)
+        x_ref = HODLRSolver(H, variant="batched").factorize().solve(b)
         pad_policy = DispatchPolicy(pad_buckets=True, pad_max_waste=0.25)
         x_pad = (
-            HODLRSolver(H, variant="flat", context=ExecutionContext(policy=pad_policy))
+            HODLRSolver(H, variant="batched", context=ExecutionContext(policy=pad_policy))
             .factorize()
             .solve(b)
         )
@@ -613,9 +613,10 @@ class TestPadToBucket:
 class TestBaselineVariants:
     def test_registry_lists_baselines(self):
         names = available_solver_variants()
-        for name in ("recursive", "flat", "batched", "dense_lu", "block_sparse",
+        for name in ("recursive", "batched", "dense_lu", "block_sparse",
                      "hodlrlib_cpu"):
             assert name in names
+        assert "flat" not in names
 
     @pytest.mark.parametrize("variant", ["dense_lu", "block_sparse", "hodlrlib_cpu"])
     def test_baseline_solve_through_facade(self, variant):

@@ -33,7 +33,7 @@ from repro.api import CompressionConfig, SolverConfig
 from repro.api.cache import problem_fingerprint
 from repro.api.krylov import IterationLog
 
-VARIANTS = ["recursive", "flat", "batched"]
+VARIANTS = ["recursive", "batched"]
 
 
 def _config(variant="batched", **kw):
@@ -399,7 +399,7 @@ class TestRunSweep:
         ]
         res = run_sweep("gaussian_kernel", cfgs, n=256)
         # first config assembles; the others reuse it (same compression)
-        assert [s.recycled for s in res.steps] == [False, True, True]
+        assert [s.recycled for s in res.steps] == [False, True]
         xs = res.solutions
         for x in xs[1:]:
             assert np.linalg.norm(x - xs[0]) / np.linalg.norm(xs[0]) < 1e-10

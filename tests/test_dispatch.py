@@ -306,7 +306,7 @@ class TestSolverThreading:
         tree = ClusterTree.balanced(n, leaf_size=32)
         return A, build_hodlr(A, tree, tol=1e-11, method="svd")
 
-    @pytest.mark.parametrize("variant", ["recursive", "flat", "batched"])
+    @pytest.mark.parametrize("variant", ["recursive", "batched"])
     def test_named_backend_accepted(self, small_hodlr, variant, rng):
         from repro import ExecutionContext, HODLRSolver
 

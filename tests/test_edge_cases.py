@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    BigMatrices,
     BatchedFactorization,
     ClusterTree,
     HODLRSolver,
@@ -31,10 +30,9 @@ class TestZeroRankOffDiagonals:
     def test_ranks_are_zero(self, block_diag_problem):
         _, H = block_diag_problem
         assert max(H.rank_profile()) == 0
-        packed = BigMatrices.from_hodlr(H)
-        assert packed.total_rank_cols == 0
+        assert H.storage.level_ranks == [0] * H.tree.levels
 
-    @pytest.mark.parametrize("variant", ["recursive", "flat", "batched"])
+    @pytest.mark.parametrize("variant", ["recursive", "batched"])
     def test_solve_block_diagonal(self, block_diag_problem, variant, rng):
         A, H = block_diag_problem
         solver = HODLRSolver(H, variant=variant).factorize()
@@ -44,7 +42,7 @@ class TestZeroRankOffDiagonals:
 
     def test_logdet_block_diagonal(self, block_diag_problem):
         A, H = block_diag_problem
-        solver = HODLRSolver(H, variant="flat").factorize()
+        solver = HODLRSolver(H, variant="batched").factorize()
         sign_ref, logdet_ref = np.linalg.slogdet(A)
         sign, logabs = solver.slogdet()
         assert logabs == pytest.approx(logdet_ref, rel=1e-9)
@@ -70,7 +68,7 @@ class TestPartiallyZeroLevels:
         H = build_hodlr(A, tree, tol=1e-10, method="svd")
         profile = H.rank_profile()
         assert profile[0] >= 2 and all(r == 0 for r in profile[1:])
-        fac = BatchedFactorization(data=BigMatrices.from_hodlr(H)).factorize()
+        fac = BatchedFactorization(hodlr=H).factorize()
         b = rng.standard_normal(n)
         x = fac.solve(b)
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-9
@@ -83,7 +81,7 @@ class TestMinimalTrees:
         A = hodlr_friendly_matrix(n, seed=40)
         tree = ClusterTree(n, levels=1)
         H = build_hodlr(A, tree, tol=1e-12, method="svd")
-        for variant in ["recursive", "flat", "batched"]:
+        for variant in ["recursive", "batched"]:
             solver = HODLRSolver(H, variant=variant).factorize()
             b = rng.standard_normal(n)
             x = solver.solve(b)
@@ -114,7 +112,7 @@ class TestMinimalTrees:
 
 
 class TestIdentityAndDiagonalMatrices:
-    @pytest.mark.parametrize("variant", ["recursive", "flat", "batched"])
+    @pytest.mark.parametrize("variant", ["recursive", "batched"])
     def test_identity(self, variant, rng):
         n = 64
         tree = ClusterTree.balanced(n, leaf_size=16)

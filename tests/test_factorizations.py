@@ -1,18 +1,15 @@
-"""Correctness tests for all three factorization variants.
+"""Correctness tests for both factorization variants.
 
 The recursive algorithm (section III-A) and the plan-backed level-batched
 algorithm (Algorithms 1-4) must solve the same systems to round-off, for
 real and complex matrices, single and multiple right-hand sides, and
-varying tree depths.  The ``"flat"`` legs build the plan factorization
-through ``HODLRSolver(variant="flat")``, the ``"batched"`` legs construct
-:class:`BatchedFactorization` directly.
+varying tree depths.
 """
 
 import numpy as np
 import pytest
 
 from repro import (
-    BigMatrices,
     BatchedFactorization,
     ClusterTree,
     HODLRSolver,
@@ -39,14 +36,12 @@ def make_problem(n=256, leaf=32, tol=1e-12, seed=0, kind="real"):
 def factorize(H, variant):
     if variant == "recursive":
         return RecursiveFactorization(hodlr=H).factorize()
-    if variant == "flat":
-        return HODLRSolver(H, variant="flat").factorize()
     if variant == "batched":
-        return BatchedFactorization(data=BigMatrices.from_hodlr(H)).factorize()
+        return BatchedFactorization(hodlr=H).factorize()
     raise ValueError(variant)
 
 
-VARIANTS = ["recursive", "flat", "batched"]
+VARIANTS = ["recursive", "batched"]
 
 
 class TestSolveCorrectness:
@@ -89,7 +84,6 @@ class TestSolveCorrectness:
         b = rng.standard_normal(A.shape[0])
         sols = [factorize(H, v).solve(b) for v in VARIANTS]
         np.testing.assert_allclose(sols[0], sols[1], rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(sols[0], sols[2], rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("levels", [1, 2, 3, 4])
@@ -119,10 +113,8 @@ class TestSolveCorrectness:
         _, H = make_problem(n=64, leaf=16)
         if variant == "recursive":
             fac = RecursiveFactorization(hodlr=H)
-        elif variant == "flat":
-            fac = HODLRSolver(H, variant="flat")
         else:
-            fac = BatchedFactorization(data=BigMatrices.from_hodlr(H))
+            fac = BatchedFactorization(hodlr=H)
         with pytest.raises(RuntimeError):
             fac.solve(np.ones(64))
 
@@ -141,7 +133,7 @@ class TestFactorizationEquivalence:
         """The Y bases produced by Algorithm 1 equal A_alpha^{-1} U_alpha."""
         A, H = make_problem(n=128, leaf=32, seed=5)
         tree = H.tree
-        flat = BatchedFactorization(data=BigMatrices.from_hodlr(H)).factorize()
+        flat = BatchedFactorization(hodlr=H).factorize()
         Y = flat.factor_plan.y_views()
         for level in range(1, tree.levels + 1):
             for idx in tree.level_indices(level):
@@ -157,9 +149,10 @@ class TestFactorizationEquivalence:
                 )
 
     def test_batched_and_flat_produce_same_Ybig(self):
+        """The solver's plan factorization equals the directly built one."""
         _, H = make_problem(n=256, leaf=32, seed=6)
-        flat = HODLRSolver(H, variant="flat").factorize()._impl
-        batched = BatchedFactorization(data=BigMatrices.from_hodlr(H)).factorize()
+        flat = HODLRSolver(H, variant="batched").factorize()._impl
+        batched = BatchedFactorization(hodlr=H).factorize()
         Y_flat = flat.factor_plan.y_views()
         Y_batched = batched.factor_plan.y_views()
         assert Y_flat.keys() == Y_batched.keys()
@@ -189,7 +182,7 @@ class TestDeterminant:
 
     def test_spd_logdet_positive(self):
         A, H = make_problem(n=128, leaf=16, kind="spd", seed=9)
-        fac = factorize(H, "flat")
+        fac = factorize(H, "batched")
         assert fac.logdet() == pytest.approx(np.linalg.slogdet(A)[1], rel=1e-7)
 
 
@@ -204,7 +197,7 @@ class TestLowAccuracyFactorization:
         residuals = {}
         for tol in [1e-2, 1e-6, 1e-12]:
             H = build_hodlr(A, tree, tol=tol, method="svd")
-            fac = BatchedFactorization(data=BigMatrices.from_hodlr(H)).factorize()
+            fac = BatchedFactorization(hodlr=H).factorize()
             x = fac.solve(b)
             residuals[tol] = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
         assert residuals[1e-12] < residuals[1e-6] < residuals[1e-2]

@@ -56,8 +56,11 @@ class TestArithmetic:
         np.testing.assert_allclose(small_hodlr @ x, small_dense @ x, rtol=1e-9, atol=1e-9)
 
     def test_matvec_dimension_mismatch(self, small_hodlr):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dimension mismatch"):
             small_hodlr.matvec(np.ones(10))
+        # a 3-D operand gets the same message as ApplyPlan.matvec
+        with pytest.raises(ValueError, match=r"a vector or a \(n, K\) block, got ndim=3"):
+            small_hodlr.matvec(np.ones((small_hodlr.n, 2, 2)))
 
     def test_to_dense_round_trip(self, small_dense, small_tree):
         H = build_hodlr(small_dense, small_tree, tol=1e-13, method="svd")

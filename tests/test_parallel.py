@@ -43,7 +43,7 @@ from repro.backends.parallel import (
     shutdown_pool,
 )
 
-VARIANTS = ["recursive", "flat", "batched"]
+VARIANTS = ["recursive", "batched"]
 
 #: forces pool execution on any host (explicit workers bypass calibration,
 #: zero element floor admits every launch)

@@ -46,7 +46,7 @@ class TestPreconditioner:
 
     def test_gmres_matvec_operator_input(self, hard_system):
         A, H, b = hard_system
-        M = HODLROperator(H, variant="flat")
+        M = HODLROperator(H, variant="batched")
         x, info, _ = gmres_solve(lambda v: A @ v, b, preconditioner=M, tol=1e-10)
         assert info == 0
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-8
@@ -77,7 +77,7 @@ class TestPreconditioner:
     def test_bare_solver_as_preconditioner(self, hard_system):
         """A HODLRSolver is accepted directly (and lazily factorized)."""
         A, H, b = hard_system
-        solver = HODLRSolver(H, variant="flat")
+        solver = HODLRSolver(H, variant="batched")
         assert not solver.factored
         M = as_preconditioner(solver)
         assert solver.factored

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro import (
     BatchedFactorization,
-    BigMatrices,
     ClusterTree,
     LowRankFactor,
     build_hodlr,
@@ -147,7 +146,7 @@ def test_factorization_solves_to_roundoff(n, leaf, seed):
     A = _structured_matrix(n, seed, 30.0)
     tree = ClusterTree.balanced(n, leaf_size=leaf)
     H = build_hodlr(A, tree, tol=1e-12, method="svd")
-    fac = BatchedFactorization(data=BigMatrices.from_hodlr(H)).factorize()
+    fac = BatchedFactorization(hodlr=H).factorize()
     rng = np.random.default_rng(seed + 2)
     b = rng.standard_normal(n)
     x = fac.solve(b)
@@ -165,8 +164,6 @@ def test_storage_never_exceeds_dense(n, seed):
     tree = ClusterTree.balanced(n, leaf_size=16)
     H = build_hodlr(A, tree, tol=1e-10, method="svd")
     assert H.nbytes <= A.nbytes * 1.05
-    packed = BigMatrices.from_hodlr(H)
-    assert packed.total_rank_cols == sum(packed.level_ranks)
 
 
 # ----------------------------------------------------------------------

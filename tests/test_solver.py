@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    BatchedFactorization,
     ClusterTree,
     HODLROperator,
     HODLRSolver,
@@ -16,7 +15,7 @@ from conftest import hodlr_friendly_matrix
 
 
 class TestAPI:
-    @pytest.mark.parametrize("variant", ["recursive", "flat", "batched"])
+    @pytest.mark.parametrize("variant", ["recursive", "batched"])
     def test_factorize_solve(self, small_dense, small_hodlr, variant, rng):
         solver = HODLRSolver(small_hodlr, variant=variant).factorize()
         assert solver.factored
@@ -87,7 +86,8 @@ class TestTracesAndModeling:
         assert solver.factor_trace.total_flops > 5 * solver.last_solve_trace.total_flops
 
     def test_flat_variant_records_trace(self, small_hodlr, rng):
-        solver = HODLRSolver(small_hodlr, variant="flat").factorize()
+        # the plan variant (the paper's non-recursive Algorithms 1-4)
+        solver = HODLRSolver(small_hodlr, variant="batched").factorize()
         solver.solve(rng.standard_normal(small_hodlr.n))
         assert solver.factor_trace.total_flops > 0
         assert solver.last_solve_trace.num_plan_launches > 0
@@ -132,21 +132,11 @@ class TestTracesAndModeling:
 
 
 class TestVariantAliases:
-    """``"flat"`` and ``"batched"`` name one plan-backed factorization."""
-
-    @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_flat_and_batched_build_same_class(self, kind, request, rng):
-        H = request.getfixturevalue(f"{'small' if kind == 'real' else 'complex'}_hodlr")
-        b = rng.standard_normal(H.n)
-        if kind == "complex":
-            b = b + 1j * rng.standard_normal(H.n)
-        flat = HODLRSolver(H, variant="flat").factorize()
-        batched = HODLRSolver(H, variant="batched").factorize()
-        assert type(flat._impl) is type(batched._impl) is BatchedFactorization
-        assert np.array_equal(flat.solve(b), batched.solve(b))
+    """Two built-in variants: ``"batched"`` (the compiled plan) and
+    ``"recursive"`` (the plan-free reference)."""
 
     def test_flat_variant_honours_pivot_false(self, small_dense, small_hodlr, rng):
-        op = HODLROperator(small_hodlr, variant="flat", pivot=False).factorize()
+        op = HODLROperator(small_hodlr, variant="batched", pivot=False).factorize()
         assert op.solver.factor_plan.pivot is False
         b = rng.standard_normal(small_hodlr.n)
         x = op.solve(b)
