@@ -738,7 +738,6 @@ def bench_tuned_vs_default(n, tol=1e-8):
                relres_default=res_d.relative_residual,
                derived_policy={
                    "min_bucket": policy.min_bucket,
-                   "gemm_pack_max_elements": policy.gemm_pack_max_elements,
                    "lu_factor_max_n": policy.lu_factor_max_n,
                    "lu_factor_min_batch": policy.lu_factor_min_batch,
                    "lu_solve_max_n": policy.lu_solve_max_n,

@@ -1,24 +1,16 @@
-"""Shape-bucketed dispatch vs the seed per-block loop.
+"""Batched per-bucket schedule vs the per-block reference schedule.
 
-The seed emulation executed every heterogeneous pointer-array batch as a
-pure Python loop — one NumPy call per block.  The dispatch layer
-(:mod:`repro.backends.dispatch`) groups such batches into uniform shape
-buckets and runs one vectorised ``matmul``/LU call per bucket.  This
-harness measures that improvement on the paper's workloads:
+The library lowers every tree level onto one strided launch per shape
+bucket (:mod:`repro.backends.batched`).  ``LOOP_POLICY`` is the per-block
+reference: block-by-block construction and per-problem LAPACK inside
+every LU launch of the compiled plan.  This harness measures the default
+schedule against it on the paper's workloads:
 
-* **Table III (RPY)** — the gemm/getrf/getrs batches the factorization
-  actually issues (harvested from the HODLR matrix's padded per-level
-  ``U``/``V`` stacks,
-  concatenated across levels so the batch is genuinely heterogeneous, as a
-  cross-level fused schedule would submit it), timed bucketed vs looped;
+* **Table III (RPY)** — end-to-end factorization wall clock, default vs
+  ``LOOP_POLICY``;
 * **Table V (Helmholtz)** — end-to-end factorize+solve wall clock with
-  bucketing on vs off (complex arithmetic);
-* trace verification: heterogeneous batches with >= 2 equal-shape blocks
-  must execute as bucketed strided kernels (``strided=True``,
-  ``buckets == number of distinct shapes``).
-
-``DispatchPolicy(bucketing=False)`` (``LOOP_POLICY``) is byte-for-byte the
-seed execution path, so the comparison is against the true baseline.
+  the default policy vs ``LOOP_POLICY`` (complex arithmetic), and
+  agreement of the two solutions to round-off.
 """
 
 import time
@@ -26,8 +18,6 @@ import time
 import numpy as np
 
 from repro import DispatchPolicy, ExecutionContext, HODLRSolver
-from repro.backends.batched import gemm_batched, getrf_batched, getrs_batched
-from repro.backends.counters import get_recorder
 from repro.backends.dispatch import LOOP_POLICY
 
 from common import TableRow, save_rows
@@ -35,9 +25,6 @@ from test_table3_rpy import build_rpy_hodlr
 from test_table5_helmholtz import build_helmholtz_hodlr
 
 RPY_DOFS = 3072  # largest Table-III sweep size used in this repo
-#: fine partition of the same RPY system: many small blocks per level, the
-#: regime the paper's batched schedule (and the bucketing layer) targets
-RPY_DISPATCH_LEAF = 16
 REPEATS = 5
 #: the per-block reference schedule the bucketed dispatch is measured against
 LOOP_CONTEXT = ExecutionContext(policy=LOOP_POLICY)
@@ -52,135 +39,11 @@ def _best_of(fn, repeats=REPEATS):
     return best
 
 
-def _harvest_rpy_batches(leaf_size=RPY_DISPATCH_LEAF):
-    """The pointer-array batches of the Table-III factorization schedule.
-
-    Concatenates every level's ``V* Y`` gemm operands and every level's
-    ``K``/leaf LU blocks into single heterogeneous batches (a few distinct
-    shapes, many blocks each) — the population the bucketed dispatch packs.
-    The system is the Table-III RPY kernel matrix; ``leaf_size`` controls
-    the partition granularity (the default gives the many-small-blocks
-    regime the GPU schedule is designed for).
-    """
-    from repro import ClusterTree, build_hodlr
-    from repro.kernels.points import uniform_points
-    from repro.kernels.rpy import RPYKernel
-
-    num_particles = RPY_DOFS // 3
-    rng = np.random.default_rng(0)
-    points = uniform_points(num_particles, dim=3, rng=rng)
-    kernel = RPYKernel()
-    _, perm = ClusterTree.from_points(points, leaf_size=max(4, leaf_size // 3))
-    points = points[perm]
-    tree = ClusterTree.balanced(3 * num_particles, leaf_size=leaf_size)
-    hodlr = build_hodlr(kernel.evaluator(points), tree, tol=1e-8, method="svd")
-    storage = hodlr.storage
-
-    gemm_A, gemm_B = [], []
-    lu_blocks = []
-    rng = np.random.default_rng(7)
-    for leaf in tree.leaves:
-        lu_blocks.append(np.asarray(hodlr.diag[leaf.index]))
-    for level in range(tree.levels - 1, -1, -1):
-        child_level = level + 1
-        r = storage.level_ranks[child_level - 1]
-        if r == 0:
-            continue
-        # each node's (size, r) bases, zero-padded to the level rank
-        padded = {}
-        for b in storage.bases[child_level]:
-            V = b.U.conj() if b.V is None else b.V
-            for j, nd in enumerate(b.nodes):
-                padded[nd.index] = (V[j], b.U[j])
-        for nd in tree.level_nodes(child_level):
-            V_nd, U_nd = padded[nd.index]
-            gemm_A.append(np.asarray(V_nd))
-            gemm_B.append(np.asarray(U_nd))
-        k = 2 * r
-        for _ in tree.level_nodes(level):
-            lu_blocks.append(rng.standard_normal((k, k)) + k * np.eye(k))
-    rhs = [rng.standard_normal((m.shape[0], 8)) for m in lu_blocks]
-
-    # The paper dispatches the top levels (few, large blocks) on CUDA
-    # streams, not batched kernels (section III-C); restrict the harvest to
-    # the deep-level population the batched/bucketed path actually serves.
-    keep = [max(a.shape) <= 128 for a in gemm_A]
-    gemm_A = [a for a, k_ in zip(gemm_A, keep) if k_]
-    gemm_B = [b for b, k_ in zip(gemm_B, keep) if k_]
-    keep_lu = [max(m.shape) <= 128 for m in lu_blocks]
-    lu_blocks = [m for m, k_ in zip(lu_blocks, keep_lu) if k_]
-    rhs = [r_ for r_, k_ in zip(rhs, keep_lu) if k_]
-    return gemm_A, gemm_B, lu_blocks, rhs
-
-
 class TestTable3RPYDispatch:
-    def test_bucketed_strided_kernels_verified_by_trace(self):
-        """Heterogeneous batches with >= 2 equal-shape blocks run bucketed."""
-        gemm_A, gemm_B, lu_blocks, rhs = _harvest_rpy_batches()
-        assert len({a.shape for a in gemm_A}) >= 2  # genuinely heterogeneous
-        rec = get_recorder()
-        with rec.recording() as trace:
-            gemm_batched(gemm_A, gemm_B, conjugate_a=True)
-            lu = getrf_batched(lu_blocks)
-            getrs_batched(lu, rhs)
-        gemm_ev = trace.filter(kernel="gemm_batched").events[0]
-        getrf_ev = trace.filter(kernel="getrf_batched").events[0]
-        getrs_ev = trace.filter(kernel="getrs_batched").events[0]
-        for ev in (gemm_ev, getrf_ev, getrs_ev):
-            assert ev.strided, f"{ev.kernel} did not take the bucketed strided path"
-            assert ev.batch >= 2
-            assert 1 <= ev.buckets < ev.batch  # packed: fewer launches than blocks
-        assert gemm_ev.buckets == len({(a.shape, b.shape) for a, b in zip(gemm_A, gemm_B)})
-
-    def test_wall_clock_improvement_over_seed_loop(self):
-        """The acceptance measurement: bucketed dispatch beats the per-block
-        loop on the Table-III batch population, wall clock."""
-        gemm_A, gemm_B, lu_blocks, rhs = _harvest_rpy_batches()
-
-        def pipeline(policy):
-            gemm_batched(gemm_A, gemm_B, conjugate_a=True, policy=policy)
-            lu = getrf_batched(lu_blocks, policy=policy)
-            getrs_batched(lu, rhs, policy=policy)
-
-        t_loop = _best_of(lambda: pipeline(LOOP_POLICY))
-        t_bucketed = _best_of(lambda: pipeline(None))  # default policy
-        t_gemm_loop = _best_of(
-            lambda: gemm_batched(gemm_A, gemm_B, conjugate_a=True, policy=LOOP_POLICY)
-        )
-        t_gemm_bucketed = _best_of(lambda: gemm_batched(gemm_A, gemm_B, conjugate_a=True))
-
-        rows = [
-            TableRow(
-                experiment="dispatch_bucketing_rpy",
-                n=RPY_DOFS,
-                relres=0.0,
-                extra={
-                    "gemm_blocks": float(len(gemm_A)),
-                    "lu_blocks": float(len(lu_blocks)),
-                    "t_pipeline_loop": t_loop,
-                    "t_pipeline_bucketed": t_bucketed,
-                    "t_gemm_loop": t_gemm_loop,
-                    "t_gemm_bucketed": t_gemm_bucketed,
-                    "pipeline_speedup": t_loop / t_bucketed,
-                    "gemm_speedup": t_gemm_loop / t_gemm_bucketed,
-                },
-            )
-        ]
-        save_rows("dispatch_bucketing_rpy", rows)
-        print(
-            f"\nTable-III batches ({len(gemm_A)} gemm blocks, {len(lu_blocks)} LU blocks): "
-            f"pipeline {t_loop * 1e3:.2f} ms -> {t_bucketed * 1e3:.2f} ms "
-            f"({t_loop / t_bucketed:.1f}x), "
-            f"gemm {t_gemm_loop * 1e3:.2f} ms -> {t_gemm_bucketed * 1e3:.2f} ms "
-            f"({t_gemm_loop / t_gemm_bucketed:.1f}x)"
-        )
-        assert t_gemm_bucketed < t_gemm_loop, "bucketed gemm must beat the per-block loop"
-        assert t_bucketed < t_loop, "bucketed dispatch must beat the seed per-block loop"
-
     def test_end_to_end_factorization_report(self):
-        """Full Algorithm-3 factorization with bucketing on vs off (reported;
-        the schedule is already level-batched, so the end-to-end delta is
-        smaller than the raw batch-level speedup)."""
+        """Full Algorithm-3 factorization, default policy vs ``LOOP_POLICY``
+        (reported; both compile the same per-bucket plan, only the host
+        execution inside its LU launches differs)."""
         hodlr, _, _ = build_rpy_hodlr(RPY_DOFS)
         b = np.random.default_rng(11).standard_normal(RPY_DOFS)
 

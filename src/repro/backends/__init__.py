@@ -1,11 +1,17 @@
 """Batched dense linear-algebra backend and device performance models.
 
-The paper's GPU solver is built on four cuBLAS primitives:
+The paper's GPU solver is built on batched cuBLAS/cuSOLVER primitives; the
+library lowers every tree level onto one strided launch per shape bucket:
 
-* ``gemmBatched``          -> :func:`repro.backends.batched.gemm_batched`
 * ``gemmStridedBatched``   -> :func:`repro.backends.batched.gemm_strided_batched`
 * ``getrfBatched``         -> :func:`repro.backends.batched.getrf_batched`
 * ``getrsBatched``         -> :func:`repro.backends.batched.getrs_batched`
+* ``geqrfBatched``         -> :func:`repro.backends.batched.qr_batched`
+* ``gesvdjBatched``        -> :func:`repro.backends.batched.svd_batched`
+
+The pointer-array ``gemmBatched`` has no counterpart: the compiled plans
+and the construction stage pack heterogeneous levels into uniform (or
+padded) shape buckets up front, so no launch ever sees mixed shapes.
 
 This package provides NumPy implementations of those primitives together
 with an instrumentation layer (:mod:`repro.backends.counters`) that records
@@ -40,12 +46,9 @@ from .context import (
     PrecisionPolicy,
 )
 from .batched import (
-    gemm_batched,
     gemm_strided_batched,
     getrf_batched,
     getrs_batched,
-    lu_factor_batched,
-    lu_solve_batched,
 )
 from .device import DeviceSpec, CPU_XEON_6254_DUAL, GPU_V100, PCIE3_X16
 from .perfmodel import PerformanceModel, ExecutionEstimate
@@ -85,12 +88,9 @@ __all__ = [
     "DEFAULT_CONTEXT",
     "ExecutionContext",
     "PrecisionPolicy",
-    "gemm_batched",
     "gemm_strided_batched",
     "getrf_batched",
     "getrs_batched",
-    "lu_factor_batched",
-    "lu_solve_batched",
     "DeviceSpec",
     "CPU_XEON_6254_DUAL",
     "GPU_V100",

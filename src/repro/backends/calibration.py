@@ -1,8 +1,8 @@
 """Host calibration: measured crossover curves -> derived dispatch/precision.
 
 The :class:`~repro.backends.dispatch.DispatchPolicy` crossover constants
-(gemm pack size, batched-LU vectorize thresholds, minimum bucket size,
-pad-waste break-even) were measured once, on one machine, and baked in as
+(batched-LU vectorize thresholds, minimum bucket size, pad-waste
+break-even) were measured once, on one machine, and baked in as
 class defaults.  Whether the dispatch layer's packed paths actually win on
 *this* host depends on its BLAS build, core count, and cache sizes — the
 1.15x-3.3x speedup spread in the committed benchmarks is exactly that
@@ -76,7 +76,8 @@ from .perfmodel import PerformanceModel
 #: cached profiles with a different version are re-measured.
 #: v2: parallel-efficiency sweep (parallel_workers / parallel_efficiency /
 #: parallel_min_elements) joined the schema.
-PROFILE_VERSION = 2
+#: v3: the gemm pack-size crossover left the schema (no launch read it).
+PROFILE_VERSION = 3
 
 #: relative residual floor of a float32-demoted factorization/plan
 #: (unit roundoff of float32 with a modest accumulation constant).
@@ -146,7 +147,6 @@ class MachineProfile:
 
     # fitted DispatchPolicy tunables
     min_bucket: int = 2
-    gemm_pack_max_elements: int = 2048
     lu_factor_max_n: int = 12
     lu_factor_min_batch: int = 24
     lu_solve_max_n: int = 48
@@ -176,7 +176,6 @@ class MachineProfile:
         """The measured-crossover :class:`DispatchPolicy` for this host."""
         kwargs: Dict[str, Any] = dict(
             min_bucket=self.min_bucket,
-            gemm_pack_max_elements=self.gemm_pack_max_elements,
             lu_factor_max_n=self.lu_factor_max_n,
             lu_factor_min_batch=self.lu_factor_min_batch,
             lu_solve_max_n=self.lu_solve_max_n,
@@ -266,11 +265,14 @@ def _gemm_blocks(rng: np.random.Generator, nb: int, n: int) -> Tuple[list, list]
     return a, b
 
 
-def _sweep_gemm_pack(rng: np.random.Generator, repeats: int) -> Tuple[int, List[List[float]]]:
-    """Largest block size where packing a gemm bucket beats the loop."""
+def _sweep_gemm_pack(rng: np.random.Generator, repeats: int) -> List[List[float]]:
+    """Packed vs per-block gemm timings of 48 square blocks per size.
+
+    The rows feed :func:`_fit_pad_max_waste` (the per-block loop column
+    prices one small-block gemm) and the benchmark report.
+    """
     nb = 48
     rows: List[List[float]] = []
-    best_elements = 0
     for n in (8, 16, 24, 32, 48, 64, 96):
         a, b = _gemm_blocks(rng, nb, n)
 
@@ -280,12 +282,8 @@ def _sweep_gemm_pack(rng: np.random.Generator, repeats: int) -> Tuple[int, List[
         def loop(a=a, b=b):
             return [x @ y for x, y in zip(a, b)]
 
-        tp, tl = _best_of(packed, repeats), _best_of(loop, repeats)
-        rows.append([float(n), tp, tl])
-        if tp <= tl:
-            best_elements = n * n
-    # never fit below the smallest or above the largest probed block
-    return int(np.clip(best_elements, 8 * 8, 96 * 96)), rows
+        rows.append([float(n), _best_of(packed, repeats), _best_of(loop, repeats)])
+    return rows
 
 
 def _sweep_min_bucket(rng: np.random.Generator, repeats: int) -> Tuple[int, List[List[float]]]:
@@ -530,7 +528,7 @@ def measure_profile(repeats: int = 3, seed: int = 0) -> MachineProfile:
     rng = np.random.default_rng(seed)
     curves: Dict[str, List[List[float]]] = {}
 
-    gemm_elements, curves["gemm_pack"] = _sweep_gemm_pack(rng, repeats)
+    curves["gemm_pack"] = _sweep_gemm_pack(rng, repeats)
     min_bucket, curves["min_bucket"] = _sweep_min_bucket(rng, repeats)
     lu_factor_max_n, lu_factor_min_batch, curves["lu_factor"] = _sweep_lu_factor(
         rng, repeats
@@ -546,7 +544,6 @@ def measure_profile(repeats: int = 3, seed: int = 0) -> MachineProfile:
         fingerprint=machine_fingerprint(),
         created=time.strftime("%Y-%m-%dT%H:%M:%S"),
         min_bucket=min_bucket,
-        gemm_pack_max_elements=gemm_elements,
         lu_factor_max_n=lu_factor_max_n,
         lu_factor_min_batch=lu_factor_min_batch,
         lu_solve_max_n=lu_solve_max_n,

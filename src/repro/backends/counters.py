@@ -32,7 +32,7 @@ class KernelEvent:
     Parameters
     ----------
     kernel:
-        Name of the primitive (``"gemm_batched"``, ``"getrf_batched"``, ...).
+        Name of the primitive (``"gemm_strided_batched"``, ``"getrf_batched"``, ...).
     batch:
         Number of independent problems in the batch.
     shape:
@@ -46,17 +46,16 @@ class KernelEvent:
         Size in bytes of one scalar (8 for float64, 4 for float32, 16 for
         complex128, ...).
     strided:
-        Whether the launch used strided/packed execution — either the
-        strided-batch fast path (``gemmStridedBatched``) or the
-        shape-bucketed dispatch that packs equal-shape blocks of a
-        heterogeneous batch into strided storage.  ``False`` marks the
-        generic per-block path, which the paper reports as significantly
-        slower for small operands.
+        Whether the launch used strided/packed execution (one 3-D stack
+        with a constant stride, ``gemmStridedBatched``-style).  Every
+        launch in :mod:`repro.backends.batched` is strided; ``False``
+        marks a generic per-block launch, which the paper reports as
+        significantly slower for small operands.
     buckets:
-        Number of uniform shape buckets the dispatch layer split this batch
-        into, i.e. the number of physical kernel launches the call stands
-        for.  ``1`` for a uniform batch; the performance model charges one
-        launch overhead per bucket.
+        Number of physical kernel launches the event stands for; the
+        performance model charges one launch overhead per bucket.  Every
+        launch in :mod:`repro.backends.batched` is one uniform bucket
+        (``1``); heterogeneous levels issue one event per bucket.
     level:
         Tree level that issued the launch, if known.
     tag:
@@ -65,7 +64,7 @@ class KernelEvent:
         Whether the launch replayed packed *plan* storage (a compiled
         :class:`~repro.core.apply_plan.ApplyPlan` /
         :class:`~repro.core.factor_plan.FactorPlan` bucket) rather than
-        bucketing a pointer-array batch on the fly.  Plan launches are what
+        operands assembled at call time, as construction does.  Plan launches are what
         the launch-count acceptance tests pin down: a compiled solve costs
         exactly ``launches_per_solve`` of them.
     """

@@ -1,14 +1,12 @@
 """Backend dispatch and shape-bucketed batch planning.
 
-The paper's GPU schedule reduces the HODLR factorization and solve to four
-batched BLAS/LAPACK kernels.  cuBLAS executes a *uniform* batch (all
-problems the same shape) as a single strided kernel; a heterogeneous
-pointer-array batch degrades to the slow generic path.  The seed emulation
-in :mod:`repro.backends.batched` mirrored that degradation with a pure
-Python loop — one NumPy call per block — which is exactly the schedule the
-paper is designed to avoid.
-
-This module turns the emulation layer into a real dispatch seam:
+The paper's GPU schedule reduces the HODLR factorization and solve to a
+handful of batched BLAS/LAPACK kernels.  cuBLAS executes a *uniform*
+batch (all problems the same shape) as a single strided kernel; a
+heterogeneous pointer-array batch degrades to the slow generic path.  The
+library therefore never submits a heterogeneous batch: it plans shape
+buckets up front and issues one strided launch
+(:mod:`repro.backends.batched`) per bucket.
 
 :class:`ArrayBackend`
     A protocol describing the array-level primitives the batched kernels
@@ -19,13 +17,12 @@ This module turns the emulation layer into a real dispatch seam:
     solver code.  Backends are looked up by name via :func:`get_backend`.
 
 :class:`BatchPlanner` / :func:`plan_batch`
-    Groups a heterogeneous pointer-array batch into *shape buckets*:
-    maximal index sets whose operands share identical shapes.  Each bucket
-    is packed into strided 3-D storage and executed with one vectorised
-    ``matmul``/LU call, so a batch with ``k`` distinct shapes costs ``k``
-    kernel launches instead of one Python iteration per block.
-    :meth:`BatchPlanner.plan_padded` additionally merges *near-equal*
-    shapes into shared zero-padded buckets (opt-in via
+    Groups the blocks of a tree level into *shape buckets*: maximal index
+    sets whose operands share identical shapes.  Each bucket is packed
+    into strided 3-D storage and executed with one strided launch, so a
+    level with ``k`` distinct shapes costs ``k`` kernel launches instead
+    of one per block.  :meth:`BatchPlanner.plan_padded` additionally
+    merges *near-equal* shapes into shared padded buckets (opt-in via
     ``DispatchPolicy(pad_buckets=True)``), so trees with many singleton
     shapes stop degenerating into per-block launches.
 
@@ -87,14 +84,6 @@ class BatchPlan:
     @property
     def num_buckets(self) -> int:
         return len(self.buckets)
-
-    @property
-    def max_bucket(self) -> int:
-        return max((len(b) for b in self.buckets), default=0)
-
-    def packed_buckets(self, min_bucket: int = 2) -> List[ShapeBucket]:
-        """Buckets large enough to be packed into strided storage."""
-        return [b for b in self.buckets if len(b) >= min_bucket]
 
 
 class BatchPlanner:
@@ -183,9 +172,8 @@ def pad_identity_stack(xb, blocks, width: int, dtype):
     pivots across the border (border rows are zero in every ``A`` column),
     the leading sub-block of the padded factor is the exact factor of
     ``A_i``, and padded right-hand-side rows solve against the identity —
-    so the padding is exact for both ``getrf`` and ``getrs``.  This is the
-    single implementation shared by the padded LU executors and the
-    compiled factor plans.
+    so the padding is exact for both ``getrf`` and ``getrs``.  The
+    compiled factor plans pack their padded leaf buckets with it.
     """
     out = xb.zeros((len(blocks), width, width), dtype=dtype)
     for j, blk in enumerate(blocks):
@@ -193,21 +181,6 @@ def pad_identity_stack(xb, blocks, width: int, dtype):
         out[j, :m, :m] = blk
         if m < width:
             out[j, m:, m:] = xb.eye(width - m, dtype=dtype)
-    return out
-
-
-def pad_pivot_stack(pivs, sizes: Sequence[int], width: int) -> np.ndarray:
-    """``(nb, width)`` pivot stack matching :func:`pad_identity_stack`.
-
-    Each row carries the member's pivots (``arange`` when the member has
-    none, e.g. non-pivoted factors) followed by identity-border pivots
-    ``m..width-1`` (the border never swaps rows).
-    """
-    out = np.zeros((len(pivs), width), dtype=np.int64)
-    for j, (piv, m) in enumerate(zip(pivs, sizes)):
-        out[j, :m] = piv if np.size(piv) == m else np.arange(m)
-        if m < width:
-            out[j, m:] = np.arange(m, width)
     return out
 
 
@@ -231,15 +204,16 @@ def plan_batch_padded(
 # ======================================================================
 @dataclass(frozen=True)
 class DispatchPolicy:
-    """Tunables for the bucketed batch dispatch.
+    """Tunables for the shape-bucketed batch dispatch.
 
-    Bucketing is a *schedule* decision: a planned call always costs one
-    launch per shape bucket (recorded in the kernel event).  Within a
-    bucket the NumPy emulation additionally chooses the fastest host
-    execution — packed strided storage plus one vectorised call, or a tight
-    per-problem LAPACK loop — using the measured crossovers below (a real
-    GPU backend executes every bucket as one batched kernel regardless, so
-    these thresholds only matter for the CPU emulation's wall clock).
+    Bucketing is a *schedule* decision: the compiled plans and the
+    construction stage issue one strided launch per shape bucket (recorded
+    in the kernel event).  Inside an LU launch the NumPy emulation
+    additionally chooses the fastest host execution — one vectorised
+    batched elimination/substitution, or a tight per-problem LAPACK loop —
+    using the measured crossovers below (a real GPU backend executes every
+    bucket as one batched kernel regardless, so these thresholds only
+    matter for the CPU emulation's wall clock).
 
     The class defaults are *fallback* constants measured once on one
     development machine.  :mod:`repro.backends.calibration` measures the
@@ -250,20 +224,17 @@ class DispatchPolicy:
     Parameters
     ----------
     bucketing:
-        Group pointer-array batches into shape buckets.  ``False``
-        reproduces the seed behaviour — the generic per-block Python loop
-        with per-block accounting — and exists so the benchmarks can
-        measure the improvement against it.
+        Compress with batched kernels: HODLR construction and the
+        streaming-update recompression pack the blocks of a level into
+        shape buckets and compress each bucket with strided QR/SVD/gemm
+        launches.  ``False`` compresses block by block — the per-block
+        reference schedule the benchmarks measure the batched construction
+        against.  Factorization and apply always run their compiled
+        per-bucket strided launches.
     min_bucket:
-        Smallest bucket considered for packed execution; smaller buckets
-        execute as individual calls (a strided batch of one is just a
-        plain kernel).
-    gemm_pack_max_elements:
-        Largest per-block operand (entry count) that is packed into
-        strided 3-D storage for a single broadcast ``matmul``.  Above this
-        the pack copy costs more than the per-call overhead it saves and
-        the bucket runs as a tight loop (measured crossover ~48x48 blocks
-        on OpenBLAS).
+        Smallest bucket the vectorised LU kernels are used for; smaller
+        buckets run per-problem LAPACK (a batch of one is just a plain
+        kernel).
     lu_vectorize:
         Allow the vectorised batched LU kernels at all.
     lu_factor_max_n / lu_factor_min_batch:
@@ -284,10 +255,9 @@ class DispatchPolicy:
         produce many singleton shapes (ranks differing by a column or two
         per node) that otherwise degenerate into per-block launches; with
         padding they execute as one strided kernel per merged bucket.
-        Gemm batches zero-pad (exact: padded rows/columns contribute zeros
-        that are sliced away).  LU batches (``getrf_batched``/
-        ``getrs_batched`` and the compiled
-        :class:`~repro.core.factor_plan.FactorPlan` buckets) pad with an
+        Gemm stacks zero-pad (exact: padded rows/columns contribute zeros
+        that are sliced away).  The compiled
+        :class:`~repro.core.factor_plan.FactorPlan` LU buckets pad with an
         **identity border** — the padded problem is ``blkdiag(A, I)``, so
         partial pivoting never crosses the border, the leading sub-block
         of the padded factor is the exact factor of ``A``, and padded
@@ -297,7 +267,6 @@ class DispatchPolicy:
 
     bucketing: bool = True
     min_bucket: int = 2
-    gemm_pack_max_elements: int = 2048
     lu_vectorize: bool = True
     lu_factor_max_n: int = 12
     lu_factor_min_batch: int = 24
@@ -311,13 +280,6 @@ class DispatchPolicy:
         from dataclasses import replace as _replace
 
         return _replace(self, **changes)
-
-    def pack_gemm_bucket(self, nblocks: int, a_elements: int, b_elements: int) -> bool:
-        """Should a gemm bucket be packed into strided storage?"""
-        return (
-            nblocks >= self.min_bucket
-            and max(a_elements, b_elements) <= self.gemm_pack_max_elements
-        )
 
     def vectorize_lu_factor(self, nblocks: int, n: int) -> bool:
         """Should a factorization bucket use the vectorised batched LU?"""
@@ -340,7 +302,8 @@ class DispatchPolicy:
 #: default policy used by the batched primitives
 DEFAULT_POLICY = DispatchPolicy()
 
-#: seed-equivalent policy: pure per-block Python loop, no bucketing
+#: per-block reference policy: block-by-block construction and
+#: per-problem LAPACK inside every LU launch
 LOOP_POLICY = DispatchPolicy(bucketing=False, lu_vectorize=False)
 
 

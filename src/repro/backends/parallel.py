@@ -1,7 +1,7 @@
 """Calibrated, bounded thread-pool execution for the batched solver stack.
 
 The repo's hot paths are mutually independent at three granularities — the
-shape buckets of one logical batched launch, the gather/evaluate vs.
+shape buckets of one tree level, the gather/evaluate vs.
 compress stages of neighbouring construction levels, and the steps of a
 parameter sweep — and the BLAS kernels underneath them release the GIL.
 This module provides the one shared substrate they all dispatch through:

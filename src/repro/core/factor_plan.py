@@ -63,94 +63,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backends.batched import gemm_strided_batched
+from ..backends.batched import gemm_strided_batched, getrf_batched, getrs_batched
 from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
-from ..backends.counters import (
-    KernelEvent,
-    get_recorder,
-    getrf_flops,
-    getrs_flops,
-    record_event,
-)
+from ..backends.counters import get_recorder
 from ..backends.dispatch import pad_identity_stack, plan_batch, plan_batch_padded
 from ..backends.parallel import run_tasks
 from .packing import GatherScatter, demote_rhs_dtype, owned_nbytes, viewed_buffers
-
-
-# ======================================================================
-# packed LU launches (one kernel event per call)
-# ======================================================================
-def _is_complex(dtype) -> bool:
-    return np.issubdtype(np.dtype(dtype), np.complexfloating)
-
-
-def _getrf_packed(xb, pol, A3, pivot: bool = True):
-    """LU-factorize a packed ``(nb, n, n)`` stack: one planned launch.
-
-    The dispatch policy decides the host execution inside the launch —
-    vectorised batched elimination for many small blocks, per-problem
-    LAPACK otherwise.  Pivots are always returned full-length
-    (``arange`` rows for the non-pivoted path), so downstream code never
-    branches on pivot storage.
-    """
-    nb, n = A3.shape[0], A3.shape[1]
-    if pol.vectorize_lu_factor(nb, n):
-        lu3, piv3 = xb.lu_factor_batch(A3, pivot=pivot)
-        piv3 = np.asarray(piv3, dtype=np.int64)
-    else:
-        lu3 = xb.zeros(A3.shape, dtype=A3.dtype)
-        piv3 = np.zeros((nb, n), dtype=np.int64)
-        base = np.arange(n, dtype=np.int64)
-        for i in range(nb):
-            lu, piv = xb.lu_factor(A3[i], pivot=pivot)
-            lu3[i] = lu
-            piv3[i] = piv if (pivot and np.size(piv) == n) else base
-    record_event(
-        KernelEvent(
-            kernel="getrf_batched",
-            batch=nb,
-            shape=(n, n, 0),
-            flops=nb * getrf_flops(n, _is_complex(A3.dtype)),
-            bytes_moved=float(2 * A3.nbytes),
-            dtype_size=np.dtype(A3.dtype).itemsize,
-            strided=True,
-            buckets=1,
-            plan=True,
-        )
-    )
-    return lu3, piv3
-
-
-def _getrs_packed(xb, pol, lu3, piv3, rhs3, pivot: bool = True):
-    """Solve a packed ``(nb, n, nrhs)`` right-hand-side stack: one launch."""
-    nb, n, nrhs = rhs3.shape
-    out_dtype = np.result_type(lu3.dtype, rhs3.dtype)
-    if rhs3.dtype != out_dtype:
-        rhs3 = rhs3.astype(out_dtype)
-    if pol.vectorize_lu_solve(nb, n):
-        x3 = xb.lu_solve_batch(lu3, piv3, rhs3, pivot=pivot)
-    else:
-        many = getattr(xb, "lu_solve_many", None)
-        if many is not None:
-            x3 = many(lu3, piv3, rhs3, pivot=pivot)
-        else:
-            x3 = xb.zeros(rhs3.shape, dtype=out_dtype)
-            for i in range(nb):
-                x3[i] = xb.lu_solve(lu3[i], piv3[i], rhs3[i], pivot=pivot)
-    record_event(
-        KernelEvent(
-            kernel="getrs_batched",
-            batch=nb,
-            shape=(n, nrhs, 0),
-            flops=nb * getrs_flops(n, nrhs, _is_complex(out_dtype)),
-            bytes_moved=float(lu3.nbytes + 2 * rhs3.nbytes),
-            dtype_size=np.dtype(out_dtype).itemsize,
-            strided=True,
-            buckets=1,
-            plan=True,
-        )
-    )
-    return x3
 
 
 # ======================================================================
@@ -448,7 +366,7 @@ class SolvePlan:
             bd = np.result_type(lb.lu3.dtype, demote_rhs_dtype(lb.lu3.dtype, out_dtype))
             if rhs3.dtype != bd:
                 rhs3 = rhs3.astype(bd)
-            sol3 = _getrs_packed(xb, pol, lb.lu3, lb.piv3, rhs3, pivot=True)
+            sol3 = getrs_batched(lb.lu3, lb.piv3, rhs3, pivot=True, backend=xb, policy=pol)
             lb.gs.put(x, sol3)
 
         # backward sweep: deepest level first
@@ -467,7 +385,7 @@ class SolvePlan:
                     bk.Vh3, xg, backend=xb, plan=True
                 )
             K_rhs = _pair_rhs(w_all, ngamma, r, plan.pivot)
-            W = _getrs_packed(xb, pol, sw.k_lu3, sw.k_piv3, K_rhs, pivot=plan.pivot)
+            W = getrs_batched(sw.k_lu3, sw.k_piv3, K_rhs, pivot=plan.pivot, backend=xb, policy=pol)
             W_half = W.reshape(sw.nchild, r, x.shape[1])
             for bk in sw.buckets:
                 upd = gemm_strided_batched(
@@ -612,9 +530,9 @@ def build_factor_plan(
             gs = GatherScatter.from_ranges(
                 [(leaves[i].start, leaves[i].stop) for i in bucket.indices], bucket.key[0]
             )
-            lu3, piv3 = _getrf_packed(xb, pol, D3, pivot=True)
+            lu3, piv3 = getrf_batched(D3, pivot=True, backend=xb, policy=pol)
             if Ybig.shape[1]:
-                sol3 = _getrs_packed(xb, pol, lu3, piv3, gs.take(Ybig), pivot=True)
+                sol3 = getrs_batched(lu3, piv3, gs.take(Ybig), pivot=True, backend=xb, policy=pol)
                 gs.put(Ybig, sol3)
             return _LeafBucket(positions=bucket.indices, gs=gs, lu3=lu3, piv3=piv3)
 
@@ -674,7 +592,7 @@ def build_factor_plan(
 
             # lines 7-8: assemble and LU-factorize the K systems
             K3 = _assemble_k(xb, T_all, len(gammas), r, dtype, pivot)
-            k_lu3, k_piv3 = _getrf_packed(xb, pol, K3, pivot=pivot)
+            k_lu3, k_piv3 = getrf_batched(K3, pivot=pivot, backend=xb, policy=pol)
             sweeps.append(
                 _LevelSweep(
                     level=level,
@@ -706,7 +624,7 @@ def build_factor_plan(
                     elements=gemm_elements,
                 )
                 K_rhs = _pair_rhs(w_all, len(gammas), r, pivot)
-                W = _getrs_packed(xb, pol, k_lu3, k_piv3, K_rhs, pivot=pivot)
+                W = getrs_batched(k_lu3, k_piv3, K_rhs, pivot=pivot, backend=xb, policy=pol)
                 W_half = W.reshape(nchild, r, ncoarse)
 
                 def _update_task(bk):

@@ -38,7 +38,7 @@ DEFAULT_RL003_EXEMPT = (
 
 #: kernel method -> KernelEvent names its recording wrappers must emit
 DEFAULT_RL003_KERNELS: Mapping[str, Tuple[str, ...]] = {
-    "matmul": ("gemm_batched", "gemm_strided_batched"),
+    "matmul": ("gemm_strided_batched",),
     "lu_factor": ("getrf_batched",),
     "lu_factor_batch": ("getrf_batched",),
     "lu_solve": ("getrs_batched",),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.backends.batched import (
-    gemm_batched,
     gemm_strided_batched,
     getrf_batched,
     getrs_batched,
@@ -20,41 +19,20 @@ from repro.backends.counters import (
 from repro.backends.device import CPU_XEON_6254_DUAL, GPU_V100, PCIE3_X16, DeviceSpec
 from repro.backends.dispatch import get_backend
 from repro.backends.perfmodel import PerformanceModel
+from repro.core.factor_recursive import _lu_slogdet
 
 
 class TestGemmBatched:
-    def test_pointer_batch_matches_numpy(self, rng):
-        A = [rng.standard_normal((5, 7)) for _ in range(4)]
-        B = [rng.standard_normal((7, 3)) for _ in range(4)]
-        out = gemm_batched(A, B)
-        for i in range(4):
-            np.testing.assert_allclose(out[i], A[i] @ B[i])
-
     def test_conjugate_transpose(self, rng):
-        A = [rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7)) for _ in range(3)]
-        B = [rng.standard_normal((5, 2)) for _ in range(3)]
-        out = gemm_batched(A, B, conjugate_a=True)
-        for i in range(3):
-            np.testing.assert_allclose(out[i], A[i].conj().T @ B[i])
-
-    def test_alpha_beta(self, rng):
-        A = [rng.standard_normal((4, 4)) for _ in range(2)]
-        B = [rng.standard_normal((4, 4)) for _ in range(2)]
-        C = [rng.standard_normal((4, 4)) for _ in range(2)]
-        out = gemm_batched(A, B, C=C, alpha=2.0, beta=-1.0)
-        for i in range(2):
-            np.testing.assert_allclose(out[i], 2.0 * A[i] @ B[i] - C[i])
-
-    def test_heterogeneous_shapes(self, rng):
-        A = [rng.standard_normal((3, 5)), rng.standard_normal((6, 2))]
-        B = [rng.standard_normal((5, 4)), rng.standard_normal((2, 4))]
-        out = gemm_batched(A, B)
-        np.testing.assert_allclose(out[0], A[0] @ B[0])
-        np.testing.assert_allclose(out[1], A[1] @ B[1])
+        """``conjugate_a`` is the conjugate transpose, a plain transpose for real ``A``."""
+        A = rng.standard_normal((3, 5, 7))
+        B = rng.standard_normal((3, 5, 2))
+        out = gemm_strided_batched(A, B, conjugate_a=True)
+        np.testing.assert_allclose(out, np.matmul(A.transpose(0, 2, 1), B))
 
     def test_batch_length_mismatch_raises(self, rng):
-        with pytest.raises(ValueError):
-            gemm_batched([np.eye(2)], [np.eye(2), np.eye(2)])
+        with pytest.raises(ValueError, match="batch dimensions"):
+            gemm_strided_batched(rng.standard_normal((1, 2, 2)), rng.standard_normal((2, 2, 2)))
 
     def test_strided_batch_matches_numpy(self, rng):
         A = rng.standard_normal((6, 5, 7))
@@ -75,61 +53,69 @@ class TestGemmBatched:
 
 class TestLUBatched:
     def test_factor_solve_roundtrip(self, rng):
-        mats = [rng.standard_normal((6, 6)) + 6 * np.eye(6) for _ in range(5)]
-        rhs = [rng.standard_normal((6, 2)) for _ in range(5)]
-        lu = getrf_batched(mats)
-        xs = getrs_batched(lu, rhs)
+        mats = rng.standard_normal((5, 6, 6)) + 6 * np.eye(6)
+        rhs = rng.standard_normal((5, 6, 2))
+        lu3, piv3 = getrf_batched(mats)
+        xs = getrs_batched(lu3, piv3, rhs)
         for A, B, X in zip(mats, rhs, xs):
             np.testing.assert_allclose(A @ X, B, rtol=1e-10, atol=1e-12)
 
     def test_strided_input(self, rng):
         mats = rng.standard_normal((4, 5, 5)) + 5 * np.eye(5)
         rhs = rng.standard_normal((4, 5, 3))
-        lu = getrf_batched(mats)
-        xs = getrs_batched(lu, rhs)
+        lu3, piv3 = getrf_batched(mats)
+        assert lu3.shape == mats.shape and piv3.shape == (4, 5)
+        assert piv3.dtype == np.int64
+        xs = getrs_batched(lu3, piv3, rhs)
+        assert xs.shape == rhs.shape
         for i in range(4):
             np.testing.assert_allclose(mats[i] @ xs[i], rhs[i], rtol=1e-10, atol=1e-12)
 
     def test_vector_rhs(self, rng):
-        mats = [rng.standard_normal((4, 4)) + 4 * np.eye(4)]
-        rhs = [rng.standard_normal(4)]
-        lu = getrf_batched(mats)
-        xs = getrs_batched(lu, rhs)
-        assert xs[0].shape == (4,)
-        np.testing.assert_allclose(mats[0] @ xs[0], rhs[0], rtol=1e-10)
+        """A single right-hand side rides as a width-1 stack."""
+        mats = rng.standard_normal((1, 4, 4)) + 4 * np.eye(4)
+        rhs = rng.standard_normal(4)
+        xs = getrs_batched(*getrf_batched(mats), rhs[None, :, None])
+        assert xs.shape == (1, 4, 1)
+        np.testing.assert_allclose(mats[0] @ xs[0, :, 0], rhs, rtol=1e-10)
 
     def test_no_pivot_variant(self, rng):
         # diagonally dominant matrices are safe without pivoting
-        mats = [rng.standard_normal((5, 5)) + 10 * np.eye(5) for _ in range(3)]
-        rhs = [rng.standard_normal((5, 1)) for _ in range(3)]
-        lu = getrf_batched(mats, pivot=False)
-        assert not lu.pivot
-        xs = getrs_batched(lu, rhs)
+        mats = rng.standard_normal((3, 5, 5)) + 10 * np.eye(5)
+        rhs = rng.standard_normal((3, 5, 1))
+        lu3, piv3 = getrf_batched(mats, pivot=False)
+        # non-pivoted factors carry identity pivots, never empty ones
+        np.testing.assert_array_equal(piv3, np.tile(np.arange(5), (3, 1)))
+        xs = getrs_batched(lu3, piv3, rhs, pivot=False)
         for A, B, X in zip(mats, rhs, xs):
             np.testing.assert_allclose(A @ X, B, rtol=1e-8, atol=1e-10)
 
     def test_no_pivot_zero_pivot_raises(self):
-        singular_leading = np.array([[0.0, 1.0], [1.0, 0.0]])
+        singular_leading = np.array([[[0.0, 1.0], [1.0, 0.0]]])
         with pytest.raises(np.linalg.LinAlgError):
-            getrf_batched([singular_leading], pivot=False)
+            getrf_batched(singular_leading, pivot=False)
 
     def test_non_square_raises(self, rng):
-        with pytest.raises(ValueError):
-            getrf_batched([rng.standard_normal((3, 4))])
+        with pytest.raises(ValueError, match="square"):
+            getrf_batched(rng.standard_normal((1, 3, 4)))
+        with pytest.raises(ValueError, match="square"):
+            getrf_batched(rng.standard_normal((3, 3)))  # one matrix, not a stack
 
     def test_rhs_batch_mismatch_raises(self, rng):
-        lu = getrf_batched([np.eye(3)])
+        lu3, piv3 = getrf_batched(np.eye(3)[None])
         with pytest.raises(ValueError):
-            getrs_batched(lu, [np.ones(3), np.ones(3)])
+            getrs_batched(lu3, piv3, np.ones((2, 3, 1)))
+        with pytest.raises(ValueError):
+            getrs_batched(lu3, piv3, np.ones(3))
 
     def test_batched_logdet(self, rng):
-        mats = [rng.standard_normal((5, 5)) + 5 * np.eye(5) for _ in range(4)]
-        lu = getrf_batched(mats)
-        signs, logs = lu.logdet()
+        mats = rng.standard_normal((4, 5, 5)) + 5 * np.eye(5)
+        lu3, piv3 = getrf_batched(mats)
         for i, A in enumerate(mats):
+            sign, logabs = _lu_slogdet(lu3[i], piv3[i])
             s_ref, l_ref = np.linalg.slogdet(A)
-            assert np.real(signs[i]) * s_ref > 0
-            assert logs[i] == pytest.approx(l_ref, rel=1e-10)
+            assert np.real(sign) * s_ref > 0
+            assert logabs == pytest.approx(l_ref, rel=1e-10)
 
 
 class TestTracing:
@@ -139,7 +125,7 @@ class TestTracing:
         B = rng.standard_normal((3, 4, 6))
         with rec.recording() as trace:
             gemm_strided_batched(A, B)
-            getrf_batched([np.eye(5) + rng.standard_normal((5, 5)) * 0.1])
+            getrf_batched((np.eye(5) + rng.standard_normal((5, 5)) * 0.1)[None])
         assert trace.num_launches == 2
         kernels = {e.kernel for e in trace.events}
         assert kernels == {"gemm_strided_batched", "getrf_batched"}
@@ -149,7 +135,7 @@ class TestTracing:
 
     def test_nothing_recorded_outside_context(self, rng):
         rec = get_recorder()
-        gemm_batched([np.eye(3)], [np.eye(3)])  # no active recording: silently ignored
+        gemm_strided_batched(np.eye(3)[None], np.eye(3)[None])  # no active recording: silently ignored
         with rec.recording() as trace:
             pass
         assert trace.num_launches == 0
@@ -158,7 +144,7 @@ class TestTracing:
         rec = get_recorder()
         with rec.recording() as outer:
             with rec.recording() as inner:
-                gemm_batched([np.eye(3)], [np.eye(3)])
+                gemm_strided_batched(np.eye(3)[None], np.eye(3)[None])
             assert inner.num_launches == 1
         assert outer.num_launches == 1
 
@@ -166,7 +152,7 @@ class TestTracing:
         rec = get_recorder()
         with rec.recording() as trace:
             with rec.context(level=3, tag="factor"):
-                gemm_batched([np.eye(3)], [np.eye(3)])
+                gemm_strided_batched(np.eye(3)[None], np.eye(3)[None])
         assert trace.events[0].level == 3
         assert trace.events[0].tag == "factor"
         assert trace.launches_by_level() == {3: 1}
@@ -183,11 +169,11 @@ class TestTracing:
         rec = get_recorder()
         with rec.recording() as trace:
             with rec.context(tag="factor"):
-                gemm_batched([np.eye(3)], [np.eye(3)])
+                gemm_strided_batched(np.eye(3)[None], np.eye(3)[None])
             with rec.context(tag="solve"):
-                gemm_batched([np.eye(3)], [np.eye(3)])
+                gemm_strided_batched(np.eye(3)[None], np.eye(3)[None])
         assert trace.filter(tag="factor").num_launches == 1
-        assert trace.filter(kernel="gemm_batched").num_launches == 2
+        assert trace.filter(kernel="gemm_strided_batched").num_launches == 2
         summary = trace.summary()
         assert summary["launches"] == 2
 
@@ -198,7 +184,7 @@ class TestPerformanceModel:
         for _ in range(launches):
             t.append(
                 KernelEvent(
-                    kernel="gemm_batched",
+                    kernel="gemm_strided_batched",
                     batch=1,
                     shape=(10, 10, 10),
                     flops=flops / launches,
@@ -264,10 +250,10 @@ class TestPerformanceModel:
     def test_backend_facade(self, rng):
         """The batched primitives run on an explicitly passed array backend."""
         xb = get_backend("numpy")
-        A = [rng.standard_normal((3, 3))]
-        B = [rng.standard_normal((3, 3))]
-        np.testing.assert_allclose(gemm_batched(A, B, backend=xb)[0], A[0] @ B[0])
-        lu = getrf_batched([np.eye(3)], backend=xb)
+        A = rng.standard_normal((1, 3, 3))
+        B = rng.standard_normal((1, 3, 3))
+        np.testing.assert_allclose(gemm_strided_batched(A, B, backend=xb)[0], A[0] @ B[0])
+        lu3, piv3 = getrf_batched(np.eye(3)[None], backend=xb)
         np.testing.assert_allclose(
-            getrs_batched(lu, [np.ones(3)], backend=xb)[0], np.ones(3)
+            getrs_batched(lu3, piv3, np.ones((1, 3, 1)), backend=xb)[0, :, 0], np.ones(3)
         )

@@ -41,7 +41,6 @@ def profile():
         fingerprint=machine_fingerprint(),
         created="2026-01-01T00:00:00",
         min_bucket=3,
-        gemm_pack_max_elements=4096,
         lu_factor_max_n=16,
         lu_factor_min_batch=8,
         lu_solve_max_n=32,
@@ -78,7 +77,6 @@ class TestMachineProfile:
         pol = profile.dispatch_policy()
         assert isinstance(pol, DispatchPolicy)
         assert pol.min_bucket == 3
-        assert pol.gemm_pack_max_elements == 4096
         assert pol.lu_factor_max_n == 16
         assert pol.lu_solve_min_batch_ratio == 2.0
         assert pol.pad_max_waste == 0.3
@@ -123,6 +121,11 @@ class TestMachineProfile:
         profile.replace(version=PROFILE_VERSION + 1).save(path)
         monkeypatch.setattr(calibration, "measure_profile", lambda **kw: profile)
         assert calibrate(cache_path=path) == profile
+        # an older-schema cache still carrying a field the schema dropped
+        stale = dict(profile.to_dict(), version=PROFILE_VERSION - 1, retired_crossover=2048)
+        path.write_text(json.dumps(stale))
+        assert calibrate(cache_path=path) == profile
+        assert MachineProfile.load(path) == profile
 
     def test_calibrate_remeasures_on_corrupt_cache(self, profile, tmp_path, monkeypatch):
         path = tmp_path / "profile.json"

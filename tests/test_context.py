@@ -10,7 +10,11 @@ without a single host round-trip inside them.
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +45,6 @@ from repro.backends.dispatch import (
     lu_solve_nopivot,
     plan_batch_padded,
 )
-from repro.backends.batched import gemm_batched
 from repro.backends.counters import get_recorder
 
 
@@ -536,63 +539,23 @@ class TestPadToBucket:
         assert plan.num_buckets == 2
 
     def test_gemm_padded_equivalence_and_fewer_launches(self):
-        rng = np.random.default_rng(11)
-        # singleton-shape regime: ranks differ by a column or two per block
-        A = [rng.standard_normal((20, 10 + (i % 3))) for i in range(24)]
-        B = [rng.standard_normal((A[i].shape[1], 5)) for i in range(24)]
+        """The compiled plan zero-pads near-equal basis stacks into shared
+        strided gemm launches: fewer launches, the same solution."""
+        from conftest import hodlr_friendly_matrix
+
+        n = 300  # leaf sizes 37/38: ragged node sizes on every level
+        A = hodlr_friendly_matrix(n, seed=5)
+        H = build_hodlr(A, ClusterTree.balanced(n, leaf_size=40), tol=1e-12, method="svd")
+        b = np.random.default_rng(11).standard_normal(n)
+        pad_policy = DispatchPolicy(pad_buckets=True, pad_max_waste=0.25)
         rec = get_recorder()
-
-        with rec.recording() as tr_plain:
-            ref = gemm_batched(A, B)
-        pad_policy = DispatchPolicy(pad_buckets=True, pad_max_waste=0.25)
-        with rec.recording() as tr_pad:
-            out = gemm_batched(A, B, policy=pad_policy)
-
-        for o, r in zip(out, ref):
-            assert np.allclose(o, r, rtol=0, atol=1e-12)
-        assert tr_pad.events[-1].buckets < tr_plain.events[-1].buckets
-        assert tr_pad.events[-1].buckets == 1
-
-    def test_gemm_padded_transpose_conjugate_and_beta(self):
-        rng = np.random.default_rng(13)
-        A = [
-            (rng.standard_normal((9 + (i % 2), 12)) + 1j * rng.standard_normal((9 + (i % 2), 12)))
-            for i in range(8)
-        ]
-        B = [rng.standard_normal((A[i].shape[0], 3)) for i in range(8)]
-        C = [rng.standard_normal((12, 3)) for _ in range(8)]
-        pad_policy = DispatchPolicy(pad_buckets=True, pad_max_waste=0.25)
-        ref = gemm_batched(A, B, C, alpha=2.0, beta=0.5, conjugate_a=True)
-        out = gemm_batched(A, B, C, alpha=2.0, beta=0.5, conjugate_a=True, policy=pad_policy)
-        for o, r in zip(out, ref):
-            assert np.allclose(o, r, rtol=0, atol=1e-12)
-
-    def test_gemm_padded_mixed_ndim_rhs_and_c(self):
-        # a merged bucket mixing (m,) and (m, 1) B/C operands: the padded
-        # planner's dim keys erase the ndim distinction the exact path keeps
-        rng = np.random.default_rng(31)
-        A = [rng.standard_normal((6, 4)) for _ in range(4)]
-        B = [rng.standard_normal(4) if i % 2 else rng.standard_normal((4, 1))
-             for i in range(4)]
-        C = [rng.standard_normal(6) if i % 2 else rng.standard_normal((6, 1))
-             for i in range(4)]
-        pad_policy = DispatchPolicy(pad_buckets=True)
-        ref = gemm_batched(A, B, C, beta=2.0)
-        out = gemm_batched(A, B, C, beta=2.0, policy=pad_policy)
-        for o, r in zip(out, ref):
-            assert o.shape == r.shape
-            assert np.allclose(o, r, rtol=0, atol=1e-12)
-
-    def test_gemm_padded_vector_rhs(self):
-        rng = np.random.default_rng(17)
-        A = [rng.standard_normal((8, 6 + (i % 2))) for i in range(10)]
-        B = [rng.standard_normal(A[i].shape[1]) for i in range(10)]
-        pad_policy = DispatchPolicy(pad_buckets=True)
-        ref = gemm_batched(A, B)
-        out = gemm_batched(A, B, policy=pad_policy)
-        for o, r in zip(out, ref):
-            assert o.shape == r.shape
-            assert np.allclose(o, r, rtol=0, atol=1e-12)
+        gemms, xs = [], []
+        for ctx in (None, ExecutionContext(policy=pad_policy)):
+            with rec.recording() as trace:
+                xs.append(HODLRSolver(H, context=ctx).factorize().solve(b))
+            gemms.append(trace.filter(kernel="gemm_strided_batched").num_kernel_launches)
+        assert gemms[1] < gemms[0]
+        assert np.allclose(xs[1], xs[0], rtol=0, atol=1e-12)
 
     def test_factorization_with_padding_policy_matches_default(self):
         H = _gaussian_hodlr(n=256, tol=1e-6)  # adaptive ranks → ragged shapes
@@ -678,3 +641,32 @@ class TestProblemDefaults:
         cfg = SolverConfig(compression=CompressionConfig(tol=1e-8, method="svd"))
         res = repro.solve("gaussian_kernel", config=cfg.to_dict(), n=128)
         assert res.relative_residual < 1e-6
+
+
+# ======================================================================
+# README examples
+# ======================================================================
+class TestReadmeSnippets:
+    def test_policy_keywords_are_fields(self):
+        """Every keyword a README ```python block passes to an execution
+        dataclass is a field of that class (a stale keyword raises
+        ``TypeError`` for anyone copying the snippet)."""
+        classes = {
+            cls.__name__: {f.name for f in dataclasses.fields(cls)}
+            for cls in (DispatchPolicy, PrecisionPolicy, ExecutionContext)
+        }
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        checked = 0
+        for block in re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M):
+            for node in ast.walk(ast.parse(block)):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name not in classes:
+                    continue
+                for kw in node.keywords:
+                    if kw.arg is not None:
+                        assert kw.arg in classes[name], f"README: {name}({kw.arg}=...)"
+                        checked += 1
+        assert checked > 0

@@ -1,16 +1,16 @@
 """Tests for the backend dispatch layer: shape-bucketed planning, the
 vectorised batched LU kernels, the ArrayBackend registry, and the threading
-of the dispatch through the batched primitives and the solver."""
+of the dispatch through the strided per-bucket launches and the solver."""
 
 import numpy as np
 import pytest
 
 from repro.backends.batched import (
-    gemm_batched,
+    gemm_strided_batched,
     getrf_batched,
     getrs_batched,
 )
-from repro.backends.counters import get_recorder
+from repro.backends.counters import get_recorder, getrf_flops, getrs_flops
 from repro.backends.dispatch import (
     DEFAULT_POLICY,
     LOOP_POLICY,
@@ -24,6 +24,7 @@ from repro.backends.dispatch import (
     register_backend,
     registered_backends,
 )
+from repro.core.factor_recursive import _lu_slogdet
 
 
 class TestBatchPlanner:
@@ -44,20 +45,18 @@ class TestBatchPlanner:
     def test_singleton_buckets(self):
         plan = plan_batch([(1,), (2,), (3,)])
         assert plan.num_buckets == 3
-        assert plan.max_bucket == 1
-        assert plan.packed_buckets(min_bucket=2) == []
+        assert all(len(b) == 1 for b in plan.buckets)
 
     def test_uniform_batch_is_one_bucket(self):
         plan = plan_batch([(8, 8)] * 10)
         assert plan.num_buckets == 1
-        assert len(plan.buckets[0]) == 10
-        assert plan.packed_buckets() == list(plan.buckets)
+        assert plan.buckets[0].indices == tuple(range(10))
 
     def test_empty_batch(self):
         plan = plan_batch([])
         assert plan.nbatch == 0
         assert plan.num_buckets == 0
-        assert plan.max_bucket == 0
+        assert plan.buckets == ()
 
 
 class TestBackendRegistry:
@@ -94,12 +93,26 @@ class TestBackendRegistry:
         assert "broken-test" not in available_backends()
 
 
+def _per_bucket_gemm(A, B, conjugate_a=False):
+    """One strided launch per shape bucket, scattered back in batch order —
+    the lowering the compiled plans use for a heterogeneous level."""
+    out = [None] * len(A)
+    for bucket in plan_batch([(a.shape, b.shape) for a, b in zip(A, B)]).buckets:
+        idx = bucket.indices
+        out3 = gemm_strided_batched(np.stack([A[i] for i in idx]), np.stack([B[i] for i in idx]),
+                                    conjugate_a=conjugate_a)
+        for j, i in enumerate(idx):
+            out[i] = out3[j]
+    return out
+
+
 class TestBucketedGemm:
     def test_empty_batch_returns_empty(self):
-        assert gemm_batched([], []) == []
+        out = gemm_strided_batched(np.zeros((0, 4, 3)), np.zeros((0, 3, 2)))
+        assert out.shape == (0, 4, 2)
 
     def test_heterogeneous_batch_bucketed_equivalence(self, rng):
-        """Bucketed execution matches the per-block loop to 1e-12."""
+        """Per-bucket strided launches match per-block products to 1e-12."""
         A = (
             [rng.standard_normal((5, 7)) for _ in range(4)]
             + [rng.standard_normal((6, 2)) for _ in range(3)]
@@ -110,68 +123,55 @@ class TestBucketedGemm:
             + [rng.standard_normal((2, 4)) for _ in range(3)]
             + [rng.standard_normal((9, 1))]
         )
-        bucketed = gemm_batched(A, B, policy=DEFAULT_POLICY)
-        looped = gemm_batched(A, B, policy=LOOP_POLICY)
-        for xb_out, loop_out in zip(bucketed, looped):
-            np.testing.assert_allclose(xb_out, loop_out, rtol=1e-12, atol=1e-12)
-
-    def test_alpha_beta_bucketed(self, rng):
-        A = [rng.standard_normal((4, 4)) for _ in range(3)]
-        B = [rng.standard_normal((4, 4)) for _ in range(3)]
-        C = [rng.standard_normal((4, 4)) for _ in range(3)]
-        out = gemm_batched(A, B, C=C, alpha=2.0, beta=-1.0)
-        for i in range(3):
-            np.testing.assert_allclose(out[i], 2.0 * A[i] @ B[i] - C[i])
+        for out, a, b in zip(_per_bucket_gemm(A, B), A, B):
+            np.testing.assert_allclose(out, a @ b, rtol=1e-12, atol=1e-12)
 
     def test_conjugate_transpose_bucketed(self, rng):
         A = [rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7)) for _ in range(3)]
-        B = [rng.standard_normal((5, 2)) for _ in range(3)]
-        out = gemm_batched(A, B, conjugate_a=True)
-        for i in range(3):
-            np.testing.assert_allclose(out[i], A[i].conj().T @ B[i])
+        A.append(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
+        B = [rng.standard_normal((5, 2)) for _ in range(3)] + [rng.standard_normal((4, 3))]
+        for out, a, b in zip(_per_bucket_gemm(A, B, conjugate_a=True), A, B):
+            np.testing.assert_allclose(out, a.conj().T @ b)
 
     def test_vector_rhs_bucket(self, rng):
-        A = [rng.standard_normal((4, 6)) for _ in range(3)]
-        B = [rng.standard_normal(6) for _ in range(3)]
-        out = gemm_batched(A, B)
+        """Vector right-hand sides ride as a width-1 strided stack."""
+        A = rng.standard_normal((3, 4, 6))
+        B = rng.standard_normal((3, 6))
+        out = gemm_strided_batched(A, B[:, :, None])
+        assert out.shape == (3, 4, 1)
         for i in range(3):
-            assert out[i].shape == (4,)
-            np.testing.assert_allclose(out[i], A[i] @ B[i])
+            np.testing.assert_allclose(out[i, :, 0], A[i] @ B[i])
 
     def test_event_records_buckets_and_strided(self, rng):
         rec = get_recorder()
         A = [rng.standard_normal((3, 3))] * 4 + [rng.standard_normal((5, 5))] * 2
         B = [rng.standard_normal((3, 2))] * 4 + [rng.standard_normal((5, 2))] * 2
         with rec.recording() as trace:
-            gemm_batched(A, B)
-        (event,) = trace.events
-        assert event.kernel == "gemm_batched"
-        assert event.batch == 6
-        assert event.buckets == 2
-        assert event.strided  # >= 2 equal-shape blocks execute as strided buckets
+            _per_bucket_gemm(A, B)
+        assert [e.batch for e in trace.events] == [4, 2]
+        for event in trace.events:
+            assert event.kernel == "gemm_strided_batched"
+            assert event.strided and event.buckets == 1
         assert trace.num_kernel_launches == 2
         assert trace.num_bucketed_launches == 2
 
-    def test_loop_policy_records_seed_event(self, rng):
-        rec = get_recorder()
-        A = [rng.standard_normal((3, 3))] * 4
-        B = [rng.standard_normal((3, 2))] * 4
-        with rec.recording() as trace:
-            gemm_batched(A, B, policy=LOOP_POLICY)
-        (event,) = trace.events
-        assert not event.strided
-        assert event.buckets == 1
+    def test_flops_match_between_policies(self):
+        """The policy changes host execution only: the compiled schedule's
+        launches, flops and bytes are identical under ``LOOP_POLICY``."""
+        from conftest import hodlr_friendly_matrix
+        from repro import ClusterTree, ExecutionContext, HODLRSolver, build_hodlr
 
-    def test_flops_match_between_policies(self, rng):
-        rec = get_recorder()
-        A = [rng.standard_normal((5, 7)) for _ in range(4)] + [rng.standard_normal((2, 3))]
-        B = [rng.standard_normal((7, 3)) for _ in range(4)] + [rng.standard_normal((3, 1))]
-        with rec.recording() as bucketed_trace:
-            gemm_batched(A, B)
-        with rec.recording() as loop_trace:
-            gemm_batched(A, B, policy=LOOP_POLICY)
-        assert bucketed_trace.total_flops == pytest.approx(loop_trace.total_flops)
-        assert bucketed_trace.total_bytes == pytest.approx(loop_trace.total_bytes)
+        n = 300
+        H = build_hodlr(hodlr_friendly_matrix(n, seed=3), ClusterTree.balanced(n, leaf_size=32),
+                        tol=1e-11, method="svd")
+        traces = [
+            HODLRSolver(H, context=ExecutionContext(policy=policy)).factorize().factor_trace
+            for policy in (DEFAULT_POLICY, LOOP_POLICY)
+        ]
+        fast, slow = ([(e.kernel, e.batch, e.shape) for e in t.events] for t in traces)
+        assert fast == slow
+        assert traces[0].total_flops == pytest.approx(traces[1].total_flops)
+        assert traces[0].total_bytes == pytest.approx(traces[1].total_bytes)
 
 
 #: forces the vectorised batched LU kernels regardless of problem size, so
@@ -182,6 +182,21 @@ VECTORIZE_ALWAYS = DispatchPolicy(
     lu_solve_max_n=4096,
     lu_solve_min_batch_ratio=0.0,
 )
+
+
+def _bucketed_lu_solve(mats, rhs, factor_policy=None, solve_policy=None, pivot=True):
+    """Factor and solve a heterogeneous batch with one strided getrf/getrs
+    launch per shape bucket; 1-D right-hand sides come back 1-D."""
+    out = [None] * len(mats)
+    for bucket in plan_batch([(m.shape[0], np.shape(b)) for m, b in zip(mats, rhs)]).buckets:
+        idx = bucket.indices
+        lu3, piv3 = getrf_batched(np.stack([mats[i] for i in idx]), pivot=pivot,
+                                  policy=factor_policy)
+        rhs3 = np.stack([np.reshape(rhs[i], (mats[i].shape[0], -1)) for i in idx])
+        x3 = getrs_batched(lu3, piv3, rhs3, pivot=pivot, policy=solve_policy)
+        for j, i in enumerate(idx):
+            out[i] = x3[j].reshape(np.shape(rhs[i]))
+    return out
 
 
 class TestBucketedLU:
@@ -197,25 +212,23 @@ class TestBucketedLU:
     @pytest.mark.parametrize("policy", [DEFAULT_POLICY, VECTORIZE_ALWAYS])
     def test_bucketed_matches_per_block_loop_to_1e12(self, rng, policy):
         mats, rhs = self._mixed_problems(rng)
-        fast = getrs_batched(getrf_batched(mats, policy=policy), rhs, policy=policy)
-        slow = getrs_batched(getrf_batched(mats, policy=LOOP_POLICY), rhs, policy=LOOP_POLICY)
+        fast = _bucketed_lu_solve(mats, rhs, policy, policy)
+        slow = _bucketed_lu_solve(mats, rhs, LOOP_POLICY, LOOP_POLICY)
         for a, b in zip(fast, slow):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
     def test_bucketed_roundtrip_residual(self, rng):
         mats, rhs = self._mixed_problems(rng)
-        xs = getrs_batched(getrf_batched(mats), rhs)
+        xs = _bucketed_lu_solve(mats, rhs)
         for A, b, x in zip(mats, rhs, xs):
+            assert x.shape == b.shape
             np.testing.assert_allclose(A @ x, b, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("policy", [DEFAULT_POLICY, VECTORIZE_ALWAYS])
     def test_pivot_false_bucketed(self, rng, policy):
         mats, rhs = self._mixed_problems(rng, shift=12.0)  # diagonally dominant
-        lu = getrf_batched(mats, pivot=False, policy=policy)
-        assert not lu.pivot
-        xs = getrs_batched(lu, rhs, policy=policy)
-        ref = getrs_batched(getrf_batched(mats, pivot=False, policy=LOOP_POLICY),
-                            rhs, policy=LOOP_POLICY)
+        xs = _bucketed_lu_solve(mats, rhs, policy, policy, pivot=False)
+        ref = _bucketed_lu_solve(mats, rhs, LOOP_POLICY, LOOP_POLICY, pivot=False)
         for a, b in zip(xs, ref):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
@@ -223,12 +236,12 @@ class TestBucketedLU:
     def test_pivot_false_zero_pivot_raises_in_bucket(self, policy):
         singular_leading = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(np.linalg.LinAlgError):
-            getrf_batched([singular_leading, singular_leading], pivot=False, policy=policy)
+            getrf_batched(np.stack([singular_leading] * 2), pivot=False, policy=policy)
 
     def test_empty_batch(self):
-        lu = getrf_batched([])
-        assert len(lu) == 0
-        assert getrs_batched(lu, []) == []
+        lu3, piv3 = getrf_batched(np.zeros((0, 4, 4)))
+        assert lu3.shape == (0, 4, 4) and piv3.shape == (0, 4)
+        assert getrs_batched(lu3, piv3, np.zeros((0, 4, 1))).shape == (0, 4, 1)
 
     @pytest.mark.parametrize("policy", [DEFAULT_POLICY, VECTORIZE_ALWAYS])
     def test_complex_bucketed(self, rng, policy):
@@ -237,16 +250,16 @@ class TestBucketedLU:
             for _ in range(4)
         ]
         rhs = [rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)) for _ in range(4)]
-        xs = getrs_batched(getrf_batched(mats, policy=policy), rhs, policy=policy)
+        xs = _bucketed_lu_solve(mats, rhs, policy, policy)
         for A, b, x in zip(mats, rhs, xs):
+            assert np.iscomplexobj(x)
             np.testing.assert_allclose(A @ x, b, rtol=1e-10, atol=1e-12)
 
     def test_cross_policy_factors_interoperate(self, rng):
-        """Factors from the vectorised kernel plug into the per-block solve."""
+        """Factors from the vectorised kernel plug into the per-problem solve."""
         mats = [rng.standard_normal((6, 6)) + 6 * np.eye(6) for _ in range(4)]
         rhs = [rng.standard_normal((6, 1)) for _ in range(4)]
-        lu_fast = getrf_batched(mats, policy=VECTORIZE_ALWAYS)  # vectorised bucket
-        xs = getrs_batched(lu_fast, rhs, policy=LOOP_POLICY)  # scipy lu_solve
+        xs = _bucketed_lu_solve(mats, rhs, VECTORIZE_ALWAYS, LOOP_POLICY)
         for A, b, x in zip(mats, rhs, xs):
             np.testing.assert_allclose(A @ x, b, rtol=1e-10, atol=1e-12)
 
@@ -255,20 +268,30 @@ class TestBucketedLU:
         mats = [rng.standard_normal((4, 4)) + 4 * np.eye(4) for _ in range(3)] + [
             rng.standard_normal((6, 6)) + 6 * np.eye(6) for _ in range(2)
         ]
+        rhs = [np.ones((4, 1))] * 3 + [np.ones((6, 1))] * 2
         with rec.recording() as trace:
-            lu = getrf_batched(mats)
-            getrs_batched(lu, [np.ones((4, 1))] * 3 + [np.ones((6, 1))] * 2)
-        getrf_event, getrs_event = trace.events
-        assert getrf_event.buckets == 2 and getrf_event.strided
-        assert getrs_event.buckets == 2 and getrs_event.strided
+            _bucketed_lu_solve(mats, rhs)
+        getrf_events = trace.filter(kernel="getrf_batched").events
+        getrs_events = trace.filter(kernel="getrs_batched").events
+        assert [e.shape for e in getrf_events] == [(4, 4, 0), (6, 6, 0)]
+        assert [e.shape for e in getrs_events] == [(4, 1, 0), (6, 1, 0)]
+        for e in getrf_events + getrs_events:
+            assert e.buckets == 1 and e.strided and e.plan
+        assert trace.filter(kernel="getrf_batched").total_flops == pytest.approx(
+            3 * getrf_flops(4) + 2 * getrf_flops(6)
+        )
+        assert trace.filter(kernel="getrs_batched").total_flops == pytest.approx(
+            3 * getrs_flops(4, 1) + 2 * getrs_flops(6, 1)
+        )
 
     def test_logdet_from_vectorised_factors(self, rng):
-        mats = [rng.standard_normal((5, 5)) + 5 * np.eye(5) for _ in range(4)]
-        signs, logs = getrf_batched(mats, policy=VECTORIZE_ALWAYS).logdet()
+        mats = rng.standard_normal((4, 5, 5)) + 5 * np.eye(5)
+        lu3, piv3 = getrf_batched(mats, policy=VECTORIZE_ALWAYS)
         for i, A in enumerate(mats):
+            sign, logabs = _lu_slogdet(lu3[i], piv3[i])
             s_ref, l_ref = np.linalg.slogdet(A)
-            assert np.real(signs[i]) * s_ref > 0
-            assert logs[i] == pytest.approx(l_ref, rel=1e-10)
+            assert np.real(sign) * s_ref > 0
+            assert logabs == pytest.approx(l_ref, rel=1e-10)
 
 
 class TestVectorisedKernelDirect:
@@ -339,12 +362,25 @@ class TestSolverThreading:
         assert est.num_kernel_launches >= est.num_launches
 
     def test_batched_backend_policy_override(self, rng):
-        """An explicit ``policy=`` overrides the batched primitives' default."""
-        rec = get_recorder()
-        with rec.recording() as trace:
-            gemm_batched(
-                [np.eye(3)] * 3, [np.eye(3)] * 3,
-                policy=DispatchPolicy(bucketing=False),
-            )
-        assert trace.events[0].buckets == 1
-        assert not trace.events[0].strided
+        """An explicit ``policy=`` overrides the LU pair's default host
+        execution: vectorised batched LU or per-problem LAPACK."""
+
+        class Spy(NumpyBackend):
+            def __init__(self):
+                self.calls = []
+
+            def lu_factor(self, a, pivot=True):
+                self.calls.append("lu_factor")
+                return super().lu_factor(a, pivot=pivot)
+
+            def lu_factor_batch(self, a, pivot=True):
+                self.calls.append("lu_factor_batch")
+                return super().lu_factor_batch(a, pivot=pivot)
+
+        A3 = rng.standard_normal((4, 3, 3)) + 3 * np.eye(3)
+        for policy, expected in ((None, ["lu_factor"] * 4),
+                                 (VECTORIZE_ALWAYS, ["lu_factor_batch"]),
+                                 (LOOP_POLICY, ["lu_factor"] * 4)):
+            spy = Spy()
+            getrf_batched(A3, backend=spy, policy=policy)
+            assert spy.calls == expected, policy

@@ -33,7 +33,13 @@ from repro import (
 from repro.api import SolverConfig
 from repro.backends.batched import getrf_batched, getrs_batched
 from repro.backends.counters import get_recorder
-from repro.backends.dispatch import LOOP_POLICY
+from repro.backends.dispatch import (
+    LOOP_POLICY,
+    get_backend,
+    pad_identity_stack,
+    plan_batch,
+    plan_batch_padded,
+)
 
 VARIANTS = ["recursive", "batched"]
 
@@ -286,39 +292,70 @@ class TestFactorPrecision:
 # ======================================================================
 # identity-bordered LU padding
 # ======================================================================
+#: the vectorised elimination on every stack, so a padded and an unpadded
+#: stack run the same arithmetic and compare bit for bit
+VECTORIZE_ALWAYS = DispatchPolicy(
+    lu_factor_max_n=4096, lu_factor_min_batch=2, lu_solve_max_n=4096, lu_solve_min_batch_ratio=0.0
+)
+
+
+def _exact_factors(blocks, policy):
+    """Per-member ``(lu, piv)`` from one strided getrf launch per exact size."""
+    out = [None] * len(blocks)
+    for bucket in plan_batch([b.shape for b in blocks]).buckets:
+        lu3, piv3 = getrf_batched(np.stack([blocks[i] for i in bucket.indices]), policy=policy)
+        for j, i in enumerate(bucket.indices):
+            out[i] = (lu3[j], piv3[j])
+    return out
+
+
+def _padded_stack(blocks, width):
+    """Identity-bordered stack; the dtype promotes over every member."""
+    return pad_identity_stack(get_backend("numpy"), blocks, width, np.result_type(*blocks))
+
+
 class TestPaddedLU:
     def test_getrf_padded_factors_exact(self, rng):
-        """Padded getrf returns bit-identical factors to unpadded getrf."""
+        """The leading block of an identity-bordered factor is the unpadded
+        factor: bit-identical under the same elimination, and the border
+        stays the identity with no row swaps."""
         sizes = [7, 8, 8, 7, 8, 7, 8, 8] * 4
-        blocks = [
-            rng.standard_normal((m, m)) + m * np.eye(m) for m in sizes
-        ]
-        plain = getrf_batched(blocks, policy=DispatchPolicy())
-        padded = getrf_batched(blocks, policy=PAD_POLICY)
-        for lu_a, lu_b, piv_a, piv_b in zip(
-            plain.lu, padded.lu, plain.piv, padded.piv
-        ):
-            np.testing.assert_allclose(lu_a, lu_b, rtol=1e-13, atol=1e-13)
-            np.testing.assert_array_equal(piv_a, piv_b)
+        blocks = [rng.standard_normal((m, m)) + m * np.eye(m) for m in sizes]
+        # the default policy vectorises the merged 32-block stack but not the
+        # smaller exact-size stacks, so only round-off agreement is expected
+        for policy, tol in ((VECTORIZE_ALWAYS, 0.0), (DispatchPolicy(), 1e-13)):
+            lu3, piv3 = getrf_batched(_padded_stack(blocks, 8), policy=policy)
+            for i, (lu, piv) in enumerate(_exact_factors(blocks, policy)):
+                m = sizes[i]
+                np.testing.assert_allclose(lu3[i, :m, :m], lu, rtol=tol, atol=tol)
+                np.testing.assert_array_equal(piv3[i, :m], piv)
+                np.testing.assert_array_equal(piv3[i, m:], np.arange(m, 8))
+                np.testing.assert_array_equal(lu3[i, m:, m:], np.eye(8 - m))
+                assert not lu3[i, :m, m:].any() and not lu3[i, m:, :m].any()
 
     def test_getrs_padded_solutions_exact(self, rng):
         sizes = [7, 8, 8, 7, 8, 7, 8, 8] * 8
         blocks = [rng.standard_normal((m, m)) + m * np.eye(m) for m in sizes]
         rhs = [rng.standard_normal((m, 2)) for m in sizes]
-        plain = getrf_batched(blocks, policy=DispatchPolicy())
-        x_plain = getrs_batched(plain, rhs, policy=DispatchPolicy())
-        x_pad = getrs_batched(plain, rhs, policy=PAD_POLICY)
-        for a, b_ in zip(x_plain, x_pad):
-            np.testing.assert_allclose(a, b_, rtol=1e-12, atol=1e-13)
+        rhs3 = np.zeros((len(sizes), 8, 2))
+        for i, r in enumerate(rhs):
+            rhs3[i, : sizes[i]] = r
+        x3 = getrs_batched(*getrf_batched(_padded_stack(blocks, 8)), rhs3)
+        for i, (lu, piv) in enumerate(_exact_factors(blocks, DispatchPolicy())):
+            m = sizes[i]
+            x = getrs_batched(lu[None], piv[None], rhs[i][None])[0]
+            np.testing.assert_allclose(x3[i, :m], x, rtol=1e-12, atol=1e-13)
+            assert not x3[i, m:].any()  # padded rows solve against the identity
 
     def test_padded_lu_records_merged_buckets(self, rng):
         sizes = [7, 8] * 16
         blocks = [rng.standard_normal((m, m)) + m * np.eye(m) for m in sizes]
         rec = get_recorder()
         with rec.recording() as t_plain:
-            getrf_batched(blocks, policy=DispatchPolicy())
+            _exact_factors(blocks, DispatchPolicy())
+        (merged,) = plan_batch_padded([b.shape for b in blocks], max_waste=0.25).buckets
         with rec.recording() as t_pad:
-            getrf_batched(blocks, policy=PAD_POLICY)
+            getrf_batched(_padded_stack(blocks, merged.key[0]))
         assert t_pad.num_kernel_launches < t_plain.num_kernel_launches
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -349,20 +386,19 @@ class TestPaddedLU:
         sharing a padded bucket with real ones keeps its imaginary part."""
         blocks = [rng.standard_normal((8, 8)) + 8 * np.eye(8) for _ in range(30)]
         blocks.append(
-            rng.standard_normal((8, 8))
-            + 1j * rng.standard_normal((8, 8))
-            + 8 * np.eye(8)
+            rng.standard_normal((7, 7))
+            + 1j * rng.standard_normal((7, 7))
+            + 7 * np.eye(7)
         )
-        f_pad = getrf_batched(blocks, policy=PAD_POLICY)
-        f_ref = getrf_batched(blocks, policy=DispatchPolicy())
-        for lu_a, lu_b in zip(f_pad.lu, f_ref.lu):
-            assert lu_a.dtype == lu_b.dtype
-            np.testing.assert_allclose(lu_a, lu_b, rtol=1e-13, atol=1e-13)
-        rhs = [rng.standard_normal((8, 2)) for _ in blocks]
-        x_pad = getrs_batched(f_pad, rhs, policy=PAD_POLICY)
-        x_ref = getrs_batched(f_ref, rhs, policy=DispatchPolicy())
-        for a, b_ in zip(x_pad, x_ref):
-            np.testing.assert_allclose(a, b_, rtol=1e-12, atol=1e-13)
+        lu3, piv3 = getrf_batched(_padded_stack(blocks, 8))
+        assert np.iscomplexobj(lu3)
+        lu_ref, piv_ref = getrf_batched(blocks[-1][None])
+        np.testing.assert_allclose(lu3[-1, :7, :7], lu_ref[0], rtol=1e-13, atol=1e-13)
+        rhs3 = np.zeros((len(blocks), 8, 2))
+        rhs3[:, :7] = rng.standard_normal((len(blocks), 7, 2))
+        x3 = getrs_batched(lu3, piv3, rhs3)
+        x_ref = getrs_batched(lu_ref, piv_ref, rhs3[-1:, :7])
+        np.testing.assert_allclose(x3[-1, :7], x_ref[0], rtol=1e-12, atol=1e-13)
 
     def test_padded_plan_logdet_exact(self):
         A, _ = make_problem(n=300, leaf=40)
