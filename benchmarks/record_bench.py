@@ -844,6 +844,7 @@ def collect_counters(n=2048, tol=1e-8, leaf_size=64):
     counters.update(collect_rook_counters())
     counters.update(collect_randomized_counters())
     counters.update(collect_update_counters())
+    counters.update(collect_stream_counters())
     counters.update(collect_cache_counters())
     print(f"  {'counters_probe':<38s} n={n}  launches/solve "
           f"{counters['launches_per_solve']}  factor launches "
@@ -1002,6 +1003,52 @@ def collect_update_counters(n=2048, k=4, tol=1e-8, leaf_size=64):
     counters = {"update_launches": tr_update.num_kernel_launches}
     print(f"  {'update_probe':<38s} n={n} k={k}  launches "
           f"{counters['update_launches']}")
+    return counters
+
+
+def collect_stream_counters(n=2048, k=4, tol=1e-8, leaf_size=64):
+    """Deterministic counters of one streaming step on a symmetric probe.
+
+    The SVD-compressed 1-D Gaussian probe (a symmetric source, so the
+    matrix stores ``U`` only) runs one ``gp_stream``-style step through
+    :meth:`repro.HODLROperator.update`: ``k`` contiguous points leave, ``k``
+    new points arrive inside one gap elsewhere, and the factorization and
+    apply plan are refreshed in place.  ``stream_step_launches`` counts
+    every kernel launch of the step and ``stream_step_evaluations`` every
+    ``entries`` call of the source; bordering one block per dirty sibling
+    pair (the mirror is stored, not evaluated) keeps the latter low.
+    """
+    from repro import ClusterTree, HODLROperator, build_hodlr
+
+    rng = np.random.default_rng(3)
+    x = np.sort(rng.uniform(0.0, 1.0, n))
+    tree = ClusterTree.balanced(n, leaf_size=leaf_size)
+    H = build_hodlr(_gauss1d_entries(x), tree, tol=tol, method="svd")
+    assert H.symmetric, "the Gaussian probe must build symmetric storage"
+    op = HODLROperator(H)
+    op @ op.solve(rng.standard_normal(n))  # factorize and compile the apply plan
+    removed = np.arange(n // 3, n // 3 + k)
+    mid = np.delete(x, removed)
+    j = 2 * n // 3
+    x_new = np.concatenate([mid[:j], np.sort(rng.uniform(mid[j - 1], mid[j], k)), mid[j:]])
+    entries = _gauss1d_entries(x_new)
+    calls = []
+
+    def source(rows, cols):
+        calls.append(1)
+        return entries(rows, cols)
+
+    with get_recorder().recording() as tr_step:
+        op.update(source=source, points_removed=removed,
+                  points_added=j + np.arange(k), tol=tol)
+    assert op.hodlr.symmetric, "a symmetric stream step must keep U-only storage"
+    counters = {
+        "stream_step_launches": tr_step.num_kernel_launches,
+        "stream_step_evaluations": len(calls),
+    }
+    print(f"  {'stream_step_probe':<38s} n={n} k={k}  launches "
+          f"{counters['stream_step_launches']}  evaluations "
+          f"{counters['stream_step_evaluations']}")
     return counters
 
 

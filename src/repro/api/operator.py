@@ -228,7 +228,7 @@ class HODLROperator(LinearOperator):
         rebuilding, the operator updates its HODLR matrix incrementally
         (:mod:`repro.core.update`: bordering and downdating of the dirty
         blocks).  A factorization the operator holds is then refactorized
-        eagerly, in place
+        eagerly, in place, factorizing only the dirty leaves again
         (:meth:`~repro.core.solver.HODLRSolver.patch_factorize`), and a
         compiled apply plan is recompiled in place
         (:meth:`~repro.core.apply_plan.ApplyPlan.patch`), so the next solve
@@ -482,7 +482,8 @@ class HODLROperator(LinearOperator):
         ``perm`` conjugation is applied internally).  If the dtype of ``b``
         requires a different factorization dtype (e.g. complex rhs on a
         real factorization), the operator refactorizes at the promoted
-        dtype first.
+        dtype first.  A ``b`` holding NaN or inf raises ``ValueError``
+        (naming how many entries) before any sweep runs.
 
         When the context's precision policy sets ``refine=True`` and the
         factorization dtype is narrower than the matrix's natural dtype
@@ -501,6 +502,12 @@ class HODLROperator(LinearOperator):
         if b_dtype is None:
             b = np.asarray(b)
             b_dtype = b.dtype
+        bad = int(np.size(b) - np.count_nonzero(np.isfinite(b)))
+        if bad:
+            # a NaN or inf would spread through every sweep into all of x
+            raise ValueError(
+                f"right-hand side has {bad} non-finite entries (NaN or inf)"
+            )
         wide_dtype = np.result_type(self._base.dtype, b_dtype)
         target = self._solve_dtype(b_dtype)
         if target != self._factor_dtype:

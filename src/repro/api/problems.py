@@ -274,7 +274,8 @@ class RPYMobilityProblem:
         kernel = RPYKernel()
         n_dof = self.dim * self.num_particles
         tree = ClusterTree.balanced(n_dof, leaf_size=comp.leaf_size)
-        entries = kernel.evaluator(points)
+        radius = kernel.effective_radius(points)
+        entries = kernel.evaluator(points, a=radius)
         hodlr = build_hodlr(
             entries,
             tree,
@@ -290,7 +291,7 @@ class RPYMobilityProblem:
                 "points": points,
                 "kernel": kernel,
                 "particle_perm": particle_perm,
-                "effective_radius": kernel.effective_radius(points),
+                "effective_radius": radius,
             },
         )
 

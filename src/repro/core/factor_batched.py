@@ -67,7 +67,10 @@ class BatchedFactorization:
     def solve_plan(self) -> Optional[SolvePlan]:
         return self._solve_plan
 
-    def factorize(self) -> "BatchedFactorization":
+    def factorize(self, previous=None) -> "BatchedFactorization":
+        """Run the packed Algorithm 1; ``previous`` (``(matrix, plan)`` of an
+        earlier factorization) supplies the LU factors of every unchanged
+        leaf (see :func:`~repro.core.factor_plan.build_factor_plan`)."""
         self.context = self.context or DEFAULT_CONTEXT
         rec = get_recorder()
         with rec.recording() as trace:
@@ -76,7 +79,10 @@ class BatchedFactorization:
             rec.add_transfer(self.hodlr.nbytes, "h2d")
             with rec.context(tag="factor"):
                 self._plan = build_factor_plan(
-                    self.hodlr, context=self.context, pivot=self.pivot
+                    self.hodlr,
+                    context=self.context,
+                    pivot=self.pivot,
+                    previous=previous,
                 )
         self._solve_plan = self._plan.solve_plan()
         self.factor_trace = trace

@@ -43,7 +43,13 @@ matrices.  ``Ybig`` is a working array of the build, dropped once every
 level's ``Y3`` is final.  :attr:`FactorPlan.nbytes` (and so
 ``factorization_nbytes``) counts what the plan owns.  A plan is a snapshot
 of one matrix: a streaming update refactorizes into a fresh plan
-(:meth:`~repro.core.solver.HODLRSolver.patch_factorize`).
+(:meth:`~repro.core.solver.HODLRSolver.patch_factorize`) through the same
+:func:`build_factor_plan`, which copies the LU factors of every leaf whose
+diagonal block is unchanged (bitwise equal) from the previous plan and
+issues the leaf ``getrf_batched`` launches over the changed leaves only —
+a fresh factorization is the case where no leaf is kept.  Each such
+launch runs in the host execution mode its whole bucket would get, so the
+result is bitwise a fresh factorization's.
 
 Pad-to-bucket LU packing
 ------------------------
@@ -480,10 +486,76 @@ def _concat_bases(bases, tree, level_ranks: List[int], zeros, dtype) -> np.ndarr
     return out
 
 
+def _kept_leaf_factors(previous, hodlr, dtype, pol):
+    """Where each reusable leaf's LU factors sit in an earlier plan.
+
+    ``previous`` is ``(matrix, plan)`` of an earlier factorization.  A leaf
+    whose diagonal block in ``hodlr`` equals its block in ``matrix``
+    (same shape, bitwise equal entries) keeps its factors.  Returns
+    ``{bucket key M: (previous bucket, {leaf position: row})}``.  Nothing
+    is kept (``{}``) without a previous plan of the same tree depth and
+    dispatch policy, and a previous bucket is skipped when its storage was
+    demoted by ``PrecisionPolicy(factor=...)``.
+    """
+    if previous is None:
+        return {}
+    matrix, plan = previous
+    tree = hodlr.tree
+    if plan.levels != tree.levels or plan.context.policy != pol:
+        return {}
+    leaves = tree.leaves
+    kept = {}
+    for lb in plan.leaf_buckets:
+        if lb.lu3.dtype != dtype:
+            continue
+        rows = {}
+        for j, p in enumerate(lb.positions):
+            new, old = hodlr.diag[leaves[p].index], matrix.diag[leaves[p].index]
+            if new.shape == old.shape and bool(np.array_equal(new, old)):
+                rows[p] = j
+        kept[lb.lu3.shape[1]] = (lb, rows)
+    return kept
+
+
+def _leaf_lu(D3, positions, kept, xb, pol):
+    """LU factors ``(lu3, piv3)`` of one leaf bucket.
+
+    Members with factors in ``kept`` (see :func:`_kept_leaf_factors`) copy
+    them with one gather; ``getrf_batched`` runs over the rest only — every
+    member on a fresh factorization.  The launch executes in the host mode
+    (vectorised or per-problem LAPACK) the whole bucket would get, so kept
+    and fresh members are bitwise what a fresh factorization computes.  A
+    previous bucket of a different size or execution mode keeps nothing.
+    """
+    nb, M = D3.shape[0], D3.shape[1]
+    old, where = kept.get(M, (None, {}))
+    if old is not None and pol.vectorize_lu_factor(
+        old.lu3.shape[0], M
+    ) != pol.vectorize_lu_factor(nb, M):
+        where = {}
+    rows = np.array([where.get(p, -1) for p in positions], dtype=np.intp)
+    fresh = np.flatnonzero(rows < 0)
+    if fresh.size == nb:
+        return getrf_batched(D3, pivot=True, backend=xb, policy=pol)
+    take = np.where(rows >= 0, rows, 0)
+    lu3, piv3 = old.lu3[take], old.piv3[take]
+    if fresh.size:
+        mode = (
+            pol.replace(min_bucket=1, lu_factor_min_batch=1)
+            if pol.vectorize_lu_factor(nb, M)
+            else pol.replace(lu_vectorize=False)
+        )
+        lu3[fresh], piv3[fresh] = getrf_batched(
+            D3[fresh], pivot=True, backend=xb, policy=mode
+        )
+    return lu3, piv3
+
+
 def build_factor_plan(
     hodlr,
     context: Optional[ExecutionContext] = None,
     pivot: bool = True,
+    previous=None,
 ) -> FactorPlan:
     """Algorithm 1 executed packed: factorize ``hodlr`` (a
     :class:`~repro.core.hodlr.HODLRMatrix`) straight into a
@@ -497,6 +569,14 @@ def build_factor_plan(
     matrix's stacks.  :class:`~repro.core.factor_batched.
     BatchedFactorization` (the ``batched`` variant) wraps this in trace
     recording and transfer accounting.
+
+    ``previous`` refactorizes after a streaming update: it is ``(matrix,
+    plan)`` of the factorization before it.  Every leaf whose diagonal
+    block is bitwise equal to its block in ``matrix`` copies its LU factors
+    from ``plan``, so the leaf getrf launches cover only the changed
+    leaves.  ``Ybig``, the K systems and the sweeps are always recomputed:
+    a recompressed ancestor basis changes every row it spans.
+    ``previous=None`` factorizes every leaf — a fresh factorization.
     """
     ctx = context or DEFAULT_CONTEXT
     xb, pol = ctx.backend, ctx.policy
@@ -506,6 +586,7 @@ def build_factor_plan(
     level_ranks = hodlr.storage.level_ranks
     col_offsets = [0, *accumulate(level_ranks)]
     Ybig = _concat_bases(hodlr.U, tree, level_ranks, xb.zeros, dtype)
+    kept = _kept_leaf_factors(previous, hodlr, dtype, pol)
 
     # ---- leaves: one packed LU + one packed substitution per size bucket.
     # Same-level buckets are mutually independent (disjoint leaf row ranges
@@ -530,7 +611,7 @@ def build_factor_plan(
             gs = GatherScatter.from_ranges(
                 [(leaves[i].start, leaves[i].stop) for i in bucket.indices], bucket.key[0]
             )
-            lu3, piv3 = getrf_batched(D3, pivot=True, backend=xb, policy=pol)
+            lu3, piv3 = _leaf_lu(D3, bucket.indices, kept, xb, pol)
             if Ybig.shape[1]:
                 sol3 = getrs_batched(lu3, piv3, gs.take(Ybig), pivot=True, backend=xb, policy=pol)
                 gs.put(Ybig, sol3)

@@ -51,7 +51,7 @@ product as a handful of batched gemm launches; Krylov loops should use it.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import InitVar, dataclass, replace as dc_replace
 from types import MappingProxyType
 from typing import Dict, List, Optional, Union
 
@@ -149,13 +149,53 @@ class _ConjBases(Mapping):
         return len(self._U)
 
 
-def _stack_into(like, blocks, shape, dtype) -> np.ndarray:
+def _stack_into(like, blocks, shape, dtype, old=None, rows=None) -> np.ndarray:
     """Zero-padded ``(nb, M, r)`` stack of ``blocks``, allocated in the
-    blocks' own array library (device blocks stay on the device)."""
+    blocks' own array library (device blocks stay on the device).
+
+    ``old`` is an earlier matrix's stack of the same node size and
+    ``rows[j]`` the row of ``old`` that member ``j``'s block *is* (``-1``
+    for a new block): the kept members are copied from it one run of
+    consecutive rows at a time (a slice copy each), and only the new
+    blocks are written one by one.
+    """
     out = np.zeros_like(like, shape=shape, dtype=dtype)
-    for j, blk in enumerate(blocks):
-        out[j, :, : blk.shape[1]] = blk
+    kept = np.zeros(shape[0], dtype=bool) if rows is None else rows >= 0
+    j = np.flatnonzero(kept)
+    if j.size:
+        # a kept block is no wider than the new rank, so truncating the
+        # old stack's padding to it loses only zeros
+        w = min(shape[2], old.shape[2])
+        cut = np.flatnonzero((np.diff(j) != 1) | (np.diff(rows[j]) != 1)) + 1
+        for a, b in zip([0, *cut], [*cut, j.size]):
+            dst, src, m = int(j[a]), int(rows[j[a]]), int(b - a)
+            out[dst : dst + m, :, :w] = old[src : src + m, :, :w]
+    for i in np.flatnonzero(~kept):
+        blk = blocks[i]
+        out[i, :, : blk.shape[1]] = blk
     return out
+
+
+def _reusable(nodes, blocks: Mapping, old_bucket, side: str, old_blocks):
+    """``(old, rows)`` for :func:`_stack_into`: ``old_bucket``'s ``side``
+    stack (an earlier matrix's bucket of the same node size) and, per
+    member, the row whose view ``blocks`` still holds (``-1`` for a
+    replaced block); ``(None, None)`` when there is nothing to reuse."""
+    old = None if old_bucket is None or old_blocks is None else getattr(old_bucket, side)
+    if old is None:
+        return None, None
+    where = {nd.index: j for j, nd in enumerate(old_bucket.nodes)}
+    rows = np.fromiter(
+        (
+            where[nd.index]
+            if nd.index in where and blocks[nd.index] is old_blocks.get(nd.index)
+            else -1
+            for nd in nodes
+        ),
+        dtype=np.intp,
+        count=len(nodes),
+    )
+    return old, rows
 
 
 @dataclass
@@ -172,6 +212,12 @@ class HODLRMatrix:
     :func:`build_hodlr` produces on a symmetric source) ``V`` is not stored:
     a real matrix's ``V`` holds the ``U`` views themselves, a complex one
     conjugates ``U`` on access.
+
+    ``_parent`` (used by the streaming updates of :mod:`repro.core.update`)
+    is an earlier matrix on the same tree topology whose per-node views the
+    block mappings still hold for every clean node: those blocks are
+    copied from its stacks a run of consecutive rows at a time.  The new
+    matrix owns every stack it holds; no stack is shared with the parent.
     """
 
     tree: ClusterTree
@@ -184,22 +230,33 @@ class HODLRMatrix:
     V: Mapping
     #: ``V[k] == conj(U[k])`` for every node: the bases are stored once
     symmetric: bool = False
+    _parent: InitVar[Optional["HODLRMatrix"]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _parent: Optional["HODLRMatrix"]) -> None:
         tree = self.tree
+        parent = _parent  # an earlier matrix whose clean views the blocks still hold
         like = next(iter(self.diag.values()))
         ddt = np.result_type(*{d.dtype for d in self.diag.values()})
+
         diag: Dict[int, np.ndarray] = {}
         diag_buckets: List[DiagBucket] = []
         leaves = tree.leaves
+        old_diag = {} if parent is None else {b.D.shape[1]: b for b in parent.storage.diag}
         for b in plan_batch([leaf.size for leaf in leaves]).buckets:
             nodes = [leaves[i] for i in b.indices]
             shape = (len(nodes), b.key, b.key)
-            D = _stack_into(like, [self.diag[nd.index] for nd in nodes], shape, ddt)
+            D = _stack_into(
+                like, [self.diag[nd.index] for nd in nodes], shape, ddt,
+                *_reusable(nodes, self.diag, old_diag.get(b.key), "D", parent and parent.diag),
+            )
             diag_buckets.append(DiagBucket(nodes=nodes, D=D))
             diag.update((nd.index, D[j]) for j, nd in enumerate(nodes))
 
         sides = [self.U] if self.symmetric else [self.U, self.V]
+        old_sides = [None, None]
+        if parent is not None:
+            # a complex symmetric parent's V conjugates on access: no views
+            old_sides = [parent.U, None if isinstance(parent.V, _ConjBases) else parent.V]
         bdt = np.result_type(ddt, *{a.dtype for side in sides for a in side.values()})
         alias = self.symmetric and bdt.kind != "c"  # real symmetric: V is U
         U: Dict[int, np.ndarray] = {}
@@ -211,12 +268,19 @@ class HODLRMatrix:
             r = max(side[nd.index].shape[1] for side in sides for nd in nodes_l)
             level_ranks.append(int(r))
             bases[level] = []
+            old_bases = (
+                {} if parent is None
+                else {ob.U.shape[1]: ob for ob in parent.storage.bases.get(level, ())}
+            )
             for b in plan_batch([nd.size for nd in nodes_l]).buckets:
                 nodes = [nodes_l[i] for i in b.indices]
                 shape = (len(nodes), b.key, r)
                 Ub, *Vb = [
-                    _stack_into(like, [side[nd.index] for nd in nodes], shape, bdt)
-                    for side in sides
+                    _stack_into(
+                        like, [side[nd.index] for nd in nodes], shape, bdt,
+                        *_reusable(nodes, side, old_bases.get(b.key), name, old_side),
+                    )
+                    for side, name, old_side in zip(sides, ("U", "V"), old_sides)
                 ]
                 Vb = Vb[0] if Vb else (Ub if alias else None)
                 bases[level].append(BasisBucket(
@@ -507,20 +571,26 @@ def _probe_multi(multi, rows: np.ndarray, cols: np.ndarray):
     return out if np.shape(out) == (rows.shape[0], rows.shape[1], cols.shape[1]) else None
 
 
-def _probe_is_symmetric(probe) -> bool:
-    """Whether the paired probe stack satisfies ``S_lr == S_rl^T``.
+def _is_mirror(a, b) -> bool:
+    """Whether ``a == b^T`` (last two axes) up to the rounding of a kernel
+    evaluation: ``max|a - b^T| <= 16 eps max(|a|, |b|)``.
 
-    The test is ``max|S_lr - S_rl^T| <= 16 eps max|S|``, so a source that
-    is symmetric up to the rounding of its kernel evaluation passes and
-    any genuinely non-symmetric sampled entry fails.  A probe that sampled
-    only zeros decides nothing and reports ``False``.  Reductions run on
-    the probe's own array type: no host transfer.
+    Entries that are all zero decide nothing and report ``False``.
+    Reductions run on the operands' own array type: no host transfer.
     """
-    dtype = probe.dtype
+    dtype = np.result_type(a.dtype, b.dtype)
     eps = np.finfo(dtype if np.issubdtype(dtype, np.inexact) else np.float64).eps
-    scale = float(abs(probe).max())
-    gap = float(abs(probe[0::2] - probe[1::2].transpose(0, 2, 1)).max())
+    scale = max(float(abs(a).max()), float(abs(b).max()))
+    gap = float(abs(a - b.swapaxes(-1, -2)).max())
     return scale > 0 and gap <= 16 * eps * scale
+
+
+def _probe_is_symmetric(probe) -> bool:
+    """Whether the paired probe stack satisfies ``S_lr == S_rl^T``
+    (:func:`_is_mirror`), so a source that is symmetric up to the rounding
+    of its kernel evaluation passes and any genuinely non-symmetric
+    sampled entry fails."""
+    return _is_mirror(probe[0::2], probe[1::2])
 
 
 #: cap on the entry count of one gathered block stack (~0.5 GB of float64);

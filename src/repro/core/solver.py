@@ -205,6 +205,9 @@ class HODLRSolver:
     # factorization
     # ------------------------------------------------------------------
     def factorize(self) -> "HODLRSolver":
+        return self._factorize(None)
+
+    def _factorize(self, previous) -> "HODLRSolver":
         t0 = time.perf_counter()  # repro-lint: ignore[RL004] -- SolveStats wall-clock reporting, not test timing
         if self.variant == "recursive":
             self._impl = RecursiveFactorization(
@@ -214,7 +217,7 @@ class HODLRSolver:
         elif self.variant == "batched":
             self._impl = BatchedFactorization(
                 hodlr=self.hodlr, pivot=self.pivot, context=self.context
-            ).factorize()
+            ).factorize(previous)
             self.stats.factorization_bytes = self._impl.factorization_nbytes()
         else:
             # a registered (baseline) variant: the factory returns a
@@ -226,17 +229,25 @@ class HODLRSolver:
         return self
 
     def patch_factorize(self, hodlr: HODLRMatrix) -> "HODLRSolver":
-        """Refactorize in place for an updated matrix: a full rebuild.
+        """Refactorize in place for an updated matrix.
 
         ``hodlr`` (cast to the solver's dtype) replaces the solver's matrix
-        and :meth:`factorize` rebuilds every factor from it, on this same
-        solver object, so wrappers and references held on the solver stay
-        valid.  The batched factorization is nearly linear in ``n``, which
-        makes the rebuild the cheap, simple way to absorb a k-point change.
+        and the factorization is recomputed from it on this same solver
+        object, so wrappers and references held on the solver stay valid.
+        The ``batched`` variant copies the LU factors of every leaf whose
+        diagonal block is bitwise equal to the previous matrix's from the
+        current plan and factorizes only the changed leaves, while the
+        solved bases, the K systems and the sweeps are recomputed in full —
+        the result is bitwise a fresh factorization's.  A streaming update
+        (:mod:`repro.core.update`) copies its clean leaves' blocks
+        unchanged, so only its dirty leaves are factorized again.  Every
+        other variant refactorizes in full.
         """
         target = np.dtype(self.hodlr.dtype)
+        plan = self.factor_plan
+        previous = None if plan is None else (self.hodlr, plan)
         self.hodlr = hodlr if np.dtype(hodlr.dtype) == target else hodlr.astype(target)
-        return self.factorize()
+        return self._factorize(previous)
 
     @property
     def factored(self) -> bool:

@@ -23,11 +23,22 @@ All dirty-block recompressions run batched through
 of the level-major ``compress_block_stack`` path), so an update costs
 O(shape buckets) kernel launches, not O(dirty blocks).
 
+On a ``symmetric`` matrix only the ``(left, right)`` block of each dirty
+sibling pair is bordered (or trimmed); its mirror is stored through
+``U_right = conj(V_right)``, so the update evaluates and recompresses half
+the blocks and the result stays ``symmetric``.  An insert checks the leaf
+borders it evaluates anyway, ``A(ins, :)`` against ``A(:, ins)^T``, with
+the builder's probe rule; a source that is not symmetric there borders
+both blocks of every pair instead, and the result drops ``symmetric``.
+
 The result is a :class:`HODLRUpdate` carrying the new matrix, the dirty
 node set (the dirty-block accounting of
 :meth:`~repro.api.operator.HODLROperator.update`), and the old-to-new
-index map.  The operator then refactorizes the updated matrix; restacking
-it is one copy of the bases, small next to that refactorization.
+index map.  The new matrix restacks only what changed: its clean blocks
+are copied from the input's stacks in slices, not block by block.  A clean
+leaf's diagonal block is therefore bitwise the input's, which is how
+:meth:`~repro.core.solver.HODLRSolver.patch_factorize` finds the leaves
+it need not factorize again.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ import numpy as np
 from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
 from .cluster_tree import ClusterTree
 from .compression import recompress_bordered, recompress_stack
-from .hodlr import HODLRMatrix, _resolve_evaluator
+from .hodlr import HODLRMatrix, _is_mirror, _resolve_evaluator, _store_factor
 from .low_rank import LowRankFactor
 
 
@@ -63,12 +74,13 @@ class HODLRUpdate:
     Attributes
     ----------
     matrix:
-        The updated :class:`HODLRMatrix`.  Clean blocks are copied from
-        the input matrix and dirty blocks are fresh; the new matrix restacks
-        them all into its own per-level storage.  Updates border both
-        blocks of a dirty sibling pair independently, so the result is not
-        marked ``symmetric`` and stores ``V`` even when the input shared it
-        with ``U``.
+        The updated :class:`HODLRMatrix`.  Dirty blocks are fresh; clean
+        blocks are copied from the input's stacks in slices of consecutive
+        rows (the input is not modified).  A ``symmetric`` input stays
+        ``symmetric`` (one block per dirty pair is bordered and mirrored)
+        unless an insert's source is not symmetric on the evaluated leaf
+        borders; then both blocks are bordered and the result stores
+        ``V``.
     dirty_nodes:
         Indices of the tree nodes whose row/column range intersects the
         changed points — the dirty leaves plus all their ancestors
@@ -127,26 +139,25 @@ def dirty_block_counts(tree: ClusterTree, dirty_nodes) -> Tuple[int, int]:
 def _shifted_tree(tree: ClusterTree, boundary_map, n_new: int) -> ClusterTree:
     """New tree with every split moved through ``boundary_map``.
 
-    ``boundary_map(p)`` maps an old boundary position ``p`` in ``[0,
-    n_old]`` to its new position; leaves containing changes grow or shrink,
-    every other node's range merely shifts.
+    ``boundary_map`` maps an array of old split positions (all interior to
+    ``(0, n_old)``) to their new positions; leaves containing changes grow
+    or shrink, every other node's range merely shifts.
     """
-    splits: Dict[int, int] = {}
-    for level in range(tree.levels):
-        for idx in tree.level_indices(level):
-            splits[idx] = int(boundary_map(tree.node(2 * idx).stop))
-    return ClusterTree(n_new, tree.levels, splits=splits)
+    internal = range(1, tree.num_leaves)
+    old = np.fromiter(
+        (tree.node(2 * idx).stop for idx in internal), dtype=np.intp, count=len(internal)
+    )
+    return ClusterTree(
+        n_new, tree.levels, splits=dict(zip(internal, boundary_map(old).tolist()))
+    )
 
 
 def _dirty_set(tree: ClusterTree, changed: np.ndarray) -> frozenset:
     """Nodes of ``tree`` whose range contains a changed (sorted) index."""
-    dirty = set()
-    for node in tree:
-        lo = int(np.searchsorted(changed, node.start))
-        hi = int(np.searchsorted(changed, node.stop))
-        if hi > lo:
-            dirty.add(node.index)
-    return frozenset(dirty)
+    # the tree iterates its nodes in index order 1, 2, ..., num_nodes
+    bounds = np.array([(node.start, node.stop) for node in tree], dtype=np.intp)
+    lo, hi = np.searchsorted(changed, bounds.T)
+    return frozenset((np.flatnonzero(hi > lo) + 1).tolist())
 
 
 def _local_split(where: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -175,14 +186,98 @@ def _coerce(xb, a, dtype):
     return out
 
 
-def _dirty_offdiag_pairs(tree: ClusterTree, dirty_nodes):
+def _dirty_offdiag_pairs(tree: ClusterTree, dirty_nodes, symmetric: bool):
     """Yield the ``(row_node, col_node)`` off-diagonal blocks on the dirty
-    path, level by level (both directions of each dirty sibling pair)."""
+    path, level by level: both directions of each dirty sibling pair, or
+    only ``(left, right)`` when ``symmetric`` (its mirror is stored through
+    :func:`~repro.core.hodlr._store_factor`)."""
     for level in range(1, tree.levels + 1):
         for left, right in tree.sibling_pairs(level):
             if left.index in dirty_nodes or right.index in dirty_nodes:
                 yield left, right
-                yield right, left
+                if not symmetric:
+                    yield right, left
+
+
+def _border(xb, hodlr, rn, cn, where, old_pos, entries, dt, tol, max_rank,
+            ctx) -> Tuple[LowRankFactor, bool]:
+    """Border ``A(I_rn, I_cn) = U_rn V_cn^*`` with its inserted rows/columns.
+
+    Returns ``(factor, final)``: a one-sided border is recompressed here
+    (``final``); a block bordered on both sides comes back unrecompressed,
+    for the caller's one batched :func:`recompress_stack` pass.
+    """
+    r_ins = _local_split(where, rn.start, rn.stop)
+    c_ins = _local_split(where, cn.start, cn.stop)
+    kr, kc = int(r_ins.size), int(c_ins.size)
+    old_rn, old_cn = hodlr.tree.node(rn.index), hodlr.tree.node(cn.index)
+    r_surv_global = old_pos[old_rn.start : old_rn.stop]
+    r_surv = r_surv_global - rn.start
+    c_surv = old_pos[old_cn.start : old_cn.stop] - cn.start
+    U_old = _coerce(xb, hodlr.U[rn.index], dt)
+    V_old = _coerce(xb, hodlr.V[cn.index], dt)
+    r0 = U_old.shape[1]
+    m, n = rn.size, cn.size
+
+    # A window of arrivals lands in one node per level, so almost every
+    # dirty block is bordered on exactly one side: the other side's
+    # border is identity rows disjoint from the surviving support, and
+    # the structured recompression skips that side's full QR entirely.
+    if kc and not kr:
+        # new columns only: rn is untouched, so U_old needs no scatter
+        C = _coerce(xb, entries(r_surv_global, c_ins + cn.start), dt)
+        f = recompress_bordered(
+            dense=xb.concat([U_old, C], axis=1),
+            compact=V_old,
+            ins=c_ins,
+            size=n,
+            dense_is_row_side=True,
+            tol=tol,
+            max_rank=max_rank,
+            context=ctx,
+        )
+        return f, True
+    if kr and not kc:
+        # new rows only: cn is untouched, so V_old needs no scatter
+        cols = np.arange(cn.start, cn.stop, dtype=np.intp)
+        R = _coerce(xb, entries(r_ins + rn.start, cols), dt)
+        f = recompress_bordered(
+            dense=xb.concat([V_old, xb.asarray(R).conj().T], axis=1),
+            compact=U_old,
+            ins=r_ins,
+            size=m,
+            dense_is_row_side=False,
+            tol=tol,
+            max_rank=max_rank,
+            context=ctx,
+        )
+        return f, True
+
+    # term 1: the old block scattered to the surviving positions
+    U1 = xb.zeros((m, r0), dtype=dt)
+    U1[r_surv] = U_old
+    V1 = xb.zeros((n, r0), dtype=dt)
+    V1[c_surv] = V_old
+    u_parts, v_parts = [U1], [V1]
+    # term 2: new columns against surviving rows, C e_j* form
+    if kc:
+        C = _coerce(xb, entries(r_surv_global, c_ins + cn.start), dt)
+        U2 = xb.zeros((m, kc), dtype=dt)
+        U2[r_surv] = C
+        V2 = xb.zeros((n, kc), dtype=dt)
+        V2[c_ins] = xb.eye(kc, dtype=dt)
+        u_parts.append(U2)
+        v_parts.append(V2)
+    # term 3: new rows against *all* columns (covers the new/new corner)
+    if kr:
+        cols = np.arange(cn.start, cn.stop, dtype=np.intp)
+        R = _coerce(xb, entries(r_ins + rn.start, cols), dt)
+        U3 = xb.zeros((m, kr), dtype=dt)
+        U3[r_ins] = xb.eye(kr, dtype=dt)
+        u_parts.append(U3)
+        v_parts.append(xb.asarray(R).conj().T)
+    f = LowRankFactor(U=xb.concat(u_parts, axis=1), V=xb.concat(v_parts, axis=1))
+    return f, False
 
 
 # ----------------------------------------------------------------------
@@ -243,19 +338,14 @@ def update_points(
     keep[where] = False
     old_pos = np.flatnonzero(keep).astype(np.intp)
 
-    def boundary(p: int) -> int:
-        if p <= 0:
-            return 0
-        if p >= n_old:
-            return n_new
-        return int(old_pos[p])
-
-    new_tree = _shifted_tree(tree, boundary, n_new)
+    new_tree = _shifted_tree(tree, lambda p: old_pos[p], n_new)
     dirty = _dirty_set(new_tree, where)
 
     diag = dict(hodlr.diag)
-    U = dict(hodlr.U)
-    V = dict(hodlr.V)
+    # a symmetric matrix stays symmetric while every evaluated leaf border
+    # mirrors: A(ins, :) == A(:, ins)^T on each dirty leaf (the builder's
+    # probe rule); otherwise both blocks of each pair are bordered
+    symmetric = hodlr.symmetric
 
     # --- dirty leaf diagonal blocks: scatter the old block, evaluate only
     # the new rows and columns ---------------------------------------------
@@ -275,97 +365,34 @@ def update_points(
             block[np.ix_(surv_local, ins_local)] = _coerce(
                 xb, entries(surv_global, ins_local + leaf.start), dt
             )
+        symmetric = symmetric and _is_mirror(block[ins_local, :], block[:, ins_local])
         diag[leaf.index] = block
 
     # --- dirty off-diagonal blocks: border the stored factor with the new
     # rows/columns and recompress (batched) ---------------------------------
+    U = dict(hodlr.U)
+    V: Dict[int, object] = {} if symmetric else dict(hodlr.V)
     pending: List[LowRankFactor] = []
-    owners: List[Tuple[int, int]] = []
-    for rn, cn in _dirty_offdiag_pairs(new_tree, dirty):
-        rn_old, cn_old = tree.node(rn.index), tree.node(cn.index)
-        r_ins = _local_split(where, rn.start, rn.stop)
-        c_ins = _local_split(where, cn.start, cn.stop)
-        kr, kc = int(r_ins.size), int(c_ins.size)
-        r_surv_global = old_pos[rn_old.start : rn_old.stop]
-        r_surv = r_surv_global - rn.start
-        c_surv = old_pos[cn_old.start : cn_old.stop] - cn.start
-        U_old = _coerce(xb, hodlr.U[rn.index], dt)
-        V_old = _coerce(xb, hodlr.V[cn.index], dt)
-        r0 = U_old.shape[1]
-        m, n = rn.size, cn.size
-
-        # A window of arrivals lands in one node per level, so almost every
-        # dirty block is bordered on exactly one side: the other side's
-        # border is identity rows disjoint from the surviving support, and
-        # the structured recompression skips that side's full QR entirely.
-        if kc and not kr:
-            # new columns only: rn is untouched, so U_old needs no scatter
-            C = _coerce(xb, entries(r_surv_global, c_ins + cn.start), dt)
-            f = recompress_bordered(
-                dense=xb.concat([U_old, C], axis=1),
-                compact=V_old,
-                ins=c_ins,
-                size=n,
-                dense_is_row_side=True,
-                tol=tol,
-                max_rank=max_rank,
-                context=ctx,
-            )
-            U[rn.index], V[cn.index] = f.U, f.V
-            continue
-        if kr and not kc:
-            # new rows only: cn is untouched, so V_old needs no scatter
-            cols = np.arange(cn.start, cn.stop, dtype=np.intp)
-            R = _coerce(xb, entries(r_ins + rn.start, cols), dt)
-            f = recompress_bordered(
-                dense=xb.concat([V_old, xb.asarray(R).conj().T], axis=1),
-                compact=U_old,
-                ins=r_ins,
-                size=m,
-                dense_is_row_side=False,
-                tol=tol,
-                max_rank=max_rank,
-                context=ctx,
-            )
-            U[rn.index], V[cn.index] = f.U, f.V
-            continue
-
-        # term 1: the old block scattered to the surviving positions
-        U1 = xb.zeros((m, r0), dtype=dt)
-        U1[r_surv] = U_old
-        V1 = xb.zeros((n, r0), dtype=dt)
-        V1[c_surv] = V_old
-        u_parts, v_parts = [U1], [V1]
-        # term 2: new columns against surviving rows, C e_j* form
-        if kc:
-            C = _coerce(xb, entries(r_surv_global, c_ins + cn.start), dt)
-            U2 = xb.zeros((m, kc), dtype=dt)
-            U2[r_surv] = C
-            V2 = xb.zeros((n, kc), dtype=dt)
-            V2[c_ins] = xb.eye(kc, dtype=dt)
-            u_parts.append(U2)
-            v_parts.append(V2)
-        # term 3: new rows against *all* columns (covers the new/new corner)
-        if kr:
-            cols = np.arange(cn.start, cn.stop, dtype=np.intp)
-            R = _coerce(xb, entries(r_ins + rn.start, cols), dt)
-            U3 = xb.zeros((m, kr), dtype=dt)
-            U3[r_ins] = xb.eye(kr, dtype=dt)
-            u_parts.append(U3)
-            v_parts.append(xb.asarray(R).conj().T)
-        pending.append(
-            LowRankFactor(U=xb.concat(u_parts, axis=1), V=xb.concat(v_parts, axis=1))
+    owners: List[Tuple[object, object]] = []
+    for rn, cn in _dirty_offdiag_pairs(new_tree, dirty, symmetric):
+        f, final = _border(
+            xb, hodlr, rn, cn, where, old_pos, entries, dt, tol, max_rank, ctx
         )
-        owners.append((rn.index, cn.index))
+        if final:
+            _store_factor(U, V, rn, cn, f, symmetric)
+        else:
+            pending.append(f)
+            owners.append((rn, cn))
 
-    for (ri, ci), f in zip(
+    for (rn, cn), f in zip(
         owners, recompress_stack(pending, tol=tol, max_rank=max_rank, context=ctx)
     ):
-        U[ri] = f.U
-        V[ci] = f.V
+        _store_factor(U, V, rn, cn, f, symmetric)
 
     return HODLRUpdate(
-        matrix=HODLRMatrix(tree=new_tree, diag=diag, U=U, V=V),
+        matrix=HODLRMatrix(
+            tree=new_tree, diag=diag, U=U, V=V, symmetric=symmetric, _parent=hodlr
+        ),
         dirty_nodes=dirty,
         kind="insert",
         old_to_new=old_pos,
@@ -433,20 +460,10 @@ def remove_points(
     old_to_new = old_to_new - np.searchsorted(where, old_to_new).astype(np.intp)
     old_to_new[where] = -1
 
-    def boundary(p: int) -> int:
-        if p <= 0:
-            return 0
-        if p >= n_old:
-            return n_new
-        return int(p - np.searchsorted(where, p))
-
-    new_tree = _shifted_tree(tree, boundary, n_new)
+    new_tree = _shifted_tree(tree, lambda p: p - np.searchsorted(where, p), n_new)
     dirty = _dirty_set(tree, where)  # ranges in the *old* tree contain `where`
 
     diag = dict(hodlr.diag)
-    U = dict(hodlr.U)
-    V = dict(hodlr.V)
-
     for leaf in tree.leaves:
         if leaf.index not in dirty:
             continue
@@ -454,9 +471,14 @@ def remove_points(
         block = xb.asarray(diag[leaf.index])
         diag[leaf.index] = block[np.ix_(keep_local, keep_local)]
 
+    # deleting rows and columns keeps a symmetric matrix symmetric: trimming
+    # the (left, right) block of each pair trims every dirty node's U once
+    symmetric = hodlr.symmetric
+    U = dict(hodlr.U)
+    V: Dict[int, object] = {} if symmetric else dict(hodlr.V)
     pending: List[LowRankFactor] = []
-    owners: List[Tuple[int, int]] = []
-    for rn, cn in _dirty_offdiag_pairs(tree, dirty):
+    owners: List[Tuple[object, object]] = []
+    for rn, cn in _dirty_offdiag_pairs(tree, dirty, symmetric):
         r_keep = _keep_mask(rn.size, _local_split(where, rn.start, rn.stop))
         c_keep = _keep_mask(cn.size, _local_split(where, cn.start, cn.stop))
         pending.append(
@@ -465,16 +487,17 @@ def remove_points(
                 V=xb.asarray(hodlr.V[cn.index])[c_keep],
             )
         )
-        owners.append((rn.index, cn.index))
+        owners.append((rn, cn))
 
     if recompress:
         pending = recompress_stack(pending, tol=tol, max_rank=max_rank, context=ctx)
-    for (ri, ci), f in zip(owners, pending):
-        U[ri] = f.U
-        V[ci] = f.V
+    for (rn, cn), f in zip(owners, pending):
+        _store_factor(U, V, rn, cn, f, symmetric)
 
     return HODLRUpdate(
-        matrix=HODLRMatrix(tree=new_tree, diag=diag, U=U, V=V),
+        matrix=HODLRMatrix(
+            tree=new_tree, diag=diag, U=U, V=V, symmetric=symmetric, _parent=hodlr
+        ),
         dirty_nodes=dirty,
         kind="remove",
         old_to_new=old_to_new,

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .radial import pairwise_distances
 
@@ -51,12 +52,17 @@ class RPYKernel:
 
     # ------------------------------------------------------------------
     def effective_radius(self, points: np.ndarray) -> float:
-        """Radius used for a given point set (``a`` or ``r_min / 2``)."""
+        """Radius used for a given point set (``a`` or ``r_min / 2``).
+
+        ``r_min`` is the smallest distance between two distinct particles
+        (``0`` when two coincide), found with one nearest-neighbour query
+        of a k-d tree: O(N log N) time and O(N) memory.
+        """
         if self.a is not None:
             return float(self.a)
-        d = pairwise_distances(points, points)
-        np.fill_diagonal(d, np.inf)
-        return float(0.5 * d.min())
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        dist, _ = cKDTree(points).query(points, k=2)
+        return float(0.5 * dist[:, 1].min())
 
     # ------------------------------------------------------------------
     def tensor_blocks(self, X: np.ndarray, Y: np.ndarray, a: float) -> np.ndarray:

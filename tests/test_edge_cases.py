@@ -147,3 +147,30 @@ class TestMultipleSolvesReuseFactorization:
         x1 = solver.solve(b)
         x2 = solver.solve(b)
         np.testing.assert_array_equal(x1, x2)
+
+
+class TestNonFiniteRightHandSides:
+    """A NaN or inf in ``b`` would spread through every sweep into all of
+    ``x``; the operator refuses it before solving."""
+
+    def test_solve_rejects_nan(self):
+        import repro
+
+        op = repro.build_operator("gaussian_kernel", n=512)
+        b = np.random.default_rng(0).standard_normal(512)
+        x = op.solve(b)
+        b[7] = np.nan
+        b[300] = np.inf
+        with pytest.raises(ValueError, match="2 non-finite"):
+            op.solve(b)
+        b[[7, 300]] = 1.0
+        assert np.all(np.isfinite(op.solve(b)))
+        assert not np.array_equal(op.solve(b), x)
+
+    def test_solve_many_rejects_nan(self):
+        import repro
+
+        B = np.random.default_rng(1).standard_normal((512, 4))
+        B[3, 2] = np.nan
+        with pytest.raises(ValueError, match="1 non-finite"):
+            repro.solve_many("gaussian_kernel", B, n=512)

@@ -164,6 +164,18 @@ class TestRPY:
         assert a == pytest.approx(0.5 * d.min())
         assert RPYKernel(a=0.123).effective_radius(pts) == 0.123
 
+    @pytest.mark.parametrize("coincident", [False, True])
+    def test_effective_radius_matches_brute_force(self, rng, coincident):
+        pts = uniform_points(300, dim=3, rng=rng)
+        if coincident:
+            pts[17] = pts[230]
+        diff = pts[:, None, :] - pts[None, :, :]
+        d = np.sqrt((diff * diff).sum(axis=-1))
+        np.fill_diagonal(d, np.inf)
+        a = RPYKernel().effective_radius(pts)
+        assert a == pytest.approx(0.5 * d.min(), rel=1e-14, abs=0.0)
+        assert (a == 0.0) == coincident
+
     def test_requires_3d_points(self):
         with pytest.raises(ValueError):
             RPYKernel().matrix(np.zeros((5, 2)))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import repro
+import repro.core.update as update_module
 from repro import (
     ClusterTree,
     HODLRSolver,
@@ -180,6 +181,298 @@ class TestSolverPatch:
         fresh = HODLRSolver(upd.matrix, variant=variant).factorize()
         x_fresh = fresh.solve(b)
         assert np.linalg.norm(x - x_fresh) / np.linalg.norm(x_fresh) < 1e-8
+
+
+def _point_kernel(complex_):
+    """``source(points)`` -> ``entries(rows, cols)`` over a 1-D point set:
+    a non-symmetric real kernel, or a complex symmetric Helmholtz-like one
+    (a diagonal shift on coinciding indices keeps both well conditioned)."""
+
+    def source(p):
+        def entries(rows, cols):
+            rows, cols = np.asarray(rows), np.asarray(cols)
+            x, y = p[rows][:, None], p[cols][None, :]
+            d = np.abs(x - y)
+            if complex_:
+                A = np.exp(10j * d) / (1.0 + 10.0 * d)
+                shift = (2.0 + 0.5j) * np.sqrt(p.size)
+            else:
+                A = 1.0 / (1.0 + 50.0 * d) + 0.05 * np.sin(3 * np.pi * x) * np.cos(
+                    2 * np.pi * y
+                )
+                shift = float(p.size)
+            return A + shift * (rows[:, None] == cols[None, :])
+
+        return entries
+
+    return source
+
+
+def _leaf_getrf_batches(trace, tree) -> int:
+    """Leaves factorized by the leaf-level ``getrf_batched`` launches."""
+    return sum(
+        e.batch for e in trace.events
+        if e.kernel == "getrf_batched" and e.level == tree.levels
+    )
+
+
+def _record_dirty(fn, passed):
+    """``fn`` (an update function) appending each result's dirty nodes to
+    ``passed``."""
+
+    def wrapped(*args, **kwargs):
+        upd = fn(*args, **kwargs)
+        passed.append(upd.dirty_nodes)
+        return upd
+
+    return wrapped
+
+
+class TestDirtyLeafRefactorization:
+    """``patch_factorize(m)`` copies the LU factors of the leaves an update
+    left unchanged from the previous plan, factorizes only the dirty
+    leaves, and is still bitwise a fresh factorization."""
+
+    @staticmethod
+    def _updates(complex_, leaf):
+        """The matrices of an insert, remove, move and diag-shift sequence,
+        each with the dirty nodes of its step."""
+        from repro.core.arithmetic import add_diagonal
+
+        source = _point_kernel(complex_)
+        rng = np.random.default_rng(31)
+        pts = np.sort(rng.uniform(0.0, 1.0, 256))
+        idx = np.arange(pts.size)
+        tree = ClusterTree.balanced(pts.size, leaf_size=leaf)
+        H = build_hodlr(source(pts)(idx, idx), tree, tol=1e-12, method="svd")
+        yield H, None
+        # remove three points, two of them in one leaf
+        where = np.array([30, 31, 150])
+        pts = np.delete(pts, where)
+        upd = remove_points(H, where, tol=1e-12)
+        yield upd.matrix, upd.dirty_nodes
+        # insert two points inside one gap
+        j = 100
+        new = np.sort(rng.uniform(pts[j - 1], pts[j], 2))
+        pts = np.concatenate([pts[:j], new, pts[j:]])
+        upd = update_points(upd.matrix, source(pts), j + np.arange(2), tol=1e-12)
+        yield upd.matrix, upd.dirty_nodes
+        # move two points within their gaps: leaf sizes stay, so the dirty
+        # leaves share a bucket with clean ones
+        where = np.array([17, 200])
+        pts = pts.copy()
+        pts[where] = 0.5 * (pts[where] + pts[where + 1])
+        upd = move_points(upd.matrix, source(pts), where, tol=1e-12)
+        yield upd.matrix, upd.dirty_nodes
+        # a diagonal shift touches every leaf
+        H = add_diagonal(upd.matrix, 0.5)
+        yield H, frozenset(leaf.index for leaf in H.tree.leaves)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("pivot", [True, False])
+    # leaf 32 factorizes with per-problem LAPACK, leaf 8 with the
+    # vectorised batched elimination (the default policy's crossover)
+    @pytest.mark.parametrize("leaf", [32, 8])
+    def test_bitwise_equal_to_fresh_factorization(self, complex_, pivot, leaf):
+        from repro import get_recorder
+
+        rng = np.random.default_rng(0)
+        solver = None
+        for H, dirty in self._updates(complex_, leaf):
+            b = rng.standard_normal(H.n)
+            if complex_:
+                b = b + 1j * rng.standard_normal(H.n)
+            if solver is None:
+                solver = HODLRSolver(H, pivot=pivot).factorize()
+                continue
+            with get_recorder().recording() as trace:
+                solver.patch_factorize(H)
+            dirty_leaves = sum(leaf.index in dirty for leaf in H.tree.leaves)
+            assert _leaf_getrf_batches(trace, H.tree) == dirty_leaves
+            fresh = HODLRSolver(H, pivot=pivot).factorize()
+            assert np.array_equal(solver.solve(b), fresh.solve(b))
+            assert solver.slogdet() == fresh.slogdet()
+
+    def test_changed_leaf_outside_the_update_is_refactorized(self):
+        """Reuse follows the diagonal blocks, not a caller's dirty set: a
+        shift of one leaf's diagonal after the update refactorizes it."""
+        from repro import get_recorder
+        from repro.core.arithmetic import add_diagonal
+
+        steps = self._updates(False, 32)
+        H, _ = next(steps)
+        solver = HODLRSolver(H).factorize()
+        H, dirty = next(steps)
+        leaf = next(lf for lf in H.tree.leaves if lf.index not in dirty)
+        d = np.zeros(H.n)
+        d[leaf.start : leaf.stop] = 0.25
+        H = add_diagonal(H, d)
+        with get_recorder().recording() as trace:
+            solver.patch_factorize(H)
+        dirty_leaves = sum(lf.index in dirty for lf in H.tree.leaves)
+        assert _leaf_getrf_batches(trace, H.tree) == dirty_leaves + 1
+        b = np.random.default_rng(2).standard_normal(H.n)
+        assert np.array_equal(solver.solve(b), HODLRSolver(H).factorize().solve(b))
+
+    def test_updated_matrix_owns_its_stacks(self):
+        """Clean blocks are copied, not shared: the input stays writable and
+        writing into it leaves the updated matrix unchanged."""
+        steps = self._updates(False, 32)
+        H, _ = next(steps)
+        M, _ = next(steps)
+        dense = M.to_dense()
+        stacks = [db.D for db in H.storage.diag] + [
+            b.U for level in H.storage.bases.values() for b in level
+        ]
+        for a in stacks:
+            assert a.flags.writeable
+            a[...] = 0.0
+        assert np.array_equal(M.to_dense(), dense)
+
+    @pytest.mark.parametrize("width", [3, 5, 7])
+    def test_restack_copies_kept_rows_in_runs(self, width):
+        """Kept rows in any order (runs broken by new members, reordering
+        and skipped old rows) land where a block-by-block copy puts them,
+        with the old padding narrowed or widened to the new rank."""
+        from repro.core.hodlr import _stack_into
+
+        rng = np.random.default_rng(5)
+        old = np.zeros((6, 4, 5))
+        ranks = [3, 2, 3, 1, 3, 2]
+        for j, r in enumerate(ranks):
+            old[j, :, :r] = rng.standard_normal((4, r))
+        rows = np.array([2, 3, -1, 0, 1, 5, -1])
+        blocks = [
+            old[r, :, : ranks[r]] if r >= 0 else rng.standard_normal((4, 2))
+            for r in rows
+        ]
+        out = _stack_into(old, blocks, (7, 4, width), np.float64, old, rows)
+        expected = np.zeros((7, 4, width))
+        for j, blk in enumerate(blocks):
+            expected[j, :, : blk.shape[1]] = blk
+        assert np.array_equal(out, expected)
+
+    def test_demoted_leaf_factors_are_not_reused(self):
+        from repro import ExecutionContext, PrecisionPolicy, get_recorder
+
+        ctx = ExecutionContext(precision=PrecisionPolicy(factor="float32"))
+        steps = self._updates(False, 32)
+        H, _ = next(steps)
+        solver = HODLRSolver(H, context=ctx).factorize()
+        assert solver.factor_plan.demoted
+        H, dirty = next(steps)
+        with get_recorder().recording() as trace:
+            solver.patch_factorize(H)
+        # every leaf is factorized again at the working precision
+        assert _leaf_getrf_batches(trace, H.tree) == H.tree.num_leaves
+        fresh = HODLRSolver(H, context=ctx).factorize()
+        b = np.random.default_rng(1).standard_normal(H.n)
+        assert np.array_equal(solver.solve(b), fresh.solve(b))
+
+
+class TestSymmetricUpdates:
+    @staticmethod
+    def _source(p):
+        def entries(rows, cols):
+            d = np.abs(p[np.asarray(rows)][:, None] - p[np.asarray(cols)][None, :])
+            return 1.0 / (1.0 + 40.0 * d) + 4.0 * (d == 0)
+
+        return entries
+
+    def test_stream_keeps_symmetric_storage(self, monkeypatch):
+        n, k, leaf = 512, 4, 32
+        rng = np.random.default_rng(41)
+        pts = np.sort(rng.uniform(0.0, 1.0, n))
+        idx = np.arange(n)
+        H = build_hodlr(
+            self._source(pts), ClusterTree.balanced(n, leaf_size=leaf), tol=1e-12,
+            method="svd",
+        )
+        assert H.symmetric
+        cfg = {"compression": {"tol": 1e-12, "method": "svd", "leaf_size": leaf}}
+        op = repro.HODLROperator(H, cfg)
+        b = rng.standard_normal(n)
+        op @ op.solve(b)
+        # the dirty nodes of the update functions the operator calls
+        passed = []
+        for name in ("remove_points", "update_points"):
+            monkeypatch.setattr(update_module, name, _record_dirty(
+                getattr(update_module, name), passed
+            ))
+        for _ in range(12):
+            start = int(rng.integers(leaf, n - leaf - k))
+            mid = np.delete(pts, np.arange(start, start + k))
+            j = int(rng.integers(leaf, n - leaf - k))
+            new = np.sort(rng.uniform(mid[j - 1], mid[j], k))
+            pts = np.concatenate([mid[:j], new, mid[j:]])
+            with repro.get_recorder().recording() as trace:
+                op.update(
+                    points_removed=np.arange(start, start + k),
+                    points_added=j + np.arange(k),
+                    source=self._source(pts),
+                    tol=1e-12,
+                )
+            assert op.hodlr.symmetric
+            tree = op.hodlr.tree
+            dirty = passed[-2] | passed[-1]
+            dirty_leaves = sum(leaf.index in dirty for leaf in tree.leaves)
+            assert 0 < dirty_leaves < tree.num_leaves
+            assert _leaf_getrf_batches(trace, tree) == dirty_leaves
+            op @ op.solve(b)
+        fresh = repro.HODLROperator(op.hodlr, cfg)
+        fresh @ fresh.solve(b)
+        assert op.resident_nbytes() == fresh.resident_nbytes()
+        A = self._source(pts)(idx, idx)
+        x = op.solve(b)
+        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-10
+
+    def test_non_symmetric_insert_falls_back(self):
+        n, k = 256, 3
+        rng = np.random.default_rng(42)
+        pts = np.sort(rng.uniform(0.0, 1.0, n + k))
+        where = np.array([90, 91, 92])
+        old = np.delete(pts, where)
+        H = build_hodlr(
+            self._source(old), ClusterTree.balanced(n, leaf_size=32), tol=1e-12,
+            method="svd",
+        )
+        assert H.symmetric
+        # the updated operator gains a non-symmetric part
+        sym = self._source(pts)
+
+        def skewed(rows, cols):
+            rows, cols = np.asarray(rows), np.asarray(cols)
+            return sym(rows, cols) + 0.05 * np.outer(
+                np.sin(3 * pts[rows]), np.cos(2 * pts[cols])
+            )
+
+        upd = update_points(H, skewed, where, tol=1e-12)
+        assert not upd.matrix.symmetric
+        # only the inserted rows and columns come from the new source
+        idx = np.arange(n + k)
+        A = sym(idx, idx)
+        A[where, :] = skewed(where, idx)
+        A[:, where] = skewed(idx, where)
+        fresh = build_hodlr(A, upd.matrix.tree, tol=1e-12, method="svd")
+        assert not fresh.symmetric
+        diff = np.linalg.norm(upd.matrix.to_dense() - fresh.to_dense())
+        assert diff / np.linalg.norm(A) < 1e-8
+        b = rng.standard_normal(n + k)
+        x = HODLRSolver(upd.matrix).factorize().solve(b)
+        x_fresh = HODLRSolver(fresh).factorize().solve(b)
+        assert np.linalg.norm(x - x_fresh) / np.linalg.norm(x_fresh) < 1e-8
+
+    def test_remove_keeps_symmetric_and_complex_mirror(self):
+        n = 192
+        A = complex_test_matrix(n, seed=43)
+        H = build_hodlr(A, ClusterTree.balanced(n, leaf_size=24), tol=1e-12, method="svd")
+        assert H.symmetric
+        where = np.array([5, 100, 101])
+        upd = remove_points(H, where, tol=1e-12)
+        assert upd.matrix.symmetric
+        A_small = _delete(A, where)
+        err = np.linalg.norm(upd.matrix.to_dense() - A_small) / np.linalg.norm(A_small)
+        assert err < 1e-10
 
 
 class TestOperatorUpdate:
