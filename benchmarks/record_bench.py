@@ -68,6 +68,7 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -748,6 +749,17 @@ def bench_tuned_vs_default(n, tol=1e-8):
     return row
 
 
+def _peak_ratio(fn, B):
+    """Peak bytes ``tracemalloc`` sees while ``fn(B)`` runs, over ``B.nbytes``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(B)
+        return round(tracemalloc.get_traced_memory()[1] / B.nbytes, 2)
+    finally:
+        tracemalloc.stop()
+
+
 def collect_counters(n=2048, tol=1e-8, leaf_size=64):
     """Deterministic trace counters of a fixed-size SVD-compressed probe.
 
@@ -785,6 +797,14 @@ def collect_counters(n=2048, tol=1e-8, leaf_size=64):
         f"expected {plan.launches_per_solve}"
     )
     apply_plan = ApplyPlan(H)
+    # peak traced memory of one K=32 block solve / apply over the block's
+    # bytes: the view-based replay needs the result plus one update
+    # workspace.  Informational: the key names are not gated.
+    B32 = np.random.default_rng(8).standard_normal((n, 32))
+    solver.solve_plan.solve(B32)
+    apply_plan.matvec(B32)
+    block_solve_peak = _peak_ratio(solver.solve_plan.solve, B32)
+    block_apply_peak = _peak_ratio(apply_plan.matvec, B32)
     # PR 9: the same probe — construction, factorization, plan solve —
     # under the *forced* thread pool must schedule exactly the same
     # kernels: launches and flops are analytic per-bucket facts recorded
@@ -836,6 +856,8 @@ def collect_counters(n=2048, tol=1e-8, leaf_size=64):
         "factor_plan_bytes": int(solver.factor_plan.nbytes),
         "apply_plan_bytes": int(apply_plan.nbytes),
         "apply_launches_per_matvec": apply_plan.launches_per_apply,
+        "block_solve_peak_ratio": block_solve_peak,
+        "block_apply_peak_ratio": block_apply_peak,
         "parallel_construction_launches": tr_pcon.num_kernel_launches,
         "parallel_factor_launches": tr_pfac.num_kernel_launches,
         "parallel_factor_flops": tr_pfac.total_flops,

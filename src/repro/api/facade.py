@@ -429,7 +429,7 @@ def solve(
             r = b - np.asarray(assembled.operator(x))
         else:
             # HODLR residual via the perm-aware operator: no O(N^2) work
-            r = b - (operator @ x)
+            r = _residual(b, operator @ x)
         denom = float(np.linalg.norm(b))
         relres = float(np.linalg.norm(r)) / denom if denom > 0 else float(np.linalg.norm(r))
         operator.solver.stats.relative_residual = relres
@@ -440,6 +440,14 @@ def solve(
         config=config,
         relative_residual=relres,
     )
+
+
+def _residual(b: np.ndarray, ax: np.ndarray) -> np.ndarray:
+    """``b - ax``, written into ``ax`` (a fresh product the caller owns)
+    when its dtype holds the difference, saving one ``(n, K)`` temporary."""
+    if ax.dtype == np.result_type(b.dtype, ax.dtype):
+        return np.subtract(b, ax, out=ax)
+    return b - ax
 
 
 def solve_many(
@@ -508,7 +516,7 @@ def solve_many(
             )
         R = B - np.asarray(assembled.operator(x))
     else:
-        R = B - (operator @ x)
+        R = _residual(B, operator @ x)
     norms = np.linalg.norm(B, axis=0)
     resids = np.linalg.norm(R, axis=0)
     safe = np.where(norms > 0, norms, 1.0)

@@ -83,6 +83,7 @@ def gemm_strided_batched(
     conjugate_a: bool = False,
     backend: Optional[ArrayBackend] = None,
     plan: bool = False,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Strided batched GEMM over 3-D operands: ``out[i] = op(A[i]) @ B[i]``.
 
@@ -92,7 +93,10 @@ def gemm_strided_batched(
     the same shape (constant stride between consecutive problems).
     Internally a single broadcasted ``matmul`` performs the whole batch.
     ``plan=True`` marks the recorded event as a compiled-plan replay launch
-    (see :class:`~repro.backends.counters.KernelEvent`).
+    (see :class:`~repro.backends.counters.KernelEvent`).  ``out``, a
+    ``(batch, m, n)`` array of the product's dtype, receives the result
+    instead of a fresh allocation (the compiled plans pass row views of a
+    per-call workspace).
     """
     if A.ndim != 3 or B.ndim != 3:
         raise ValueError("gemm_strided_batched expects 3-D operands")
@@ -101,7 +105,7 @@ def gemm_strided_batched(
     xb = _resolve(backend)
 
     opA = A.transpose(0, 2, 1).conj() if conjugate_a else A
-    out = xb.matmul(opA, B)
+    out = xb.matmul(opA, B, out=out)
 
     nbatch, m, k = opA.shape
     n = B.shape[2]
@@ -243,6 +247,7 @@ def getrs_batched(
     pivot: bool = True,
     backend: Optional[ArrayBackend] = None,
     policy: Optional[DispatchPolicy] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Strided batched LU solve (cuBLAS ``getrsBatched``): one launch.
 
@@ -250,6 +255,9 @@ def getrs_batched(
     stack against the :func:`getrf_batched` factors ``(lu3, piv3)``; the
     result dtype promotes over both.  The dispatch policy picks vectorised
     batched substitution or per-problem LAPACK, as for the factorization.
+    ``out`` (of the promoted dtype) receives the solutions and may be
+    ``rhs3`` itself — the in-place solve the compiled sweep runs on row
+    views of its working array.
     """
     if rhs3.ndim != 3 or rhs3.shape[:2] != lu3.shape[:2]:
         raise ValueError("getrs_batched expects a (nb, n, nrhs) stack matching the factors")
@@ -260,12 +268,15 @@ def getrs_batched(
         rhs3 = rhs3.astype(out_dtype)
     if pol.vectorize_lu_solve(nb, n):
         x3 = xb.lu_solve_batch(lu3, piv3, rhs3, pivot=pivot)
+        if out is not None:
+            out[...] = x3
+            x3 = out
     else:
         many = getattr(xb, "lu_solve_many", None)
         if many is not None:
-            x3 = many(lu3, piv3, rhs3, pivot=pivot)
+            x3 = many(lu3, piv3, rhs3, pivot=pivot, out=out)
         else:
-            x3 = xb.zeros(rhs3.shape, dtype=out_dtype)
+            x3 = xb.zeros(rhs3.shape, dtype=out_dtype) if out is None else out
             for i in range(nb):
                 x3[i] = xb.lu_solve(lu3[i], piv3[i], rhs3[i], pivot=pivot)
     record_event(

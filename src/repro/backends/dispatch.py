@@ -419,7 +419,7 @@ class ArrayBackend(Protocol):
 
     def broadcast_to(self, x: Any, shape: Tuple[int, ...]) -> Any: ...
 
-    def matmul(self, a: Any, b: Any) -> Any: ...
+    def matmul(self, a: Any, b: Any, out: Any = None) -> Any: ...
 
     def norm(self, x: Any) -> float: ...
 
@@ -467,8 +467,8 @@ class NumpyBackend:
     def broadcast_to(self, x, shape):
         return np.broadcast_to(x, shape)
 
-    def matmul(self, a, b):
-        return np.matmul(a, b)
+    def matmul(self, a, b, out=None):
+        return np.matmul(a, b, out=out)
 
     def norm(self, x):
         return np.linalg.norm(x)
@@ -489,7 +489,7 @@ class NumpyBackend:
     def lu_solve_batch(self, lu, piv, b, pivot: bool = True):
         return _lu_solve_batch(np, np.asarray(lu), piv, np.asarray(b), pivot=pivot)
 
-    def lu_solve_many(self, lu3, piv3, rhs3, pivot: bool = True):
+    def lu_solve_many(self, lu3, piv3, rhs3, pivot: bool = True, out=None):
         """Per-problem substitution over a packed ``(nb, n, n)`` LU stack.
 
         Semantically a loop of :meth:`lu_solve`, but bound once to the raw
@@ -497,12 +497,15 @@ class NumpyBackend:
         every right-hand side, and scipy's per-call ``lu_solve`` wrapper
         (argument checking, function lookup) costs several times the actual
         n≈64 substitution.  Optional protocol method — backends without it
-        fall back to the ``lu_solve`` loop.
+        fall back to the ``lu_solve`` loop.  ``out`` (of the promoted dtype)
+        receives the solutions and may be ``rhs3`` itself: each problem's
+        right-hand side is read before its solution is written.
         """
         out_dtype = np.result_type(lu3.dtype, rhs3.dtype)
         lu3 = np.asarray(lu3, dtype=out_dtype)
         rhs3 = np.asarray(rhs3, dtype=out_dtype)
-        out = np.empty(rhs3.shape, dtype=out_dtype)
+        if out is None:
+            out = np.empty(rhs3.shape, dtype=out_dtype)
         if not pivot:
             for i in range(lu3.shape[0]):
                 out[i] = lu_solve_nopivot(lu3[i], rhs3[i])
@@ -575,8 +578,8 @@ class CupyBackend:
     def broadcast_to(self, x, shape):  # pragma: no cover - requires cupy
         return self._cp.broadcast_to(self._cp.asarray(x), shape)
 
-    def matmul(self, a, b):  # pragma: no cover - requires cupy
-        return self._cp.matmul(a, b)
+    def matmul(self, a, b, out=None):  # pragma: no cover - requires cupy
+        return self._cp.matmul(a, b, out=out)
 
     def norm(self, x):  # pragma: no cover - requires cupy
         return self._cp.linalg.norm(x)

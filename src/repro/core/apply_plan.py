@@ -27,6 +27,16 @@ nbytes` counts only those copies and the indices.  Full-precision views see
 in-place writes to the matrix; call :meth:`ApplyPlan.patch` after mutating
 the matrix all the same.
 
+A full-precision product allocates its ``(n, K)`` output and one
+``(n, K)`` workspace, and copies no rows of the operand: a contiguous
+bucket reads the operand, and writes its ``D x`` product, through
+zero-copy row views (:meth:`~repro.core.packing.GatherScatter.view`);
+each ``U T`` product lands in the bucket's rows of the workspace
+(``gemm_strided_batched(..., out=)``) and is added in place.  The workspace is allocated per call and
+never cached on the plan, so concurrent products never share it and it
+never counts toward :attr:`ApplyPlan.nbytes`.  Padded and demoted buckets
+gather, multiply into a fresh array and scatter-add instead.
+
 Mixed precision
 ---------------
 The single-vector apply is memory-bandwidth-bound: each matvec streams the
@@ -50,6 +60,12 @@ import numpy as np
 from ..backends.batched import gemm_strided_batched
 from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
 from .packing import GatherScatter, demote_rhs_dtype, owned_nbytes, viewed_buffers
+
+
+def _rows(gs: GatherScatter, x: np.ndarray) -> np.ndarray:
+    """The bucket's rows of ``x`` for reading: a view when it has one, else a copy."""
+    v = gs.view(x)
+    return gs.take(x) if v is None else v
 
 
 @dataclass
@@ -236,17 +252,24 @@ class ApplyPlan:
                 casts[dt] = X.astype(dt)
             return casts[dt]
 
+        # per-call workspace for the U T products, allocated on first use;
+        # never cached on the plan, which serves concurrent products
+        ws = None
+
         for db, dt in zip(self.diag_buckets, diag_dtypes):
-            # row indices are disjoint within a bucket, so the precomputed
-            # scatter-add writes without collisions
+            # y is still zero on every diagonal bucket's (disjoint) rows, so
+            # a full-precision contiguous bucket writes its product in place
             Xb = _cast(dt)
-            db.gs.add(y, gemm_strided_batched(db.D3, db.gs.take(Xb), backend=xb, plan=True))
+            yv = db.gs.view(y) if dt == acc_dtype else None
+            prod = gemm_strided_batched(db.D3, _rows(db.gs, Xb), backend=xb, plan=True, out=yv)
+            if yv is None:
+                db.gs.add(y, prod)
 
         for lv, dt in zip(self.plan_levels, level_dtypes):
             Xb = _cast(dt)
             T = None
             for b in lv.buckets:
-                Tb = gemm_strided_batched(b.Vh3, b.gs.take(Xb), backend=xb, plan=True)
+                Tb = gemm_strided_batched(b.Vh3, _rows(b.gs, Xb), backend=xb, plan=True)
                 if len(lv.buckets) == 1:
                     T = Tb
                 else:
@@ -255,7 +278,15 @@ class ApplyPlan:
                     T[b.pos] = Tb
             # A(I_a, I_b) x_b = U_a (V_b^* x_b): each node takes its sibling's T
             for b in lv.buckets:
-                b.gs.add(y, gemm_strided_batched(b.U3, T[b.sib], backend=xb, plan=True))
+                yv = b.gs.view(y) if dt == acc_dtype else None
+                if yv is None:
+                    b.gs.add(y, gemm_strided_batched(b.U3, T[b.sib], backend=xb, plan=True))
+                    continue
+                if ws is None:
+                    ws = xb.zeros(y.shape, dtype=acc_dtype)
+                yv += gemm_strided_batched(
+                    b.U3, T[b.sib], backend=xb, plan=True, out=b.gs.view(ws)
+                )
 
         if y.dtype != out_dtype:
             y = y.astype(out_dtype)

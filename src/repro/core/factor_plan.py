@@ -51,6 +51,17 @@ a fresh factorization is the case where no leaf is kept.  Each such
 launch runs in the host execution mode its whole bucket would get, so the
 result is bitwise a fresh factorization's.
 
+A solve copies the right-hand side once, into a C-ordered working array
+that becomes the solution, and allocates one ``(n, K)`` workspace.  Each
+contiguous full-precision bucket is solved in place through a zero-copy
+row view (:meth:`~repro.core.packing.GatherScatter.view`): the leaf
+``getrs`` writes into the view (``getrs_batched(..., out=)``), the ``V^*``
+gemms read it, and each ``Y W`` update lands in the bucket's rows of the
+workspace and is subtracted in place.  The workspace is allocated per
+call and never cached on the plan: one plan serves concurrent solves, and
+:attr:`FactorPlan.nbytes` counts only resident storage.  Padded and
+demoted buckets gather, solve into a fresh array and scatter back.
+
 Pad-to-bucket LU packing
 ------------------------
 With ``DispatchPolicy(pad_buckets=True)`` near-equal leaf/node sizes merge
@@ -364,14 +375,22 @@ class SolvePlan:
             out_dtype = np.result_type(
                 out_dtype, ctx.precision.accumulate_dtype(out_dtype)
             )
-        x = (b.reshape(-1, 1) if squeeze else b).astype(out_dtype, copy=True)
+        # C order: the sweep reads and writes contiguous buckets through row
+        # views of x, which GatherScatter.view only gives on C-ordered arrays
+        x = (b.reshape(-1, 1) if squeeze else b).astype(out_dtype, order="C", copy=True)
+        # per-call workspace for the Schur-update products, allocated on
+        # first use; never cached on the plan, which serves concurrent solves
+        ws = None
 
-        # forward stage: one packed substitution per leaf bucket
+        # forward stage: one packed substitution per leaf bucket, in place
+        # on the view of a contiguous full-precision bucket
         for lb in plan.leaf_buckets:
-            rhs3 = lb.gs.take(x)
             bd = np.result_type(lb.lu3.dtype, demote_rhs_dtype(lb.lu3.dtype, out_dtype))
-            if rhs3.dtype != bd:
-                rhs3 = rhs3.astype(bd)
+            xv = lb.gs.view(x) if bd == out_dtype else None
+            if xv is not None:
+                getrs_batched(lb.lu3, lb.piv3, xv, pivot=True, backend=xb, policy=pol, out=xv)
+                continue
+            rhs3 = lb.gs.take(x).astype(bd, copy=False)
             sol3 = getrs_batched(lb.lu3, lb.piv3, rhs3, pivot=True, backend=xb, policy=pol)
             lb.gs.put(x, sol3)
 
@@ -382,11 +401,12 @@ class SolvePlan:
             bd = np.result_type(
                 sw.k_lu3.dtype, demote_rhs_dtype(sw.k_lu3.dtype, out_dtype)
             )
+            full = bd == out_dtype
             w_all = xb.zeros((sw.nchild, r, x.shape[1]), dtype=bd)
             for bk in sw.buckets:
-                xg = bk.gs.take(x)
-                if xg.dtype != bd:
-                    xg = xg.astype(bd)
+                xg = bk.gs.view(x) if full else None
+                if xg is None:
+                    xg = bk.gs.take(x).astype(bd, copy=False)
                 w_all[bk.pos] = gemm_strided_batched(
                     bk.Vh3, xg, backend=xb, plan=True
                 )
@@ -394,10 +414,17 @@ class SolvePlan:
             W = getrs_batched(sw.k_lu3, sw.k_piv3, K_rhs, pivot=plan.pivot, backend=xb, policy=pol)
             W_half = W.reshape(sw.nchild, r, x.shape[1])
             for bk in sw.buckets:
-                upd = gemm_strided_batched(
-                    bk.Y3, W_half[bk.pos], backend=xb, plan=True
+                xv = bk.gs.view(x) if full else None
+                if xv is None:
+                    bk.gs.sub(
+                        x, gemm_strided_batched(bk.Y3, W_half[bk.pos], backend=xb, plan=True)
+                    )
+                    continue
+                if ws is None:
+                    ws = xb.zeros(x.shape, dtype=out_dtype)
+                xv -= gemm_strided_batched(
+                    bk.Y3, W_half[bk.pos], backend=xb, plan=True, out=bk.gs.view(ws)
                 )
-                bk.gs.sub(x, upd)
 
         return x.reshape(-1) if squeeze else x
 

@@ -10,9 +10,10 @@ The packing mechanics they share live here:
   a demoted bucket's kernel (real storage meeting complex data picks the
   matching complex dtype);
 * :class:`GatherScatter` — vectorised row gather/scatter between a big
-  ``(n, k)`` array and a bucket's ``(nb, M, k)`` strided view, with an
+  ``(n, k)`` array and a bucket's ``(nb, M, k)`` strided form, with an
   optional validity mask for buckets whose members were padded to a shared
-  size (``DispatchPolicy(pad_buckets=True)``);
+  size (``DispatchPolicy(pad_buckets=True)``), and a zero-copy row view
+  for contiguous buckets;
 * :func:`owned_nbytes` — byte accounting that counts each buffer once:
   the plans read the matrix's stacks as views, and a view into another
   object's storage owns nothing.
@@ -80,6 +81,13 @@ class GatherScatter:
     Full-width members that are consecutive in row order (the common case
     on a balanced tree) gather and scatter through one contiguous slice;
     their ``idx`` is only built if something reads it.
+
+    :meth:`take` always copies: it is for owners that keep the result (the
+    factor plan's ``Y3`` stacks).  :meth:`view` is for replay: a contiguous
+    bucket of a C-contiguous array is already a ``(nb, M, k)`` strided
+    stack, so the compiled sweeps read it and write into it in place, and
+    fall back to :meth:`take` and :meth:`put`/:meth:`add`/:meth:`sub`
+    where it returns ``None``.
     """
 
     __slots__ = ("_idx", "shape", "mask", "_flat_idx", "_span")
@@ -143,6 +151,19 @@ class GatherScatter:
         if self.mask is None:
             return [width] * nb
         return [int(c) for c in self.mask.sum(axis=1)]
+
+    def view(self, x: np.ndarray) -> Optional[np.ndarray]:
+        """The ``(nb, M, k)`` zero-copy view of the bucket's rows of ``x``.
+
+        Writes through it land in ``x``.  ``None`` unless the bucket is one
+        contiguous row span of a C-contiguous ``x``: a padded or scattered
+        bucket has no such view, and a strided ``x`` would hand the batched
+        gemm non-BLAS strides, which :meth:`take` packs away instead.
+        """
+        if self._span is None or not x.flags.c_contiguous:
+            return None
+        s0, s1 = self._span
+        return x[s0:s1].reshape(self.shape + x.shape[1:])
 
     def take(self, x: np.ndarray) -> np.ndarray:
         """Gather ``x`` rows into ``(nb, M, k)`` strided form (padded rows zeroed)."""

@@ -131,8 +131,11 @@ class RecordingStubBackend:
         return np.broadcast_to(np.asarray(x), shape).view(_DeviceArray)
 
     # -- compute kernels ----------------------------------------------
-    def matmul(self, a, b):
+    def matmul(self, a, b, out=None):
         self.calls["matmul"] += 1
+        if out is not None:
+            np.matmul(np.asarray(a), np.asarray(b), out=np.asarray(out))
+            return out
         return _wrap(np.matmul(np.asarray(a), np.asarray(b)))
 
     def norm(self, x):
