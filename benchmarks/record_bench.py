@@ -146,9 +146,9 @@ def bench_gaussian_construction(n, max_rank, tol=1e-8, leaf_size=64):
     """Batched vs per-block (``LOOP_POLICY``) construction of the
     Gaussian-kernel HODLR."""
     km = _gaussian_km(n)
-    kwargs = dict(leaf_size=leaf_size, tol=tol, method="randomized", max_rank=max_rank)
-    tb, (Hb, _) = _timed(lambda: km.to_hodlr(**kwargs))
-    tl, (Hl, _) = _timed(lambda: km.to_hodlr(context=LOOP_CONTEXT, **kwargs))
+    cfg = CompressionConfig(leaf_size=leaf_size, tol=tol, method="randomized", max_rank=max_rank)
+    tb, (Hb, _) = _timed(lambda: km.to_hodlr(cfg))
+    tl, (Hl, _) = _timed(lambda: km.to_hodlr(cfg, context=LOOP_CONTEXT))
     rng = np.random.default_rng(9)
     x = rng.standard_normal(n)
     yb, yl = Hb.matvec(x), Hl.matvec(x)
@@ -631,8 +631,7 @@ def bench_variant_equivalence(n, tol=1e-10):
     """``recursive`` and the plan-backed ``batched`` variant through the
     shared FactorPlan, identical to 1e-12."""
     km = _gaussian_km(n)
-    H, _ = km.to_hodlr(leaf_size=64, tol=tol, method="randomized",
-                       construction="batched")
+    H, _ = km.to_hodlr(CompressionConfig(tol=tol, method="randomized"))
     rng = np.random.default_rng(5)
     b = rng.standard_normal(n)
     sols = {}
@@ -655,8 +654,7 @@ def bench_variant_equivalence(n, tol=1e-10):
 def bench_factor_precision(n, tol=1e-10):
     """float32 FactorPlan storage: accuracy, refinement round-trip, footprint."""
     km = _gaussian_km(n)
-    H, _ = km.to_hodlr(leaf_size=64, tol=tol, method="randomized",
-                       construction="batched")
+    H, _ = km.to_hodlr(CompressionConfig(tol=tol, method="randomized"))
     rng = np.random.default_rng(6)
     b = rng.standard_normal(n)
 
@@ -773,10 +771,10 @@ def collect_counters(n=2048, tol=1e-8, leaf_size=64):
     keys, asserted equal to the serial ones.
     """
     km = _gaussian_km(n)
+    cfg = CompressionConfig(leaf_size=leaf_size, tol=tol, method="svd")
     rec = get_recorder()
     with rec.recording() as tr_con:
-        H, _ = km.to_hodlr(leaf_size=leaf_size, tol=tol, method="svd",
-                           construction="batched")
+        H, _ = km.to_hodlr(cfg)
     with rec.recording() as tr_fac:
         solver = HODLRSolver(H, variant="batched").factorize()
     rng = np.random.default_rng(7)
@@ -817,8 +815,7 @@ def collect_counters(n=2048, tol=1e-8, leaf_size=64):
     reset_pool_stats()
     ctx_par = ExecutionContext(parallel=dict(_forced_parallel(), min_tasks=1))
     with rec.recording() as tr_pcon:
-        H_par, _ = km.to_hodlr(leaf_size=leaf_size, tol=tol, method="svd",
-                               construction="batched", context=ctx_par)
+        H_par, _ = km.to_hodlr(cfg, context=ctx_par)
     with rec.recording() as tr_pfac:
         solver_par = HODLRSolver(
             H_par, variant="batched", context=ctx_par

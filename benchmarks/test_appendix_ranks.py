@@ -19,7 +19,7 @@ from repro import (
     ClusterTree,
     HelmholtzCombinedBIE,
     LaplaceDoubleLayerBIE,
-    ProxyCompressionConfig,
+    CompressionConfig,
     RPYKernel,
     StarContour,
     build_hodlr,
@@ -46,16 +46,16 @@ def rank_profiles(bench_rng):
     # Laplace BIE, high and low accuracy (Table IV configurations)
     lap = LaplaceDoubleLayerBIE(contour=StarContour(), n=2048)
     profiles["laplace_high"] = build_hodlr_proxy(
-        lap, config=ProxyCompressionConfig(tol=1e-10), leaf_size=64
+        lap, config=CompressionConfig(method="proxy", tol=1e-10, leaf_size=64)
     ).rank_profile()
     profiles["laplace_low"] = build_hodlr_proxy(
-        lap, config=ProxyCompressionConfig(tol=1e-4), leaf_size=64
+        lap, config=CompressionConfig(method="proxy", tol=1e-4, leaf_size=64)
     ).rank_profile()
 
     # Helmholtz BIE (Table V configuration)
     helm = HelmholtzCombinedBIE(contour=StarContour(), n=2048, kappa=15.0)
     profiles["helmholtz_high"] = build_hodlr_proxy(
-        helm, config=ProxyCompressionConfig(tol=1e-8, n_proxy=96), leaf_size=64
+        helm, config=CompressionConfig(method="proxy", tol=1e-8, n_proxy=96, leaf_size=64)
     ).rank_profile()
 
     rows = [

@@ -14,7 +14,7 @@ and the modeled 36-core CPU executions, across the sweep sizes.
 import numpy as np
 import pytest
 
-from repro import HODLRSolver, HelmholtzCombinedBIE, ProxyCompressionConfig, StarContour, build_hodlr_proxy
+from repro import CompressionConfig, HODLRSolver, HelmholtzCombinedBIE, StarContour, build_hodlr_proxy
 from repro.baselines.hodlrlib_cpu import HODLRlibStyleSolver
 
 from common import GPU_MODEL, TableRow, save_rows
@@ -28,8 +28,9 @@ def flops_sweep(bench_rng):
     rows = []
     for n in SWEEP_N:
         bie = HelmholtzCombinedBIE(contour=StarContour(), n=n, kappa=KAPPA)
-        hodlr = build_hodlr_proxy(bie, config=ProxyCompressionConfig(tol=1e-8, n_proxy=96),
-                                  leaf_size=64)
+        hodlr = build_hodlr_proxy(
+            bie, config=CompressionConfig(method="proxy", tol=1e-8, n_proxy=96, leaf_size=64)
+        )
         solver = HODLRSolver(hodlr, variant="batched").factorize()
         b = bench_rng.standard_normal(n) + 1j * bench_rng.standard_normal(n)
         x = solver.solve(b)

@@ -21,7 +21,7 @@ import pytest
 
 from repro import (
     LaplaceDoubleLayerBIE,
-    ProxyCompressionConfig,
+    CompressionConfig,
     StarContour,
     build_hodlr_proxy,
 )
@@ -42,7 +42,9 @@ LEAF_SIZE = 64
 
 def build_laplace_hodlr(n: int, tol: float):
     bie = LaplaceDoubleLayerBIE(contour=StarContour(), n=n)
-    hodlr = build_hodlr_proxy(bie, config=ProxyCompressionConfig(tol=tol), leaf_size=LEAF_SIZE)
+    hodlr = build_hodlr_proxy(
+        bie, config=CompressionConfig(method="proxy", tol=tol, leaf_size=LEAF_SIZE)
+    )
     return bie, hodlr
 
 

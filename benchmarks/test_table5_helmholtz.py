@@ -20,7 +20,7 @@ import pytest
 
 from repro import (
     HelmholtzCombinedBIE,
-    ProxyCompressionConfig,
+    CompressionConfig,
     StarContour,
     build_hodlr_proxy,
 )
@@ -43,7 +43,7 @@ LEAF_SIZE = 64
 def build_helmholtz_hodlr(n: int, tol: float):
     bie = HelmholtzCombinedBIE(contour=StarContour(), n=n, kappa=KAPPA)
     hodlr = build_hodlr_proxy(
-        bie, config=ProxyCompressionConfig(tol=tol, n_proxy=96), leaf_size=LEAF_SIZE
+        bie, config=CompressionConfig(method="proxy", tol=tol, n_proxy=96, leaf_size=LEAF_SIZE)
     )
     return bie, hodlr
 
@@ -148,7 +148,7 @@ class TestTable5b:
 
         n = SWEEP_N[-1]
         lap = LaplaceDoubleLayerBIE(contour=StarContour(), n=n)
-        lap_hodlr = bhp(lap, config=ProxyCompressionConfig(tol=1e-8), leaf_size=LEAF_SIZE)
+        lap_hodlr = bhp(lap, config=CompressionConfig(method="proxy", tol=1e-8, leaf_size=LEAF_SIZE))
         assert table5a[-1].extra["max_rank"] > max(lap_hodlr.rank_profile())
 
 

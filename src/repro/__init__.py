@@ -118,7 +118,7 @@ from .kernels.rpy import RPYKernel
 from .bie.contour import StarContour, EllipseContour
 from .bie.laplace_bie import LaplaceDoubleLayerBIE, laplace_dirichlet_reference
 from .bie.helmholtz_bie import HelmholtzCombinedBIE, helmholtz_dirichlet_reference
-from .bie.proxy import ProxyCompressionConfig, build_hodlr_proxy
+from .bie.proxy import build_hodlr_proxy
 
 from .baselines.dense_lu import DenseLUSolver
 from .baselines.hodlrlib_cpu import HODLRlibStyleSolver
@@ -269,7 +269,6 @@ __all__ = [
     "laplace_dirichlet_reference",
     "HelmholtzCombinedBIE",
     "helmholtz_dirichlet_reference",
-    "ProxyCompressionConfig",
     "build_hodlr_proxy",
     # baselines
     "DenseLUSolver",

@@ -30,13 +30,8 @@ One stable front door over the whole library:
 """
 
 from ..backends.context import ExecutionContext, PrecisionPolicy
-from .config import (
-    COMPRESSION_METHODS,
-    VARIANTS,
-    CompressionConfig,
-    ConfigError,
-    SolverConfig,
-)
+from ..core.compression import COMPRESSION_METHODS, CompressionConfig, ConfigError
+from .config import VARIANTS, SolverConfig
 from .problem import (
     AssembledProblem,
     Problem,

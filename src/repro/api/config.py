@@ -3,30 +3,29 @@
 Two frozen dataclasses describe everything a solve needs beyond the problem
 itself:
 
-:class:`CompressionConfig`
+:class:`~repro.core.compression.CompressionConfig`
     How the HODLR approximation is built — tolerance, compression method
     (``svd`` / ``rook`` / ``randomized`` / ``proxy``), rank cap, leaf size,
-    and the proxy-circle resolution for BIE operators.
+    the proxy-circle resolution for BIE operators, and the seed of the
+    randomized paths.  It lives in :mod:`repro.core.compression` (re-exported
+    here), so ``repro.CompressionConfig``, ``repro.api.CompressionConfig``
+    and ``repro.core.CompressionConfig`` are one class, consumed directly by
+    :func:`repro.core.build_hodlr` and :func:`repro.bie.build_hodlr_proxy`.
 
 :class:`SolverConfig`
     How the factorization runs — variant (``recursive`` / ``batched``),
     array backend, dispatch policy, storage dtype, and
     pivoting — plus a nested :class:`CompressionConfig`.
 
-Both validate on construction, are hashable (usable as sweep keys), and
-round-trip losslessly through ``to_dict``/``from_dict`` so a parameter
-sweep can be serialised to JSON and replayed bit-for-bit:
+Both validate on construction (raising :class:`ConfigError`), are hashable
+(usable as sweep keys), and round-trip losslessly through
+``to_dict``/``from_dict`` so a parameter sweep can be serialised to JSON
+and replayed bit-for-bit:
 
 >>> from repro.api import SolverConfig
 >>> cfg = SolverConfig(variant="recursive", dtype="float32")
 >>> SolverConfig.from_dict(cfg.to_dict()) == cfg
 True
-
-Note the distinction from :class:`repro.core.compression.CompressionConfig`:
-the core object is the low-level knob set of :func:`repro.core.build_hodlr`
-(it can carry a live random generator and is therefore not serialisable);
-the API object here is the stable, immutable front-door configuration that
-*converts* to the core object via :meth:`CompressionConfig.core_config`.
 """
 
 from __future__ import annotations
@@ -44,12 +43,8 @@ from ..backends.parallel import (
     parallel_to_jsonable,
     resolve_parallel,
 )
-from ..bie.proxy import ProxyCompressionConfig
-from ..core.compression import CompressionConfig as CoreCompressionConfig
+from ..core.compression import CompressionConfig, ConfigError, _check
 from ..core.solver import available_solver_variants
-
-#: compression methods the facade accepts (``proxy`` needs a BIE-style operator)
-COMPRESSION_METHODS = ("svd", "rook", "randomized", "proxy")
 
 #: built-in factorization variants (mirrors ``repro.core.solver._VARIANTS``);
 #: registered baseline variants (``dense_lu``, ``block_sparse``,
@@ -57,133 +52,10 @@ COMPRESSION_METHODS = ("svd", "rook", "randomized", "proxy")
 #: :func:`repro.core.solver.register_solver_variant`
 VARIANTS = ("recursive", "batched")
 
-#: HODLR construction schedules: level-major batched, or matvec-only
-#: randomized peeling (no entry evaluation — see
-#: :func:`repro.core.peeling.peel_hodlr`).  The per-block baseline is the
-#: batched schedule under ``dispatch_policy=LOOP_POLICY``.
-CONSTRUCTION_MODES = ("batched", "peeling")
-
 #: policy tuning modes: ``"default"`` uses the hard-coded crossover
 #: constants; ``"auto"`` derives them from the host's calibrated
 #: :class:`~repro.backends.calibration.MachineProfile`
 TUNING_MODES = ("default", "auto")
-
-
-class ConfigError(ValueError):
-    """Raised when a configuration value fails validation."""
-
-
-def _check(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
-
-
-@dataclass(frozen=True)
-class CompressionConfig:
-    """Immutable options for building the HODLR approximation.
-
-    Parameters
-    ----------
-    tol:
-        Relative tolerance of the low-rank approximation (the paper uses
-        ~1e-12/1e-8 for the direct solvers and ~1e-4 for preconditioners).
-    method:
-        ``"svd"``, ``"rook"``, ``"randomized"``, or ``"proxy"`` (the latter
-        only for operators implementing the proxy-surface protocol).
-    max_rank:
-        Hard cap on off-diagonal ranks (``None`` = uncapped).
-    leaf_size:
-        Cluster-tree leaf size.
-    oversampling:
-        Extra samples for the randomized range finder.
-    n_proxy:
-        Points per proxy circle (``method="proxy"`` only).
-    construction:
-        ``"batched"`` (default) builds the HODLR approximation level-major
-        through the shape-bucketed batched kernels (one gathered entry
-        evaluation and one batched compression per tree level; ``"rook"``
-        advances all blocks of a level in lockstep, one gathered
-        evaluation per cross step); ``"peeling"`` builds from matvec
-        probes alone.  The per-block baseline the benchmarks measure
-        against is ``"batched"`` under ``dispatch_policy=LOOP_POLICY``.
-    """
-
-    tol: float = 1e-10
-    method: str = "rook"
-    max_rank: Optional[int] = None
-    leaf_size: int = 64
-    oversampling: int = 10
-    n_proxy: int = 64
-    construction: str = "batched"
-
-    def __post_init__(self) -> None:
-        _check(
-            isinstance(self.tol, (int, float)) and 0.0 < float(self.tol) < 1.0,
-            f"tol must be in (0, 1), got {self.tol!r}",
-        )
-        _check(
-            self.method in COMPRESSION_METHODS,
-            f"method must be one of {COMPRESSION_METHODS}, got {self.method!r}",
-        )
-        _check(
-            self.max_rank is None or (isinstance(self.max_rank, int) and self.max_rank >= 1),
-            f"max_rank must be None or a positive int, got {self.max_rank!r}",
-        )
-        _check(
-            isinstance(self.leaf_size, int) and self.leaf_size >= 2,
-            f"leaf_size must be an int >= 2, got {self.leaf_size!r}",
-        )
-        _check(
-            isinstance(self.oversampling, int) and self.oversampling >= 0,
-            f"oversampling must be a non-negative int, got {self.oversampling!r}",
-        )
-        _check(
-            isinstance(self.n_proxy, int) and self.n_proxy >= 4,
-            f"n_proxy must be an int >= 4, got {self.n_proxy!r}",
-        )
-        _check(
-            self.construction in CONSTRUCTION_MODES,
-            f"construction must be one of {CONSTRUCTION_MODES}, got {self.construction!r}",
-        )
-
-    # -- conversion to the low-level configs ---------------------------------
-    def core_config(self, rng: Optional[np.random.Generator] = None) -> CoreCompressionConfig:
-        """The :func:`repro.core.build_hodlr` options equivalent to this config.
-
-        ``method="proxy"`` maps to ``"rook"`` here because proxy compression
-        is not an entrywise method; use :meth:`proxy_config` for it.
-        """
-        return CoreCompressionConfig(
-            tol=float(self.tol),
-            max_rank=self.max_rank,
-            method=self.method if self.method != "proxy" else "rook",
-            oversampling=self.oversampling,
-            rng=rng,
-            construction=self.construction,
-        )
-
-    def proxy_config(self) -> ProxyCompressionConfig:
-        """The :func:`repro.bie.proxy.build_hodlr_proxy` options for this config."""
-        return ProxyCompressionConfig(
-            tol=float(self.tol), n_proxy=self.n_proxy, max_rank=self.max_rank
-        )
-
-    # -- immutability helpers ------------------------------------------------
-    def replace(self, **changes: Any) -> "CompressionConfig":
-        """A copy with the given fields replaced (validation re-runs)."""
-        return replace(self, **changes)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-compatible dict; inverse of :meth:`from_dict`."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CompressionConfig":
-        """Rebuild from :meth:`to_dict` output (unknown keys raise)."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        _check(not unknown, f"unknown CompressionConfig keys: {unknown}")
-        return cls(**dict(data))
 
 
 def _normalize_dtype(dtype: Any) -> Optional[str]:

@@ -167,8 +167,6 @@ def assemble(
         A = problem
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"dense input must be a square 2-D array, got shape {A.shape}")
-        if comp.method == "proxy":
-            raise ConfigError("method='proxy' needs a BIE operator, not a dense matrix")
         tree = ClusterTree.balanced(A.shape[0], leaf_size=comp.leaf_size)
         if comp.construction == "peeling":
             # matvec-only construction: probe the operator instead of reading
@@ -180,9 +178,7 @@ def assemble(
             )
         else:
             source = A
-        hodlr = build_hodlr(
-            source, tree, config=comp.core_config(), context=config.construction_context()
-        )
+        hodlr = build_hodlr(source, tree, config=comp, context=config.construction_context())
         return AssembledProblem(
             name="dense", hodlr=hodlr, operator=lambda x, _A=A: _A @ x
         )

@@ -7,7 +7,7 @@ so every scenario is reachable through one front door::
 
     result = repro.solve("helmholtz_bie", config=cfg, n=4096, kappa=25.0)
 
-All adapters honour the :class:`~repro.api.config.CompressionConfig` inside
+All adapters honour the :class:`~repro.core.compression.CompressionConfig` inside
 the solver config (tolerance, method, leaf size, rank cap); geometric /
 physical parameters (sizes, wavenumbers, lengthscales) are constructor
 parameters forwarded by :func:`~repro.api.problem.get_problem`.
@@ -83,19 +83,8 @@ def _kernel_assembled(
     ``perm`` carried on the :class:`AssembledProblem` lets the facade
     translate between the two.
     """
-    comp = config.compression
-    if comp.method == "proxy":
-        raise ConfigError(
-            f"problem {name!r} is a kernel matrix; method='proxy' needs a BIE operator"
-        )
     hodlr, perm = kernel_matrix.to_hodlr(
-        leaf_size=comp.leaf_size,
-        tol=comp.tol,
-        method=comp.method,
-        max_rank=comp.max_rank,
-        reorder=reorder,
-        construction=comp.construction,
-        context=config.construction_context(),
+        config.compression, reorder=reorder, context=config.construction_context()
     )
     identity = np.array_equal(perm, np.arange(kernel_matrix.n))
     metadata = dict(metadata, kernel_matrix=kernel_matrix)
@@ -263,10 +252,6 @@ class RPYMobilityProblem:
 
     def assemble(self, config: SolverConfig) -> AssembledProblem:
         comp = config.compression
-        if comp.method == "proxy":
-            raise ConfigError(
-                "problem 'rpy_mobility' is a kernel matrix; method='proxy' needs a BIE operator"
-            )
         rng = np.random.default_rng(self.seed)
         points = uniform_points(self.num_particles, dim=self.dim, rng=rng)
         _, particle_perm = ClusterTree.from_points(points, leaf_size=32)
@@ -279,7 +264,7 @@ class RPYMobilityProblem:
         hodlr = build_hodlr(
             entries,
             tree,
-            config=comp.core_config(rng=np.random.default_rng(self.seed)),
+            config=comp.replace(seed=self.seed),
             context=config.construction_context(),
         )
         return AssembledProblem(
@@ -305,7 +290,7 @@ def _bie_assembled(
             f"problem {name!r} uses proxy-surface compression; set "
             f"CompressionConfig(method='proxy'), got method={comp.method!r}"
         )
-    hodlr = build_hodlr_proxy(bie, config=comp.proxy_config(), leaf_size=comp.leaf_size)
+    hodlr = build_hodlr_proxy(bie, config=comp)
     return AssembledProblem(
         name=name, hodlr=hodlr, operator=bie.matvec, rhs=rhs, metadata=metadata
     )

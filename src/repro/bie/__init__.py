@@ -19,7 +19,7 @@ from .contour import SmoothContour, StarContour, EllipseContour
 from .quadrature import trapezoidal_weights, kapur_rokhlin_correction, KAPUR_ROKHLIN_GAMMA
 from .laplace_bie import LaplaceDoubleLayerBIE, laplace_dirichlet_reference
 from .helmholtz_bie import HelmholtzCombinedBIE, helmholtz_dirichlet_reference
-from .proxy import ProxyCompressionConfig, build_hodlr_proxy, interpolative_row_skeleton
+from .proxy import build_hodlr_proxy, interpolative_row_skeleton
 
 __all__ = [
     "SmoothContour",
@@ -32,7 +32,6 @@ __all__ = [
     "laplace_dirichlet_reference",
     "HelmholtzCombinedBIE",
     "helmholtz_dirichlet_reference",
-    "ProxyCompressionConfig",
     "build_hodlr_proxy",
     "interpolative_row_skeleton",
 ]

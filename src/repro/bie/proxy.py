@@ -20,17 +20,24 @@ so only ``r`` rows of the true block ever need to be evaluated.  This keeps
 HODLR construction at ``O(N r)`` kernel evaluations per level even though
 the sibling blocks of the weak-admissibility (HODLR) partition touch each
 other.
+
+:func:`build_hodlr_proxy` reads the library's one
+:class:`~repro.core.compression.CompressionConfig` (``tol``, ``n_proxy``,
+``max_rank``, ``leaf_size``), the same object
+``SolverConfig(compression=CompressionConfig(method="proxy"))`` carries.
+The proxy-circle radius and the near-field radius are fixed multiples of
+the cluster radius (:data:`RADIUS_FACTOR`, :data:`NEAR_FACTOR`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Protocol, Tuple
 
 import numpy as np
 from scipy import linalg as sla
 
 from ..core.cluster_tree import ClusterTree
+from ..core.compression import CompressionConfig
 from ..core.hodlr import HODLRMatrix
 from ..core.low_rank import LowRankFactor
 
@@ -48,31 +55,11 @@ class ProxyCompressibleOperator(Protocol):
     ) -> np.ndarray: ...
 
 
-@dataclass
-class ProxyCompressionConfig:
-    """Options for proxy-surface HODLR construction.
-
-    Parameters
-    ----------
-    tol:
-        Relative tolerance of the interpolative decompositions.
-    n_proxy:
-        Number of points on each proxy circle.
-    radius_factor:
-        Proxy-circle radius as a multiple of the target-cluster radius.
-    near_factor:
-        Sources within ``near_factor * cluster_radius`` of the cluster centre
-        are treated as near field and included explicitly in the sampling
-        matrix.
-    max_rank:
-        Optional cap on the skeleton size.
-    """
-
-    tol: float = 1e-10
-    n_proxy: int = 64
-    radius_factor: float = 1.75
-    near_factor: float = 1.75
-    max_rank: Optional[int] = None
+#: proxy-circle radius as a multiple of the target-cluster radius
+RADIUS_FACTOR = 1.75
+#: sources within ``NEAR_FACTOR * cluster_radius`` of the cluster centre are
+#: near field and enter the sampling matrix explicitly
+NEAR_FACTOR = 1.75
 
 
 def interpolative_row_skeleton(
@@ -124,7 +111,7 @@ def compress_block_proxy(
     operator: ProxyCompressibleOperator,
     target_idx: np.ndarray,
     source_idx: np.ndarray,
-    config: ProxyCompressionConfig,
+    config: CompressionConfig,
 ) -> LowRankFactor:
     """Compress ``A(target_idx, source_idx)`` with the proxy-surface ID."""
     targets = operator.points[target_idx]
@@ -133,9 +120,9 @@ def compress_block_proxy(
     radius = float(np.max(np.linalg.norm(targets - center[None, :], axis=1)))
     radius = max(radius, 1e-12)
 
-    proxy_pts, proxy_nrm = _proxy_circle(center, config.radius_factor * radius, config.n_proxy)
+    proxy_pts, proxy_nrm = _proxy_circle(center, RADIUS_FACTOR * radius, config.n_proxy)
     dist = np.linalg.norm(sources - center[None, :], axis=1)
-    near_mask = dist <= config.near_factor * radius
+    near_mask = dist <= NEAR_FACTOR * radius
 
     blocks = [np.asarray(operator.proxy_block(targets, proxy_pts, proxy_nrm))]
     if np.any(near_mask):
@@ -155,20 +142,21 @@ def compress_block_proxy(
 def build_hodlr_proxy(
     operator: ProxyCompressibleOperator,
     tree: Optional[ClusterTree] = None,
-    config: Optional[ProxyCompressionConfig] = None,
-    leaf_size: int = 64,
+    config: Optional[CompressionConfig] = None,
 ) -> HODLRMatrix:
     """Build a HODLR approximation of a BIE operator with proxy compression.
 
     The operator's points are assumed to follow the contour parametrization,
     so the balanced (index-bisection) cluster tree is geometric, exactly as
-    in the paper's BIE experiments.
+    in the paper's BIE experiments.  ``config`` supplies ``tol``,
+    ``n_proxy``, ``max_rank`` and, when no ``tree`` is given, ``leaf_size``
+    (``None`` = the defaults); its ``method`` is not read.
     """
     if config is None:
-        config = ProxyCompressionConfig()
+        config = CompressionConfig(method="proxy")
     n = operator.points.shape[0]
     if tree is None:
-        tree = ClusterTree.balanced(n, leaf_size=leaf_size)
+        tree = ClusterTree.balanced(n, leaf_size=config.leaf_size)
 
     diag: Dict[int, np.ndarray] = {}
     U: Dict[int, np.ndarray] = {}

@@ -7,11 +7,14 @@ the GPU, using
   ("rook pivoting" / ACA-style cross approximation) — for kernel matrices
   (section IV-A), and
 * the proxy-surface technique for BIE matrices (sections IV-B/IV-C; the
-  proxy machinery itself lives in :mod:`repro.bie.proxy` because it needs
-  geometry, but it reuses :func:`randomized_compress` from here).
+  proxy machinery lives in :mod:`repro.bie.proxy` because it needs
+  geometry; it reads the same config).
 
-This module implements three interchangeable compressors plus a config
-object and a dispatcher:
+This module holds the one :class:`CompressionConfig` of the library — the
+frozen, validated options every construction path reads (``build_hodlr``,
+``build_hodlr_proxy``, ``KernelMatrix.to_hodlr`` and the facade's
+``SolverConfig``) — and its :class:`ConfigError`, plus three
+interchangeable compressors and a dispatcher:
 
 * :func:`svd_compress`         — exact truncated SVD (reference / testing);
 * :func:`rook_pivot_compress`  — adaptive cross approximation with rook
@@ -27,8 +30,8 @@ blocks advance their crosses in lockstep through one gathered
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy import linalg as sla
@@ -42,47 +45,131 @@ from .low_rank import LowRankFactor, _truncation_count
 BlockEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-@dataclass
+#: compression methods; ``"proxy"`` needs a BIE operator and is built by
+#: :func:`repro.bie.proxy.build_hodlr_proxy`, every other method by
+#: :func:`repro.core.build_hodlr`
+COMPRESSION_METHODS = ("svd", "rook", "randomized", "proxy")
+
+#: HODLR construction schedules: level-major batched, or matvec-only
+#: randomized peeling (no entry evaluation — see
+#: :func:`repro.core.peeling.peel_hodlr`).  The per-block baseline is the
+#: batched schedule under ``ExecutionContext(policy=LOOP_POLICY)``.
+CONSTRUCTION_MODES = ("batched", "peeling")
+
+
+class ConfigError(ValueError):
+    """Raised when a configuration value fails validation."""
+
+
+def _check(condition: bool, message: str) -> None:
+    if not condition:
+        raise ConfigError(message)
+
+
+@dataclass(frozen=True)
 class CompressionConfig:
-    """Options controlling off-diagonal block compression.
+    """Immutable options for building the HODLR approximation.
+
+    One object serves every layer: :func:`repro.core.build_hodlr`,
+    :func:`repro.bie.proxy.build_hodlr_proxy`,
+    :meth:`repro.kernels.KernelMatrix.to_hodlr` and the
+    :class:`~repro.api.config.SolverConfig` of the facade.  It validates on
+    construction, is hashable (an :class:`~repro.api.cache.OperatorCache`
+    key), and round-trips through ``to_dict``/``from_dict``.
 
     Parameters
     ----------
     tol:
-        Relative tolerance for the low-rank approximation (the paper uses
-        1e-12 for the "high accuracy" solvers and ~1e-4 for the
-        preconditioner runs).
-    max_rank:
-        Hard cap on the rank (None = no cap).
+        Relative tolerance of the low-rank approximation (the paper uses
+        ~1e-12/1e-8 for the direct solvers and ~1e-4 for preconditioners).
     method:
-        ``"svd"``, ``"rook"``, or ``"randomized"``.
+        ``"svd"``, ``"rook"``, ``"randomized"``, or ``"proxy"`` (the latter
+        only for operators implementing the proxy-surface protocol, built
+        by :func:`repro.bie.proxy.build_hodlr_proxy`).
+    max_rank:
+        Hard cap on off-diagonal ranks (``None`` = uncapped).
+    leaf_size:
+        Cluster-tree leaf size.
     oversampling:
-        Extra random samples for the randomized range finder.
-    rng:
-        Seeded generator for reproducibility of the randomized path.
+        Extra samples for the randomized range finder.
+    n_proxy:
+        Points per proxy circle (``method="proxy"`` only).
     construction:
-        ``"batched"`` (default) drives :func:`repro.core.build_hodlr`
-        level-major: kernel entries for a whole tree level are gathered in
-        one vectorized call and sibling blocks are compressed through the
-        shape-bucketed batched kernels; ``"peeling"`` builds from matvecs
-        alone.  The per-block reference schedule is not a construction
-        mode: it is the batched build run under an
-        ``ExecutionContext(policy=LOOP_POLICY)``.  ``method="rook"`` never
-        gathers whole blocks: the blocks of a shape bucket advance their
-        crosses in lockstep, with one gathered evaluation of all pivot rows
-        (and one of all pivot columns) per cross step
-        (:func:`rook_pivot_compress_stack`).
+        ``"batched"`` (default) builds the HODLR approximation level-major
+        through the shape-bucketed batched kernels (one gathered entry
+        evaluation and one batched compression per tree level; ``"rook"``
+        advances all blocks of a level in lockstep, one gathered
+        evaluation per cross step — :func:`rook_pivot_compress_stack`);
+        ``"peeling"`` builds from matvec probes alone.  The per-block
+        baseline the benchmarks measure against is ``"batched"`` under an
+        ``ExecutionContext(policy=LOOP_POLICY)``.
+    seed:
+        Seed of the random test matrices of the randomized and peeling
+        paths; :meth:`generator` draws a fresh stream from it.
     """
 
-    tol: float = 1e-12
-    max_rank: Optional[int] = None
+    tol: float = 1e-10
     method: str = "rook"
+    max_rank: Optional[int] = None
+    leaf_size: int = 64
     oversampling: int = 10
-    rng: Optional[np.random.Generator] = None
+    n_proxy: int = 64
     construction: str = "batched"
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        _check(
+            isinstance(self.tol, (int, float)) and 0.0 < float(self.tol) < 1.0,
+            f"tol must be in (0, 1), got {self.tol!r}",
+        )
+        _check(
+            self.method in COMPRESSION_METHODS,
+            f"method must be one of {COMPRESSION_METHODS}, got {self.method!r}",
+        )
+        _check(
+            self.max_rank is None or (isinstance(self.max_rank, int) and self.max_rank >= 1),
+            f"max_rank must be None or a positive int, got {self.max_rank!r}",
+        )
+        _check(
+            isinstance(self.leaf_size, int) and self.leaf_size >= 2,
+            f"leaf_size must be an int >= 2, got {self.leaf_size!r}",
+        )
+        _check(
+            isinstance(self.oversampling, int) and self.oversampling >= 0,
+            f"oversampling must be a non-negative int, got {self.oversampling!r}",
+        )
+        _check(
+            isinstance(self.n_proxy, int) and self.n_proxy >= 4,
+            f"n_proxy must be an int >= 4, got {self.n_proxy!r}",
+        )
+        _check(
+            self.construction in CONSTRUCTION_MODES,
+            f"construction must be one of {CONSTRUCTION_MODES}, got {self.construction!r}",
+        )
+        _check(
+            isinstance(self.seed, int) and self.seed >= 0,
+            f"seed must be a non-negative int, got {self.seed!r}",
+        )
 
     def generator(self) -> np.random.Generator:
-        return self.rng if self.rng is not None else np.random.default_rng(0)
+        """A fresh ``default_rng(seed)`` stream (a new one on every call)."""
+        return np.random.default_rng(self.seed)
+
+    def replace(self, **changes: Any) -> "CompressionConfig":
+        """A copy with the given fields replaced (validation re-runs)."""
+        return replace(self, **changes)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """A JSON-compatible dict; inverse of :meth:`from_dict`."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "CompressionConfig":
+        """Rebuild from :meth:`to_dict` output (unknown keys raise)."""
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(data) - known)
+        _check(not unknown, f"unknown CompressionConfig keys: {unknown}")
+        return cls(**dict(data))
 
 
 # ----------------------------------------------------------------------

@@ -51,7 +51,7 @@ product as a handful of batched gemm launches; Krylov loops should use it.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import InitVar, dataclass, replace as dc_replace
+from dataclasses import InitVar, dataclass
 from types import MappingProxyType
 from typing import Dict, List, Optional, Union
 
@@ -64,6 +64,7 @@ from .cluster_tree import ClusterTree, TreeNode
 from .compression import (
     BlockEvaluator,
     CompressionConfig,
+    ConfigError,
     compress_block,
     compress_block_stack,
     rook_pivot_compress_stack,
@@ -662,10 +663,15 @@ def build_hodlr(
     tree:
         The cluster tree defining the tessellation.
     config:
-        Compression options; individual keyword overrides (``tol``,
-        ``method``, ``max_rank``) take precedence over the config fields.
-        ``config.construction`` selects the level-major batched schedule
-        (default) or the matvec-only ``"peeling"`` construction.
+        Compression options (``None`` = the defaults); individual keyword
+        overrides (``tol``, ``method``, ``max_rank``) take precedence over
+        the config fields.  ``config.construction`` selects the level-major
+        batched schedule (default) or the matvec-only ``"peeling"``
+        construction; the randomized and peeling paths draw from
+        ``config.generator()``.  ``method="proxy"`` raises
+        :class:`~repro.core.compression.ConfigError`: proxy compression
+        needs a BIE operator and is built by
+        :func:`repro.bie.proxy.build_hodlr_proxy`.
     dtype:
         Storage dtype; defaults to the dtype produced by the evaluator,
         then filtered through the context's precision policy.
@@ -698,16 +704,15 @@ def build_hodlr(
     if config is None:
         config = CompressionConfig()
     if tol is not None or method is not None or max_rank is not None:
-        config = dc_replace(
-            config,
+        config = config.replace(
             tol=tol if tol is not None else config.tol,
             max_rank=max_rank if max_rank is not None else config.max_rank,
             method=method if method is not None else config.method,
         )
-    if config.construction not in ("batched", "peeling"):
-        raise ValueError(
-            "construction must be 'batched' or 'peeling', got "
-            f"{config.construction!r}"
+    if config.method == "proxy":
+        raise ConfigError(
+            "method='proxy' compresses BIE operators only: build them with "
+            "repro.bie.build_hodlr_proxy"
         )
     if config.construction == "peeling":
         # matvec-only construction: the source never needs entry evaluation
@@ -730,7 +735,7 @@ def build_hodlr(
             rank=rank,
             oversampling=config.oversampling,
             tol=config.tol,
-            rng=config.rng,
+            rng=config.generator(),
             dtype=context.storage_dtype(dtype),
             context=context,
         )

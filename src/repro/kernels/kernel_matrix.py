@@ -247,12 +247,8 @@ class KernelMatrix:
     # ------------------------------------------------------------------
     def to_hodlr(
         self,
-        leaf_size: int = 64,
-        tol: float = 1e-10,
-        method: str = "rook",
-        max_rank: Optional[int] = None,
+        config: Optional[CompressionConfig] = None,
         reorder: bool = True,
-        construction: str = "batched",
         context: Optional[ExecutionContext] = None,
     ) -> Tuple[HODLRMatrix, np.ndarray]:
         """Build a HODLR approximation of the kernel matrix.
@@ -261,8 +257,10 @@ class KernelMatrix:
         the points: the HODLR matrix approximates ``K[perm][:, perm]``.  When
         ``reorder=False`` the natural point order is used (appropriate when
         the points already follow a space-filling order, e.g. a contour).
-        ``construction="batched"`` (default) builds level-major through the
-        batched kernels; a ``context`` with
+        ``config`` (``None`` = the defaults) supplies the tree's
+        ``leaf_size`` and everything :func:`~repro.core.build_hodlr` reads
+        (``tol``, ``method``, ``max_rank``, ``oversampling``,
+        ``construction``, ``seed``); a ``context`` with
         :data:`~repro.backends.dispatch.LOOP_POLICY` gives the per-block
         baseline.
 
@@ -273,6 +271,7 @@ class KernelMatrix:
         kd-tree ordering itself is computed on the host — it is O(N log N)
         integer work on coordinates, not part of the hot path).
         """
+        config = config or CompressionConfig()
         device = context is not None and context.device_resident
         if reorder:
             # the kd-tree is built from host coordinates (cheap, index-only
@@ -280,17 +279,14 @@ class KernelMatrix:
             host_points = self.points
             if device and not isinstance(self.points, np.ndarray):
                 host_points = context.to_host(self.points)
-            tree, perm = ClusterTree.from_points(host_points, leaf_size=leaf_size)
+            tree, perm = ClusterTree.from_points(host_points, leaf_size=config.leaf_size)
         else:
-            tree = ClusterTree.balanced(self.n, leaf_size=leaf_size)
+            tree = ClusterTree.balanced(self.n, leaf_size=config.leaf_size)
             perm = np.arange(self.n)
 
         points = context.to_device(self.points) if device else self.points
         permuted = KernelMatrix(
             kernel=self.kernel, points=points[perm], diagonal_shift=self.diagonal_shift
-        )
-        config = CompressionConfig(
-            tol=tol, max_rank=max_rank, method=method, construction=construction
         )
         # the KernelMatrix itself is passed (not just ``entries``) so the
         # builder can use the gather-based multi-block evaluator

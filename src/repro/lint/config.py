@@ -91,7 +91,10 @@ class LintConfig:
     #: (benchmarks/ is deliberately absent — it times on purpose)
     rl004_include: Tuple[str, ...] = ("src", "tests")
     #: RL005 project files: every dataclass in them must serialise fully
-    rl005_files: Tuple[str, ...] = ("src/repro/api/config.py",)
+    rl005_files: Tuple[str, ...] = (
+        "src/repro/api/config.py",
+        "src/repro/core/compression.py",
+    )
     #: RL006 scope: modules whose functions run on the shared thread pool —
     #: module-global mutation there must sit under a ``with <lock>`` block
     rl006_modules: Tuple[str, ...] = (

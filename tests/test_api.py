@@ -76,6 +76,7 @@ class TestCompressionConfig:
             dict(leaf_size=1),
             dict(oversampling=-1),
             dict(n_proxy=2),
+            dict(seed=-1),
         ],
     )
     def test_validation_rejects(self, kwargs):
@@ -88,10 +89,10 @@ class TestCompressionConfig:
             cfg.tol = 1e-4
 
     def test_round_trip(self):
-        cfg = CompressionConfig(tol=1e-6, method="randomized", max_rank=40, leaf_size=48)
+        cfg = CompressionConfig(tol=1e-6, method="randomized", max_rank=40, leaf_size=48, seed=7)
         d = cfg.to_dict()
         json.dumps(d)  # JSON-compatible
-        assert CompressionConfig.from_dict(d) == cfg
+        assert CompressionConfig.from_dict(d) == cfg and d["seed"] == 7
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -103,13 +104,30 @@ class TestCompressionConfig:
         with pytest.raises(ConfigError):
             cfg.replace(method="nope")
 
-    def test_core_config_mapping(self):
+    def test_one_class_across_import_paths(self):
+        assert repro.CompressionConfig is CompressionConfig
+        assert repro.core.CompressionConfig is CompressionConfig
+        assert repro.core.compression.ConfigError is ConfigError
+
+    def test_top_level_names_compose(self):
+        cfg = repro.SolverConfig(compression=repro.CompressionConfig(tol=1e-8))
+        assert cfg.compression.tol == 1e-8
+
+    def test_hashable(self):
         cfg = CompressionConfig(tol=1e-6, method="proxy", max_rank=17, n_proxy=48)
-        core = cfg.core_config()
-        assert core.tol == 1e-6 and core.max_rank == 17
-        assert core.method == "rook"  # proxy is not an entrywise method
-        proxy = cfg.proxy_config()
-        assert proxy.tol == 1e-6 and proxy.n_proxy == 48 and proxy.max_rank == 17
+        assert hash(cfg) == hash(CompressionConfig.from_dict(cfg.to_dict()))
+        assert len({cfg, CompressionConfig(), CompressionConfig()}) == 2
+
+    def test_generator_is_a_fresh_seeded_stream(self):
+        cfg = CompressionConfig(seed=7)
+        draws = [g.standard_normal(4) for g in (cfg.generator(), cfg.generator())]
+        assert np.array_equal(draws[0], draws[1])
+        assert np.array_equal(draws[0], np.random.default_rng(7).standard_normal(4))
+
+    def test_build_hodlr_rejects_proxy(self, system):
+        A, _, _ = system
+        with pytest.raises(ConfigError, match="proxy"):
+            build_hodlr(A, ClusterTree.balanced(A.shape[0], leaf_size=32), method="proxy")
 
 
 class TestSolverConfig:
@@ -342,6 +360,17 @@ class TestFacade:
         )
         assert result.relative_residual < 1e-8
         assert np.linalg.norm(A @ result.x - b) / np.linalg.norm(b) < 1e-8
+
+    def test_kernel_problem_honours_oversampling(self):
+        # the kernel-matrix path hands the whole config to build_hodlr, so
+        # the randomized range finder sees ``oversampling``
+        dense = []
+        for oversampling in (0, 10):
+            cfg = SolverConfig(compression=CompressionConfig(
+                tol=1e-6, method="randomized", oversampling=oversampling))
+            op = repro.build_operator("helmholtz_kernel", cfg, cache=False, n=1024)
+            dense.append(op.hodlr.to_dense())
+        assert not np.array_equal(dense[0], dense[1])
 
     def test_solve_hodlr_matrix(self, system):
         _, H, b = system

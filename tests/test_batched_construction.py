@@ -11,7 +11,6 @@ O(levels x buckets).
 import numpy as np
 import pytest
 
-from repro.api import CompressionConfig as ApiCompressionConfig
 from repro.api import ConfigError, HODLROperator, SolverConfig
 from repro.api.problems import HelmholtzKernelProblem
 from repro.backends.context import ExecutionContext
@@ -108,10 +107,10 @@ class TestBatchedConstructionEquivalence:
         pts = rng.uniform(0.0, 1.0, (400, 2))
         km = KernelMatrix(kernel=GaussianKernel(lengthscale=0.4), points=pts,
                           diagonal_shift=0.1)
-        Hb, permb = km.to_hodlr(leaf_size=32, tol=1e-12, method="randomized",
+        cfg = CompressionConfig(leaf_size=32, tol=1e-12, method="randomized",
                                 construction="batched")
-        Hl, perml = km.to_hodlr(leaf_size=32, tol=1e-12, method="randomized",
-                                context=LOOP_CONTEXT)
+        Hb, permb = km.to_hodlr(cfg)
+        Hl, perml = km.to_hodlr(cfg, context=LOOP_CONTEXT)
         assert np.array_equal(permb, perml)
         dense = km.entries(permb, permb)[np.ix_(np.arange(400), np.arange(400))]
         scale = np.linalg.norm(dense)
@@ -186,10 +185,10 @@ def gp_1d(n):
                         diagonal_shift=0.05 ** 2)
 
 
-def rook_both(km, tol, **kw):
-    Hb, permb = km.to_hodlr(leaf_size=32, tol=tol, method="rook", **kw)
-    Hl, perml = km.to_hodlr(leaf_size=32, tol=tol, method="rook",
-                            context=LOOP_CONTEXT, **kw)
+def rook_both(km, tol, reorder=True, **kw):
+    cfg = CompressionConfig(leaf_size=32, tol=tol, method="rook", **kw)
+    Hb, permb = km.to_hodlr(cfg, reorder=reorder)
+    Hl, perml = km.to_hodlr(cfg, reorder=reorder, context=LOOP_CONTEXT)
     assert np.array_equal(permb, perml)
     return Hb, Hl
 
@@ -952,15 +951,15 @@ class TestFlatBatchedLU:
 # ======================================================================
 class TestConstructionConfig:
     def test_round_trip(self):
-        cfg = SolverConfig(compression=ApiCompressionConfig(construction="peeling"))
+        cfg = SolverConfig(compression=CompressionConfig(construction="peeling"))
         assert SolverConfig.from_dict(cfg.to_dict()) == cfg
-        assert cfg.compression.core_config().construction == "peeling"
-        assert ApiCompressionConfig().construction == "batched"
+        assert cfg.compression.construction == "peeling"
+        assert CompressionConfig().construction == "batched"
 
     def test_validation(self):
         for mode in ("nope", "loop"):
             with pytest.raises(ConfigError, match="construction"):
-                ApiCompressionConfig(construction=mode)
+                CompressionConfig(construction=mode)
 
     def test_facade_solves_agree(self):
         import repro
@@ -970,13 +969,13 @@ class TestConstructionConfig:
         kwargs = dict(n=512, seed=11)
         res_b = repro.solve(
             "gaussian_kernel", b,
-            config=SolverConfig(compression=ApiCompressionConfig(
+            config=SolverConfig(compression=CompressionConfig(
                 tol=1e-10, method="randomized", construction="batched")),
             **kwargs,
         )
         res_l = repro.solve(
             "gaussian_kernel", b,
-            config=SolverConfig(dispatch_policy=LOOP_POLICY, compression=ApiCompressionConfig(
+            config=SolverConfig(dispatch_policy=LOOP_POLICY, compression=CompressionConfig(
                 tol=1e-10, method="randomized")),
             **kwargs,
         )

@@ -8,7 +8,7 @@ from repro import (
     HODLRSolver,
     HelmholtzCombinedBIE,
     LaplaceDoubleLayerBIE,
-    ProxyCompressionConfig,
+    CompressionConfig,
     StarContour,
     build_hodlr_proxy,
     helmholtz_dirichlet_reference,
@@ -165,7 +165,7 @@ class TestProxyCompression:
         n = laplace_bie.n
         tree = ClusterTree.balanced(n, leaf_size=64)
         left, right = tree.sibling_pairs(1)[0]
-        config = ProxyCompressionConfig(tol=1e-10)
+        config = CompressionConfig(method="proxy", tol=1e-10)
         factor = compress_block_proxy(laplace_bie, left.indices, right.indices, config)
         dense_block = laplace_bie.entries(left.indices, right.indices)
         rel = np.linalg.norm(factor.to_dense() - dense_block) / np.linalg.norm(dense_block)
@@ -173,7 +173,9 @@ class TestProxyCompression:
         assert factor.rank < 60
 
     def test_build_hodlr_proxy_laplace(self, laplace_bie, rng):
-        H = build_hodlr_proxy(laplace_bie, config=ProxyCompressionConfig(tol=1e-10), leaf_size=64)
+        H = build_hodlr_proxy(
+            laplace_bie, config=CompressionConfig(method="proxy", tol=1e-10, leaf_size=64)
+        )
         A = laplace_bie.dense()
         assert H.approximation_error(A) < 1e-8
         solver = HODLRSolver(H, variant="batched").factorize()
@@ -184,7 +186,7 @@ class TestProxyCompression:
 
     def test_build_hodlr_proxy_helmholtz(self, helmholtz_bie, rng):
         H = build_hodlr_proxy(
-            helmholtz_bie, config=ProxyCompressionConfig(tol=1e-8), leaf_size=96
+            helmholtz_bie, config=CompressionConfig(method="proxy", tol=1e-8, leaf_size=96)
         )
         A = helmholtz_bie.dense()
         assert H.approximation_error(A) < 1e-6
@@ -194,7 +196,11 @@ class TestProxyCompression:
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-5
 
     def test_loose_tolerance_gives_lower_ranks(self, laplace_bie):
-        tight = build_hodlr_proxy(laplace_bie, config=ProxyCompressionConfig(tol=1e-12), leaf_size=64)
-        loose = build_hodlr_proxy(laplace_bie, config=ProxyCompressionConfig(tol=1e-4), leaf_size=64)
+        tight, loose = (
+            build_hodlr_proxy(
+                laplace_bie, config=CompressionConfig(method="proxy", tol=tol, leaf_size=64)
+            )
+            for tol in (1e-12, 1e-4)
+        )
         assert max(loose.rank_profile()) < max(tight.rank_profile())
         assert loose.nbytes < tight.nbytes

@@ -173,12 +173,12 @@ class TestDispatcher:
         def entries(rows, cols):
             return B[np.ix_(rows, cols)]
 
-        config = CompressionConfig(tol=1e-9, method=method, rng=np.random.default_rng(3))
+        config = CompressionConfig(tol=1e-9, method=method, seed=3)
         f = compress_block(entries, 64, 60, config)
         rel = np.linalg.norm(f.to_dense() - B) / np.linalg.norm(B)
         assert rel < 1e-7
 
     def test_unknown_method_raises(self):
-        config = CompressionConfig(method="nope")
         with pytest.raises(ValueError):
+            config = CompressionConfig(method="nope")
             compress_block(lambda r, c: np.zeros((len(r), len(c))), 4, 4, config)

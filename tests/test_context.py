@@ -61,7 +61,7 @@ def _gaussian_km(n=512, seed=0, lengthscale=0.4):
 
 def _gaussian_hodlr(n=512, tol=1e-9, leaf_size=32, method="randomized", seed=0):
     H, _ = _gaussian_km(n, seed=seed).to_hodlr(
-        leaf_size=leaf_size, tol=tol, method=method
+        CompressionConfig(leaf_size=leaf_size, tol=tol, method=method)
     )
     return H
 
@@ -226,9 +226,7 @@ class TestRecordingStub:
         assert ctx.device_resident
 
         km = _gaussian_km(256)
-        hodlr, perm = km.to_hodlr(
-            leaf_size=32, tol=1e-10, method="svd", context=ctx
-        )
+        hodlr, perm = km.to_hodlr(cfg.compression, context=ctx)
 
         # construction ran on the stub: gathered evaluation + batched SVD
         assert stub.calls["svd_batch"] > 0
@@ -264,7 +262,7 @@ class TestRecordingStub:
         assert sum(numpy_counts.values()) == 0, dict(numpy_counts)
 
         # numerics: the device pipeline matches a host run
-        hodlr_h, perm_h = km.to_hodlr(leaf_size=32, tol=1e-10, method="svd")
+        hodlr_h, perm_h = km.to_hodlr(cfg.compression)
         assert np.array_equal(perm, perm_h)
         solver_h = HODLRSolver(hodlr_h, variant="batched").factorize()
         x_h = solver_h.solve(np.asarray(b_dev).view(np.ndarray))
@@ -278,7 +276,7 @@ class TestRecordingStub:
             compression=CompressionConfig(tol=1e-9, method="svd", leaf_size=32),
         )
         hodlr, _ = _gaussian_km(256).to_hodlr(
-            leaf_size=32, tol=1e-9, method="svd", context=cfg.execution_context()
+            cfg.compression, context=cfg.execution_context()
         )
         op = HODLROperator(hodlr, cfg)
         rng = np.random.default_rng(0)
@@ -346,7 +344,7 @@ class TestContextBasics:
     def test_legacy_and_context_construction_agree(self):
         km = _gaussian_km(128)
         tree = ClusterTree.balanced(128, leaf_size=32)
-        cfg = CompressionConfig(tol=1e-10, method="svd").core_config()
+        cfg = CompressionConfig(tol=1e-10, method="svd")
         H_legacy = build_hodlr(km, tree, config=cfg)
         H_ctx = build_hodlr(km, tree, config=cfg, context=DEFAULT_CONTEXT)
         x = np.random.default_rng(0).standard_normal(128)
@@ -656,7 +654,9 @@ class TestReadmeSnippets:
         ``TypeError`` for anyone copying the snippet)."""
         classes = {
             cls.__name__: {f.name for f in dataclasses.fields(cls)}
-            for cls in (DispatchPolicy, PrecisionPolicy, ExecutionContext)
+            for cls in (
+                DispatchPolicy, PrecisionPolicy, ExecutionContext, CompressionConfig, SolverConfig
+            )
         }
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         checked = 0

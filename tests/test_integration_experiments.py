@@ -17,7 +17,7 @@ from repro import (
     HODLRSolver,
     HelmholtzCombinedBIE,
     LaplaceDoubleLayerBIE,
-    ProxyCompressionConfig,
+    CompressionConfig,
     RPYKernel,
     StarContour,
     build_hodlr,
@@ -87,7 +87,7 @@ class TestLaplacePipeline:
     @pytest.fixture(scope="class")
     def laplace_system(self):
         bie = LaplaceDoubleLayerBIE(contour=StarContour(), n=384)
-        H = build_hodlr_proxy(bie, config=ProxyCompressionConfig(tol=1e-10), leaf_size=48)
+        H = build_hodlr_proxy(bie, config=CompressionConfig(method="proxy", tol=1e-10, leaf_size=48))
         return bie, H
 
     def test_high_accuracy_direct_solver(self, laplace_system):
@@ -108,13 +108,13 @@ class TestLaplacePipeline:
         """Table IVb regime: loose tolerance + float32 still gives ~1e-4 residuals."""
         bie, _ = laplace_system
         A = bie.dense()
-        H_low = build_hodlr_proxy(bie, config=ProxyCompressionConfig(tol=1e-5), leaf_size=48)
+        H_low = build_hodlr_proxy(bie, config=CompressionConfig(method="proxy", tol=1e-5, leaf_size=48))
         solver = HODLRSolver(H_low, variant="batched", dtype=np.float32).factorize()
         b = rng.standard_normal(bie.n).astype(np.float32)
         x = solver.solve(b)
         relres = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
         assert relres < 5e-3
-        high = build_hodlr_proxy(bie, config=ProxyCompressionConfig(tol=1e-10), leaf_size=48)
+        high = build_hodlr_proxy(bie, config=CompressionConfig(method="proxy", tol=1e-10, leaf_size=48))
         high_solver = HODLRSolver(high, variant="batched").factorize()
         assert solver.stats.factorization_bytes < high_solver.stats.factorization_bytes
 
@@ -136,7 +136,7 @@ class TestHelmholtzPipeline:
     @pytest.fixture(scope="class")
     def helmholtz_system(self):
         bie = HelmholtzCombinedBIE(contour=StarContour(), n=512, kappa=12.0)
-        H = build_hodlr_proxy(bie, config=ProxyCompressionConfig(tol=1e-8), leaf_size=64)
+        H = build_hodlr_proxy(bie, config=CompressionConfig(method="proxy", tol=1e-8, leaf_size=64))
         return bie, H
 
     def test_high_accuracy_direct_solver(self, helmholtz_system):
@@ -157,7 +157,7 @@ class TestHelmholtzPipeline:
 
         bie, _ = helmholtz_system
         A = bie.dense()
-        H_low = build_hodlr_proxy(bie, config=ProxyCompressionConfig(tol=1e-3), leaf_size=64)
+        H_low = build_hodlr_proxy(bie, config=CompressionConfig(method="proxy", tol=1e-3, leaf_size=64))
         M = HODLROperator(H_low, variant="batched")
         b = rng.standard_normal(bie.n) + 1j * rng.standard_normal(bie.n)
         x_prec, info_prec, log_prec = gmres_solve(A, b, preconditioner=M, tol=1e-10,
@@ -171,14 +171,14 @@ class TestHelmholtzPipeline:
         """Qualitative appendix behaviour: Helmholtz off-diagonal ranks > Laplace ranks."""
         _, H_helm = helmholtz_system
         lap = LaplaceDoubleLayerBIE(contour=StarContour(), n=512)
-        H_lap = build_hodlr_proxy(lap, config=ProxyCompressionConfig(tol=1e-8), leaf_size=64)
+        H_lap = build_hodlr_proxy(lap, config=CompressionConfig(method="proxy", tol=1e-8, leaf_size=64))
         assert max(H_helm.rank_profile()) > max(H_lap.rank_profile())
 
     def test_costs_exceed_laplace_costs(self, helmholtz_system, rng):
         """The paper notes Helmholtz solves are generally costlier than Laplace at the same N."""
         _, H_helm = helmholtz_system
         lap = LaplaceDoubleLayerBIE(contour=StarContour(), n=512)
-        H_lap = build_hodlr_proxy(lap, config=ProxyCompressionConfig(tol=1e-8), leaf_size=64)
+        H_lap = build_hodlr_proxy(lap, config=CompressionConfig(method="proxy", tol=1e-8, leaf_size=64))
         s_h = HODLRSolver(H_helm, variant="batched").factorize()
         s_l = HODLRSolver(H_lap, variant="batched").factorize()
         assert s_h.factor_trace.total_flops > s_l.factor_trace.total_flops

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro import ClusterTree, GaussianKernel, HODLRSolver, KernelMatrix, MaternKernel, RPYKernel
+from repro import (
+    ClusterTree,
+    CompressionConfig,
+    GaussianKernel,
+    HODLRSolver,
+    KernelMatrix,
+    MaternKernel,
+    RPYKernel,
+)
 from repro.kernels.points import (
     gaussian_mixture_points,
     points_on_circle,
@@ -246,7 +254,7 @@ class TestKernelMatrix:
         km = KernelMatrix(
             kernel=ExponentialKernel(lengthscale=0.3), points=pts, diagonal_shift=5.0
         )
-        H, perm = km.to_hodlr(leaf_size=32, tol=1e-8, method="rook")
+        H, perm = km.to_hodlr(CompressionConfig(leaf_size=32, tol=1e-8, method="rook"))
         A = km.dense()[np.ix_(perm, perm)]
         assert H.approximation_error(A) < 1e-6
         solver = HODLRSolver(H, variant="batched").factorize()
@@ -257,7 +265,9 @@ class TestKernelMatrix:
     def test_to_hodlr_without_reordering(self, rng):
         x1d = np.sort(rng.uniform(0, 1, 200))
         km = KernelMatrix(kernel=GaussianKernel(lengthscale=0.2), points=x1d, diagonal_shift=1.0)
-        H, perm = km.to_hodlr(leaf_size=25, tol=1e-10, method="svd", reorder=False)
+        H, perm = km.to_hodlr(
+            CompressionConfig(leaf_size=25, tol=1e-10, method="svd"), reorder=False
+        )
         np.testing.assert_array_equal(perm, np.arange(200))
         assert H.approximation_error(km.dense()) < 1e-8
 
@@ -266,6 +276,7 @@ class TestKernelMatrix:
         pts = rng.uniform(-1, 1, size=(256, 2))
         shuffled = pts[rng.permutation(256)]
         km = KernelMatrix(kernel=GaussianKernel(lengthscale=0.4), points=shuffled)
-        H_ordered, _ = km.to_hodlr(leaf_size=32, tol=1e-6, method="svd", reorder=True)
-        H_natural, _ = km.to_hodlr(leaf_size=32, tol=1e-6, method="svd", reorder=False)
+        cfg = CompressionConfig(leaf_size=32, tol=1e-6, method="svd")
+        H_ordered, _ = km.to_hodlr(cfg, reorder=True)
+        H_natural, _ = km.to_hodlr(cfg, reorder=False)
         assert max(H_ordered.rank_profile()) < max(H_natural.rank_profile())

@@ -102,8 +102,7 @@ class TestPeeling:
             def rmatvec(self, X):
                 return A.T @ X
 
-        cfg = CompressionConfig(construction="peeling", max_rank=24, tol=1e-10,
-                                rng=np.random.default_rng(7))
+        cfg = CompressionConfig(construction="peeling", max_rank=24, tol=1e-10, seed=7)
         H_peeled = build_hodlr(Op(), tree, config=cfg)
         H_direct = build_hodlr(A, tree, tol=1e-10, method="svd")
         denom = np.linalg.norm(A)
