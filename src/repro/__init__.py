@@ -90,12 +90,6 @@ from .backends.dispatch import (
 )
 from .backends.memory import DeviceMemoryTracker, hodlr_device_footprint, max_problem_size
 from .backends.counters import get_recorder
-from .backends.parallel import (
-    ParallelPolicy,
-    pool_stats,
-    resolve_parallel,
-    shutdown_pool,
-)
 from .backends.device import GPU_V100, CPU_XEON_6254_DUAL, PCIE3_X16, DeviceSpec
 from .backends.perfmodel import PerformanceModel
 from .backends.calibration import (
@@ -156,7 +150,6 @@ from .api import (
     run_sweep,
     solve,
     solve_many,
-    solve_portfolio,
     update_operator,
 )
 from .api.krylov import cg_solve, gmres_solve
@@ -195,7 +188,6 @@ __all__ = [
     "SweepStep",
     "SweepWorkspace",
     "run_sweep",
-    "solve_portfolio",
     # core
     "ClusterTree",
     "TreeNode",
@@ -251,10 +243,6 @@ __all__ = [
     "machine_fingerprint",
     "set_active_profile",
     "use_profile",
-    "ParallelPolicy",
-    "pool_stats",
-    "resolve_parallel",
-    "shutdown_pool",
     # kernels
     "KernelMatrix",
     "GaussianKernel",

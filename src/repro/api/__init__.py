@@ -18,10 +18,7 @@ One stable front door over the whole library:
 * :class:`OperatorCache` / :func:`enable_operator_cache` — a bounded
   process-wide LRU of factorized operators (see :mod:`repro.api.cache`);
 * :func:`run_sweep` — parameter sweeps that recycle construction across
-  nearby kernel parameters (see :mod:`repro.api.sweep`);
-* :func:`solve_portfolio` — independent solve requests fanned out over the
-  calibrated thread pool (see :mod:`repro.api.portfolio` and
-  :mod:`repro.backends.parallel`).
+  nearby kernel parameters (see :mod:`repro.api.sweep`).
 
 >>> import repro
 >>> from repro.api import CompressionConfig, SolverConfig
@@ -63,7 +60,6 @@ from .facade import (
     solve_many,
     update_operator,
 )
-from .portfolio import solve_portfolio
 from .sweep import SweepResult, SweepStep, SweepWorkspace, run_sweep
 
 __all__ = [
@@ -106,5 +102,4 @@ __all__ = [
     "SweepStep",
     "SweepWorkspace",
     "run_sweep",
-    "solve_portfolio",
 ]

@@ -37,12 +37,6 @@ import numpy as np
 
 from ..backends.context import ExecutionContext, PrecisionPolicy
 from ..backends.dispatch import DispatchPolicy
-from ..backends.parallel import (
-    ParallelPolicy,
-    ParallelPolicyError,
-    parallel_to_jsonable,
-    resolve_parallel,
-)
 from ..core.compression import CompressionConfig, ConfigError, _check
 from ..core.solver import available_solver_variants
 
@@ -117,15 +111,6 @@ class SolverConfig:
         Largest acceptable relative residual for ``tuning="auto"``'s
         precision derivation (``None`` = no derived demotion).  Ignored
         when ``precision`` already demands an explicit plan/factor dtype.
-    parallel:
-        Thread-pool execution spec: ``"off"`` pins serial execution,
-        ``"auto"`` derives the worker count from the calibrated machine
-        profile, an ``int >= 2`` forces that many workers, and a
-        :class:`~repro.backends.parallel.ParallelPolicy` (or its dict form)
-        gives full control.  ``None`` (default) defers to the
-        ``REPRO_PARALLEL`` environment variable at context-creation time
-        (unset = serial).  The spec is stored as given — not resolved —
-        so configs serialise losslessly and independently of this host.
     """
 
     variant: str = "batched"
@@ -137,7 +122,6 @@ class SolverConfig:
     precision: PrecisionPolicy = field(default_factory=PrecisionPolicy)
     tuning: str = "default"
     residual_budget: Optional[float] = None
-    parallel: Any = None
 
     def __post_init__(self) -> None:
         _check(
@@ -196,29 +180,6 @@ class SolverConfig:
         )
         if self.residual_budget is not None:
             object.__setattr__(self, "residual_budget", float(self.residual_budget))
-        # canonicalise the dict form to the frozen policy (hashability);
-        # every other spelling is stored as given and validated by a dry
-        # resolution — ``None`` stays None so the env deferral survives
-        # serialisation
-        if isinstance(self.parallel, Mapping):
-            try:
-                object.__setattr__(
-                    self, "parallel", ParallelPolicy(**dict(self.parallel))
-                )
-            except (TypeError, ParallelPolicyError) as exc:
-                raise ConfigError(str(exc)) from exc
-        _check(
-            self.parallel is None
-            or isinstance(self.parallel, (str, ParallelPolicy))
-            or (isinstance(self.parallel, int) and not isinstance(self.parallel, bool)),
-            f"parallel must be None, 'off', 'auto', an int, a ParallelPolicy, "
-            f"or its dict form, got {self.parallel!r}",
-        )
-        if self.parallel is not None:
-            try:
-                resolve_parallel(self.parallel)
-            except ParallelPolicyError as exc:
-                raise ConfigError(str(exc)) from exc
 
     @property
     def numpy_dtype(self) -> Optional[np.dtype]:
@@ -271,7 +232,6 @@ class SolverConfig:
             if self.dispatch_policy is not None
             else DispatchPolicy(),
             precision=precision,
-            parallel=self.parallel,
         )
 
     def construction_context(self) -> ExecutionContext:
@@ -325,7 +285,6 @@ class SolverConfig:
             "precision": asdict(self.precision),
             "tuning": self.tuning,
             "residual_budget": self.residual_budget,
-            "parallel": parallel_to_jsonable(self.parallel),
         }
 
     @classmethod

@@ -115,14 +115,13 @@ def _resolve_problem(
     config: Optional[Any],
     problem_params: dict,
     tuning: Optional[str] = None,
-    parallel: Optional[Any] = None,
     construction: Optional[str] = None,
 ) -> Tuple[Any, SolverConfig]:
     """Instantiate a named problem and settle the effective config.
 
     The problem is resolved *before* the config so that, when no config was
     passed, the problem's ``default_config`` (see
-    :func:`repro.get_problem`) applies.  Explicit ``tuning=`` / ``parallel=``
+    :func:`repro.get_problem`) applies.  Explicit ``tuning=`` / ``construction=``
     arguments override the config's own fields.
     """
     if isinstance(problem, str):
@@ -136,8 +135,6 @@ def _resolve_problem(
     config = _coerce_config(config, problem)
     if tuning is not None and tuning != config.tuning:
         config = config.replace(tuning=tuning)
-    if parallel is not None and parallel != config.parallel:
-        config = config.replace(parallel=parallel)
     if construction is not None and construction != config.compression.construction:
         config = config.replace(
             compression=config.compression.replace(construction=construction)
@@ -212,7 +209,6 @@ def _cached_build(
     problem_params: dict,
     tuning: Optional[str],
     cache: CacheLike,
-    parallel: Optional[Any] = None,
     construction: Optional[str] = None,
 ) -> Tuple[AssembledProblem, HODLROperator, SolverConfig]:
     """Shared assemble+factorize path of :func:`solve`/:func:`build_operator`.
@@ -230,7 +226,7 @@ def _cached_build(
         else None
     )
     problem, cfg = _resolve_problem(
-        problem, config, problem_params, tuning, parallel, construction
+        problem, config, problem_params, tuning, construction
     )
     if fp is not None:
         cached = cache_obj.get(fp, cfg)
@@ -269,7 +265,6 @@ def build_operator(
     *,
     tuning: Optional[str] = None,
     cache: CacheLike = None,
-    parallel: Optional[Any] = None,
     construction: Optional[str] = None,
     **problem_params: Any,
 ) -> HODLROperator:
@@ -287,11 +282,6 @@ def build_operator(
     operators are shared objects: their :class:`SolveStats` accumulate
     across calls.
 
-    ``parallel=`` overrides the config's thread-pool execution spec
-    (``"off"``, ``"auto"``, a worker count, or a
-    :class:`~repro.backends.parallel.ParallelPolicy`) — see
-    :mod:`repro.backends.parallel`.
-
     ``construction=`` overrides the compression config's construction
     schedule: ``"batched"`` (default) or ``"peeling"`` —
     the latter builds the HODLR approximation from matvec probes alone
@@ -299,7 +289,7 @@ def build_operator(
     with ``config.compression.max_rank``).
     """
     _, operator, _ = _cached_build(
-        problem, config, problem_params, tuning, cache, parallel, construction
+        problem, config, problem_params, tuning, cache, construction
     )
     return operator
 
@@ -354,7 +344,6 @@ def solve(
     compute_residual: Union[bool, str] = True,
     tuning: Optional[str] = None,
     cache: CacheLike = None,
-    parallel: Optional[Any] = None,
     **problem_params: Any,
 ) -> SolveResult:
     """Assemble, factorize, and solve ``problem`` under ``config``.
@@ -388,12 +377,6 @@ def solve(
     in one kernel parameter, see :func:`repro.run_sweep`, which recycles
     construction across the parameter axis instead.
 
-    ``parallel=`` overrides the config's thread-pool execution spec
-    (``"off"`` pins today's serial schedule; ``"auto"`` / a worker count /
-    a :class:`~repro.backends.parallel.ParallelPolicy` enable bucket- and
-    pipeline-level parallelism) — shorthand for
-    ``config.replace(parallel=...)``.
-
     Returns a :class:`SolveResult`; the factorized operator inside it acts
     in the caller's ordering too and can be reused for more solves without
     re-assembly.
@@ -403,7 +386,7 @@ def solve(
             f"compute_residual must be True, False, or 'exact', got {compute_residual!r}"
         )
     assembled, operator, config = _cached_build(
-        problem, config, problem_params, tuning, cache, parallel
+        problem, config, problem_params, tuning, cache
     )
     if compute_residual == "exact" and assembled.operator is None:
         raise ValueError(
@@ -454,7 +437,6 @@ def solve_many(
     compute_residual: Union[bool, str] = True,
     tuning: Optional[str] = None,
     cache: CacheLike = None,
-    parallel: Optional[Any] = None,
     **problem_params: Any,
 ) -> SolveResult:
     """Solve ``problem`` against a block of ``K`` right-hand sides at once.
@@ -498,7 +480,6 @@ def solve_many(
         compute_residual=False,
         tuning=tuning,
         cache=cache,
-        parallel=parallel,
         **problem_params,
     )
     if not compute_residual:

@@ -264,7 +264,7 @@ class RPYMobilityProblem:
         hodlr = build_hodlr(
             entries,
             tree,
-            config=comp.replace(seed=self.seed),
+            config=comp,
             context=config.construction_context(),
         )
         return AssembledProblem(

@@ -80,7 +80,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.linalg as sla
 
-from ..backends.parallel import resolve_parallel, run_tasks
 from ..core.hodlr import HODLRMatrix
 from ..core.low_rank import LowRankFactor
 from ..core.solver import SolveStats
@@ -703,7 +702,6 @@ def _config_sweep(
     rhs: Optional[np.ndarray],
     compute_residual: bool,
     keep_operators: bool = True,
-    policy: Optional[Any] = None,
 ) -> SweepResult:
     """Sweep solver configs over one fixed problem, sharing assembly."""
     from .facade import assemble
@@ -725,11 +723,10 @@ def _config_sweep(
             assembled_by_comp[key] = assemble(problem, cfg)
             assemble_seconds[key] = time.perf_counter() - t0
 
-    # phase 2: factorize + solve per config.  Each step builds its own
-    # operator from the shared (read-only from here on) assembled problem,
-    # so the steps are independent and run on the pool when a parallel
-    # policy is active; run_tasks inlines them, in order, when it is not
-    def _config_step(cfg: SolverConfig, key: Any, recycled: bool) -> SweepStep:
+    # phase 2: factorize + solve per config, in order.  Each step builds
+    # its own operator from the shared (read-only from here on) assembly
+    steps: List[SweepStep] = []
+    for cfg, key, recycled in zip(configs, keys, recycled_flags):
         assembled = assembled_by_comp[key]
         t_start = time.perf_counter()
         operator = HODLROperator(assembled.hodlr, cfg, perm=assembled.perm)
@@ -755,7 +752,7 @@ def _config_sweep(
         if not recycled:
             # the step that first built this assembly owns its wall-clock
             total += assemble_seconds[key]
-        return SweepStep(
+        steps.append(SweepStep(
             params={"config": cfg.to_dict()},
             x=x,
             relative_residual=relres,
@@ -775,15 +772,7 @@ def _config_sweep(
             ),
             stats=operator.stats,
             operator=operator if keep_operators else None,
-        )
-
-    steps = run_tasks(
-        [
-            lambda cfg=cfg, key=key, rec=rec: _config_step(cfg, key, rec)
-            for cfg, key, rec in zip(configs, keys, recycled_flags)
-        ],
-        policy,
-    )
+        ))
     return SweepResult(steps=steps)
 
 
@@ -801,7 +790,6 @@ def run_sweep(
     keep_workspace: bool = False,
     keep_operators: bool = False,
     tuning: Optional[str] = None,
-    parallel: Optional[Any] = None,
     **problem_params: Any,
 ) -> SweepResult:
     """Solve a family of related systems, recycling construction.
@@ -835,17 +823,6 @@ def run_sweep(
         hundreds of MB, so a long sweep retaining all of them would hoard
         memory; solutions, residuals, stats, and trace rows are always
         kept.
-    parallel:
-        Concurrency of the *independent* sweep steps: ``"off"`` (serial),
-        ``"auto"``, an explicit worker count, or a
-        :class:`~repro.backends.parallel.ParallelPolicy`; ``None``
-        (default) defers to the ``REPRO_PARALLEL`` environment variable.
-        Non-incremental steps — config-sweep factorizations sharing a
-        read-only assembly, and parameter steps that fall back to full
-        solves — fan out over the shared pool.  Recycled workspace steps
-        stay serial regardless: each one reads the skeletons the previous
-        step's fallbacks may have refreshed, so their order is part of the
-        algorithm.  Results and trace rows are identical to a serial run.
 
     Returns a :class:`SweepResult` whose ``trace()`` rows record, per
     step, the residual, timing breakdown, ranks, and whether the step was
@@ -862,16 +839,13 @@ def run_sweep(
     configs = list(configs)
     if not configs:
         return SweepResult(steps=[])
-    policy = resolve_parallel(parallel)
     if all(isinstance(c, SolverConfig) for c in configs):
         if config is not None:
             raise ValueError(
                 "pass either a sequence of SolverConfigs or a shared config=, not both"
             )
         problem_r, _ = _resolve_problem(problem, configs[0], problem_params, tuning)
-        return _config_sweep(
-            problem_r, configs, rhs, compute_residual, keep_operators, policy
-        )
+        return _config_sweep(problem_r, configs, rhs, compute_residual, keep_operators)
     if any(isinstance(c, SolverConfig) for c in configs):
         raise TypeError("configs mixes SolverConfig objects and parameter mappings")
 
@@ -893,48 +867,26 @@ def run_sweep(
         for ov, upd in zip(overrides, updatable)
     ]
 
-    # non-incremental steps (full independent solves) fan out over the
-    # pool up front; recycled steps run serially below — each one reads
-    # the skeletons the previous step's fallbacks may have refreshed, so
-    # their order is part of the algorithm, not an implementation detail
-    slots: List[Optional[SweepStep]] = [None] * len(overrides)
-    if policy is not None:
-        noninc = [
-            i
-            for i, ok in enumerate(recyclable)
-            if not ok and not updatable[i]
-        ]
-        if noninc:
-            full = run_tasks(
-                [
-                    lambda ov=overrides[i]: _full_solve_step(
-                        problem_r, ov, cfg, rhs, compute_residual, keep_operators
-                    )
-                    for i in noninc
-                ],
-                policy,
-            )
-            for i, st in zip(noninc, full):
-                slots[i] = st
-
+    # steps run in order: each recycled step reads the skeletons the
+    # previous step's fallbacks may have refreshed, so the order is part of
+    # the algorithm, not an implementation detail
+    steps: List[SweepStep] = []
     workspace: Optional[SweepWorkspace] = None
     chain: Optional[_GeometryChain] = None
-    for pos, (ov, can_recycle) in enumerate(zip(overrides, recyclable)):
-        if slots[pos] is not None:
-            continue
-        if updatable[pos]:
+    for ov, can_recycle, is_update in zip(overrides, recyclable, updatable):
+        if is_update:
             if chain is None:
                 chain = _GeometryChain(problem_r, cfg, rhs)
-            slots[pos] = chain.step(
+            steps.append(chain.step(
                 ov,
                 compute_residual=compute_residual,
                 keep_operator=keep_operators,
-            )
+            ))
             continue
         if not can_recycle:
-            slots[pos] = _full_solve_step(
+            steps.append(_full_solve_step(
                 problem_r, ov, cfg, rhs, compute_residual, keep_operators
-            )
+            ))
             continue
         if workspace is None:
             # anchor the workspace at the first recyclable step's parameters
@@ -967,17 +919,17 @@ def run_sweep(
                 workspace.problem = problem_r
             except TypeError:
                 workspace = None
-                slots[pos] = _full_solve_step(
+                steps.append(_full_solve_step(
                     problem_r, ov, cfg, rhs, compute_residual, keep_operators
-                )
+                ))
                 continue
-        slots[pos] = workspace.step(
+        steps.append(workspace.step(
             ov,
             rhs=rhs,
             compute_residual=compute_residual,
             keep_operator=keep_operators,
-        )
+        ))
     return SweepResult(
-        steps=[s for s in slots if s is not None],
+        steps=steps,
         workspace=workspace if keep_workspace else None,
     )

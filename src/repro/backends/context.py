@@ -22,11 +22,6 @@ is the only way those layers are told where and how to run (``None`` means
     (possibly demoted) dtype of the compiled apply plan, the accumulation
     dtype of demoted products, and whether direct solves run one step of
     iterative refinement to recover full-precision residuals.
-``parallel``
-    The resolved :class:`~repro.backends.parallel.ParallelPolicy` (or
-    ``None`` for serial execution).  ``None`` on input consults the
-    ``REPRO_PARALLEL`` environment variable; ``"off"`` pins serial
-    execution.
 
 Transfers are explicit and happen only at the facade boundary:
 :meth:`ExecutionContext.to_device` / :meth:`ExecutionContext.to_host`.
@@ -217,8 +212,6 @@ class ExecutionContext:
     backend: Union[str, ArrayBackend] = "numpy"
     policy: Union[str, DispatchPolicy] = field(default_factory=lambda: DEFAULT_POLICY)
     precision: PrecisionPolicy = field(default_factory=PrecisionPolicy)
-    #: resolved to Optional[ParallelPolicy] on construction (None = serial)
-    parallel: Any = None
 
     def __post_init__(self) -> None:
         if isinstance(self.backend, str):
@@ -243,12 +236,6 @@ class ExecutionContext:
             raise TypeError(
                 f"precision must be a PrecisionPolicy, got {self.precision!r}"
             )
-        # "off"/"auto"/int/mapping/None -> Optional[ParallelPolicy]; worker
-        # count resolution of "auto" stays lazy (first pool decision), so a
-        # context never triggers calibration just by existing
-        from .parallel import resolve_parallel
-
-        object.__setattr__(self, "parallel", resolve_parallel(self.parallel))
 
     # ------------------------------------------------------------------
     # placement

@@ -8,13 +8,9 @@ model (:mod:`repro.backends.perfmodel`) and for the GFlop/s figures
 (Fig. 9 of the paper).
 
 Recording is cheap relative to the numerical work (a few large batched
-launches per tree level) and is **thread-safe with deterministic merge
-order**: the recorder's trace stack and ambient context are thread-local,
-workers of the shared pool (:mod:`repro.backends.parallel`) record into
-detached per-task sub-traces (:meth:`TraceRecorder.subtrace`), and the
-coordinator absorbs them in stable task-index order
-(:meth:`TraceRecorder.absorb`) — never completion order — so parallel
-runs produce byte-identical traces equal to the serial event sequence.
+launches per tree level) and **thread-safe**: the recorder's trace stack
+and ambient context are thread-local, so concurrent callers each record
+into their own traces.
 """
 
 from __future__ import annotations
@@ -185,12 +181,8 @@ class TraceRecorder:
     >>> trace.total_flops  # doctest: +SKIP
 
     State (the trace stack and the ambient level/tag context) is
-    **thread-local**: each thread records into its own stack, so pool
-    workers never contend with — or interleave into — the coordinator's
-    trace.  The parallel executor captures the coordinator's ambient
-    context (:meth:`capture_ambient`), installs it in each worker's
-    detached :meth:`subtrace`, and merges the sub-traces back with
-    :meth:`absorb` in stable task-index order.
+    **thread-local**: each thread records into its own stack, so
+    concurrent callers never interleave into each other's traces.
     """
 
     def __init__(self) -> None:
@@ -238,45 +230,6 @@ class TraceRecorder:
             yield
         finally:
             st.level, st.tag = old
-
-    # -- worker-side sub-traces (see repro.backends.parallel) ---------------
-    def capture_ambient(self) -> Tuple[Optional[int], str]:
-        """This thread's ambient ``(level, tag)``, for re-installation
-        inside a worker's :meth:`subtrace`."""
-        st = self._state()
-        return (st.level, st.tag)
-
-    @contextlib.contextmanager
-    def subtrace(
-        self, ambient: Optional[Tuple[Optional[int], str]] = None
-    ) -> Iterator[KernelTrace]:
-        """Record this thread's events into a fresh *detached* trace.
-
-        Unlike :meth:`recording`, the popped trace does **not** bubble into
-        a parent on this thread — the coordinator that submitted the task
-        merges it explicitly with :meth:`absorb`, in task-index order.
-        ``ambient`` (from the submitter's :meth:`capture_ambient`) is
-        installed for the duration so events keep their level/tag
-        annotations across the thread hop.
-        """
-        st = self._state()
-        old = (st.level, st.tag)
-        if ambient is not None:
-            st.level, st.tag = ambient
-        trace = KernelTrace()
-        st.stack.append(trace)
-        try:
-            yield trace
-        finally:
-            st.stack.pop()
-            st.level, st.tag = old
-
-    def absorb(self, trace: KernelTrace) -> None:
-        """Merge a worker sub-trace into this thread's active trace (no-op
-        when nothing is recording)."""
-        st = self._state()
-        if st.stack:
-            st.stack[-1].extend(trace)
 
     # -- event emission ----------------------------------------------------
     def emit(self, event: KernelEvent) -> None:

@@ -627,7 +627,7 @@ class CupyBackend:
 # backend registry
 # ======================================================================
 #: guards the factory/instance dicts — registration and first-lookup
-#: instantiation may now race with pool workers resolving backends
+#: instantiation may race with callers' threads resolving backends
 _REGISTRY_LOCK = threading.Lock()
 _BACKEND_FACTORIES: Dict[str, Callable[[], ArrayBackend]] = {}
 _BACKEND_INSTANCES: Dict[str, ArrayBackend] = {}

@@ -84,7 +84,6 @@ from ..backends.batched import gemm_strided_batched, getrf_batched, getrs_batche
 from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
 from ..backends.counters import get_recorder
 from ..backends.dispatch import pad_identity_stack, plan_batch, plan_batch_padded
-from ..backends.parallel import run_tasks
 from .packing import GatherScatter, demote_rhs_dtype, owned_nbytes, viewed_buffers
 
 
@@ -615,11 +614,7 @@ def build_factor_plan(
     Ybig = _concat_bases(hodlr.U, tree, level_ranks, xb.zeros, dtype)
     kept = _kept_leaf_factors(previous, hodlr, dtype, pol)
 
-    # ---- leaves: one packed LU + one packed substitution per size bucket.
-    # Same-level buckets are mutually independent (disjoint leaf row ranges
-    # of Ybig), so under a parallel context each bucket becomes a pool task;
-    # run_tasks returns results — and absorbs each task's kernel events —
-    # in bucket order, keeping the trace identical to serial.
+    # ---- leaves: one packed LU + one packed substitution per size bucket
     leaves = tree.leaves
     with rec.context(level=tree.levels):
         plan_buckets = _leaf_plan_buckets(tree, pol)
@@ -634,7 +629,8 @@ def build_factor_plan(
             # the plan's leaf buckets are the matrix's diagonal stacks
             stacks = [db.D for db in hodlr.storage.diag]
 
-        def _leaf_task(bucket, D3):
+        leaf_buckets: List[_LeafBucket] = []
+        for bucket, D3 in zip(plan_buckets, stacks):
             gs = GatherScatter.from_ranges(
                 [(leaves[i].start, leaves[i].stop) for i in bucket.indices], bucket.key[0]
             )
@@ -642,16 +638,9 @@ def build_factor_plan(
             if Ybig.shape[1]:
                 sol3 = getrs_batched(lu3, piv3, gs.take(Ybig), pivot=True, backend=xb, policy=pol)
                 gs.put(Ybig, sol3)
-            return _LeafBucket(positions=bucket.indices, gs=gs, lu3=lu3, piv3=piv3)
-
-        leaf_elements = float(
-            sum(len(b.indices) * b.key[0] * b.key[0] for b in plan_buckets)
-        )
-        leaf_buckets: List[_LeafBucket] = run_tasks(
-            [lambda b=b, D3=D3: _leaf_task(b, D3) for b, D3 in zip(plan_buckets, stacks)],
-            getattr(ctx, "parallel", None),
-            elements=leaf_elements,
-        )
+            leaf_buckets.append(
+                _LeafBucket(positions=bucket.indices, gs=gs, lu3=lu3, piv3=piv3)
+            )
 
     # ---- level sweep, bottom-up
     sweeps: List[_LevelSweep] = []
@@ -672,31 +661,16 @@ def build_factor_plan(
             child_buckets = _child_plan_buckets(children, r, pol)
             vh = _vh_stacks(xb, hodlr, child_level, child_buckets, r, pol, dtype)
 
-            # same-level buckets touch disjoint `pos` rows of T_all: each
-            # becomes a pool task under a parallel context (results and
-            # kernel events come back in bucket order — see the leaf loop)
-            def _bucket_task(b, Vh3):
-                M = b.key[0]
-                members = [children[i] for i in b.indices]
+            buckets: List[_SweepBucket] = []
+            for b, Vh3 in zip(child_buckets, vh):
                 gs = GatherScatter.from_ranges(
-                    [(nd.start, nd.stop) for nd in members], M
+                    [(children[i].start, children[i].stop) for i in b.indices], b.key[0]
                 )
                 Y3 = gs.take(Ysub)
                 pos = np.asarray(b.indices, dtype=np.intp)
                 # line 5: T = V^* Y, one strided launch per bucket
                 T_all[pos] = gemm_strided_batched(Vh3, Y3, backend=xb)
-                return _SweepBucket(pos=pos, gs=gs, Y3=Y3, Vh3=Vh3)
-
-            buckets: List[_SweepBucket] = run_tasks(
-                [
-                    lambda b=b, v=v: _bucket_task(b, v)
-                    for b, v in zip(child_buckets, vh)
-                ],
-                getattr(ctx, "parallel", None),
-                elements=float(
-                    sum(2 * len(b.indices) * b.key[0] * r for b in child_buckets)
-                ),
-            )
+                buckets.append(_SweepBucket(pos=pos, gs=gs, Y3=Y3, Vh3=Vh3))
 
             # lines 7-8: assemble and LU-factorize the K systems
             K3 = _assemble_k(xb, T_all, len(gammas), r, dtype, pivot)
@@ -716,35 +690,17 @@ def build_factor_plan(
             if ncoarse:
                 Ycsub = Ybig[:, :ncoarse]
                 w_all = xb.zeros((nchild, r, ncoarse), dtype=dtype)
-                gemm_elements = float(
-                    sum(2 * len(bk.pos) * bk.Y3.shape[1] * r for bk in buckets)
-                ) * max(1, ncoarse)
-
-                def _project_task(bk):
-                    # disjoint w_all rows per bucket
+                for bk in buckets:
                     w_all[bk.pos] = gemm_strided_batched(
                         bk.Vh3, bk.gs.take(Ycsub), backend=xb
                     )
-
-                run_tasks(
-                    [lambda bk=bk: _project_task(bk) for bk in buckets],
-                    getattr(ctx, "parallel", None),
-                    elements=gemm_elements,
-                )
                 K_rhs = _pair_rhs(w_all, len(gammas), r, pivot)
                 W = getrs_batched(k_lu3, k_piv3, K_rhs, pivot=pivot, backend=xb, policy=pol)
                 W_half = W.reshape(nchild, r, ncoarse)
 
-                def _update_task(bk):
-                    # disjoint Ycsub row ranges per bucket
+                for bk in buckets:
                     upd = gemm_strided_batched(bk.Y3, W_half[bk.pos], backend=xb)
                     bk.gs.sub(Ycsub, upd)
-
-                run_tasks(
-                    [lambda bk=bk: _update_task(bk) for bk in buckets],
-                    getattr(ctx, "parallel", None),
-                    elements=gemm_elements,
-                )
 
     return FactorPlan(
         tree=tree,

@@ -59,7 +59,6 @@ import numpy as np
 
 from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
 from ..backends.dispatch import plan_batch
-from ..backends.parallel import prefetch_iter
 from .cluster_tree import ClusterTree, TreeNode
 from .compression import (
     BlockEvaluator,
@@ -806,16 +805,10 @@ def _build_hodlr_batched(
     V: Dict[int, np.ndarray] = {}
     xb = context.backend
 
-    # leaf diagonal blocks: one gather per leaf-size bucket.  With a
-    # parallel context the gather/evaluate stage runs one chunk ahead on a
-    # pool worker (bounded two-deep pipeline) while this thread scatters;
-    # chunk order — and therefore the result — is unchanged.
+    # leaf diagonal blocks: one gather per leaf-size bucket
     leaves = tree.leaves
     leaf_rows = [leaf.indices for leaf in leaves]
-    for chunk, stack in prefetch_iter(
-        _gather_chunks(evaluator, multi, leaf_rows, leaf_rows, dtype, xb),
-        context.parallel,
-    ):
+    for chunk, stack in _gather_chunks(evaluator, multi, leaf_rows, leaf_rows, dtype, xb):
         for j, i in enumerate(chunk):
             diag[leaves[i].index] = stack[j]
 
@@ -854,17 +847,13 @@ def _build_hodlr_batched(
                 factors[i] = compress_block(block_eval, rn.size, cn.size, config, dtype=dtype)
         else:
             # each shape-bucket chunk is materialised once as a strided stack
-            # and compressed in place — no per-block intermediate copies.
-            # Under a parallel context the kernel evaluation of chunk k+1
-            # overlaps this thread's compression of chunk k; the shared rng
-            # is consumed only here, in chunk order, so the factors are
-            # bit-identical to the serial schedule.
+            # and compressed in place — no per-block intermediate copies;
+            # the shared rng is consumed in chunk order
             row_sets = [nd.indices for nd in row_nodes]
             col_sets = [nd.indices for nd in col_nodes]
             rng = config.generator()
-            for chunk, stack in prefetch_iter(
-                _gather_chunks(evaluator, multi, row_sets, col_sets, dtype, xb),
-                context.parallel,
+            for chunk, stack in _gather_chunks(
+                evaluator, multi, row_sets, col_sets, dtype, xb
             ):
                 compressed = compress_block_stack(stack, config, context=context, rng=rng)
                 for i, f in zip(chunk, compressed):
@@ -879,15 +868,18 @@ def _build_hodlr_batched(
 def build_hodlr_from_dense(
     A: np.ndarray,
     tree: Optional[ClusterTree] = None,
-    leaf_size: int = 64,
-    tol: float = 1e-12,
-    method: str = "svd",
-    max_rank: Optional[int] = None,
+    config: Optional[CompressionConfig] = None,
 ) -> HODLRMatrix:
-    """Convenience wrapper: compress a dense matrix into HODLR format."""
+    """Convenience wrapper: compress a dense matrix into HODLR format.
+
+    ``tree=None`` builds a balanced tree with ``config.leaf_size`` leaves;
+    ``config=None`` uses the :class:`CompressionConfig` defaults, exactly
+    as :func:`build_hodlr` does.
+    """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("expected a square 2-D array")
+    config = config or CompressionConfig()
     if tree is None:
-        tree = ClusterTree.balanced(A.shape[0], leaf_size=leaf_size)
-    return build_hodlr(A, tree, tol=tol, method=method, max_rank=max_rank)
+        tree = ClusterTree.balanced(A.shape[0], leaf_size=config.leaf_size)
+    return build_hodlr(A, tree, config)

@@ -161,8 +161,8 @@ class HODLRSolver:
         # dtype argument, never implicitly
         self.hodlr = hodlr if dtype is None else hodlr.astype(dtype)
         self.stats = SolveStats()
-        # solve() may run concurrently (parallel sweeps/portfolios sharing a
-        # cached operator); the read-modify-write stats update needs a lock
+        # solve() may run concurrently (callers' threads sharing a cached
+        # operator); the read-modify-write stats update needs a lock
         self._stats_lock = threading.Lock()
         self._impl: Optional[
             Union[RecursiveFactorization, BatchedFactorization]

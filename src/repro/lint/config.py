@@ -95,13 +95,13 @@ class LintConfig:
         "src/repro/api/config.py",
         "src/repro/core/compression.py",
     )
-    #: RL006 scope: modules whose functions run on the shared thread pool —
-    #: module-global mutation there must sit under a ``with <lock>`` block
+    #: RL006 scope: modules whose functions concurrent callers' threads may
+    #: run at once — module-global mutation there must sit under a
+    #: ``with <lock>`` block
     rl006_modules: Tuple[str, ...] = (
         "src/repro/backends/batched.py",
         "src/repro/backends/calibration.py",
         "src/repro/backends/dispatch.py",
-        "src/repro/backends/parallel.py",
         "src/repro/core/apply_plan.py",
         "src/repro/core/factor_plan.py",
         "src/repro/core/arithmetic.py",

@@ -462,7 +462,7 @@ def rl003_trace_accounting(project) -> Iterator[Violation]:
 
 
 # ======================================================================
-# RL006 — unsynchronized module-global mutation in pool-executed modules
+# RL006 — unsynchronized module-global mutation in shared modules
 # ======================================================================
 
 #: container methods that mutate their receiver in place
@@ -494,7 +494,7 @@ def _rl006_root_name(expr: ast.expr) -> Optional[str]:
 
 
 def _rl006_module_names(tree: ast.Module, imports: ImportMap) -> Set[str]:
-    """Names bound at module level to values shared across pool workers.
+    """Names bound at module level to values shared across threads.
 
     Names bound to ``threading.local()`` / ``contextvars.ContextVar(...)``
     are excluded: their whole point is per-thread isolation.
@@ -531,7 +531,7 @@ def _rl006_lock_guard(node) -> bool:
     "RL006",
     "pool-shared-state",
     "file",
-    "pool-executed modules must mutate module globals only under a lock",
+    "modules shared by concurrent callers must mutate module globals only under a lock",
 )
 def rl006_pool_shared_state(ctx) -> Iterator[Violation]:
     if not _in_scope(ctx.relpath, ctx.config.rl006_modules):
@@ -545,9 +545,9 @@ def rl006_pool_shared_state(ctx) -> Iterator[Violation]:
                 ctx.relpath,
                 node,
                 "RL006",
-                f"{what} outside any `with <lock>` block in a pool-executed "
-                "module: tasks on the shared thread pool can run this code "
-                "concurrently and race the mutation.  Hold a module lock "
+                f"{what} outside any `with <lock>` block in a shared "
+                "module: concurrent callers' threads can run this code at "
+                "once and race the mutation.  Hold a module lock "
                 "around it, make the state thread-local, or baseline a "
                 "deliberately unsynchronized path with a reasoned pragma",
             )
@@ -623,7 +623,7 @@ def rl006_pool_shared_state(ctx) -> Iterator[Violation]:
 
     def find_functions(node: ast.AST) -> None:
         # module-level statements run once under the import lock; only code
-        # inside functions can execute concurrently on the pool
+        # inside functions can execute concurrently
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 declared = {

@@ -173,6 +173,16 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert SolverConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_from_dict_rejects_retired_parallel_key(self):
+        # a payload written before the thread pool was retired
+        d = dict(SolverConfig().to_dict(), parallel=None)
+        with pytest.raises(ConfigError, match="parallel"):
+            SolverConfig.from_dict(d)
+
+    def test_parallel_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            repro.solve("gaussian_kernel", n=256, parallel="auto")
+
     def test_replace_reaches_compression_fields(self):
         cfg = SolverConfig()
         assert cfg.replace(tol=1e-3).compression.tol == 1e-3
@@ -242,6 +252,21 @@ class TestProblemRegistry:
             assert result.relative_residual < 1e-9
         finally:
             unregister_problem("api_test_custom")
+
+    def test_rpy_randomized_build_honours_config_seed(self):
+        def u_stacks(seed):
+            cfg = SolverConfig(
+                compression=CompressionConfig(method="randomized", tol=1e-6, seed=seed)
+            )
+            H = get_problem("rpy_mobility", num_particles=64).assemble(cfg).hodlr
+            return [H.U[k] for k in sorted(H.U)]
+
+        first, again, other = u_stacks(3), u_stacks(3), u_stacks(4)
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a, b)
+        assert any(
+            a.shape != c.shape or not np.array_equal(a, c) for a, c in zip(first, other)
+        )
 
 
 # ======================================================================

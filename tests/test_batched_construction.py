@@ -16,7 +16,6 @@ from repro.api.problems import HelmholtzKernelProblem
 from repro.backends.context import ExecutionContext
 from repro.backends.counters import get_recorder
 from repro.backends.dispatch import DEFAULT_POLICY, LOOP_POLICY, plan_batch
-from repro.backends.parallel import ParallelPolicy, shutdown_pool
 from repro.core import (
     ApplyPlan,
     BatchedFactorization,
@@ -257,22 +256,6 @@ class TestLockstepRook:
             scale = np.linalg.norm(blk)
             assert np.linalg.norm(fb.to_dense() - fl.to_dense()) <= 1e-12 * scale
 
-    def test_parallel_bit_identical(self):
-        km = gp_1d(1024)
-        tree = ClusterTree.balanced(1024, leaf_size=32)
-        cfg = CompressionConfig(tol=1e-8, method="rook")
-        H_serial = build_hodlr(km, tree, config=cfg)
-        forced = ParallelPolicy(workers=2, min_tasks=2, min_task_elements=0)
-        try:
-            H_par = build_hodlr(km, tree, config=cfg,
-                                context=ExecutionContext(parallel=forced))
-        finally:
-            shutdown_pool()
-        for store in ("diag", "U", "V"):
-            serial, par = getattr(H_serial, store), getattr(H_par, store)
-            assert serial.keys() == par.keys()
-            assert all(np.array_equal(serial[k], par[k]) for k in serial)
-
     def test_gathers_per_level_do_not_grow_with_blocks(self, monkeypatch):
         import repro.core.hodlr as hodlr_mod
 
@@ -484,22 +467,6 @@ class TestSampleReusingRangeFinder:
         assert np.abs(f.V.conj().T @ f.V - np.eye(rank)).max() <= 1e-12
         assert np.linalg.norm(f.to_dense() - blk) <= 1e-12 * np.linalg.norm(blk)
 
-    def test_parallel_bit_identical(self):
-        km, tree = helmholtz_km(1024)
-        cfg = CompressionConfig(tol=self.TOL, method="randomized")
-        H_serial = build_hodlr(km, tree, config=cfg)
-        forced = ParallelPolicy(workers=2, min_tasks=2, min_task_elements=0)
-        try:
-            H_par = build_hodlr(km, tree, config=cfg,
-                                context=ExecutionContext(parallel=forced))
-        finally:
-            shutdown_pool()
-        assert H_serial.rank_profile()[0] > 2 * 18  # level 1 takes >= 3 rounds
-        for store in ("diag", "U", "V"):
-            serial, par = getattr(H_serial, store), getattr(H_par, store)
-            assert serial.keys() == par.keys()
-            assert all(np.array_equal(serial[k], par[k]) for k in serial)
-
 
 # ======================================================================
 # symmetric sources: one compressed block per sibling pair, mirrored
@@ -589,19 +556,6 @@ class TestSymmetricConstruction:
         # transposing reorders each gemm's accumulation, nothing more
         assert np.abs(A - A.T).max() <= 1e-14 * np.abs(A).max()
         assert np.linalg.norm(A - dense) <= 10 * self.TOL * scale
-
-    def test_parallel_bit_identical(self):
-        km, tree = symmetric_sources()["gaussian"]
-        for method in ("svd", "randomized"):
-            cfg = CompressionConfig(tol=self.TOL, method=method)
-            H_serial = build_hodlr(km, tree, config=cfg)
-            forced = ParallelPolicy(workers=2, min_tasks=2, min_task_elements=0)
-            try:
-                H_par = build_hodlr(km, tree, config=cfg,
-                                    context=ExecutionContext(parallel=forced))
-            finally:
-                shutdown_pool()
-            assert_bitwise_equal(H_serial, H_par)
 
 
 def perturbed_probe_matrices(n=256):

@@ -127,6 +127,25 @@ class TestMachineProfile:
         assert calibrate(cache_path=path) == profile
         assert MachineProfile.load(path) == profile
 
+    def test_calibrate_remeasures_v3_profile_with_parallel_fields(
+        self, profile, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "p.json"
+        monkeypatch.setenv("REPRO_PROFILE_CACHE", str(path))
+        v3 = dict(
+            profile.to_dict(),
+            version=3,
+            parallel_workers=2,
+            parallel_efficiency=0.6,
+            parallel_min_elements=4096,
+        )
+        path.write_text(json.dumps(v3))
+        with pytest.raises(ValueError, match="parallel_workers"):
+            MachineProfile.load(path)
+        monkeypatch.setattr(calibration, "measure_profile", lambda **kw: profile)
+        assert calibrate() == profile
+        assert MachineProfile.load(path) == profile
+
     def test_calibrate_remeasures_on_corrupt_cache(self, profile, tmp_path, monkeypatch):
         path = tmp_path / "profile.json"
         path.write_text("{not json")
@@ -231,7 +250,9 @@ class TestPrecisionDerivation:
 
     def test_hodlr_level_bytes_accounts_all_storage(self):
         A = hodlr_friendly_matrix(256)
-        H = repro.build_hodlr_from_dense(A, leaf_size=32, tol=1e-10)
+        H = repro.build_hodlr_from_dense(
+            A, config=repro.CompressionConfig(leaf_size=32, tol=1e-10, method="svd")
+        )
         lb = hodlr_level_bytes(H)
         total = sum(lb.values())
         expected = sum(H.U[i].nbytes + H.V[i].nbytes for i in H.U)

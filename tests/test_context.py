@@ -407,7 +407,9 @@ class TestMixedPrecisionPlan:
         A = np.exp(1j * np.subtract.outer(x, x)) / (
             1.0 + 30.0 * np.abs(np.subtract.outer(x, x))
         ) + n * np.eye(n)
-        H = repro.build_hodlr_from_dense(A, leaf_size=32, tol=1e-10)
+        H = repro.build_hodlr_from_dense(
+            A, config=repro.CompressionConfig(leaf_size=32, tol=1e-10, method="svd")
+        )
         ctx = ExecutionContext(precision=PrecisionPolicy(plan="float32"))
         plan = ApplyPlan(H, context=ctx)
         assert all(b.U3.dtype == np.complex64 for b in plan.lowrank_buckets)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import build_hodlr, build_hodlr_from_dense
+from repro import ClusterTree, CompressionConfig, build_hodlr, build_hodlr_from_dense
 from conftest import hodlr_friendly_matrix
 
 
@@ -13,7 +13,9 @@ class TestConstruction:
         assert H.approximation_error(small_dense) < 1e-10
 
     def test_from_dense_convenience(self, small_dense):
-        H = build_hodlr_from_dense(small_dense, leaf_size=32, tol=1e-10)
+        H = build_hodlr_from_dense(
+            small_dense, config=CompressionConfig(leaf_size=32, tol=1e-10, method="svd")
+        )
         assert H.approximation_error(small_dense) < 1e-8
 
     def test_from_evaluator(self, small_dense, small_tree):
@@ -30,6 +32,17 @@ class TestConstruction:
     def test_non_square_raises(self):
         with pytest.raises(ValueError):
             build_hodlr_from_dense(np.zeros((10, 12)))
+
+    def test_from_dense_defaults_are_build_hodlr_defaults(self):
+        n = 300
+        A = hodlr_friendly_matrix(n, seed=3)
+        H = build_hodlr_from_dense(A)
+        ref = build_hodlr(A, ClusterTree.balanced(n, 64))
+        assert [nd.index for nd in H.tree.leaves] == [nd.index for nd in ref.tree.leaves]
+        for got, want in ((H.diag, ref.diag), (H.U, ref.U), (H.V, ref.V)):
+            assert got.keys() == want.keys()
+            for k in want:
+                np.testing.assert_array_equal(got[k], want[k])
 
     def test_tolerance_controls_rank(self, small_dense, small_tree):
         loose = build_hodlr(small_dense, small_tree, tol=1e-3, method="svd")
@@ -99,7 +112,9 @@ class TestDiagnostics:
     def test_memory_smaller_than_dense(self):
         n = 1024
         A = hodlr_friendly_matrix(n, seed=5)
-        H = build_hodlr_from_dense(A, leaf_size=64, tol=1e-8)
+        H = build_hodlr_from_dense(
+            A, config=CompressionConfig(leaf_size=64, tol=1e-8, method="svd")
+        )
         assert H.nbytes < 0.5 * A.nbytes
 
     def test_astype_float32(self, small_dense, small_hodlr):

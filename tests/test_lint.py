@@ -472,7 +472,7 @@ class TestRL005:
 
 
 # ======================================================================
-# RL006 — unsynchronized module-global mutation in pool-executed modules
+# RL006 — unsynchronized module-global mutation in shared modules
 # ======================================================================
 class TestRL006:
     def config(self, tmp_path):
