@@ -1,4 +1,4 @@
-"""Record the repo's measured perf trajectory: ``BENCH_pr10.json``.
+"""Record wall-clock benchmark rows and the CI perf gate's counters.
 
 Times the hot paths of the batched pipeline — HODLR **construction**, the
 **matvec/GMRES apply loop**, the **end-to-end solve**, the **compiled
@@ -30,11 +30,15 @@ the wall-clock rows stay informational.
 
 Usage::
 
-    python benchmarks/record_bench.py                 # full sizes -> BENCH_pr10.json
-    python benchmarks/record_bench.py --smoke         # CI perf-gate sizes
-    python benchmarks/record_bench.py --smoke --output BENCH_pr24.json
+    python benchmarks/record_bench.py --smoke         # CI perf-gate sizes -> BENCH_smoke.json
+    python benchmarks/record_bench.py --smoke --output BENCH_pr25.json --pr 25
                                                       # regenerate the gate baseline
-    python benchmarks/record_bench.py --output out.json
+    python benchmarks/record_bench.py --output out.json --pr N
+                                                      # full sizes (--output required)
+
+``--pr`` stamps ``meta.pr`` of the payload (``null`` without it).  A full
+run has no default output, so it cannot overwrite a committed trajectory
+file such as ``BENCH_pr10.json`` by accident.
 
 The full run reproduces the acceptance numbers: the
 auto-tuned solve identical to the default-policy solve to 1e-12 at
@@ -962,9 +966,14 @@ def main(argv=None):
     ap.add_argument("--smoke", action="store_true",
                     help="reduced sizes for the CI perf-gate job")
     ap.add_argument("--output", default=None,
-                    help="output path (default: BENCH_pr10.json at the repo root, "
-                         "BENCH_smoke.json with --smoke)")
+                    help="output path (required in full mode; default "
+                         "BENCH_smoke.json at the repo root with --smoke)")
+    ap.add_argument("--pr", type=int, default=None,
+                    help="change number stamped as meta.pr (default: null)")
     args = ap.parse_args(argv)
+    if not args.smoke and args.output is None:
+        ap.error("a full run needs --output (committed BENCH_pr*.json files "
+                 "are never a default target)")
 
     n_solve = 2048 if args.smoke else 16384
     n_equiv = 1024 if args.smoke else 4096
@@ -973,9 +982,7 @@ def main(argv=None):
     n_sweep = 512 if args.smoke else 4096
     sweep_points = 4 if args.smoke else 16
     rpy_particles = 96 if args.smoke else 400
-    out_path = args.output or os.path.join(
-        REPO_ROOT, "BENCH_smoke.json" if args.smoke else "BENCH_pr10.json"
-    )
+    out_path = args.output or os.path.join(REPO_ROOT, "BENCH_smoke.json")
     print(f"recording {'smoke' if args.smoke else 'full'} benchmark "
           f"(solve N={n_solve}) ...")
     benchmarks = {}
@@ -1028,7 +1035,7 @@ def main(argv=None):
 
     payload = {
         "meta": {
-            "pr": 24,
+            "pr": args.pr,
             "smoke": bool(args.smoke),
             "python": platform.python_version(),
             "numpy": np.__version__,

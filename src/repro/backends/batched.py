@@ -38,6 +38,7 @@ non-pivoted variants of equation (9).
 
 from __future__ import annotations
 
+from math import prod
 from typing import Optional, Tuple
 
 import numpy as np
@@ -85,7 +86,8 @@ def gemm_strided_batched(
     plan: bool = False,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Strided batched GEMM over 3-D operands: ``out[i] = op(A[i]) @ B[i]``.
+    """Strided batched GEMM: ``out[i] = op(A[i]) @ B[i]`` over the leading
+    batch axes (one for a ``(batch, m, k)`` stack, or more for a view).
 
     ``op`` is the identity, or the conjugate transpose with
     ``conjugate_a=True`` (a plain transpose for real ``A``).  This is the
@@ -96,19 +98,20 @@ def gemm_strided_batched(
     (see :class:`~repro.backends.counters.KernelEvent`).  ``out``, a
     ``(batch, m, n)`` array of the product's dtype, receives the result
     instead of a fresh allocation (the compiled plans pass row views of a
-    per-call workspace).
+    per-call workspace, and a ``(pairs, 2, ...)`` view swaps siblings).
     """
-    if A.ndim != 3 or B.ndim != 3:
+    if A.ndim < 3 or A.ndim != B.ndim:
         raise ValueError("gemm_strided_batched expects 3-D operands")
-    if A.shape[0] != B.shape[0]:
+    if A.shape[:-2] != B.shape[:-2]:
         raise ValueError("batch dimensions must agree")
     xb = _resolve(backend)
 
-    opA = A.transpose(0, 2, 1).conj() if conjugate_a else A
+    opA = A.swapaxes(-1, -2).conj() if conjugate_a else A
     out = xb.matmul(opA, B, out=out)
 
-    nbatch, m, k = opA.shape
-    n = B.shape[2]
+    m, k = opA.shape[-2:]
+    n = B.shape[-1]
+    nbatch = prod(opA.shape[:-2])
     cplx = _is_complex(out.dtype)
     record_event(
         KernelEvent(

@@ -62,6 +62,11 @@ from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
 from .packing import GatherScatter, demote_rhs_dtype, owned_nbytes, viewed_buffers
 
 
+def _pairs(a: np.ndarray) -> np.ndarray:
+    """A ``(2p, ...)`` stack as its ``(p, 2, ...)`` view of sibling pairs."""
+    return a.reshape(-1, 2, *a.shape[1:])
+
+
 def _rows(gs: GatherScatter, x: np.ndarray) -> np.ndarray:
     """The bucket's rows of ``x`` for reading: a view when it has one, else a copy."""
     v = gs.view(x)
@@ -276,17 +281,24 @@ class ApplyPlan:
                     if T is None:
                         T = xb.zeros((lv.nnodes,) + Tb.shape[1:], dtype=Tb.dtype)
                     T[b.pos] = Tb
-            # A(I_a, I_b) x_b = U_a (V_b^* x_b): each node takes its sibling's T
+            # A(I_a, I_b) x_b = U_a (V_b^* x_b): each node takes its sibling's
+            # T; a one-bucket level holds its nodes in order, so a (pair,
+            # side) view swaps the siblings
+            single = len(lv.buckets) == 1
             for b in lv.buckets:
+                U3, Tsib = (_pairs(b.U3), _pairs(T)[:, ::-1]) if single else (b.U3, T[b.sib])
                 yv = b.gs.view(y) if dt == acc_dtype else None
                 if yv is None:
-                    b.gs.add(y, gemm_strided_batched(b.U3, T[b.sib], backend=xb, plan=True))
+                    prod = gemm_strided_batched(U3, Tsib, backend=xb, plan=True)
+                    b.gs.add(y, prod.reshape(-1, *prod.shape[-2:]))
                     continue
                 if ws is None:
                     ws = xb.zeros(y.shape, dtype=acc_dtype)
-                yv += gemm_strided_batched(
-                    b.U3, T[b.sib], backend=xb, plan=True, out=b.gs.view(ws)
+                wv = b.gs.view(ws)
+                gemm_strided_batched(
+                    U3, Tsib, backend=xb, plan=True, out=_pairs(wv) if single else wv
                 )
+                yv += wv
 
         if y.dtype != out_dtype:
             y = y.astype(out_dtype)

@@ -17,15 +17,16 @@ frozen, validated options every construction path reads (``build_hodlr``,
 interchangeable compressors and a dispatcher:
 
 * :func:`svd_compress`         — exact truncated SVD (reference / testing);
-* :func:`rook_pivot_compress`  — adaptive cross approximation with rook
-  pivot searches, requiring only entry evaluation;
+* :func:`rook_pivot_compress`  — adaptive cross approximation (rook pivot
+  searches, then blocked steps), requiring only entry evaluation;
 * :func:`randomized_compress`  — randomized range finder + small SVD,
   requiring only matvec access to the block.
 
 Each has a batched form that compresses a whole shape bucket of a tree
-level at once.  For rook that is :func:`rook_pivot_compress_stack`: the
-blocks advance their crosses in lockstep through one gathered
-``entries_blocks`` evaluation per step.
+level at once.  For rook that is :func:`rook_pivot_compress_stack`, which
+the per-block compressor calls with one block: the blocks advance in
+lockstep, one cross per step for the first eight, then up to 16 per step,
+each step a few gathered ``entries_blocks`` evaluations.
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ class CompressionConfig:
         ``"batched"`` (default) builds the HODLR approximation level-major
         through the shape-bucketed batched kernels (one gathered entry
         evaluation and one batched compression per tree level; ``"rook"``
-        advances all blocks of a level in lockstep, one gathered
-        evaluation per cross step — :func:`rook_pivot_compress_stack`);
+        advances all blocks of a level in lockstep, a few gathered
+        evaluations per step — :func:`rook_pivot_compress_stack`);
         ``"peeling"`` builds from matvec probes alone.  The per-block
         baseline the benchmarks measure against is ``"batched"`` under an
         ``ExecutionContext(policy=LOOP_POLICY)``.
@@ -185,9 +186,17 @@ def svd_compress(
 # ----------------------------------------------------------------------
 # Rook-pivoted cross approximation (HODLRlib's rookPiv analogue)
 # ----------------------------------------------------------------------
-#: Alternating row/column refinements of each rook pivot, shared by the
-#: per-block and the lockstep compressor so the two pick the same pivots.
+#: Alternating row/column refinements of each single-cross rook pivot.
 _ROOK_STEPS = 3
+#: Single-cross rook steps before the blocks still active switch to blocked
+#: steps; a block whose rank is below this retires within them.
+_ROOK_PHASE = 8
+#: Most crosses one blocked step adds: a block at ``k`` crosses adds
+#: ``min(k, _BLOCK)``, so the step size doubles from ``_ROOK_PHASE``.
+_BLOCK = 16
+#: Rows and columns of the residual grid sampled before a block retires
+#: from a blocked step.
+_SAMPLES = 16
 
 
 def rook_pivot_compress(
@@ -196,164 +205,57 @@ def rook_pivot_compress(
     n: int,
     tol: float = 1e-12,
     max_rank: Optional[int] = None,
-    max_rook_steps: int = _ROOK_STEPS,
     dtype=np.float64,
     first_row: Optional[np.ndarray] = None,
 ) -> LowRankFactor:
-    """Adaptive cross approximation with rook pivoting.
+    """Cross approximation of one block from ``O((m + n) r)`` of its entries.
 
-    Builds ``B ~= sum_k u_k v_k*`` one cross at a time.  Each step picks a
-    pivot by a rook search (alternate row/column argmax of the current
-    residual, evaluated lazily), subtracts the cross, and stops when the
-    estimated residual norm drops below ``tol`` times the estimated block
-    norm.  Only ``O((m + n) r)`` entries of the block are ever evaluated,
-    which is what makes HODLR construction from kernel functions cheap.
-
-    Parameters
-    ----------
-    entries:
-        Callable evaluating ``block[np.ix_(rows, cols)]``.
-    m, n:
-        Block dimensions.
-    tol:
-        Relative Frobenius-norm tolerance.
-    max_rank:
-        Upper bound on the constructed rank (defaults to ``min(m, n)``).
-    max_rook_steps:
-        Number of alternating row/column refinements of each pivot.
-    first_row:
-        Precomputed row 0 of the block (length ``n``); the search's first
-        row then costs no entrywise call.
+    A one-block :func:`rook_pivot_compress_stack` call, so the per-block
+    and the lockstep builds run one algorithm.  ``entries(rows, cols)``
+    evaluates ``block[np.ix_(rows, cols)]``, ``tol`` is the relative
+    Frobenius-norm tolerance and ``max_rank`` caps the rank (default
+    ``min(m, n)``).  ``first_row``, a precomputed row 0 of the block (length
+    ``n``), replaces the search's first gather, which reads row 0.
     """
-    if m == 0 or n == 0:
-        return LowRankFactor.zeros(m, n, dtype)
-    rank_cap = min(m, n) if max_rank is None else min(max_rank, m, n)
-    if rank_cap == 0:
-        return LowRankFactor.zeros(m, n, dtype)
+    pending = [first_row]
 
-    # the crosses accumulate into growing 2-D factor arrays (capacity doubled
-    # geometrically) so each residual evaluation is a single GEMV against the
-    # accumulated bases instead of k separate rank-1 updates
-    capacity = min(rank_cap, 8)
-    U_arr = np.empty((m, capacity), dtype=dtype)
-    V_arr = np.empty((n, capacity), dtype=dtype)
-    k = 0
-    used_rows: set = set()
-    used_cols: set = set()
-    # running estimate of ||B||_F^2 built from the crosses (standard ACA estimate)
-    approx_norm2 = 0.0
-    rng = np.random.default_rng(12345)
+    def multi(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        if pending[0] is not None:
+            row, pending[0] = pending[0], None
+            return np.reshape(row, (1, 1, n))
+        return np.asarray(entries(r[0], c[0]))[None]
 
-    def residual_row(i: int) -> np.ndarray:
-        if i == 0 and k == 0 and first_row is not None:
-            # the gathered level evaluation already produced this row
-            return np.asarray(first_row, dtype=dtype).reshape(n)
-        row = np.asarray(entries(np.array([i]), np.arange(n)), dtype=dtype).reshape(n)
-        if k:
-            row = row - V_arr[:, :k].conj() @ U_arr[i, :k]
-        return row
-
-    def residual_col(j: int) -> np.ndarray:
-        col = np.asarray(entries(np.arange(m), np.array([j])), dtype=dtype).reshape(m)
-        if k:
-            col = col - U_arr[:, :k] @ V_arr[j, :k].conj()
-        return col
-
-    next_row = 0
-    for _ in range(rank_cap):
-        # --- rook pivot search -------------------------------------------------
-        i = next_row
-        # make sure we start from an unused row
-        tries = 0
-        while i in used_rows and tries < m:
-            i = (i + 1) % m
-            tries += 1
-        row = residual_row(i)
-        j = int(np.argmax(np.abs(row)))
-        col = residual_col(j)
-        for _ in range(max_rook_steps):
-            i_new = int(np.argmax(np.abs(col)))
-            if i_new == i:
-                break
-            i = i_new
-            row = residual_row(i)
-            j_new = int(np.argmax(np.abs(row)))
-            if j_new == j:
-                break
-            j = j_new
-            col = residual_col(j)
-
-        pivot = row[j]
-        if pivot == 0:
-            # residual row is identically zero; try a random unused row before
-            # concluding the block is (numerically) exhausted.
-            candidates = [r for r in range(m) if r not in used_rows]
-            if not candidates:
-                break
-            i = int(rng.choice(candidates))
-            row = residual_row(i)
-            j = int(np.argmax(np.abs(row)))
-            pivot = row[j]
-            if pivot == 0:
-                break
-            col = residual_col(j)
-
-        u = (col / pivot).astype(dtype, copy=False)
-        v = row.conj().astype(dtype, copy=False)
-
-        # --- stopping criterion ------------------------------------------------
-        cross_norm2 = float(np.linalg.norm(u) ** 2 * np.linalg.norm(v) ** 2)
-        # ||B_k||^2 ~= ||B_{k-1}||^2 + 2 Re <prev, new> + ||new||^2 ; we use the
-        # standard cheap update that ignores cross terms beyond the latest pair,
-        # with the inner products against all previous crosses as two GEMVs.
-        cross_terms = 0.0
-        if k:
-            cu = U_arr[:, :k].conj().T @ u
-            cv = V_arr[:, :k].conj().T @ v
-            cross_terms = 2.0 * float(np.sum(np.abs(cu * cv)))
-
-        if k == capacity:
-            capacity = min(rank_cap, max(2 * capacity, 8))
-            grown_u = np.empty((m, capacity), dtype=dtype)
-            grown_v = np.empty((n, capacity), dtype=dtype)
-            grown_u[:, :k] = U_arr[:, :k]
-            grown_v[:, :k] = V_arr[:, :k]
-            U_arr, V_arr = grown_u, grown_v
-        U_arr[:, k] = u
-        V_arr[:, k] = v
-        k += 1
-        used_rows.add(i)
-        used_cols.add(j)
-        next_row = (i + 1) % m
-
-        approx_norm2 += cross_norm2 + cross_terms
-        if approx_norm2 > 0 and cross_norm2 <= (tol ** 2) * approx_norm2:
-            break
-
-    if k == 0:
-        return LowRankFactor.zeros(m, n, dtype)
-    factor = LowRankFactor(U=U_arr[:, :k], V=V_arr[:, :k])
-    # A final recompression both tightens the rank and orthogonalises the bases.
-    return factor.recompress(tol=tol, max_rank=max_rank)
+    return rook_pivot_compress_stack(
+        multi, np.arange(m)[None], np.arange(n)[None], tol=tol, max_rank=max_rank, dtype=dtype
+    )[0]
 
 
 def rook_pivot_compress_dense(
     block: np.ndarray, tol: float = 1e-12, max_rank: Optional[int] = None
 ) -> LowRankFactor:
     """Rook-pivoted compression of an explicitly stored block."""
-    block = np.asarray(block)
-
-    def entries(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return block[np.ix_(rows, cols)]
-
-    return rook_pivot_compress(
-        entries, block.shape[0], block.shape[1], tol=tol, max_rank=max_rank, dtype=block.dtype
-    )
+    return _rook_stack(np.asarray(block)[None], tol, max_rank, DEFAULT_CONTEXT)[0]
 
 
 #: Evaluates a stack of equal-shape sub-blocks: ``multi(rows (B, m), cols
 #: (B, n)) -> (B, m, n)`` (the ``entries_blocks`` gather protocol).
 StackEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _pivots(X: np.ndarray, count: int, exclude=None) -> np.ndarray:
+    """The first ``count`` column pivots of a QR with column pivoting of
+    every ``X[a]`` (``X`` is ``(B, p, q)``).  Columns flagged in ``exclude``
+    (``(B, q)``) come last, also past the ``p`` pivots the QR ranks."""
+    if exclude is not None:
+        X = np.where(exclude[:, None, :], 0, X)
+    geqp3 = sla.get_lapack_funcs("geqp3", (X,))
+    picks = np.empty((len(X), count), dtype=np.intp)
+    for a, x in enumerate(X):
+        piv = geqp3(x)[1] - 1
+        if exclude is not None:
+            piv = piv[np.argsort(exclude[a, piv], kind="stable")]
+        picks[a] = piv[:count]
+    return picks
 
 
 def rook_pivot_compress_stack(
@@ -365,24 +267,38 @@ def rook_pivot_compress_stack(
     dtype=np.float64,
     context: Optional[ExecutionContext] = None,
 ) -> List[LowRankFactor]:
-    """Rook-pivoted cross approximation of a stack of blocks in lockstep.
+    """Cross approximation of a stack of blocks in lockstep.
 
     Block ``b`` is ``A[rows[b]][:, cols[b]]`` of the operator behind the
     gather evaluator ``multi``; ``rows`` is ``(B, m)`` and ``cols`` is
-    ``(B, n)``.  Every active block adds one cross per step, so a step
-    evaluates the pivot rows of all active blocks in one ``multi`` call and
-    their pivot columns in another; each rook refinement re-gathers only
-    the blocks whose pivot is still moving.  Residual corrections and the
-    stopping estimate's cross terms are batched matmuls against the stacked
-    bases.  A block that meets the stop criterion is compacted out of the
-    active set, and the stack ends with one QR+SVD recompression
-    (``qr_batched`` x2, ``gemm_strided_batched``, ``svd_batched``) over the
-    bases zero-padded to the largest rank.
+    ``(B, n)``.  Each step advances all active blocks with a few ``multi``
+    calls:
 
-    Pivot rule, stop rule, the zero-pivot fallback (a per-block
-    ``default_rng(12345)``) and truncation are those of
-    :func:`rook_pivot_compress`, so each factor matches the per-block
-    compressor up to round-off.
+    * *Rook phase* — the first ``_ROOK_PHASE`` steps add one cross each,
+      pivoted by a rook search (alternate row/column argmax of the
+      residual): one gather of the pivot rows, one of the pivot columns, and
+      one more per refinement over the blocks whose pivot still moves.  A
+      zero pivot retries from a random unused row (a per-block
+      ``default_rng(12345)``).  A block stops when its newest cross's
+      Frobenius norm is at most ``tol`` times the running estimate of the
+      block's (cross terms included); low-rank blocks retire here.
+    * *Blocked steps* (BACA: Liu, Sid-Lakhdar, Rebrova, Ghysels & Li) — a
+      block at ``k`` crosses adds ``b = min(k, _BLOCK)``: one gather of its
+      ``b`` residual rows ``R``, one of the ``b`` residual columns ``C`` a
+      pivoted QR of ``R`` picks, and the crosses ``C S+ R`` from an SVD of
+      their intersection ``S`` that drops directions below ``tol`` times
+      its largest.  The next rows are the row pivots of ``C``.  When the
+      smallest cross ``S`` kept meets the stop rule (or ``S`` keeps none),
+      a sampled ``_SAMPLES x _SAMPLES`` residual grid (one more gather)
+      must put the residual below ``tol`` times the estimate too, else the
+      block goes on from the grid's row pivots.
+
+    Stopped blocks are compacted out of the active set.  The stack ends
+    with one QR+SVD recompression (``qr_batched`` x2,
+    ``gemm_strided_batched``, ``svd_batched``) per phase over the bases
+    zero-padded to the phase's largest rank: it trims the blocked steps'
+    overshoot, and a block that retires in the rook phase does not depend
+    on the high-rank blocks beside it.
     """
     xb = (context or DEFAULT_CONTEXT).backend
     rows = np.array(rows, dtype=np.intp, ndmin=2)
@@ -440,7 +356,38 @@ def rook_pivot_compress_stack(
             correct(out, Wst[sel, :k, j], Ust, sel)
         return out
 
-    while active:
+    def append(u, w):
+        # store crosses k .. k + b of the active blocks, growing geometrically
+        nonlocal Ust, Wst, cap, k
+        b = u.shape[1]
+        if k + b > cap:
+            cap = min(rank_cap, max(2 * cap, k + b))
+            grown_u = np.empty((active, cap, m), dtype=dtype)
+            grown_w = np.empty((active, cap, n), dtype=dtype)
+            grown_u[:, :k] = Ust[:active, :k]
+            grown_w[:, :k] = Wst[:active, :k]
+            Ust, Wst = grown_u, grown_w
+        Ust[:active, k : k + b] = u
+        Wst[:active, k : k + b] = w
+        k += b
+
+    def retire(stop, r):
+        # record the stopped blocks' bases, compact the survivors
+        nonlocal active
+        for s in np.flatnonzero(stop):
+            b = int(block_of[s])
+            ranks[b] = r[s]
+            done_U[b] = Ust[s, : r[s]].copy()
+            done_W[b] = Wst[s, : r[s]].copy()
+        keep = np.flatnonzero(~stop)
+        for store in (Ust, Wst):
+            store[: keep.size, :k] = store[keep, :k]
+        for index in (rows, cols, used, next_row, approx_norm2, block_of):
+            index[: keep.size] = index[keep]
+        active = keep.size
+        return keep
+
+    while active and k < _ROOK_PHASE:
         slots = np.arange(active)
         # --- rook pivot search, all active blocks at once ----------------
         i = next_row[:active].copy()
@@ -507,16 +454,7 @@ def rook_pivot_compress_stack(
             cv = np.matmul(Wst[:active, :k], row.conj()[:, :, None])[:, :, 0]
             cross_terms = 2.0 * np.sum(np.abs(cu * cv), axis=1)
 
-        if k == cap:
-            cap = min(rank_cap, 2 * cap)
-            grown_u = np.empty((active, cap, m), dtype=dtype)
-            grown_w = np.empty((active, cap, n), dtype=dtype)
-            grown_u[:, :k] = Ust[:active, :k]
-            grown_w[:, :k] = Wst[:active, :k]
-            Ust, Wst = grown_u, grown_w
-        Ust[:active, k] = u
-        Wst[:active, k] = row
-        k += 1
+        append(u[:, None], row[:, None])
         used[slots, i] = True
         next_row[:active] = (i + 1) % m
         approx_norm2[:active] += cross_norm2 + cross_terms
@@ -524,39 +462,80 @@ def rook_pivot_compress_stack(
         stop = exhausted | ((norm2 > 0) & (cross_norm2 <= (tol ** 2) * norm2))
         if k == rank_cap:
             stop[:] = True
-        if not stop.any():
-            continue
+        if stop.any():
+            retire(stop, k - exhausted)
 
-        # --- retire stopped blocks, compact the survivors ----------------
-        for s in np.flatnonzero(stop):
-            b = int(block_of[s])
-            r = k - 1 if exhausted[s] else k
-            ranks[b] = r
-            done_U[b] = Ust[s, :r].copy()
-            done_W[b] = Wst[s, :r].copy()
-        keep = np.flatnonzero(~stop)
-        for store in (Ust, Wst):
-            store[: keep.size, :k] = store[keep, :k]
-        for index in (rows, cols, used, next_row, approx_norm2, block_of):
-            index[: keep.size] = index[keep]
-        active = keep.size
+    # --- blocked steps: the first reads the unused row pivots of the rook
+    # phase's u vectors
+    b = min(k, _BLOCK, rank_cap - k)
+    if active:
+        nxt = _pivots(Ust[:active, :k], b, used[:active])
+    while active:
+        U, W = Ust[:active, :k], Wst[:active, :k]
+        R = np.asarray(multi(np.take_along_axis(rows[:active], nxt, 1), cols[:active]), dtype=dtype)
+        R = R.reshape(active, b, n) - np.take_along_axis(U, nxt[:, None], 2).swapaxes(1, 2) @ W
+        J = _pivots(R, b)
+        C = np.asarray(multi(rows[:active], np.take_along_axis(cols[:active], J, 1)), dtype=dtype)
+        C = C.reshape(active, m, b) - U.swapaxes(1, 2) @ np.take_along_axis(W, J[:, None], 2)
+        # C S+ R through the SVD of the intersection S = R[:, :, J]; the
+        # directions below tol times its largest become zero crosses
+        Us, sig, Vh = np.linalg.svd(np.take_along_axis(R, J[:, None], 2))
+        inv = np.divide(1.0, sig, out=np.zeros_like(sig), where=sig > tol * sig[:, :1])
+        u = (Vh.conj() @ C.swapaxes(1, 2)) * inv[:, :, None]
+        w = (Us.conj().swapaxes(1, 2) @ R) * (inv > 0)[:, :, None]
+        # --- stopping criterion: the running estimate gains ||sum_p u_p
+        # w_p||_F^2 and the cross terms; the smallest cross S kept is tested
+        # (a dropped direction says S is ill-conditioned, not converged)
+        gram = (u.conj() @ u.swapaxes(1, 2)) * (w.conj() @ w.swapaxes(1, 2))
+        new_norm2 = np.real(np.sum(gram, axis=(1, 2)))
+        kept = inv > 0
+        sizes = np.sum(np.abs(u) ** 2, axis=2) * np.sum(np.abs(w) ** 2, axis=2)
+        last_norm2 = np.where(kept.any(axis=1), np.min(sizes, axis=1, where=kept, initial=np.inf), 0.0)
+        cross_terms = np.abs((U @ u.conj().swapaxes(1, 2)) * (W @ w.conj().swapaxes(1, 2)))
+        approx_norm2[:active] += new_norm2 + 2.0 * np.sum(cross_terms, axis=(1, 2))
+        np.put_along_axis(used[:active], nxt, True, 1)
+        append(u, w)
+        b = min(k, _BLOCK, rank_cap - k)
+        nxt = _pivots(C.swapaxes(1, 2), b, used[:active])
+        norm2 = approx_norm2[:active]
+        stop = (norm2 > 0) & (last_norm2 <= (tol ** 2) * norm2)
+        if k == rank_cap:
+            stop[:] = True
+        elif stop.any():
+            # a sampled residual grid must agree; a miss (a part the crosses
+            # have not reached) goes on from the grid's row pivots
+            cand, ks = np.flatnonzero(stop), np.arange(k)
+            grid = np.random.default_rng(k)
+            pr = np.sort(grid.choice(m, min(_SAMPLES, m), replace=False))
+            pc = np.sort(grid.choice(n, min(_SAMPLES, n), replace=False))
+            E = np.asarray(multi(rows[cand][:, pr], cols[cand][:, pc]), dtype=dtype)
+            E = E.reshape(cand.size, pr.size, pc.size) - (
+                Ust[np.ix_(cand, ks, pr)].swapaxes(1, 2) @ Wst[np.ix_(cand, ks, pc)])
+            est = np.sum(np.abs(E) ** 2, axis=(1, 2)) * (m * n / (pr.size * pc.size))
+            miss = est > (tol ** 2) * norm2[cand]
+            stop[cand[miss]] = False
+            nxt[cand[miss]] = pr[_pivots(E[miss].swapaxes(1, 2), b)]
+        if stop.any():
+            nxt = nxt[retire(stop, np.full(active, k))]
 
-    # one QR+SVD recompression over the bases zero-padded to the largest
-    # rank: the padding adds an exactly zero trailing block to each R factor,
-    # so it contributes only zero singular values
-    kmax = int(ranks.max())
-    if kmax == 0:
-        return [LowRankFactor.zeros(m, n, dtype) for _ in range(nblocks)]
-    Up = np.zeros((nblocks, kmax, m), dtype=dtype)
-    Wp = np.zeros((nblocks, kmax, n), dtype=dtype)
-    for b in range(nblocks):
-        Up[b, : ranks[b]] = done_U[b]
-        Wp[b, : ranks[b]] = done_W[b]
-    return _recompress_bases(
-        xb.asarray(Up.transpose(0, 2, 1)),
-        xb.asarray(Wp.conj().transpose(0, 2, 1)),
-        tol, max_rank, xb, caps=ranks,
-    )
+    # one QR+SVD recompression per phase over the bases zero-padded to the
+    # phase's largest rank: the padding adds an exactly zero trailing block
+    # to each R factor, so it contributes only zero singular values
+    out: List[Optional[LowRankFactor]] = [None] * nblocks
+    for group in (np.flatnonzero(ranks <= _ROOK_PHASE), np.flatnonzero(ranks > _ROOK_PHASE)):
+        kmax = int(ranks[group].max(initial=0))
+        Up = np.zeros((group.size, kmax, m), dtype=dtype)
+        Wp = np.zeros((group.size, kmax, n), dtype=dtype)
+        for g, b in enumerate(group):
+            Up[g, : ranks[b]] = done_U[b]
+            Wp[g, : ranks[b]] = done_W[b]
+        if kmax:
+            for b, f in zip(group, _recompress_bases(
+                xb.asarray(Up.transpose(0, 2, 1)), xb.asarray(Wp.conj().transpose(0, 2, 1)),
+                tol, max_rank, xb, caps=ranks[group],
+            )):
+                out[b] = f
+    return [LowRankFactor.zeros(m, n, dtype) if f is None else f for f in out]
 
 
 class _DenseStackEvaluator:

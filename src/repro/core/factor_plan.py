@@ -402,28 +402,31 @@ class SolvePlan:
             )
             full = bd == out_dtype
             w_all = xb.zeros((sw.nchild, r, x.shape[1]), dtype=bd)
+            # a one-bucket level holds its children in order: its products
+            # go straight into w_all and it reads W_half itself
+            single = len(sw.buckets) == 1
             for bk in sw.buckets:
                 xg = bk.gs.view(x) if full else None
                 if xg is None:
                     xg = bk.gs.take(x).astype(bd, copy=False)
-                w_all[bk.pos] = gemm_strided_batched(
-                    bk.Vh3, xg, backend=xb, plan=True
+                into = single and np.result_type(bk.Vh3, xg) == bd
+                prod = gemm_strided_batched(
+                    bk.Vh3, xg, backend=xb, plan=True, out=w_all if into else None
                 )
+                if not into:
+                    w_all[bk.pos] = prod
             K_rhs = _pair_rhs(w_all, ngamma, r, plan.pivot)
             W = getrs_batched(sw.k_lu3, sw.k_piv3, K_rhs, pivot=plan.pivot, backend=xb, policy=pol)
             W_half = W.reshape(sw.nchild, r, x.shape[1])
             for bk in sw.buckets:
+                Wb = W_half if single else W_half[bk.pos]
                 xv = bk.gs.view(x) if full else None
                 if xv is None:
-                    bk.gs.sub(
-                        x, gemm_strided_batched(bk.Y3, W_half[bk.pos], backend=xb, plan=True)
-                    )
+                    bk.gs.sub(x, gemm_strided_batched(bk.Y3, Wb, backend=xb, plan=True))
                     continue
                 if ws is None:
                     ws = xb.zeros(x.shape, dtype=out_dtype)
-                xv -= gemm_strided_batched(
-                    bk.Y3, W_half[bk.pos], backend=xb, plan=True, out=bk.gs.view(ws)
-                )
+                xv -= gemm_strided_batched(bk.Y3, Wb, backend=xb, plan=True, out=bk.gs.view(ws))
 
         return x.reshape(-1) if squeeze else x
 

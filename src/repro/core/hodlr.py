@@ -793,8 +793,8 @@ def _build_hodlr_batched(
     bucket, all through the context's backend.  ``method="rook"`` never
     materialises the blocks — that would defeat its ``O((m + n) r)``-entries
     property — and instead runs :func:`rook_pivot_compress_stack` once per
-    shape bucket: one gathered evaluation of the pivot rows (and one of the
-    pivot columns) of every active block per cross step.  Without a gather
+    shape bucket: one gathered evaluation of the rows (and one of the
+    columns) of every active block per step.  Without a gather
     evaluator, or under ``policy.bucketing=False``, rook compresses per
     block.  A symmetric source gathers and compresses only the ``(left,
     right)`` block of each sibling pair, so every branch sees half the
@@ -824,8 +824,8 @@ def _build_hodlr_batched(
         factors: List = [None] * len(row_nodes)
         if lazy and multi is not None and context.policy.bucketing:
             # every block of a shape bucket advances its crosses in lockstep:
-            # one gathered evaluation of all pivot rows (and one of all pivot
-            # columns) per cross step instead of entrywise calls per block
+            # one gathered evaluation of all rows (and one of all columns)
+            # per step instead of entrywise calls per block
             shapes = [(rn.size, cn.size) for rn, cn in zip(row_nodes, col_nodes)]
             for bucket in plan_batch(shapes).buckets:
                 idx = bucket.indices

@@ -412,3 +412,27 @@ class TestCheckBench:
         ok.write_text(json.dumps({"counters": BASE_COUNTERS}))
         assert check_bench.main(["--current", str(ok), "--baseline", str(empty)]) == 1
         assert check_bench.main(["--current", str(empty), "--baseline", str(ok)]) == 1
+
+
+# ======================================================================
+# record_bench: the recorder behind the gate baseline
+# ======================================================================
+class TestRecordBench:
+    @pytest.fixture(scope="class")
+    def record_bench(self):
+        path = Path(__file__).resolve().parent.parent / "benchmarks" / "record_bench.py"
+        spec = importlib.util.spec_from_file_location("record_bench", path)
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        return mod
+
+    def test_full_mode_needs_output_before_measuring(self, record_bench, monkeypatch, capsys):
+        def measured(*args, **kwargs):
+            raise AssertionError("a measurement ran")
+
+        monkeypatch.setattr(record_bench, "bench_gaussian_construction", measured)
+        monkeypatch.setattr(record_bench, "collect_counters", measured)
+        with pytest.raises(SystemExit) as exc:
+            record_bench.main(["--pr", "3"])
+        assert exc.value.code == 2
+        assert "--output" in capsys.readouterr().err

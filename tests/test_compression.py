@@ -7,17 +7,22 @@ from repro import (
     ClusterTree,
     CompressionConfig,
     ExecutionContext,
+    SolverConfig,
     build_hodlr,
     compress_block,
+    solve,
     svd_compress,
 )
 from repro.backends.dispatch import LOOP_POLICY
+from repro.core import compression
 from repro.core.compression import (
+    _DenseStackEvaluator,
     compress_block_stack,
     randomized_compress,
     randomized_compress_dense,
     rook_pivot_compress,
     rook_pivot_compress_dense,
+    rook_pivot_compress_stack,
 )
 
 
@@ -106,6 +111,92 @@ class TestRookPivot:
         B = smooth_block(50, 50, seed=6)
         f = rook_pivot_compress_dense(B, tol=0.0, max_rank=5)
         assert f.rank <= 5
+
+
+def exact_rank_stack(nblocks, m, n, rank, seed):
+    """Blocks of exact rank ``rank`` with singular values from 1 to 1e-8."""
+    rng = np.random.default_rng(seed)
+    s = np.logspace(0, -8, rank)
+    out = []
+    for _ in range(nblocks):
+        U, _ = np.linalg.qr(rng.standard_normal((m, rank)))
+        V, _ = np.linalg.qr(rng.standard_normal((n, rank)))
+        out.append((U * s) @ V.T)
+    return np.stack(out)
+
+
+def lockstep(stack, tol):
+    """rook_pivot_compress_stack over a dense stack, counting the gathers."""
+    nblocks, m, n = stack.shape
+    shapes = []
+    source = _DenseStackEvaluator(stack)
+
+    def multi(rows, cols):
+        shapes.append((rows.shape[1], cols.shape[1]))
+        return source(rows, cols)
+
+    offsets = np.arange(nblocks)[:, None]
+    factors = rook_pivot_compress_stack(
+        multi, offsets * m + np.arange(m), offsets * n + np.arange(n), tol=tol
+    )
+    return factors, shapes
+
+
+class TestBlockedSteps:
+    """Blocks still active after the rook phase add crosses in blocks."""
+
+    def test_high_rank_stack_reaches_tol(self):
+        tol = 1e-10
+        stack = exact_rank_stack(3, 200, 180, 60, seed=20)
+        factors, shapes = lockstep(stack, tol)
+        # the blocked phase gathers b > 1 rows at once
+        assert max(p for p, _ in shapes) > 1
+        for blk, f in zip(stack, factors):
+            s = np.linalg.svd(blk, compute_uv=False)
+            svd_rank = int(np.sum(s > tol * s[0]))
+            assert f.rank <= svd_rank + 2
+            assert np.linalg.norm(f.to_dense() - blk) <= 10 * tol * np.linalg.norm(blk)
+
+    def test_low_rank_members_ignore_high_rank_neighbours(self):
+        low = exact_rank_stack(2, 120, 100, 3, seed=21)
+        high = exact_rank_stack(2, 120, 100, 80, seed=22)
+        mixed, _ = lockstep(np.stack([low[0], high[0], low[1], high[1]]), 1e-10)
+        alone, _ = lockstep(low, 1e-10)
+        for f_mixed, f_alone in zip(mixed[::2], alone):
+            assert np.array_equal(f_mixed.U, f_alone.U)
+            assert np.array_equal(f_mixed.V, f_alone.V)
+
+    def test_sampled_check_finds_a_missed_bump(self):
+        """A rank-20 part the crosses resolve, plus a bump on rows and columns
+        where that part is zero: no cross reaches the bump before the
+        Frobenius estimate stops, so only the sampled grid can see it."""
+        tol = 1e-10
+        block = exact_rank_stack(1, 256, 256, 20, seed=23)[0]
+        rows, cols = slice(160, 224), slice(40, 104)
+        block[rows, :] = 0.0
+        block[:, cols] = 0.0
+        t = np.linspace(0.0, 1.0, 64)
+        block[rows, cols] = 1e-3 * np.outer(np.sin(3 * t + 1), np.cos(2 * t))
+        factors, shapes = lockstep(block[None], tol)
+        grids = [k for k, shape in enumerate(shapes) if shape == (compression._SAMPLES,) * 2]
+        # a grid found the bump and the block went on with more gathers
+        assert grids and grids[0] < len(shapes) - 1
+        err = np.linalg.norm(factors[0].to_dense() - block)
+        assert err <= 10 * tol * np.linalg.norm(block)
+
+    def test_complex_kernel_build_meets_tolerance(self):
+        """A step whose intersection ``S`` drops a direction is ill-conditioned,
+        not converged; the stop rule tests only the crosses ``S`` kept."""
+        cfg = SolverConfig(compression=CompressionConfig(tol=1e-6, method="rook"))
+        res = solve("helmholtz_kernel", n=1024, seed=1, config=cfg, compute_residual="exact")
+        assert res.relative_residual <= 6e-8
+
+    def test_single_block_is_a_one_block_stack(self):
+        block = exact_rank_stack(1, 90, 70, 20, seed=24)[0]
+        f = rook_pivot_compress_dense(block, tol=1e-12)
+        (g,), _ = lockstep(block[None], 1e-12)
+        assert f.rank > compression._ROOK_PHASE
+        assert np.array_equal(f.U, g.U) and np.array_equal(f.V, g.V)
 
 
 class TestRandomized:
