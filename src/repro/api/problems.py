@@ -204,11 +204,13 @@ class HelmholtzKernelProblem:
     seed: int = 0
 
     name = "helmholtz_kernel"
-    #: randomized compression: the oscillatory blocks are what the
-    #: Gaussian-test-matrix machinery is for, and sweeps reuse those
-    #: test matrices across frequencies
+    #: rook compression, like the other kernel problems: its stop rules
+    #: retire a block only below ``tol`` times the block's largest singular
+    #: value, the threshold the truncation cuts at, so it reaches the
+    #: randomized range finder's accuracy and ranks at this ``tol`` while
+    #: evaluating O((m + n) r) entries per block instead of every entry
     default_config: ClassVar[SolverConfig] = SolverConfig(
-        compression=CompressionConfig(tol=1e-6, method="randomized")
+        compression=CompressionConfig(tol=1e-6, method="rook")
     )
     #: frequency (and shift) sweeps recycle construction
     sweep_params: ClassVar[tuple] = ("kappa", "diagonal_shift")

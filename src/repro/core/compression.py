@@ -197,6 +197,17 @@ _BLOCK = 16
 #: Rows and columns of the residual grid sampled before a block retires
 #: from a blocked step.
 _SAMPLES = 16
+#: Safety margin of the stop rules: a block retires once its residual looks
+#: smaller than ``_MARGIN * tol * sigma_1`` (sigma_1 estimated by its largest
+#: rook-phase cross), so the crosses reach every direction the truncation at
+#: ``tol * sigma_1`` keeps.
+_MARGIN = 0.1
+#: A retiring block rewrites the crosses of its last two blocked steps as
+#: the SVD of their sum and drops the directions below ``_TRIM * tol *
+#: sigma_1`` before the recompression, so the dropped part, the truncation
+#: and the residual together stay below about ``(_TRIM + 1 + _MARGIN) * tol
+#: * sigma_1``.
+_TRIM = 0.5
 
 
 def rook_pivot_compress(
@@ -212,10 +223,13 @@ def rook_pivot_compress(
 
     A one-block :func:`rook_pivot_compress_stack` call, so the per-block
     and the lockstep builds run one algorithm.  ``entries(rows, cols)``
-    evaluates ``block[np.ix_(rows, cols)]``, ``tol`` is the relative
-    Frobenius-norm tolerance and ``max_rank`` caps the rank (default
-    ``min(m, n)``).  ``first_row``, a precomputed row 0 of the block (length
-    ``n``), replaces the search's first gather, which reads row 0.
+    evaluates ``block[np.ix_(rows, cols)]``.  ``tol`` is relative to the
+    block's largest singular value, as in every compressor: the crosses run
+    until the residual is below ``_MARGIN * tol`` times an estimate of it,
+    and the recompression truncates at ``tol`` times it.  ``max_rank`` caps
+    the rank (default ``min(m, n)``).  ``first_row``, a precomputed row 0
+    of the block (length ``n``), replaces the search's first gather, which
+    reads row 0.
     """
     pending = [first_row]
 
@@ -245,17 +259,54 @@ StackEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 def _pivots(X: np.ndarray, count: int, exclude=None) -> np.ndarray:
     """The first ``count`` column pivots of a QR with column pivoting of
     every ``X[a]`` (``X`` is ``(B, p, q)``).  Columns flagged in ``exclude``
-    (``(B, q)``) come last, also past the ``p`` pivots the QR ranks."""
+    (``(B, q)``) come last, also past the ``p`` pivots the QR ranks.
+
+    Greedy column-norm pivoted Gram-Schmidt over the whole stack at once
+    (``geqp3``'s pivots, barring ties): each step picks every block's
+    column of largest residual norm, orthogonalises it against the basis
+    ``Q`` of the columns picked so far through their coefficients ``Q* X``,
+    and downdates the norms by the new row of coefficients."""
+    X = np.ascontiguousarray(X)
+    B, p, q = X.shape
+    cplx = np.iscomplexobj(X)
+
+    def sq(z):
+        return z.real ** 2 + z.imag ** 2 if cplx else z * z
+
+    slots = np.arange(B)
+    norms = np.sum(sq(X), axis=1)
     if exclude is not None:
-        X = np.where(exclude[:, None, :], 0, X)
-    geqp3 = sla.get_lapack_funcs("geqp3", (X,))
-    picks = np.empty((len(X), count), dtype=np.intp)
-    for a, x in enumerate(X):
-        piv = geqp3(x)[1] - 1
-        if exclude is not None:
-            piv = piv[np.argsort(exclude[a, piv], kind="stable")]
-        picks[a] = piv[:count]
+        norms[exclude] = -1.0
+    Q = np.zeros((B, p, count), dtype=np.result_type(X, np.float64))
+    coef = np.zeros((B, count, q), dtype=Q.dtype)
+    picks = np.empty((B, count), dtype=np.intp)
+    for t in range(count):
+        j = np.argmax(norms, axis=1)
+        picks[:, t] = j
+        x = X[slots, :, j] - np.matmul(Q[:, :, :t], coef[slots, :t, j][:, :, None])[:, :, 0]
+        size = np.sqrt(np.sum(sq(x), axis=1))
+        x /= np.where(size > 0, size, 1.0)[:, None]
+        Q[:, :, t] = x
+        coef[:, t] = np.matmul((x.conj() if cplx else x)[:, None, :], X)[:, 0]
+        norms = np.where(norms >= 0, np.maximum(norms - sq(coef[:, t]), 0.0), norms)
+        norms[slots, j] = -np.inf
     return picks
+
+
+def _trim_tail(Ust, Wst, k0: int, k: int, slots: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Rewrite the crosses ``k0 .. k`` of the blocks in ``slots`` as the SVD
+    of their sum and keep the directions above ``floor`` (per slot): the
+    dropped part's norm is below ``floor``.  Returns every slot's cross
+    count (unchanged outside ``slots``)."""
+    counts = np.full(len(floor), k)
+    u, w = Ust[slots, k0:k], Wst[slots, k0:k]
+    Qu, Ru = np.linalg.qr(u.swapaxes(1, 2))
+    Qw, Rw = np.linalg.qr(w.conj().swapaxes(1, 2))
+    X, tau, Yh = np.linalg.svd(Ru @ Rw.conj().swapaxes(1, 2))
+    Ust[slots, k0:k] = ((Qu @ X) * tau[:, None, :]).swapaxes(1, 2)
+    Wst[slots, k0:k] = Yh @ Qw.conj().swapaxes(1, 2)
+    counts[slots] = k0 + np.sum(tau > floor[slots, None], axis=1)
+    return counts
 
 
 def rook_pivot_compress_stack(
@@ -279,19 +330,31 @@ def rook_pivot_compress_stack(
       residual): one gather of the pivot rows, one of the pivot columns, and
       one more per refinement over the blocks whose pivot still moves.  A
       zero pivot retries from a random unused row (a per-block
-      ``default_rng(12345)``).  A block stops when its newest cross's
-      Frobenius norm is at most ``tol`` times the running estimate of the
-      block's (cross terms included); low-rank blocks retire here.
+      ``default_rng(12345)``).  A block stops when its newest cross's norm
+      is at most the threshold; low-rank blocks retire here.
     * *Blocked steps* (BACA: Liu, Sid-Lakhdar, Rebrova, Ghysels & Li) — a
       block at ``k`` crosses adds ``b = min(k, _BLOCK)``: one gather of its
       ``b`` residual rows ``R``, one of the ``b`` residual columns ``C`` a
       pivoted QR of ``R`` picks, and the crosses ``C S+ R`` from an SVD of
       their intersection ``S`` that drops directions below ``tol`` times
       its largest.  The next rows are the row pivots of ``C``.  When the
-      smallest cross ``S`` kept meets the stop rule (or ``S`` keeps none),
-      a sampled ``_SAMPLES x _SAMPLES`` residual grid (one more gather)
-      must put the residual below ``tol`` times the estimate too, else the
-      block goes on from the grid's row pivots.
+      smallest cross ``S`` kept is below the threshold (or ``S`` keeps
+      none), a sampled ``_SAMPLES x _SAMPLES`` residual grid (one more
+      gather) must agree: its largest singular value, scaled to the block,
+      estimates the residual's spectral norm.  A miss goes on from the
+      grid's row pivots.  A block that retires rewrites its last two
+      steps as the SVD of their crosses' sum and drops the directions
+      below ``_TRIM * tol * sigma_1``, which the truncation would drop too.
+
+    The threshold is ``_MARGIN * tol * sigma_1``, with ``sigma_1``
+    estimated by the block's largest rook-phase cross, so all stop rules
+    share one error contract with the truncation at ``tol * sigma_1`` that
+    ends the stack: a block retires only once its residual looks smaller
+    than what the truncation cuts (the a-posteriori test of Halko,
+    Martinsson & Tropp, SIAM Review 2011, section 4.3, with a fixed
+    margin).  A Frobenius-relative stop would retire oscillatory
+    blocks, whose ``||A||_F`` is many times ``sigma_1``, before their
+    crosses reach directions the truncation keeps.
 
     Stopped blocks are compacted out of the active set.  The stack ends
     with one QR+SVD recompression (``qr_batched`` x2,
@@ -318,7 +381,10 @@ def rook_pivot_compress_stack(
     block_of = np.arange(nblocks)
     used = np.zeros((nblocks, m), dtype=bool)
     next_row = np.zeros(nblocks, dtype=np.intp)
-    approx_norm2 = np.zeros(nblocks)
+    # squared norm of each block's largest rook-phase cross, its sigma_1
+    # estimate, and the stop threshold relative to it
+    peak = np.zeros(nblocks)
+    stop2 = (_MARGIN * tol) ** 2
     rngs: dict = {}
     done_U: List[Optional[np.ndarray]] = [None] * nblocks
     done_W: List[Optional[np.ndarray]] = [None] * nblocks
@@ -382,7 +448,7 @@ def rook_pivot_compress_stack(
         keep = np.flatnonzero(~stop)
         for store in (Ust, Wst):
             store[: keep.size, :k] = store[keep, :k]
-        for index in (rows, cols, used, next_row, approx_norm2, block_of):
+        for index in (rows, cols, used, next_row, peak, block_of):
             index[: keep.size] = index[keep]
         active = keep.size
         return keep
@@ -446,20 +512,14 @@ def rook_pivot_compress_stack(
             pivot[exhausted] = 1
 
         u = col / pivot[:, None]
-        # --- stopping criterion (cross terms against the previous crosses)
+        # --- stopping criterion: the newest cross against the largest
         cross_norm2 = np.linalg.norm(u, axis=1) ** 2 * np.linalg.norm(row, axis=1) ** 2
-        cross_terms = 0.0
-        if k:
-            cu = np.matmul(Ust[:active, :k], u.conj()[:, :, None])[:, :, 0]
-            cv = np.matmul(Wst[:active, :k], row.conj()[:, :, None])[:, :, 0]
-            cross_terms = 2.0 * np.sum(np.abs(cu * cv), axis=1)
-
         append(u[:, None], row[:, None])
         used[slots, i] = True
         next_row[:active] = (i + 1) % m
-        approx_norm2[:active] += cross_norm2 + cross_terms
-        norm2 = approx_norm2[:active]
-        stop = exhausted | ((norm2 > 0) & (cross_norm2 <= (tol ** 2) * norm2))
+        scale2 = peak[:active]
+        np.maximum(scale2, cross_norm2, out=scale2)
+        stop = exhausted | (cross_norm2 <= stop2 * scale2)
         if k == rank_cap:
             stop[:] = True
         if stop.any():
@@ -467,7 +527,7 @@ def rook_pivot_compress_stack(
 
     # --- blocked steps: the first reads the unused row pivots of the rook
     # phase's u vectors
-    b = min(k, _BLOCK, rank_cap - k)
+    b, last_b = min(k, _BLOCK, rank_cap - k), 0
     if active:
         nxt = _pivots(Ust[:active, :k], b, used[:active])
     while active:
@@ -483,27 +543,26 @@ def rook_pivot_compress_stack(
         inv = np.divide(1.0, sig, out=np.zeros_like(sig), where=sig > tol * sig[:, :1])
         u = (Vh.conj() @ C.swapaxes(1, 2)) * inv[:, :, None]
         w = (Us.conj().swapaxes(1, 2) @ R) * (inv > 0)[:, :, None]
-        # --- stopping criterion: the running estimate gains ||sum_p u_p
-        # w_p||_F^2 and the cross terms; the smallest cross S kept is tested
-        # (a dropped direction says S is ill-conditioned, not converged)
-        gram = (u.conj() @ u.swapaxes(1, 2)) * (w.conj() @ w.swapaxes(1, 2))
-        new_norm2 = np.real(np.sum(gram, axis=(1, 2)))
+        # --- stopping criterion: the smallest cross S kept (a dropped
+        # direction says S is ill-conditioned, not converged)
         kept = inv > 0
         sizes = np.sum(np.abs(u) ** 2, axis=2) * np.sum(np.abs(w) ** 2, axis=2)
         last_norm2 = np.where(kept.any(axis=1), np.min(sizes, axis=1, where=kept, initial=np.inf), 0.0)
-        cross_terms = np.abs((U @ u.conj().swapaxes(1, 2)) * (W @ w.conj().swapaxes(1, 2)))
-        approx_norm2[:active] += new_norm2 + 2.0 * np.sum(cross_terms, axis=(1, 2))
         np.put_along_axis(used[:active], nxt, True, 1)
         append(u, w)
+        # the crosses of the last two steps, which a retiring block trims
+        tail, last_b = last_b + b, b
         b = min(k, _BLOCK, rank_cap - k)
         nxt = _pivots(C.swapaxes(1, 2), b, used[:active])
-        norm2 = approx_norm2[:active]
-        stop = (norm2 > 0) & (last_norm2 <= (tol ** 2) * norm2)
+        scale2 = peak[:active]
+        stop = last_norm2 <= stop2 * scale2
         if k == rank_cap:
             stop[:] = True
         elif stop.any():
             # a sampled residual grid must agree; a miss (a part the crosses
-            # have not reached) goes on from the grid's row pivots
+            # have not reached) goes on from the grid's row pivots.  The
+            # grid's largest singular value, scaled to the block, estimates
+            # the residual's spectral norm
             cand, ks = np.flatnonzero(stop), np.arange(k)
             grid = np.random.default_rng(k)
             pr = np.sort(grid.choice(m, min(_SAMPLES, m), replace=False))
@@ -511,12 +570,13 @@ def rook_pivot_compress_stack(
             E = np.asarray(multi(rows[cand][:, pr], cols[cand][:, pc]), dtype=dtype)
             E = E.reshape(cand.size, pr.size, pc.size) - (
                 Ust[np.ix_(cand, ks, pr)].swapaxes(1, 2) @ Wst[np.ix_(cand, ks, pc)])
-            est = np.sum(np.abs(E) ** 2, axis=(1, 2)) * (m * n / (pr.size * pc.size))
-            miss = est > (tol ** 2) * norm2[cand]
+            est = np.linalg.norm(E, ord=2, axis=(1, 2)) ** 2 * (m * n / (pr.size * pc.size))
+            miss = est > stop2 * scale2[cand]
             stop[cand[miss]] = False
             nxt[cand[miss]] = pr[_pivots(E[miss].swapaxes(1, 2), b)]
         if stop.any():
-            nxt = nxt[retire(stop, np.full(active, k))]
+            keep = _trim_tail(Ust, Wst, k - tail, k, np.flatnonzero(stop), _TRIM * tol * np.sqrt(scale2))
+            nxt = nxt[retire(stop, keep)]
 
     # one QR+SVD recompression per phase over the bases zero-padded to the
     # phase's largest rank: the padding adds an exactly zero trailing block

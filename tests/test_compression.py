@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from repro import (
     ClusterTree,
@@ -10,6 +11,7 @@ from repro import (
     SolverConfig,
     build_hodlr,
     compress_block,
+    get_problem,
     solve,
     svd_compress,
 )
@@ -186,10 +188,17 @@ class TestBlockedSteps:
 
     def test_complex_kernel_build_meets_tolerance(self):
         """A step whose intersection ``S`` drops a direction is ill-conditioned,
-        not converged; the stop rule tests only the crosses ``S`` kept."""
-        cfg = SolverConfig(compression=CompressionConfig(tol=1e-6, method="rook"))
-        res = solve("helmholtz_kernel", n=1024, seed=1, config=cfg, compute_residual="exact")
-        assert res.relative_residual <= 6e-8
+        not converged; the stop rule tests only the crosses ``S`` kept.  At
+        one ``tol`` rook is as accurate as the randomized range finder."""
+        relres = {}
+        for kappa in (10.0, 20.0, 40.0):
+            for method in ("rook", "randomized"):
+                cfg = SolverConfig(compression=CompressionConfig(tol=1e-6, method=method))
+                res = solve("helmholtz_kernel", n=1024, kappa=kappa, seed=1, config=cfg,
+                            compute_residual="exact")
+                relres[method, kappa] = res.relative_residual
+            assert relres["rook", kappa] <= 1.25 * relres["randomized", kappa]
+        assert relres["rook", 20.0] <= 6e-8
 
     def test_single_block_is_a_one_block_stack(self):
         block = exact_rank_stack(1, 90, 70, 20, seed=24)[0]
@@ -273,3 +282,65 @@ class TestDispatcher:
         with pytest.raises(ValueError):
             config = CompressionConfig(method="nope")
             compress_block(lambda r, c: np.zeros((len(r), len(c))), 4, 4, config)
+
+
+class TestErrorContract:
+    """Rook retires a block only below the threshold the truncation cuts at,
+    ``tol`` times the block's largest singular value."""
+
+    def test_flat_spectrum_above_the_threshold_is_kept(self):
+        # 40 directions at sigma_1 (so ||A||_F = 6.3 sigma_1), then 48 flat
+        # just above tol * sigma_1: a Frobenius-relative stop misses them
+        tol, m, n = 1e-6, 300, 280
+        rng = np.random.default_rng(30)
+        s = np.concatenate([np.ones(40), np.full(48, 2.0 * tol)])
+        U, _ = np.linalg.qr(rng.standard_normal((m, s.size)))
+        V, _ = np.linalg.qr(rng.standard_normal((n, s.size)))
+        block = (U * s) @ V.T
+        assert np.linalg.norm(block) > 6 * s[0]
+        f = rook_pivot_compress_dense(block, tol=tol)
+        assert f.rank == svd_compress(block, tol=tol).rank == s.size
+        assert np.linalg.norm(f.to_dense() - block, 2) <= 2 * tol * s[0]
+
+    def test_helmholtz_kernel_defaults_to_rook(self):
+        comp = get_problem("helmholtz_kernel").default_config.compression
+        assert comp.method == "rook" and comp.tol == 1e-6
+
+
+def _geqp3_pivots(X, count, exclude=None):
+    """``_pivots``'s reference: one LAPACK ``geqp3`` per block."""
+    if exclude is not None:
+        X = np.where(exclude[:, None, :], 0, X)
+    geqp3 = sla.get_lapack_funcs("geqp3", (X,))
+    picks = []
+    for a, x in enumerate(X):
+        piv = geqp3(x)[1] - 1
+        if exclude is not None:
+            piv = piv[np.argsort(exclude[a, piv], kind="stable")]
+        picks.append(piv[:count])
+    return np.array(picks)
+
+
+class TestPivots:
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_matches_geqp3(self, complex_):
+        rng = np.random.default_rng(31)
+        X = rng.standard_normal((7, 16, 90))
+        if complex_:
+            X = X + 1j * rng.standard_normal(X.shape)
+        exclude = rng.random((7, 90)) < 0.3
+        for count in (1, 8, 16):
+            np.testing.assert_array_equal(compression._pivots(X, count), _geqp3_pivots(X, count))
+            np.testing.assert_array_equal(
+                compression._pivots(X, count, exclude), _geqp3_pivots(X, count, exclude)
+            )
+
+    def test_excluded_columns_come_last(self):
+        rng = np.random.default_rng(32)
+        X = rng.standard_normal((3, 4, 10))
+        exclude = np.zeros((3, 10), dtype=bool)
+        exclude[:, :7] = True
+        picks = compression._pivots(X, 6, exclude)
+        # the 3 allowed columns first, past the rank the 4 rows give
+        assert np.all(np.sort(picks[:, :3], axis=1) == [7, 8, 9])
+        assert np.all(picks[:, 3:] < 7)
