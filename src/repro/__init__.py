@@ -92,13 +92,7 @@ from .backends.memory import DeviceMemoryTracker, hodlr_device_footprint, max_pr
 from .backends.counters import get_recorder
 from .backends.device import GPU_V100, CPU_XEON_6254_DUAL, PCIE3_X16, DeviceSpec
 from .backends.perfmodel import PerformanceModel
-from .backends.calibration import (
-    MachineProfile,
-    calibrate,
-    machine_fingerprint,
-    set_active_profile,
-    use_profile,
-)
+from .backends.calibration import MachineProfile
 
 from .kernels.kernel_matrix import KernelMatrix
 from .kernels.radial import (
@@ -239,10 +233,6 @@ __all__ = [
     "DeviceSpec",
     "PerformanceModel",
     "MachineProfile",
-    "calibrate",
-    "machine_fingerprint",
-    "set_active_profile",
-    "use_profile",
     # kernels
     "KernelMatrix",
     "GaussianKernel",

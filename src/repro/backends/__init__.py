@@ -52,17 +52,7 @@ from .batched import (
 )
 from .device import DeviceSpec, CPU_XEON_6254_DUAL, GPU_V100, PCIE3_X16
 from .perfmodel import PerformanceModel, ExecutionEstimate
-from .calibration import (
-    MachineProfile,
-    auto_tune_context,
-    calibrate,
-    derive_precision_policy,
-    get_active_profile,
-    machine_fingerprint,
-    measure_profile,
-    set_active_profile,
-    use_profile,
-)
+from .calibration import MachineProfile, measure_profile
 
 __all__ = [
     "KernelEvent",
@@ -98,12 +88,5 @@ __all__ = [
     "PerformanceModel",
     "ExecutionEstimate",
     "MachineProfile",
-    "auto_tune_context",
-    "calibrate",
-    "derive_precision_policy",
-    "get_active_profile",
-    "machine_fingerprint",
     "measure_profile",
-    "set_active_profile",
-    "use_profile",
 ]

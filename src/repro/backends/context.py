@@ -210,7 +210,7 @@ class ExecutionContext:
     """
 
     backend: Union[str, ArrayBackend] = "numpy"
-    policy: Union[str, DispatchPolicy] = field(default_factory=lambda: DEFAULT_POLICY)
+    policy: DispatchPolicy = field(default_factory=lambda: DEFAULT_POLICY)
     precision: PrecisionPolicy = field(default_factory=PrecisionPolicy)
 
     def __post_init__(self) -> None:
@@ -218,18 +218,6 @@ class ExecutionContext:
             object.__setattr__(self, "backend", get_backend(self.backend))
         if self.policy is None:
             object.__setattr__(self, "policy", DEFAULT_POLICY)
-        if isinstance(self.policy, str):
-            if self.policy != "auto":
-                raise ValueError(
-                    f"the only string policy is 'auto', got {self.policy!r}"
-                )
-            # measured-crossover policy for this host (cached calibration);
-            # imported lazily because calibration imports this module
-            from .calibration import get_active_profile
-
-            object.__setattr__(
-                self, "policy", get_active_profile().dispatch_policy()
-            )
         if not isinstance(self.policy, DispatchPolicy):
             raise TypeError(f"policy must be a DispatchPolicy, got {self.policy!r}")
         if not isinstance(self.precision, PrecisionPolicy):

@@ -37,8 +37,9 @@ tested on bare tuples in ``tests/test_dispatch.py``).
 
 from __future__ import annotations
 
+import numbers
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, Hashable, List, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
@@ -215,11 +216,11 @@ class DispatchPolicy:
     bucket as one batched kernel regardless, so these thresholds only
     matter for the CPU emulation's wall clock).
 
-    The class defaults are *fallback* constants measured once on one
-    development machine.  :mod:`repro.backends.calibration` measures the
-    real crossovers of the current host and derives a policy from them;
-    request it with ``ExecutionContext(policy="auto")`` or
-    ``repro.solve(..., tuning="auto")``.
+    The class defaults are fixed constants, measured once on one
+    development machine and used unchanged on every host.  A caller who
+    wants other crossovers passes a policy of their own.  Construction
+    checks every field (``TypeError`` for a wrong type, ``ValueError`` for
+    a value out of range).
 
     Parameters
     ----------
@@ -274,6 +275,27 @@ class DispatchPolicy:
     lu_solve_min_batch_ratio: float = 4.0
     pad_buckets: bool = False
     pad_max_waste: float = 0.25
+
+    def __post_init__(self) -> None:
+        kinds = {"bool": (bool, "a bool"), "int": (numbers.Integral, "an int"),
+                 "float": (numbers.Real, "a real number")}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, label = kinds[str(f.type)]
+            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+                raise TypeError(f"DispatchPolicy.{f.name} must be {label}, got {value!r}")
+        for name, ok, rule in (
+            ("min_bucket", self.min_bucket >= 1, ">= 1"),
+            ("lu_factor_min_batch", self.lu_factor_min_batch >= 1, ">= 1"),
+            ("lu_factor_max_n", self.lu_factor_max_n >= 0, ">= 0"),
+            ("lu_solve_max_n", self.lu_solve_max_n >= 0, ">= 0"),
+            ("lu_solve_min_batch_ratio", self.lu_solve_min_batch_ratio >= 0, ">= 0"),
+            ("pad_max_waste", 0 <= self.pad_max_waste < 1, "in [0, 1)"),
+        ):
+            if not ok:
+                raise ValueError(
+                    f"DispatchPolicy.{name} must be {rule}, got {getattr(self, name)!r}"
+                )
 
     def replace(self, **changes) -> "DispatchPolicy":
         """A copy with the given tunables replaced (the policy is frozen)."""

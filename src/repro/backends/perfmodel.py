@@ -80,16 +80,6 @@ class PerformanceModel:
     device: DeviceSpec = GPU_V100
     link: Optional[LinkSpec] = PCIE3_X16
 
-    @classmethod
-    def for_host(cls, device: DeviceSpec) -> "PerformanceModel":
-        """A model pricing traces on the host itself: no link.
-
-        This is what :mod:`repro.backends.calibration` uses to compare
-        precision-demotion candidates on the calibrated machine — there is
-        no PCIe transfer to hide.
-        """
-        return cls(device=device, link=None)
-
     def estimate(self, trace: KernelTrace, include_transfer: bool = True) -> ExecutionEstimate:
         compute = 0.0
         by_kernel: Dict[str, float] = {}

@@ -187,10 +187,9 @@ class HODLRSolver:
         skip the cast.
 
         An explicit ``context=`` replaces the one the config would build —
-        this is how :class:`~repro.api.operator.HODLROperator` hands its
-        auto-tuned (``tuning="auto"``) context down instead of having the
-        derivation re-run here from the raw config fields.  To change one
-        field and keep the rest (e.g. the precision), pass
+        this is how :class:`~repro.api.operator.HODLROperator` shares its
+        own context instead of building a second one from the config.  To
+        change one field and keep the rest (e.g. the precision), pass
         ``config.execution_context().replace(policy=...)``.
         """
         return cls(

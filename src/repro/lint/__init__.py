@@ -45,9 +45,9 @@ Deliberate exceptions are baselined in-source with *reasoned* pragmas::
 
     x = time.perf_counter()  # repro-lint: ignore[RL004] -- wall-clock solver stats, not test timing
 
-or, for whole files (calibration sweeps, host-only baselines)::
+or, for whole files (the host probe, host-only baselines)::
 
-    # repro-lint: file-ignore[RL004] -- measured crossover sweeps are the module's purpose
+    # repro-lint: file-ignore[RL004] -- the probe exists to measure host wall-clock
 
 A pragma without a ``-- reason`` is itself an error (RL000), and
 ``python -m repro.lint --list-pragmas`` prints the complete audit trail.

@@ -140,7 +140,7 @@ class TestSolverConfig:
         [
             dict(variant="dense"),
             dict(backend=""),
-            dict(tuning="fast"),
+            dict(dispatch_policy="auto"),  # the retired string policy
             dict(pivot=1),
             dict(dtype="int32"),
             dict(dtype="not-a-dtype"),
@@ -182,6 +182,35 @@ class TestSolverConfig:
     def test_parallel_keyword_is_gone(self):
         with pytest.raises(TypeError):
             repro.solve("gaussian_kernel", n=256, parallel="auto")
+
+    @pytest.mark.parametrize(
+        "key, value", [("tuning", "auto"), ("residual_budget", 1e-6)]
+    )
+    def test_from_dict_rejects_retired_tuning_keys(self, key, value):
+        # a payload written while the auto-tuner existed
+        d = dict(SolverConfig().to_dict(), **{key: value})
+        with pytest.raises(ConfigError, match=key):
+            SolverConfig.from_dict(d)
+
+    @pytest.mark.parametrize("entry", [repro.solve, repro.build_operator])
+    def test_tuning_keyword_is_gone(self, entry):
+        with pytest.raises(TypeError):
+            entry("gaussian_kernel", n=256, tuning="auto")
+
+    @pytest.mark.parametrize(
+        "policy, match",
+        [
+            ({"min_bukket": 3}, "min_bukket"),  # unknown field
+            ({"lu_solve_min_batch_ratio": "x"}, "lu_solve_min_batch_ratio"),  # type
+            ({"min_bucket": -1}, "min_bucket"),  # range
+        ],
+    )
+    def test_from_dict_rejects_malformed_dispatch_policy(self, policy, match):
+        # every field's type and range check is in test_dispatch.py; this
+        # checks that a payload's failures surface as ConfigError
+        d = dict(SolverConfig().to_dict(), dispatch_policy=policy)
+        with pytest.raises(ConfigError, match=match):
+            SolverConfig.from_dict(d)
 
     def test_replace_reaches_compression_fields(self):
         cfg = SolverConfig()

@@ -302,6 +302,12 @@ class TestContextBasics:
         assert isinstance(ctx.backend, NumpyBackend)
         assert not ctx.device_resident
 
+    def test_string_policy_rejected(self):
+        # "auto" once resolved to a host-tuned policy; now only a
+        # DispatchPolicy (or None for the default) is accepted
+        with pytest.raises(TypeError):
+            ExecutionContext(policy="auto")
+
     def test_precision_policy_validation(self):
         with pytest.raises(ValueError):
             PrecisionPolicy(plan="int32")

@@ -184,6 +184,61 @@ VECTORIZE_ALWAYS = DispatchPolicy(
 )
 
 
+class TestDispatchPolicyValidation:
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            DEFAULT_POLICY,
+            LOOP_POLICY,
+            VECTORIZE_ALWAYS,
+            DEFAULT_POLICY.replace(min_bucket=1, lu_factor_min_batch=1),
+            DispatchPolicy(pad_buckets=True, pad_max_waste=0.0),
+            DispatchPolicy(lu_factor_max_n=0, lu_solve_max_n=0),
+            DispatchPolicy(min_bucket=np.int64(3), lu_solve_min_batch_ratio=2),
+        ],
+    )
+    def test_policies_in_use_are_accepted(self, policy):
+        assert policy.replace() == policy  # replace() validates again
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(bucketing=1),
+            dict(lu_vectorize="no"),
+            dict(pad_buckets=None),
+            dict(min_bucket=True),
+            dict(min_bucket=2.0),
+            dict(lu_factor_max_n="12"),
+            dict(lu_solve_min_batch_ratio="x"),
+            dict(pad_max_waste=False),
+        ],
+    )
+    def test_wrong_types_raise_type_error(self, changes):
+        with pytest.raises(TypeError, match=next(iter(changes))):
+            DispatchPolicy(**changes)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(min_bucket=0),
+            dict(lu_factor_min_batch=0),
+            dict(lu_factor_max_n=-1),
+            dict(lu_solve_max_n=-1),
+            dict(lu_solve_min_batch_ratio=-0.5),
+            dict(lu_solve_min_batch_ratio=float("nan")),
+            dict(pad_max_waste=1.0),
+            dict(pad_max_waste=-0.01),
+        ],
+    )
+    def test_out_of_range_values_raise_value_error(self, changes):
+        with pytest.raises(ValueError, match=next(iter(changes))):
+            DispatchPolicy(**changes)
+
+    def test_replace_validates(self):
+        with pytest.raises(ValueError, match="min_bucket"):
+            DEFAULT_POLICY.replace(min_bucket=0)
+
+
 def _bucketed_lu_solve(mats, rhs, factor_policy=None, solve_policy=None, pivot=True):
     """Factor and solve a heterogeneous batch with one strided getrf/getrs
     launch per shape bucket; 1-D right-hand sides come back 1-D."""
