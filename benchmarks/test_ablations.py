@@ -92,7 +92,13 @@ class TestVariantAblation:
 
 
 #: the factor/solve launches of repro.backends.batched (all strided)
-STRIDED_KERNELS = {"gemm_strided_batched", "getrf_batched", "getrs_batched"}
+STRIDED_KERNELS = {
+    "gemm_strided_batched",
+    "getrf_batched",
+    "getrs_batched",
+    "potrf_batched",
+    "potrs_batched",
+}
 
 
 class TestDispatchAblation:

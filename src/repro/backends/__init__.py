@@ -6,6 +6,8 @@ library lowers every tree level onto one strided launch per shape bucket:
 * ``gemmStridedBatched``   -> :func:`repro.backends.batched.gemm_strided_batched`
 * ``getrfBatched``         -> :func:`repro.backends.batched.getrf_batched`
 * ``getrsBatched``         -> :func:`repro.backends.batched.getrs_batched`
+* ``potrfBatched``         -> :func:`repro.backends.batched.potrf_batched`
+* ``potrsBatched``         -> :func:`repro.backends.batched.potrs_batched`
 * ``geqrfBatched``         -> :func:`repro.backends.batched.qr_batched`
 * ``gesvdjBatched``        -> :func:`repro.backends.batched.svd_batched`
 
@@ -49,6 +51,8 @@ from .batched import (
     gemm_strided_batched,
     getrf_batched,
     getrs_batched,
+    potrf_batched,
+    potrs_batched,
 )
 from .device import DeviceSpec, CPU_XEON_6254_DUAL, GPU_V100, PCIE3_X16
 from .perfmodel import PerformanceModel, ExecutionEstimate
@@ -81,6 +85,8 @@ __all__ = [
     "gemm_strided_batched",
     "getrf_batched",
     "getrs_batched",
+    "potrf_batched",
+    "potrs_batched",
     "DeviceSpec",
     "CPU_XEON_6254_DUAL",
     "GPU_V100",

@@ -10,6 +10,8 @@ cuBLAS/cuSOLVER         this module
 ``gemmStridedBatched``  :func:`gemm_strided_batched`
 ``getrfBatched``        :func:`getrf_batched`
 ``getrsBatched``        :func:`getrs_batched`
+``potrfBatched``        :func:`potrf_batched` (returns ``C^{-1}``)
+``potrsBatched``        :func:`potrs_batched` (two gemms on ``C^{-1}``)
 ``geqrfBatched``        :func:`qr_batched`
 ``gesvdjBatched``       :func:`svd_batched`
 =====================  ==============================================
@@ -21,7 +23,10 @@ every heterogeneous level into uniform shape buckets up front (exact or
 identity/zero-padded, see :mod:`repro.backends.dispatch`), so each launch
 sees one 3-D stack with one stride.  The LU pair keeps cuBLAS's
 ``getrf``/``getrs`` names because they model the same kernels; in cuBLAS
-those take pointer arrays, here a 3-D stack.
+those take pointer arrays, here a 3-D stack.  The Cholesky pair keeps
+cuSOLVER's ``potrf``/``potrs`` names, but stores the explicit inverse
+factor ``C^{-1}`` rather than ``C``, so a solve is two strided products
+instead of two triangular substitutions.
 
 Every call emits one :class:`~repro.backends.counters.KernelEvent` so that
 the performance model can reconstruct what the launch would have cost on a
@@ -50,6 +55,8 @@ from .counters import (
     gesvd_flops,
     getrf_flops,
     getrs_flops,
+    potrf_flops,
+    potrs_flops,
     record_event,
 )
 from .dispatch import DEFAULT_POLICY, ArrayBackend, DispatchPolicy, get_backend
@@ -290,6 +297,96 @@ def getrs_batched(
             flops=nb * getrs_flops(n, nrhs, _is_complex(out_dtype)),
             bytes_moved=float(lu3.nbytes + 2 * rhs3.nbytes),
             dtype_size=np.dtype(out_dtype).itemsize,
+            strided=True,
+            buckets=1,
+            plan=True,
+        )
+    )
+    return x3
+
+
+# ----------------------------------------------------------------------
+# Cholesky factorization / solve (real SPD stacks)
+# ----------------------------------------------------------------------
+def potrf_batched(
+    A3: np.ndarray,
+    backend: Optional[ArrayBackend] = None,
+) -> np.ndarray:
+    """Strided batched Cholesky (cuSOLVER ``potrfBatched``): one launch.
+
+    ``A3`` is a ``(nb, n, n)`` stack of real symmetric positive definite
+    matrices.  Returns the ``(nb, n, n)`` stack of inverse lower factors
+    ``C^{-1}`` (``A3[i] = C C^T``), which :func:`potrs_batched` applies.
+    The recorded flops are the ``potrf`` plus the triangular inverse.
+    Raises :class:`numpy.linalg.LinAlgError`, and records no event, when a
+    member is not symmetric to rounding or not positive definite; the
+    compiled plans then factor the bucket with :func:`getrf_batched`
+    instead.
+    """
+    if A3.ndim != 3 or A3.shape[1] != A3.shape[2]:
+        raise ValueError("potrf_batched expects a 3-D stack of square matrices")
+    cinv3 = _resolve(backend).cholesky_inverse_batch(A3)
+    nb, n = A3.shape[0], A3.shape[1]
+    record_event(
+        KernelEvent(
+            kernel="potrf_batched",
+            batch=nb,
+            shape=(n, n, 0),
+            flops=nb * potrf_flops(n),
+            bytes_moved=float(2 * A3.nbytes),
+            dtype_size=np.dtype(A3.dtype).itemsize,
+            strided=True,
+            buckets=1,
+            plan=True,
+        )
+    )
+    return cinv3
+
+
+#: factor bytes one pass of :func:`potrs_batched` covers (an L2-sized
+#: chunk of leaves)
+_POTRS_CHUNK_BYTES = 1 << 20
+
+
+def potrs_batched(
+    cinv3: np.ndarray,
+    rhs3: np.ndarray,
+    backend: Optional[ArrayBackend] = None,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Strided batched Cholesky solve (cuSOLVER ``potrsBatched``): one launch.
+
+    Solves ``A[i] X[i] = rhs3[i]`` as ``X = C^{-T} (C^{-1} rhs)`` against
+    the :func:`potrf_batched` inverse factors — two strided products, whose
+    flops are recorded as executed (full gemms).  The host runs both
+    products chunk by chunk of ``_POTRS_CHUNK_BYTES`` of factors, so each
+    factor is read from memory once per launch rather than twice.  The
+    result dtype promotes over both operands; ``out`` (of that dtype)
+    receives the solutions and may be ``rhs3`` itself, as for
+    :func:`getrs_batched`.
+    """
+    if rhs3.ndim != 3 or rhs3.shape[:2] != cinv3.shape[:2]:
+        raise ValueError("potrs_batched expects a (nb, n, nrhs) stack matching the factors")
+    xb = _resolve(backend)
+    nb, n, nrhs = rhs3.shape
+    out_dtype = np.result_type(cinv3.dtype, rhs3.dtype)
+    x3 = xb.zeros(rhs3.shape, dtype=out_dtype) if out is None else out
+    # both products of a chunk run while its factors are still in cache, so
+    # each factor streams from memory once; a chunk reads its right-hand
+    # sides before it writes its solutions, so out may alias rhs3
+    step = max(1, _POTRS_CHUNK_BYTES // max(1, n * n * cinv3.dtype.itemsize))
+    for s in range(0, nb, step):
+        c = cinv3[s : s + step]
+        half = xb.matmul(c, rhs3[s : s + step])
+        xb.matmul(c.swapaxes(-1, -2), half, out=x3[s : s + step])
+    record_event(
+        KernelEvent(
+            kernel="potrs_batched",
+            batch=nb,
+            shape=(n, nrhs, 0),
+            flops=nb * potrs_flops(n, nrhs, _is_complex(x3.dtype)),
+            bytes_moved=float(cinv3.nbytes + 2 * rhs3.nbytes),
+            dtype_size=np.dtype(x3.dtype).itemsize,
             strided=True,
             buckets=1,
             plan=True,

@@ -299,6 +299,20 @@ def getrs_flops(n: int, nrhs: int, complex_arith: bool = False) -> float:
     return 4.0 * base if complex_arith else base
 
 
+def potrf_flops(n: int, complex_arith: bool = False) -> float:
+    """Flops for the inverse Cholesky factor of an ``n x n`` SPD matrix:
+    ``potrf`` (n^3/3) plus the in-place triangular inverse ``trtri`` (n^3/3)."""
+    base = 2.0 / 3.0 * n ** 3
+    return 4.0 * base if complex_arith else base
+
+
+def potrs_flops(n: int, nrhs: int, complex_arith: bool = False) -> float:
+    """Flops for ``x = C^{-T} (C^{-1} b)`` against an explicit inverse factor:
+    two full ``n x n`` gemms per right-hand side (4 n^2 per rhs) — the
+    triangular zeros are multiplied, not skipped."""
+    return 2.0 * gemm_flops(n, nrhs, n, complex_arith)
+
+
 def geqrf_flops(m: int, n: int, complex_arith: bool = False) -> float:
     """Flops for a Householder thin QR of an ``m x n`` block (2 m n^2 - 2/3 n^3).
 

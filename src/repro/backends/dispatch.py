@@ -11,10 +11,11 @@ buckets up front and issues one strided launch
 :class:`ArrayBackend`
     A protocol describing the array-level primitives the batched kernels
     need (``matmul`` over 3-D stacks, batched LU factorization and solve,
-    host transfers).  :class:`NumpyBackend` is the default implementation;
-    :class:`CupyBackend` registers the same interface behind an optional
-    ``cupy`` import so a real GPU backend plugs in without touching the
-    solver code.  Backends are looked up by name via :func:`get_backend`.
+    inverse Cholesky factors, host transfers).  :class:`NumpyBackend` is
+    the default implementation; :class:`CupyBackend` registers the same
+    interface behind an optional ``cupy`` import so a real GPU backend
+    plugs in without touching the solver code.  Backends are looked up by
+    name via :func:`get_backend`.
 
 :class:`BatchPlanner` / :func:`plan_batch`
     Groups the blocks of a tree level into *shape buckets*: maximal index
@@ -173,8 +174,10 @@ def pad_identity_stack(xb, blocks, width: int, dtype):
     pivots across the border (border rows are zero in every ``A`` column),
     the leading sub-block of the padded factor is the exact factor of
     ``A_i``, and padded right-hand-side rows solve against the identity —
-    so the padding is exact for both ``getrf`` and ``getrs``.  The
-    compiled factor plans pack their padded leaf buckets with it.
+    so the padding is exact for both ``getrf`` and ``getrs``.  It is exact
+    for Cholesky too: the inverse factor of ``blkdiag(A_i, I)`` is
+    ``blkdiag(C_i^{-1}, I)``.  The compiled factor plans pack their padded
+    leaf buckets with it.
     """
     out = xb.zeros((len(blocks), width, width), dtype=dtype)
     for j, blk in enumerate(blocks):
@@ -414,6 +417,66 @@ def _lu_solve_batch(xp, lu, piv, b, pivot: bool = True):
     return x
 
 
+def _check_symmetric_batch(xp, a) -> None:
+    """Raise :class:`numpy.linalg.LinAlgError` unless every matrix of a real
+    ``(batch, n, n)`` stack is symmetric to rounding.
+
+    The test is ``|A v - A^T v| <= (16 + 2n) eps max|diag A| ||v||_1`` for
+    a fixed pseudo-random ``v``: two batched matrix-vector products rather
+    than a transposing pass over the stack.  On a positive definite matrix
+    the diagonal bounds every entry, so the right side covers an asymmetry
+    of ``16 eps`` (the threshold of ``build_hodlr``'s symmetry probe) plus
+    the rounding of both products; a matrix that fails is not symmetric,
+    or not definite.
+    """
+    n = a.shape[-1]
+    v = xp.asarray(np.random.default_rng(n).standard_normal(n).astype(a.dtype))
+    gap = xp.abs(xp.matmul(a, v) - xp.matmul(v, a)).max(axis=-1)
+    scale = xp.abs(xp.diagonal(a, axis1=-2, axis2=-1)).max(axis=-1)
+    bound = (16 + 2 * n) * np.finfo(a.dtype).eps * float(xp.abs(v).sum())
+    bad = xp.flatnonzero(~(gap <= bound * scale))
+    if bad.size:
+        raise np.linalg.LinAlgError(
+            f"problem {int(bad[0])} is not symmetric to rounding: no Cholesky factor"
+        )
+
+
+def cholesky_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse lower Cholesky factors of a ``(batch, n, n)`` real SPD stack.
+
+    Returns ``X`` with ``X[i] = C_i^{-1}``, where ``A[i] = C_i C_i^T`` and
+    ``C_i`` is lower triangular; ``X[i]`` is lower triangular too.  Each
+    problem is one LAPACK ``potrf`` and one ``trtri``, both in place on a
+    C-ordered copy of the stack: the Fortran view of a C-ordered block is
+    its transpose, so the upper Cholesky factor ``U = C^T`` of that view,
+    inverted in place, reads back in C order as ``U^{-T} = C^{-1}``.
+    ``potrf`` reads one triangle only, so the stack is first checked to be
+    symmetric (:func:`_check_symmetric_batch`).  Raises
+    :class:`numpy.linalg.LinAlgError` when a problem is not symmetric or
+    not (numerically) positive definite.  Each problem's result depends on
+    that problem alone, so factorizing any subset of a stack gives the
+    same bits.
+    """
+    out = np.array(a, order="C", copy=True)
+    if out.dtype.kind != "f":
+        raise ValueError(f"cholesky_inverse expects a real stack, got {out.dtype}")
+    if out.shape[0] == 0 or out.shape[1] == 0:
+        return out
+    _check_symmetric_batch(np, out)
+    potrf, trtri = sla.get_lapack_funcs(("potrf", "trtri"), (out,))
+    for i in range(out.shape[0]):
+        w = out[i].T
+        _, info = potrf(w, lower=0, clean=1, overwrite_a=1)
+        if info == 0:
+            _, info = trtri(w, lower=0, overwrite_c=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"Cholesky factorization failed on problem {i} (info={info}): "
+                "the block is not positive definite"
+            )
+    return out
+
+
 # ======================================================================
 # ArrayBackend protocol and implementations
 # ======================================================================
@@ -452,6 +515,8 @@ class ArrayBackend(Protocol):
     def lu_factor_batch(self, a: Any, pivot: bool = True) -> Tuple[Any, Any]: ...
 
     def lu_solve_batch(self, lu: Any, piv: Any, b: Any, pivot: bool = True) -> Any: ...
+
+    def cholesky_inverse_batch(self, a: Any) -> Any: ...
 
     def qr_batch(self, a: Any) -> Tuple[Any, Any]: ...
 
@@ -542,6 +607,9 @@ class NumpyBackend:
             out[i] = x
         return out
 
+    def cholesky_inverse_batch(self, a):
+        return cholesky_inverse(np.asarray(a))
+
     def qr_batch(self, a):
         # NumPy's qr vectorises over leading batch axes (one LAPACK call per
         # problem at C level, no Python-loop bookkeeping per block)
@@ -622,6 +690,16 @@ class CupyBackend:
 
     def lu_solve_batch(self, lu, piv, b, pivot: bool = True):  # pragma: no cover - requires cupy
         return _lu_solve_batch(self._cp, self._cp.asarray(lu), piv, self._cp.asarray(b), pivot=pivot)
+
+    def cholesky_inverse_batch(self, a):  # pragma: no cover - requires cupy
+        # batched potrf, then the triangular inverse through a batched
+        # inverse; cupy's cholesky leaves NaNs on failure
+        a = self._cp.asarray(a)
+        _check_symmetric_batch(self._cp, a)
+        C = self._cp.linalg.cholesky(a)
+        if not bool(self._cp.isfinite(C).all()):
+            raise np.linalg.LinAlgError("Cholesky factorization failed: not positive definite")
+        return self._cp.tril(self._cp.linalg.inv(C))
 
     def qr_batch(self, a):  # pragma: no cover - requires cupy
         a = self._cp.asarray(a)

@@ -134,7 +134,11 @@ def scale(a: HODLRMatrix, alpha: float) -> HODLRMatrix:
 def add_diagonal(
     a: HODLRMatrix, d, context: Optional[ExecutionContext] = None
 ) -> HODLRMatrix:
-    """``A + diag(d)`` where ``d`` is a scalar or a length-``n`` vector."""
+    """``A + diag(d)`` where ``d`` is a scalar or a length-``n`` vector.
+
+    A ``symmetric`` ``a`` stays ``symmetric``: the shift changes only the
+    diagonal blocks, so a real symmetric matrix keeps its Cholesky leaves.
+    """
     ctx = context or DEFAULT_CONTEXT
     xb = ctx.backend
     tree = a.tree
@@ -156,7 +160,8 @@ def add_diagonal(
         tree=tree,
         diag=diag,
         U={k: v.copy() for k, v in a.U.items()},
-        V={k: v.copy() for k, v in a.V.items()},
+        V={} if a.symmetric else {k: v.copy() for k, v in a.V.items()},
+        symmetric=a.symmetric,
     )
 
 

@@ -9,7 +9,8 @@ the ``"batched"`` solver variant builds it.
 
 :meth:`BatchedFactorization.factorize` lowers onto
 :func:`~repro.core.factor_plan.build_factor_plan` — one ``getrfBatched``/
-``getrsBatched``/``gemmStridedBatched`` launch per shape bucket per level —
+``getrsBatched``/``gemmStridedBatched`` launch per shape bucket per level,
+with ``potrfBatched``/``potrsBatched`` leaves on a real symmetric matrix —
 wrapped in kernel-trace recording and host/device transfer accounting, and
 :meth:`BatchedFactorization.solve` replays the compiled
 :class:`~repro.core.factor_plan.SolvePlan` (``O(levels x buckets)``

@@ -6,19 +6,45 @@ sweeps:
 
 :class:`FactorPlan`
     Per-level shape-bucketed strided 3-D storage of everything Algorithm 2
-    needs: packed LU factors + pivots of the leaf diagonal blocks, packed
+    needs: the factors of the leaf diagonal blocks (inverse Cholesky
+    factors, or packed LU factors + pivots; see *Leaf factors*), packed
     LU factors of the per-level reduced ``K`` systems, and the ``Y``/``V^*``
     bases driving the Schur-update gemms (``V^*`` read from the matrix).
     Built through the dispatch layer by :func:`build_factor_plan` (which
-    *is* Algorithm 1, executed packed: one getrf/getrs/gemm launch per
+    *is* Algorithm 1, executed packed: one factor/solve/gemm launch per
     shape bucket per level).
 
 :class:`SolvePlan`
     The compiled forward/backward sweep over that storage:
-    ``O(levels x buckets)`` ``getrs``/``gemm_strided_batched`` launches per
-    solve, no Python tree walk, no per-solve re-bucketing.  Krylov loops
+    ``O(levels x buckets)`` ``potrs``/``getrs``/``gemm_strided_batched``
+    launches per solve, no Python tree walk, no per-solve re-bucketing.  Krylov loops
     and repeated direct solves reuse it; every launch is trace-visible
     (``KernelEvent.plan`` marks plan-replay launches).
+
+Leaf factors
+------------
+A real symmetric matrix (``hodlr.symmetric`` with a real dtype) factors
+each leaf bucket as ``D = C C^T`` and stores the inverse factor ``C^{-1}``
+in the ``m x m`` slot an LU factor takes, with no pivots
+(:func:`~repro.backends.batched.potrf_batched`).  Every leaf solve — the
+``Ybig`` stage of the build and each :class:`SolvePlan` replay — is then
+``x = C^{-T} (C^{-1} b)``, two strided products in one
+:func:`~repro.backends.batched.potrs_batched` launch instead of a loop of
+per-leaf triangular substitutions.  Applying the two triangular inverse
+factors one after the other keeps the accuracy of the substitution
+(Du Croz & Higham, "Stability of methods for matrix inversion", IMA J.
+Numer. Anal. 1992).  An explicit full leaf inverse ``D^{-1}`` would be
+cheaper still, but it is not stable: on ``gp_covariance`` n=65536 it cut
+the exact-residual digits from 9.42 to 8.61 (-0.8), where the triangular
+factors kept 9.42.  Only the lower triangle of each leaf block is read;
+``symmetric`` asserts the whole source is symmetric, as the mirrored
+off-diagonal storage already does.  A bucket whose Cholesky fails (a block
+that is not positive definite) falls back to pivoted LU; the bucket
+records ``kind="lu"`` with ``fallback=True`` and
+:attr:`FactorPlan.leaf_fallbacks` counts them.  Complex and non-symmetric
+matrices keep pivoted LU leaves.  This is the leaf half of the symmetric
+factorization of Ambikasaran, O'Neil & Singh (2014); the ``K`` systems
+stay LU.
 
 Mixed-precision factor storage
 ------------------------------
@@ -34,7 +60,7 @@ narrow.  One step of iterative refinement
 
 Memory
 ------
-The plan owns the leaf LU factors, the K factors and the solved ``Y3``
+The plan owns the leaf factors, the K factors and the solved ``Y3``
 stacks.  ``V^*`` is a transposed view of the matrix's own per-level
 stacks (:class:`~repro.core.hodlr.HODLRStorage`); a plan copies it only
 when it must transform it — precision-demoted levels, identity-padded
@@ -44,32 +70,34 @@ level's ``Y3`` is final.  :attr:`FactorPlan.nbytes` (and so
 ``factorization_nbytes``) counts what the plan owns.  A plan is a snapshot
 of one matrix: a streaming update refactorizes into a fresh plan
 (:meth:`~repro.core.solver.HODLRSolver.patch_factorize`) through the same
-:func:`build_factor_plan`, which copies the LU factors of every leaf whose
-diagonal block is unchanged (bitwise equal) from the previous plan and
-issues the leaf ``getrf_batched`` launches over the changed leaves only —
-a fresh factorization is the case where no leaf is kept.  Each such
-launch runs in the host execution mode its whole bucket would get, so the
-result is bitwise a fresh factorization's.
+:func:`build_factor_plan`, which copies the leaf factors of every leaf
+whose diagonal block is unchanged (bitwise equal) from the previous plan
+and issues the leaf ``potrf_batched``/``getrf_batched`` launches over the
+changed leaves only — a fresh factorization is the case where no leaf is
+kept.  Each such launch runs in the host execution mode its whole bucket
+would get, so the result is bitwise a fresh factorization's.
 
 A solve copies the right-hand side once, into a C-ordered working array
 that becomes the solution, and allocates one ``(n, K)`` workspace.  Each
 contiguous full-precision bucket is solved in place through a zero-copy
 row view (:meth:`~repro.core.packing.GatherScatter.view`): the leaf
-``getrs`` writes into the view (``getrs_batched(..., out=)``), the ``V^*``
+solve writes into the view (``potrs_batched``/``getrs_batched(...,
+out=)``), the ``V^*``
 gemms read it, and each ``Y W`` update lands in the bucket's rows of the
 workspace and is subtracted in place.  The workspace is allocated per
 call and never cached on the plan: one plan serves concurrent solves, and
 :attr:`FactorPlan.nbytes` counts only resident storage.  Padded and
 demoted buckets gather, solve into a fresh array and scatter back.
 
-Pad-to-bucket LU packing
-------------------------
+Pad-to-bucket leaf packing
+--------------------------
 With ``DispatchPolicy(pad_buckets=True)`` near-equal leaf/node sizes merge
-into shared buckets.  LU buckets pad with an **identity border** (the
+into shared buckets.  Leaf buckets pad with an **identity border** (the
 padded matrix is ``blkdiag(A, I)``): partial pivoting never crosses the
 border, the leading sub-block of the padded factor *is* the factor of
-``A``, and padded right-hand-side rows solve against the identity — so
-padding is exact, not approximate.
+``A`` (for Cholesky the padded ``C^{-1}`` is ``blkdiag(C_A^{-1}, I)``),
+and padded right-hand-side rows solve against the identity — so padding
+is exact, not approximate.
 """
 
 from __future__ import annotations
@@ -80,7 +108,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backends.batched import gemm_strided_batched, getrf_batched, getrs_batched
+from ..backends.batched import (
+    gemm_strided_batched,
+    getrf_batched,
+    getrs_batched,
+    potrf_batched,
+    potrs_batched,
+)
 from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
 from ..backends.counters import get_recorder
 from ..backends.dispatch import pad_identity_stack, plan_batch, plan_batch_padded
@@ -92,15 +126,29 @@ from .packing import GatherScatter, demote_rhs_dtype, owned_nbytes, viewed_buffe
 # ======================================================================
 @dataclass
 class _LeafBucket:
-    """LU factors of the leaf diagonal blocks sharing one (padded) size."""
+    """Factors of the leaf diagonal blocks sharing one (padded) size."""
 
     #: positions of the members within ``tree.leaves`` submission order
     positions: Tuple[int, ...]
     gs: GatherScatter
-    #: (nb, M, M) packed LU factors (identity-bordered when padded)
-    lu3: np.ndarray
-    #: (nb, M) pivot rows
-    piv3: np.ndarray
+    #: ``"cholesky"``: ``factor3`` holds inverse lower Cholesky factors
+    #: ``C^{-1}`` (``D = C C^T``) and there are no pivots; ``"lu"``: packed
+    #: LU factors with their pivot rows in ``piv3``
+    kind: str
+    #: (nb, M, M) factors (identity-bordered when padded)
+    factor3: np.ndarray
+    #: (nb, M) pivot rows of an LU bucket
+    piv3: Optional[np.ndarray] = None
+    #: an LU bucket of a real symmetric matrix whose Cholesky failed
+    fallback: bool = False
+
+    def solve(self, rhs3, xb, pol, out=None):
+        """One strided solve launch against the bucket's factors."""
+        if self.kind == "cholesky":
+            return potrs_batched(self.factor3, rhs3, backend=xb, out=out)
+        return getrs_batched(
+            self.factor3, self.piv3, rhs3, pivot=True, backend=xb, policy=pol, out=out
+        )
 
 
 
@@ -198,8 +246,8 @@ class FactorPlan:
             return
         leaf_target = prec.factor_dtype(self.dtype, self.levels)
         for lb in self.leaf_buckets:
-            if lb.lu3.dtype != leaf_target:
-                lb.lu3 = lb.lu3.astype(leaf_target)
+            if lb.factor3.dtype != leaf_target:
+                lb.factor3 = lb.factor3.astype(leaf_target)
                 self.demoted = True
         for sw in self.sweeps:
             target = prec.factor_dtype(self.dtype, sw.level + 1)
@@ -217,7 +265,7 @@ class FactorPlan:
         deepest level, a level's K/Y/V storage reports the child level)."""
         out: Dict[int, np.dtype] = {}
         for lb in self.leaf_buckets:
-            out[self.levels] = np.dtype(lb.lu3.dtype)
+            out[self.levels] = np.dtype(lb.factor3.dtype)
         for sw in self.sweeps:
             out.setdefault(sw.level + 1, np.dtype(sw.k_lu3.dtype))
         return out
@@ -234,18 +282,26 @@ class FactorPlan:
     # ------------------------------------------------------------------
     # per-leaf views
     # ------------------------------------------------------------------
-    def leaf_lu_views(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """``(lu, piv)`` of every leaf in ``tree.leaves`` order (views into
-        the packed stacks; padded borders sliced away)."""
-        out: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * len(
+    def leaf_factor_views(self) -> List[Tuple[np.ndarray, Optional[np.ndarray]]]:
+        """``(factor, piv)`` of every leaf in ``tree.leaves`` order (views
+        into the packed stacks; padded borders sliced away): ``(C^{-1},
+        None)`` for a Cholesky leaf, ``(lu, piv)`` for an LU leaf."""
+        out: List[Optional[Tuple[np.ndarray, Optional[np.ndarray]]]] = [None] * len(
             self.tree.leaves
         )
         for lb in self.leaf_buckets:
             sizes = lb.gs.sizes
             for j, p in enumerate(lb.positions):
                 m = sizes[j]
-                out[p] = (lb.lu3[j, :m, :m], lb.piv3[j, :m])
+                piv = None if lb.piv3 is None else lb.piv3[j, :m]
+                out[p] = (lb.factor3[j, :m, :m], piv)
         return out  # type: ignore[return-value]
+
+    @property
+    def leaf_fallbacks(self) -> int:
+        """Leaf buckets of a real symmetric matrix whose Cholesky failed and
+        that were factored with pivoted LU instead."""
+        return sum(lb.fallback for lb in self.leaf_buckets)
 
     def y_views(self) -> Dict[int, np.ndarray]:
         """Solved basis ``Y_alpha = A_alpha^{-1} U_alpha`` of every non-root
@@ -264,8 +320,9 @@ class FactorPlan:
     def slogdet(self) -> Tuple[complex, float]:
         """Sign/phase and log-magnitude of ``det(A)`` from the packed factors.
 
-        Identity-bordered padding contributes ``log 1 = 0`` and no row
-        swaps, so padded stacks need no special casing.
+        A Cholesky leaf contributes ``log det D = -2 sum log diag(C^{-1})``
+        with sign ``+1``.  Identity-bordered padding contributes ``log 1 =
+        0`` and no row swaps, so padded stacks need no special casing.
         """
         from .factor_recursive import _lu_slogdet
 
@@ -273,10 +330,13 @@ class FactorPlan:
         sign: complex = 1.0
         logabs = 0.0
         for lb in self.leaf_buckets:
-            lu3 = np.asarray(xb.to_host(lb.lu3))  # repro-lint: ignore[RL001] -- slogdet is host-side analysis: factors download once, reduce serially
+            f3 = np.asarray(xb.to_host(lb.factor3))  # repro-lint: ignore[RL001] -- slogdet is host-side analysis: factors download once, reduce serially
+            if lb.kind == "cholesky":
+                logabs -= 2.0 * float(np.sum(np.log(np.diagonal(f3, axis1=1, axis2=2))))
+                continue
             piv3 = np.asarray(lb.piv3)  # repro-lint: ignore[RL001] -- pivot metadata is host-resident by design
-            for j in range(lu3.shape[0]):
-                s, l = _lu_slogdet(lu3[j], piv3[j])
+            for j in range(f3.shape[0]):
+                s, l = _lu_slogdet(f3[j], piv3[j])
                 sign *= s
                 logabs += l
         for sw in self.sweeps:
@@ -300,7 +360,8 @@ class FactorPlan:
         """Every array the plan references (views into the matrix included)."""
         out: List[np.ndarray] = []
         for lb in self.leaf_buckets:
-            out += [lb.lu3, lb.piv3, *lb.gs.arrays()]
+            out += [a for a in (lb.factor3, lb.piv3) if a is not None]
+            out += lb.gs.arrays()
         for sw in self.sweeps:
             out += [sw.k_lu3, sw.k_piv3]
             for bk in sw.buckets:
@@ -381,17 +442,16 @@ class SolvePlan:
         # first use; never cached on the plan, which serves concurrent solves
         ws = None
 
-        # forward stage: one packed substitution per leaf bucket, in place
-        # on the view of a contiguous full-precision bucket
+        # forward stage: one packed leaf solve per bucket, in place on the
+        # view of a contiguous full-precision bucket
         for lb in plan.leaf_buckets:
-            bd = np.result_type(lb.lu3.dtype, demote_rhs_dtype(lb.lu3.dtype, out_dtype))
+            fdt = lb.factor3.dtype
+            bd = np.result_type(fdt, demote_rhs_dtype(fdt, out_dtype))
             xv = lb.gs.view(x) if bd == out_dtype else None
             if xv is not None:
-                getrs_batched(lb.lu3, lb.piv3, xv, pivot=True, backend=xb, policy=pol, out=xv)
+                lb.solve(xv, xb, pol, out=xv)
                 continue
-            rhs3 = lb.gs.take(x).astype(bd, copy=False)
-            sol3 = getrs_batched(lb.lu3, lb.piv3, rhs3, pivot=True, backend=xb, policy=pol)
-            lb.gs.put(x, sol3)
+            lb.gs.put(x, lb.solve(lb.gs.take(x).astype(bd, copy=False), xb, pol))
 
         # backward sweep: deepest level first
         for sw in plan.sweeps:
@@ -516,7 +576,7 @@ def _concat_bases(bases, tree, level_ranks: List[int], zeros, dtype) -> np.ndarr
 
 
 def _kept_leaf_factors(previous, hodlr, dtype, pol):
-    """Where each reusable leaf's LU factors sit in an earlier plan.
+    """Where each reusable leaf's factors sit in an earlier plan.
 
     ``previous`` is ``(matrix, plan)`` of an earlier factorization.  A leaf
     whose diagonal block in ``hodlr`` equals its block in ``matrix``
@@ -535,49 +595,81 @@ def _kept_leaf_factors(previous, hodlr, dtype, pol):
     leaves = tree.leaves
     kept = {}
     for lb in plan.leaf_buckets:
-        if lb.lu3.dtype != dtype:
+        if lb.factor3.dtype != dtype:
             continue
         rows = {}
         for j, p in enumerate(lb.positions):
             new, old = hodlr.diag[leaves[p].index], matrix.diag[leaves[p].index]
             if new.shape == old.shape and bool(np.array_equal(new, old)):
                 rows[p] = j
-        kept[lb.lu3.shape[1]] = (lb, rows)
+        kept[lb.factor3.shape[1]] = (lb, rows)
     return kept
 
 
-def _leaf_lu(D3, positions, kept, xb, pol):
-    """LU factors ``(lu3, piv3)`` of one leaf bucket.
+def _reuse_rows(D3, positions, where, old, factor):
+    """The factor stacks of one leaf bucket, reusing an earlier plan's rows.
 
-    Members with factors in ``kept`` (see :func:`_kept_leaf_factors`) copy
-    them with one gather; ``getrf_batched`` runs over the rest only — every
-    member on a fresh factorization.  The launch executes in the host mode
-    (vectorised or per-problem LAPACK) the whole bucket would get, so kept
-    and fresh members are bitwise what a fresh factorization computes.  A
-    previous bucket of a different size or execution mode keeps nothing.
+    Members with a row in ``where`` copy that row of the earlier bucket
+    ``old`` (its factors, and its pivots if it has any) with one gather;
+    ``factor(A3)``, returning the same stacks, runs over the rest only —
+    every member on a fresh factorization.
     """
-    nb, M = D3.shape[0], D3.shape[1]
-    old, where = kept.get(M, (None, {}))
-    if old is not None and pol.vectorize_lu_factor(
-        old.lu3.shape[0], M
-    ) != pol.vectorize_lu_factor(nb, M):
-        where = {}
+    nb = D3.shape[0]
     rows = np.array([where.get(p, -1) for p in positions], dtype=np.intp)
     fresh = np.flatnonzero(rows < 0)
     if fresh.size == nb:
-        return getrf_batched(D3, pivot=True, backend=xb, policy=pol)
+        return factor(D3)
     take = np.where(rows >= 0, rows, 0)
-    lu3, piv3 = old.lu3[take], old.piv3[take]
+    out = tuple(a[take] for a in (old.factor3, old.piv3) if a is not None)
     if fresh.size:
-        mode = (
-            pol.replace(min_bucket=1, lu_factor_min_batch=1)
-            if pol.vectorize_lu_factor(nb, M)
-            else pol.replace(lu_vectorize=False)
-        )
-        lu3[fresh], piv3[fresh] = getrf_batched(
-            D3[fresh], pivot=True, backend=xb, policy=mode
-        )
-    return lu3, piv3
+        for a, new in zip(out, factor(D3[fresh])):
+            a[fresh] = new
+    return out
+
+
+def _leaf_factors(D3, positions, kept, xb, pol, spd: bool):
+    """``(kind, factor3, piv3, fallback)`` of one leaf bucket.
+
+    With ``spd`` (a real symmetric matrix) the bucket takes Cholesky
+    factors from ``potrf_batched``; a bucket whose Cholesky fails falls
+    back to pivoted LU (``fallback=True``).  Members with factors of the
+    same kind in ``kept`` (see :func:`_kept_leaf_factors`) copy them, and
+    the factor launch covers the rest only.  A Cholesky member depends on
+    its own block alone, and an LU launch executes in the host mode
+    (vectorised or per-problem LAPACK) the whole bucket would get, so kept
+    and fresh members are bitwise what a fresh factorization computes.  A
+    previous bucket of a different size, kind or LU execution mode keeps
+    nothing.
+    """
+    nb, M = D3.shape[0], D3.shape[1]
+    old, where = kept.get(M, (None, {}))
+    if spd:
+        try:
+            (cinv3,) = _reuse_rows(
+                D3, positions, where if old is not None and old.kind == "cholesky" else {}, old,
+                lambda A3: (potrf_batched(A3, backend=xb),),
+            )
+            return "cholesky", cinv3, None, False
+        except np.linalg.LinAlgError:
+            pass
+    vectorize = pol.vectorize_lu_factor(nb, M)
+    if old is None or old.kind != "lu" or (
+        pol.vectorize_lu_factor(old.factor3.shape[0], M) != vectorize
+    ):
+        where = {}
+
+    def lu(A3):
+        mode = pol
+        if A3.shape[0] < nb:
+            mode = (
+                pol.replace(min_bucket=1, lu_factor_min_batch=1)
+                if vectorize
+                else pol.replace(lu_vectorize=False)
+            )
+        return getrf_batched(A3, pivot=True, backend=xb, policy=mode)
+
+    lu3, piv3 = _reuse_rows(D3, positions, where, old, lu)
+    return "lu", lu3, piv3, spd
 
 
 def build_factor_plan(
@@ -590,8 +682,9 @@ def build_factor_plan(
     :class:`~repro.core.hodlr.HODLRMatrix`) straight into a
     :class:`FactorPlan`.
 
-    Per shape bucket per level this issues one getrf, one getrs, and a
-    handful of strided gemms through the dispatch layer.  The solved bases
+    Per shape bucket per level this issues one factorization (potrf or
+    getrf), one solve (potrs or getrs), and a handful of strided gemms
+    through the dispatch layer.  The solved bases
     are computed in a working concatenated ``Ybig`` (the paper's in-place
     layout) and each level's ``Y3`` is gathered from it once the level is
     final; ``Ybig`` is dropped on return.  ``V^*`` is read from the
@@ -599,10 +692,13 @@ def build_factor_plan(
     BatchedFactorization` (the ``batched`` variant) wraps this in trace
     recording and transfer accounting.
 
+    A real symmetric ``hodlr`` factors its leaves by Cholesky (see *Leaf
+    factors* in the module docstring); every other matrix by pivoted LU.
+
     ``previous`` refactorizes after a streaming update: it is ``(matrix,
     plan)`` of the factorization before it.  Every leaf whose diagonal
-    block is bitwise equal to its block in ``matrix`` copies its LU factors
-    from ``plan``, so the leaf getrf launches cover only the changed
+    block is bitwise equal to its block in ``matrix`` copies its factors
+    from ``plan``, so the leaf factor launches cover only the changed
     leaves.  ``Ybig``, the K systems and the sweeps are always recomputed:
     a recompressed ancestor basis changes every row it spans.
     ``previous=None`` factorizes every leaf — a fresh factorization.
@@ -616,8 +712,9 @@ def build_factor_plan(
     col_offsets = [0, *accumulate(level_ranks)]
     Ybig = _concat_bases(hodlr.U, tree, level_ranks, xb.zeros, dtype)
     kept = _kept_leaf_factors(previous, hodlr, dtype, pol)
+    spd = hodlr.symmetric and dtype.kind == "f"
 
-    # ---- leaves: one packed LU + one packed substitution per size bucket
+    # ---- leaves: one packed factorization + one packed solve per size bucket
     leaves = tree.leaves
     with rec.context(level=tree.levels):
         plan_buckets = _leaf_plan_buckets(tree, pol)
@@ -637,13 +734,19 @@ def build_factor_plan(
             gs = GatherScatter.from_ranges(
                 [(leaves[i].start, leaves[i].stop) for i in bucket.indices], bucket.key[0]
             )
-            lu3, piv3 = _leaf_lu(D3, bucket.indices, kept, xb, pol)
-            if Ybig.shape[1]:
-                sol3 = getrs_batched(lu3, piv3, gs.take(Ybig), pivot=True, backend=xb, policy=pol)
-                gs.put(Ybig, sol3)
-            leaf_buckets.append(
-                _LeafBucket(positions=bucket.indices, gs=gs, lu3=lu3, piv3=piv3)
+            kind, f3, piv3, fallback = _leaf_factors(D3, bucket.indices, kept, xb, pol, spd)
+            lb = _LeafBucket(
+                positions=bucket.indices, gs=gs, kind=kind, factor3=f3, piv3=piv3,
+                fallback=fallback,
             )
+            if Ybig.shape[1]:
+                # in place on a contiguous bucket's rows, as SolvePlan.solve
+                yv = gs.view(Ybig)
+                if yv is not None:
+                    lb.solve(yv, xb, pol, out=yv)
+                else:
+                    gs.put(Ybig, lb.solve(gs.take(Ybig), xb, pol))
+            leaf_buckets.append(lb)
 
     # ---- level sweep, bottom-up
     sweeps: List[_LevelSweep] = []

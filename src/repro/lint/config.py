@@ -44,6 +44,7 @@ DEFAULT_RL003_KERNELS: Mapping[str, Tuple[str, ...]] = {
     "lu_solve": ("getrs_batched",),
     "lu_solve_batch": ("getrs_batched",),
     "lu_solve_many": ("getrs_batched",),
+    "cholesky_inverse_batch": ("potrf_batched",),
     "qr_batch": ("geqrf_batched",),
     "svd_batch": ("gesvd_batched",),
 }
@@ -100,7 +101,6 @@ class LintConfig:
     #: ``with <lock>`` block
     rl006_modules: Tuple[str, ...] = (
         "src/repro/backends/batched.py",
-        "src/repro/backends/calibration.py",
         "src/repro/backends/dispatch.py",
         "src/repro/core/apply_plan.py",
         "src/repro/core/factor_plan.py",

@@ -60,6 +60,17 @@ class TestScaleAndDiagonal:
         A, _, HA, _ = pair
         H2 = arithmetic.add_diagonal(HA, 3.0)
         assert H2.approximation_error(A + 3.0 * np.eye(A.shape[0])) < 1e-9
+        assert H2.symmetric == HA.symmetric
+
+    def test_diagonal_shift_keeps_symmetric(self):
+        n = 256
+        x = np.sort(np.random.default_rng(4).uniform(0.0, 1.0, n))
+        A = np.exp(-8.0 * np.abs(x[:, None] - x[None, :]))
+        H = build_hodlr(A, ClusterTree.balanced(n, leaf_size=32), tol=1e-12, method="svd")
+        assert H.symmetric
+        H2 = arithmetic.add_diagonal(H, 0.5)
+        assert H2.symmetric
+        assert H2.approximation_error(A + 0.5 * np.eye(n)) < 1e-9
 
     def test_add_vector_diagonal(self, pair, rng):
         A, _, HA, _ = pair

@@ -7,6 +7,8 @@ from repro.backends.batched import (
     gemm_strided_batched,
     getrf_batched,
     getrs_batched,
+    potrf_batched,
+    potrs_batched,
 )
 from repro.backends.counters import (
     KernelEvent,
@@ -15,6 +17,8 @@ from repro.backends.counters import (
     getrf_flops,
     getrs_flops,
     get_recorder,
+    potrf_flops,
+    potrs_flops,
 )
 from repro.backends.device import CPU_XEON_6254_DUAL, GPU_V100, PCIE3_X16, DeviceSpec
 from repro.backends.dispatch import get_backend
@@ -116,6 +120,78 @@ class TestLUBatched:
             s_ref, l_ref = np.linalg.slogdet(A)
             assert np.real(sign) * s_ref > 0
             assert logabs == pytest.approx(l_ref, rel=1e-10)
+
+
+def _spd_stack(rng, nb, n):
+    G = rng.standard_normal((nb, n, n))
+    return G @ G.transpose(0, 2, 1) + n * np.eye(n)
+
+
+class TestCholeskyBatched:
+    def test_inverse_factor_and_solve(self, rng):
+        mats = _spd_stack(rng, 5, 6)
+        rhs = rng.standard_normal((5, 6, 3))
+        cinv3 = potrf_batched(mats)
+        for A, X in zip(mats, cinv3):
+            C = np.linalg.cholesky(A)
+            assert np.array_equal(X, np.tril(X))
+            np.testing.assert_allclose(X @ C, np.eye(6), atol=1e-13)
+        xs = potrs_batched(cinv3, rhs)
+        for A, B, X in zip(mats, rhs, xs):
+            np.testing.assert_allclose(A @ X, B, rtol=1e-10, atol=1e-10)
+
+    def test_solve_in_place(self, rng):
+        mats = _spd_stack(rng, 4, 5)
+        rhs = rng.standard_normal((4, 5, 2))
+        cinv3 = potrf_batched(mats)
+        expected = potrs_batched(cinv3, rhs)
+        out = rhs.copy()
+        assert potrs_batched(cinv3, out, out=out) is out
+        np.testing.assert_array_equal(out, expected)
+
+    def test_one_event_each_with_executed_flops(self, rng):
+        mats = _spd_stack(rng, 3, 7)
+        with get_recorder().recording() as trace:
+            cinv3 = potrf_batched(mats)
+            potrs_batched(cinv3, rng.standard_normal((3, 7, 4)))
+        f, s = trace.events
+        assert (f.kernel, s.kernel) == ("potrf_batched", "potrs_batched")
+        assert all(e.strided and e.plan and e.buckets == 1 for e in trace.events)
+        assert f.flops == pytest.approx(3 * potrf_flops(7))
+        # two full gemms per right-hand side block
+        assert s.flops == pytest.approx(3 * potrs_flops(7, 4))
+        assert potrs_flops(7, 4) == pytest.approx(2 * gemm_flops(7, 4, 7))
+
+    def test_subset_gives_the_same_bits(self, rng):
+        mats = _spd_stack(rng, 6, 9)
+        full = potrf_batched(mats)
+        np.testing.assert_array_equal(potrf_batched(mats[[4, 1]]), full[[4, 1]])
+
+    def test_indefinite_raises_and_records_nothing(self, rng):
+        mats = _spd_stack(rng, 3, 5)
+        mats[1] -= 100 * np.eye(5)
+        with get_recorder().recording() as trace:
+            with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+                potrf_batched(mats)
+        assert trace.num_launches == 0
+
+    def test_non_symmetric_raises(self, rng):
+        mats = _spd_stack(rng, 3, 5)
+        mats[2, 0, 4] += 1e-6
+        with pytest.raises(np.linalg.LinAlgError, match="not symmetric"):
+            potrf_batched(mats)
+
+    def test_rounding_asymmetry_accepted(self, rng):
+        mats = _spd_stack(rng, 3, 5)
+        mats[2, 0, 4] *= 1.0 + 4 * np.finfo(float).eps
+        potrf_batched(mats)
+
+    def test_shapes_checked(self, rng):
+        with pytest.raises(ValueError):
+            potrf_batched(rng.standard_normal((2, 3, 4)))
+        cinv3 = potrf_batched(_spd_stack(rng, 2, 3))
+        with pytest.raises(ValueError):
+            potrs_batched(cinv3, np.ones((2, 4, 1)))
 
 
 class TestTracing:

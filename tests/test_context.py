@@ -41,6 +41,7 @@ from repro.backends.dispatch import (
     NumpyBackend,
     _lu_factor_batch,
     _lu_solve_batch,
+    cholesky_inverse,
     lu_factor_nopivot,
     lu_solve_nopivot,
     plan_batch_padded,
@@ -166,6 +167,10 @@ class RecordingStubBackend:
         self.calls["lu_solve_batch"] += 1
         return _wrap(_lu_solve_batch(np, np.asarray(lu), piv, np.asarray(b), pivot=pivot))
 
+    def cholesky_inverse_batch(self, a):
+        self.calls["cholesky_inverse_batch"] += 1
+        return _wrap(cholesky_inverse(np.asarray(a)))
+
     def qr_batch(self, a):
         self.calls["qr_batch"] += 1
         Q, R = np.linalg.qr(np.asarray(a))
@@ -184,6 +189,7 @@ _NUMPY_COMPUTE = (
     "lu_solve",
     "lu_factor_batch",
     "lu_solve_batch",
+    "cholesky_inverse_batch",
     "qr_batch",
     "svd_batch",
 )
@@ -238,9 +244,11 @@ class TestRecordingStub:
 
         # factorization through the config (variant="batched")
         solver = HODLRSolver.from_config(hodlr, cfg, dtype=None).factorize()
+        # the symmetric Gaussian kernel: Cholesky leaves, LU K systems
+        assert stub.calls["cholesky_inverse_batch"] > 0
         assert stub.calls["lu_factor_batch"] + stub.calls["lu_factor"] > 0
         assert all(
-            isinstance(lu, _DeviceArray) for lu, _ in solver.factor_plan.leaf_lu_views()
+            isinstance(lu, _DeviceArray) for lu, _ in solver.factor_plan.leaf_factor_views()
         )
 
         # compiled apply plan + matvec, device in / device out

@@ -17,13 +17,14 @@ Covers the acceptance criteria of the plan refactor:
 import numpy as np
 import pytest
 
-from conftest import complex_test_matrix, hodlr_friendly_matrix
+from conftest import complex_test_matrix, hodlr_friendly_matrix, spd_kernel_matrix
 
 from repro import (
     BatchedFactorization,
     ClusterTree,
     DispatchPolicy,
     ExecutionContext,
+    HODLRMatrix,
     HODLROperator,
     HODLRSolver,
     PrecisionPolicy,
@@ -406,6 +407,149 @@ class TestPaddedLU:
         H = build_hodlr(A, tree, tol=1e-12, method="svd")
         fac = factorize(H, "batched", context=ExecutionContext(policy=PAD_POLICY))
         assert fac.logdet() == pytest.approx(np.linalg.slogdet(A)[1], rel=1e-8)
+
+
+# ======================================================================
+# Cholesky leaves of real symmetric matrices
+# ======================================================================
+def _lu_twin(H):
+    """The same matrix without the ``symmetric`` mark: the plan factors its
+    leaves with pivoted LU."""
+    return HODLRMatrix(
+        tree=H.tree, diag=dict(H.diag), U=dict(H.U), V=dict(H.V), symmetric=False
+    )
+
+
+def _spd_problem(n, leaf, seed=0):
+    A = spd_kernel_matrix(n, seed=seed)
+    H = build_hodlr(A, ClusterTree.balanced(n, leaf_size=leaf), tol=1e-12, method="svd")
+    assert H.symmetric
+    return A, H
+
+
+def _leaf_kinds(fac):
+    return {lb.kind for lb in fac.factor_plan.leaf_buckets}
+
+
+class TestCholeskyLeaves:
+    @pytest.mark.parametrize(
+        "n, leaf, policy",
+        [
+            (256, 32, None),  # uniform tree: one leaf bucket
+            (300, 40, None),  # odd leaves: sizes 37 and 38
+            (300, 40, PAD_POLICY),  # the two sizes padded into one bucket
+        ],
+    )
+    def test_matches_dense_and_lu_plan(self, n, leaf, policy, rng):
+        A, H = _spd_problem(n, leaf)
+        ctx = ExecutionContext(policy=policy) if policy else None
+        chol = factorize(H, "batched", context=ctx)
+        lu = factorize(_lu_twin(H), "batched", context=ctx)
+        assert _leaf_kinds(chol) == {"cholesky"} and _leaf_kinds(lu) == {"lu"}
+        assert chol.factor_plan.leaf_fallbacks == 0
+        assert all(lb.piv3 is None for lb in chol.factor_plan.leaf_buckets)
+        b = rng.standard_normal((n, 3))
+        x, x_lu = chol.solve(b), lu.solve(b)
+        x_dense = np.linalg.solve(A, b)
+        assert np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense) < 1e-8
+        assert np.linalg.norm(x - x_lu) / np.linalg.norm(x_lu) < 1e-11
+        assert chol.solve_plan.launches_per_solve == lu.solve_plan.launches_per_solve
+        # the pivots are gone: the plan is smaller by their bytes
+        piv = sum(lb.piv3.nbytes for lb in lu.factor_plan.leaf_buckets)
+        assert chol.factor_plan.nbytes == lu.factor_plan.nbytes - piv
+
+    def test_padded_border_stays_identity(self):
+        _, H = _spd_problem(300, 40)
+        fac = factorize(H, "batched", context=ExecutionContext(policy=PAD_POLICY))
+        (lb,) = fac.factor_plan.leaf_buckets
+        for j, m in enumerate(lb.gs.sizes):
+            f = lb.factor3[j]
+            np.testing.assert_array_equal(f[m:, m:], np.eye(f.shape[0] - m))
+            assert not f[m:, :m].any() and not f[:m, m:].any()
+
+    def test_solve_launches_are_one_potrs_per_bucket(self, rng):
+        _, H = _spd_problem(300, 40)
+        fac = factorize(H, "batched")
+        with get_recorder().recording() as trace:
+            fac.solve(rng.standard_normal(300))
+        assert trace.num_kernel_launches == fac.solve_plan.launches_per_solve
+        potrs = trace.filter(kernel="potrs_batched").events
+        assert len(potrs) == len(fac.factor_plan.leaf_buckets)
+
+    def test_float32_factor_storage(self, rng):
+        A, H = _spd_problem(256, 32)
+        ctx = ExecutionContext(precision=PrecisionPolicy(factor="float32"))
+        chol = factorize(H, "batched", context=ctx)
+        lu = factorize(_lu_twin(H), "batched", context=ctx)
+        plan = chol.factor_plan
+        assert plan.demoted and _leaf_kinds(chol) == {"cholesky"}
+        assert all(lb.factor3.dtype == np.float32 for lb in plan.leaf_buckets)
+        b = rng.standard_normal(256)
+        x64 = np.linalg.solve(A, b)
+        err = np.linalg.norm(chol.solve(b) - x64) / np.linalg.norm(x64)
+        err_lu = np.linalg.norm(lu.solve(b) - x64) / np.linalg.norm(x64)
+        # single-precision grade, and no worse than the demoted LU leaves
+        assert err < 1e-3
+        assert err < 4 * err_lu
+
+    @pytest.mark.parametrize("n, leaf", [(256, 32), (300, 40)])
+    def test_slogdet_matches_dense(self, n, leaf):
+        A, H = _spd_problem(n, leaf)
+        sign, logabs = factorize(H, "batched").slogdet()
+        s_ref, l_ref = np.linalg.slogdet(A)
+        assert sign == 1.0 and s_ref == 1.0
+        assert logabs == pytest.approx(l_ref, rel=1e-9)
+        padded = factorize(H, "batched", context=ExecutionContext(policy=PAD_POLICY))
+        assert padded.slogdet()[1] == pytest.approx(l_ref, rel=1e-9)
+
+    def test_indefinite_source_falls_back_to_lu(self, rng):
+        """A symmetric but indefinite source: its leaf blocks have no
+        Cholesky factor, so every bucket factors with pivoted LU and the
+        plan says so."""
+        n = 300
+        x = np.sort(rng.uniform(0.0, 1.0, n))
+        signs = np.where(np.arange(n) % 2, 1.0, -1.0)
+        A = 1.0 / (1.0 + 50.0 * np.abs(x[:, None] - x[None, :])) + n * np.diag(signs)
+        H = build_hodlr(A, ClusterTree.balanced(n, leaf_size=40), tol=1e-12, method="svd")
+        assert H.symmetric
+        fac = factorize(H, "batched")
+        plan = fac.factor_plan
+        assert _leaf_kinds(fac) == {"lu"}
+        assert all(lb.fallback for lb in plan.leaf_buckets)
+        assert plan.leaf_fallbacks == len(plan.leaf_buckets) == 2
+        b = rng.standard_normal(n)
+        assert np.linalg.norm(A @ fac.solve(b) - b) / np.linalg.norm(b) < 1e-10
+        # bitwise the plan of the same matrix without the symmetric mark
+        assert np.array_equal(fac.solve(b), factorize(_lu_twin(H), "batched").solve(b))
+        assert fac.slogdet()[1] == pytest.approx(np.linalg.slogdet(A)[1], rel=1e-9)
+
+    def test_non_symmetric_leaf_blocks_fall_back_to_lu(self, rng):
+        """The symmetry probe samples off-diagonal blocks only; leaf blocks
+        that are not symmetric are factored with LU, never by Cholesky of
+        one triangle."""
+        n = 128
+        A = np.zeros((n, n))
+        for start in range(0, n, 16):
+            A[start : start + 16, start : start + 16] = (
+                rng.standard_normal((16, 16)) + 16 * np.eye(16)
+            )
+        # a symmetric coupling between the two halves passes the probe
+        u, v = rng.standard_normal((64, 2)), rng.standard_normal((64, 2))
+        A[:64, 64:] += u @ v.T
+        A[64:, :64] += v @ u.T
+        H = build_hodlr(A, ClusterTree.balanced(n, leaf_size=16), tol=1e-10, method="svd")
+        assert H.symmetric
+        fac = factorize(H, "batched")
+        assert _leaf_kinds(fac) == {"lu"} and fac.factor_plan.leaf_fallbacks == 1
+        b = rng.standard_normal(n)
+        assert np.linalg.norm(A @ fac.solve(b) - b) / np.linalg.norm(b) < 1e-12
+
+    def test_complex_and_non_symmetric_keep_lu(self):
+        for kind in ("real", "complex"):
+            _, H = make_problem(n=192, leaf=24, kind=kind)
+            fac = factorize(H, "batched")
+            assert _leaf_kinds(fac) == {"lu"}
+            assert fac.factor_plan.leaf_fallbacks == 0
 
 
 # ======================================================================

@@ -183,19 +183,24 @@ class TestSolverPatch:
         assert np.linalg.norm(x - x_fresh) / np.linalg.norm(x_fresh) < 1e-8
 
 
-def _point_kernel(complex_):
+def _point_kernel(kind):
     """``source(points)`` -> ``entries(rows, cols)`` over a 1-D point set:
-    a non-symmetric real kernel, or a complex symmetric Helmholtz-like one
-    (a diagonal shift on coinciding indices keeps both well conditioned)."""
+    a non-symmetric real kernel (``"real"``), a complex symmetric
+    Helmholtz-like one (``"complex"``), or a real symmetric positive
+    definite one (``"spd"``, factored with Cholesky leaves).  A diagonal
+    shift on coinciding indices keeps each well conditioned."""
 
     def source(p):
         def entries(rows, cols):
             rows, cols = np.asarray(rows), np.asarray(cols)
             x, y = p[rows][:, None], p[cols][None, :]
             d = np.abs(x - y)
-            if complex_:
+            if kind == "complex":
                 A = np.exp(10j * d) / (1.0 + 10.0 * d)
                 shift = (2.0 + 0.5j) * np.sqrt(p.size)
+            elif kind == "spd":
+                A = np.exp(-8.0 * d)
+                shift = 1.0
             else:
                 A = 1.0 / (1.0 + 50.0 * d) + 0.05 * np.sin(3 * np.pi * x) * np.cos(
                     2 * np.pi * y
@@ -208,11 +213,12 @@ def _point_kernel(complex_):
     return source
 
 
-def _leaf_getrf_batches(trace, tree) -> int:
-    """Leaves factorized by the leaf-level ``getrf_batched`` launches."""
+def _leaf_factor_batches(trace, tree) -> int:
+    """Leaves factorized by the leaf-level ``getrf_batched`` (LU) and
+    ``potrf_batched`` (Cholesky) launches."""
     return sum(
         e.batch for e in trace.events
-        if e.kernel == "getrf_batched" and e.level == tree.levels
+        if e.kernel in ("getrf_batched", "potrf_batched") and e.level == tree.levels
     )
 
 
@@ -234,12 +240,12 @@ class TestDirtyLeafRefactorization:
     leaves, and is still bitwise a fresh factorization."""
 
     @staticmethod
-    def _updates(complex_, leaf):
+    def _updates(kind, leaf):
         """The matrices of an insert, remove, move and diag-shift sequence,
         each with the dirty nodes of its step."""
         from repro.core.arithmetic import add_diagonal
 
-        source = _point_kernel(complex_)
+        source = _point_kernel(kind)
         rng = np.random.default_rng(31)
         pts = np.sort(rng.uniform(0.0, 1.0, 256))
         idx = np.arange(pts.size)
@@ -268,19 +274,19 @@ class TestDirtyLeafRefactorization:
         H = add_diagonal(upd.matrix, 0.5)
         yield H, frozenset(leaf.index for leaf in H.tree.leaves)
 
-    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("kind", ["real", "complex", "spd"])
     @pytest.mark.parametrize("pivot", [True, False])
-    # leaf 32 factorizes with per-problem LAPACK, leaf 8 with the
+    # leaf 32 factorizes LU leaves with per-problem LAPACK, leaf 8 with the
     # vectorised batched elimination (the default policy's crossover)
     @pytest.mark.parametrize("leaf", [32, 8])
-    def test_bitwise_equal_to_fresh_factorization(self, complex_, pivot, leaf):
+    def test_bitwise_equal_to_fresh_factorization(self, kind, pivot, leaf):
         from repro import get_recorder
 
         rng = np.random.default_rng(0)
         solver = None
-        for H, dirty in self._updates(complex_, leaf):
+        for H, dirty in self._updates(kind, leaf):
             b = rng.standard_normal(H.n)
-            if complex_:
+            if kind == "complex":
                 b = b + 1j * rng.standard_normal(H.n)
             if solver is None:
                 solver = HODLRSolver(H, pivot=pivot).factorize()
@@ -288,8 +294,19 @@ class TestDirtyLeafRefactorization:
             with get_recorder().recording() as trace:
                 solver.patch_factorize(H)
             dirty_leaves = sum(leaf.index in dirty for leaf in H.tree.leaves)
-            assert _leaf_getrf_batches(trace, H.tree) == dirty_leaves
+            assert _leaf_factor_batches(trace, H.tree) == dirty_leaves
             fresh = HODLRSolver(H, pivot=pivot).factorize()
+            # kept and refactorized leaf factors are bitwise a fresh plan's
+            leaf_kind = {"spd": "cholesky"}.get(kind, "lu")
+            for plan in (solver.factor_plan, fresh.factor_plan):
+                assert {lb.kind for lb in plan.leaf_buckets} == {leaf_kind}
+            for (f, piv), (f_ref, piv_ref) in zip(
+                solver.factor_plan.leaf_factor_views(),
+                fresh.factor_plan.leaf_factor_views(),
+            ):
+                assert np.array_equal(f, f_ref)
+                assert (piv is None) == (piv_ref is None)
+                assert piv is None or np.array_equal(piv, piv_ref)
             assert np.array_equal(solver.solve(b), fresh.solve(b))
             assert solver.slogdet() == fresh.slogdet()
 
@@ -299,7 +316,7 @@ class TestDirtyLeafRefactorization:
         from repro import get_recorder
         from repro.core.arithmetic import add_diagonal
 
-        steps = self._updates(False, 32)
+        steps = self._updates("real", 32)
         H, _ = next(steps)
         solver = HODLRSolver(H).factorize()
         H, dirty = next(steps)
@@ -310,14 +327,14 @@ class TestDirtyLeafRefactorization:
         with get_recorder().recording() as trace:
             solver.patch_factorize(H)
         dirty_leaves = sum(lf.index in dirty for lf in H.tree.leaves)
-        assert _leaf_getrf_batches(trace, H.tree) == dirty_leaves + 1
+        assert _leaf_factor_batches(trace, H.tree) == dirty_leaves + 1
         b = np.random.default_rng(2).standard_normal(H.n)
         assert np.array_equal(solver.solve(b), HODLRSolver(H).factorize().solve(b))
 
     def test_updated_matrix_owns_its_stacks(self):
         """Clean blocks are copied, not shared: the input stays writable and
         writing into it leaves the updated matrix unchanged."""
-        steps = self._updates(False, 32)
+        steps = self._updates("real", 32)
         H, _ = next(steps)
         M, _ = next(steps)
         dense = M.to_dense()
@@ -356,7 +373,7 @@ class TestDirtyLeafRefactorization:
         from repro import ExecutionContext, PrecisionPolicy, get_recorder
 
         ctx = ExecutionContext(precision=PrecisionPolicy(factor="float32"))
-        steps = self._updates(False, 32)
+        steps = self._updates("real", 32)
         H, _ = next(steps)
         solver = HODLRSolver(H, context=ctx).factorize()
         assert solver.factor_plan.demoted
@@ -364,7 +381,7 @@ class TestDirtyLeafRefactorization:
         with get_recorder().recording() as trace:
             solver.patch_factorize(H)
         # every leaf is factorized again at the working precision
-        assert _leaf_getrf_batches(trace, H.tree) == H.tree.num_leaves
+        assert _leaf_factor_batches(trace, H.tree) == H.tree.num_leaves
         fresh = HODLRSolver(H, context=ctx).factorize()
         b = np.random.default_rng(1).standard_normal(H.n)
         assert np.array_equal(solver.solve(b), fresh.solve(b))
@@ -417,7 +434,7 @@ class TestSymmetricUpdates:
             dirty = passed[-2] | passed[-1]
             dirty_leaves = sum(leaf.index in dirty for leaf in tree.leaves)
             assert 0 < dirty_leaves < tree.num_leaves
-            assert _leaf_getrf_batches(trace, tree) == dirty_leaves
+            assert _leaf_factor_batches(trace, tree) == dirty_leaves
             op @ op.solve(b)
         fresh = repro.HODLROperator(op.hodlr, cfg)
         fresh @ fresh.solve(b)
