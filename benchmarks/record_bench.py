@@ -31,7 +31,7 @@ the wall-clock rows stay informational.
 Usage::
 
     python benchmarks/record_bench.py --smoke         # CI perf-gate sizes -> BENCH_smoke.json
-    python benchmarks/record_bench.py --smoke --output BENCH_pr28.json --pr 28
+    python benchmarks/record_bench.py --smoke --output BENCH_pr29.json --pr 29
                                                       # regenerate the gate baseline
     python benchmarks/record_bench.py --output out.json --pr N
                                                       # full sizes (--output required)
@@ -135,7 +135,7 @@ def bench_gaussian_construction(n, max_rank, tol=1e-8, leaf_size=64):
     """Batched vs per-block (``LOOP_POLICY``) construction of the
     Gaussian-kernel HODLR."""
     km = _gaussian_km(n)
-    cfg = CompressionConfig(leaf_size=leaf_size, tol=tol, method="randomized", max_rank=max_rank)
+    cfg = CompressionConfig(leaf_size=leaf_size, tol=tol, method="rook", max_rank=max_rank)
     tb, (Hb, _) = _timed(lambda: km.to_hodlr(cfg))
     tl, (Hl, _) = _timed(lambda: km.to_hodlr(cfg, context=LOOP_CONTEXT))
     rng = np.random.default_rng(9)
@@ -511,7 +511,7 @@ def bench_variant_equivalence(n, tol=1e-10):
     """``recursive`` and the plan-backed ``batched`` variant through the
     shared FactorPlan, identical to 1e-12."""
     km = _gaussian_km(n)
-    H, _ = km.to_hodlr(CompressionConfig(tol=tol, method="randomized"))
+    H, _ = km.to_hodlr(CompressionConfig(tol=tol, method="rook"))
     rng = np.random.default_rng(5)
     b = rng.standard_normal(n)
     sols = {}
@@ -534,7 +534,7 @@ def bench_variant_equivalence(n, tol=1e-10):
 def bench_factor_precision(n, tol=1e-10):
     """float32 FactorPlan storage: accuracy, refinement round-trip, footprint."""
     km = _gaussian_km(n)
-    H, _ = km.to_hodlr(CompressionConfig(tol=tol, method="randomized"))
+    H, _ = km.to_hodlr(CompressionConfig(tol=tol, method="rook"))
     rng = np.random.default_rng(6)
     b = rng.standard_normal(n)
 
@@ -659,7 +659,7 @@ def collect_counters(n=2048, tol=1e-8, leaf_size=64):
         "block_apply_peak_ratio": block_apply_peak,
     }
     counters.update(collect_rook_counters())
-    counters.update(collect_randomized_counters())
+    counters.update(collect_helmholtz_counters())
     counters.update(collect_update_counters())
     counters.update(collect_stream_counters())
     counters.update(collect_cache_counters())
@@ -749,19 +749,22 @@ def collect_rook_counters(n=2048, tol=1e-8, leaf_size=64):
     return counters
 
 
-def collect_randomized_counters(n=1024, kappa=20.0, tol=1e-6, leaf_size=64):
-    """Deterministic launch and flop counts of a fixed adaptive-rank build.
+def collect_helmholtz_counters(n=1024, kappa=20.0, tol=1e-6, leaf_size=64):
+    """Deterministic counts of a fixed complex build, factorization and solve.
 
-    A complex Helmholtz kernel matrix (the ``helmholtz_kernel`` problem's
-    kernel and shift) is compressed with ``method="randomized"`` and no
-    rank cap, so its upper levels take several sample-doubling rounds.
-    Each round samples only its new test-matrix columns and extends the
-    kept basis and projection; a return to re-drawing and re-projecting
-    all samples every round raises ``randomized_construction_flops``
-    past the gate.  The kernel is symmetric, so each sibling pair is
-    compressed once and mirrored; ``randomized_construction_entry_evaluations``
-    totals the kernel entries the build evaluates.  The ranks must stay
-    within one of truncated-SVD compression on the same tree.
+    The Gaussian ``counters_probe`` is SPD, so its leaves factor by
+    Cholesky; this probe prices the pivoted-LU path every complex or
+    non-symmetric input takes.  A complex Helmholtz kernel matrix (the
+    ``helmholtz_kernel`` problem's kernel and shift) is built with rook,
+    the problem's default, at ``tol`` 1e-6 and no rank cap; the kernel is
+    complex symmetric, so each sibling pair is compressed once and
+    mirrored.  ``helmholtz_construction_launches`` and
+    ``helmholtz_construction_entry_evaluations`` count the build's batched
+    recompressions and evaluated kernel entries; the ``helmholtz_factor_*``,
+    ``helmholtz_launches_per_solve`` and ``helmholtz_solve_flops`` counters
+    are those of its complex LU-leaf factor plan (``getrf_batched`` /
+    ``getrs_batched`` leaves).  The ranks must stay within one of
+    truncated-SVD compression on the same tree.
     """
     from repro import ClusterTree, build_hodlr
     from repro.api.problems import HelmholtzKernelProblem
@@ -772,23 +775,38 @@ def collect_randomized_counters(n=1024, kappa=20.0, tol=1e-6, leaf_size=64):
     km = KernelMatrix(kernel=kernel, points=points[perm], diagonal_shift=shift)
     source = _CountingEvaluator(km)
     rec = get_recorder()
-    with rec.recording() as tr_rand:
-        H = build_hodlr(source, tree, tol=tol, method="randomized")
+    with rec.recording() as tr_con:
+        H = build_hodlr(source, tree, tol=tol, method="rook")
     ranks = H.rank_profile()
     svd_ranks = build_hodlr(km, tree, tol=tol, method="svd").rank_profile()
     assert all(abs(a - b) <= 1 for a, b in zip(ranks, svd_ranks)), (
-        f"randomized ranks {ranks} differ from truncated-SVD {svd_ranks}"
+        f"rook ranks {ranks} differ from truncated-SVD {svd_ranks}"
     )
-    _assert_mirrored(H, "randomized_probe")
+    _assert_mirrored(H, "helmholtz_probe")
+    with rec.recording() as tr_fac:
+        solver = HODLRSolver(H, variant="batched").factorize()
+    assert all(piv is not None for _, piv in solver.factor_plan.leaf_factor_views()), (
+        "helmholtz_probe: complex leaves must factor by pivoted LU"
+    )
+    rng = np.random.default_rng(7)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    solver.solve(b)  # first solve may build/attach plan state
+    with rec.recording() as tr_sol:
+        solver.solve(b)
+    plan = solver.solve_plan
+    assert plan is not None and tr_sol.num_plan_launches == plan.launches_per_solve
     counters = {
-        "randomized_construction_launches": tr_rand.num_kernel_launches,
-        "randomized_construction_flops": tr_rand.total_flops,
-        "randomized_construction_entry_evaluations": source.evaluated,
+        "helmholtz_construction_launches": tr_con.num_kernel_launches,
+        "helmholtz_construction_entry_evaluations": source.evaluated,
+        "helmholtz_factor_flops": tr_fac.total_flops,
+        "helmholtz_launches_per_solve": plan.launches_per_solve,
+        "helmholtz_solve_flops": tr_sol.total_flops,
+        "helmholtz_factor_plan_bytes": int(solver.factor_plan.nbytes),
     }
-    print(f"  {'randomized_probe':<38s} n={n}  launches "
-          f"{counters['randomized_construction_launches']}  flops "
-          f"{counters['randomized_construction_flops']:.3e}  entries "
-          f"{counters['randomized_construction_entry_evaluations']}  ranks {ranks}")
+    print(f"  {'helmholtz_probe':<38s} n={n}  launches/solve "
+          f"{counters['helmholtz_launches_per_solve']}  factor flops "
+          f"{counters['helmholtz_factor_flops']:.3e}  entries "
+          f"{counters['helmholtz_construction_entry_evaluations']}  ranks {ranks}")
     return counters
 
 
@@ -906,7 +924,7 @@ def bench_end_to_end(problem, **params):
     def run(dispatch_policy):
         cfg = SolverConfig(
             dispatch_policy=dispatch_policy,
-            compression=CompressionConfig(tol=1e-8, method="randomized"),
+            compression=CompressionConfig(tol=1e-8, method="rook"),
         )
         t0 = time.perf_counter()
         res = repro.solve(problem, config=cfg, **params)
@@ -998,7 +1016,7 @@ def main(argv=None):
             "machine": platform.machine(),
             "cpu_count": os.cpu_count(),
             "description": "deterministic counters of the SVD, rook, "
-                           "randomized, update, stream and cache probes, "
+                           "Helmholtz LU, update, stream and cache probes, "
                            "alongside the PR-3..10 wall-clock trajectory",
         },
         "benchmarks": benchmarks,

@@ -10,7 +10,7 @@ The package contains the paper's primary contribution — the concatenated
 ``Ubig``/``Vbig``/``Dbig``/``Kbig`` data layout and the level-batched
 factorization and solve algorithms (Algorithms 1-4) — together with every
 substrate its evaluation depends on: cluster trees, low-rank compression
-(SVD / rook-pivoted cross approximation / randomized / proxy surface),
+(SVD / rook-pivoted cross approximation / proxy surface),
 kernel matrices (RPY, Gaussian, Matern), 2-D boundary integral equations
 (Laplace double layer, Helmholtz combined field, Kapur-Rokhlin quadrature),
 the HODLRlib-style recursive CPU baseline, the Ho-Greengard block-sparse
@@ -53,7 +53,6 @@ from .core.compression import (
     compress_block,
     svd_compress,
     rook_pivot_compress,
-    randomized_compress,
 )
 from .core.apply_plan import ApplyPlan
 from .core.factor_plan import FactorPlan, SolvePlan, build_factor_plan
@@ -190,7 +189,6 @@ __all__ = [
     "compress_block",
     "svd_compress",
     "rook_pivot_compress",
-    "randomized_compress",
     "ApplyPlan",
     "FactorPlan",
     "SolvePlan",

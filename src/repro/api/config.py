@@ -5,11 +5,12 @@ itself:
 
 :class:`~repro.core.compression.CompressionConfig`
     How the HODLR approximation is built — tolerance, compression method
-    (``svd`` / ``rook`` / ``randomized`` / ``proxy``), rank cap, leaf size,
-    the proxy-circle resolution for BIE operators, and the seed of the
-    randomized paths.  It lives in :mod:`repro.core.compression` (re-exported
-    here), so ``repro.CompressionConfig``, ``repro.api.CompressionConfig``
-    and ``repro.core.CompressionConfig`` are one class, consumed directly by
+    (``rook`` / ``svd`` / ``proxy``), rank cap, leaf size, the
+    proxy-circle resolution for BIE operators, and the oversampling and
+    seed of the matvec-only peeling construction.  It lives in
+    :mod:`repro.core.compression` (re-exported here), so
+    ``repro.CompressionConfig``, ``repro.api.CompressionConfig`` and
+    ``repro.core.CompressionConfig`` are one class, consumed directly by
     :func:`repro.core.build_hodlr` and :func:`repro.bie.build_hodlr_proxy`.
 
 :class:`SolverConfig`

@@ -16,9 +16,10 @@
   (GP marginal likelihoods);
 * kernel traces and modeled device times for the batched variant.
 
-The factorization is cached and invalidated on dtype changes: solving with
-a complex right-hand side on a real factorization transparently
-refactorizes at the promoted dtype, and :meth:`astype` returns an operator
+The factorization is cached and invalidated on dtype changes: a complex
+right-hand side on a real factorization is solved against the real factors
+(a registered baseline variant refactorizes at the complex dtype instead),
+and :meth:`astype` returns an operator
 that refactorizes at the requested precision on first solve (the paper's
 float32 preconditioner runs).
 
@@ -53,7 +54,12 @@ from ..core.apply_plan import ApplyPlan
 from ..core.hodlr import HODLRMatrix
 from ..core.packing import owned_nbytes
 from ..core.solver import HODLRSolver, SolveStats
-from .config import SolverConfig
+from .config import VARIANTS, SolverConfig
+
+
+def _real_dtype(dtype: Any) -> np.dtype:
+    """The real dtype of ``dtype``'s precision (complex128 -> float64)."""
+    return np.zeros(0, dtype=dtype).real.dtype
 
 
 class HODLROperator(LinearOperator):
@@ -439,16 +445,23 @@ class HODLROperator(LinearOperator):
         """The factorization dtype required for a right-hand side dtype.
 
         An explicitly configured dtype is sticky (a float64 rhs does not
-        silently undo a requested float32 run); only a real-to-complex
-        promotion widens it.  Without a configured dtype, the factorization
-        follows NumPy promotion of (current dtype, rhs dtype).
+        silently undo a requested float32 run).  Without a configured
+        dtype, the factorization follows NumPy promotion of (current dtype,
+        rhs dtype).  The built-in variants promote a complex rhs per call,
+        so for them only the rhs's real precision counts and a real
+        factorization stays real; a registered variant (``dense_lu``,
+        ``block_sparse``, ...) receives a matrix cast to the solve dtype,
+        so a complex rhs refactorizes it at the complex dtype.
         """
+        complex_rhs = np.issubdtype(b_dtype, np.complexfloating)
+        per_call = self.config.variant in VARIANTS
         configured = self.config.numpy_dtype
         if configured is not None:
-            if np.issubdtype(b_dtype, np.complexfloating) and configured.kind == "f":
+            if complex_rhs and not per_call and configured.kind == "f":
                 return np.result_type(configured, np.complex64)
             return configured
-        return np.result_type(self._factor_dtype, b_dtype)
+        rhs_dtype = _real_dtype(b_dtype) if per_call else b_dtype
+        return np.result_type(self._factor_dtype, rhs_dtype)
 
     def solve(self, b: np.ndarray, compute_residual: bool = False) -> np.ndarray:
         """Solve ``A x = b`` (multiple right-hand sides allowed).
@@ -462,11 +475,17 @@ class HODLROperator(LinearOperator):
         block-Krylov drivers in :mod:`repro.api.krylov` build on.
 
         ``b`` and the returned solution are in the caller's ordering (the
-        ``perm`` conjugation is applied internally).  If the dtype of ``b``
-        requires a different factorization dtype (e.g. complex rhs on a
-        real factorization), the operator refactorizes at the promoted
-        dtype first.  A ``b`` holding NaN or inf raises ``ValueError``
-        (naming how many entries) before any sweep runs.
+        ``perm`` conjugation is applied internally).  If the precision of
+        ``b`` requires a wider factorization dtype (a float64 rhs on a
+        float32 matrix without a configured dtype), the operator
+        refactorizes at the promoted dtype first.  With the built-in
+        ``recursive``/``batched`` variants, a complex ``b`` on a real
+        factorization keeps it: ``b`` is cast to the factorization's complex
+        counterpart (complex64 for float32) and the solve promotes per call,
+        so later real solves stay real.  A registered variant refactorizes
+        at the complex dtype instead.  A ``b`` holding NaN or
+        inf raises ``ValueError`` (naming how many entries) before any
+        sweep runs.
 
         When the context's precision policy sets ``refine=True`` and the
         factorization dtype is narrower than the matrix's natural dtype
@@ -495,13 +514,21 @@ class HODLROperator(LinearOperator):
         target = self._solve_dtype(b_dtype)
         if target != self._factor_dtype:
             self._invalidate(target)
-        b_t = b.astype(target) if b_dtype != target else b
+        # a complex rhs on a real factorization solves at its complex
+        # counterpart; the imaginary part is never dropped
+        rhs_dtype = (
+            np.result_type(target, np.complex64)
+            if np.issubdtype(b_dtype, np.complexfloating)
+            else target
+        )
+        b_t = b.astype(rhs_dtype) if b_dtype != rhs_dtype else b
         # refinement applies when the factorization is narrower than the
         # matrix — either through the storage dtype (float32 factorization
         # of a float64 problem) or through demoted FactorPlan storage
-        # (PrecisionPolicy(factor="float32") with full-precision blocks)
+        # (PrecisionPolicy(factor="float32") with full-precision blocks).
+        # Both compare real precision: a complex rhs alone never refines
         refine = ctx.precision.refine and (
-            np.dtype(wide_dtype).itemsize > np.dtype(target).itemsize
+            _real_dtype(wide_dtype).itemsize > _real_dtype(target).itemsize
             or ctx.precision.demotes_factor(wide_dtype)
         )
         stats = self.solver.stats
@@ -513,7 +540,7 @@ class HODLROperator(LinearOperator):
             )
         )
         if refine:
-            x = self._refine_once(x, b, wide_dtype, target)
+            x = self._refine_once(x, b, wide_dtype, rhs_dtype)
             # the direct solve + correction solve are one user-visible solve
             # per right-hand side (K for a fused block)
             nrhs = int(b_t.shape[1]) if b_t.ndim == 2 else 1

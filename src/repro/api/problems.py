@@ -206,9 +206,9 @@ class HelmholtzKernelProblem:
     name = "helmholtz_kernel"
     #: rook compression, like the other kernel problems: its stop rules
     #: retire a block only below ``tol`` times the block's largest singular
-    #: value, the threshold the truncation cuts at, so it reaches the
-    #: randomized range finder's accuracy and ranks at this ``tol`` while
-    #: evaluating O((m + n) r) entries per block instead of every entry
+    #: value, the threshold the truncation cuts at, so it reaches truncated
+    #: SVD's ranks at this ``tol`` while evaluating O((m + n) r) entries per
+    #: block instead of every entry
     default_config: ClassVar[SolverConfig] = SolverConfig(
         compression=CompressionConfig(tol=1e-6, method="rook")
     )

@@ -17,9 +17,6 @@ for every step:
   diagonal blocks, and *skeleton* distances for every off-diagonal block
   (see below) — each step re-runs only the kernel's radial ``profile`` on
   the cached distances (see :mod:`repro.kernels.radial`);
-* the **shared Gaussian test matrices** used by the randomized
-  recompression fallback are drawn once per block width and reused across
-  all steps;
 * only **factorization and the solve** — which the changed parameter
   genuinely invalidates — run from scratch each step.
 
@@ -41,8 +38,9 @@ QR-core recompression.  Because the skeleton is taken with a rank margin,
 the CUR error stays at the compression tolerance for nearby parameter
 values; a per-block sampled error check guards the approximation, and any
 block that drifts past the guard is transparently re-evaluated in full,
-recompressed with the shared Gaussian test matrices, and its skeleton
-refreshed for the remaining steps.
+recompressed with rook (:func:`~repro.core.compression.rook_pivot_compress_dense`)
+at the skeleton tolerance, and its skeleton refreshed for the remaining
+steps.
 
 Two sweep axes
 --------------
@@ -80,6 +78,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.linalg as sla
 
+from ..core.compression import rook_pivot_compress_dense
 from ..core.hodlr import HODLRMatrix
 from ..core.low_rank import LowRankFactor
 from ..core.solver import SolveStats
@@ -261,9 +260,6 @@ class SweepWorkspace:
         self._sample_size = int(sample_size)
         pts = km.points if self.perm is None else km.points[self.perm]
         self.points = pts
-        #: shared Gaussian test matrices of the recompression fallback,
-        #: keyed by block width; drawn once, reused across steps and blocks
-        self._test_matrices: Dict[Tuple[int, int], np.ndarray] = {}
         self.fallback_total = 0
         self.steps_run = 0
 
@@ -321,47 +317,14 @@ class SweepWorkspace:
             sample_d=sample_d,
         )
 
-    def _test_matrix(self, n: int, q: int, dtype: np.dtype) -> np.ndarray:
-        """The shared Gaussian test block of width >= ``q`` for size ``n``."""
-        kind = 1 if np.dtype(dtype).kind == "c" else 0
-        G = self._test_matrices.get((n, kind))
-        if G is None or G.shape[1] < q:
-            G = self._rng.standard_normal((n, q))
-            if kind:
-                G = G + 1j * self._rng.standard_normal((n, q))
-            self._test_matrices[(n, kind)] = G
-        return G[:, :q]
-
     def _full_recompress(
         self, blk: _BlockSkeleton, profile, node_for
     ) -> LowRankFactor:
-        """Fallback: re-evaluate the block in full and refresh its skeleton."""
+        """Fallback: re-evaluate the block in full, compress it with rook at
+        the skeleton tolerance, and refresh its skeleton."""
         pts = self.points
         A = profile(pairwise_distances(pts[blk.rows], pts[blk.cols]))
-        m, n = A.shape
-        prev_rank = max(
-            self._fine[(blk.row_index, blk.col_index)].rank, 8
-        )
-        if min(m, n) <= 192:
-            fine = LowRankFactor.from_dense(A, tol=self.skeleton_tol)
-        else:
-            q = min(min(m, n), 2 * prev_rank + 16)
-            while True:
-                G = self._test_matrix(n, q, A.dtype)
-                Q, _ = np.linalg.qr(A @ G)
-                B = Q.conj().T @ A
-                Ub, s, Vh = np.linalg.svd(B, full_matrices=False)
-                if s.size == 0 or s[-1] > self.skeleton_tol * s[0]:
-                    # rank not yet resolved inside the sample width
-                    if q >= min(m, n):
-                        break
-                    q = min(min(m, n), 2 * q)
-                    continue
-                break
-            keep = int((s > self.skeleton_tol * (s[0] if s.size else 0.0)).sum())
-            fine = LowRankFactor(
-                U=Q @ (Ub[:, :keep] * s[:keep]), V=Vh[:keep].conj().T
-            )
+        fine = rook_pivot_compress_dense(A, tol=self.skeleton_tol)
         self._fine[(blk.row_index, blk.col_index)] = fine
         refreshed = self._make_skeleton(node_for(blk.row_index), node_for(blk.col_index), fine)
         # keep the original sample positions: the check stays comparable

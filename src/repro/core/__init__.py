@@ -4,7 +4,7 @@ Layout of the subpackage (bottom-up):
 
 * :mod:`cluster_tree`     -- Definition 1: binary cluster trees over index sets.
 * :mod:`low_rank`         -- ``U V*`` low-rank factors and truncation utilities.
-* :mod:`compression`      -- SVD / rook-pivoted LU / randomized compression.
+* :mod:`compression`      -- SVD / rook-pivoted cross approximation compression.
 * :mod:`hodlr`            -- Definition 2: the HODLR matrix container, which owns
                              the per-level basis stacks (the paper's concatenated
                              layout) and the reference tree-walk matvec.
@@ -24,7 +24,6 @@ from .compression import (
     compress_block,
     svd_compress,
     rook_pivot_compress,
-    randomized_compress,
 )
 from .apply_plan import ApplyPlan
 from .factor_plan import FactorPlan, SolvePlan, build_factor_plan
@@ -61,7 +60,6 @@ __all__ = [
     "compress_block",
     "svd_compress",
     "rook_pivot_compress",
-    "randomized_compress",
     "ApplyPlan",
     "FactorPlan",
     "SolvePlan",

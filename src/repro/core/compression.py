@@ -13,20 +13,22 @@ the GPU, using
 This module holds the one :class:`CompressionConfig` of the library — the
 frozen, validated options every construction path reads (``build_hodlr``,
 ``build_hodlr_proxy``, ``KernelMatrix.to_hodlr`` and the facade's
-``SolverConfig``) — and its :class:`ConfigError`, plus three
-interchangeable compressors and a dispatcher:
+``SolverConfig``) — and its :class:`ConfigError`, plus two
+interchangeable dense-block compressors and a dispatcher:
 
 * :func:`svd_compress`         — exact truncated SVD (reference / testing);
 * :func:`rook_pivot_compress`  — adaptive cross approximation (rook pivot
-  searches, then blocked steps), requiring only entry evaluation;
-* :func:`randomized_compress`  — randomized range finder + small SVD,
-  requiring only matvec access to the block.
+  searches, then blocked steps), requiring only entry evaluation.
 
-Each has a batched form that compresses a whole shape bucket of a tree
-level at once.  For rook that is :func:`rook_pivot_compress_stack`, which
-the per-block compressor calls with one block: the blocks advance in
-lockstep, one cross per step for the first eight, then up to 16 per step,
-each step a few gathered ``entries_blocks`` evaluations.
+A source with matvec access only is built by randomized peeling instead
+(:func:`repro.core.peeling.peel_hodlr`, ``construction="peeling"``).
+
+Each compressor has a batched form that compresses a whole shape bucket
+of a tree level at once.  For rook that is
+:func:`rook_pivot_compress_stack`, which the per-block compressor calls
+with one block: the blocks advance in lockstep, one cross per step for the
+first eight, then up to 16 per step, each step a few gathered
+``entries_blocks`` evaluations.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import linalg as sla
 
 from ..backends.batched import gemm_strided_batched, qr_batched, svd_batched
 from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
@@ -49,7 +50,7 @@ BlockEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 #: compression methods; ``"proxy"`` needs a BIE operator and is built by
 #: :func:`repro.bie.proxy.build_hodlr_proxy`, every other method by
 #: :func:`repro.core.build_hodlr`
-COMPRESSION_METHODS = ("svd", "rook", "randomized", "proxy")
+COMPRESSION_METHODS = ("svd", "rook", "proxy")
 
 #: HODLR construction schedules: level-major batched, or matvec-only
 #: randomized peeling (no entry evaluation — see
@@ -84,15 +85,15 @@ class CompressionConfig:
         Relative tolerance of the low-rank approximation (the paper uses
         ~1e-12/1e-8 for the direct solvers and ~1e-4 for preconditioners).
     method:
-        ``"svd"``, ``"rook"``, ``"randomized"``, or ``"proxy"`` (the latter
-        only for operators implementing the proxy-surface protocol, built
-        by :func:`repro.bie.proxy.build_hodlr_proxy`).
+        ``"rook"`` (default), ``"svd"``, or ``"proxy"`` (the latter only
+        for operators implementing the proxy-surface protocol, built by
+        :func:`repro.bie.proxy.build_hodlr_proxy`).
     max_rank:
         Hard cap on off-diagonal ranks (``None`` = uncapped).
     leaf_size:
         Cluster-tree leaf size.
     oversampling:
-        Extra samples for the randomized range finder.
+        Extra probes per block of the ``"peeling"`` construction.
     n_proxy:
         Points per proxy circle (``method="proxy"`` only).
     construction:
@@ -105,8 +106,8 @@ class CompressionConfig:
         baseline the benchmarks measure against is ``"batched"`` under an
         ``ExecutionContext(policy=LOOP_POLICY)``.
     seed:
-        Seed of the random test matrices of the randomized and peeling
-        paths; :meth:`generator` draws a fresh stream from it.
+        Seed of the random probes of the ``"peeling"`` construction;
+        :meth:`generator` draws a fresh stream from it.
     """
 
     tol: float = 1e-10
@@ -122,6 +123,12 @@ class CompressionConfig:
         _check(
             isinstance(self.tol, (int, float)) and 0.0 < float(self.tol) < 1.0,
             f"tol must be in (0, 1), got {self.tol!r}",
+        )
+        _check(
+            self.method != "randomized",
+            "method='randomized' (dense-block randomized compression) is "
+            "retired: use method='rook', or construction='peeling' for a "
+            "matvec-only source",
         )
         _check(
             self.method in COMPRESSION_METHODS,
@@ -632,97 +639,6 @@ def _rook_stack(
 
 
 # ----------------------------------------------------------------------
-# Randomized range finder
-# ----------------------------------------------------------------------
-def randomized_compress(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    rmatvec: Callable[[np.ndarray], np.ndarray],
-    m: int,
-    n: int,
-    tol: float = 1e-12,
-    max_rank: Optional[int] = None,
-    oversampling: int = 10,
-    rng: Optional[np.random.Generator] = None,
-    block_size: int = 16,
-    dtype=np.float64,
-) -> LowRankFactor:
-    """Adaptive randomized low-rank approximation from matvec access.
-
-    Uses blocked adaptive range finding (Halko–Martinsson–Tropp): draw
-    Gaussian test matrices in blocks, orthogonalise the sampled range, and
-    stop when the norm of the newest block of samples (a stochastic estimate
-    of the residual spectral norm) falls below ``tol`` times the largest
-    observed sample norm.  The final factor is obtained from the small
-    projected matrix ``Q* B`` via an SVD.
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    rank_cap = min(m, n) if max_rank is None else min(max_rank + oversampling, m, n)
-    if rank_cap == 0 or m == 0 or n == 0:
-        return LowRankFactor.zeros(m, n, dtype)
-
-    Q = np.zeros((m, 0), dtype=dtype)
-    first_block_norm = None
-    while Q.shape[1] < rank_cap:
-        nb = min(block_size, rank_cap - Q.shape[1])
-        Omega = rng.standard_normal((n, nb))
-        if np.issubdtype(np.dtype(dtype), np.complexfloating):
-            Omega = Omega + 1j * rng.standard_normal((n, nb))
-        # cast after combining the parts: a complex64 block keeps complex64
-        Y = np.asarray(matvec(Omega.astype(dtype, copy=False)))
-        if Q.shape[1] > 0:
-            Y = Y - Q @ (Q.conj().T @ Y)
-        block_norm = float(np.linalg.norm(Y))
-        if first_block_norm is None:
-            first_block_norm = max(block_norm, np.finfo(float).tiny)
-        elif block_norm <= tol * first_block_norm:
-            # the residual range is exhausted; appending these (numerically
-            # meaningless) directions would destroy Q's orthonormality.
-            break
-        if Q.shape[1] > 0:
-            # second projection pass for numerical orthogonality
-            Y = Y - Q @ (Q.conj().T @ Y)
-        Qb, _ = np.linalg.qr(Y)
-        if Q.shape[1] > 0:
-            # re-orthogonalise the panel itself: when the sampled residual is
-            # at the round-off floor, qr(Y) returns directions with O(eps /
-            # ||Y||) components inside span(Q); appending them un-projected
-            # destroys Q's orthonormality and with it the final projection
-            Qb = Qb - Q @ (Q.conj().T @ Qb)
-            Qb, _ = np.linalg.qr(Qb)
-        Q = np.hstack([Q, Qb])
-        if block_norm <= tol * first_block_norm:
-            break
-
-    # project: B* Q has shape (n, q); SVD of the small matrix gives the factor.
-    Bt_Q = np.asarray(rmatvec(Q))  # = B^* Q, shape (n, q)
-    W, s, Zh = sla.svd(Bt_Q.conj().T, full_matrices=False, check_finite=False)  # Q^T B = W s Zh
-    keep = _truncation_count(s, tol, max_rank)
-    U = Q @ (W[:, :keep] * s[:keep])
-    V = Zh[:keep, :].conj().T
-    return LowRankFactor(U=U, V=V)
-
-
-def randomized_compress_dense(
-    block: np.ndarray,
-    tol: float = 1e-12,
-    max_rank: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> LowRankFactor:
-    """Randomized compression of an explicitly stored block."""
-    block = np.asarray(block)
-    return randomized_compress(
-        matvec=lambda X: block @ X,
-        rmatvec=lambda X: block.conj().T @ X,
-        m=block.shape[0],
-        n=block.shape[1],
-        tol=tol,
-        max_rank=max_rank,
-        rng=rng,
-        dtype=block.dtype,
-    )
-
-
-# ----------------------------------------------------------------------
 # batched (level-parallel) compression
 # ----------------------------------------------------------------------
 def _svd_stack(
@@ -739,141 +655,9 @@ def _svd_stack(
     return out
 
 
-def _project_out(B, Y, xb: ArrayBackend):
-    """Project ``Y`` off the orthonormal columns ``B`` in two passes.
-
-    Returns the remainder and the coefficients ``C`` with ``Y = B C +
-    remainder``; the second pass restores the orthogonality the first
-    loses to round-off.
-    """
-    C = gemm_strided_batched(B, Y, conjugate_a=True, backend=xb)
-    Y = Y - gemm_strided_batched(B, C, backend=xb)
-    C2 = gemm_strided_batched(B, Y, conjugate_a=True, backend=xb)
-    return Y - gemm_strided_batched(B, C2, backend=xb), C + C2
-
-
-def _randomized_stack(
-    stack: np.ndarray,
-    tol: float,
-    max_rank: Optional[int],
-    oversampling: int,
-    rng: np.random.Generator,
-    xb: ArrayBackend,
-) -> List[LowRankFactor]:
-    """Randomized compression of one uniform stack with shared test matrices.
-
-    An incremental range finder over the whole stack: every round draws one
-    Gaussian test matrix for all pending blocks, so sampling, orthogonalising
-    and projecting each execute as strided batched kernels
-    (``gemmStridedBatched`` + ``geqrfBatched`` + ``gesvdjBatched`` in
-    cuBLAS/cuSOLVER terms).
-
-    The sample count starts at ``max_rank + oversampling`` when a rank cap
-    is given (the paper's fixed-rank regime) and at a small default
-    otherwise.  A block is resolved once its truncation keeps fewer than the
-    sampled directions, the samples span ``min(m, n)``, or the rank cap is
-    reached.  Unresolved blocks — adaptive-rank stragglers, one or many —
-    stay in the loop, which doubles their sample count while keeping every
-    sample drawn: a round samples only the new columns, appends their part
-    outside the kept basis ``Q`` to it, and extends the projection ``Q* A``
-    kept in factored form ``L Z`` (``L`` square, ``Z`` with orthonormal
-    rows) by the new rows.  The resolution test is then an SVD of the small
-    ``L``.  A single round is one gemm, QR, gemm and SVD per stack.
-    """
-    nbatch, m, n = stack.shape
-    minmn = min(m, n)
-    results: List[Optional[LowRankFactor]] = [None] * nbatch
-    if minmn == 0:
-        return [LowRankFactor.zeros(m, n, stack.dtype) for _ in range(nbatch)]
-    dtype = stack.dtype
-    cplx = np.issubdtype(dtype, np.complexfloating)
-    if max_rank is not None:
-        nsamples = min(minmn, max_rank + oversampling)
-    else:
-        nsamples = min(minmn, max(16, oversampling + 8))
-
-    def sample(sub, count):
-        omega = rng.standard_normal((n, count))
-        if cplx:
-            omega = omega + 1j * rng.standard_normal((n, count))
-        # the Gaussian test matrix is drawn on the host (reproducible rng)
-        # and moved to the backend once per round
-        omega = xb.from_host(omega.astype(dtype, copy=False))
-        return gemm_strided_batched(
-            sub, xb.broadcast_to(omega, (sub.shape[0], n, count)), backend=xb
-        )
-
-    # round 1 covers the whole stack without a gather copy: Q* A = W s Vh
-    pending = np.arange(nbatch)
-    sub = stack
-    Q, _ = qr_batched(sample(sub, nsamples), backend=xb)
-    G = gemm_strided_batched(Q, sub, conjugate_a=True, backend=xb)
-    W3, s3, Vh3 = svd_batched(G, backend=xb)
-    Zt = Vh_L = L = None
-    while True:
-        stragglers = []
-        for j, p in enumerate(pending):
-            s = s3[j]
-            keep = _truncation_count(s, tol, max_rank)
-            resolved = (
-                keep < s.size
-                or nsamples >= minmn
-                or (max_rank is not None and keep >= max_rank)
-            )
-            if not resolved:
-                stragglers.append(j)
-                continue
-            if Zt is None:
-                V = Vh3[j][:keep, :].conj().T
-            else:
-                V = Zt[j] @ Vh_L[j][:keep, :].conj().T
-            results[p] = LowRankFactor(U=Q[j] @ (W3[j][:, :keep] * s[:keep]), V=V)
-        if not stragglers:
-            break
-        if Zt is None:
-            # seed the factored projection Q* A = L Z from round 1's SVD;
-            # Z is kept as its conjugate transpose Zt (orthonormal columns)
-            L = W3 * s3[:, None, :]
-            Zt = Vh3.conj().transpose(0, 2, 1)
-        if len(stragglers) < pending.size:
-            left = np.array(stragglers)
-            pending = pending[left]
-            Q, L, Zt = Q[left], L[left], Zt[left]
-            sub = stack[pending]
-        inc = min(minmn, 2 * nsamples) - nsamples
-        # only the new samples are drawn; their part outside span(Q) extends
-        # Q by randomized_compress's recipe (project twice, QR, re-project,
-        # QR), since samples at the round-off floor leave qr's panel with
-        # components inside span(Q)
-        Y, _ = _project_out(Q, sample(sub, inc), xb)
-        Qb, _ = qr_batched(Y, backend=xb)
-        Qb = Qb - gemm_strided_batched(
-            Q, gemm_strided_batched(Q, Qb, conjugate_a=True, backend=xb), backend=xb
-        )
-        Qb, _ = qr_batched(Qb, backend=xb)
-        Q = xb.concat([Q, Qb], axis=2)
-        # the new rows Gb = Qb* A of the projection: Gb* = Zt C + Zb T, so
-        # L gains the rows [C* | T*] and Z the rows Zb*
-        Gb = gemm_strided_batched(Qb, sub, conjugate_a=True, backend=xb)
-        R, C = _project_out(Zt, Gb.conj().transpose(0, 2, 1), xb)
-        Zb, T = qr_batched(R, backend=xb)
-        Zt = xb.concat([Zt, Zb], axis=2)
-        L = xb.concat(
-            [
-                xb.concat([L, xb.zeros((pending.size, nsamples, inc), dtype=dtype)], axis=2),
-                xb.concat([C.conj().transpose(0, 2, 1), T.conj().transpose(0, 2, 1)], axis=2),
-            ],
-            axis=1,
-        )
-        nsamples += inc
-        W3, s3, Vh_L = svd_batched(L, backend=xb)
-    return results  # type: ignore[return-value]
-
-
 def compress_block_stack(
     stack: np.ndarray,
     config: CompressionConfig,
-    rng: Optional[np.random.Generator] = None,
     context: Optional[ExecutionContext] = None,
 ) -> List[LowRankFactor]:
     """Compress a uniform ``(batch, m, n)`` stack of dense blocks per ``config``.
@@ -881,11 +665,8 @@ def compress_block_stack(
     The zero-copy entry point of the level-major builder: a gathered level
     stack goes straight into the batched kernels without per-block
     unpacking.  ``rook`` runs :func:`rook_pivot_compress_stack` over the
-    stack, every block advancing its crosses in lockstep.  ``randomized``
-    runs one incremental range finder over the stack: shared test
-    matrices, and rounds that add samples only for the unresolved blocks
-    while keeping every sample drawn so far (see :func:`_randomized_stack`).
-    A context with :data:`~repro.backends.dispatch.LOOP_POLICY`
+    stack, every block advancing its crosses in lockstep; ``svd`` runs one
+    ``svd_batched`` launch over it.  A context with :data:`~repro.backends.dispatch.LOOP_POLICY`
     (``bucketing=False``) compresses the slices one at a time.  A
     device-resident context keeps the stack and factors there.
     """
@@ -901,18 +682,6 @@ def compress_block_stack(
                 for i in range(stack.shape[0])
             ]
         return _rook_stack(stack, config.tol, config.max_rank, ctx)
-    if config.method == "randomized":
-        rng = rng if rng is not None else config.generator()
-        if not pol.bucketing:
-            return [
-                randomized_compress_dense(
-                    stack[i], tol=config.tol, max_rank=config.max_rank, rng=rng
-                )
-                for i in range(stack.shape[0])
-            ]
-        return _randomized_stack(
-            stack, config.tol, config.max_rank, config.oversampling, rng, xb
-        )
     if config.method == "svd":
         if not pol.bucketing:
             return [
@@ -1087,28 +856,5 @@ def compress_block(
     if config.method == "rook":
         return rook_pivot_compress(
             entries, m, n, tol=config.tol, max_rank=config.max_rank, dtype=dtype
-        )
-    if config.method == "randomized":
-        # randomized needs matvecs; realise them through entry evaluation on
-        # full index ranges (columns are gathered lazily in blocks).
-        rows = np.arange(m)
-        cols = np.arange(n)
-
-        def matvec(X: np.ndarray) -> np.ndarray:
-            return np.asarray(entries(rows, cols), dtype=dtype) @ X
-
-        def rmatvec(X: np.ndarray) -> np.ndarray:
-            return np.asarray(entries(rows, cols), dtype=dtype).conj().T @ X
-
-        return randomized_compress(
-            matvec,
-            rmatvec,
-            m,
-            n,
-            tol=config.tol,
-            max_rank=config.max_rank,
-            oversampling=config.oversampling,
-            rng=config.generator(),
-            dtype=dtype,
         )
     raise ValueError(f"unknown compression method {config.method!r}")

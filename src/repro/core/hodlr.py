@@ -666,7 +666,7 @@ def build_hodlr(
         overrides (``tol``, ``method``, ``max_rank``) take precedence over
         the config fields.  ``config.construction`` selects the level-major
         batched schedule (default) or the matvec-only ``"peeling"``
-        construction; the randomized and peeling paths draw from
+        construction; the peeling path draws its probes from
         ``config.generator()``.  ``method="proxy"`` raises
         :class:`~repro.core.compression.ConfigError`: proxy compression
         needs a BIE operator and is built by
@@ -847,15 +847,13 @@ def _build_hodlr_batched(
                 factors[i] = compress_block(block_eval, rn.size, cn.size, config, dtype=dtype)
         else:
             # each shape-bucket chunk is materialised once as a strided stack
-            # and compressed in place — no per-block intermediate copies;
-            # the shared rng is consumed in chunk order
+            # and compressed in place — no per-block intermediate copies
             row_sets = [nd.indices for nd in row_nodes]
             col_sets = [nd.indices for nd in col_nodes]
-            rng = config.generator()
             for chunk, stack in _gather_chunks(
                 evaluator, multi, row_sets, col_sets, dtype, xb
             ):
-                compressed = compress_block_stack(stack, config, context=context, rng=rng)
+                compressed = compress_block_stack(stack, config, context=context)
                 for i, f in zip(chunk, compressed):
                     factors[i] = f
 

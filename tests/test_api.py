@@ -89,7 +89,7 @@ class TestCompressionConfig:
             cfg.tol = 1e-4
 
     def test_round_trip(self):
-        cfg = CompressionConfig(tol=1e-6, method="randomized", max_rank=40, leaf_size=48, seed=7)
+        cfg = CompressionConfig(tol=1e-6, method="svd", max_rank=40, leaf_size=48, seed=7)
         d = cfg.to_dict()
         json.dumps(d)  # JSON-compatible
         assert CompressionConfig.from_dict(d) == cfg and d["seed"] == 7
@@ -282,12 +282,14 @@ class TestProblemRegistry:
         finally:
             unregister_problem("api_test_custom")
 
-    def test_rpy_randomized_build_honours_config_seed(self):
+    def test_peeling_build_honours_config_seed(self):
+        # the matvec-only peeling construction draws its probes from ``seed``
+        A = hodlr_friendly_matrix(256, seed=5)
+
         def u_stacks(seed):
-            cfg = SolverConfig(
-                compression=CompressionConfig(method="randomized", tol=1e-6, seed=seed)
-            )
-            H = get_problem("rpy_mobility", num_particles=64).assemble(cfg).hodlr
+            cfg = SolverConfig(compression=CompressionConfig(
+                construction="peeling", max_rank=16, tol=1e-8, leaf_size=32, seed=seed))
+            H = repro.build_operator(A, cfg, cache=False).hodlr
             return [H.U[k] for k in sorted(H.U)]
 
         first, again, other = u_stacks(3), u_stacks(3), u_stacks(4)
@@ -373,15 +375,64 @@ class TestHODLROperator:
         assert info == 0
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-8
 
-    def test_refactorizes_on_complex_rhs(self, system):
+    def test_complex_rhs_keeps_real_factorization(self, rng):
+        # a complex rhs on an SPD operator solves against the real Cholesky
+        # factorization: no refactorization, and later real solves stay real
+        op = repro.build_operator("gp_covariance", cache=False, n=1024)
+        br, bi = rng.standard_normal(1024), rng.standard_normal(1024)
+        xc = op.solve(br + 1j * bi)
+        assert xc.dtype == np.complex128
+        assert np.dtype(op.dtype) == np.float64
+        assert op.solver.factor_plan.dtype == np.float64
+        assert {lb.kind for lb in op.solver.factor_plan.leaf_buckets} == {"cholesky"}
+        xr, xi = op.solve(br), op.solve(bi)
+        assert xr.dtype == np.float64
+        assert np.linalg.norm(xc - (xr + 1j * xi)) <= 1e-12 * np.linalg.norm(xc)
+
+    def test_complex_block_rhs_keeps_real_factorization(self, rng):
+        op = repro.build_operator("gp_covariance", cache=False, n=1024)
+        Br, Bi = rng.standard_normal((1024, 3)), rng.standard_normal((1024, 3))
+        Xc = op.solve(Br + 1j * Bi)
+        assert Xc.shape == (1024, 3) and Xc.dtype == np.complex128
+        assert op.solver.factor_plan.dtype == np.float64
+        Xr, Xi = op.solve(Br), op.solve(Bi)
+        assert Xr.dtype == np.float64
+        assert np.linalg.norm(Xc - (Xr + 1j * Xi)) <= 1e-12 * np.linalg.norm(Xc)
+
+    def test_complex_rhs_on_lu_operator_keeps_real_factorization(self, system, rng):
+        # the non-symmetric system takes LU leaves: they stay real too
         A, H, b = system
         op = HODLROperator(H)
-        op.solve(b)
-        assert np.dtype(op.dtype) == np.float64
-        xc = op.solve(b.astype(np.complex128))
-        assert np.dtype(op.dtype) == np.complex128
-        assert np.iscomplexobj(xc)
-        assert np.linalg.norm(A @ xc - b) / np.linalg.norm(b) < 1e-9
+        bi = rng.standard_normal(H.n)
+        xc = op.solve(b + 1j * bi)
+        plan = op.solver.factor_plan
+        assert plan.dtype == np.float64
+        views = plan.leaf_factor_views()
+        assert all(piv is not None and lu.dtype == np.float64 for lu, piv in views)
+        assert np.linalg.norm(A @ xc - (b + 1j * bi)) / np.linalg.norm(b + 1j * bi) < 1e-9
+        # the next real solve reuses the same real factorization
+        assert op.solve(b).dtype == np.float64
+        assert op.solver.factor_plan is plan
+
+    @pytest.mark.parametrize("variant", ["dense_lu", "block_sparse", "hodlrlib_cpu"])
+    def test_complex_rhs_on_registered_variant_refactorizes(self, system, rng, variant):
+        # a registered variant solves against a matrix cast to the solve
+        # dtype, so a complex rhs refactorizes it at complex128
+        A, H, b = system
+        op = HODLROperator(H, variant=variant)
+        assert op.solve(b).dtype == np.float64
+        bc = b + 1j * rng.standard_normal(H.n)
+        xc = op.solve(bc)
+        assert xc.dtype == np.complex128 and np.dtype(op.dtype) == np.complex128
+        assert np.linalg.norm(A @ xc - bc) / np.linalg.norm(bc) < 1e-9
+
+    def test_complex_rhs_on_float32_factorization_stays_complex64(self, system):
+        A, H, b = system
+        op = HODLROperator(H, dtype="float32")
+        xc = op.solve(b + 1j * b)
+        assert xc.dtype == np.complex64 and np.dtype(op.dtype) == np.float32
+        # the imaginary part is solved, not dropped
+        assert np.linalg.norm(xc.imag - op.solve(b)) <= 1e-5 * np.linalg.norm(xc.imag)
 
     def test_configured_dtype_is_sticky(self, system):
         _, H, b = system
@@ -415,14 +466,16 @@ class TestFacade:
         assert result.relative_residual < 1e-8
         assert np.linalg.norm(A @ result.x - b) / np.linalg.norm(b) < 1e-8
 
-    def test_kernel_problem_honours_oversampling(self):
-        # the kernel-matrix path hands the whole config to build_hodlr, so
-        # the randomized range finder sees ``oversampling``
+    def test_peeling_honours_oversampling(self):
+        # the facade hands the whole config to build_hodlr, so the peeling
+        # construction sees ``oversampling``
+        A = hodlr_friendly_matrix(256, seed=6)
         dense = []
         for oversampling in (0, 10):
             cfg = SolverConfig(compression=CompressionConfig(
-                tol=1e-6, method="randomized", oversampling=oversampling))
-            op = repro.build_operator("helmholtz_kernel", cfg, cache=False, n=1024)
+                construction="peeling", max_rank=16, tol=1e-8, leaf_size=32,
+                oversampling=oversampling))
+            op = repro.build_operator(A, cfg, cache=False)
             dense.append(op.hodlr.to_dense())
         assert not np.array_equal(dense[0], dense[1])
 

@@ -55,7 +55,7 @@ def build_both(A, tree, method, tol=1e-12, max_rank=None):
 # construction equivalence
 # ======================================================================
 class TestBatchedConstructionEquivalence:
-    @pytest.mark.parametrize("method", ["svd", "randomized", "rook"])
+    @pytest.mark.parametrize("method", ["svd", "rook"])
     @pytest.mark.parametrize("complex_dtype", [False, True])
     def test_batched_matches_loop_dense(self, method, complex_dtype):
         rng = np.random.default_rng(0)
@@ -66,7 +66,7 @@ class TestBatchedConstructionEquivalence:
         assert np.linalg.norm(Hb.to_dense() - A) <= 1e-10 * scale
         assert np.linalg.norm(Hb.to_dense() - Hl.to_dense()) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("method", ["svd", "randomized", "rook"])
+    @pytest.mark.parametrize("method", ["svd", "rook"])
     def test_non_power_of_two(self, method):
         rng = np.random.default_rng(1)
         n = 300  # uneven node sizes at every level -> multiple shape buckets
@@ -78,12 +78,12 @@ class TestBatchedConstructionEquivalence:
         assert np.linalg.norm(Hb.to_dense() - Hl.to_dense()) <= 1e-12 * scale
 
     def test_adaptive_ranks(self):
-        # no max_rank: the shared sample count cannot resolve every block at
-        # once, exercising the sample-doubling rounds for the stragglers
+        # no max_rank: blocks of one level retire at different ranks, some in
+        # the rook phase and some after blocked steps
         rng = np.random.default_rng(2)
         A = smooth_matrix(256, rng, lengthscale=0.05)  # higher ranks
         tree = ClusterTree.balanced(256, leaf_size=32)
-        Hb, Hl = build_both(A, tree, "randomized", tol=1e-11)
+        Hb, Hl = build_both(A, tree, "rook", tol=1e-11)
         scale = np.linalg.norm(A)
         assert np.linalg.norm(Hb.to_dense() - A) <= 1e-9 * scale
         assert np.linalg.norm(Hb.to_dense() - Hl.to_dense()) <= 1e-9 * scale
@@ -94,7 +94,7 @@ class TestBatchedConstructionEquivalence:
         tree = ClusterTree.balanced(128, leaf_size=16)
         Hb = build_hodlr(
             A, tree,
-            config=CompressionConfig(tol=1e-14, max_rank=5, method="randomized",
+            config=CompressionConfig(tol=1e-14, max_rank=5, method="rook",
                                      construction="batched"),
         )
         assert Hb.max_rank <= 5
@@ -106,7 +106,7 @@ class TestBatchedConstructionEquivalence:
         pts = rng.uniform(0.0, 1.0, (400, 2))
         km = KernelMatrix(kernel=GaussianKernel(lengthscale=0.4), points=pts,
                           diagonal_shift=0.1)
-        cfg = CompressionConfig(leaf_size=32, tol=1e-12, method="randomized",
+        cfg = CompressionConfig(leaf_size=32, tol=1e-12, method="svd",
                                 construction="batched")
         Hb, permb = km.to_hodlr(cfg)
         Hl, perml = km.to_hodlr(cfg, context=LOOP_CONTEXT)
@@ -300,13 +300,13 @@ class TestLockstepRook:
 # ======================================================================
 # batched compressors (unit level)
 # ======================================================================
-def compress_by_shape(blocks, cfg, context=None, rng=None):
+def compress_by_shape(blocks, cfg, context=None):
     """Compress a list of dense blocks with one compress_block_stack call
     per shape bucket, returning the factors in input order."""
     out = [None] * len(blocks)
     for bucket in plan_batch([b.shape for b in blocks]).buckets:
         stack = np.stack([blocks[i] for i in bucket.indices])
-        factors = compress_block_stack(stack, cfg, rng=rng, context=context)
+        factors = compress_block_stack(stack, cfg, context=context)
         for i, f in zip(bucket.indices, factors):
             out[i] = f
     return out
@@ -329,16 +329,6 @@ class TestBatchedCompressors:
             assert f.error_vs(blk) <= 1e-10 * np.linalg.norm(blk)
             assert f.rank <= 7
 
-    def test_randomized_batched_matches_blocks(self):
-        rng = np.random.default_rng(1)
-        blocks = self._blocks(rng, [(32, 32)] * 6 + [(24, 40)] * 3, rank=5)
-        factors = compress_by_shape(
-            blocks, CompressionConfig(tol=1e-11, method="randomized"),
-            rng=np.random.default_rng(2),
-        )
-        for blk, f in zip(blocks, factors):
-            assert f.error_vs(blk) <= 1e-9 * np.linalg.norm(blk)
-
     def test_loop_policy_reproduces_per_block_path(self):
         rng = np.random.default_rng(2)
         blocks = self._blocks(rng, [(16, 16)] * 4, rank=3)
@@ -358,8 +348,7 @@ class TestBatchedCompressors:
         ]
         for factors in (
             compress_by_shape(blocks, CompressionConfig(tol=1e-12, method="svd")),
-            compress_by_shape(blocks, CompressionConfig(tol=1e-12, method="randomized"),
-                              rng=np.random.default_rng(4)),
+            compress_by_shape(blocks, CompressionConfig(tol=1e-12, method="rook")),
         ):
             for blk, f in zip(blocks, factors):
                 assert np.iscomplexobj(f.U)
@@ -367,7 +356,7 @@ class TestBatchedCompressors:
 
 
 # ======================================================================
-# sample-reusing range finder (randomized stacks, adaptive rank)
+# symmetric sources: one compressed block per sibling pair, mirrored
 # ======================================================================
 def helmholtz_km(n, kappa=20.0, seed=0):
     """A kd-tree ordered Helmholtz kernel matrix and its cluster tree."""
@@ -387,90 +376,33 @@ def level_stack(km, tree, level):
     return np.stack(blocks)
 
 
-def sampling_gemms(trace, m, n):
-    """The sampling gemms ``(m, k) = A (n, k)`` of a trace.
-
-    Sampling is the only gemm with shape ``(m, ., n)`` while the sample
-    count stays below ``min(m, n)``.
-    """
-    return [
-        e for e in trace.events
-        if e.kernel == "gemm_strided_batched" and e.shape[0] == m and e.shape[2] == n
-    ]
-
-
-def sampled_columns(trace, m, n):
-    """Test-matrix columns per block, summed over the sampling gemms."""
-    return sum(e.shape[1] for e in sampling_gemms(trace, m, n))
-
-
-def final_sample_count(rank, start=18):
-    """The doubling schedule's first sample count the rank falls below."""
-    count = start
-    while count <= rank:
-        count *= 2
-    return count
-
-
-class TestSampleReusingRangeFinder:
+class TestHighRankRookStack:
     TOL = 1e-6
 
-    @pytest.fixture(scope="class")
-    def helmholtz_stack(self):
-        # level 1 of the n=1024 Helmholtz problem: two 512 x 512 blocks
-        # whose ranks at 1e-6 take four sample rounds (18 .. 144)
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_level_stack_meets_truncated_svd(self, level):
+        # the n=1024 Helmholtz levels at 1e-6: ranks 95 (512 x 512) and
+        # 53-54 (256 x 256), past rook's first phase into blocked steps
         km, tree = helmholtz_km(1024)
-        return level_stack(km, tree, 1)
-
-    def compress(self, stack):
-        cfg = CompressionConfig(tol=self.TOL, method="randomized")
-        rec = get_recorder()
-        with rec.recording() as trace:
-            factors = compress_block_stack(stack, cfg, rng=np.random.default_rng(3))
-        return factors, trace
-
-    def test_multi_round_accuracy(self, helmholtz_stack):
-        factors, trace = self.compress(helmholtz_stack)
-        for blk, f in zip(helmholtz_stack, factors):
+        stack = level_stack(km, tree, level)
+        factors = compress_block_stack(stack, CompressionConfig(tol=self.TOL, method="rook"))
+        for blk, f in zip(stack, factors):
             s = np.linalg.svd(blk, compute_uv=False)
             assert abs(f.rank - int(np.sum(s > self.TOL * s[0]))) <= 1
-            assert np.linalg.norm(f.to_dense() - blk) <= 10 * self.TOL * np.linalg.norm(blk)
-        assert len(sampling_gemms(trace, 512, 512)) >= 3
+            assert np.linalg.norm(f.to_dense() - blk, 2) <= 2 * self.TOL * s[0]
 
-    def test_no_resampling(self, helmholtz_stack):
-        factors, trace = self.compress(helmholtz_stack)
-        final = final_sample_count(max(f.rank for f in factors))
-        # every round samples only its new columns: 18 + 18 + 36 + ... adds
-        # up to the final count instead of 18 + 36 + 72 + ...
-        assert final >= 72
-        assert sampled_columns(trace, 512, 512) == final
-
-    def test_single_block_resolves_in_the_loop(self, helmholtz_stack):
-        blk = helmholtz_stack[:1]
-        (f,), trace = self.compress(blk)
-        # a lone multi-round block keeps its samples (no per-block restart,
-        # which records no batched kernels at all)
-        assert sampled_columns(trace, 512, 512) == final_sample_count(f.rank)
-        assert all(e.batch == 1 for e in trace.events)
-        s = np.linalg.svd(blk[0], compute_uv=False)
-        assert abs(f.rank - int(np.sum(s > self.TOL * s[0]))) <= 1
-        assert np.linalg.norm(f.to_dense() - blk[0]) <= 10 * self.TOL * np.linalg.norm(blk[0])
-
-    @pytest.mark.parametrize("rank", [5, 25])
-    def test_exhausted_range(self, rank):
-        # exact rank 5 resolves in the first round; rank 25 overflows the
-        # first 18 samples and exhausts the range in the second round
-        rng = np.random.default_rng(rank)
-        blk = rng.standard_normal((300, rank)) @ rng.standard_normal((rank, 300))
-        (f,), _ = self.compress(blk[None])
-        assert f.rank == rank
-        assert np.abs(f.V.conj().T @ f.V - np.eye(rank)).max() <= 1e-12
-        assert np.linalg.norm(f.to_dense() - blk) <= 1e-12 * np.linalg.norm(blk)
+    def test_hodlr_ranks_match_truncated_svd(self):
+        # the complex Helmholtz kernel's off-diagonal ranks: rook within one
+        # of truncated SVD on every block
+        km, tree = helmholtz_km(1024)
+        ranks = {}
+        for method in ("rook", "svd"):
+            H = build_hodlr(km, tree, config=CompressionConfig(tol=self.TOL, method=method))
+            ranks[method] = {k: u.shape[1] for k, u in H.U.items()}
+        assert ranks["rook"].keys() == ranks["svd"].keys()
+        assert all(abs(ranks["rook"][k] - ranks["svd"][k]) <= 1 for k in ranks["svd"])
 
 
-# ======================================================================
-# symmetric sources: one compressed block per sibling pair, mirrored
-# ======================================================================
 def gaussian_km(n, seed=10):
     """A kd-tree ordered 2-D Gaussian kernel matrix and its cluster tree."""
     points = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 2))
@@ -535,7 +467,7 @@ class TestSymmetricConstruction:
             assert 2 * off_m <= 1.05 * off_g
 
     @pytest.mark.parametrize("name", ["gaussian", "helmholtz"])
-    @pytest.mark.parametrize("method", ["svd", "randomized", "rook"])
+    @pytest.mark.parametrize("method", ["svd", "rook"])
     @pytest.mark.parametrize("schedule", ["batched", "loop"])
     def test_exact_mirror_and_accuracy(self, name, method, schedule):
         km, tree = symmetric_sources()[name]
@@ -593,7 +525,7 @@ def nonsymmetric_sources():
 class TestGeneralPathKept:
     @pytest.mark.parametrize("name", ["dense", "x_dependent", "hermitian",
                                       "perturbed_probe"])
-    @pytest.mark.parametrize("method", ["svd", "randomized", "rook"])
+    @pytest.mark.parametrize("method", ["svd", "rook"])
     def test_nonsymmetric_sources_unchanged(self, name, method, general_path):
         tree, sources = nonsymmetric_sources()
         source = sources[name]
@@ -685,10 +617,10 @@ class TestApplyPlan:
         plan = op.apply_plan
         _ = op @ x
         assert op.apply_plan is plan
-        # dtype refactorization invalidates it
+        # a complex solve keeps the real factorization, and with it the plan
         z = rng.standard_normal(128) + 1j * rng.standard_normal(128)
         op.solve(z)
-        assert op.apply_plan is None or op.apply_plan is not plan
+        assert op.apply_plan is plan
 
 
 # ======================================================================
@@ -726,15 +658,6 @@ class TestLaunchCounters:
             )
         # one batched SVD per shape bucket per level (uniform tree: 1 bucket)
         assert trace.num_kernel_launches == tree.levels
-        with rec.recording() as trace_rand:
-            build_hodlr(
-                A, tree,
-                config=CompressionConfig(tol=1e-10, method="randomized", max_rank=12,
-                                         construction="batched"),
-            )
-        # fixed-rank randomized: sample gemm + qr + project gemm + svd per
-        # bucket per level (no straggler rounds)
-        assert trace_rand.num_kernel_launches == 4 * tree.levels
         # the per-block schedule records no batched kernels at all (pure
         # per-block numpy)
         with rec.recording() as trace_loop:
@@ -924,13 +847,13 @@ class TestConstructionConfig:
         res_b = repro.solve(
             "gaussian_kernel", b,
             config=SolverConfig(compression=CompressionConfig(
-                tol=1e-10, method="randomized", construction="batched")),
+                tol=1e-10, method="rook", construction="batched")),
             **kwargs,
         )
         res_l = repro.solve(
             "gaussian_kernel", b,
             config=SolverConfig(dispatch_policy=LOOP_POLICY, compression=CompressionConfig(
-                tol=1e-10, method="randomized")),
+                tol=1e-10, method="rook")),
             **kwargs,
         )
         assert res_b.relative_residual <= 1e-8

@@ -1,9 +1,10 @@
-"""Unit tests for the compression kernels (SVD, rook-pivoted ACA, randomized)."""
+"""Unit tests for the compression kernels (SVD, rook-pivoted ACA)."""
 
 import numpy as np
 import pytest
 from scipy import linalg as sla
 
+import repro
 from repro import (
     ClusterTree,
     CompressionConfig,
@@ -20,8 +21,6 @@ from repro.core import compression
 from repro.core.compression import (
     _DenseStackEvaluator,
     compress_block_stack,
-    randomized_compress,
-    randomized_compress_dense,
     rook_pivot_compress,
     rook_pivot_compress_dense,
     rook_pivot_compress_stack,
@@ -189,15 +188,15 @@ class TestBlockedSteps:
     def test_complex_kernel_build_meets_tolerance(self):
         """A step whose intersection ``S`` drops a direction is ill-conditioned,
         not converged; the stop rule tests only the crosses ``S`` kept.  At
-        one ``tol`` rook is as accurate as the randomized range finder."""
+        one ``tol`` rook is as accurate as truncated SVD."""
         relres = {}
         for kappa in (10.0, 20.0, 40.0):
-            for method in ("rook", "randomized"):
+            for method in ("rook", "svd"):
                 cfg = SolverConfig(compression=CompressionConfig(tol=1e-6, method=method))
                 res = solve("helmholtz_kernel", n=1024, kappa=kappa, seed=1, config=cfg,
                             compute_residual="exact")
                 relres[method, kappa] = res.relative_residual
-            assert relres["rook", kappa] <= 1.25 * relres["randomized", kappa]
+            assert relres["rook", kappa] <= 1.25 * relres["svd", kappa]
         assert relres["rook", 20.0] <= 6e-8
 
     def test_single_block_is_a_one_block_stack(self):
@@ -208,46 +207,17 @@ class TestBlockedSteps:
         assert np.array_equal(f.U, g.U) and np.array_equal(f.V, g.V)
 
 
-class TestRandomized:
-    def test_accuracy_from_matvec_access(self):
-        B = smooth_block(90, 75, seed=7)
-        f = randomized_compress(
-            matvec=lambda X: B @ X,
-            rmatvec=lambda X: B.T @ X,
-            m=90,
-            n=75,
-            tol=1e-9,
-            rng=np.random.default_rng(0),
-        )
-        rel = np.linalg.norm(f.to_dense() - B) / np.linalg.norm(B)
-        assert rel < 1e-7
-
-    def test_dense_wrapper(self):
-        B = smooth_block(60, 60, seed=8)
-        f = randomized_compress_dense(B, tol=1e-8, rng=np.random.default_rng(1))
-        rel = np.linalg.norm(f.to_dense() - B) / np.linalg.norm(B)
-        assert rel < 1e-6
-
-    def test_max_rank(self):
-        B = smooth_block(50, 50, seed=9)
-        f = randomized_compress_dense(B, tol=0.0, max_rank=4, rng=np.random.default_rng(2))
-        assert f.rank <= 4
-
-    def test_reproducible_with_seeded_rng(self):
-        B = smooth_block(40, 40, seed=10)
-        f1 = randomized_compress_dense(B, tol=1e-8, rng=np.random.default_rng(7))
-        f2 = randomized_compress_dense(B, tol=1e-8, rng=np.random.default_rng(7))
-        np.testing.assert_allclose(f1.to_dense(), f2.to_dense())
-
+class TestSinglePrecision:
+    @pytest.mark.parametrize("method", ["svd", "rook"])
     @pytest.mark.parametrize("dtype", [np.complex64, np.float32])
-    def test_single_precision_factors_keep_the_block_dtype(self, dtype):
+    def test_factors_keep_the_block_dtype(self, method, dtype):
         rng = np.random.default_rng(12)
         B = rng.standard_normal((100, 5)) @ rng.standard_normal((5, 120))
         if dtype == np.complex64:
             B = B + 1j * rng.standard_normal((100, 5)) @ rng.standard_normal((5, 120))
         B = B.astype(dtype)
-        cfg = CompressionConfig(tol=1e-5, method="randomized")
-        factors = [randomized_compress_dense(B, tol=1e-5, rng=np.random.default_rng(0))]
+        cfg = CompressionConfig(tol=1e-5, method=method)
+        factors = []
         for ctx in (None, ExecutionContext(policy=LOOP_POLICY)):
             factors += compress_block_stack(B[None], cfg, context=ctx)
         for f in factors:
@@ -258,15 +228,27 @@ class TestRandomized:
         A = (np.exp(-np.abs(x[:, None] - x[None, :]) / 0.5) + np.eye(256)).astype(dtype)
         H = build_hodlr(
             A, ClusterTree.balanced(256, leaf_size=32),
-            tol=1e-5, method="randomized", context=ExecutionContext(policy=LOOP_POLICY),
+            tol=1e-5, method=method, context=ExecutionContext(policy=LOOP_POLICY),
         )
         assert {u.dtype for u in H.U.values()} | {v.dtype for v in H.V.values()} == {
             np.dtype(dtype)
         }
 
 
+class TestExactRank:
+    @pytest.mark.parametrize("method", ["svd", "rook"])
+    @pytest.mark.parametrize("rank", [5, 25])
+    def test_exact_rank_block_resolves_to_its_rank(self, method, rank):
+        # rank 5 retires inside rook's first phase; rank 25 needs more steps
+        rng = np.random.default_rng(rank)
+        B = rng.standard_normal((300, rank)) @ rng.standard_normal((rank, 300))
+        (f,) = compress_block_stack(B[None], CompressionConfig(tol=1e-12, method=method))
+        assert f.rank == rank
+        assert np.linalg.norm(f.to_dense() - B) <= 1e-12 * np.linalg.norm(B)
+
+
 class TestDispatcher:
-    @pytest.mark.parametrize("method", ["svd", "rook", "randomized"])
+    @pytest.mark.parametrize("method", ["svd", "rook"])
     def test_all_methods_agree(self, method):
         B = smooth_block(64, 60, seed=11)
 
@@ -282,6 +264,27 @@ class TestDispatcher:
         with pytest.raises(ValueError):
             config = CompressionConfig(method="nope")
             compress_block(lambda r, c: np.zeros((len(r), len(c))), 4, 4, config)
+
+    def test_retired_randomized_method_raises(self):
+        """Dense-block randomized compression is retired: the config, a
+        serialised payload that still carries it, ``build_hodlr`` and the
+        facade raise a ConfigError that names the method and points to rook
+        (and to peeling for a matvec-only source)."""
+        assert compression.COMPRESSION_METHODS == ("svd", "rook", "proxy")
+        B = smooth_block(64, 64, seed=13) + np.eye(64)
+        for make in (
+            lambda: CompressionConfig(method="randomized"),
+            lambda: CompressionConfig.from_dict({**CompressionConfig().to_dict(),
+                                                 "method": "randomized"}),
+            lambda: SolverConfig.from_dict({**SolverConfig().to_dict(), "compression": {
+                **CompressionConfig().to_dict(), "method": "randomized"}}),
+            lambda: build_hodlr(B, ClusterTree.balanced(64, leaf_size=16), tol=1e-8,
+                                method="randomized"),
+            lambda: repro.build_operator(B, config={"compression": {"method": "randomized"}}),
+        ):
+            with pytest.raises(compression.ConfigError,
+                               match="randomized.*rook.*construction='peeling'"):
+                make()
 
 
 class TestErrorContract:

@@ -60,7 +60,7 @@ def _gaussian_km(n=512, seed=0, lengthscale=0.4):
     )
 
 
-def _gaussian_hodlr(n=512, tol=1e-9, leaf_size=32, method="randomized", seed=0):
+def _gaussian_hodlr(n=512, tol=1e-9, leaf_size=32, method="svd", seed=0):
     H, _ = _gaussian_km(n, seed=seed).to_hodlr(
         CompressionConfig(leaf_size=leaf_size, tol=tol, method=method)
     )
@@ -514,6 +514,33 @@ class TestRefinement:
         x = op.solve(b)
         assert x.dtype == np.float64
         assert self._relres(H, x, b) < 1e-12
+
+    def test_refined_float32_solve_of_complex_rhs(self):
+        # the float32 factorization solves at complex64 and refinement
+        # restores float64-grade residuals on both parts of the rhs
+        H, b = self._system(n=256)
+        bi = np.random.default_rng(6).standard_normal(H.n)
+        bc = b + 1j * bi
+        op = HODLROperator(H, precision=PrecisionPolicy(storage="float32", refine=True))
+        x = op.solve(bc)
+        assert x.dtype == np.complex128
+        assert np.dtype(op.dtype) == np.float32
+        r = np.asarray(H.matvec(x)) - bc
+        assert np.linalg.norm(r) / np.linalg.norm(bc) < 1e-11
+
+    def test_complex_rhs_alone_does_not_refine(self, monkeypatch):
+        # a complex128 rhs on a float64 factorization is not a narrower
+        # factorization: refinement is decided on real precision
+        H, b = self._system(n=256)
+        op = HODLROperator(H, precision=PrecisionPolicy(refine=True))
+
+        def refine(*args):
+            raise AssertionError("refinement ran for a complex rhs")
+
+        monkeypatch.setattr(op, "_refine_once", refine)
+        x = op.solve(b + 1j * b)
+        assert x.dtype == np.complex128
+        assert np.linalg.norm(x - (1 + 1j) * op.solve(b)) <= 1e-12 * np.linalg.norm(x)
 
     def test_sticky_dtype_promotion_still_holds(self):
         H, b = self._system(n=256)

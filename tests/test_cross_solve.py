@@ -14,6 +14,8 @@ Covers the acceptance criteria of the cross-solve layer:
   fallback guard, and assembly sharing in config sweeps.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,8 @@ from repro import (
 from repro.api import CompressionConfig, SolverConfig
 from repro.api.cache import problem_fingerprint
 from repro.api.krylov import IterationLog
+from repro.core.compression import rook_pivot_compress_dense
+from repro.kernels.radial import pairwise_distances
 
 VARIANTS = ["recursive", "batched"]
 
@@ -366,14 +370,63 @@ class TestRunSweep:
             assert rel < 1e-8
 
     def test_large_jump_triggers_fallback_and_stays_accurate(self):
-        res = run_sweep(
-            "helmholtz_kernel", [{"kappa": 10.0}, {"kappa": 60.0}], n=384
-        )
-        jump = res.steps[1]
+        res = run_sweep("helmholtz_kernel", [{"kappa": 10.0}], n=384, keep_workspace=True)
+        ws = res.workspace
+        anchor = dict(ws._fine)
+        jump = ws.step({"kappa": 60.0})
         assert jump.fallback_blocks > 0  # the sampled guard caught the drift
         full = repro.solve("helmholtz_kernel", n=384, kappa=60.0)
         rel = np.linalg.norm(jump.x - full.x) / np.linalg.norm(full.x)
         assert rel < 5e-5
+        # each fallback block is recompressed by rook at the skeleton
+        # tolerance: truncated SVD's rank, and the error contract of rook
+        # (relative to the block's largest singular value)
+        refreshed = [b for b in ws._blocks
+                     if ws._fine[b.row_index, b.col_index] is not anchor[b.row_index, b.col_index]]
+        assert len(refreshed) == jump.fallback_blocks
+        profile = dataclasses.replace(ws.problem, kappa=60.0).kernel_spec()[0].profile
+        for blk in refreshed:
+            A = profile(pairwise_distances(ws.points[blk.rows], ws.points[blk.cols]))
+            fine = ws._fine[blk.row_index, blk.col_index]
+            s = np.linalg.svd(A, compute_uv=False)
+            assert abs(fine.rank - int(np.sum(s > ws.skeleton_tol * s[0]))) <= 1
+            assert np.linalg.norm(fine.to_dense() - A, 2) <= 2 * ws.skeleton_tol * s[0]
+
+    @staticmethod
+    def _fallback_factors(seed):
+        """The refreshed fine factors of a kappa 10 -> 60 jump, keyed by
+        block, each with its fully evaluated block."""
+        res = run_sweep("helmholtz_kernel", [{"kappa": 10.0}], n=384, seed=seed,
+                        keep_workspace=True)
+        ws = res.workspace
+        anchor = dict(ws._fine)
+        ws.step({"kappa": 60.0})
+        profile = dataclasses.replace(ws.problem, kappa=60.0).kernel_spec()[0].profile
+        out = {}
+        for blk in ws._blocks:
+            key = (blk.row_index, blk.col_index)
+            if ws._fine[key] is not anchor[key]:
+                A = profile(pairwise_distances(ws.points[blk.rows], ws.points[blk.cols]))
+                out[key] = (ws._fine[key], A)
+        return ws, out
+
+    def test_fallback_recompression_is_rook_at_the_skeleton_tolerance(self):
+        ws, refreshed = self._fallback_factors(seed=0)
+        assert refreshed
+        for fine, A in refreshed.values():
+            ref = rook_pivot_compress_dense(A, tol=ws.skeleton_tol)
+            assert np.array_equal(fine.U, ref.U) and np.array_equal(fine.V, ref.V)
+
+    def test_fallback_recompression_does_not_depend_on_seed(self):
+        # the seed places the guard's samples (so which blocks fall back);
+        # a block that falls back under both seeds gets one factor
+        _, first = self._fallback_factors(seed=0)
+        _, second = self._fallback_factors(seed=1)
+        common = first.keys() & second.keys()
+        assert common
+        for key in common:
+            assert np.array_equal(first[key][0].U, second[key][0].U)
+            assert np.array_equal(first[key][0].V, second[key][0].V)
 
     def test_trace_rows(self):
         res = run_sweep("helmholtz_kernel", [{"kappa": 10.0}, {"kappa": 11.0}], n=256)

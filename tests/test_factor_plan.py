@@ -93,12 +93,12 @@ class TestPlanEquivalence:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_adaptive_ranks_non_power_of_two(self, variant, rng):
-        """Adaptive (uncapped) randomized ranks over a 300-point tree:
+        """Adaptive (uncapped) truncated-SVD ranks over a 300-point tree:
         heterogeneous node sizes and per-level ranks through the plan."""
         n = 300
         A = hodlr_friendly_matrix(n, seed=11)
         tree = ClusterTree.balanced(n, leaf_size=40)
-        H = build_hodlr(A, tree, tol=1e-11, method="randomized")
+        H = build_hodlr(A, tree, tol=1e-11, method="svd")
         fac = factorize(H, variant)
         b = rng.standard_normal(n)
         x_plan = fac.solve(b)

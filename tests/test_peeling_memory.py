@@ -13,7 +13,7 @@ from repro import (
     peel_hodlr,
 )
 from repro.backends.memory import V100_CAPACITY_BYTES
-from conftest import hodlr_friendly_matrix, spd_kernel_matrix
+from conftest import complex_test_matrix, hodlr_friendly_matrix, spd_kernel_matrix
 
 
 class TestPeeling:
@@ -56,6 +56,31 @@ class TestPeeling:
         H = peel_hodlr(lambda X: A @ X, lambda X: A @ X, tree, rank=16,
                        rng=np.random.default_rng(4))
         assert H.approximation_error(A) < 1e-6
+
+    def test_rank_cap(self):
+        A, tree = self._problem(seed=41)
+        H = peel_hodlr(lambda X: A @ X, lambda X: A.T @ X, tree, rank=4, tol=0.0,
+                       rng=np.random.default_rng(11))
+        assert H.max_rank == 4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.complex128])
+    def test_factors_keep_the_operator_dtype(self, dtype):
+        """Real Gaussian probes of a single-precision or complex operator
+        yield factors of the operator's dtype, accurate to its precision
+        (or to the recompression ``tol``, whichever is coarser)."""
+        n = 256
+        if np.dtype(dtype).kind == "c":
+            A = complex_test_matrix(n, seed=42)
+        else:
+            A = hodlr_friendly_matrix(n, seed=42)
+        A = A.astype(dtype)
+        tree = ClusterTree.balanced(n, leaf_size=32)
+        H = peel_hodlr(lambda X: A @ X, lambda X: A.conj().T @ X, tree, rank=40,
+                       rng=np.random.default_rng(12), dtype=dtype)
+        assert {u.dtype for u in H.U.values()} | {v.dtype for v in H.V.values()} == {
+            np.dtype(dtype)
+        }
+        assert H.approximation_error(A) <= 10 * max(np.finfo(dtype).eps, 1e-10)
 
     def test_rank_cap_limits_probe_cost(self):
         """The peeling never requests more than rank+oversampling probes per block."""
