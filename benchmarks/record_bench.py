@@ -31,7 +31,7 @@ the wall-clock rows stay informational.
 Usage::
 
     python benchmarks/record_bench.py --smoke         # CI perf-gate sizes -> BENCH_smoke.json
-    python benchmarks/record_bench.py --smoke --output BENCH_pr29.json --pr 29
+    python benchmarks/record_bench.py --smoke --output BENCH_pr30.json --pr 30
                                                       # regenerate the gate baseline
     python benchmarks/record_bench.py --output out.json --pr N
                                                       # full sizes (--output required)

@@ -98,6 +98,8 @@ STRIDED_KERNELS = {
     "getrs_batched",
     "potrf_batched",
     "potrs_batched",
+    "trtri_batched",
+    "schur_solve_batched",
 }
 
 

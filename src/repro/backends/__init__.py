@@ -8,6 +8,8 @@ library lowers every tree level onto one strided launch per shape bucket:
 * ``getrsBatched``         -> :func:`repro.backends.batched.getrs_batched`
 * ``potrfBatched``         -> :func:`repro.backends.batched.potrf_batched`
 * ``potrsBatched``         -> :func:`repro.backends.batched.potrs_batched`
+* ``trtriBatched`` (MAGMA) -> :func:`repro.backends.batched.trtri_batched`
+* 3 ``gemmStridedBatched`` -> :func:`repro.backends.batched.schur_solve_batched`
 * ``geqrfBatched``         -> :func:`repro.backends.batched.qr_batched`
 * ``gesvdjBatched``        -> :func:`repro.backends.batched.svd_batched`
 
@@ -53,6 +55,8 @@ from .batched import (
     getrs_batched,
     potrf_batched,
     potrs_batched,
+    schur_solve_batched,
+    trtri_batched,
 )
 from .device import DeviceSpec, CPU_XEON_6254_DUAL, GPU_V100, PCIE3_X16
 from .perfmodel import PerformanceModel, ExecutionEstimate
@@ -87,6 +91,8 @@ __all__ = [
     "getrs_batched",
     "potrf_batched",
     "potrs_batched",
+    "trtri_batched",
+    "schur_solve_batched",
     "DeviceSpec",
     "CPU_XEON_6254_DUAL",
     "GPU_V100",

@@ -12,6 +12,9 @@ cuBLAS/cuSOLVER         this module
 ``getrsBatched``        :func:`getrs_batched`
 ``potrfBatched``        :func:`potrf_batched` (returns ``C^{-1}``)
 ``potrsBatched``        :func:`potrs_batched` (two gemms on ``C^{-1}``)
+``trtriBatched``        :func:`trtri_batched` (MAGMA; ``L^{-1}``, ``U^{-1}``)
+``gemmStridedBatched``  :func:`schur_solve_batched` (three of them: the K
+                        systems against ``G``, ``U^{-1}`` and ``T_b``)
 ``geqrfBatched``        :func:`qr_batched`
 ``gesvdjBatched``       :func:`svd_batched`
 =====================  ==============================================
@@ -27,6 +30,10 @@ those take pointer arrays, here a 3-D stack.  The Cholesky pair keeps
 cuSOLVER's ``potrf``/``potrs`` names, but stores the explicit inverse
 factor ``C^{-1}`` rather than ``C``, so a solve is two strided products
 instead of two triangular substitutions.
+The reduced ``K`` systems of every tree level are eliminated by their
+identity blocks: ``getrf_batched`` factors the Schur complements,
+``trtri_batched`` inverts both triangular factors once, and every K solve
+is :func:`schur_solve_batched`, three strided products.
 
 Every call emits one :class:`~repro.backends.counters.KernelEvent` so that
 the performance model can reconstruct what the launch would have cost on a
@@ -58,6 +65,8 @@ from .counters import (
     potrf_flops,
     potrs_flops,
     record_event,
+    schur_solve_flops,
+    trtri_flops,
 )
 from .dispatch import DEFAULT_POLICY, ArrayBackend, DispatchPolicy, get_backend
 
@@ -387,6 +396,101 @@ def potrs_batched(
             flops=nb * potrs_flops(n, nrhs, _is_complex(x3.dtype)),
             bytes_moved=float(cinv3.nbytes + 2 * rhs3.nbytes),
             dtype_size=np.dtype(x3.dtype).itemsize,
+            strided=True,
+            buckets=1,
+            plan=True,
+        )
+    )
+    return x3
+
+
+# ----------------------------------------------------------------------
+# K systems: inverse LU factors of the Schur complement, and the solve
+# ----------------------------------------------------------------------
+def trtri_batched(
+    lu3: np.ndarray,
+    backend: Optional[ArrayBackend] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Strided batched inversion of packed LU factors (MAGMA
+    ``trtri_batched`` on both triangles): one launch.
+
+    ``lu3`` is a ``(nb, n, n)`` stack of :func:`getrf_batched` factors.
+    Returns ``(linv3, uinv3)``: the lower ``L^{-1}`` and the upper
+    ``U^{-1}`` of every member, zero outside their triangles.  Raises
+    :class:`numpy.linalg.LinAlgError`, and records no event, when an upper
+    factor is singular to working precision
+    (``min |u_ii| <= n eps max |u_ij|``).  The host runs one batched
+    inverse per triangle over the whole stack
+    (:func:`~repro.backends.dispatch.triangular_inverse`); the recorded
+    flops are the two ``trtri`` of the modelled kernel.
+    """
+    if lu3.ndim != 3 or lu3.shape[1] != lu3.shape[2]:
+        raise ValueError("trtri_batched expects a 3-D stack of square matrices")
+    nb, n = lu3.shape[0], lu3.shape[1]
+    linv3, uinv3 = _resolve(backend).triangular_inverse_batch(lu3)
+    record_event(
+        KernelEvent(
+            kernel="trtri_batched",
+            batch=nb,
+            shape=(n, n, 0),
+            flops=nb * trtri_flops(n, _is_complex(lu3.dtype)),
+            bytes_moved=float(3 * lu3.nbytes),
+            dtype_size=np.dtype(lu3.dtype).itemsize,
+            strided=True,
+            buckets=1,
+            plan=True,
+        )
+    )
+    return linv3, uinv3
+
+
+def schur_solve_batched(
+    g3: np.ndarray,
+    uinv3: np.ndarray,
+    tb3: np.ndarray,
+    rhs3: np.ndarray,
+    backend: Optional[ArrayBackend] = None,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Solve the reduced systems ``K = [T_a I; I T_b]`` through their Schur
+    complement ``S = I - T_a T_b = P L U``: one launch of three strided
+    products (three ``gemmStridedBatched`` on a GPU).
+
+    ``rhs3`` is ``(nb, 2r, nrhs)``, ``[c_a; c_b]`` per member; ``g3`` is
+    ``(nb, r, 2r)``, ``G = [L^{-1} P^T | -L^{-1} P^T T_a]``; ``uinv3`` and
+    ``tb3`` are ``(nb, r, r)``.  Returns ``[x; y]`` with ``y = U^{-1} (G
+    c) = S^{-1} (c_a - T_a c_b)`` and ``x = c_b - T_b y``.  The flops are
+    recorded as executed (full gemms).  The result dtype promotes over the
+    operands; ``out`` (of that dtype) receives the solutions and may be
+    ``rhs3`` itself: every product reads its operands before the halves of
+    ``out`` are written.
+    """
+    shapes = "a (nb, 2r, nrhs) stack matching (nb, r, 2r) G and (nb, r, r) U^{-1}, T_b"
+    if rhs3.ndim != 3 or rhs3.shape[1] % 2:
+        raise ValueError(f"schur_solve_batched expects {shapes}")
+    nb, r2, nrhs = rhs3.shape
+    r = r2 // 2
+    if g3.shape != (nb, r, r2) or uinv3.shape != (nb, r, r) or tb3.shape != (nb, r, r):
+        raise ValueError(f"schur_solve_batched expects {shapes}")
+    xb = _resolve(backend)
+    out_dtype = np.result_type(g3.dtype, rhs3.dtype)
+    x3 = xb.zeros(rhs3.shape, dtype=out_dtype) if out is None else out
+    y = xb.matmul(uinv3, xb.matmul(g3, rhs3))
+    # x = c_b - T_b y, written over c_a (already consumed by G c): the
+    # negated difference -(T_b y - c_b) is the same float
+    top = x3[:, :r]
+    xb.matmul(tb3, y, out=top)
+    top -= rhs3[:, r:]
+    top *= -1
+    x3[:, r:] = y
+    record_event(
+        KernelEvent(
+            kernel="schur_solve_batched",
+            batch=nb,
+            shape=(r2, nrhs, 0),
+            flops=nb * schur_solve_flops(r, nrhs, _is_complex(out_dtype)),
+            bytes_moved=float(g3.nbytes + uinv3.nbytes + tb3.nbytes + 2 * rhs3.nbytes),
+            dtype_size=np.dtype(out_dtype).itemsize,
             strided=True,
             buckets=1,
             plan=True,

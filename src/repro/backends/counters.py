@@ -313,6 +313,24 @@ def potrs_flops(n: int, nrhs: int, complex_arith: bool = False) -> float:
     return 2.0 * gemm_flops(n, nrhs, n, complex_arith)
 
 
+def trtri_flops(n: int, complex_arith: bool = False) -> float:
+    """Flops for the inverses of both triangular factors of an ``n x n``
+    packed LU: two triangular inversions ``trtri`` of n^3/3 each."""
+    base = 2.0 / 3.0 * n ** 3
+    return 4.0 * base if complex_arith else base
+
+
+def schur_solve_flops(r: int, nrhs: int, complex_arith: bool = False) -> float:
+    """Flops for one ``2r x 2r`` K system solved through its Schur complement:
+    ``y = U^{-1} (G c)`` with ``G`` of ``r x 2r``, then ``x = c_b - T_b y`` —
+    three full gemms per right-hand side (8 r^2 per rhs, what ``getrs``
+    costs on the ``2r x 2r`` system); the triangular zeros of ``U^{-1}``
+    are multiplied, not skipped."""
+    return gemm_flops(r, nrhs, 2 * r, complex_arith) + 2.0 * gemm_flops(
+        r, nrhs, r, complex_arith
+    )
+
+
 def geqrf_flops(m: int, n: int, complex_arith: bool = False) -> float:
     """Flops for a Householder thin QR of an ``m x n`` block (2 m n^2 - 2/3 n^3).
 

@@ -11,11 +11,11 @@ buckets up front and issues one strided launch
 :class:`ArrayBackend`
     A protocol describing the array-level primitives the batched kernels
     need (``matmul`` over 3-D stacks, batched LU factorization and solve,
-    inverse Cholesky factors, host transfers).  :class:`NumpyBackend` is
-    the default implementation; :class:`CupyBackend` registers the same
-    interface behind an optional ``cupy`` import so a real GPU backend
-    plugs in without touching the solver code.  Backends are looked up by
-    name via :func:`get_backend`.
+    inverse Cholesky factors, inverse triangular LU factors, host
+    transfers).  :class:`NumpyBackend` is the default implementation;
+    :class:`CupyBackend` registers the same interface behind an optional
+    ``cupy`` import so a real GPU backend plugs in without touching the
+    solver code.  Backends are looked up by name via :func:`get_backend`.
 
 :class:`BatchPlanner` / :func:`plan_batch`
     Groups the blocks of a tree level into *shape buckets*: maximal index
@@ -477,6 +477,61 @@ def cholesky_inverse(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_upper_factors(xp, lu) -> None:
+    """Raise :class:`numpy.linalg.LinAlgError` when an upper factor of a
+    packed ``(batch, n, n)`` LU stack is singular to working precision.
+
+    The test is ``min |u_ii| <= n eps max |u_ij|`` (or a non-finite
+    entry): the diagonal bounds the smallest singular value of a
+    triangular matrix from above and its largest entry bounds the largest
+    from below, so a problem that fails has ``cond(U) >= 1 / (n eps)``,
+    the rank tolerance of ``numpy.linalg.matrix_rank``, and no inverse
+    factor of it carries a correct digit.
+    """
+    n = lu.shape[-1]
+    diag = xp.abs(xp.diagonal(lu, axis1=-2, axis2=-1)).min(axis=-1)
+    scale = xp.abs(xp.triu(lu)).max(axis=(-2, -1))
+    bad = xp.flatnonzero(~(diag > n * np.finfo(lu.dtype).eps * scale))
+    if bad.size:
+        raise np.linalg.LinAlgError(
+            f"problem {int(bad[0])} has an upper factor that is singular to "
+            "working precision: no inverse triangular factors"
+        )
+
+
+def _triangular_inverse(xp, lu):
+    """Inverse triangular factors of a packed ``(batch, n, n)`` LU stack
+    through the array module ``xp``: both triangles go through one batched
+    ``xp.linalg.inv`` each (a single C-level call over the stack, no
+    per-problem Python loop), masked back to their triangles.  For ``U``
+    and a unit ``L`` with ``|l_ij| <= 1`` the inverse's own LU is trivial
+    (no row interchange, zero or exact multipliers), so each column is
+    computed by triangular substitution, as in ``trtri``.  Raises like
+    :func:`triangular_inverse`."""
+    _check_upper_factors(xp, lu)
+    eye = xp.eye(lu.shape[-1], dtype=lu.dtype)
+    linv = xp.tril(xp.linalg.inv(xp.tril(lu, -1) + eye))
+    return linv, xp.triu(xp.linalg.inv(xp.triu(lu)))
+
+
+def triangular_inverse(lu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Inverse triangular factors of a packed ``(batch, n, n)`` LU stack.
+
+    ``lu`` packs a unit lower factor ``L`` (strict lower triangle) and an
+    upper factor ``U`` per problem, as :func:`_lu_factor_batch` and LAPACK
+    ``getrf`` leave them.  Returns ``(Linv, Uinv)``: ``Linv[i] = L_i^{-1}``
+    (lower triangular) and ``Uinv[i] = U_i^{-1}`` (upper triangular), zero
+    outside their triangles (:func:`_triangular_inverse`).  Raises
+    :class:`numpy.linalg.LinAlgError` when an upper factor is singular to
+    working precision (:func:`_check_upper_factors`).  Each problem's
+    result depends on that problem alone.
+    """
+    lu = np.asarray(lu)
+    if lu.size == 0:
+        return np.zeros_like(lu), np.zeros_like(lu)
+    return _triangular_inverse(np, lu)
+
+
 # ======================================================================
 # ArrayBackend protocol and implementations
 # ======================================================================
@@ -517,6 +572,8 @@ class ArrayBackend(Protocol):
     def lu_solve_batch(self, lu: Any, piv: Any, b: Any, pivot: bool = True) -> Any: ...
 
     def cholesky_inverse_batch(self, a: Any) -> Any: ...
+
+    def triangular_inverse_batch(self, lu: Any) -> Tuple[Any, Any]: ...
 
     def qr_batch(self, a: Any) -> Tuple[Any, Any]: ...
 
@@ -583,10 +640,13 @@ class NumpyBackend:
         LAPACK ``getrs`` routine: the compiled solve plans replay this on
         every right-hand side, and scipy's per-call ``lu_solve`` wrapper
         (argument checking, function lookup) costs several times the actual
-        n≈64 substitution.  Optional protocol method — backends without it
-        fall back to the ``lu_solve`` loop.  ``out`` (of the promoted dtype)
-        receives the solutions and may be ``rhs3`` itself: each problem's
-        right-hand side is read before its solution is written.
+        n≈64 substitution.  Its callers are the LU leaves of complex and
+        non-symmetric matrices (the K systems and Cholesky leaves solve by
+        products against inverse factors).  Optional protocol method —
+        backends without it fall back to the ``lu_solve`` loop.  ``out``
+        (of the promoted dtype) receives the solutions and may be ``rhs3``
+        itself: each problem's right-hand side is read before its solution
+        is written.
         """
         out_dtype = np.result_type(lu3.dtype, rhs3.dtype)
         lu3 = np.asarray(lu3, dtype=out_dtype)
@@ -609,6 +669,9 @@ class NumpyBackend:
 
     def cholesky_inverse_batch(self, a):
         return cholesky_inverse(np.asarray(a))
+
+    def triangular_inverse_batch(self, lu):
+        return triangular_inverse(lu)
 
     def qr_batch(self, a):
         # NumPy's qr vectorises over leading batch axes (one LAPACK call per
@@ -700,6 +763,10 @@ class CupyBackend:
         if not bool(self._cp.isfinite(C).all()):
             raise np.linalg.LinAlgError("Cholesky factorization failed: not positive definite")
         return self._cp.tril(self._cp.linalg.inv(C))
+
+    def triangular_inverse_batch(self, lu):  # pragma: no cover - requires cupy
+        # cupy has no batched trtri: the batched-inverse route of the host
+        return _triangular_inverse(self._cp, self._cp.asarray(lu))
 
     def qr_batch(self, a):  # pragma: no cover - requires cupy
         a = self._cp.asarray(a)

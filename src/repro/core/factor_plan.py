@@ -7,16 +7,18 @@ sweeps:
 :class:`FactorPlan`
     Per-level shape-bucketed strided 3-D storage of everything Algorithm 2
     needs: the factors of the leaf diagonal blocks (inverse Cholesky
-    factors, or packed LU factors + pivots; see *Leaf factors*), packed
-    LU factors of the per-level reduced ``K`` systems, and the ``Y``/``V^*``
-    bases driving the Schur-update gemms (``V^*`` read from the matrix).
+    factors, or packed LU factors + pivots; see *Leaf factors*), the
+    inverse factors of the per-level reduced ``K`` systems (see *K
+    systems*), and the ``Y``/``V^*`` bases driving the Schur-update gemms
+    (``V^*`` read from the matrix).
     Built through the dispatch layer by :func:`build_factor_plan` (which
     *is* Algorithm 1, executed packed: one factor/solve/gemm launch per
     shape bucket per level).
 
 :class:`SolvePlan`
     The compiled forward/backward sweep over that storage:
-    ``O(levels x buckets)`` ``potrs``/``getrs``/``gemm_strided_batched``
+    ``O(levels x buckets)`` ``potrs``/``getrs`` leaf launches,
+    ``schur_solve_batched`` K launches and ``gemm_strided_batched``
     launches per solve, no Python tree walk, no per-solve re-bucketing.  Krylov loops
     and repeated direct solves reuse it; every launch is trace-visible
     (``KernelEvent.plan`` marks plan-replay launches).
@@ -44,7 +46,40 @@ records ``kind="lu"`` with ``fallback=True`` and
 :attr:`FactorPlan.leaf_fallbacks` counts them.  Complex and non-symmetric
 matrices keep pivoted LU leaves.  This is the leaf half of the symmetric
 factorization of Ambikasaran, O'Neil & Singh (2014); the ``K`` systems
-stay LU.
+below are the same for every matrix.
+
+K systems
+---------
+Each tree level solves one reduced system per node, ``K = [T_a I; I
+T_b]`` (equation (11), ``T_a``/``T_b`` the ``V^* Y`` products of the left
+and right child).  The plan eliminates it by its identity blocks: with
+``S = I - T_a T_b`` (``r x r``), ``K [x; y] = [c_a; c_b]`` has ``y =
+S^{-1} (c_a - T_a c_b)`` and ``x = c_b - T_b y``.  Per level, one strided
+product forms every ``S``, one ``getrf_batched`` launch factors them as
+``S = P L U`` (partially pivoted, or not under ``pivot=False``) and one
+``trtri_batched`` launch inverts both triangular factors.  Per node the
+plan stores ``G = [L^{-1} P^T | -L^{-1} P^T T_a]`` (``r x 2r``),
+``U^{-1}`` and ``T_b``: ``4 r^2`` entries, the footprint of a ``2r x 2r``
+LU, and no pivots (:attr:`_LevelSweep.swaps` keeps their parity for
+:meth:`FactorPlan.slogdet`).  Every K solve — the ``Ybig`` update of the
+build and each :class:`SolvePlan` replay — is then ``y = U^{-1} (G c)``,
+``x = c_b - T_b y``: three strided products in one
+:func:`~repro.backends.batched.schur_solve_batched` launch, where a
+pivoted ``getrs`` on ``K`` substituted row by row (its flops are the
+same, ``8 r^2`` per right-hand side).  Applying triangular inverse factors
+keeps the accuracy of the substitution, as for the leaves.  Two
+alternatives were measured and not taken.  An explicit ``K^{-1}`` is one
+product per solve but not stable: on ``gp_covariance`` n=8192 it cut the
+exact-residual digits from 9.94 to 9.23 (-0.7; 4 right-hand sides, 256
+sampled rows), and at n=2048 with ``noise_std=0.005`` from 8.40 to 6.93
+(all rows; the accuracy guard of the tests).
+Inverse triangular factors of the whole ``2r x 2r`` LU of ``K`` keep
+the accuracy but store ``8 r^2`` per node, twice the above: about
++10 MB, or +12% of ``helmholtz_scatter``'s ``operator_mb``.  A Schur
+complement singular to working precision (``min |u_ii| <= r eps max
+|u_ij|``: ``S``, hence ``K``, is numerically singular, or a
+``pivot=False`` factorization met a tiny pivot) raises
+:class:`numpy.linalg.LinAlgError` rather than returning garbage.
 
 Mixed-precision factor storage
 ------------------------------
@@ -60,8 +95,8 @@ narrow.  One step of iterative refinement
 
 Memory
 ------
-The plan owns the leaf factors, the K factors and the solved ``Y3``
-stacks.  ``V^*`` is a transposed view of the matrix's own per-level
+The plan owns the leaf factors, the K systems' ``G``/``U^{-1}``/``T_b``
+stacks and the solved ``Y3`` stacks.  ``V^*`` is a transposed view of the matrix's own per-level
 stacks (:class:`~repro.core.hodlr.HODLRStorage`); a plan copies it only
 when it must transform it — precision-demoted levels, identity-padded
 ``pad_buckets=True`` buckets, and ``conj(V)`` of complex non-symmetric
@@ -114,6 +149,8 @@ from ..backends.batched import (
     getrs_batched,
     potrf_batched,
     potrs_batched,
+    schur_solve_batched,
+    trtri_batched,
 )
 from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
 from ..backends.counters import get_recorder
@@ -173,31 +210,26 @@ class _LevelSweep:
     #: tree level of the ``gamma`` nodes (children live at ``level + 1``)
     level: int
     rank: int
-    #: (ngamma, 2r, 2r) packed LU of the reduced K systems
-    k_lu3: np.ndarray
-    #: (ngamma, 2r) pivots
-    k_piv3: np.ndarray
+    #: (ngamma, r, 2r) ``G = [L^{-1} P^T | -L^{-1} P^T T_a]`` of the Schur
+    #: complements ``S = I - T_a T_b = P L U`` (see *K systems*)
+    g3: np.ndarray
+    #: (ngamma, r, r) inverse upper factors ``U^{-1}``
+    uinv3: np.ndarray
+    #: (ngamma, r, r) ``T_b = V_b^* Y_b`` of the right children
+    tb3: np.ndarray
+    #: row interchanges of the level's ``S`` factorizations (the parity of
+    #: ``det P``, all :meth:`FactorPlan.slogdet` needs of the pivots)
+    swaps: int
     buckets: List[_SweepBucket] = field(default_factory=list)
 
     @property
     def nchild(self) -> int:
-        return 2 * self.k_lu3.shape[0]
+        return 2 * self.g3.shape[0]
 
-
-
-def _pair_rhs(w_all, ngamma: int, r: int, pivot: bool):
-    """Stack the per-child ``(r, nrhs)`` blocks into per-gamma K right-hand sides.
-
-    With ``pivot=True`` the rows follow equation (9) (left child's block on
-    top); ``pivot=False`` swaps the block rows, matching the alternative K
-    formulation with identities on the diagonal.  The *solution* ordering
-    is ``[w_left; w_right]`` in both cases.
-    """
-    nrhs = w_all.shape[-1]
-    if pivot:
-        return w_all.reshape(ngamma, 2 * r, nrhs)
-    swapped = w_all.reshape(ngamma, 2, r, nrhs)[:, ::-1]
-    return swapped.reshape(ngamma, 2 * r, nrhs)
+    def solve(self, rhs3, xb):
+        """The level's K solves, in place on ``(ngamma, 2r, nrhs)`` ``rhs3``:
+        ``[c_a; c_b]`` per node in, the children's ``[x; y]`` out."""
+        return schur_solve_batched(self.g3, self.uinv3, self.tb3, rhs3, backend=xb, out=rhs3)
 
 
 class FactorPlan:
@@ -251,8 +283,10 @@ class FactorPlan:
                 self.demoted = True
         for sw in self.sweeps:
             target = prec.factor_dtype(self.dtype, sw.level + 1)
-            if sw.k_lu3.dtype != target:
-                sw.k_lu3 = sw.k_lu3.astype(target)
+            if sw.g3.dtype != target:
+                sw.g3, sw.uinv3, sw.tb3 = (
+                    a.astype(target) for a in (sw.g3, sw.uinv3, sw.tb3)
+                )
                 self.demoted = True
             for bk in sw.buckets:
                 if bk.Y3.dtype != target:
@@ -267,7 +301,7 @@ class FactorPlan:
         for lb in self.leaf_buckets:
             out[self.levels] = np.dtype(lb.factor3.dtype)
         for sw in self.sweeps:
-            out.setdefault(sw.level + 1, np.dtype(sw.k_lu3.dtype))
+            out.setdefault(sw.level + 1, np.dtype(sw.g3.dtype))
         return out
 
     # ------------------------------------------------------------------
@@ -321,8 +355,13 @@ class FactorPlan:
         """Sign/phase and log-magnitude of ``det(A)`` from the packed factors.
 
         A Cholesky leaf contributes ``log det D = -2 sum log diag(C^{-1})``
-        with sign ``+1``.  Identity-bordered padding contributes ``log 1 =
-        0`` and no row swaps, so padded stacks need no special casing.
+        with sign ``+1``.  Every node contributes ``det S = det P prod
+        diag(U)`` of its Schur complement (``det K = (-1)^{r^2} det S``, and
+        the block-row swap relating ``K`` to the node factor contributes
+        the same ``(-1)^{r^2}``): the diagonal of the stored ``U^{-1}``
+        holds the reciprocals ``1 / u_ii``, and :attr:`_LevelSweep.swaps`
+        the parity of ``P``.  Identity-bordered padding contributes ``log 1
+        = 0`` and no row swaps, so padded stacks need no special casing.
         """
         from .factor_recursive import _lu_slogdet
 
@@ -340,17 +379,11 @@ class FactorPlan:
                 sign *= s
                 logabs += l
         for sw in self.sweeps:
-            r = sw.rank
-            k_lu3 = np.asarray(xb.to_host(sw.k_lu3))  # repro-lint: ignore[RL001] -- slogdet is host-side analysis: factors download once, reduce serially
-            k_piv3 = np.asarray(sw.k_piv3)  # repro-lint: ignore[RL001] -- pivot metadata is host-resident by design
-            # the block-row swap relating K to the node factor contributes
-            # (-1)^{r^2} per node; the pivot=False formulation applies a
-            # second swap, cancelling it.
-            swap = ((-1.0) ** (r * r)) if self.pivot else 1.0
-            for g in range(k_lu3.shape[0]):
-                s, l = _lu_slogdet(k_lu3[g], k_piv3[g])
-                sign *= s * swap
-                logabs += l
+            uinv3 = np.asarray(xb.to_host(sw.uinv3))  # repro-lint: ignore[RL001] -- slogdet is host-side analysis: factors download once, reduce serially
+            d = np.diagonal(uinv3, axis1=1, axis2=2)
+            logabs -= float(np.sum(np.log(np.abs(d))))
+            # the phase of u_ii is the conjugate phase of 1 / u_ii
+            sign *= np.prod(np.conj(d / np.abs(d))) * (-1.0) ** sw.swaps
         return sign, logabs
 
     # ------------------------------------------------------------------
@@ -363,15 +396,16 @@ class FactorPlan:
             out += [a for a in (lb.factor3, lb.piv3) if a is not None]
             out += lb.gs.arrays()
         for sw in self.sweeps:
-            out += [sw.k_lu3, sw.k_piv3]
+            out += [sw.g3, sw.uinv3, sw.tb3]
             for bk in sw.buckets:
                 out += [bk.Y3, bk.Vh3, bk.pos, *bk.gs.arrays()]
         return out
 
     @property
     def nbytes(self) -> int:
-        """Bytes the plan owns: LU stacks, the solved ``Y`` stacks, any
-        copied ``V^*`` and indices (``V^*`` views of the matrix count zero)."""
+        """Bytes the plan owns: leaf factors, the K systems' ``G``,
+        ``U^{-1}`` and ``T_b`` stacks, the solved ``Y`` stacks, any copied
+        ``V^*`` and indices (``V^*`` views of the matrix count zero)."""
         return owned_nbytes(self.arrays(), self._shared)
 
     @property
@@ -414,8 +448,8 @@ class SolvePlan:
         """Solve ``A x = b`` (``b`` may hold multiple right-hand sides).
 
         A ``(n, K)`` block replays the same packed bucket schedule as a
-        single vector — every getrs/gemm launch simply carries ``K``
-        columns, so the launch count is independent of ``K``.
+        single vector — every launch simply carries ``K`` columns, so the
+        launch count is independent of ``K``.
         """
         plan = self.plan
         ctx = plan.context
@@ -456,14 +490,11 @@ class SolvePlan:
         # backward sweep: deepest level first
         for sw in plan.sweeps:
             r = sw.rank
-            ngamma = sw.k_lu3.shape[0]
-            bd = np.result_type(
-                sw.k_lu3.dtype, demote_rhs_dtype(sw.k_lu3.dtype, out_dtype)
-            )
+            bd = np.result_type(sw.g3.dtype, demote_rhs_dtype(sw.g3.dtype, out_dtype))
             full = bd == out_dtype
             w_all = xb.zeros((sw.nchild, r, x.shape[1]), dtype=bd)
             # a one-bucket level holds its children in order: its products
-            # go straight into w_all and it reads W_half itself
+            # go straight into w_all and it reads the solved w_all itself
             single = len(sw.buckets) == 1
             for bk in sw.buckets:
                 xg = bk.gs.view(x) if full else None
@@ -475,11 +506,10 @@ class SolvePlan:
                 )
                 if not into:
                     w_all[bk.pos] = prod
-            K_rhs = _pair_rhs(w_all, ngamma, r, plan.pivot)
-            W = getrs_batched(sw.k_lu3, sw.k_piv3, K_rhs, pivot=plan.pivot, backend=xb, policy=pol)
-            W_half = W.reshape(sw.nchild, r, x.shape[1])
+            # the K solves turn w_all into the children's W in place
+            sw.solve(w_all.reshape(sw.nchild // 2, 2 * r, x.shape[1]), xb)
             for bk in sw.buckets:
-                Wb = W_half if single else W_half[bk.pos]
+                Wb = w_all if single else w_all[bk.pos]
                 xv = bk.gs.view(x) if full else None
                 if xv is None:
                     bk.gs.sub(x, gemm_strided_batched(bk.Y3, Wb, backend=xb, plan=True))
@@ -541,23 +571,48 @@ def _vh_stacks(xb, hodlr, level: int, buckets, r: int, pol, dtype):
     return out
 
 
-def _assemble_k(xb, T_all, ngamma: int, r: int, dtype, pivot: bool):
-    """The per-level reduced systems (equation (11)) as one ``(ngamma, 2r, 2r)``
-    stack.  With ``pivot=False`` the paper's alternative formulation puts the
-    identities on the diagonal so non-pivoted LU is safe."""
-    eye = xb.eye(r, dtype=dtype)
-    K3 = xb.zeros((ngamma, 2 * r, 2 * r), dtype=dtype)
-    if pivot:
-        K3[:, :r, :r] = T_all[0::2]
-        K3[:, :r, r:] = eye
-        K3[:, r:, :r] = eye
-        K3[:, r:, r:] = T_all[1::2]
+def _row_order(piv3) -> np.ndarray:
+    """``(nb, n)`` row order of ``P^T S = L U`` from LAPACK pivots: row ``i``
+    of ``P^T S`` is row ``order[i]`` of ``S`` (the interchanges applied in
+    sequence, one vectorised step per column that swaps in any problem)."""
+    nb, n = piv3.shape
+    cols = np.arange(n, dtype=np.intp)
+    order = np.tile(cols, (nb, 1))
+    rows = np.arange(nb, dtype=np.intp)
+    for k in np.flatnonzero((piv3 != cols).any(axis=0)):
+        p = piv3[:, k]
+        kept = order[:, k].copy()
+        order[:, k] = order[rows, p]
+        order[rows, p] = kept
+    return order
+
+
+def _schur_factors(xb, T_all, pivot: bool, pol):
+    """``(g3, uinv3, tb3, swaps)`` of one level's K systems (see *K
+    systems*): ``S = I - T_a T_b`` in one strided product, one
+    ``getrf_batched`` and one ``trtri_batched`` launch over every node of
+    the level, then ``G = [L^{-1} P^T | -L^{-1} P^T T_a]``."""
+    T_a, T_b = T_all[0::2], T_all[1::2]
+    ngamma, r = T_a.shape[0], T_a.shape[1]
+    S3 = gemm_strided_batched(T_a, T_b, backend=xb)
+    S3 *= -1
+    S3 += xb.eye(r, dtype=S3.dtype)
+    lu3, piv3 = getrf_batched(S3, pivot=pivot, backend=xb, policy=pol)
+    linv3, uinv3 = trtri_batched(lu3, backend=xb)
+    cols = np.arange(r, dtype=np.intp)
+    swaps = int(np.count_nonzero(piv3 != cols))
+    g3 = xb.zeros((ngamma, r, 2 * r), dtype=S3.dtype)
+    if swaps:
+        # column j of L^{-1} P^T is column order^{-1}[j] of L^{-1}
+        inv = np.argsort(_row_order(piv3), axis=1)
+        nodes = np.arange(ngamma, dtype=np.intp)
+        g3[:, :, :r] = linv3[nodes[:, None, None], cols[:, None], inv[:, None, :]]
     else:
-        K3[:, :r, :r] = eye
-        K3[:, :r, r:] = T_all[1::2]
-        K3[:, r:, :r] = T_all[0::2]
-        K3[:, r:, r:] = eye
-    return K3
+        g3[:, :, :r] = linv3
+    right = g3[:, :, r:]
+    gemm_strided_batched(g3[:, :, :r], T_a, backend=xb, out=right)
+    right *= -1
+    return g3, uinv3, T_b.copy(), swaps
 
 
 def _concat_bases(bases, tree, level_ranks: List[int], zeros, dtype) -> np.ndarray:
@@ -682,9 +737,11 @@ def build_factor_plan(
     :class:`~repro.core.hodlr.HODLRMatrix`) straight into a
     :class:`FactorPlan`.
 
-    Per shape bucket per level this issues one factorization (potrf or
-    getrf), one solve (potrs or getrs), and a handful of strided gemms
-    through the dispatch layer.  The solved bases
+    Per leaf bucket this issues one factorization (potrf or getrf) and one
+    solve (potrs or getrs); per level one Schur-complement factorization
+    (getrf + trtri over all its nodes, see *K systems*), one K solve
+    (schur_solve) and a handful of strided gemms, all through the
+    dispatch layer.  The solved bases
     are computed in a working concatenated ``Ybig`` (the paper's in-place
     layout) and each level's ``Y3`` is gathered from it once the level is
     final; ``Ybig`` is dropped on return.  ``V^*`` is read from the
@@ -756,7 +813,6 @@ def build_factor_plan(
         if r == 0:
             continue  # degenerate level: all off-diagonal blocks numerically zero
         children = tree.level_nodes(child_level)
-        gammas = tree.level_nodes(level)
         nchild = len(children)
         ncoarse = col_offsets[level]
 
@@ -778,18 +834,9 @@ def build_factor_plan(
                 T_all[pos] = gemm_strided_batched(Vh3, Y3, backend=xb)
                 buckets.append(_SweepBucket(pos=pos, gs=gs, Y3=Y3, Vh3=Vh3))
 
-            # lines 7-8: assemble and LU-factorize the K systems
-            K3 = _assemble_k(xb, T_all, len(gammas), r, dtype, pivot)
-            k_lu3, k_piv3 = getrf_batched(K3, pivot=pivot, backend=xb, policy=pol)
-            sweeps.append(
-                _LevelSweep(
-                    level=level,
-                    rank=r,
-                    k_lu3=k_lu3,
-                    k_piv3=k_piv3,
-                    buckets=buckets,
-                )
-            )
+            # lines 7-8: factor the K systems through their Schur complements
+            sw = _LevelSweep(level, r, *_schur_factors(xb, T_all, pivot, pol), buckets=buckets)
+            sweeps.append(sw)
 
             # lines 9-10: solve (13) and apply the update (14) to the
             # coarser columns of Ybig
@@ -800,12 +847,10 @@ def build_factor_plan(
                     w_all[bk.pos] = gemm_strided_batched(
                         bk.Vh3, bk.gs.take(Ycsub), backend=xb
                     )
-                K_rhs = _pair_rhs(w_all, len(gammas), r, pivot)
-                W = getrs_batched(k_lu3, k_piv3, K_rhs, pivot=pivot, backend=xb, policy=pol)
-                W_half = W.reshape(nchild, r, ncoarse)
+                sw.solve(w_all.reshape(nchild // 2, 2 * r, ncoarse), xb)
 
                 for bk in buckets:
-                    upd = gemm_strided_batched(bk.Y3, W_half[bk.pos], backend=xb)
+                    upd = gemm_strided_batched(bk.Y3, w_all[bk.pos], backend=xb)
                     bk.gs.sub(Ycsub, upd)
 
     return FactorPlan(

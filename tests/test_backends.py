@@ -9,6 +9,8 @@ from repro.backends.batched import (
     getrs_batched,
     potrf_batched,
     potrs_batched,
+    schur_solve_batched,
+    trtri_batched,
 )
 from repro.backends.counters import (
     KernelEvent,
@@ -19,6 +21,8 @@ from repro.backends.counters import (
     get_recorder,
     potrf_flops,
     potrs_flops,
+    schur_solve_flops,
+    trtri_flops,
 )
 from repro.backends.device import CPU_XEON_6254_DUAL, GPU_V100, PCIE3_X16, DeviceSpec
 from repro.backends.dispatch import get_backend
@@ -192,6 +196,99 @@ class TestCholeskyBatched:
         cinv3 = potrf_batched(_spd_stack(rng, 2, 3))
         with pytest.raises(ValueError):
             potrs_batched(cinv3, np.ones((2, 4, 1)))
+
+
+def _k_factors(rng, nb, r, dtype=np.float64):
+    """``(T_a, T_b, g3, uinv3)`` of random K systems ``[T_a I; I T_b]``."""
+    T = rng.standard_normal((2, nb, r, r)) / r
+    if np.dtype(dtype).kind == "c":
+        T = T + 1j * rng.standard_normal((2, nb, r, r)) / r
+    T_a, T_b = T.astype(dtype)
+    lu3, piv3 = getrf_batched(np.eye(r) - T_a @ T_b)
+    linv3, uinv3 = trtri_batched(lu3)
+    G = np.zeros((nb, r, 2 * r), dtype=dtype)
+    for i in range(nb):
+        P = np.eye(r)
+        for k, p in enumerate(piv3[i]):
+            P[[k, p]] = P[[p, k]]
+        G[i, :, :r] = linv3[i] @ P
+    G[:, :, r:] = -G[:, :, :r] @ T_a
+    return T_a, T_b, G, uinv3
+
+
+class TestSchurBatched:
+    @pytest.mark.parametrize("pivot", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.float32])
+    def test_inverse_factors(self, pivot, dtype, rng):
+        A = rng.standard_normal((6, 7, 7)).astype(dtype) + (0 if pivot else 7 * np.eye(7, dtype=dtype))
+        lu3, _ = getrf_batched(A, pivot=pivot)
+        linv3, uinv3 = trtri_batched(lu3)
+        eye = np.eye(7)
+        L, U = np.tril(lu3, -1) + eye, np.triu(lu3)
+        tol = 50 * np.finfo(dtype).eps
+        assert linv3.dtype == uinv3.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(np.triu(linv3, 1), 0)
+        np.testing.assert_array_equal(np.tril(uinv3, -1), 0)
+        np.testing.assert_allclose(linv3 @ L, np.broadcast_to(eye, L.shape), atol=tol)
+        np.testing.assert_allclose(uinv3 @ U, np.broadcast_to(eye, U.shape), atol=tol)
+        # diag(U^{-1}) holds the reciprocals slogdet reads
+        np.testing.assert_allclose(
+            np.diagonal(uinv3, axis1=1, axis2=2), 1 / np.diagonal(lu3, axis1=1, axis2=2),
+            rtol=tol,
+        )
+
+    def test_members_are_independent(self, rng):
+        # one batched call over the stack: a member's factors do not depend
+        # on the rest of the stack (the patched plans rely on it)
+        lu3, _ = getrf_batched(rng.standard_normal((40, 5, 5)))
+        whole = trtri_batched(lu3)
+        for a, b in zip(whole, trtri_batched(lu3[7:9])):
+            np.testing.assert_array_equal(a[7:9], b)
+
+    def test_singular_factor_raises_and_records_nothing(self, rng):
+        lu3, _ = getrf_batched(rng.standard_normal((3, 4, 4)))
+        lu3[1, 2, 2] = 1e-20
+        with get_recorder().recording() as trace:
+            with pytest.raises(np.linalg.LinAlgError, match="singular to working precision"):
+                trtri_batched(lu3)
+        assert trace.num_launches == 0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_solves_the_k_systems(self, dtype, rng):
+        nb, r = 5, 6
+        T_a, T_b, G, uinv3 = _k_factors(rng, nb, r, dtype)
+        rhs = rng.standard_normal((nb, 2 * r, 3))
+        x3 = schur_solve_batched(G, uinv3, T_b, rhs)
+        eye = np.broadcast_to(np.eye(r), (nb, r, r))
+        K = np.block([[T_a, eye], [eye, T_b]])
+        np.testing.assert_allclose(K @ x3, rhs, rtol=1e-10, atol=1e-10)
+        # in place: out may alias the right-hand sides
+        out = rhs.astype(x3.dtype)
+        assert schur_solve_batched(G, uinv3, T_b, out, out=out) is out
+        np.testing.assert_array_equal(out, x3)
+
+    def test_one_event_each_with_executed_flops(self, rng):
+        A = rng.standard_normal((3, 7, 7))
+        T_a, T_b, G, uinv3 = _k_factors(rng, 3, 7)
+        lu3, _ = getrf_batched(A)
+        with get_recorder().recording() as trace:
+            trtri_batched(lu3)
+            schur_solve_batched(G, uinv3, T_b, rng.standard_normal((3, 14, 4)))
+        t, s = trace.events
+        assert (t.kernel, s.kernel) == ("trtri_batched", "schur_solve_batched")
+        assert all(e.strided and e.plan and e.buckets == 1 for e in trace.events)
+        assert t.flops == pytest.approx(3 * trtri_flops(7))
+        # three full gemms per right-hand side block: getrs's flops on 2r x 2r
+        assert s.flops == pytest.approx(3 * schur_solve_flops(7, 4))
+        assert schur_solve_flops(7, 4) == pytest.approx(getrs_flops(14, 4))
+
+    def test_shapes_checked(self, rng):
+        with pytest.raises(ValueError):
+            trtri_batched(rng.standard_normal((2, 3, 4)))
+        _, T_b, G, uinv3 = _k_factors(rng, 2, 3)
+        for rhs in (np.ones((2, 5, 1)), np.ones((2, 8, 1)), np.ones((6, 1))):
+            with pytest.raises(ValueError):
+                schur_solve_batched(G, uinv3, T_b, rhs)
 
 
 class TestTracing:

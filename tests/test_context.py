@@ -45,6 +45,7 @@ from repro.backends.dispatch import (
     lu_factor_nopivot,
     lu_solve_nopivot,
     plan_batch_padded,
+    triangular_inverse,
 )
 from repro.backends.counters import get_recorder
 
@@ -171,6 +172,11 @@ class RecordingStubBackend:
         self.calls["cholesky_inverse_batch"] += 1
         return _wrap(cholesky_inverse(np.asarray(a)))
 
+    def triangular_inverse_batch(self, lu):
+        self.calls["triangular_inverse_batch"] += 1
+        linv, uinv = triangular_inverse(np.asarray(lu))
+        return _wrap(linv), _wrap(uinv)
+
     def qr_batch(self, a):
         self.calls["qr_batch"] += 1
         Q, R = np.linalg.qr(np.asarray(a))
@@ -190,6 +196,7 @@ _NUMPY_COMPUTE = (
     "lu_factor_batch",
     "lu_solve_batch",
     "cholesky_inverse_batch",
+    "triangular_inverse_batch",
     "qr_batch",
     "svd_batch",
 )
@@ -244,9 +251,16 @@ class TestRecordingStub:
 
         # factorization through the config (variant="batched")
         solver = HODLRSolver.from_config(hodlr, cfg, dtype=None).factorize()
-        # the symmetric Gaussian kernel: Cholesky leaves, LU K systems
+        # the symmetric Gaussian kernel: Cholesky leaves, and K systems
+        # through the LU of their Schur complements and its inverse factors
         assert stub.calls["cholesky_inverse_batch"] > 0
         assert stub.calls["lu_factor_batch"] + stub.calls["lu_factor"] > 0
+        assert stub.calls["triangular_inverse_batch"] > 0
+        assert all(
+            isinstance(a, _DeviceArray)
+            for sw in solver.factor_plan.sweeps
+            for a in (sw.g3, sw.uinv3, sw.tb3)
+        )
         assert all(
             isinstance(lu, _DeviceArray) for lu, _ in solver.factor_plan.leaf_factor_views()
         )

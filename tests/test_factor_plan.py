@@ -193,7 +193,7 @@ class TestLaunchCounts:
         solver.solve(rng.standard_normal(512))
         tree = H.tree
         plan = solver.solve_plan
-        # uniform tree: 1 leaf bucket + (2 gemm + 1 getrs) per level
+        # uniform tree: 1 leaf bucket + (2 gemm + 1 schur_solve) per level
         assert plan.launches_per_solve <= 1 + 3 * tree.levels
         assert plan.launches_per_solve < tree.num_nodes
 
@@ -550,6 +550,177 @@ class TestCholeskyLeaves:
             fac = factorize(H, "batched")
             assert _leaf_kinds(fac) == {"lu"}
             assert fac.factor_plan.leaf_fallbacks == 0
+
+
+# ======================================================================
+# K systems through their Schur complements
+# ======================================================================
+#: (n, leaf, dispatch policy) of the trees the K-system tests run on
+SCHUR_TREES = {
+    "uniform": (256, 32, None),
+    "odd-leaf": (300, 40, None),  # leaf sizes 37 and 38
+    "padded": (300, 40, PAD_POLICY),
+}
+
+
+def _schur_problem(kind, n, leaf):
+    """``(dense A, H)`` of a real non-symmetric, complex or SPD source."""
+    if kind == "spd":
+        return _spd_problem(n, leaf)
+    return make_problem(n=n, leaf=leaf, kind=kind)
+
+
+def _rhs(rng, H, shape):
+    b = rng.standard_normal(shape)
+    return b + 1j * rng.standard_normal(shape) if np.dtype(H.dtype).kind == "c" else b
+
+
+def _two_leaf_matrix(T_b):
+    """An 8x8 HODLR matrix of two identity leaves whose one K system has
+    ``T_a = I`` and the given 2x2 ``T_b``, so its Schur complement is
+    ``S = I - T_b``."""
+    tree = ClusterTree.balanced(8, leaf_size=4)
+    a, b = (nd.index for nd in tree.level_nodes(1))
+    E = np.eye(4)[:, :2]
+    V_b = np.zeros((4, 2))
+    V_b[:2] = np.asarray(T_b).T
+    return HODLRMatrix(
+        tree=tree,
+        diag={leaf.index: np.eye(4) for leaf in tree.leaves},
+        U={a: E, b: E},
+        V={a: E, b: V_b},
+    )
+
+
+class TestSchurK:
+    """``K = [T_a I; I T_b]`` eliminated by its identity blocks: per node
+    ``G = [L^{-1} P^T | -L^{-1} P^T T_a]``, ``U^{-1}`` and ``T_b`` of
+    ``S = I - T_a T_b = P L U``, and every K solve three strided products."""
+
+    @pytest.mark.parametrize("pivot", [True, False])
+    @pytest.mark.parametrize("tree", sorted(SCHUR_TREES))
+    @pytest.mark.parametrize("kind", ["real", "complex", "spd"])
+    def test_solve_matches_dense(self, kind, tree, pivot, rng):
+        n, leaf, policy = SCHUR_TREES[tree]
+        _, H = _schur_problem(kind, n, leaf)
+        ctx = ExecutionContext(policy=policy) if policy else None
+        fac = factorize(H, "batched", context=ctx, pivot=pivot)
+        assert fac.factor_plan.sweeps
+        Hd = H.to_dense()
+        for shape in ((n,), (n, 3)):
+            b = _rhs(rng, H, shape)
+            x, x_dense = fac.solve(b), np.linalg.solve(Hd, b)
+            assert np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense) < 1e-10
+
+    @pytest.mark.parametrize("pivot", [True, False])
+    @pytest.mark.parametrize("kind", ["real", "complex", "spd"])
+    def test_slogdet_matches_dense(self, kind, pivot):
+        n, leaf = 300, 40
+        A, H = _schur_problem(kind, n, leaf)
+        if kind == "real":
+            # one negated row: a negative determinant with the same ranks
+            A = A.copy()
+            A[7] *= -1
+            H = build_hodlr(A, ClusterTree.balanced(n, leaf_size=leaf), tol=1e-12, method="svd")
+        s_ref, l_ref = np.linalg.slogdet(H.to_dense())
+        if kind == "real":
+            assert s_ref == -1.0
+        for policy in (None, PAD_POLICY):
+            ctx = ExecutionContext(policy=policy) if policy else None
+            sign, logabs = factorize(H, "batched", context=ctx, pivot=pivot).slogdet()
+            assert abs(sign - s_ref) < 1e-9
+            assert logabs == pytest.approx(l_ref, rel=1e-10)
+            s_rec, l_rec = factorize(H, "recursive").slogdet()
+            assert abs(sign - s_rec) < 1e-9 and logabs == pytest.approx(l_rec, rel=1e-10)
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "spd"])
+    def test_storage_is_4r2_per_node_without_pivots(self, kind):
+        _, H = _schur_problem(kind, 300, 40)
+        plan = factorize(H, "batched").factor_plan
+        for sw in plan.sweeps:
+            ngamma, r = sw.nchild // 2, sw.rank
+            assert sw.g3.shape == (ngamma, r, 2 * r)
+            assert sw.uinv3.shape == sw.tb3.shape == (ngamma, r, r)
+            assert sum(a.size for a in (sw.g3, sw.uinv3, sw.tb3)) == 4 * r * r * ngamma
+            # U^{-1} is upper triangular, G's left half a permuted unit lower one
+            np.testing.assert_array_equal(np.tril(sw.uinv3, -1), 0)
+            assert np.all(np.abs(np.linalg.det(sw.g3[:, :, :r])) == pytest.approx(1.0))
+        assert not any(a.dtype.kind == "i" for sw in plan.sweeps for a in (sw.g3, sw.uinv3, sw.tb3))
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "spd"])
+    def test_float32_demoted_plan_meets_bounds(self, kind, rng):
+        A, H = _schur_problem(kind, 256, 32)
+        ctx = ExecutionContext(precision=PrecisionPolicy(factor="float32"))
+        plan = factorize(H, "batched", context=ctx).factor_plan
+        narrow = np.complex64 if kind == "complex" else np.float32
+        for sw in plan.sweeps:
+            assert {sw.g3.dtype, sw.uinv3.dtype, sw.tb3.dtype} == {np.dtype(narrow)}
+        b = _rhs(rng, H, (256,))
+        x = plan.solve_plan().solve(b)
+        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-4
+
+    def test_near_singular_schur_complement_raises(self):
+        """A Schur complement singular to working precision raises instead
+        of returning garbage; a tiny leading pivot of a well-conditioned
+        ``S`` raises under ``pivot=False`` only."""
+        # S = diag(1, 2^-52): the K system is singular to working precision
+        H = _two_leaf_matrix(np.diag([0.0, 1.0 - 2.0**-52]))
+        for pivot in (True, False):
+            with pytest.raises(np.linalg.LinAlgError, match="singular to working precision"):
+                factorize(H, "batched", pivot=pivot)
+        # S = [[2^-52, -1], [-1, 1]]: well conditioned, tiny leading pivot
+        H = _two_leaf_matrix([[1.0 - 2.0**-52, 1.0], [1.0, 0.0]])
+        b = np.arange(1.0, 9.0)
+        x = factorize(H, "batched").solve(b)
+        np.testing.assert_allclose(x, np.linalg.solve(H.to_dense(), b), rtol=1e-12)
+        with pytest.raises(np.linalg.LinAlgError, match="singular to working precision"):
+            factorize(H, "batched", pivot=False)
+
+    def test_spd_solve_has_no_getrs(self, rng):
+        _, H = _spd_problem(300, 40)
+        fac = factorize(H, "batched")
+        with get_recorder().recording() as trace:
+            fac.solve(rng.standard_normal((300, 2)))
+        kernels = trace.buckets_by_kernel()
+        assert "getrs_batched" not in kernels
+        assert kernels["schur_solve_batched"] == len(fac.factor_plan.sweeps)
+        assert trace.num_kernel_launches == fac.solve_plan.launches_per_solve
+
+    def test_one_factor_and_one_inverse_launch_per_level(self):
+        """The Schur complements of a level and their inverse factors are
+        one getrf_batched and one trtri_batched launch over all its nodes."""
+        _, H = make_problem(n=512, leaf=32)
+        with get_recorder().recording() as trace:
+            fac = factorize(H, "batched")
+        levels = H.tree.levels
+        for kernel in ("getrf_batched", "trtri_batched"):
+            events = [e for e in trace.events if e.kernel == kernel and e.level < levels]
+            assert sorted(e.level for e in events) == list(range(levels))
+            assert all(e.batch == 2**e.level for e in events)
+
+    def test_exact_residual_tracks_recursive_reference(self):
+        """Accuracy guard on an ill-conditioned GP covariance: the plan's
+        exact residual stays within 0.05 digits of the recursive LU
+        reference.  An explicit inverse of each K system fails this by
+        about 1.5 digits at this size, which is why it was not taken."""
+        from repro import KernelMatrix, build_operator, get_problem
+
+        n = 2048
+        problem = get_problem("gp_covariance", n=n, seed=0, noise_std=0.005)
+        H = build_operator(problem, cache=False).hodlr
+        kernel, shift = problem.kernel_spec()
+        x = np.sort(np.random.default_rng(problem.seed).uniform(0.0, 1.0, n))
+        A = KernelMatrix(kernel=kernel, points=x, diagonal_shift=shift).entries(
+            np.arange(n), np.arange(n)
+        )
+        B = np.random.default_rng(3).standard_normal((n, 4))
+
+        def digits(variant):
+            X = HODLRSolver(H, variant=variant).factorize().solve(B)
+            rel = np.linalg.norm(A @ X - B, axis=0) / np.linalg.norm(B, axis=0)
+            return float(np.mean(-np.log10(rel)))
+
+        assert digits("batched") >= digits("recursive") - 0.05
 
 
 # ======================================================================

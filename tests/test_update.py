@@ -307,6 +307,13 @@ class TestDirtyLeafRefactorization:
                 assert np.array_equal(f, f_ref)
                 assert (piv is None) == (piv_ref is None)
                 assert piv is None or np.array_equal(piv, piv_ref)
+            # ... and so are the K systems' Schur-complement factors
+            sweeps = solver.factor_plan.sweeps, fresh.factor_plan.sweeps
+            assert len(sweeps[0]) == len(sweeps[1])
+            for sw, sw_ref in zip(*sweeps):
+                assert sw.swaps == sw_ref.swaps
+                for name in ("g3", "uinv3", "tb3"):
+                    assert np.array_equal(getattr(sw, name), getattr(sw_ref, name))
             assert np.array_equal(solver.solve(b), fresh.solve(b))
             assert solver.slogdet() == fresh.slogdet()
 
