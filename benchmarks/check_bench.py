@@ -3,7 +3,7 @@
 ``record_bench.py`` writes a ``counters`` section — launch counts, flop
 totals, and plan storage bytes of a fixed-size SVD-compressed probe — that
 is reproducible across hosts (no wall-clock in it).  This script compares
-a fresh smoke run against the committed ``BENCH_pr30.json`` with explicit
+a fresh smoke run against the committed ``BENCH_pr31.json`` with explicit
 per-class tolerances and exits nonzero when a counter regressed, which is
 what makes the CI ``perf-gate`` job *blocking*: a change that doubles the
 launches per solve or bloats the plan storage fails the build even though
@@ -33,7 +33,7 @@ visibility but are informational only.
 Usage::
 
     python benchmarks/check_bench.py --current BENCH_smoke.json \
-        --baseline BENCH_pr30.json [--summary out.md]
+        --baseline BENCH_pr31.json [--summary out.md]
 
 With ``$GITHUB_STEP_SUMMARY`` set (GitHub Actions), the markdown report is
 appended there automatically.

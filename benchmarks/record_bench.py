@@ -31,7 +31,7 @@ the wall-clock rows stay informational.
 Usage::
 
     python benchmarks/record_bench.py --smoke         # CI perf-gate sizes -> BENCH_smoke.json
-    python benchmarks/record_bench.py --smoke --output BENCH_pr30.json --pr 30
+    python benchmarks/record_bench.py --smoke --output BENCH_pr31.json --pr 31
                                                       # regenerate the gate baseline
     python benchmarks/record_bench.py --output out.json --pr N
                                                       # full sizes (--output required)
@@ -710,7 +710,9 @@ def collect_rook_counters(n=2048, tol=1e-8, leaf_size=64):
     The default construction (``method="rook"``) advances every block of
     a tree level's shape bucket in lockstep: a cross step gathers the
     pivot rows and columns of all active blocks in a few ``entries_blocks``
-    calls, and each bucket ends with one batched QR+SVD recompression.
+    calls, and each bucket ends with one batched recompression through the
+    Gram matrices of its bases (gemm, Cholesky, SVD launches; the blocked
+    steps' intersection and grid SVDs and tail trims are launches too).
     ``rook_construction_evaluations`` counts every ``entries`` and
     ``entries_blocks`` call of the build, so it scales with levels x cross
     steps; a return to per-block rook multiplies it by the blocks per

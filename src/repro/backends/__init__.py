@@ -8,6 +8,8 @@ library lowers every tree level onto one strided launch per shape bucket:
 * ``getrsBatched``         -> :func:`repro.backends.batched.getrs_batched`
 * ``potrfBatched``         -> :func:`repro.backends.batched.potrf_batched`
 * ``potrsBatched``         -> :func:`repro.backends.batched.potrs_batched`
+* ``potrfBatched`` + ``trtri`` -> :func:`repro.backends.batched.cholesky_batched`
+  (the Gram matrices of construction's recompression)
 * ``trtriBatched`` (MAGMA) -> :func:`repro.backends.batched.trtri_batched`
 * 3 ``gemmStridedBatched`` -> :func:`repro.backends.batched.schur_solve_batched`
 * ``geqrfBatched``         -> :func:`repro.backends.batched.qr_batched`
@@ -50,6 +52,7 @@ from .context import (
     PrecisionPolicy,
 )
 from .batched import (
+    cholesky_batched,
     gemm_strided_batched,
     getrf_batched,
     getrs_batched,
@@ -86,6 +89,7 @@ __all__ = [
     "DEFAULT_CONTEXT",
     "ExecutionContext",
     "PrecisionPolicy",
+    "cholesky_batched",
     "gemm_strided_batched",
     "getrf_batched",
     "getrs_batched",

@@ -12,10 +12,15 @@ cuBLAS/cuSOLVER         this module
 ``getrsBatched``        :func:`getrs_batched`
 ``potrfBatched``        :func:`potrf_batched` (returns ``C^{-1}``)
 ``potrsBatched``        :func:`potrs_batched` (two gemms on ``C^{-1}``)
+``potrfBatched``        :func:`cholesky_batched` (``C`` and ``C^{-1}`` of a
+                        Hermitian stack: the Gram matrices of
+                        construction's recompression)
 ``trtriBatched``        :func:`trtri_batched` (MAGMA; ``L^{-1}``, ``U^{-1}``)
 ``gemmStridedBatched``  :func:`schur_solve_batched` (three of them: the K
                         systems against ``G``, ``U^{-1}`` and ``T_b``)
-``geqrfBatched``        :func:`qr_batched`
+``geqrfBatched``        :func:`qr_batched` (the recompression's fallback
+                        for ill-conditioned bases, and the bordered
+                        update)
 ``gesvdjBatched``       :func:`svd_batched`
 =====================  ==============================================
 
@@ -29,7 +34,10 @@ sees one 3-D stack with one stride.  The LU pair keeps cuBLAS's
 those take pointer arrays, here a 3-D stack.  The Cholesky pair keeps
 cuSOLVER's ``potrf``/``potrs`` names, but stores the explicit inverse
 factor ``C^{-1}`` rather than ``C``, so a solve is two strided products
-instead of two triangular substitutions.
+instead of two triangular substitutions.  :func:`cholesky_batched` keeps
+both ``C`` and ``C^{-1}``: construction's recompression reads the
+triangular factor ``R`` of a basis off its Gram matrix, so it needs no
+Householder QR and forms no ``Q``.
 The reduced ``K`` systems of every tree level are eliminated by their
 identity blocks: ``getrf_batched`` factors the Schur complements,
 ``trtri_batched`` inverts both triangular factors once, and every K solve
@@ -57,6 +65,7 @@ import numpy as np
 
 from .counters import (
     KernelEvent,
+    cholesky_flops,
     gemm_flops,
     geqrf_flops,
     gesvd_flops,
@@ -315,7 +324,7 @@ def getrs_batched(
 
 
 # ----------------------------------------------------------------------
-# Cholesky factorization / solve (real SPD stacks)
+# Cholesky factorization / solve
 # ----------------------------------------------------------------------
 def potrf_batched(
     A3: np.ndarray,
@@ -350,6 +359,40 @@ def potrf_batched(
         )
     )
     return cinv3
+
+
+def cholesky_batched(
+    A3: np.ndarray,
+    backend: Optional[ArrayBackend] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Strided batched Cholesky of a Hermitian stack (cuSOLVER
+    ``potrfBatched`` plus a batched ``trtri``): one launch.
+
+    ``A3`` is a ``(nb, n, n)`` stack of Hermitian (real symmetric) positive
+    definite matrices.  Returns ``(c3, cinv3)``: the lower factors ``C``
+    (``A3[i] = C C^H``) and their inverses ``C^{-1}``.  Raises
+    :class:`numpy.linalg.LinAlgError`, and records no event, when a member
+    is not Hermitian to rounding or not positive definite.  Construction
+    takes it on the Gram matrices of the bases it recompresses, so the
+    event is not a plan launch.
+    """
+    if A3.ndim != 3 or A3.shape[1] != A3.shape[2]:
+        raise ValueError("cholesky_batched expects a 3-D stack of square matrices")
+    c3, cinv3 = _resolve(backend).cholesky_factor_batch(A3)
+    nb, n = A3.shape[0], A3.shape[1]
+    record_event(
+        KernelEvent(
+            kernel="cholesky_batched",
+            batch=nb,
+            shape=(n, n, 0),
+            flops=nb * cholesky_flops(n, _is_complex(A3.dtype)),
+            bytes_moved=float(3 * A3.nbytes),
+            dtype_size=np.dtype(A3.dtype).itemsize,
+            strided=True,
+            buckets=1,
+        )
+    )
+    return c3, cinv3
 
 
 #: factor bytes one pass of :func:`potrs_batched` covers (an L2-sized

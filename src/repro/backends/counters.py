@@ -306,6 +306,13 @@ def potrf_flops(n: int, complex_arith: bool = False) -> float:
     return 4.0 * base if complex_arith else base
 
 
+def cholesky_flops(n: int, complex_arith: bool = False) -> float:
+    """Flops for the Cholesky factor of an ``n x n`` Hermitian positive
+    definite matrix and its inverse, kept side by side: ``potrf`` (n^3/3)
+    plus an out-of-place ``trtri`` (n^3/3), as :func:`potrf_flops`."""
+    return potrf_flops(n, complex_arith)
+
+
 def potrs_flops(n: int, nrhs: int, complex_arith: bool = False) -> float:
     """Flops for ``x = C^{-T} (C^{-1} b)`` against an explicit inverse factor:
     two full ``n x n`` gemms per right-hand side (4 n^2 per rhs) — the

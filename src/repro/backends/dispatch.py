@@ -11,8 +11,8 @@ buckets up front and issues one strided launch
 :class:`ArrayBackend`
     A protocol describing the array-level primitives the batched kernels
     need (``matmul`` over 3-D stacks, batched LU factorization and solve,
-    inverse Cholesky factors, inverse triangular LU factors, host
-    transfers).  :class:`NumpyBackend` is the default implementation;
+    Cholesky factors and their inverses, inverse triangular LU factors,
+    host transfers).  :class:`NumpyBackend` is the default implementation;
     :class:`CupyBackend` registers the same interface behind an optional
     ``cupy`` import so a real GPU backend plugs in without touching the
     solver code.  Backends are looked up by name via :func:`get_backend`.
@@ -230,10 +230,10 @@ class DispatchPolicy:
     bucketing:
         Compress with batched kernels: HODLR construction and the
         streaming-update recompression pack the blocks of a level into
-        shape buckets and compress each bucket with strided QR/SVD/gemm
-        launches.  ``False`` compresses block by block — the per-block
-        reference schedule the benchmarks measure the batched construction
-        against.  Factorization and apply always run their compiled
+        shape buckets and compress each bucket with strided
+        gemm/Cholesky/SVD launches.  ``False`` compresses block by block —
+        the per-block reference schedule the benchmarks measure the batched
+        construction against.  Factorization and apply always run their compiled
         per-bucket strided launches.
     min_bucket:
         Smallest bucket the vectorised LU kernels are used for; smaller
@@ -418,20 +418,23 @@ def _lu_solve_batch(xp, lu, piv, b, pivot: bool = True):
 
 
 def _check_symmetric_batch(xp, a) -> None:
-    """Raise :class:`numpy.linalg.LinAlgError` unless every matrix of a real
-    ``(batch, n, n)`` stack is symmetric to rounding.
+    """Raise :class:`numpy.linalg.LinAlgError` unless every matrix of a
+    ``(batch, n, n)`` stack is symmetric (Hermitian, for a complex stack) to
+    rounding.
 
-    The test is ``|A v - A^T v| <= (16 + 2n) eps max|diag A| ||v||_1`` for
-    a fixed pseudo-random ``v``: two batched matrix-vector products rather
-    than a transposing pass over the stack.  On a positive definite matrix
-    the diagonal bounds every entry, so the right side covers an asymmetry
-    of ``16 eps`` (the threshold of ``build_hodlr``'s symmetry probe) plus
-    the rounding of both products; a matrix that fails is not symmetric,
-    or not definite.
+    The test is ``|A v - A^H v| <= (16 + 2n) eps max|diag A| ||v||_1`` for
+    a fixed pseudo-random real ``v``: two batched matrix-vector products
+    rather than a transposing pass over the stack.  On a positive definite
+    matrix the diagonal bounds every entry, so the right side covers an
+    asymmetry of ``16 eps`` (the threshold of ``build_hodlr``'s symmetry
+    probe) plus the rounding of both products; a matrix that fails is not
+    symmetric, or not definite.
     """
     n = a.shape[-1]
     v = xp.asarray(np.random.default_rng(n).standard_normal(n).astype(a.dtype))
-    gap = xp.abs(xp.matmul(a, v) - xp.matmul(v, a)).max(axis=-1)
+    # v^T conj(A) = (A^H v)^T: the real stack's product is v^T A
+    at = a.conj() if a.dtype.kind == "c" else a
+    gap = xp.abs(xp.matmul(a, v) - xp.matmul(v, at)).max(axis=-1)
     scale = xp.abs(xp.diagonal(a, axis1=-2, axis2=-1)).max(axis=-1)
     bound = (16 + 2 * n) * np.finfo(a.dtype).eps * float(xp.abs(v).sum())
     bad = xp.flatnonzero(~(gap <= bound * scale))
@@ -475,6 +478,39 @@ def cholesky_inverse(a: np.ndarray) -> np.ndarray:
                 "the block is not positive definite"
             )
     return out
+
+
+def cholesky_factor(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a ``(batch, n, n)`` Hermitian positive
+    definite stack, and their inverses.
+
+    Returns ``(C, Cinv)`` with ``A[i] = C_i C_i^H``, ``C_i`` lower
+    triangular and ``Cinv[i] = C_i^{-1}``, lower triangular too.  One
+    batched ``numpy.linalg.cholesky`` (a single C-level call over the
+    stack) gives ``C``; per problem one LAPACK ``trtri`` inverts it in place
+    on the Fortran view of a C-ordered copy, whose upper triangle is
+    ``C^T``, so it reads back in C order as ``C^{-1}`` (a batched general
+    inverse ran about three times slower from ``n = 24`` up on one BLAS
+    thread).  Real and
+    complex stacks take the same path.  Raises
+    :class:`numpy.linalg.LinAlgError` when a problem is not Hermitian to
+    rounding (:func:`_check_symmetric_batch`) or not (numerically) positive
+    definite.  Each problem's result depends on that problem alone.
+    """
+    a = np.asarray(a)
+    if a.size == 0:
+        return np.zeros_like(a), np.zeros_like(a)
+    _check_symmetric_batch(np, a)
+    c = np.linalg.cholesky(a)
+    cinv = np.array(c, order="C", copy=True)
+    trtri, = sla.get_lapack_funcs(("trtri",), (cinv,))
+    for i in range(cinv.shape[0]):
+        _, info = trtri(cinv[i].T, lower=0, overwrite_c=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"Cholesky factor of problem {i} is singular (info={info})"
+            )
+    return c, cinv
 
 
 def _check_upper_factors(xp, lu) -> None:
@@ -573,6 +609,8 @@ class ArrayBackend(Protocol):
 
     def cholesky_inverse_batch(self, a: Any) -> Any: ...
 
+    def cholesky_factor_batch(self, a: Any) -> Tuple[Any, Any]: ...
+
     def triangular_inverse_batch(self, lu: Any) -> Tuple[Any, Any]: ...
 
     def qr_batch(self, a: Any) -> Tuple[Any, Any]: ...
@@ -670,6 +708,9 @@ class NumpyBackend:
     def cholesky_inverse_batch(self, a):
         return cholesky_inverse(np.asarray(a))
 
+    def cholesky_factor_batch(self, a):
+        return cholesky_factor(a)
+
     def triangular_inverse_batch(self, lu):
         return triangular_inverse(lu)
 
@@ -755,6 +796,9 @@ class CupyBackend:
         return _lu_solve_batch(self._cp, self._cp.asarray(lu), piv, self._cp.asarray(b), pivot=pivot)
 
     def cholesky_inverse_batch(self, a):  # pragma: no cover - requires cupy
+        return self.cholesky_factor_batch(a)[1]
+
+    def cholesky_factor_batch(self, a):  # pragma: no cover - requires cupy
         # batched potrf, then the triangular inverse through a batched
         # inverse; cupy's cholesky leaves NaNs on failure
         a = self._cp.asarray(a)
@@ -762,7 +806,7 @@ class CupyBackend:
         C = self._cp.linalg.cholesky(a)
         if not bool(self._cp.isfinite(C).all()):
             raise np.linalg.LinAlgError("Cholesky factorization failed: not positive definite")
-        return self._cp.tril(self._cp.linalg.inv(C))
+        return C, self._cp.tril(self._cp.linalg.inv(C))
 
     def triangular_inverse_batch(self, lu):  # pragma: no cover - requires cupy
         # cupy has no batched trtri: the batched-inverse route of the host

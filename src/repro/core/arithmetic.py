@@ -25,8 +25,8 @@ All array work routes through the :class:`~repro.backends.dispatch.
 ArrayBackend` of the resolved :class:`~repro.backends.context.
 ExecutionContext`, and the per-block recompressions of ``add`` /
 ``add_low_rank_update`` run batched through
-:func:`~repro.core.compression.recompress_stack` — one QR/SVD launch per
-shape bucket instead of one per block.
+:func:`~repro.core.compression.recompress_stack` — one set of
+Gram/Cholesky/SVD launches per shape bucket instead of one per block.
 """
 
 from __future__ import annotations

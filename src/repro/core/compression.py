@@ -38,7 +38,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..backends.batched import gemm_strided_batched, qr_batched, svd_batched
+from ..backends.batched import cholesky_batched, gemm_strided_batched, qr_batched, svd_batched
 from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
 from ..backends.dispatch import ArrayBackend, plan_batch
 from .low_rank import LowRankFactor, _truncation_count
@@ -300,19 +300,23 @@ def _pivots(X: np.ndarray, count: int, exclude=None) -> np.ndarray:
     return picks
 
 
-def _trim_tail(Ust, Wst, k0: int, k: int, slots: np.ndarray, floor: np.ndarray) -> np.ndarray:
+def _trim_tail(
+    Ust, Wst, k0: int, k: int, slots: np.ndarray, floor: np.ndarray, xb: ArrayBackend
+) -> np.ndarray:
     """Rewrite the crosses ``k0 .. k`` of the blocks in ``slots`` as the SVD
     of their sum and keep the directions above ``floor`` (per slot): the
     dropped part's norm is below ``floor``.  Returns every slot's cross
-    count (unchanged outside ``slots``)."""
+    count (unchanged outside ``slots``); only the kept crosses are
+    rewritten, the rest lie past the count."""
     counts = np.full(len(floor), k)
     u, w = Ust[slots, k0:k], Wst[slots, k0:k]
-    Qu, Ru = np.linalg.qr(u.swapaxes(1, 2))
-    Qw, Rw = np.linalg.qr(w.conj().swapaxes(1, 2))
-    X, tau, Yh = np.linalg.svd(Ru @ Rw.conj().swapaxes(1, 2))
-    Ust[slots, k0:k] = ((Qu @ X) * tau[:, None, :]).swapaxes(1, 2)
-    Wst[slots, k0:k] = Yh @ Qw.conj().swapaxes(1, 2)
-    counts[slots] = k0 + np.sum(tau > floor[slots, None], axis=1)
+    tau, bases = _product_svd(u.swapaxes(1, 2), w.conj().swapaxes(1, 2), xb)
+    kept = np.sum(tau > floor[slots, None], axis=1)
+    counts[slots] = k0 + kept
+    top = int(kept.max())
+    left, right = bases(top)
+    Ust[slots, k0 : k0 + top] = left.swapaxes(1, 2)
+    Wst[slots, k0 : k0 + top] = right.conj().swapaxes(1, 2)
     return counts
 
 
@@ -342,16 +346,18 @@ def rook_pivot_compress_stack(
     * *Blocked steps* (BACA: Liu, Sid-Lakhdar, Rebrova, Ghysels & Li) — a
       block at ``k`` crosses adds ``b = min(k, _BLOCK)``: one gather of its
       ``b`` residual rows ``R``, one of the ``b`` residual columns ``C`` a
-      pivoted QR of ``R`` picks, and the crosses ``C S+ R`` from an SVD of
-      their intersection ``S`` that drops directions below ``tol`` times
-      its largest.  The next rows are the row pivots of ``C``.  When the
-      smallest cross ``S`` kept is below the threshold (or ``S`` keeps
-      none), a sampled ``_SAMPLES x _SAMPLES`` residual grid (one more
-      gather) must agree: its largest singular value, scaled to the block,
-      estimates the residual's spectral norm.  A miss goes on from the
-      grid's row pivots.  A block that retires rewrites its last two
-      steps as the SVD of their crosses' sum and drops the directions
-      below ``_TRIM * tol * sigma_1``, which the truncation would drop too.
+      pivoted QR of ``R`` picks (:func:`_pivots`, greedy Gram-Schmidt in
+      lockstep over the stack), and the crosses ``C S+ R`` from an SVD of
+      their intersection ``S`` (one ``svd_batched``) that drops directions
+      below ``tol`` times its largest.  The next rows are the row pivots
+      of ``C``.  When the smallest cross ``S`` kept is below the threshold
+      (or ``S`` keeps none), a sampled ``_SAMPLES x _SAMPLES`` residual
+      grid (one more gather) must agree: its largest singular value (one
+      ``svd_batched``), scaled to the block, estimates the residual's
+      spectral norm.  A miss goes on from the grid's row pivots.  A block that retires
+      rewrites its last two steps as the SVD of their crosses' sum
+      (:func:`_product_svd`) and drops the directions below ``_TRIM * tol *
+      sigma_1``, which the truncation would drop too.
 
     The threshold is ``_MARGIN * tol * sigma_1``, with ``sigma_1``
     estimated by the block's largest rook-phase cross, so all stop rules
@@ -364,11 +370,14 @@ def rook_pivot_compress_stack(
     crosses reach directions the truncation keeps.
 
     Stopped blocks are compacted out of the active set.  The stack ends
-    with one QR+SVD recompression (``qr_batched`` x2,
-    ``gemm_strided_batched``, ``svd_batched``) per phase over the bases
-    zero-padded to the phase's largest rank: it trims the blocked steps'
-    overshoot, and a block that retires in the rook phase does not depend
-    on the high-rank blocks beside it.
+    with one recompression per phase over the bases zero-padded to the
+    phase's largest rank (:func:`_recompress_bases`: per side a Gram gemm
+    and a ``cholesky_batched``, then ``gemm_strided_batched`` and
+    ``svd_batched`` for the cores and two strided gemms per side for the
+    kept bases; no Householder QR unless a basis is too ill-conditioned
+    for its Gram matrix): it trims the blocked steps' overshoot, and a
+    block that retires in the rook phase does not depend on the high-rank
+    blocks beside it.  Every LAPACK call of the stack is a recorded launch.
     """
     xb = (context or DEFAULT_CONTEXT).backend
     rows = np.array(rows, dtype=np.intp, ndmin=2)
@@ -546,7 +555,7 @@ def rook_pivot_compress_stack(
         C = C.reshape(active, m, b) - U.swapaxes(1, 2) @ np.take_along_axis(W, J[:, None], 2)
         # C S+ R through the SVD of the intersection S = R[:, :, J]; the
         # directions below tol times its largest become zero crosses
-        Us, sig, Vh = np.linalg.svd(np.take_along_axis(R, J[:, None], 2))
+        Us, sig, Vh = svd_batched(np.take_along_axis(R, J[:, None], 2), backend=xb)
         inv = np.divide(1.0, sig, out=np.zeros_like(sig), where=sig > tol * sig[:, :1])
         u = (Vh.conj() @ C.swapaxes(1, 2)) * inv[:, :, None]
         w = (Us.conj().swapaxes(1, 2) @ R) * (inv > 0)[:, :, None]
@@ -577,17 +586,19 @@ def rook_pivot_compress_stack(
             E = np.asarray(multi(rows[cand][:, pr], cols[cand][:, pc]), dtype=dtype)
             E = E.reshape(cand.size, pr.size, pc.size) - (
                 Ust[np.ix_(cand, ks, pr)].swapaxes(1, 2) @ Wst[np.ix_(cand, ks, pc)])
-            est = np.linalg.norm(E, ord=2, axis=(1, 2)) ** 2 * (m * n / (pr.size * pc.size))
+            est = svd_batched(E, backend=xb)[1][:, 0] ** 2 * (m * n / (pr.size * pc.size))
             miss = est > stop2 * scale2[cand]
             stop[cand[miss]] = False
             nxt[cand[miss]] = pr[_pivots(E[miss].swapaxes(1, 2), b)]
         if stop.any():
-            keep = _trim_tail(Ust, Wst, k - tail, k, np.flatnonzero(stop), _TRIM * tol * np.sqrt(scale2))
+            keep = _trim_tail(
+                Ust, Wst, k - tail, k, np.flatnonzero(stop), _TRIM * tol * np.sqrt(scale2), xb
+            )
             nxt = nxt[retire(stop, keep)]
 
-    # one QR+SVD recompression per phase over the bases zero-padded to the
-    # phase's largest rank: the padding adds an exactly zero trailing block
-    # to each R factor, so it contributes only zero singular values
+    # one recompression per phase over the bases zero-padded to the
+    # phase's largest rank: the padding adds zero rows and columns to each
+    # R factor, so it contributes only zero singular values
     out: List[Optional[LowRankFactor]] = [None] * nblocks
     for group in (np.flatnonzero(ranks <= _ROOK_PHASE), np.flatnonzero(ranks > _ROOK_PHASE)):
         kmax = int(ranks[group].max(initial=0))
@@ -698,18 +709,20 @@ def recompress_stack(
     max_rank: Optional[int] = None,
     context: Optional[ExecutionContext] = None,
 ) -> List[LowRankFactor]:
-    """Batched QR+SVD recompression of many :class:`LowRankFactor` objects.
+    """Batched recompression of many :class:`LowRankFactor` objects.
 
     The factored-form companion of :func:`compress_block_stack`: factors
     sharing a ``(m, n, rank)`` signature are packed into strided 3-D stacks
-    and re-orthogonalised with one ``qr_batched`` launch per side, one
-    strided gemm for the small cores, and one ``svd_batched`` for the
-    truncation — the per-block :meth:`LowRankFactor.recompress` loop becomes
-    O(shape buckets) kernel launches.  Truncation counts are applied per
-    block (ranks may differ after truncation).  This is the path the
-    streaming update/downdate engine sends its dirty concatenated factors
-    through.  A context with ``policy.bucketing=False`` reproduces the
-    per-block loop.
+    and recompressed by :func:`_recompress_bases` — per side a Gram gemm
+    and one ``cholesky_batched`` for the triangular factor (a Householder
+    ``qr_batched`` only for an ill-conditioned stack), one strided gemm for
+    the small cores, one ``svd_batched`` for the truncation and two strided
+    gemms per side for the kept bases — so the per-block
+    :meth:`LowRankFactor.recompress` loop becomes O(shape buckets) kernel
+    launches.  Truncation counts are applied per block (ranks may differ
+    after truncation).  This is the path the streaming update/downdate
+    engine sends its dirty concatenated factors through.  A context with
+    ``policy.bucketing=False`` reproduces the per-block loop.
     """
     ctx = context or DEFAULT_CONTEXT
     pol, xb = ctx.policy, ctx.backend
@@ -743,32 +756,109 @@ def recompress_stack(
     return results  # type: ignore[return-value]
 
 
+#: Largest bound on ``kappa(G) * eps`` the Gram route accepts for a stack
+#: of bases whose column-scaled Gram matrices ``G`` have condition number
+#: ``kappa(G)``: the implicit ``Q = X R^{-1}`` is then orthonormal to about
+#: this much, so the singular values of ``R_U R_V^H`` are those of ``U V^H``
+#: to about as many digits.  A stack above it takes the Householder route.
+_GRAM_GUARD = 1e-2
+
+
+def _gram_r(X3, xb: ArrayBackend):
+    """``(R, R^{-1})`` with ``X3[j] = Q_j R_j`` and ``Q_j`` orthonormal, read
+    off the Gram matrices, or ``None`` when that is not accurate enough.
+
+    CholeskyQR (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto, ScalA 2014)
+    with column scaling: ``G = X^H X`` is one strided gemm, ``D = sqrt(diag
+    G)`` scales it to unit diagonal, and one :func:`cholesky_batched` gives
+    ``D^{-1} G D^{-1} = C C^H``, so ``R = C^H D``.  A zero column (the zero
+    padding of a ragged stack, or a dropped cross) gets a unit diagonal in
+    ``R^{-1}`` and a zero row and column in ``R``, so it adds only zero
+    singular values.  ``None`` when the Cholesky fails or when the bound
+    ``kappa(G) <= ||G||_inf ||C^{-1}||_F^2`` exceeds ``_GRAM_GUARD / eps``
+    for a member.
+    """
+    r = X3.shape[2]
+    gram = gemm_strided_batched(X3, X3, conjugate_a=True, backend=xb)
+    diag = np.arange(r)
+    d = np.sqrt(gram[:, diag, diag].real)
+    s = np.where(d > 0, d, 1.0)
+    gram /= s[:, :, None] * s[:, None, :]
+    gram[:, diag, diag] = 1.0
+    try:
+        C, Cinv = cholesky_batched(gram, backend=xb)
+    except np.linalg.LinAlgError:
+        return None
+    # kappa(G) = ||G||_2 ||C^{-1}||_2^2 <= ||G||_inf ||C^{-1}||_F^2 (G Hermitian)
+    inv_fro2 = np.sum((Cinv * Cinv.conj()).real, axis=(1, 2))
+    bound = np.abs(gram).sum(axis=2).max(axis=1) * inv_fro2
+    if not bound.max() * np.finfo(gram.dtype).eps <= _GRAM_GUARD:
+        return None
+    R = C.conj().swapaxes(1, 2) * d[:, None, :]
+    return R, Cinv.conj().swapaxes(1, 2) / s[:, :, None]
+
+
+def _r_factor(X3, xb: ArrayBackend):
+    """``R`` of ``X3[j] = Q_j R_j`` per member and the map ``Z -> Q Z``.
+
+    The Gram route (:func:`_gram_r`) applies ``Q = X R^{-1}`` as a small
+    product and one strided gemm over the stack; an ill-conditioned stack
+    takes one Householder ``qr_batched`` and applies its explicit ``Q``."""
+    gram = _gram_r(X3, xb)
+    if gram is None:
+        Q3, R3 = qr_batched(X3, backend=xb)
+        return R3, lambda Z: gemm_strided_batched(Q3, Z, backend=xb)
+    R3, Rinv3 = gram
+    return R3, lambda Z: gemm_strided_batched(
+        X3, gemm_strided_batched(Rinv3, Z, backend=xb), backend=xb
+    )
+
+
+def _product_svd(X3, Y3, xb: ArrayBackend):
+    """SVD of every ``X3[j] Y3[j]^H`` without forming it: ``X3`` is ``(B, m,
+    r)`` and ``Y3`` is ``(B, n, r)``.
+
+    Returns ``(s3, bases)``: the singular values ``(B, r)`` (descending) and
+    a function of ``top`` that forms the leading ``top`` singular vectors
+    of every member, ``(left * s, right)`` of shapes ``(B, m, top)`` and
+    ``(B, n, top)``.  The core ``R_X R_Y^H`` of the two bases' triangular
+    factors (:func:`_r_factor`) goes through one strided gemm and one
+    ``svd_batched`` launch."""
+    Rx, qx = _r_factor(X3, xb)
+    Ry, qy = _r_factor(Y3, xb)
+    core3 = gemm_strided_batched(Rx, Ry.conj().swapaxes(1, 2), backend=xb)
+    Uc3, s3, Vch3 = svd_batched(core3, backend=xb)
+
+    def bases(top: int):
+        return (
+            qx(Uc3[:, :, :top] * s3[:, None, :top]),
+            qy(Vch3[:, :top, :].conj().swapaxes(1, 2)),
+        )
+
+    return s3, bases
+
+
 def _recompress_bases(
     U3, V3, tol: float, max_rank: Optional[int], xb: ArrayBackend, caps=None
 ) -> List[LowRankFactor]:
-    """QR+SVD recompression of the stacked factors ``U3[j] @ V3[j]^H``.
+    """Recompression of the stacked factors ``U3[j] @ V3[j]^H`` through the
+    SVD of ``R_U R_V^H`` (:func:`_product_svd`).
 
-    ``U3`` is ``(B, m, r)`` and ``V3`` is ``(B, n, r)``: one ``qr_batched``
-    launch per side, one strided gemm for the small cores and one
-    ``svd_batched``.  Truncation is per block, at most ``caps[j]`` when
-    given.
+    ``U3`` is ``(B, m, r)`` and ``V3`` is ``(B, n, r)``.  Per side one
+    strided gemm forms the Gram matrices and one ``cholesky_batched`` their
+    factors; one strided gemm and one ``svd_batched`` take the cores; the
+    kept bases ``U (R_U^{-1} X_k S_k)`` and ``V (R_V^{-1} Y_k)`` are two
+    strided gemms per side over the stack, sliced per block.  Truncation is
+    per block, at most ``caps[j]`` when given.
     """
-    Qu3, Ru3 = qr_batched(U3, backend=xb)
-    Qv3, Rv3 = qr_batched(V3, backend=xb)
-    core3 = gemm_strided_batched(Ru3, xb.asarray(Rv3).conj().transpose(0, 2, 1), backend=xb)
-    Uc3, s3, Vch3 = svd_batched(core3, backend=xb)
-    out = []
-    for j in range(U3.shape[0]):
-        keep = _truncation_count(s3[j], tol, max_rank)
-        if caps is not None:
-            keep = min(keep, int(caps[j]))
-        out.append(
-            LowRankFactor(
-                U=Qu3[j] @ (Uc3[j][:, :keep] * s3[j][:keep]),
-                V=Qv3[j] @ Vch3[j][:keep, :].conj().T,
-            )
-        )
-    return out
+    s3, bases = _product_svd(U3, V3, xb)
+    keeps = [_truncation_count(s, tol, max_rank) for s in s3]
+    if caps is not None:
+        keeps = [min(keep, int(cap)) for keep, cap in zip(keeps, caps)]
+    left, right = bases(max(keeps))
+    return [
+        LowRankFactor(U=left[j, :, :keep], V=right[j, :, :keep]) for j, keep in enumerate(keeps)
+    ]
 
 
 def recompress_bordered(

@@ -45,6 +45,7 @@ DEFAULT_RL003_KERNELS: Mapping[str, Tuple[str, ...]] = {
     "lu_solve_batch": ("getrs_batched",),
     "lu_solve_many": ("getrs_batched",),
     "cholesky_inverse_batch": ("potrf_batched",),
+    "cholesky_factor_batch": ("cholesky_batched",),
     "triangular_inverse_batch": ("trtri_batched",),
     "qr_batch": ("geqrf_batched",),
     "svd_batch": ("gesvd_batched",),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.backends.batched import (
+    cholesky_batched,
     gemm_strided_batched,
     getrf_batched,
     getrs_batched,
@@ -15,6 +16,7 @@ from repro.backends.batched import (
 from repro.backends.counters import (
     KernelEvent,
     KernelTrace,
+    cholesky_flops,
     gemm_flops,
     getrf_flops,
     getrs_flops,
@@ -131,6 +133,61 @@ def _spd_stack(rng, nb, n):
     return G @ G.transpose(0, 2, 1) + n * np.eye(n)
 
 
+def _hpd_stack(rng, nb, n):
+    G = rng.standard_normal((nb, n, n)) + 1j * rng.standard_normal((nb, n, n))
+    return G @ G.conj().transpose(0, 2, 1) + n * np.eye(n)
+
+
+class TestCholeskyFactorBatched:
+    """``cholesky_batched``: the factor and its inverse of Hermitian stacks."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_factor_and_inverse(self, rng, complex_):
+        mats = (_hpd_stack if complex_ else _spd_stack)(rng, 5, 7)
+        c3, cinv3 = cholesky_batched(mats)
+        assert c3.dtype == cinv3.dtype == mats.dtype
+        for A, C, X in zip(mats, c3, cinv3):
+            assert np.array_equal(C, np.tril(C)) and np.array_equal(X, np.tril(X))
+            np.testing.assert_allclose(C @ C.conj().T, A, rtol=1e-13)
+            np.testing.assert_allclose(X @ C, np.eye(7), atol=1e-13)
+            np.testing.assert_array_equal(C, np.linalg.cholesky(A))
+
+    def test_one_event_with_flops(self, rng):
+        with get_recorder().recording() as trace:
+            cholesky_batched(_hpd_stack(rng, 3, 6))
+            cholesky_batched(_spd_stack(rng, 2, 5))
+        cplx, real = trace.events
+        assert cplx.kernel == real.kernel == "cholesky_batched"
+        assert all(e.strided and not e.plan and e.buckets == 1 for e in trace.events)
+        assert cplx.flops == pytest.approx(3 * cholesky_flops(6, True))
+        assert real.flops == pytest.approx(2 * cholesky_flops(5))
+        assert cholesky_flops(5) == potrf_flops(5)
+
+    def test_subset_gives_the_same_bits(self, rng):
+        mats = _hpd_stack(rng, 6, 8)
+        c3, cinv3 = cholesky_batched(mats)
+        c_sub, cinv_sub = cholesky_batched(mats[[4, 1]])
+        np.testing.assert_array_equal(c_sub, c3[[4, 1]])
+        np.testing.assert_array_equal(cinv_sub, cinv3[[4, 1]])
+
+    def test_indefinite_raises_and_records_nothing(self, rng):
+        mats = _hpd_stack(rng, 3, 5)
+        mats[1] -= 100 * np.eye(5)
+        with get_recorder().recording() as trace:
+            with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+                cholesky_batched(mats)
+        assert trace.num_launches == 0
+
+    def test_non_hermitian_raises(self, rng):
+        mats = _hpd_stack(rng, 3, 5)
+        # complex symmetric is not Hermitian
+        with pytest.raises(np.linalg.LinAlgError, match="not symmetric"):
+            cholesky_batched(mats + 1j * np.eye(5) + 1j * np.ones((5, 5)))
+        mats[2, 0, 4] += 1e-6
+        with pytest.raises(np.linalg.LinAlgError, match="not symmetric"):
+            cholesky_batched(mats)
+
+
 class TestCholeskyBatched:
     def test_inverse_factor_and_solve(self, rng):
         mats = _spd_stack(rng, 5, 6)
@@ -191,6 +248,8 @@ class TestCholeskyBatched:
         potrf_batched(mats)
 
     def test_shapes_checked(self, rng):
+        with pytest.raises(ValueError):
+            cholesky_batched(rng.standard_normal((2, 3, 4)))
         with pytest.raises(ValueError):
             potrf_batched(rng.standard_normal((2, 3, 4)))
         cinv3 = potrf_batched(_spd_stack(rng, 2, 3))

@@ -9,6 +9,7 @@ from repro import (
     ClusterTree,
     CompressionConfig,
     ExecutionContext,
+    LowRankFactor,
     SolverConfig,
     build_hodlr,
     compress_block,
@@ -16,6 +17,8 @@ from repro import (
     solve,
     svd_compress,
 )
+from repro.backends import get_backend, get_recorder
+from repro.backends.counters import cholesky_flops, gemm_flops, gesvd_flops
 from repro.backends.dispatch import LOOP_POLICY
 from repro.core import compression
 from repro.core.compression import (
@@ -347,3 +350,174 @@ class TestPivots:
         # the 3 allowed columns first, past the rank the 4 rows give
         assert np.all(np.sort(picks[:, :3], axis=1) == [7, 8, 9])
         assert np.all(picks[:, 3:] < 7)
+
+
+def _padded_stack(rng, nblocks, m, n, r, complex_):
+    """Factors ``U3 (B, m, r)``, ``V3 (B, n, r)`` of blocks with decaying
+    spectra: block ``j`` has ``caps[j]`` live columns, zero-padded to ``r``,
+    and block 1 also has an exactly zero column among its live ones."""
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_ else x
+
+    caps = np.array([r - 3 * (j % 3) for j in range(nblocks)])
+    U3 = np.zeros((nblocks, m, r), dtype=complex if complex_ else float)
+    V3 = np.zeros((nblocks, n, r), dtype=U3.dtype)
+    for j, c in enumerate(caps):
+        U3[j, :, :c] = draw(m, c) * np.logspace(0, -14, c)
+        V3[j, :, :c] = draw(n, c)
+    U3[1, :, 2] = 0.0
+    return U3, V3, caps
+
+
+def _events(trace, kernel):
+    return [e for e in trace.events if e.kernel == kernel]
+
+
+class TestGramRecompression:
+    """``_recompress_bases``/``_trim_tail`` read the triangular factors off
+    the Gram matrices (CholeskyQR) and fall back to Householder QR only for
+    a basis too ill-conditioned for it."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_matches_householder(self, complex_):
+        rng = np.random.default_rng(41)
+        U3, V3, caps = _padded_stack(rng, 5, 90, 70, 24, complex_)
+        tol = 1e-10
+        xb = get_backend("numpy")
+        with get_recorder().recording() as trace:
+            got = compression._recompress_bases(U3, V3, tol, None, xb, caps=caps)
+        assert not _events(trace, "geqrf_batched")
+        for j, f in enumerate(got):
+            ref = LowRankFactor(U3[j, :, : caps[j]], V3[j, :, : caps[j]])
+            hh = ref.recompress(tol=tol)
+            dense = ref.to_dense()
+            sigma1 = np.linalg.norm(dense, 2)
+            assert abs(f.rank - hh.rank) <= 1 and f.rank <= caps[j]
+            assert np.linalg.norm(f.to_dense() - hh.to_dense(), 2) <= tol * sigma1
+            assert np.linalg.norm(f.to_dense() - dense, 2) <= tol * sigma1
+            assert f.U.dtype == U3.dtype
+
+    def test_zero_columns_add_zero_singular_values(self):
+        rng = np.random.default_rng(42)
+        U3, V3, _ = _padded_stack(rng, 3, 40, 30, 12, False)
+        xb = get_backend("numpy")
+        R, Rinv = compression._gram_r(U3, xb)
+        # block 0 is full, block 1 padded and with a zero column, block 2 padded
+        for j in (1, 2):
+            zero = ~U3[j].any(axis=0)
+            assert zero.any()
+            # a zero row and column in R, a unit diagonal entry in R^{-1}
+            assert not R[j][zero].any() and not R[j][:, zero].any()
+            np.testing.assert_array_equal(np.diag(Rinv[j])[zero], 1.0)
+            # the live part is a QR of the basis: Q = X R^{-1} is orthonormal
+            Q = (U3[j] @ Rinv[j])[:, ~zero]
+            np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-8)
+            np.testing.assert_allclose(U3[j] @ Rinv[j] @ R[j], U3[j], atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "step,factored", [(1e-7, True), (1e-9, False), (0.0, False)],
+        ids=["guard", "cholesky_fails", "duplicate"],
+    )
+    def test_ill_conditioned_basis_takes_householder(self, step, factored):
+        """A basis with a column ``step`` away from another: at ``1e-7`` the
+        scaled condition number is about 1e7 (``kappa(G)`` about 1e14), the
+        Cholesky succeeds and the guard's bound rejects it; nearer (scaled
+        condition about 1e9) or exactly dependent, the Cholesky fails.
+        Either way that side goes through ``qr_batched``, and the
+        recompression still meets ``tol``."""
+        rng = np.random.default_rng(43)
+        m, n, r, tol = 80, 60, 10, 1e-10
+        U3 = rng.standard_normal((2, m, r))
+        V3 = rng.standard_normal((2, n, r))
+        U3[0, :, -1] = U3[0, :, 0] + step * rng.standard_normal(m)
+        xb = get_backend("numpy")
+        with get_recorder().recording() as trace:
+            assert compression._gram_r(U3, xb) is None
+        # a failed Cholesky records no event; the guard's rejection does
+        assert len(_events(trace, "cholesky_batched")) == int(factored)
+        assert compression._gram_r(V3, xb) is not None
+        with get_recorder().recording() as trace:
+            got = compression._recompress_bases(U3, V3, tol, None, xb)
+        # only the ill-conditioned side falls back
+        assert len(_events(trace, "geqrf_batched")) == 1
+        for j, f in enumerate(got):
+            dense = U3[j] @ V3[j].T
+            sigma1 = np.linalg.norm(dense, 2)
+            assert np.linalg.norm(f.to_dense() - dense, 2) <= tol * sigma1
+        # the near-dependent direction is above tol, the duplicate is gone
+        assert got[0].rank == (r - 1 if step == 0.0 else r)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_launch_and_flop_events(self, complex_):
+        rng = np.random.default_rng(44)
+        B, m, n, r = 4, 50, 40, 9
+        U3, V3, caps = _padded_stack(rng, B, m, n, r, complex_)
+        xb = get_backend("numpy")
+        with get_recorder().recording() as trace:
+            got = compression._recompress_bases(U3, V3, 1e-8, None, xb, caps=caps)
+        top = max(f.rank for f in got)
+        kernels = [e.kernel for e in trace.events]
+        # per side a Gram gemm and a Cholesky; the core gemm and its SVD;
+        # per side the small product against R^{-1} and the basis gemm
+        assert kernels == ["gemm_strided_batched", "cholesky_batched"] * 2 + [
+            "gemm_strided_batched", "gesvd_batched"] + ["gemm_strided_batched"] * 4
+        gram_u, chol, gram_v = trace.events[:3]
+        assert all(e.batch == B and e.strided and not e.plan for e in trace.events)
+        assert gram_u.flops == pytest.approx(B * gemm_flops(r, r, m, complex_))
+        assert gram_v.flops == pytest.approx(B * gemm_flops(r, r, n, complex_))
+        assert chol.flops == pytest.approx(B * cholesky_flops(r, complex_))
+        assert trace.events[5].flops == pytest.approx(B * gesvd_flops(r, r, complex_))
+        small_u, basis_u = trace.events[6], trace.events[7]
+        assert small_u.flops == pytest.approx(B * gemm_flops(r, top, r, complex_))
+        assert basis_u.flops == pytest.approx(B * gemm_flops(m, top, r, complex_))
+
+    def test_rook_counts_every_lapack_call(self):
+        """The blocked steps' intersection SVD, the sampled grid's norm and
+        the tail trim are recorded launches."""
+        stack = exact_rank_stack(2, 200, 180, 60, seed=45)
+        with get_recorder().recording() as trace:
+            lockstep(stack, 1e-10)
+        svds = _events(trace, "gesvd_batched")
+        # intersections (b x b), grids (_SAMPLES x _SAMPLES), trims and the
+        # final recompression's core
+        assert {e.shape[0] for e in svds} >= {compression._SAMPLES, 8}
+        assert len(_events(trace, "cholesky_batched")) >= 4
+        assert not _events(trace, "geqrf_batched")
+
+
+#: small default builds of the three kernel families (problem, params)
+_DEFAULT_BUILDS = [
+    pytest.param(problem, params, id=problem)
+    for problem, params in (
+        ("gaussian_kernel", dict(n=2048)),
+        ("helmholtz_kernel", dict(n=1024)),
+        ("gp_covariance", dict(n=4096)),
+    )
+]
+
+
+class TestGramBuilds:
+    @pytest.mark.parametrize("problem,params", _DEFAULT_BUILDS)
+    def test_default_builds_issue_no_householder_qr(self, problem, params):
+        with get_recorder().recording() as trace:
+            repro.build_operator(problem, **params).hodlr
+        assert _events(trace, "cholesky_batched")
+        assert not _events(trace, "geqrf_batched")
+
+    @pytest.mark.parametrize("problem,params", _DEFAULT_BUILDS[:2])
+    def test_ranks_match_the_householder_route(self, problem, params, monkeypatch):
+        """Forcing every basis through ``qr_batched`` (a guard no stack
+        passes) gives the same ranks, within one per block."""
+        gram = repro.build_operator(problem, **params).hodlr
+        monkeypatch.setattr(compression, "_GRAM_GUARD", -1.0)
+        with get_recorder().recording() as trace:
+            householder = repro.build_operator(problem, **params).hodlr
+        # every basis tried its Gram matrix, then took qr_batched
+        assert len(_events(trace, "geqrf_batched")) == len(_events(trace, "cholesky_batched")) > 0
+        assert sorted(gram.U) == sorted(householder.U)
+        for node in gram.U:
+            assert abs(gram.rank_of_pair(node) - householder.rank_of_pair(node)) <= 1
+        assert all(
+            abs(a - b) <= 1 for a, b in zip(gram.rank_profile(), householder.rank_profile())
+        )

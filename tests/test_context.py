@@ -41,6 +41,7 @@ from repro.backends.dispatch import (
     NumpyBackend,
     _lu_factor_batch,
     _lu_solve_batch,
+    cholesky_factor,
     cholesky_inverse,
     lu_factor_nopivot,
     lu_solve_nopivot,
@@ -172,6 +173,11 @@ class RecordingStubBackend:
         self.calls["cholesky_inverse_batch"] += 1
         return _wrap(cholesky_inverse(np.asarray(a)))
 
+    def cholesky_factor_batch(self, a):
+        self.calls["cholesky_factor_batch"] += 1
+        c, cinv = cholesky_factor(np.asarray(a))
+        return _wrap(c), _wrap(cinv)
+
     def triangular_inverse_batch(self, lu):
         self.calls["triangular_inverse_batch"] += 1
         linv, uinv = triangular_inverse(np.asarray(lu))
@@ -196,6 +202,7 @@ _NUMPY_COMPUTE = (
     "lu_factor_batch",
     "lu_solve_batch",
     "cholesky_inverse_batch",
+    "cholesky_factor_batch",
     "triangular_inverse_batch",
     "qr_batch",
     "svd_batch",
