@@ -920,8 +920,8 @@ def collect_cache_counters(n=256):
 
 def bench_end_to_end(problem, **params):
     """``repro.solve`` wall-clock (assemble + factorize + solve), batched vs
-    the per-block schedule (``LOOP_POLICY`` in construction *and*
-    factorization)."""
+    the per-block schedule (``LOOP_POLICY``: block-by-block construction,
+    the same compiled factorization)."""
 
     def run(dispatch_policy):
         cfg = SolverConfig(

@@ -5,8 +5,8 @@ contribution so their effect can be measured separately:
 
 * level-batched kernels vs per-node recursion (the core claim: batching
   reduces kernel launches by orders of magnitude);
-* strided per-bucket launches on ragged (non-power-of-two) trees, default
-  policy vs the per-problem ``LOOP_POLICY`` execution inside them;
+* strided per-bucket launches on ragged (non-power-of-two) trees, under the
+  default policy and the per-block reference ``LOOP_POLICY`` alike;
 * partial pivoting in the reduced K systems vs the reordered pivot-free
   formulation of equation (9)'s alternatives;
 * double vs single precision.

@@ -84,7 +84,6 @@ from .backends.dispatch import (
     available_backends,
     get_backend,
     plan_batch,
-    plan_batch_padded,
     register_backend,
 )
 from .backends.memory import DeviceMemoryTracker, hodlr_device_footprint, max_problem_size
@@ -219,7 +218,6 @@ __all__ = [
     "available_backends",
     "get_backend",
     "plan_batch",
-    "plan_batch_padded",
     "register_backend",
     "DeviceMemoryTracker",
     "hodlr_device_footprint",

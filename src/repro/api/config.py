@@ -75,10 +75,12 @@ class SolverConfig:
         :func:`repro.register_backend`).  Stored by name so configs stay
         serialisable; the instance is resolved at factorization time.
     dispatch_policy:
-        Shape-bucketing policy for the batched primitives (``None`` = the
-        default policy).  Accepts a :class:`DispatchPolicy` or its dict form.
-        ``LOOP_POLICY`` selects the per-block reference schedule for
-        construction, factorization and apply.
+        Shape-bucketing policy for construction (``None`` = the default
+        policy).  Accepts a :class:`DispatchPolicy` or its dict form; a dict
+        naming a removed field (``min_bucket``, ``pad_buckets``, ...)
+        raises :class:`ConfigError` naming it.  ``LOOP_POLICY`` selects the
+        per-block reference construction; factorization and apply compile
+        the same plans under every policy.
     dtype:
         Storage/factorization dtype override as a dtype name (``"float32"``
         reproduces the paper's single-precision runs); ``None`` keeps the

@@ -353,9 +353,10 @@ def solve(
     error (raises if the problem provides no exact operator); ``False``
     skips it.
 
-    Dispatch crossovers and precision demotion are whatever ``config``
-    sets: the :class:`~repro.backends.dispatch.DispatchPolicy` defaults
-    are fixed constants, and nothing is tuned per host.
+    The dispatch policy and precision demotion are whatever ``config``
+    sets, and nothing is tuned per host: the LU launches' host execution
+    follows the fixed shape rule
+    :func:`~repro.backends.dispatch.vectorize_getrf`.
 
     ``cache=True`` (or a process-wide :func:`repro.enable_operator_cache`)
     reuses a cached factorized operator for an identical

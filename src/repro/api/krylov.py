@@ -9,15 +9,12 @@ a bare matvec callable — and record the residual history, which is the
 quantity of interest when comparing preconditioner quality (paper,
 section IV-C).
 
-A two-dimensional ``(n, K)`` right-hand side switches both drivers into
-*block* mode: every column runs its own Krylov recurrence, but each
-iteration advances all still-unconverged columns through **one fused
-operator application** (a single compiled-plan replay whose launch count
-is independent of the number of columns — see
-:meth:`~repro.core.apply_plan.ApplyPlan.matvec` and
-:meth:`~repro.api.operator.HODLROperator.solve`) with a per-column
-convergence mask.  A 32-RHS workload therefore pays ``O(levels x
-buckets)`` kernel launches per iteration instead of 32x that.
+A two-dimensional ``(n, K)`` right-hand side runs the single-column
+driver once per column.  Many right-hand sides against one factorized
+operator are a direct solve instead:
+:meth:`~repro.api.operator.HODLROperator.solve` and
+:func:`~repro.api.facade.solve_many` replay the compiled plan once for all
+``K`` columns.
 
 The ``preconditioner`` argument takes an :class:`HODLROperator` (its
 *inverse* action is used automatically), an
@@ -51,10 +48,10 @@ class IterationLog:
     callback for free; CG only counts iterations unless residual recording
     was requested (each recorded CG residual costs one extra matvec).
 
-    Block runs (``(n, K)`` right-hand sides) record, per iteration, the
-    maximum residual norm over the still-unconverged columns, and fill
-    ``converged_at`` with the iteration index at which each column met the
-    tolerance (``-1`` for columns that never did).
+    Runs over ``(n, K)`` right-hand sides concatenate the columns'
+    residual histories, count the iterations of all columns, and fill
+    ``converged_at`` with each column's iteration count (``-1`` for columns
+    that never met the tolerance).
     """
 
     residuals: List[float]
@@ -78,24 +75,6 @@ def _as_matvec(operator: OperatorLike, n: int) -> Callable[[np.ndarray], np.ndar
     raise TypeError(f"cannot interpret {type(operator)!r} as a linear operator")
 
 
-def _as_matmat(operator: OperatorLike) -> Callable[[np.ndarray], np.ndarray]:
-    """Coerce an operator spelling to a *fused* block application.
-
-    The returned callable maps an ``(n, k)`` block to an ``(n, k)`` block in
-    one application — for HODLR-backed operators that is a single compiled
-    plan replay, the launch-amortization the block drivers are built on.
-    """
-    if isinstance(operator, np.ndarray):
-        return lambda X: operator @ X
-    if isinstance(operator, HODLRMatrix):
-        return operator.matvec
-    if isinstance(operator, LinearOperator):
-        return lambda X: operator.matmat(X) if X.ndim == 2 else operator.matvec(X)
-    if callable(operator):
-        return operator
-    raise TypeError(f"cannot interpret {type(operator)!r} as a linear operator")
-
-
 def as_preconditioner(M: PreconditionerLike) -> Optional[LinearOperator]:
     """Coerce the accepted preconditioner spellings to a ``LinearOperator``."""
     if M is None:
@@ -111,199 +90,27 @@ def as_preconditioner(M: PreconditionerLike) -> Optional[LinearOperator]:
     raise TypeError(f"cannot interpret {type(M)!r} as a preconditioner")
 
 
-def _givens(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-column complex Givens rotations zeroing ``b`` against ``a``.
-
-    Returns ``(cs, sn)`` with ``cs`` real such that ``cs*a + sn*b = r`` and
-    ``-conj(sn)*a + cs*b = 0`` (LAPACK ``lartg`` convention), vectorized
-    over the trailing axis.
-    """
-    abs_a = np.abs(a)
-    t = np.hypot(abs_a, np.abs(b))
-    safe_t = np.where(t > 0.0, t, 1.0)
-    safe_a = np.where(abs_a > 0.0, a, 1.0)
-    safe_abs = np.where(abs_a > 0.0, abs_a, 1.0)
-    cs = np.where(abs_a > 0.0, abs_a / safe_t, 0.0)
-    phase = safe_a / safe_abs
-    sn = np.where(
-        abs_a > 0.0,
-        phase * np.conj(b) / safe_t,
-        np.ones_like(a),
-    )
-    return cs, sn
-
-
-def _block_gmres(
-    matmat: Callable[[np.ndarray], np.ndarray],
-    B: np.ndarray,
-    M: Optional[LinearOperator],
-    tol: float,
-    maxiter: int,
-    restart: int,
+def _by_column(
+    driver, operator: OperatorLike, b: np.ndarray, preconditioner: PreconditionerLike, **kwargs
 ) -> Tuple[np.ndarray, int, IterationLog]:
-    """Left-preconditioned restarted GMRES over all columns of ``B`` at once.
+    """Run a single-column ``driver`` on each column of an ``(n, K)`` ``b``.
 
-    Every column carries its own Arnoldi recurrence (basis, Hessenberg,
-    Givens rotations), advanced in lockstep; the operator and the
-    preconditioner are applied to the *block of still-unconverged columns*
-    — one fused application per inner iteration.  Columns that meet the
-    tolerance drop out of the applications via the convergence mask and
-    their iterates are finalized from the basis depth they reached.
+    ``info`` counts the columns that did not converge; the log concatenates
+    the columns' residual histories, sums their iterations, and records
+    each column's iteration count in ``converged_at`` (``-1`` where the
+    column did not converge).
     """
-    n, K = B.shape
-    prec = (lambda X: M.matmat(X)) if M is not None else (lambda X: X)
-    sample = prec(matmat(np.zeros((n, 1), dtype=B.dtype)))
-    dtype = np.result_type(B.dtype, sample.dtype)
-    X = np.zeros((n, K), dtype=dtype)
-    # tolerance is relative to the preconditioned right-hand side, matching
-    # scipy.sparse.linalg.gmres(rtol=tol, atol=0.0)
-    thresholds = tol * np.linalg.norm(prec(B.astype(dtype)), axis=0)
-    log = IterationLog(residuals=[], converged_at=np.full(K, -1, dtype=np.intp))
-    converged = np.zeros(K, dtype=bool)
-    m = max(1, min(restart, n))
-    total_iters = 0
-
-    for _cycle in range(max(1, maxiter)):
-        R0 = prec(B.astype(dtype) - matmat(X))
-        beta = np.linalg.norm(R0, axis=0)
-        newly = beta <= thresholds
-        log.converged_at[newly & ~converged] = total_iters
-        converged |= newly
-        if converged.all():
-            break
-
-        V = np.zeros((m + 1, n, K), dtype=dtype)
-        H = np.zeros((m + 1, m, K), dtype=dtype)
-        cs = np.zeros((m, K), dtype=np.result_type(dtype, float))
-        sn = np.zeros((m, K), dtype=dtype)
-        g = np.zeros((m + 1, K), dtype=dtype)
-        active = ~converged
-        safe_beta = np.where(beta > 0.0, beta, 1.0)
-        V[0, :, active.nonzero()[0]] = (R0[:, active] / safe_beta[active]).T
-        g[0, active] = beta[active]
-        depth = np.zeros(K, dtype=np.intp)  # Arnoldi depth reached per column
-
-        for i in range(m):
-            cols = active.nonzero()[0]
-            if cols.size == 0:
-                break
-            # ONE fused operator + preconditioner application for every
-            # still-unconverged column
-            W = np.zeros((n, K), dtype=dtype)
-            W[:, cols] = prec(matmat(V[i][:, cols]))
-            total_iters += 1
-            # modified Gram-Schmidt against the shared-index basis vectors
-            for l in range(i + 1):
-                h = np.einsum("nk,nk->k", np.conj(V[l]), W)
-                h[~active] = 0.0
-                H[l, i] = h
-                W -= V[l] * h
-            wnorm = np.linalg.norm(W, axis=0)
-            H[i + 1, i] = wnorm
-            safe_w = np.where(wnorm > 0.0, wnorm, 1.0)
-            V[i + 1] = W / safe_w
-            # apply the accumulated Givens rotations to the new column
-            for l in range(i):
-                tmp = cs[l] * H[l, i] + sn[l] * H[l + 1, i]
-                H[l + 1, i] = -np.conj(sn[l]) * H[l, i] + cs[l] * H[l + 1, i]
-                H[l, i] = tmp
-            c_new, s_new = _givens(H[i, i], H[i + 1, i])
-            cs[i], sn[i] = c_new, s_new
-            H[i, i] = c_new * H[i, i] + s_new * H[i + 1, i]
-            H[i + 1, i] = 0.0
-            g[i + 1] = -np.conj(s_new) * g[i]
-            g[i] = c_new * g[i]
-            depth[active] = i + 1
-            res = np.abs(g[i + 1])
-            newly = active & (res <= thresholds)
-            log.converged_at[newly] = total_iters
-            converged |= newly
-            active &= ~newly
-            still = active | newly
-            if still.any():
-                log.residuals.append(float(res[still].max()))
-            if not active.any():
-                break
-
-        # finalize every column that advanced this cycle from its own depth
-        for j in range(K):
-            d = int(depth[j])
-            if d == 0:
-                continue
-            y = np.linalg.solve(H[:d, :d, j], g[:d, j])
-            X[:, j] += np.tensordot(y, V[:d, :, j], axes=(0, 0))
-        if converged.all():
-            break
-
-    log.count = total_iters
-    info = int((~converged).sum())
-    return X, info, log
-
-
-def _block_cg(
-    matmat: Callable[[np.ndarray], np.ndarray],
-    B: np.ndarray,
-    M: Optional[LinearOperator],
-    tol: float,
-    maxiter: int,
-    record_residuals: bool,
-) -> Tuple[np.ndarray, int, IterationLog]:
-    """Preconditioned CG over all columns of ``B`` at once (SPD operators).
-
-    Per-column step lengths with a shared fused operator application per
-    iteration; converged columns freeze (their iterates stop changing) and
-    drop out of the application block via the convergence mask.
-    """
-    n, K = B.shape
-    prec = (lambda X: M.matmat(X)) if M is not None else (lambda X: X)
-    sample = matmat(np.zeros((n, 1), dtype=B.dtype))
-    dtype = np.result_type(B.dtype, sample.dtype)
-    B = B.astype(dtype)
-    X = np.zeros((n, K), dtype=dtype)
-    R = B.copy()
-    Z = prec(R)
-    P = Z.copy()
-    rz = np.einsum("nk,nk->k", np.conj(R), Z)
-    thresholds = tol * np.linalg.norm(B, axis=0)
-    log = IterationLog(residuals=[], converged_at=np.full(K, -1, dtype=np.intp))
-    converged = np.linalg.norm(R, axis=0) <= thresholds
-    log.converged_at[converged] = 0
-
-    it = 0
-    while it < maxiter and not converged.all():
-        cols = (~converged).nonzero()[0]
-        # ONE fused operator application for every unconverged column
-        AP = np.zeros((n, K), dtype=dtype)
-        AP[:, cols] = matmat(P[:, cols])
-        it += 1
-        pAp = np.einsum("nk,nk->k", np.conj(P), AP)
-        mask = ~converged & (np.abs(pAp) > 0.0)
-        alpha = np.zeros(K, dtype=dtype)
-        alpha[mask] = rz[mask] / pAp[mask]
-        X += alpha * P
-        R -= alpha * AP
-        rnorm = np.linalg.norm(R, axis=0)
-        newly = ~converged & (rnorm <= thresholds)
-        log.converged_at[newly] = it
-        converged |= newly
-        if record_residuals and not converged.all():
-            log.residuals.append(float(rnorm[~converged].max()))
-        elif record_residuals:
-            log.residuals.append(float(rnorm.max()))
-        if converged.all():
-            break
-        Z = np.zeros_like(R)
-        Z[:, ~converged] = prec(R[:, ~converged])
-        rz_new = np.einsum("nk,nk->k", np.conj(R), Z)
-        beta = np.zeros(K, dtype=dtype)
-        live = ~converged & (np.abs(rz) > 0.0)
-        beta[live] = rz_new[live] / rz[live]
-        P = Z + beta * P
-        rz = rz_new
-
-    log.count = it
-    info = int((~converged).sum())
-    return X, info, log
+    M = as_preconditioner(preconditioner)
+    xs, log = [], IterationLog(residuals=[], converged_at=np.full(b.shape[1], -1, dtype=np.intp))
+    for j in range(b.shape[1]):
+        x, info, col = driver(operator, b[:, j], preconditioner=M, **kwargs)
+        xs.append(x)
+        log.residuals += col.residuals
+        log.count += col.iterations
+        if info == 0:
+            log.converged_at[j] = col.iterations
+    X = np.stack(xs, axis=1) if xs else np.zeros(b.shape, dtype=b.dtype)
+    return X, int((log.converged_at < 0).sum()), log
 
 
 def gmres_solve(
@@ -316,22 +123,15 @@ def gmres_solve(
 ) -> Tuple[np.ndarray, int, IterationLog]:
     """Run (preconditioned) GMRES; returns ``(x, info, iteration_log)``.
 
-    A two-dimensional ``b`` of shape ``(n, K)`` runs the *block* driver:
-    all unconverged columns advance through one fused operator (and
-    preconditioner) application per inner iteration, with a per-column
-    convergence mask.  ``info`` is then the number of columns that did not
+    A two-dimensional ``b`` of shape ``(n, K)`` solves its columns one
+    after the other.  ``info`` is then the number of columns that did not
     reach ``tol`` (0 = all converged), and the log's ``converged_at``
-    records the iteration each column converged at.
+    records each column's iteration count.
     """
     b = np.asarray(b)
     if b.ndim == 2:
-        return _block_gmres(
-            _as_matmat(operator),
-            b,
-            as_preconditioner(preconditioner),
-            tol,
-            maxiter,
-            restart,
+        return _by_column(
+            gmres_solve, operator, b, preconditioner, tol=tol, maxiter=maxiter, restart=restart
         )
     n = b.shape[0]
     matvec = _as_matvec(operator, n)
@@ -372,21 +172,15 @@ def cg_solve(
     ``record_residuals=True`` opts into that; by default the log carries
     the iteration count only.
 
-    A two-dimensional ``b`` of shape ``(n, K)`` runs the *block* driver:
-    all unconverged columns advance through one fused operator application
-    per iteration with per-column step lengths and a convergence mask
-    (residual recording is then free — the block recurrence carries the
-    residual).  ``info`` is the number of columns that did not converge.
+    A two-dimensional ``b`` of shape ``(n, K)`` solves its columns one
+    after the other; ``info`` is the number of columns that did not
+    converge, as for :func:`gmres_solve`.
     """
     b = np.asarray(b)
     if b.ndim == 2:
-        return _block_cg(
-            _as_matmat(operator),
-            b,
-            as_preconditioner(preconditioner),
-            tol,
-            maxiter,
-            record_residuals,
+        return _by_column(
+            cg_solve, operator, b, preconditioner, tol=tol, maxiter=maxiter,
+            record_residuals=record_residuals,
         )
     n = b.shape[0]
     matvec = _as_matvec(operator, n)

@@ -16,8 +16,8 @@ library lowers every tree level onto one strided launch per shape bucket:
 * ``gesvdjBatched``        -> :func:`repro.backends.batched.svd_batched`
 
 The pointer-array ``gemmBatched`` has no counterpart: the compiled plans
-and the construction stage pack heterogeneous levels into uniform (or
-padded) shape buckets up front, so no launch ever sees mixed shapes.
+and the construction stage pack heterogeneous levels into exact-shape
+buckets up front, so no launch ever sees mixed shapes.
 
 This package provides NumPy implementations of those primitives together
 with an instrumentation layer (:mod:`repro.backends.counters`) that records
@@ -42,7 +42,6 @@ from .dispatch import (
     available_backends,
     get_backend,
     plan_batch,
-    plan_batch_padded,
     register_backend,
     registered_backends,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "available_backends",
     "get_backend",
     "plan_batch",
-    "plan_batch_padded",
     "register_backend",
     "registered_backends",
     "DEFAULT_CONTEXT",

@@ -27,9 +27,9 @@ cuBLAS/cuSOLVER         this module
 There is no pointer-array ``gemmBatched`` entry: the compiled plans
 (:class:`~repro.core.factor_plan.FactorPlan`,
 :class:`~repro.core.apply_plan.ApplyPlan`) and the construction stage pack
-every heterogeneous level into uniform shape buckets up front (exact or
-identity/zero-padded, see :mod:`repro.backends.dispatch`), so each launch
-sees one 3-D stack with one stride.  The LU pair keeps cuBLAS's
+every heterogeneous level into exact-shape buckets up front (see
+:mod:`repro.backends.dispatch`), so each launch sees one 3-D stack with
+one stride.  The LU pair keeps cuBLAS's
 ``getrf``/``getrs`` names because they model the same kernels; in cuBLAS
 those take pointer arrays, here a 3-D stack.  The Cholesky pair keeps
 cuSOLVER's ``potrf``/``potrs`` names, but stores the explicit inverse
@@ -47,13 +47,13 @@ Every call emits one :class:`~repro.backends.counters.KernelEvent` so that
 the performance model can reconstruct what the launch would have cost on a
 GPU.  All array arithmetic goes through an :class:`~repro.backends.
 dispatch.ArrayBackend` (NumPy by default), which is the seam where real GPU
-backends (CuPy) plug in.  Only the LU pair takes a
-:class:`~repro.backends.dispatch.DispatchPolicy`: it decides the host
-execution inside the launch (vectorised batched elimination/substitution
-for many small blocks, per-problem LAPACK otherwise — ``LOOP_POLICY``
-always takes the latter).  LU factorization uses partial pivoting by
-default; ``pivot=False`` emulates the paper's discussion of the
-non-pivoted variants of equation (9).
+backends (CuPy) plug in.  No launch takes a dispatch policy.  Inside an
+LU factorization launch the shape rule
+:func:`~repro.backends.dispatch.vectorize_getrf` picks the host execution
+(one vectorised batched elimination for many tiny blocks, per-problem
+LAPACK otherwise); an LU solve launch always substitutes per problem.  LU
+factorization uses partial pivoting by default; ``pivot=False`` emulates
+the paper's discussion of the non-pivoted variants of equation (9).
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ from .counters import (
     schur_solve_flops,
     trtri_flops,
 )
-from .dispatch import DEFAULT_POLICY, ArrayBackend, DispatchPolicy, get_backend
+from .dispatch import ArrayBackend, get_backend, vectorize_getrf
 
 
 def _is_complex(dtype) -> bool:
@@ -221,7 +221,8 @@ def getrf_batched(
     A3: np.ndarray,
     pivot: bool = True,
     backend: Optional[ArrayBackend] = None,
-    policy: Optional[DispatchPolicy] = None,
+    *,
+    bucket_size: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Strided batched LU factorization (cuBLAS ``getrfBatched``): one launch.
 
@@ -229,9 +230,13 @@ def getrf_batched(
     packed unit-lower/upper factors and ``(nb, n)`` LAPACK-style 0-based
     pivots.  Pivots are always full-length (``arange`` rows for the
     non-pivoted path), so downstream code never branches on pivot storage.
-    The dispatch policy decides the host execution inside the launch —
-    vectorised batched elimination for many small blocks, per-problem
-    LAPACK otherwise.  ``pivot=False`` models the pivot-free formulations
+    The shape rule :func:`~repro.backends.dispatch.vectorize_getrf` of
+    ``(bucket_size, n)`` decides the host execution inside the launch —
+    vectorised batched elimination for many tiny blocks, per-problem
+    LAPACK otherwise.  ``bucket_size`` defaults to ``nb``; a launch that
+    refactorizes some members of a larger bucket passes the whole bucket's
+    size, so those members get the bits a factorization of the whole
+    bucket gives them.  ``pivot=False`` models the pivot-free formulations
     of equation (9) and raises :class:`numpy.linalg.LinAlgError` on a zero
     pivot.  The library issues LU launches only from compiled
     :class:`~repro.core.factor_plan.FactorPlan` storage, so the event is
@@ -239,9 +244,9 @@ def getrf_batched(
     """
     if A3.ndim != 3 or A3.shape[1] != A3.shape[2]:
         raise ValueError("getrf_batched expects a 3-D stack of square matrices")
-    xb, pol = _resolve(backend), policy or DEFAULT_POLICY
+    xb = _resolve(backend)
     nb, n = A3.shape[0], A3.shape[1]
-    if pol.vectorize_lu_factor(nb, n):
+    if vectorize_getrf(nb if bucket_size is None else bucket_size, n):
         lu3, piv3 = xb.lu_factor_batch(A3, pivot=pivot)
         piv3 = np.asarray(piv3, dtype=np.int64)
     else:
@@ -274,39 +279,33 @@ def getrs_batched(
     rhs3: np.ndarray,
     pivot: bool = True,
     backend: Optional[ArrayBackend] = None,
-    policy: Optional[DispatchPolicy] = None,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Strided batched LU solve (cuBLAS ``getrsBatched``): one launch.
 
     Solves ``A[i] X[i] = rhs3[i]`` for a ``(nb, n, nrhs)`` right-hand-side
     stack against the :func:`getrf_batched` factors ``(lu3, piv3)``; the
-    result dtype promotes over both.  The dispatch policy picks vectorised
-    batched substitution or per-problem LAPACK, as for the factorization.
-    ``out`` (of the promoted dtype) receives the solutions and may be
+    result dtype promotes over both.  The host substitutes problem by
+    problem through the backend's ``lu_solve_many`` (one bound LAPACK
+    ``getrs`` per problem), or a loop of ``lu_solve`` on a backend without
+    it.  ``out`` (of the promoted dtype) receives the solutions and may be
     ``rhs3`` itself — the in-place solve the compiled sweep runs on row
     views of its working array.
     """
     if rhs3.ndim != 3 or rhs3.shape[:2] != lu3.shape[:2]:
         raise ValueError("getrs_batched expects a (nb, n, nrhs) stack matching the factors")
-    xb, pol = _resolve(backend), policy or DEFAULT_POLICY
+    xb = _resolve(backend)
     nb, n, nrhs = rhs3.shape
     out_dtype = np.result_type(lu3.dtype, rhs3.dtype)
     if rhs3.dtype != out_dtype:
         rhs3 = rhs3.astype(out_dtype)
-    if pol.vectorize_lu_solve(nb, n):
-        x3 = xb.lu_solve_batch(lu3, piv3, rhs3, pivot=pivot)
-        if out is not None:
-            out[...] = x3
-            x3 = out
+    many = getattr(xb, "lu_solve_many", None)
+    if many is not None:
+        x3 = many(lu3, piv3, rhs3, pivot=pivot, out=out)
     else:
-        many = getattr(xb, "lu_solve_many", None)
-        if many is not None:
-            x3 = many(lu3, piv3, rhs3, pivot=pivot, out=out)
-        else:
-            x3 = xb.zeros(rhs3.shape, dtype=out_dtype) if out is None else out
-            for i in range(nb):
-                x3[i] = xb.lu_solve(lu3[i], piv3[i], rhs3[i], pivot=pivot)
+        x3 = xb.zeros(rhs3.shape, dtype=out_dtype) if out is None else out
+        for i in range(nb):
+            x3[i] = xb.lu_solve(lu3[i], piv3[i], rhs3[i], pivot=pivot)
     record_event(
         KernelEvent(
             kernel="getrs_batched",

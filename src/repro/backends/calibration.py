@@ -4,8 +4,9 @@
 returns them as a frozen :class:`MachineProfile`.  Benchmarks read it to
 report achieved GFLOP/s and bytes/s as fractions of what the host can do
 (``peak_frac``, ``mem_bandwidth_gbs``).  Nothing in the solver reads it:
-the :class:`~repro.backends.dispatch.DispatchPolicy` crossovers are fixed
-constants, the same on every host.
+the LU launches' host execution follows a fixed shape rule
+(:func:`~repro.backends.dispatch.vectorize_getrf`), the same on every
+host.
 """
 
 from __future__ import annotations

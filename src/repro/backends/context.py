@@ -11,11 +11,12 @@ is the only way those layers are told where and how to run (``None`` means
     :func:`~repro.backends.dispatch.register_backend`).  Accepts a
     registered name; the instance is resolved on construction.
 ``policy``
-    The :class:`~repro.backends.dispatch.DispatchPolicy` deciding how
-    heterogeneous batches are bucketed, and whether near-equal shapes are
-    zero-padded into shared buckets.  :data:`~repro.backends.dispatch.
-    LOOP_POLICY` (``bucketing=False``) selects the per-block reference
-    schedule everywhere: construction, factorization, and apply.
+    The :class:`~repro.backends.dispatch.DispatchPolicy`, whose one field
+    ``bucketing`` decides how construction compresses a level: shape
+    bucket by shape bucket (the default), or block by block under
+    :data:`~repro.backends.dispatch.LOOP_POLICY`, the per-block reference.
+    Factorization, solve and apply run the same compiled launches under
+    either.
 ``precision``
     A :class:`PrecisionPolicy` describing the dtype each pipeline stage
     carries: the storage dtype of the HODLR blocks and factorization, the

@@ -22,14 +22,17 @@ buckets up front and issues one strided launch
     sets whose operands share identical shapes.  Each bucket is packed
     into strided 3-D storage and executed with one strided launch, so a
     level with ``k`` distinct shapes costs ``k`` kernel launches instead
-    of one per block.  :meth:`BatchPlanner.plan_padded` additionally
-    merges *near-equal* shapes into shared padded buckets (opt-in via
-    ``DispatchPolicy(pad_buckets=True)``), so trees with many singleton
-    shapes stop degenerating into per-block launches.
+    of one per block.  Nothing is padded: a bucket holds one exact shape.
 
 :class:`DispatchPolicy`
-    Tunables deciding when bucketing and the vectorised batched LU are
-    profitable (bucket size thresholds, maximum per-problem LU size).
+    One switch, ``bucketing``: batched construction (the default) or the
+    per-block reference schedule :data:`LOOP_POLICY`.
+
+:func:`vectorize_getrf`
+    The shape rule deciding how the NumPy emulation executes an LU
+    factorization launch on the host: one vectorised batched elimination
+    for many tiny blocks, per-problem LAPACK otherwise.  LU solves always
+    run per problem.
 
 The planner is deliberately independent of the execution layer: it only
 sees shape keys, so it is reusable for any batched primitive (and is unit
@@ -38,9 +41,8 @@ tested on bare tuples in ``tests/test_dispatch.py``).
 
 from __future__ import annotations
 
-import numbers
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
@@ -105,88 +107,6 @@ class BatchPlanner:
         )
         return BatchPlan(buckets=buckets, nbatch=len(keys))
 
-    def plan_padded(
-        self, shapes: Sequence[Tuple[int, ...]], max_waste: float = 0.25
-    ) -> BatchPlan:
-        """Group integer shape tuples, merging near-equal shapes by padding.
-
-        Unlike :meth:`plan` the keys must be tuples of non-negative ints (a
-        per-member dimension vector).  Exact-shape groups are formed first;
-        groups are then greedily merged — largest first — into a *target*
-        shape (the dimension-wise maximum) whenever every member's padding
-        waste ``1 - prod(shape) / prod(target)`` stays at or below
-        ``max_waste``.  The returned bucket ``key`` is the target shape;
-        members may be smaller and must be zero-padded to it by the
-        executor.  Adaptive-rank trees, whose levels produce many singleton
-        shapes differing by a column or two, collapse from one launch per
-        block to one launch per padded bucket.
-        """
-        exact = self.plan(shapes)
-        if max_waste <= 0.0 or exact.num_buckets <= 1:
-            return exact
-
-        def _volume(shape: Tuple[int, ...]) -> int:
-            v = 1
-            for d in shape:
-                v *= int(d)
-            return v
-
-        # largest shapes first, ties broken by first occurrence for determinism
-        order = sorted(
-            range(exact.num_buckets),
-            key=lambda i: (-_volume(exact.buckets[i].key), exact.buckets[i].indices[0]),
-        )
-        groups: List[Tuple[Tuple[int, ...], List[ShapeBucket]]] = []
-        for i in order:
-            bucket = exact.buckets[i]
-            shape = bucket.key
-            vol = _volume(shape)
-            placed = False
-            for g, (target, members) in enumerate(groups):
-                if len(shape) != len(target):
-                    continue
-                if any(d > t for d, t in zip(shape, target)):
-                    continue
-                tvol = _volume(target)
-                if tvol and 1.0 - vol / tvol <= max_waste:
-                    members.append(bucket)
-                    placed = True
-                    break
-            if not placed:
-                groups.append((shape, [bucket]))
-
-        merged = []
-        for target, members in groups:
-            indices: List[int] = []
-            for b in members:
-                indices.extend(b.indices)
-            indices.sort()
-            merged.append(ShapeBucket(key=target, indices=tuple(indices)))
-        # deterministic output order: by first member, like plan()
-        merged.sort(key=lambda b: b.indices[0])
-        return BatchPlan(buckets=tuple(merged), nbatch=len(shapes))
-
-
-def pad_identity_stack(xb, blocks, width: int, dtype):
-    """Pack square blocks into ``(nb, width, width)`` with identity borders.
-
-    The padded problem is ``blkdiag(A_i, I)``: LU factorization never
-    pivots across the border (border rows are zero in every ``A`` column),
-    the leading sub-block of the padded factor is the exact factor of
-    ``A_i``, and padded right-hand-side rows solve against the identity —
-    so the padding is exact for both ``getrf`` and ``getrs``.  It is exact
-    for Cholesky too: the inverse factor of ``blkdiag(A_i, I)`` is
-    ``blkdiag(C_i^{-1}, I)``.  The compiled factor plans pack their padded
-    leaf buckets with it.
-    """
-    out = xb.zeros((len(blocks), width, width), dtype=dtype)
-    for j, blk in enumerate(blocks):
-        m = blk.shape[0]
-        out[j, :m, :m] = blk
-        if m < width:
-            out[j, m:, m:] = xb.eye(width - m, dtype=dtype)
-    return out
-
 
 _PLANNER = BatchPlanner()
 
@@ -196,34 +116,12 @@ def plan_batch(keys: Sequence[Hashable]) -> BatchPlan:
     return _PLANNER.plan(keys)
 
 
-def plan_batch_padded(
-    shapes: Sequence[Tuple[int, ...]], max_waste: float = 0.25
-) -> BatchPlan:
-    """Pad-merging plan via the module-level :class:`BatchPlanner`."""
-    return _PLANNER.plan_padded(shapes, max_waste=max_waste)
-
-
 # ======================================================================
 # dispatch policy
 # ======================================================================
 @dataclass(frozen=True)
 class DispatchPolicy:
-    """Tunables for the shape-bucketed batch dispatch.
-
-    Bucketing is a *schedule* decision: the compiled plans and the
-    construction stage issue one strided launch per shape bucket (recorded
-    in the kernel event).  Inside an LU launch the NumPy emulation
-    additionally chooses the fastest host execution — one vectorised
-    batched elimination/substitution, or a tight per-problem LAPACK loop —
-    using the measured crossovers below (a real GPU backend executes every
-    bucket as one batched kernel regardless, so these thresholds only
-    matter for the CPU emulation's wall clock).
-
-    The class defaults are fixed constants, measured once on one
-    development machine and used unchanged on every host.  A caller who
-    wants other crossovers passes a policy of their own.  Construction
-    checks every field (``TypeError`` for a wrong type, ``ValueError`` for
-    a value out of range).
+    """How the library schedules its batched kernels.
 
     Parameters
     ----------
@@ -232,104 +130,57 @@ class DispatchPolicy:
         streaming-update recompression pack the blocks of a level into
         shape buckets and compress each bucket with strided
         gemm/Cholesky/SVD launches.  ``False`` compresses block by block —
-        the per-block reference schedule the benchmarks measure the batched
-        construction against.  Factorization and apply always run their compiled
-        per-bucket strided launches.
-    min_bucket:
-        Smallest bucket the vectorised LU kernels are used for; smaller
-        buckets run per-problem LAPACK (a batch of one is just a plain
-        kernel).
-    lu_vectorize:
-        Allow the vectorised batched LU kernels at all.
-    lu_factor_max_n / lu_factor_min_batch:
-        Use the vectorised batched elimination for a factorization bucket
-        only when the blocks are at most ``lu_factor_max_n`` wide and the
-        bucket has at least ``lu_factor_min_batch`` problems; otherwise
-        blocked per-problem LAPACK wins (the Python-level elimination
-        costs O(n) interpreter steps and rank-1 updates instead of BLAS-3).
-    lu_solve_max_n / lu_solve_min_batch_ratio:
-        Use the vectorised batched substitution for a solve bucket when
-        ``n <= lu_solve_max_n`` and ``batch >= ratio * n`` (substitution
-        vectorises better than elimination: each of the O(n) steps is one
-        batched matmul).
-    pad_buckets / pad_max_waste:
-        Opt-in pad-to-bucket packing: near-equal shapes are merged into
-        one padded bucket when every member wastes at most
-        ``pad_max_waste`` of the padded volume.  Adaptive-rank trees
-        produce many singleton shapes (ranks differing by a column or two
-        per node) that otherwise degenerate into per-block launches; with
-        padding they execute as one strided kernel per merged bucket.
-        Gemm stacks zero-pad (exact: padded rows/columns contribute zeros
-        that are sliced away).  The compiled
-        :class:`~repro.core.factor_plan.FactorPlan` LU buckets pad with an
-        **identity border** — the padded problem is ``blkdiag(A, I)``, so
-        partial pivoting never crosses the border, the leading sub-block
-        of the padded factor is the exact factor of ``A``, and padded
-        right-hand-side rows solve against the appended identity — also
-        exact.
+        the per-block reference schedule (:data:`LOOP_POLICY`) the
+        benchmarks measure the batched construction against.
+        Factorization, solve and apply always run their compiled
+        per-bucket strided launches, whatever the policy.
+
+    Construction checks the field's type (``TypeError``).  A keyword of a
+    removed field (``min_bucket``, ``lu_vectorize``, ``pad_buckets``, ...)
+    raises ``TypeError`` naming it.
     """
 
     bucketing: bool = True
-    min_bucket: int = 2
-    lu_vectorize: bool = True
-    lu_factor_max_n: int = 12
-    lu_factor_min_batch: int = 24
-    lu_solve_max_n: int = 48
-    lu_solve_min_batch_ratio: float = 4.0
-    pad_buckets: bool = False
-    pad_max_waste: float = 0.25
 
     def __post_init__(self) -> None:
-        kinds = {"bool": (bool, "a bool"), "int": (numbers.Integral, "an int"),
-                 "float": (numbers.Real, "a real number")}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind, label = kinds[str(f.type)]
-            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-                raise TypeError(f"DispatchPolicy.{f.name} must be {label}, got {value!r}")
-        for name, ok, rule in (
-            ("min_bucket", self.min_bucket >= 1, ">= 1"),
-            ("lu_factor_min_batch", self.lu_factor_min_batch >= 1, ">= 1"),
-            ("lu_factor_max_n", self.lu_factor_max_n >= 0, ">= 0"),
-            ("lu_solve_max_n", self.lu_solve_max_n >= 0, ">= 0"),
-            ("lu_solve_min_batch_ratio", self.lu_solve_min_batch_ratio >= 0, ">= 0"),
-            ("pad_max_waste", 0 <= self.pad_max_waste < 1, "in [0, 1)"),
-        ):
-            if not ok:
-                raise ValueError(
-                    f"DispatchPolicy.{name} must be {rule}, got {getattr(self, name)!r}"
-                )
+        if not isinstance(self.bucketing, bool):
+            raise TypeError(f"DispatchPolicy.bucketing must be a bool, got {self.bucketing!r}")
 
     def replace(self, **changes) -> "DispatchPolicy":
-        """A copy with the given tunables replaced (the policy is frozen)."""
+        """A copy with the given fields replaced (the policy is frozen)."""
         from dataclasses import replace as _replace
 
         return _replace(self, **changes)
-
-    def vectorize_lu_factor(self, nblocks: int, n: int) -> bool:
-        """Should a factorization bucket use the vectorised batched LU?"""
-        return (
-            self.lu_vectorize
-            and nblocks >= max(self.min_bucket, self.lu_factor_min_batch)
-            and n <= self.lu_factor_max_n
-        )
-
-    def vectorize_lu_solve(self, nblocks: int, n: int) -> bool:
-        """Should a solve bucket use the vectorised batched substitution?"""
-        return (
-            self.lu_vectorize
-            and nblocks >= self.min_bucket
-            and n <= self.lu_solve_max_n
-            and nblocks >= self.lu_solve_min_batch_ratio * max(n, 1)
-        )
 
 
 #: default policy used by the batched primitives
 DEFAULT_POLICY = DispatchPolicy()
 
-#: per-block reference policy: block-by-block construction and
-#: per-problem LAPACK inside every LU launch
-LOOP_POLICY = DispatchPolicy(bucketing=False, lu_vectorize=False)
+#: per-block reference policy: block-by-block construction; the compiled
+#: factorization, solve and apply launches are the default's
+LOOP_POLICY = DispatchPolicy(bucketing=False)
+
+
+#: the vectorised batched elimination wins over per-problem LAPACK from this
+#: many problems per launch ...
+_GETRF_VECTORIZE_MIN_BATCH = 24
+#: ... and up to this block size (it costs O(n) interpreter steps of rank-1
+#: updates, where LAPACK runs blocked BLAS-3)
+_GETRF_VECTORIZE_MAX_N = 12
+
+
+def vectorize_getrf(nb: int, n: int) -> bool:
+    """Should an LU factorization launch of ``nb`` problems of size ``n``
+    run the vectorised batched elimination on the host?
+
+    Each side wins a workload (2-vCPU Xeon, one BLAS thread, min of 30): a
+    ``(512, 2, 2)`` stack, a ``gp_covariance`` Schur-complement level,
+    factors in 0.095 ms vectorised against 2.5 ms per problem; a
+    ``(64, 23, 23)`` stack, a ``gaussian_kernel`` level, in 1.39 ms against
+    0.57 ms.  The launch schedule and every recorded counter are the same
+    either way; a GPU backend runs every bucket as one batched kernel.
+    """
+    return nb >= _GETRF_VECTORIZE_MIN_BATCH and n <= _GETRF_VECTORIZE_MAX_N
 
 
 # ======================================================================
@@ -605,8 +456,6 @@ class ArrayBackend(Protocol):
 
     def lu_factor_batch(self, a: Any, pivot: bool = True) -> Tuple[Any, Any]: ...
 
-    def lu_solve_batch(self, lu: Any, piv: Any, b: Any, pivot: bool = True) -> Any: ...
-
     def cholesky_inverse_batch(self, a: Any) -> Any: ...
 
     def cholesky_factor_batch(self, a: Any) -> Tuple[Any, Any]: ...
@@ -667,9 +516,6 @@ class NumpyBackend:
 
     def lu_factor_batch(self, a, pivot: bool = True):
         return _lu_factor_batch(np, np.asarray(a), pivot=pivot)
-
-    def lu_solve_batch(self, lu, piv, b, pivot: bool = True):
-        return _lu_solve_batch(np, np.asarray(lu), piv, np.asarray(b), pivot=pivot)
 
     def lu_solve_many(self, lu3, piv3, rhs3, pivot: bool = True, out=None):
         """Per-problem substitution over a packed ``(nb, n, n)`` LU stack.
@@ -786,14 +632,11 @@ class CupyBackend:
         b = self._cp.asarray(b)
         squeeze = b.ndim == 1
         rhs = b[:, None] if squeeze else b
-        x = self.lu_solve_batch(lu[None], piv[None], rhs[None], pivot=pivot)[0]
+        x = _lu_solve_batch(self._cp, lu[None], piv[None], rhs[None], pivot=pivot)[0]
         return x[:, 0] if squeeze else x
 
     def lu_factor_batch(self, a, pivot: bool = True):  # pragma: no cover - requires cupy
         return _lu_factor_batch(self._cp, self._cp.asarray(a), pivot=pivot)
-
-    def lu_solve_batch(self, lu, piv, b, pivot: bool = True):  # pragma: no cover - requires cupy
-        return _lu_solve_batch(self._cp, self._cp.asarray(lu), piv, self._cp.asarray(b), pivot=pivot)
 
     def cholesky_inverse_batch(self, a):  # pragma: no cover - requires cupy
         return self.cholesky_factor_batch(a)[1]

@@ -34,7 +34,7 @@ zero-copy row views (:meth:`~repro.core.packing.GatherScatter.view`);
 each ``U T`` product lands in the bucket's rows of the workspace
 (``gemm_strided_batched(..., out=)``) and is added in place.  The workspace is allocated per call and
 never cached on the plan, so concurrent products never share it and it
-never counts toward :attr:`ApplyPlan.nbytes`.  Padded and demoted buckets
+never counts toward :attr:`ApplyPlan.nbytes`.  Scattered and demoted buckets
 gather, multiply into a fresh array and scatter-add instead.
 
 Mixed precision

@@ -19,10 +19,9 @@ launches, no Python tree walk, every launch trace-visible with
 
 Partial pivoting in the batched LU of the ``K`` blocks can be disabled
 (``pivot=False``) to model the alternative formulation of equation (9).
-The execution context's :class:`~repro.backends.dispatch.DispatchPolicy`
-decides how each planned launch executes: under
-:data:`~repro.backends.dispatch.LOOP_POLICY` every bucket runs per-block
-LAPACK instead of the vectorised batched kernels, with the same plan.
+Every dispatch policy factorizes through the same plan and the same
+launches; :data:`~repro.backends.dispatch.LOOP_POLICY` changes only how
+the matrix was constructed.
 
 Every launch is recorded in a :class:`~repro.backends.counters.KernelTrace`
 (``factor_trace`` / the trace returned alongside each solve), which the

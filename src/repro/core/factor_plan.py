@@ -98,10 +98,9 @@ Memory
 The plan owns the leaf factors, the K systems' ``G``/``U^{-1}``/``T_b``
 stacks and the solved ``Y3`` stacks.  ``V^*`` is a transposed view of the matrix's own per-level
 stacks (:class:`~repro.core.hodlr.HODLRStorage`); a plan copies it only
-when it must transform it — precision-demoted levels, identity-padded
-``pad_buckets=True`` buckets, and ``conj(V)`` of complex non-symmetric
-matrices.  ``Ybig`` is a working array of the build, dropped once every
-level's ``Y3`` is final.  :attr:`FactorPlan.nbytes` (and so
+when it must transform it — precision-demoted levels and ``conj(V)`` of
+complex non-symmetric matrices.  ``Ybig`` is a working array of the
+build, dropped once every level's ``Y3`` is final.  :attr:`FactorPlan.nbytes` (and so
 ``factorization_nbytes``) counts what the plan owns.  A plan is a snapshot
 of one matrix: a streaming update refactorizes into a fresh plan
 (:meth:`~repro.core.solver.HODLRSolver.patch_factorize`) through the same
@@ -110,7 +109,8 @@ whose diagonal block is unchanged (bitwise equal) from the previous plan
 and issues the leaf ``potrf_batched``/``getrf_batched`` launches over the
 changed leaves only — a fresh factorization is the case where no leaf is
 kept.  Each such launch runs in the host execution mode its whole bucket
-would get, so the result is bitwise a fresh factorization's.
+would get (``getrf_batched(..., bucket_size=)``), so the result is bitwise
+a fresh factorization's.
 
 A solve copies the right-hand side once, into a C-ordered working array
 that becomes the solution, and allocates one ``(n, K)`` workspace.  Each
@@ -121,18 +121,11 @@ out=)``), the ``V^*``
 gemms read it, and each ``Y W`` update lands in the bucket's rows of the
 workspace and is subtracted in place.  The workspace is allocated per
 call and never cached on the plan: one plan serves concurrent solves, and
-:attr:`FactorPlan.nbytes` counts only resident storage.  Padded and
+:attr:`FactorPlan.nbytes` counts only resident storage.  Scattered and
 demoted buckets gather, solve into a fresh array and scatter back.
 
-Pad-to-bucket leaf packing
---------------------------
-With ``DispatchPolicy(pad_buckets=True)`` near-equal leaf/node sizes merge
-into shared buckets.  Leaf buckets pad with an **identity border** (the
-padded matrix is ``blkdiag(A, I)``): partial pivoting never crosses the
-border, the leading sub-block of the padded factor *is* the factor of
-``A`` (for Cholesky the padded ``C^{-1}`` is ``blkdiag(C_A^{-1}, I)``),
-and padded right-hand-side rows solve against the identity — so padding
-is exact, not approximate.
+The plan's buckets are the matrix's storage buckets: one per leaf size,
+and one per node size on each level, each of one exact shape.
 """
 
 from __future__ import annotations
@@ -154,7 +147,7 @@ from ..backends.batched import (
 )
 from ..backends.context import DEFAULT_CONTEXT, ExecutionContext
 from ..backends.counters import get_recorder
-from ..backends.dispatch import pad_identity_stack, plan_batch, plan_batch_padded
+from ..backends.dispatch import vectorize_getrf
 from .packing import GatherScatter, demote_rhs_dtype, owned_nbytes, viewed_buffers
 
 
@@ -163,7 +156,7 @@ from .packing import GatherScatter, demote_rhs_dtype, owned_nbytes, viewed_buffe
 # ======================================================================
 @dataclass
 class _LeafBucket:
-    """Factors of the leaf diagonal blocks sharing one (padded) size."""
+    """Factors of the leaf diagonal blocks sharing one size."""
 
     #: positions of the members within ``tree.leaves`` submission order
     positions: Tuple[int, ...]
@@ -172,21 +165,18 @@ class _LeafBucket:
     #: ``C^{-1}`` (``D = C C^T``) and there are no pivots; ``"lu"``: packed
     #: LU factors with their pivot rows in ``piv3``
     kind: str
-    #: (nb, M, M) factors (identity-bordered when padded)
+    #: (nb, M, M) factors
     factor3: np.ndarray
     #: (nb, M) pivot rows of an LU bucket
     piv3: Optional[np.ndarray] = None
     #: an LU bucket of a real symmetric matrix whose Cholesky failed
     fallback: bool = False
 
-    def solve(self, rhs3, xb, pol, out=None):
+    def solve(self, rhs3, xb, out=None):
         """One strided solve launch against the bucket's factors."""
         if self.kind == "cholesky":
             return potrs_batched(self.factor3, rhs3, backend=xb, out=out)
-        return getrs_batched(
-            self.factor3, self.piv3, rhs3, pivot=True, backend=xb, policy=pol, out=out
-        )
-
+        return getrs_batched(self.factor3, self.piv3, rhs3, pivot=True, backend=xb, out=out)
 
 
 @dataclass
@@ -199,7 +189,7 @@ class _SweepBucket:
     #: (nb, M, r) packed solved bases Y
     Y3: np.ndarray
     #: (nb, r, M) conjugate-transposed V bases: a transposed view of the
-    #: matrix's stack, or a copy (demoted, padded, or conjugated)
+    #: matrix's stack, or a copy (demoted or conjugated)
     Vh3: np.ndarray
 
 
@@ -318,17 +308,14 @@ class FactorPlan:
     # ------------------------------------------------------------------
     def leaf_factor_views(self) -> List[Tuple[np.ndarray, Optional[np.ndarray]]]:
         """``(factor, piv)`` of every leaf in ``tree.leaves`` order (views
-        into the packed stacks; padded borders sliced away): ``(C^{-1},
-        None)`` for a Cholesky leaf, ``(lu, piv)`` for an LU leaf."""
+        into the packed stacks): ``(C^{-1}, None)`` for a Cholesky leaf,
+        ``(lu, piv)`` for an LU leaf."""
         out: List[Optional[Tuple[np.ndarray, Optional[np.ndarray]]]] = [None] * len(
             self.tree.leaves
         )
         for lb in self.leaf_buckets:
-            sizes = lb.gs.sizes
             for j, p in enumerate(lb.positions):
-                m = sizes[j]
-                piv = None if lb.piv3 is None else lb.piv3[j, :m]
-                out[p] = (lb.factor3[j, :m, :m], piv)
+                out[p] = (lb.factor3[j], None if lb.piv3 is None else lb.piv3[j])
         return out  # type: ignore[return-value]
 
     @property
@@ -344,8 +331,8 @@ class FactorPlan:
         for sw in self.sweeps:
             children = self.tree.level_nodes(sw.level + 1)
             for bk in sw.buckets:
-                for j, (p, m) in enumerate(zip(bk.pos, bk.gs.sizes)):
-                    out[children[p].index] = bk.Y3[j, :m]
+                for j, p in enumerate(bk.pos):
+                    out[children[p].index] = bk.Y3[j]
         return out
 
     # ------------------------------------------------------------------
@@ -360,8 +347,7 @@ class FactorPlan:
         the block-row swap relating ``K`` to the node factor contributes
         the same ``(-1)^{r^2}``): the diagonal of the stored ``U^{-1}``
         holds the reciprocals ``1 / u_ii``, and :attr:`_LevelSweep.swaps`
-        the parity of ``P``.  Identity-bordered padding contributes ``log 1
-        = 0`` and no row swaps, so padded stacks need no special casing.
+        the parity of ``P``.
         """
         from .factor_recursive import _lu_slogdet
 
@@ -453,7 +439,7 @@ class SolvePlan:
         """
         plan = self.plan
         ctx = plan.context
-        xb, pol = ctx.backend, ctx.policy
+        xb = ctx.backend
         b = xb.asarray(b)
         if b.ndim > 2:
             raise ValueError(
@@ -483,9 +469,9 @@ class SolvePlan:
             bd = np.result_type(fdt, demote_rhs_dtype(fdt, out_dtype))
             xv = lb.gs.view(x) if bd == out_dtype else None
             if xv is not None:
-                lb.solve(xv, xb, pol, out=xv)
+                lb.solve(xv, xb, out=xv)
                 continue
-            lb.gs.put(x, lb.solve(lb.gs.take(x).astype(bd, copy=False), xb, pol))
+            lb.gs.put(x, lb.solve(lb.gs.take(x).astype(bd, copy=False), xb))
 
         # backward sweep: deepest level first
         for sw in plan.sweeps:
@@ -530,47 +516,6 @@ class SolvePlan:
 # ======================================================================
 # builders
 # ======================================================================
-def _leaf_plan_buckets(tree, pol):
-    """Bucket the leaves by size (pad-merged when the policy allows)."""
-    leaves = tree.leaves
-    shapes = [(leaf.size, leaf.size) for leaf in leaves]
-    if pol.pad_buckets:
-        return plan_batch_padded(shapes, pol.pad_max_waste).buckets
-    return plan_batch(shapes).buckets
-
-
-def _child_plan_buckets(children, r, pol):
-    """Bucket a level's child nodes by (node size, rank)."""
-    shapes = [(nd.size, r) for nd in children]
-    if pol.pad_buckets:
-        return plan_batch_padded(shapes, pol.pad_max_waste).buckets
-    return plan_batch(shapes).buckets
-
-
-def _padded_stack(xb, blocks, M: int, r: int, dtype):
-    """``(nb, M, r)`` stack of ``blocks``, zero-padded in both dimensions."""
-    out = xb.zeros((len(blocks), M, r), dtype=dtype)
-    for j, blk in enumerate(blocks):
-        out[j, : blk.shape[0], : blk.shape[1]] = blk
-    return out
-
-
-def _vh_stacks(xb, hodlr, level: int, buckets, r: int, pol, dtype):
-    """``V^*`` of each child bucket at ``level``: transposed views of the
-    matrix's stacks (the plan buckets are the storage buckets), or padded
-    copies when ``pad_buckets`` merged node sizes."""
-    if not pol.pad_buckets:
-        return [b.vh() for b in hodlr.storage.bases[level]]
-    nodes = hodlr.tree.level_nodes(level)
-    out = []
-    for b in buckets:
-        V3 = _padded_stack(
-            xb, [hodlr.V[nodes[i].index] for i in b.indices], b.key[0], r, dtype
-        )
-        out.append(V3.conj().transpose(0, 2, 1))
-    return out
-
-
 def _row_order(piv3) -> np.ndarray:
     """``(nb, n)`` row order of ``P^T S = L U`` from LAPACK pivots: row ``i``
     of ``P^T S`` is row ``order[i]`` of ``S`` (the interchanges applied in
@@ -587,7 +532,7 @@ def _row_order(piv3) -> np.ndarray:
     return order
 
 
-def _schur_factors(xb, T_all, pivot: bool, pol):
+def _schur_factors(xb, T_all, pivot: bool):
     """``(g3, uinv3, tb3, swaps)`` of one level's K systems (see *K
     systems*): ``S = I - T_a T_b`` in one strided product, one
     ``getrf_batched`` and one ``trtri_batched`` launch over every node of
@@ -597,7 +542,7 @@ def _schur_factors(xb, T_all, pivot: bool, pol):
     S3 = gemm_strided_batched(T_a, T_b, backend=xb)
     S3 *= -1
     S3 += xb.eye(r, dtype=S3.dtype)
-    lu3, piv3 = getrf_batched(S3, pivot=pivot, backend=xb, policy=pol)
+    lu3, piv3 = getrf_batched(S3, pivot=pivot, backend=xb)
     linv3, uinv3 = trtri_batched(lu3, backend=xb)
     cols = np.arange(r, dtype=np.intp)
     swaps = int(np.count_nonzero(piv3 != cols))
@@ -630,22 +575,22 @@ def _concat_bases(bases, tree, level_ranks: List[int], zeros, dtype) -> np.ndarr
     return out
 
 
-def _kept_leaf_factors(previous, hodlr, dtype, pol):
+def _kept_leaf_factors(previous, hodlr, dtype):
     """Where each reusable leaf's factors sit in an earlier plan.
 
     ``previous`` is ``(matrix, plan)`` of an earlier factorization.  A leaf
     whose diagonal block in ``hodlr`` equals its block in ``matrix``
     (same shape, bitwise equal entries) keeps its factors.  Returns
     ``{bucket key M: (previous bucket, {leaf position: row})}``.  Nothing
-    is kept (``{}``) without a previous plan of the same tree depth and
-    dispatch policy, and a previous bucket is skipped when its storage was
-    demoted by ``PrecisionPolicy(factor=...)``.
+    is kept (``{}``) without a previous plan of the same tree depth, and a
+    previous bucket is skipped when its storage was demoted by
+    ``PrecisionPolicy(factor=...)``.
     """
     if previous is None:
         return {}
     matrix, plan = previous
     tree = hodlr.tree
-    if plan.levels != tree.levels or plan.context.policy != pol:
+    if plan.levels != tree.levels:
         return {}
     leaves = tree.leaves
     kept = {}
@@ -682,7 +627,7 @@ def _reuse_rows(D3, positions, where, old, factor):
     return out
 
 
-def _leaf_factors(D3, positions, kept, xb, pol, spd: bool):
+def _leaf_factors(D3, positions, kept, xb, spd: bool):
     """``(kind, factor3, piv3, fallback)`` of one leaf bucket.
 
     With ``spd`` (a real symmetric matrix) the bucket takes Cholesky
@@ -691,8 +636,8 @@ def _leaf_factors(D3, positions, kept, xb, pol, spd: bool):
     same kind in ``kept`` (see :func:`_kept_leaf_factors`) copy them, and
     the factor launch covers the rest only.  A Cholesky member depends on
     its own block alone, and an LU launch executes in the host mode
-    (vectorised or per-problem LAPACK) the whole bucket would get, so kept
-    and fresh members are bitwise what a fresh factorization computes.  A
+    (vectorised or per-problem LAPACK) the whole bucket gets, so kept and
+    fresh members are bitwise what a fresh factorization computes.  A
     previous bucket of a different size, kind or LU execution mode keeps
     nothing.
     """
@@ -707,23 +652,14 @@ def _leaf_factors(D3, positions, kept, xb, pol, spd: bool):
             return "cholesky", cinv3, None, False
         except np.linalg.LinAlgError:
             pass
-    vectorize = pol.vectorize_lu_factor(nb, M)
     if old is None or old.kind != "lu" or (
-        pol.vectorize_lu_factor(old.factor3.shape[0], M) != vectorize
+        vectorize_getrf(old.factor3.shape[0], M) != vectorize_getrf(nb, M)
     ):
         where = {}
-
-    def lu(A3):
-        mode = pol
-        if A3.shape[0] < nb:
-            mode = (
-                pol.replace(min_bucket=1, lu_factor_min_batch=1)
-                if vectorize
-                else pol.replace(lu_vectorize=False)
-            )
-        return getrf_batched(A3, pivot=True, backend=xb, policy=mode)
-
-    lu3, piv3 = _reuse_rows(D3, positions, where, old, lu)
+    lu3, piv3 = _reuse_rows(
+        D3, positions, where, old,
+        lambda A3: getrf_batched(A3, pivot=True, backend=xb, bucket_size=nb),
+    )
     return "lu", lu3, piv3, spd
 
 
@@ -761,48 +697,36 @@ def build_factor_plan(
     ``previous=None`` factorizes every leaf — a fresh factorization.
     """
     ctx = context or DEFAULT_CONTEXT
-    xb, pol = ctx.backend, ctx.policy
+    xb = ctx.backend
     tree = hodlr.tree
     dtype = np.dtype(hodlr.dtype)
     rec = get_recorder()
     level_ranks = hodlr.storage.level_ranks
     col_offsets = [0, *accumulate(level_ranks)]
     Ybig = _concat_bases(hodlr.U, tree, level_ranks, xb.zeros, dtype)
-    kept = _kept_leaf_factors(previous, hodlr, dtype, pol)
+    kept = _kept_leaf_factors(previous, hodlr, dtype)
     spd = hodlr.symmetric and dtype.kind == "f"
 
     # ---- leaves: one packed factorization + one packed solve per size bucket
-    leaves = tree.leaves
     with rec.context(level=tree.levels):
-        plan_buckets = _leaf_plan_buckets(tree, pol)
-        if pol.pad_buckets:
-            stacks = [
-                pad_identity_stack(
-                    xb, [hodlr.diag[leaves[i].index] for i in b.indices], b.key[0], dtype
-                )
-                for b in plan_buckets
-            ]
-        else:
-            # the plan's leaf buckets are the matrix's diagonal stacks
-            stacks = [db.D for db in hodlr.storage.diag]
-
         leaf_buckets: List[_LeafBucket] = []
-        for bucket, D3 in zip(plan_buckets, stacks):
-            gs = GatherScatter.from_ranges(
-                [(leaves[i].start, leaves[i].stop) for i in bucket.indices], bucket.key[0]
-            )
-            kind, f3, piv3, fallback = _leaf_factors(D3, bucket.indices, kept, xb, pol, spd)
+        leaf_pos = {leaf.index: i for i, leaf in enumerate(tree.leaves)}
+        # the plan's leaf buckets are the matrix's diagonal stacks
+        for db in hodlr.storage.diag:
+            positions = tuple(leaf_pos[nd.index] for nd in db.nodes)
+            gs = GatherScatter.from_ranges([(nd.start, nd.stop) for nd in db.nodes], db.D.shape[1])
+            kind, f3, piv3, fallback = _leaf_factors(db.D, positions, kept, xb, spd)
             lb = _LeafBucket(
-                positions=bucket.indices, gs=gs, kind=kind, factor3=f3, piv3=piv3,
+                positions=positions, gs=gs, kind=kind, factor3=f3, piv3=piv3,
                 fallback=fallback,
             )
             if Ybig.shape[1]:
                 # in place on a contiguous bucket's rows, as SolvePlan.solve
                 yv = gs.view(Ybig)
                 if yv is not None:
-                    lb.solve(yv, xb, pol, out=yv)
+                    lb.solve(yv, xb, out=yv)
                 else:
-                    gs.put(Ybig, lb.solve(gs.take(Ybig), xb, pol))
+                    gs.put(Ybig, lb.solve(gs.take(Ybig), xb))
             leaf_buckets.append(lb)
 
     # ---- level sweep, bottom-up
@@ -812,30 +736,28 @@ def build_factor_plan(
         r = level_ranks[level]
         if r == 0:
             continue  # degenerate level: all off-diagonal blocks numerically zero
-        children = tree.level_nodes(child_level)
-        nchild = len(children)
+        nchild = len(tree.level_nodes(child_level))
         ncoarse = col_offsets[level]
 
         with rec.context(level=level):
             # the child level's columns are final: deeper sweeps are done
             Ysub = Ybig[:, col_offsets[level] : col_offsets[child_level]]
             T_all = xb.zeros((nchild, r, r), dtype=dtype)
-            child_buckets = _child_plan_buckets(children, r, pol)
-            vh = _vh_stacks(xb, hodlr, child_level, child_buckets, r, pol, dtype)
 
+            # the plan's buckets are the matrix's basis stacks of the level
             buckets: List[_SweepBucket] = []
-            for b, Vh3 in zip(child_buckets, vh):
-                gs = GatherScatter.from_ranges(
-                    [(children[i].start, children[i].stop) for i in b.indices], b.key[0]
-                )
+            for b in hodlr.storage.bases[child_level]:
+                gs = GatherScatter.from_ranges([(nd.start, nd.stop) for nd in b.nodes], b.U.shape[1])
                 Y3 = gs.take(Ysub)
-                pos = np.asarray(b.indices, dtype=np.intp)
+                Vh3 = b.vh()
+                # a copy: FactorPlan.nbytes counts the plan's own index arrays
+                pos = b.positions.copy()
                 # line 5: T = V^* Y, one strided launch per bucket
                 T_all[pos] = gemm_strided_batched(Vh3, Y3, backend=xb)
                 buckets.append(_SweepBucket(pos=pos, gs=gs, Y3=Y3, Vh3=Vh3))
 
             # lines 7-8: factor the K systems through their Schur complements
-            sw = _LevelSweep(level, r, *_schur_factors(xb, T_all, pivot, pol), buckets=buckets)
+            sw = _LevelSweep(level, r, *_schur_factors(xb, T_all, pivot), buckets=buckets)
             sweeps.append(sw)
 
             # lines 9-10: solve (13) and apply the update (14) to the

@@ -10,9 +10,8 @@ The packing mechanics they share live here:
   a demoted bucket's kernel (real storage meeting complex data picks the
   matching complex dtype);
 * :class:`GatherScatter` — vectorised row gather/scatter between a big
-  ``(n, k)`` array and a bucket's ``(nb, M, k)`` strided form, with an
-  optional validity mask for buckets whose members were padded to a shared
-  size (``DispatchPolicy(pad_buckets=True)``), and a zero-copy row view
+  ``(n, k)`` array and a bucket's ``(nb, M, k)`` strided form (every
+  member of a bucket has the same ``M`` rows), with a zero-copy row view
   for contiguous buckets;
 * :func:`owned_nbytes` — byte accounting that counts each buffer once:
   the plans read the matrix's stacks as views, and a view into another
@@ -73,14 +72,11 @@ def viewed_buffers(arrays: Iterable, buffers: Iterable) -> List:
 class GatherScatter:
     """Vectorised row gather/scatter for one shape bucket.
 
-    ``idx`` is the ``(nb, M)`` array of row indices of each member.  When a
-    bucket merges members of *different* sizes (pad-to-bucket packing),
-    ``mask`` marks the valid rows: gathers zero the padded rows and
-    scatters write only the valid ones (padded ``idx`` slots alias row 0
-    and must never be written — an unmasked fancy scatter would collide).
-    Full-width members that are consecutive in row order (the common case
-    on a balanced tree) gather and scatter through one contiguous slice;
-    their ``idx`` is only built if something reads it.
+    ``idx`` is the ``(nb, M)`` array of row indices of each member; every
+    member has exactly ``M`` rows.  Members that are consecutive in row
+    order (the common case on a balanced tree) gather and scatter through
+    one contiguous slice; their ``idx`` is only built if something reads
+    it.
 
     :meth:`take` always copies: it is for owners that keep the result (the
     factor plan's ``Y3`` stacks).  :meth:`view` is for replay: a contiguous
@@ -90,50 +86,30 @@ class GatherScatter:
     where it returns ``None``.
     """
 
-    __slots__ = ("_idx", "shape", "mask", "_flat_idx", "_span")
+    __slots__ = ("_idx", "shape", "_span")
 
     def __init__(
         self,
         idx: Optional[np.ndarray],
-        mask: Optional[np.ndarray] = None,
         span: Optional[Tuple[int, int]] = None,
         shape: Optional[Tuple[int, int]] = None,
     ) -> None:
         self._idx = idx
-        #: (nb, M): members and padded width
+        #: (nb, M): members and rows per member
         self.shape: Tuple[int, int] = tuple(idx.shape) if idx is not None else shape
-        self.mask = mask
-        self._flat_idx = None if mask is None else idx[mask]
         #: (start, stop) of the contiguous row range, or None
         self._span = span
 
     @classmethod
     def from_ranges(cls, ranges: Sequence[Tuple[int, int]], width: int) -> "GatherScatter":
-        """Build from contiguous ``(start, stop)`` row ranges padded to ``width``."""
+        """Build from ``(start, stop)`` row ranges of ``width`` rows each."""
         nb = len(ranges)
-        if nb and all(
-            stop - start == width and (j == 0 or start == ranges[j - 1][1])
-            for j, (start, stop) in enumerate(ranges)
-        ):
+        if any(stop - start != width for start, stop in ranges):
+            raise ValueError(f"every member of a bucket must have {width} rows")
+        if nb and all(j == 0 or start == ranges[j - 1][1] for j, (start, _) in enumerate(ranges)):
             return cls(None, span=(int(ranges[0][0]), int(ranges[-1][1])), shape=(nb, width))
-        return cls.from_index_sets(
-            [np.arange(start, stop, dtype=np.intp) for start, stop in ranges], width
-        )
-
-    @classmethod
-    def from_index_sets(cls, sets: Sequence[np.ndarray], width: int) -> "GatherScatter":
-        """Build from explicit per-member row-index arrays padded to ``width``."""
-        nb = len(sets)
-        idx = np.zeros((nb, width), dtype=np.intp)
-        mask: Optional[np.ndarray] = None
-        for j, rows in enumerate(sets):
-            m = rows.size
-            idx[j, :m] = rows
-            if m < width:
-                if mask is None:
-                    mask = np.ones((nb, width), dtype=bool)
-                mask[j, m:] = False
-        return cls(idx, mask)
+        idx = np.array([np.arange(start, stop, dtype=np.intp) for start, stop in ranges], dtype=np.intp)
+        return cls(idx.reshape(nb, width))
 
     @property
     def idx(self) -> np.ndarray:
@@ -144,20 +120,12 @@ class GatherScatter:
             self._idx = (self._span[0] + np.arange(nb * width, dtype=np.intp)).reshape(nb, width)
         return self._idx
 
-    @property
-    def sizes(self) -> List[int]:
-        """Actual (unpadded) row count of each member."""
-        nb, width = self.shape
-        if self.mask is None:
-            return [width] * nb
-        return [int(c) for c in self.mask.sum(axis=1)]
-
     def view(self, x: np.ndarray) -> Optional[np.ndarray]:
         """The ``(nb, M, k)`` zero-copy view of the bucket's rows of ``x``.
 
         Writes through it land in ``x``.  ``None`` unless the bucket is one
-        contiguous row span of a C-contiguous ``x``: a padded or scattered
-        bucket has no such view, and a strided ``x`` would hand the batched
+        contiguous row span of a C-contiguous ``x``: a scattered bucket has
+        no such view, and a strided ``x`` would hand the batched
         gemm non-BLAS strides, which :meth:`take` packs away instead.
         """
         if self._span is None or not x.flags.c_contiguous:
@@ -166,48 +134,39 @@ class GatherScatter:
         return x[s0:s1].reshape(self.shape + x.shape[1:])
 
     def take(self, x: np.ndarray) -> np.ndarray:
-        """Gather ``x`` rows into ``(nb, M, k)`` strided form (padded rows zeroed)."""
+        """Gather ``x`` rows into ``(nb, M, k)`` strided form."""
         if self._span is not None:
             s0, s1 = self._span
             blk = x[s0:s1].reshape(self.shape + x.shape[1:])
             # reshape of a non-contiguous slice already copied; otherwise
             # copy so callers own the result (fancy indexing always copies)
             return blk.copy() if blk.base is not None else blk
-        out = x[self.idx]
-        if self.mask is not None:
-            out[~self.mask] = 0
-        return out
+        return x[self.idx]
 
     def put(self, x: np.ndarray, vals: np.ndarray) -> None:
-        """Scatter ``vals`` back into ``x`` rows (padded rows discarded)."""
+        """Scatter ``vals`` back into ``x`` rows."""
         if self._span is not None:
             s0, s1 = self._span
             x[s0:s1] = vals.reshape((s1 - s0,) + x.shape[1:])
-        elif self.mask is None:
-            x[self.idx] = vals
         else:
-            x[self._flat_idx] = vals[self.mask]
+            x[self.idx] = vals
 
     def sub(self, x: np.ndarray, vals: np.ndarray) -> None:
         """``x[rows] -= vals`` (member rows are disjoint, so no collisions)."""
         if self._span is not None:
             s0, s1 = self._span
             x[s0:s1] -= vals.reshape((s1 - s0,) + x.shape[1:])
-        elif self.mask is None:
-            x[self.idx] -= vals
         else:
-            x[self._flat_idx] -= vals[self.mask]
+            x[self.idx] -= vals
 
     def add(self, x: np.ndarray, vals: np.ndarray) -> None:
         """``x[rows] += vals`` (member rows are disjoint, so no collisions)."""
         if self._span is not None:
             s0, s1 = self._span
             x[s0:s1] += vals.reshape((s1 - s0,) + x.shape[1:])
-        elif self.mask is None:
-            x[self.idx] += vals
         else:
-            x[self._flat_idx] += vals[self.mask]
+            x[self.idx] += vals
 
     def arrays(self) -> List[np.ndarray]:
         """The index arrays this gather/scatter holds."""
-        return [a for a in (self._idx, self.mask, self._flat_idx) if a is not None]
+        return [] if self._idx is None else [self._idx]

@@ -135,9 +135,10 @@ class HODLRSolver:
         The :class:`~repro.backends.context.ExecutionContext` carrying the
         array backend, the shape-bucketing
         :class:`~repro.backends.dispatch.DispatchPolicy`, and the precision
-        in one object (``None`` = the default context).  A context with
-        :data:`~repro.backends.dispatch.LOOP_POLICY` runs every launch of the
-        compiled plan block by block.
+        in one object (``None`` = the default context).  The factorization
+        runs the same compiled plan under every policy;
+        :data:`~repro.backends.dispatch.LOOP_POLICY` changes only how a
+        matrix is constructed.
     """
 
     def __init__(

@@ -39,10 +39,12 @@ DEFAULT_RL003_EXEMPT = (
 #: kernel method -> KernelEvent names its recording wrappers must emit
 DEFAULT_RL003_KERNELS: Mapping[str, Tuple[str, ...]] = {
     "matmul": ("gemm_strided_batched",),
+    # getrf_batched runs per-problem lu_factor, or lu_factor_batch where the
+    # shape rule vectorises; getrs_batched runs lu_solve_many (lu_solve on a
+    # backend without it)
     "lu_factor": ("getrf_batched",),
     "lu_factor_batch": ("getrf_batched",),
     "lu_solve": ("getrs_batched",),
-    "lu_solve_batch": ("getrs_batched",),
     "lu_solve_many": ("getrs_batched",),
     "cholesky_inverse_batch": ("potrf_batched",),
     "cholesky_factor_batch": ("cholesky_batched",),

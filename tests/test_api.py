@@ -161,13 +161,13 @@ class TestSolverConfig:
             variant="recursive",
             dtype="float32",
             pivot=False,
-            dispatch_policy=DispatchPolicy(bucketing=False, min_bucket=3),
+            dispatch_policy=DispatchPolicy(bucketing=False),
             compression=CompressionConfig(tol=1e-5, method="svd"),
         )
         d = json.loads(json.dumps(cfg.to_dict()))
         restored = SolverConfig.from_dict(d)
         assert restored == cfg
-        assert restored.dispatch_policy == DispatchPolicy(bucketing=False, min_bucket=3)
+        assert restored.dispatch_policy == DispatchPolicy(bucketing=False)
 
     def test_round_trip_defaults(self):
         cfg = SolverConfig()
@@ -201,13 +201,27 @@ class TestSolverConfig:
         "policy, match",
         [
             ({"min_bukket": 3}, "min_bukket"),  # unknown field
-            ({"lu_solve_min_batch_ratio": "x"}, "lu_solve_min_batch_ratio"),  # type
-            ({"min_bucket": -1}, "min_bucket"),  # range
+            # the fields DispatchPolicy no longer has: an old payload fails
+            # naming the field instead of being read some other way
+            ({"lu_solve_min_batch_ratio": "x"}, "lu_solve_min_batch_ratio"),
+            ({"min_bucket": -1}, "min_bucket"),
+            ({"min_bucket": 3}, "min_bucket"),
+            ({"lu_vectorize": False}, "lu_vectorize"),
+            ({"lu_factor_max_n": 12}, "lu_factor_max_n"),
+            ({"lu_factor_min_batch": 24}, "lu_factor_min_batch"),
+            ({"lu_solve_max_n": 48}, "lu_solve_max_n"),
+            ({"pad_buckets": True}, "pad_buckets"),
+            ({"bucketing": True, "pad_max_waste": 0.25}, "pad_max_waste"),
+            ({"bucketing": "no"}, "bucketing"),  # type
+            # a whole payload written before the fields were removed
+            ({"bucketing": True, "min_bucket": 2, "lu_vectorize": True, "lu_factor_max_n": 12,
+              "lu_factor_min_batch": 24, "lu_solve_max_n": 48, "lu_solve_min_batch_ratio": 4.0,
+              "pad_buckets": False, "pad_max_waste": 0.25}, "min_bucket"),
         ],
     )
     def test_from_dict_rejects_malformed_dispatch_policy(self, policy, match):
-        # every field's type and range check is in test_dispatch.py; this
-        # checks that a payload's failures surface as ConfigError
+        # the field's type check is in test_dispatch.py; this checks that a
+        # payload's failures surface as ConfigError naming the field
         d = dict(SolverConfig().to_dict(), dispatch_policy=policy)
         with pytest.raises(ConfigError, match=match):
             SolverConfig.from_dict(d)

@@ -4,7 +4,7 @@ The compiled :class:`~repro.core.factor_plan.SolvePlan` and
 :class:`~repro.core.apply_plan.ApplyPlan` read and write each contiguous
 bucket of a C-contiguous working array through a zero-copy ``(nb, M, K)``
 row view (:meth:`GatherScatter.view`), and fall back to copying gathers on
-padded, scattered or precision-demoted buckets.  These tests pin that a
+scattered or precision-demoted buckets.  These tests pin that a
 right-hand side in any memory layout gives the C-contiguous answer on every
 path, and that one block solve or apply allocates little beyond its output.
 """
@@ -18,7 +18,7 @@ import pytest
 from conftest import complex_test_matrix, hodlr_friendly_matrix, spd_kernel_matrix
 
 import repro
-from repro import DispatchPolicy, PrecisionPolicy, SolverConfig
+from repro import PrecisionPolicy, SolverConfig
 from repro.core.packing import GatherScatter
 
 N = 600
@@ -39,7 +39,6 @@ SOURCES = {
 
 CONFIGS = {
     "default": SolverConfig(),
-    "padded": SolverConfig(dispatch_policy=DispatchPolicy(pad_buckets=True)),
     # levels >= 2 and the leaves demoted, level 1 full precision: both the
     # view path and the copying fallback run in one sweep
     "demoted": SolverConfig(
@@ -107,8 +106,9 @@ def test_view_is_zero_copy_for_contiguous_buckets_only():
     assert not np.shares_memory(gs.take(x), x)
     assert gs.view(np.asfortranarray(x)) is None
     assert gs.view(x[::-1]) is None
-    padded = GatherScatter.from_ranges([(0, 3), (3, 7)], 4)
-    assert padded.view(x) is None
+    # every member of a bucket has the bucket's rows: nothing is padded
+    with pytest.raises(ValueError, match="4 rows"):
+        GatherScatter.from_ranges([(0, 3), (3, 7)], 4)
     scattered = GatherScatter.from_ranges([(0, 4), (8, 12)], 4)
     assert scattered.view(x) is None
 

@@ -52,7 +52,7 @@ class TestAutoPolicy:
             ExecutionContext(policy="turbo")
 
     def test_auto_tune_context_can_keep_pinned_policy(self):
-        pinned = DispatchPolicy(min_bucket=11, pad_buckets=True)
+        pinned = DispatchPolicy(bucketing=False)
         cfg = SolverConfig(dispatch_policy=pinned)
         assert cfg.execution_context().policy == pinned
         op = repro.build_operator(hodlr_friendly_matrix(256), config=cfg)

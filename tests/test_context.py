@@ -40,12 +40,10 @@ from repro.backends.dispatch import (
     DispatchPolicy,
     NumpyBackend,
     _lu_factor_batch,
-    _lu_solve_batch,
     cholesky_factor,
     cholesky_inverse,
     lu_factor_nopivot,
     lu_solve_nopivot,
-    plan_batch_padded,
     triangular_inverse,
 )
 from repro.backends.counters import get_recorder
@@ -165,10 +163,6 @@ class RecordingStubBackend:
         lu, piv = _lu_factor_batch(np, np.asarray(a), pivot=pivot)
         return _wrap(lu), piv
 
-    def lu_solve_batch(self, lu, piv, b, pivot=True):
-        self.calls["lu_solve_batch"] += 1
-        return _wrap(_lu_solve_batch(np, np.asarray(lu), piv, np.asarray(b), pivot=pivot))
-
     def cholesky_inverse_batch(self, a):
         self.calls["cholesky_inverse_batch"] += 1
         return _wrap(cholesky_inverse(np.asarray(a)))
@@ -200,7 +194,6 @@ _NUMPY_COMPUTE = (
     "lu_factor",
     "lu_solve",
     "lu_factor_batch",
-    "lu_solve_batch",
     "cholesky_inverse_batch",
     "cholesky_factor_batch",
     "triangular_inverse_batch",
@@ -356,12 +349,12 @@ class TestContextBasics:
     def test_solver_config_round_trip_with_precision(self):
         cfg = SolverConfig(
             precision=PrecisionPolicy(plan="float32", plan_min_level=2, refine=True),
-            dispatch_policy=DispatchPolicy(pad_buckets=True, pad_max_waste=0.3),
+            dispatch_policy=DispatchPolicy(bucketing=False),
         )
         restored = SolverConfig.from_dict(cfg.to_dict())
         assert restored == cfg
         assert restored.precision.refine is True
-        assert restored.dispatch_policy.pad_buckets is True
+        assert restored.dispatch_policy.bucketing is False
 
     def test_dtype_precision_conflict_rejected(self):
         with pytest.raises(ConfigError):
@@ -579,60 +572,6 @@ class TestRefinement:
         assert op64.config.precision.storage == "float64"
         assert op64.config.precision.refine is True
         assert op64.solve(b).dtype == np.float64
-
-
-# ======================================================================
-# pad-to-bucket packing
-# ======================================================================
-class TestPadToBucket:
-    def test_planner_merges_near_equal_shapes(self):
-        shapes = [(16, 16), (15, 16), (16, 15), (4, 4)]
-        plan = plan_batch_padded(shapes, max_waste=0.25)
-        # three near-equal shapes merge under target (16, 16); (4, 4) stays
-        assert plan.num_buckets == 2
-        big = next(b for b in plan.buckets if b.key == (16, 16))
-        assert sorted(big.indices) == [0, 1, 2]
-
-    def test_planner_zero_waste_is_exact_plan(self):
-        shapes = [(8, 8), (7, 8), (8, 8)]
-        plan = plan_batch_padded(shapes, max_waste=0.0)
-        assert plan.num_buckets == 2
-
-    def test_planner_respects_waste_budget(self):
-        # (8, 8) into (16, 16) would waste 75% — must not merge at 25%
-        plan = plan_batch_padded([(16, 16), (8, 8)], max_waste=0.25)
-        assert plan.num_buckets == 2
-
-    def test_gemm_padded_equivalence_and_fewer_launches(self):
-        """The compiled plan zero-pads near-equal basis stacks into shared
-        strided gemm launches: fewer launches, the same solution."""
-        from conftest import hodlr_friendly_matrix
-
-        n = 300  # leaf sizes 37/38: ragged node sizes on every level
-        A = hodlr_friendly_matrix(n, seed=5)
-        H = build_hodlr(A, ClusterTree.balanced(n, leaf_size=40), tol=1e-12, method="svd")
-        b = np.random.default_rng(11).standard_normal(n)
-        pad_policy = DispatchPolicy(pad_buckets=True, pad_max_waste=0.25)
-        rec = get_recorder()
-        gemms, xs = [], []
-        for ctx in (None, ExecutionContext(policy=pad_policy)):
-            with rec.recording() as trace:
-                xs.append(HODLRSolver(H, context=ctx).factorize().solve(b))
-            gemms.append(trace.filter(kernel="gemm_strided_batched").num_kernel_launches)
-        assert gemms[1] < gemms[0]
-        assert np.allclose(xs[1], xs[0], rtol=0, atol=1e-12)
-
-    def test_factorization_with_padding_policy_matches_default(self):
-        H = _gaussian_hodlr(n=256, tol=1e-6)  # adaptive ranks → ragged shapes
-        b = np.random.default_rng(19).standard_normal(H.n)
-        x_ref = HODLRSolver(H, variant="batched").factorize().solve(b)
-        pad_policy = DispatchPolicy(pad_buckets=True, pad_max_waste=0.25)
-        x_pad = (
-            HODLRSolver(H, variant="batched", context=ExecutionContext(policy=pad_policy))
-            .factorize()
-            .solve(b)
-        )
-        assert np.allclose(x_pad, x_ref, rtol=0, atol=1e-10)
 
 
 # ======================================================================

@@ -18,12 +18,15 @@ from repro.backends.dispatch import (
     BatchPlanner,
     DispatchPolicy,
     NumpyBackend,
+    _lu_solve_batch,
     available_backends,
     get_backend,
     plan_batch,
     register_backend,
     registered_backends,
+    vectorize_getrf,
 )
+from repro.api import SolverConfig
 from repro.core.factor_recursive import _lu_slogdet
 
 
@@ -156,7 +159,7 @@ class TestBucketedGemm:
         assert trace.num_bucketed_launches == 2
 
     def test_flops_match_between_policies(self):
-        """The policy changes host execution only: the compiled schedule's
+        """The policy changes construction only: the compiled factorization's
         launches, flops and bytes are identical under ``LOOP_POLICY``."""
         from conftest import hodlr_friendly_matrix
         from repro import ClusterTree, ExecutionContext, HODLRSolver, build_hodlr
@@ -174,13 +177,33 @@ class TestBucketedGemm:
         assert traces[0].total_bytes == pytest.approx(traces[1].total_bytes)
 
 
-#: forces the vectorised batched LU kernels regardless of problem size, so
-#: the packed execution path is covered even on tiny test batches
-VECTORIZE_ALWAYS = DispatchPolicy(
-    lu_factor_max_n=4096,
-    lu_factor_min_batch=2,
-    lu_solve_max_n=4096,
-    lu_solve_min_batch_ratio=0.0,
+def _vectorised_getrf(A3, pivot=True):
+    """The vectorised batched elimination on any stack, whatever the shape
+    rule would pick for it."""
+    return NumpyBackend().lu_factor_batch(A3, pivot=pivot)
+
+
+def _vectorised_getrs(lu3, piv3, rhs3, pivot=True):
+    """The vectorised batched substitution (the CuPy backend's LU solve)."""
+    return _lu_solve_batch(np, lu3, piv3, rhs3, pivot=pivot)
+
+
+#: the two host executions of an LU factor/solve pair: the launches as the
+#: library issues them (the shape rule picks per-problem LAPACK on these
+#: small batches), and the vectorised kernels forced on every stack
+LAUNCHES = (getrf_batched, getrs_batched)
+VECTORIZE_ALWAYS = (_vectorised_getrf, _vectorised_getrs)
+
+#: every field DispatchPolicy no longer has
+REMOVED_FIELDS = (
+    "min_bucket",
+    "lu_vectorize",
+    "lu_factor_max_n",
+    "lu_factor_min_batch",
+    "lu_solve_max_n",
+    "lu_solve_min_batch_ratio",
+    "pad_buckets",
+    "pad_max_waste",
 )
 
 
@@ -190,11 +213,11 @@ class TestDispatchPolicyValidation:
         [
             DEFAULT_POLICY,
             LOOP_POLICY,
-            VECTORIZE_ALWAYS,
-            DEFAULT_POLICY.replace(min_bucket=1, lu_factor_min_batch=1),
-            DispatchPolicy(pad_buckets=True, pad_max_waste=0.0),
-            DispatchPolicy(lu_factor_max_n=0, lu_solve_max_n=0),
-            DispatchPolicy(min_bucket=np.int64(3), lu_solve_min_batch_ratio=2),
+            DispatchPolicy(),
+            DispatchPolicy(bucketing=False),
+            DEFAULT_POLICY.replace(bucketing=False),
+            SolverConfig().execution_context().policy,
+            SolverConfig.from_dict({"dispatch_policy": {"bucketing": False}}).dispatch_policy,
         ],
     )
     def test_policies_in_use_are_accepted(self, policy):
@@ -204,53 +227,55 @@ class TestDispatchPolicyValidation:
         "changes",
         [
             dict(bucketing=1),
-            dict(lu_vectorize="no"),
-            dict(pad_buckets=None),
-            dict(min_bucket=True),
-            dict(min_bucket=2.0),
-            dict(lu_factor_max_n="12"),
-            dict(lu_solve_min_batch_ratio="x"),
-            dict(pad_max_waste=False),
+            dict(bucketing="no"),
+            dict(bucketing=None),
+            dict(bucketing=0),
+            dict(bucketing=1.0),
+            dict(bucketing=np.int64(1)),
+            dict(bucketing=[True]),
+            dict(bucketing="True"),
         ],
     )
     def test_wrong_types_raise_type_error(self, changes):
         with pytest.raises(TypeError, match=next(iter(changes))):
             DispatchPolicy(**changes)
 
-    @pytest.mark.parametrize(
-        "changes",
-        [
-            dict(min_bucket=0),
-            dict(lu_factor_min_batch=0),
-            dict(lu_factor_max_n=-1),
-            dict(lu_solve_max_n=-1),
-            dict(lu_solve_min_batch_ratio=-0.5),
-            dict(lu_solve_min_batch_ratio=float("nan")),
-            dict(pad_max_waste=1.0),
-            dict(pad_max_waste=-0.01),
-        ],
-    )
-    def test_out_of_range_values_raise_value_error(self, changes):
-        with pytest.raises(ValueError, match=next(iter(changes))):
-            DispatchPolicy(**changes)
+    @pytest.mark.parametrize("name", REMOVED_FIELDS)
+    def test_removed_fields_raise_type_error_naming_them(self, name):
+        with pytest.raises(TypeError, match=name):
+            DispatchPolicy(**{name: 1})
+        with pytest.raises(TypeError, match=name):
+            DEFAULT_POLICY.replace(**{name: 1})
 
     def test_replace_validates(self):
-        with pytest.raises(ValueError, match="min_bucket"):
-            DEFAULT_POLICY.replace(min_bucket=0)
+        with pytest.raises(TypeError, match="bucketing"):
+            DEFAULT_POLICY.replace(bucketing="yes")
 
 
-def _bucketed_lu_solve(mats, rhs, factor_policy=None, solve_policy=None, pivot=True):
-    """Factor and solve a heterogeneous batch with one strided getrf/getrs
-    launch per shape bucket; 1-D right-hand sides come back 1-D."""
+def _bucketed_lu_solve(mats, rhs, policy=LAUNCHES, pivot=True):
+    """Factor and solve a heterogeneous batch with one strided factor and
+    one solve call per shape bucket (``policy`` is the ``(factor, solve)``
+    pair); 1-D right-hand sides come back 1-D."""
+    factor, solve = policy
     out = [None] * len(mats)
     for bucket in plan_batch([(m.shape[0], np.shape(b)) for m, b in zip(mats, rhs)]).buckets:
         idx = bucket.indices
-        lu3, piv3 = getrf_batched(np.stack([mats[i] for i in idx]), pivot=pivot,
-                                  policy=factor_policy)
+        lu3, piv3 = factor(np.stack([mats[i] for i in idx]), pivot=pivot)
         rhs3 = np.stack([np.reshape(rhs[i], (mats[i].shape[0], -1)) for i in idx])
-        x3 = getrs_batched(lu3, piv3, rhs3, pivot=pivot, policy=solve_policy)
+        x3 = solve(lu3, piv3, rhs3, pivot=pivot)
         for j, i in enumerate(idx):
             out[i] = x3[j].reshape(np.shape(rhs[i]))
+    return out
+
+
+def _per_block_lu_solve(mats, rhs, pivot=True):
+    """The reference: one LAPACK factor and solve (or the non-pivoted
+    elimination) per matrix."""
+    xb = get_backend("numpy")
+    out = []
+    for A, b in zip(mats, rhs):
+        lu, piv = xb.lu_factor(A, pivot=pivot)
+        out.append(xb.lu_solve(lu, piv, b, pivot=pivot))
     return out
 
 
@@ -264,11 +289,11 @@ class TestBucketedLU:
         ]
         return mats, rhs
 
-    @pytest.mark.parametrize("policy", [DEFAULT_POLICY, VECTORIZE_ALWAYS])
+    @pytest.mark.parametrize("policy", [LAUNCHES, VECTORIZE_ALWAYS])
     def test_bucketed_matches_per_block_loop_to_1e12(self, rng, policy):
         mats, rhs = self._mixed_problems(rng)
-        fast = _bucketed_lu_solve(mats, rhs, policy, policy)
-        slow = _bucketed_lu_solve(mats, rhs, LOOP_POLICY, LOOP_POLICY)
+        fast = _bucketed_lu_solve(mats, rhs, policy)
+        slow = _per_block_lu_solve(mats, rhs)
         for a, b in zip(fast, slow):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
@@ -279,33 +304,34 @@ class TestBucketedLU:
             assert x.shape == b.shape
             np.testing.assert_allclose(A @ x, b, rtol=1e-10, atol=1e-12)
 
-    @pytest.mark.parametrize("policy", [DEFAULT_POLICY, VECTORIZE_ALWAYS])
+    @pytest.mark.parametrize("policy", [LAUNCHES, VECTORIZE_ALWAYS])
     def test_pivot_false_bucketed(self, rng, policy):
         mats, rhs = self._mixed_problems(rng, shift=12.0)  # diagonally dominant
-        xs = _bucketed_lu_solve(mats, rhs, policy, policy, pivot=False)
-        ref = _bucketed_lu_solve(mats, rhs, LOOP_POLICY, LOOP_POLICY, pivot=False)
+        xs = _bucketed_lu_solve(mats, rhs, policy, pivot=False)
+        ref = _per_block_lu_solve(mats, rhs, pivot=False)
         for a, b in zip(xs, ref):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("policy", [DEFAULT_POLICY, VECTORIZE_ALWAYS])
+    @pytest.mark.parametrize("policy", [LAUNCHES, VECTORIZE_ALWAYS])
     def test_pivot_false_zero_pivot_raises_in_bucket(self, policy):
         singular_leading = np.array([[0.0, 1.0], [1.0, 0.0]])
+        factor, _ = policy
         with pytest.raises(np.linalg.LinAlgError):
-            getrf_batched(np.stack([singular_leading] * 2), pivot=False, policy=policy)
+            factor(np.stack([singular_leading] * 2), pivot=False)
 
     def test_empty_batch(self):
         lu3, piv3 = getrf_batched(np.zeros((0, 4, 4)))
         assert lu3.shape == (0, 4, 4) and piv3.shape == (0, 4)
         assert getrs_batched(lu3, piv3, np.zeros((0, 4, 1))).shape == (0, 4, 1)
 
-    @pytest.mark.parametrize("policy", [DEFAULT_POLICY, VECTORIZE_ALWAYS])
+    @pytest.mark.parametrize("policy", [LAUNCHES, VECTORIZE_ALWAYS])
     def test_complex_bucketed(self, rng, policy):
         mats = [
             rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)) + 5 * np.eye(5)
             for _ in range(4)
         ]
         rhs = [rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)) for _ in range(4)]
-        xs = _bucketed_lu_solve(mats, rhs, policy, policy)
+        xs = _bucketed_lu_solve(mats, rhs, policy)
         for A, b, x in zip(mats, rhs, xs):
             assert np.iscomplexobj(x)
             np.testing.assert_allclose(A @ x, b, rtol=1e-10, atol=1e-12)
@@ -314,7 +340,7 @@ class TestBucketedLU:
         """Factors from the vectorised kernel plug into the per-problem solve."""
         mats = [rng.standard_normal((6, 6)) + 6 * np.eye(6) for _ in range(4)]
         rhs = [rng.standard_normal((6, 1)) for _ in range(4)]
-        xs = _bucketed_lu_solve(mats, rhs, VECTORIZE_ALWAYS, LOOP_POLICY)
+        xs = _bucketed_lu_solve(mats, rhs, (_vectorised_getrf, getrs_batched))
         for A, b, x in zip(mats, rhs, xs):
             np.testing.assert_allclose(A @ x, b, rtol=1e-10, atol=1e-12)
 
@@ -341,7 +367,7 @@ class TestBucketedLU:
 
     def test_logdet_from_vectorised_factors(self, rng):
         mats = rng.standard_normal((4, 5, 5)) + 5 * np.eye(5)
-        lu3, piv3 = getrf_batched(mats, policy=VECTORIZE_ALWAYS)
+        lu3, piv3 = _vectorised_getrf(mats)
         for i, A in enumerate(mats):
             sign, logabs = _lu_slogdet(lu3[i], piv3[i])
             s_ref, l_ref = np.linalg.slogdet(A)
@@ -365,9 +391,8 @@ class TestVectorisedKernelDirect:
 
         stack = rng.standard_normal((5, 7, 7)) + 7 * np.eye(7)
         rhs = rng.standard_normal((5, 7, 3))
-        xb = NumpyBackend()
-        lu3, piv3 = xb.lu_factor_batch(stack)
-        x3 = xb.lu_solve_batch(lu3, piv3, rhs)
+        lu3, piv3 = _vectorised_getrf(stack)
+        x3 = _vectorised_getrs(lu3, piv3, rhs)
         for i in range(5):
             ref = sla.lu_solve((lu3[i], piv3[i]), rhs[i], check_finite=False)
             np.testing.assert_allclose(x3[i], ref, rtol=1e-12, atol=1e-12)
@@ -417,25 +442,49 @@ class TestSolverThreading:
         assert est.num_kernel_launches >= est.num_launches
 
     def test_batched_backend_policy_override(self, rng):
-        """An explicit ``policy=`` overrides the LU pair's default host
-        execution: vectorised batched LU or per-problem LAPACK."""
-
-        class Spy(NumpyBackend):
-            def __init__(self):
-                self.calls = []
-
-            def lu_factor(self, a, pivot=True):
-                self.calls.append("lu_factor")
-                return super().lu_factor(a, pivot=pivot)
-
-            def lu_factor_batch(self, a, pivot=True):
-                self.calls.append("lu_factor_batch")
-                return super().lu_factor_batch(a, pivot=pivot)
-
+        """The shape rule picks the LU launch's host execution from the batch
+        count, which ``bucket_size=`` overrides: refactorizing 4 members of a
+        24-member bucket runs the vectorised elimination the whole bucket
+        gets."""
         A3 = rng.standard_normal((4, 3, 3)) + 3 * np.eye(3)
-        for policy, expected in ((None, ["lu_factor"] * 4),
-                                 (VECTORIZE_ALWAYS, ["lu_factor_batch"]),
-                                 (LOOP_POLICY, ["lu_factor"] * 4)):
-            spy = Spy()
-            getrf_batched(A3, backend=spy, policy=policy)
-            assert spy.calls == expected, policy
+        for bucket_size, expected in ((None, ["lu_factor"] * 4),
+                                      (24, ["lu_factor_batch"]),
+                                      (23, ["lu_factor"] * 4)):
+            spy = _SpyBackend()
+            getrf_batched(A3, backend=spy, bucket_size=bucket_size)
+            assert spy.calls == expected, bucket_size
+
+    @pytest.mark.parametrize(
+        "nb, n, vectorised",
+        [(23, 12, False), (24, 12, True), (24, 13, False), (23, 13, False), (512, 2, True)],
+    )
+    def test_shape_rule_boundaries(self, rng, nb, n, vectorised):
+        """``getrf`` vectorises from 24 problems of size at most 12; ``getrs``
+        always substitutes per problem."""
+        assert vectorize_getrf(nb, n) is vectorised
+        A3 = rng.standard_normal((nb, n, n)) + n * np.eye(n)
+        spy = _SpyBackend()
+        lu3, piv3 = getrf_batched(A3, backend=spy)
+        assert spy.calls == (["lu_factor_batch"] if vectorised else ["lu_factor"] * nb)
+        spy.calls.clear()
+        getrs_batched(lu3, piv3, rng.standard_normal((nb, n, 1)), backend=spy)
+        assert spy.calls == ["lu_solve_many"]
+
+
+class _SpyBackend(NumpyBackend):
+    """The NumPy backend, logging which LU host path each launch takes."""
+
+    def __init__(self):
+        self.calls = []
+
+    def lu_factor(self, a, pivot=True):
+        self.calls.append("lu_factor")
+        return super().lu_factor(a, pivot=pivot)
+
+    def lu_factor_batch(self, a, pivot=True):
+        self.calls.append("lu_factor_batch")
+        return super().lu_factor_batch(a, pivot=pivot)
+
+    def lu_solve_many(self, lu3, piv3, rhs3, pivot=True, out=None):
+        self.calls.append("lu_solve_many")
+        return super().lu_solve_many(lu3, piv3, rhs3, pivot=pivot, out=out)

@@ -8,7 +8,6 @@ Covers the acceptance criteria of the plan refactor:
 * launch-count assertions: ``num_kernel_launches`` per solve equals the
   compiled plan's ``launches_per_solve`` (and every one is a plan replay);
 * float32 factor storage accuracy plus the refinement round-trip;
-* identity-bordered LU padding exactness (executor-level and plan-level);
 * the ``from_config`` precedence regression (an explicit dispatch policy,
   passed as ``context=config.execution_context().replace(policy=...)``,
   must not lose the config's ``precision`` policy).
@@ -32,19 +31,10 @@ from repro import (
     build_hodlr,
 )
 from repro.api import SolverConfig
-from repro.backends.batched import getrf_batched, getrs_batched
 from repro.backends.counters import get_recorder
-from repro.backends.dispatch import (
-    LOOP_POLICY,
-    get_backend,
-    pad_identity_stack,
-    plan_batch,
-    plan_batch_padded,
-)
+from repro.backends.dispatch import LOOP_POLICY
 
 VARIANTS = ["recursive", "batched"]
-
-PAD_POLICY = DispatchPolicy(pad_buckets=True)
 
 
 def make_problem(n=256, leaf=32, tol=1e-12, seed=0, kind="real", method="svd",
@@ -146,8 +136,8 @@ class TestPlanEquivalence:
 
     @pytest.mark.parametrize("variant", ["batched"])
     def test_loop_policy_still_compiles_plan(self, variant, rng):
-        """Under LOOP_POLICY the plan variants still compile the plan; each
-        planned launch runs per-block LAPACK instead of the vectorised LU."""
+        """Under LOOP_POLICY the plan variants still compile the plan and
+        issue the same launches: the policy changes only construction."""
         A, H = make_problem(n=128, leaf=32)
         solver = HODLRSolver(H, variant=variant, context=ExecutionContext(policy=LOOP_POLICY))
         solver.factorize()
@@ -160,6 +150,25 @@ class TestPlanEquivalence:
         x_default = HODLRSolver(H, variant=variant).factorize().solve(b)
         assert np.linalg.norm(x - x_default) / np.linalg.norm(x_default) < 1e-12
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-9
+
+    def test_loop_policy_factorizes_bitwise_like_default(self, rng):
+        """LOOP_POLICY changes construction only: on a tree whose deep
+        levels vectorise their Schur-complement LU (many nodes of rank at
+        most 12), its factorization is bitwise the default's."""
+        A, H = make_problem(n=1024, leaf=16, tol=1e-8)
+        fac = [
+            HODLRSolver(H, context=ExecutionContext(policy=policy)).factorize()
+            for policy in (None, LOOP_POLICY)
+        ]
+        with get_recorder().recording() as trace:
+            HODLRSolver(H).factorize()
+        assert any(
+            e.batch >= 24 and e.shape[0] <= 12 for e in trace.filter(kernel="getrf_batched").events
+        )
+        for (f, piv), (f_ref, piv_ref) in zip(*(s.factor_plan.leaf_factor_views() for s in fac)):
+            assert np.array_equal(f, f_ref) and np.array_equal(piv, piv_ref)
+        b = rng.standard_normal(1024)
+        assert np.array_equal(fac[1].solve(b), fac[0].solve(b))
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_slogdet_unchanged_by_plan(self, variant):
@@ -291,125 +300,6 @@ class TestFactorPrecision:
 
 
 # ======================================================================
-# identity-bordered LU padding
-# ======================================================================
-#: the vectorised elimination on every stack, so a padded and an unpadded
-#: stack run the same arithmetic and compare bit for bit
-VECTORIZE_ALWAYS = DispatchPolicy(
-    lu_factor_max_n=4096, lu_factor_min_batch=2, lu_solve_max_n=4096, lu_solve_min_batch_ratio=0.0
-)
-
-
-def _exact_factors(blocks, policy):
-    """Per-member ``(lu, piv)`` from one strided getrf launch per exact size."""
-    out = [None] * len(blocks)
-    for bucket in plan_batch([b.shape for b in blocks]).buckets:
-        lu3, piv3 = getrf_batched(np.stack([blocks[i] for i in bucket.indices]), policy=policy)
-        for j, i in enumerate(bucket.indices):
-            out[i] = (lu3[j], piv3[j])
-    return out
-
-
-def _padded_stack(blocks, width):
-    """Identity-bordered stack; the dtype promotes over every member."""
-    return pad_identity_stack(get_backend("numpy"), blocks, width, np.result_type(*blocks))
-
-
-class TestPaddedLU:
-    def test_getrf_padded_factors_exact(self, rng):
-        """The leading block of an identity-bordered factor is the unpadded
-        factor: bit-identical under the same elimination, and the border
-        stays the identity with no row swaps."""
-        sizes = [7, 8, 8, 7, 8, 7, 8, 8] * 4
-        blocks = [rng.standard_normal((m, m)) + m * np.eye(m) for m in sizes]
-        # the default policy vectorises the merged 32-block stack but not the
-        # smaller exact-size stacks, so only round-off agreement is expected
-        for policy, tol in ((VECTORIZE_ALWAYS, 0.0), (DispatchPolicy(), 1e-13)):
-            lu3, piv3 = getrf_batched(_padded_stack(blocks, 8), policy=policy)
-            for i, (lu, piv) in enumerate(_exact_factors(blocks, policy)):
-                m = sizes[i]
-                np.testing.assert_allclose(lu3[i, :m, :m], lu, rtol=tol, atol=tol)
-                np.testing.assert_array_equal(piv3[i, :m], piv)
-                np.testing.assert_array_equal(piv3[i, m:], np.arange(m, 8))
-                np.testing.assert_array_equal(lu3[i, m:, m:], np.eye(8 - m))
-                assert not lu3[i, :m, m:].any() and not lu3[i, m:, :m].any()
-
-    def test_getrs_padded_solutions_exact(self, rng):
-        sizes = [7, 8, 8, 7, 8, 7, 8, 8] * 8
-        blocks = [rng.standard_normal((m, m)) + m * np.eye(m) for m in sizes]
-        rhs = [rng.standard_normal((m, 2)) for m in sizes]
-        rhs3 = np.zeros((len(sizes), 8, 2))
-        for i, r in enumerate(rhs):
-            rhs3[i, : sizes[i]] = r
-        x3 = getrs_batched(*getrf_batched(_padded_stack(blocks, 8)), rhs3)
-        for i, (lu, piv) in enumerate(_exact_factors(blocks, DispatchPolicy())):
-            m = sizes[i]
-            x = getrs_batched(lu[None], piv[None], rhs[i][None])[0]
-            np.testing.assert_allclose(x3[i, :m], x, rtol=1e-12, atol=1e-13)
-            assert not x3[i, m:].any()  # padded rows solve against the identity
-
-    def test_padded_lu_records_merged_buckets(self, rng):
-        sizes = [7, 8] * 16
-        blocks = [rng.standard_normal((m, m)) + m * np.eye(m) for m in sizes]
-        rec = get_recorder()
-        with rec.recording() as t_plain:
-            _exact_factors(blocks, DispatchPolicy())
-        (merged,) = plan_batch_padded([b.shape for b in blocks], max_waste=0.25).buckets
-        with rec.recording() as t_pad:
-            getrf_batched(_padded_stack(blocks, merged.key[0]))
-        assert t_pad.num_kernel_launches < t_plain.num_kernel_launches
-
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_plan_with_padded_buckets_matches_default(self, variant, rng):
-        """Identity-bordered padding inside the plan is exact on a
-        non-power-of-two tree (leaf sizes 37/38)."""
-        n = 300
-        A = hodlr_friendly_matrix(n, seed=5)
-        tree = ClusterTree.balanced(n, leaf_size=40)
-        H = build_hodlr(A, tree, tol=1e-12, method="svd")
-        b = rng.standard_normal(n)
-        fac = factorize(H, variant)
-        fac_pad = factorize(
-            H, variant, context=ExecutionContext(policy=PAD_POLICY)
-        )
-        x = fac.solve(b)
-        x_pad = fac_pad.solve(b)
-        assert np.linalg.norm(x - x_pad) / np.linalg.norm(x) < 1e-12
-        if variant != "recursive":
-            # padding merges the two leaf-size buckets: fewer launches
-            assert (
-                fac_pad.solve_plan.launches_per_solve
-                <= fac.solve_plan.launches_per_solve
-            )
-
-    def test_padded_bucket_mixing_real_and_complex_blocks(self, rng):
-        """A merged bucket must promote over *every* member: a complex block
-        sharing a padded bucket with real ones keeps its imaginary part."""
-        blocks = [rng.standard_normal((8, 8)) + 8 * np.eye(8) for _ in range(30)]
-        blocks.append(
-            rng.standard_normal((7, 7))
-            + 1j * rng.standard_normal((7, 7))
-            + 7 * np.eye(7)
-        )
-        lu3, piv3 = getrf_batched(_padded_stack(blocks, 8))
-        assert np.iscomplexobj(lu3)
-        lu_ref, piv_ref = getrf_batched(blocks[-1][None])
-        np.testing.assert_allclose(lu3[-1, :7, :7], lu_ref[0], rtol=1e-13, atol=1e-13)
-        rhs3 = np.zeros((len(blocks), 8, 2))
-        rhs3[:, :7] = rng.standard_normal((len(blocks), 7, 2))
-        x3 = getrs_batched(lu3, piv3, rhs3)
-        x_ref = getrs_batched(lu_ref, piv_ref, rhs3[-1:, :7])
-        np.testing.assert_allclose(x3[-1, :7], x_ref[0], rtol=1e-12, atol=1e-13)
-
-    def test_padded_plan_logdet_exact(self):
-        A, _ = make_problem(n=300, leaf=40)
-        tree = ClusterTree.balanced(300, leaf_size=40)
-        H = build_hodlr(A, tree, tol=1e-12, method="svd")
-        fac = factorize(H, "batched", context=ExecutionContext(policy=PAD_POLICY))
-        assert fac.logdet() == pytest.approx(np.linalg.slogdet(A)[1], rel=1e-8)
-
-
-# ======================================================================
 # Cholesky leaves of real symmetric matrices
 # ======================================================================
 def _lu_twin(H):
@@ -437,7 +327,7 @@ class TestCholeskyLeaves:
         [
             (256, 32, None),  # uniform tree: one leaf bucket
             (300, 40, None),  # odd leaves: sizes 37 and 38
-            (300, 40, PAD_POLICY),  # the two sizes padded into one bucket
+            (300, 40, LOOP_POLICY),  # the per-block reference factors alike
         ],
     )
     def test_matches_dense_and_lu_plan(self, n, leaf, policy, rng):
@@ -457,15 +347,6 @@ class TestCholeskyLeaves:
         # the pivots are gone: the plan is smaller by their bytes
         piv = sum(lb.piv3.nbytes for lb in lu.factor_plan.leaf_buckets)
         assert chol.factor_plan.nbytes == lu.factor_plan.nbytes - piv
-
-    def test_padded_border_stays_identity(self):
-        _, H = _spd_problem(300, 40)
-        fac = factorize(H, "batched", context=ExecutionContext(policy=PAD_POLICY))
-        (lb,) = fac.factor_plan.leaf_buckets
-        for j, m in enumerate(lb.gs.sizes):
-            f = lb.factor3[j]
-            np.testing.assert_array_equal(f[m:, m:], np.eye(f.shape[0] - m))
-            assert not f[m:, :m].any() and not f[:m, m:].any()
 
     def test_solve_launches_are_one_potrs_per_bucket(self, rng):
         _, H = _spd_problem(300, 40)
@@ -499,8 +380,6 @@ class TestCholeskyLeaves:
         s_ref, l_ref = np.linalg.slogdet(A)
         assert sign == 1.0 and s_ref == 1.0
         assert logabs == pytest.approx(l_ref, rel=1e-9)
-        padded = factorize(H, "batched", context=ExecutionContext(policy=PAD_POLICY))
-        assert padded.slogdet()[1] == pytest.approx(l_ref, rel=1e-9)
 
     def test_indefinite_source_falls_back_to_lu(self, rng):
         """A symmetric but indefinite source: its leaf blocks have no
@@ -559,7 +438,6 @@ class TestCholeskyLeaves:
 SCHUR_TREES = {
     "uniform": (256, 32, None),
     "odd-leaf": (300, 40, None),  # leaf sizes 37 and 38
-    "padded": (300, 40, PAD_POLICY),
 }
 
 
@@ -625,13 +503,11 @@ class TestSchurK:
         s_ref, l_ref = np.linalg.slogdet(H.to_dense())
         if kind == "real":
             assert s_ref == -1.0
-        for policy in (None, PAD_POLICY):
-            ctx = ExecutionContext(policy=policy) if policy else None
-            sign, logabs = factorize(H, "batched", context=ctx, pivot=pivot).slogdet()
-            assert abs(sign - s_ref) < 1e-9
-            assert logabs == pytest.approx(l_ref, rel=1e-10)
-            s_rec, l_rec = factorize(H, "recursive").slogdet()
-            assert abs(sign - s_rec) < 1e-9 and logabs == pytest.approx(l_rec, rel=1e-10)
+        sign, logabs = factorize(H, "batched", pivot=pivot).slogdet()
+        assert abs(sign - s_ref) < 1e-9
+        assert logabs == pytest.approx(l_ref, rel=1e-10)
+        s_rec, l_rec = factorize(H, "recursive").slogdet()
+        assert abs(sign - s_rec) < 1e-9 and logabs == pytest.approx(l_rec, rel=1e-10)
 
     @pytest.mark.parametrize("kind", ["real", "complex", "spd"])
     def test_storage_is_4r2_per_node_without_pivots(self, kind):
@@ -773,12 +649,10 @@ class TestPrecedenceRegression:
     def test_from_config_explicit_policy_keeps_precision(self):
         _, H = make_problem(n=128, leaf=32)
         cfg = SolverConfig(precision=PrecisionPolicy(factor="float32"))
-        ctx = cfg.execution_context().replace(
-            policy=DispatchPolicy(bucketing=True, min_bucket=7)
-        )
+        ctx = cfg.execution_context().replace(policy=DispatchPolicy(bucketing=False))
         solver = HODLRSolver.from_config(H, cfg, context=ctx)
         # the explicit policy won ...
-        assert solver.context.policy.min_bucket == 7
+        assert solver.context.policy.bucketing is False
         # ... and the config's precision policy was NOT silently dropped
         assert solver.context.precision.factor == "float32"
         solver.factorize()
@@ -787,9 +661,9 @@ class TestPrecedenceRegression:
     def test_from_config_without_overrides_unchanged(self):
         _, H = make_problem(n=128, leaf=32)
         cfg = SolverConfig(
-            dispatch_policy=DispatchPolicy(min_bucket=5),
+            dispatch_policy=DispatchPolicy(bucketing=False),
             precision=PrecisionPolicy(factor="float32"),
         )
         solver = HODLRSolver.from_config(H, cfg)
-        assert solver.context.policy.min_bucket == 5
+        assert solver.context.policy.bucketing is False
         assert solver.context.precision.factor == "float32"
