@@ -5,17 +5,13 @@ Times the hot paths of the batched pipeline — HODLR **construction**, the
 SolvePlan** rows (repeated direct solves and the GMRES-preconditioner
 apply loop through the packed :class:`~repro.core.factor_plan.FactorPlan`
 against the per-node recursion of ``variant="recursive"``), the float32
-*factor*-storage rows, the variant equivalence check — and, new in PR 8,
-the cross-solve reuse rows: the **fused multi-RHS solve** (one
-compiled-plan replay for a whole ``(n, K)`` block vs K sequential plan
-solves through the same factorization) and the
-**parameter sweep** (``repro.run_sweep`` recycling the cluster tree,
-skeletons, and cached distance blocks across a 16-point Helmholtz
-frequency sweep vs 16 independent ``repro.solve`` calls) — and, new in
-PR 10, the **streaming update** rows: k-point inserts (factored
-bordering of the dirty blocks + a refactorization of the updated matrix)
-and a k-point delete against full construction + factorization rebuilds,
-at equal *exact* residual.
+*factor*-storage rows, the variant equivalence check, the cross-solve
+reuse row — the **fused multi-RHS solve** (one compiled-plan replay for
+a whole ``(n, K)`` block vs K sequential plan solves through the same
+factorization) — and the **streaming update** rows: k-point inserts
+(factored bordering of the dirty blocks + a refactorization of the
+updated matrix) and a k-point delete against full construction +
+factorization rebuilds, at equal *exact* residual.
 
 Besides the wall-clock rows the run records a ``counters`` section:
 deterministic kernel-trace counters (launch counts, flops, plan storage
@@ -42,11 +38,9 @@ file such as ``BENCH_pr10.json`` by accident.
 
 The full run reproduces the acceptance numbers: a fused K=32 block solve
 >= 4x faster than 32 sequential plan solves at N=16384 with identical
-solutions to 1e-12 (PR 8), the
-16-point Helmholtz sweep >= 2x faster than independent re-builds at equal
-residual (PR 8), and the k=1/k=16 streaming insert and k=16 delete each
->= 2x faster than a full rebuild at N=16384 and equal exact residual
-(PR 10; bordered update + refactorization against construction +
+solutions to 1e-12, and the k=1/k=16 streaming insert and k=16 delete
+each >= 2x faster than a full rebuild at N=16384 and equal exact
+residual (bordered update + refactorization against construction +
 factorization).  Both the full and smoke runs also *assert the plan path
 is actually taken* via the kernel trace (``num_plan_launches ==
 launches_per_solve``, for block right-hand sides independent of K), so a
@@ -276,56 +270,6 @@ def bench_multi_rhs(H, K=32, min_speedup=None):
     if min_speedup is not None:
         assert row["speedup"] >= min_speedup, (
             f"fused multi-RHS speedup {row['speedup']} below {min_speedup}x"
-        )
-    return row
-
-
-def bench_param_sweep(n, points=16, min_speedup=None):
-    """The PR-8 sweep row: a ``points``-step Helmholtz frequency sweep via
-    ``repro.run_sweep`` (recycled cluster tree, skeletons, cached distance
-    blocks) vs the same sweep as independent ``repro.solve`` calls.
-
-    Residual parity is checked against the *exact* operator from the
-    independent side: every recycled solution must be as accurate as the
-    full rebuild it replaces (single-shot timing — at seconds per side the
-    construction-style one-shot is representative).
-    """
-    kappas = [10.0 + 0.5 * i for i in range(points)]
-
-    def run_independent():
-        # keep only (x, exact matvec, rhs) per step: the exact operator is
-        # the light KernelMatrix.matvec closure, while each step's HODLR
-        # factorization is hundreds of MB at full size — holding all of
-        # them alive would thrash memory and poison both sides' timings
-        records = []
-        for k in kappas:
-            res = repro.solve("helmholtz_kernel", n=n, kappa=k)
-            records.append((res.x, res.problem.operator, res.problem.rhs))
-        return records
-
-    ti, independents = _timed(run_independent)
-    ts, sweep = _timed(
-        lambda: repro.run_sweep(
-            "helmholtz_kernel", [{"kappa": k} for k in kappas], n=n
-        )
-    )
-    assert all(step.recycled for step in sweep.steps), "sweep did not recycle"
-    worst = 0.0
-    for step, (x_full, exact, b) in zip(sweep.steps, independents):
-        r_sweep = float(np.linalg.norm(b - exact(step.x)) / np.linalg.norm(b))
-        r_full = float(np.linalg.norm(b - exact(x_full)) / np.linalg.norm(b))
-        worst = max(worst, r_sweep)
-        assert r_sweep < 10 * max(r_full, 1e-12), (
-            f"sweep step kappa={step.params['kappa']} residual {r_sweep:.2e} "
-            f"worse than independent rebuild {r_full:.2e}"
-        )
-    fallbacks = sum(step.fallback_blocks for step in sweep.steps)
-    row = _row(f"helmholtz_sweep_{points}pt", ts, ti, fast_label="sweep",
-               slow_label="independent", n=n, points=points,
-               worst_relres=worst, fallback_blocks=fallbacks)
-    if min_speedup is not None:
-        assert row["speedup"] >= min_speedup, (
-            f"sweep speedup {row['speedup']} below {min_speedup}x"
         )
     return row
 
@@ -958,8 +902,6 @@ def main(argv=None):
     n_solve = 2048 if args.smoke else 16384
     n_equiv = 1024 if args.smoke else 4096
     n_e2e = 1024 if args.smoke else 4096
-    n_sweep = 512 if args.smoke else 4096
-    sweep_points = 4 if args.smoke else 16
     rpy_particles = 96 if args.smoke else 400
     out_path = args.output or os.path.join(REPO_ROOT, "BENCH_smoke.json")
     print(f"recording {'smoke' if args.smoke else 'full'} benchmark "
@@ -981,11 +923,6 @@ def main(argv=None):
         H, K=32, min_speedup=None if args.smoke else 4.0
     )
     del H
-    # the PR-8 sweep row: recycled Helmholtz frequency sweep vs independent
-    # rebuilds, >= 2x on the full run at equal residual
-    benchmarks["helmholtz_sweep"] = bench_param_sweep(
-        n_sweep, points=sweep_points, min_speedup=None if args.smoke else 2.0
-    )
     # the PR-10 acceptance rows: k-point streaming insert/delete (factored
     # bordering + refactorization) vs a full rebuild at equal exact
     # residual — >= 2x at k <= 16, N=16384 on the full run

@@ -5,8 +5,7 @@ contribution so their effect can be measured separately:
 
 * level-batched kernels vs per-node recursion (the core claim: batching
   reduces kernel launches by orders of magnitude);
-* strided per-bucket launches on ragged (non-power-of-two) trees, under the
-  default policy and the per-block reference ``LOOP_POLICY`` alike;
+* strided per-bucket launches on ragged (non-power-of-two) trees;
 * partial pivoting in the reduced K systems vs the reordered pivot-free
   formulation of equation (9)'s alternatives;
 * double vs single precision.
@@ -18,13 +17,11 @@ import pytest
 from repro import (
     BatchedFactorization,
     ClusterTree,
-    ExecutionContext,
     HODLRSolver,
     RecursiveFactorization,
     build_hodlr,
 )
 from repro.backends.counters import get_recorder
-from repro.backends.dispatch import LOOP_POLICY
 
 from common import GPU_MODEL, TableRow, save_rows, timed
 
@@ -116,38 +113,32 @@ class TestDispatchAblation:
     def test_nonuniform_tree_uses_strided_bucket_launches(self):
         """A non-power-of-two size gives ragged levels; they still lower onto
         strided per-bucket launches, never a pointer-array gemm.  Reports
-        factorize seconds and modeled GPU time, default vs ``LOOP_POLICY``."""
+        factorize seconds and modeled GPU time."""
         n = 1800
         A = structured_matrix(n, seed=2)
         tree = ClusterTree.balanced(n, leaf_size=64)
         H = build_hodlr(A, tree, tol=1e-9, method="svd")
         b = np.random.default_rng(3).standard_normal(n)
-        extra = {}
-        for label, ctx in (("default", None), ("loop", ExecutionContext(policy=LOOP_POLICY))):
-            solver, extra[f"factor_s_{label}"] = min(
-                (timed(HODLRSolver(H, variant="batched", context=ctx).factorize)
-                 for _ in range(3)),
-                key=lambda r: r[1],
-            )
-            extra[f"modeled_gpu_factor_{label}"] = GPU_MODEL.estimate(
-                solver.factor_trace
-            ).total_time
-            with get_recorder().recording() as solve_trace:
-                x = solver.solve(b)
-            events = solver.factor_trace.events + solve_trace.events
-            assert events and all(e.strided for e in events), label
-            # only the strided launches of repro.backends.batched: no
-            # pointer-array gemm anywhere in the schedule
-            assert {e.kernel for e in events} <= STRIDED_KERNELS, label
-            relres = float(np.linalg.norm(A @ x - b) / np.linalg.norm(b))
-            assert relres < 1e-7, label
+        solver, factor_s = min(
+            (timed(HODLRSolver(H, variant="batched").factorize) for _ in range(3)),
+            key=lambda r: r[1],
+        )
+        modeled = GPU_MODEL.estimate(solver.factor_trace).total_time
+        with get_recorder().recording() as solve_trace:
+            x = solver.solve(b)
+        events = solver.factor_trace.events + solve_trace.events
+        assert events and all(e.strided for e in events)
+        # only the strided launches of repro.backends.batched: no
+        # pointer-array gemm anywhere in the schedule
+        assert {e.kernel for e in events} <= STRIDED_KERNELS
+        relres = float(np.linalg.norm(A @ x - b) / np.linalg.norm(b))
+        assert relres < 1e-7
+        extra = {"factor_s_default": factor_s, "modeled_gpu_factor_default": modeled}
         save_rows("ablation_nonuniform_strided", [
             TableRow(experiment="ablation_nonuniform_strided", n=n, relres=relres, extra=extra)
         ])
-        print(f"\nn={n} factorize: default {extra['factor_s_default'] * 1e3:.1f} ms, "
-              f"LOOP_POLICY {extra['factor_s_loop'] * 1e3:.1f} ms; modeled V100 "
-              f"{extra['modeled_gpu_factor_default'] * 1e3:.3f} ms vs "
-              f"{extra['modeled_gpu_factor_loop'] * 1e3:.3f} ms")
+        print(f"\nn={n} factorize: {factor_s * 1e3:.1f} ms; modeled V100 "
+              f"{modeled * 1e3:.3f} ms")
 
 
 class TestPivotingAblation:

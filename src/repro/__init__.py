@@ -127,7 +127,6 @@ from .api import (
     SolverConfig,
     SweepResult,
     SweepStep,
-    SweepWorkspace,
     available_problems,
     build_operator,
     cache_stats,
@@ -178,7 +177,6 @@ __all__ = [
     "operator_cache_enabled",
     "SweepResult",
     "SweepStep",
-    "SweepWorkspace",
     "run_sweep",
     # core
     "ClusterTree",

@@ -17,8 +17,8 @@ One stable front door over the whole library:
   replay for a whole ``(n, K)`` block);
 * :class:`OperatorCache` / :func:`enable_operator_cache` — a bounded
   process-wide LRU of factorized operators (see :mod:`repro.api.cache`);
-* :func:`run_sweep` — parameter sweeps that recycle construction across
-  nearby kernel parameters (see :mod:`repro.api.sweep`).
+* :func:`run_sweep` — parameter sweeps (one :func:`solve` per point) and
+  solver-config sweeps that share one assembly (see :mod:`repro.api.sweep`).
 
 >>> import repro
 >>> from repro.api import CompressionConfig, SolverConfig
@@ -60,7 +60,7 @@ from .facade import (
     solve_many,
     update_operator,
 )
-from .sweep import SweepResult, SweepStep, SweepWorkspace, run_sweep
+from .sweep import SweepResult, SweepStep, run_sweep
 
 __all__ = [
     "COMPRESSION_METHODS",
@@ -100,6 +100,5 @@ __all__ = [
     "operator_cache_enabled",
     "SweepResult",
     "SweepStep",
-    "SweepWorkspace",
     "run_sweep",
 ]

@@ -361,9 +361,8 @@ def solve(
     ``cache=True`` (or a process-wide :func:`repro.enable_operator_cache`)
     reuses a cached factorized operator for an identical
     ``(problem, config)`` request, skipping assembly and factorization —
-    see :mod:`repro.api.cache`.  For many related systems that differ only
-    in one kernel parameter, see :func:`repro.run_sweep`, which recycles
-    construction across the parameter axis instead.
+    see :mod:`repro.api.cache`.  :func:`repro.run_sweep` runs this
+    function once per point of a parameter sweep.
 
     Returns a :class:`SolveResult`; the factorized operator inside it acts
     in the caller's ordering too and can be reused for more solves without

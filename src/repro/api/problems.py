@@ -22,8 +22,8 @@ Registered names
     natural right-hand side (marginal-likelihood workloads).
 ``helmholtz_kernel``
     Oscillatory Helmholtz point-source kernel matrix (complex) over a
-    random 2-D cloud — the frequency-sweep workload for
-    :func:`repro.run_sweep`.
+    random 2-D cloud (the frequency-sweep example of
+    :func:`repro.run_sweep`).
 ``rpy_mobility``
     RPY mobility matrix of a random particle suspension (Table III).
 ``laplace_bie``
@@ -112,9 +112,6 @@ class GaussianKernelProblem:
     name = "gaussian_kernel"
     #: rook compression at direct-solver accuracy (the quickstart defaults)
     default_config: ClassVar[SolverConfig] = SolverConfig()
-    #: fields that only change the kernel profile (not the geometry), so a
-    #: :func:`repro.run_sweep` over them recycles construction
-    sweep_params: ClassVar[tuple] = ("lengthscale", "diagonal_shift")
 
     def kernel_spec(self):
         """``(kernel, diagonal_shift)`` — must match :meth:`assemble`."""
@@ -154,8 +151,6 @@ class GPCovarianceProblem:
     default_config: ClassVar[SolverConfig] = SolverConfig(
         compression=CompressionConfig(tol=1e-8)
     )
-    #: hyper-parameter search sweeps these without touching the geometry
-    sweep_params: ClassVar[tuple] = ("lengthscale", "nu", "noise_std")
 
     @staticmethod
     def true_function(x: np.ndarray) -> np.ndarray:
@@ -188,12 +183,10 @@ class HelmholtzKernelProblem:
 
     ``K[i, j] = exp(i kappa r_ij) / sqrt(r_ij)`` plus a diagonal shift —
     the complex, frequency-dependent analogue of the Gaussian quickstart
-    problem.  Because only the kernel *profile* depends on ``kappa``, this
-    is the canonical frequency-sweep workload for :func:`repro.run_sweep`:
-    the point geometry, cluster tree, and cached distances are shared
-    across frequencies.  The diagonal shift defaults to ``2 n`` (scaling
-    with the row sums of the ``1/sqrt(r)`` envelope) so the system stays
-    well-conditioned across the sweep.
+    problem, and the frequency-sweep example of :func:`repro.run_sweep`.
+    The diagonal shift defaults to ``2 n`` (scaling with the row sums of
+    the ``1/sqrt(r)`` envelope) so the system stays well-conditioned
+    across a frequency sweep.
     """
 
     n: int = 2048
@@ -212,8 +205,6 @@ class HelmholtzKernelProblem:
     default_config: ClassVar[SolverConfig] = SolverConfig(
         compression=CompressionConfig(tol=1e-6, method="rook")
     )
-    #: frequency (and shift) sweeps recycle construction
-    sweep_params: ClassVar[tuple] = ("kappa", "diagonal_shift")
 
     def _shift(self) -> float:
         return 2.0 * self.n if self.diagonal_shift is None else self.diagonal_shift

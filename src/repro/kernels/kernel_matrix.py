@@ -191,14 +191,13 @@ class KernelMatrix:
         return self.entries(np.arange(self.n), np.arange(self.n))
 
     # ------------------------------------------------------------------
-    # construction-recycling hooks (see repro.api.sweep)
+    # geometry-only helpers
     # ------------------------------------------------------------------
     def distances(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The ``(m, n)`` pairwise-distance block for index sets.
 
-        Geometry only — independent of the bound kernel, so a parameter
-        sweep computes these once and replays each parameter's radial
-        ``profile`` on the cached result (see :mod:`repro.api.sweep`).
+        Geometry only — independent of the bound kernel, so one result
+        serves every kernel parameter through the radial ``profile``.
         """
         rows = np.asarray(rows, dtype=int)
         cols = np.asarray(cols, dtype=int)
@@ -226,8 +225,8 @@ class KernelMatrix:
     ) -> "KernelMatrix":
         """A sibling matrix over the *same points* with a new kernel.
 
-        The points array is shared (no copy), so a sweep builds one
-        :class:`KernelMatrix` per parameter value without duplicating the
+        The points array is shared (no copy), so one
+        :class:`KernelMatrix` per parameter value does not duplicate the
         geometry.  ``diagonal_shift`` defaults to this matrix's shift.
         """
         return KernelMatrix(

@@ -11,10 +11,9 @@ kernel_matrix.KernelMatrix`:
 ``profile(d) -> ndarray``
     apply the *radial profile* to an already-computed distance array of any
     shape, such that ``kernel(X, Y) == kernel.profile(pairwise_distances(X,
-    Y))`` exactly (nugget included).  This factorization is what lets the
-    parameter-sweep engine (:mod:`repro.api.sweep`) cache the geometry —
-    the distance matrices — once and re-run only the cheap profile when a
-    kernel parameter (lengthscale, wavenumber) changes.
+    Y))`` exactly (nugget included), so a distance array computed once
+    can be re-used under several kernel parameters (lengthscale,
+    wavenumber).
 
 All kernels broadcast over point blocks with vectorised NumPy (no Python
 loops over pairs), which is what keeps HODLR construction fast.
@@ -179,10 +178,8 @@ class HelmholtzKernel2D:
     pair it with a ``diagonal_shift`` on the
     :class:`~repro.kernels.kernel_matrix.KernelMatrix` for invertibility.
 
-    Because only the *profile* depends on ``kappa`` while the distance
-    geometry is fixed, a frequency sweep over this kernel is the canonical
-    :func:`repro.run_sweep` workload: distances are computed once and each
-    frequency re-runs just this complex exponential.
+    A frequency sweep over this kernel (``helmholtz_kernel`` under
+    :func:`repro.run_sweep`) solves one independent system per ``kappa``.
     """
 
     kappa: float = 1.0

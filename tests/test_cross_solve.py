@@ -10,11 +10,9 @@ Covers the acceptance criteria of the cross-solve layer:
   regardless of K;
 * operator-cache hits / LRU eviction / dtype-keyed invalidation, and the
   opt-in default leaving per-call stats isolated;
-* ``run_sweep`` agreement with independent full rebuilds, the sampled
-  fallback guard, and assembly sharing in config sweeps.
+* ``run_sweep`` parameter steps equal independent ``repro.solve`` calls
+  bitwise, and config sweeps share one assembly.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -34,8 +32,6 @@ from repro import (
 from repro.api import CompressionConfig, SolverConfig
 from repro.api.cache import problem_fingerprint
 from repro.api.krylov import IterationLog
-from repro.core.compression import rook_pivot_compress_dense
-from repro.kernels.radial import pairwise_distances
 
 VARIANTS = ["recursive", "batched"]
 
@@ -336,104 +332,70 @@ class TestRunSweep:
         kappas = [10.0, 13.0, 16.0]
         res = run_sweep("helmholtz_kernel", [{"kappa": k} for k in kappas], n=384)
         assert len(res) == 3
-        assert all(s.recycled for s in res.steps)
         for k, step in zip(kappas, res.steps):
             full = repro.solve("helmholtz_kernel", n=384, kappa=k)
-            # both are tol-accurate approximations of the same matrix
-            rel = np.linalg.norm(step.x - full.x) / np.linalg.norm(full.x)
-            assert rel < 5e-6
-            # the recycled factorization is solved exactly (direct solver)
+            assert np.array_equal(step.x, full.x)
+            # the factorization is solved exactly (direct solver)
             assert step.relative_residual < 1e-12
-            # equal residual against the *exact* operator
+            # and the compressed operator is tol-accurate against the exact one
             exact = full.problem.operator
             b = full.problem.rhs
-            r_sweep = np.linalg.norm(b - exact(step.x)) / np.linalg.norm(b)
-            r_full = np.linalg.norm(b - exact(full.x)) / np.linalg.norm(b)
-            assert r_sweep < 10 * max(r_full, 1e-12)
+            assert np.linalg.norm(b - exact(step.x)) / np.linalg.norm(b) < 1e-5
 
     def test_gp_lengthscale_sweep_matches_rebuild(self):
         scales = [0.05, 0.08, 0.12]
         res = run_sweep("gp_covariance", [{"lengthscale": s} for s in scales], n=384)
-        assert all(s.recycled for s in res.steps)
         for s_val, step in zip(scales, res.steps):
             full = repro.solve("gp_covariance", n=384, lengthscale=s_val)
             rel = np.linalg.norm(step.x - full.x) / np.linalg.norm(full.x)
             assert rel < 1e-8
 
-    def test_large_jump_triggers_fallback_and_stays_accurate(self):
-        res = run_sweep("helmholtz_kernel", [{"kappa": 10.0}], n=384, keep_workspace=True)
-        ws = res.workspace
-        anchor = dict(ws._fine)
-        jump = ws.step({"kappa": 60.0})
-        assert jump.fallback_blocks > 0  # the sampled guard caught the drift
-        full = repro.solve("helmholtz_kernel", n=384, kappa=60.0)
-        rel = np.linalg.norm(jump.x - full.x) / np.linalg.norm(full.x)
-        assert rel < 5e-5
-        # each fallback block is recompressed by rook at the skeleton
-        # tolerance: truncated SVD's rank, and the error contract of rook
-        # (relative to the block's largest singular value)
-        refreshed = [b for b in ws._blocks
-                     if ws._fine[b.row_index, b.col_index] is not anchor[b.row_index, b.col_index]]
-        assert len(refreshed) == jump.fallback_blocks
-        profile = dataclasses.replace(ws.problem, kappa=60.0).kernel_spec()[0].profile
-        for blk in refreshed:
-            A = profile(pairwise_distances(ws.points[blk.rows], ws.points[blk.cols]))
-            fine = ws._fine[blk.row_index, blk.col_index]
-            s = np.linalg.svd(A, compute_uv=False)
-            assert abs(fine.rank - int(np.sum(s > ws.skeleton_tol * s[0]))) <= 1
-            assert np.linalg.norm(fine.to_dense() - A, 2) <= 2 * ws.skeleton_tol * s[0]
+    @pytest.mark.parametrize("name, overrides", [
+        ("helmholtz_kernel", [{"kappa": 10.0}, {"kappa": 60.0}, {"diagonal_shift": 500.0}]),
+        ("gp_covariance", [{"lengthscale": 0.05}, {"nu": 2.5}, {"noise_std": 0.2}]),
+        ("gaussian_kernel", [{"lengthscale": 0.3}, {"diagonal_shift": 0.5}]),
+    ])
+    def test_steps_are_independent_solves_bitwise(self, name, overrides):
+        # seed= is a problem keyword (it places the points), not a sweep knob
+        res = run_sweep(name, overrides, n=320, seed=7)
+        assert [s.params for s in res.steps] == overrides
+        for ov, step in zip(overrides, res.steps):
+            full = repro.solve(name, n=320, seed=7, **ov)
+            assert step.recycled is False
+            assert np.array_equal(step.x, full.x)
+            assert step.relative_residual == full.relative_residual
 
-    @staticmethod
-    def _fallback_factors(seed):
-        """The refreshed fine factors of a kappa 10 -> 60 jump, keyed by
-        block, each with its fully evaluated block."""
-        res = run_sweep("helmholtz_kernel", [{"kappa": 10.0}], n=384, seed=seed,
-                        keep_workspace=True)
-        ws = res.workspace
-        anchor = dict(ws._fine)
-        ws.step({"kappa": 60.0})
-        profile = dataclasses.replace(ws.problem, kappa=60.0).kernel_spec()[0].profile
-        out = {}
-        for blk in ws._blocks:
-            key = (blk.row_index, blk.col_index)
-            if ws._fine[key] is not anchor[key]:
-                A = profile(pairwise_distances(ws.points[blk.rows], ws.points[blk.cols]))
-                out[key] = (ws._fine[key], A)
-        return ws, out
+    @pytest.mark.parametrize(
+        "keyword", ["skeleton_factor", "fallback_factor", "sample_size", "keep_workspace"]
+    )
+    def test_removed_keywords_raise(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            run_sweep("helmholtz_kernel", [{"kappa": 10.0}], n=64, **{keyword: 1})
+        # also on an instance, and before any step runs
+        problem = repro.get_problem("helmholtz_kernel", n=64)
+        with pytest.raises(TypeError, match=keyword):
+            run_sweep(problem, [], **{keyword: 1})
 
-    def test_fallback_recompression_is_rook_at_the_skeleton_tolerance(self):
-        ws, refreshed = self._fallback_factors(seed=0)
-        assert refreshed
-        for fine, A in refreshed.values():
-            ref = rook_pivot_compress_dense(A, tol=ws.skeleton_tol)
-            assert np.array_equal(fine.U, ref.U) and np.array_equal(fine.V, ref.V)
-
-    def test_fallback_recompression_does_not_depend_on_seed(self):
-        # the seed places the guard's samples (so which blocks fall back);
-        # a block that falls back under both seeds gets one factor
-        _, first = self._fallback_factors(seed=0)
-        _, second = self._fallback_factors(seed=1)
-        common = first.keys() & second.keys()
-        assert common
-        for key in common:
-            assert np.array_equal(first[key][0].U, second[key][0].U)
-            assert np.array_equal(first[key][0].V, second[key][0].V)
+    @pytest.mark.parametrize("key", ["points_added", "points_removed", "rhs_added"])
+    def test_geometry_update_keys_point_to_update_operator(self, key):
+        with pytest.raises(ValueError, match=f"{key}.*update_operator"):
+            run_sweep("gaussian_kernel", [{"lengthscale": 0.3}, {key: [0]}], n=64)
 
     def test_trace_rows(self):
         res = run_sweep("helmholtz_kernel", [{"kappa": 10.0}, {"kappa": 11.0}], n=256)
         rows = res.trace()
         assert len(rows) == 2
         for row in rows:
-            assert {"kappa", "relative_residual", "recycled", "fallback_blocks",
-                    "max_rank", "eval_seconds", "factorize_seconds",
-                    "solve_seconds", "total_seconds"} <= set(row)
+            assert {"kappa", "relative_residual", "recycled", "max_rank",
+                    "rebuild_seconds", "factorize_seconds", "solve_seconds",
+                    "total_seconds"} == set(row)
 
     def test_geometry_key_falls_back_to_full_solve(self):
         res = run_sweep(
             "gaussian_kernel", [{"lengthscale": 0.3}, {"n": 192}], n=256
         )
-        assert res.steps[0].recycled is True
-        assert res.steps[1].recycled is False
+        assert [s.recycled for s in res.steps] == [False, False]
+        assert res.steps[0].x.shape == (256,)
         assert res.steps[1].x.shape == (192,)
 
     def test_config_sweep_shares_assembly(self):
@@ -447,15 +409,6 @@ class TestRunSweep:
         xs = res.solutions
         for x in xs[1:]:
             assert np.linalg.norm(x - xs[0]) / np.linalg.norm(xs[0]) < 1e-10
-
-    def test_incremental_workspace(self):
-        res = run_sweep(
-            "helmholtz_kernel", [{"kappa": 10.0}], n=256, keep_workspace=True
-        )
-        assert res.workspace is not None
-        extra = res.workspace.step({"kappa": 11.5})
-        assert extra.recycled
-        assert extra.relative_residual < 1e-12
 
     def test_shared_rhs_comes_from_problem(self):
         res = run_sweep("gp_covariance", [{"lengthscale": 0.06}], n=256)
